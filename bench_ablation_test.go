@@ -16,7 +16,6 @@ import (
 	"presto/internal/gro"
 	"presto/internal/sim"
 	"presto/internal/tcp"
-	"presto/internal/workload"
 )
 
 func fabricConfigWithBuffers(bytes int) fabric.Config {
@@ -37,11 +36,11 @@ func BenchmarkAblationFlowcellSize(b *testing.B) {
 					Seed:          uint64(i + 1),
 					FlowcellBytes: kb << 10,
 				})
-				el := workload.Stride(c, 8)
+				el := startStride(b, c)
 				c.Eng.Run(20 * sim.Millisecond)
 				el.ResetBaseline(c.Eng.Now())
 				c.Eng.Run(70 * sim.Millisecond)
-				b.ReportMetric(el.Mean(c.Eng.Now()), "Gbps")
+				b.ReportMetric(el.MeanTput(c.Eng.Now()), "Gbps")
 			}
 		})
 	}
@@ -60,7 +59,7 @@ func BenchmarkAblationGROAlpha(b *testing.B) {
 					Seed:      uint64(i + 1),
 					GROConfig: gro.PrestoConfig{Alpha: alpha},
 				})
-				el := workload.Stride(c, 8)
+				el := startStride(b, c)
 				c.Eng.Run(20 * sim.Millisecond)
 				el.ResetBaseline(c.Eng.Now())
 				c.Eng.Run(70 * sim.Millisecond)
@@ -68,7 +67,7 @@ func BenchmarkAblationGROAlpha(b *testing.B) {
 				for _, h := range c.Hosts {
 					fires += h.NIC.GRO().Stats().TimeoutFires
 				}
-				b.ReportMetric(el.Mean(c.Eng.Now()), "Gbps")
+				b.ReportMetric(el.MeanTput(c.Eng.Now()), "Gbps")
 				b.ReportMetric(float64(fires), "gro-timeouts")
 			}
 		})
@@ -82,7 +81,7 @@ func BenchmarkAblationPerPacket(b *testing.B) {
 	for _, sys := range []System{SysPerPacket, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunScalability(sys, 4, benchOpt(uint64(i)))
+				r := runCell(b, fabricSweep("ablation", "", []int{4}, []System{sys}, ScalabilityTopo)[0], benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
 			}
 		})
@@ -102,11 +101,11 @@ func BenchmarkAblationSwitchBuffers(b *testing.B) {
 					Seed:     uint64(i + 1),
 					Fabric:   fabricConfigWithBuffers(kb << 10),
 				})
-				el := workload.Stride(c, 8)
+				el := startStride(b, c)
 				c.Eng.Run(20 * sim.Millisecond)
 				el.ResetBaseline(c.Eng.Now())
 				c.Eng.Run(70 * sim.Millisecond)
-				b.ReportMetric(el.Mean(c.Eng.Now()), "Gbps")
+				b.ReportMetric(el.MeanTput(c.Eng.Now()), "Gbps")
 				b.ReportMetric(c.Net.LossRate()*100, "loss%")
 			}
 		})
@@ -167,13 +166,13 @@ func BenchmarkAblationDCTCP(b *testing.B) {
 					TCP:      tcp.Config{CC: cc},
 					Fabric:   fabric.Config{ECNThresholdBytes: ecn},
 				})
-				el := workload.Stride(c, 8)
+				el := startStride(b, c)
 				p := c.NewProber(0, 8, sim.Millisecond)
 				p.Start()
 				c.Eng.Run(20 * sim.Millisecond)
 				el.ResetBaseline(c.Eng.Now())
 				c.Eng.Run(70 * sim.Millisecond)
-				b.ReportMetric(el.Mean(c.Eng.Now()), "Gbps")
+				b.ReportMetric(el.MeanTput(c.Eng.Now()), "Gbps")
 				b.ReportMetric(p.Samples.Percentile(99), "rtt-p99-ms")
 			}
 		})
@@ -194,7 +193,7 @@ func BenchmarkAblationTunnelMode(b *testing.B) {
 				cfg := cluster.Config{Topology: Testbed(), Scheme: cluster.Presto, Seed: uint64(i + 1)}
 				cfg.Ctrl.TunnelMode = tunnel
 				c := cluster.New(cfg)
-				el := workload.Stride(c, 8)
+				el := startStride(b, c)
 				c.Eng.Run(20 * sim.Millisecond)
 				el.ResetBaseline(c.Eng.Now())
 				c.Eng.Run(70 * sim.Millisecond)
@@ -202,7 +201,7 @@ func BenchmarkAblationTunnelMode(b *testing.B) {
 				for _, leaf := range c.Topo.Leaves {
 					rules += c.Net.Switch(leaf).LabelCount()
 				}
-				b.ReportMetric(el.Mean(c.Eng.Now()), "Gbps")
+				b.ReportMetric(el.MeanTput(c.Eng.Now()), "Gbps")
 				b.ReportMetric(float64(rules), "leaf-rules")
 			}
 		})

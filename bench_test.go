@@ -18,10 +18,9 @@ import (
 
 func benchOpt(seed uint64) Options {
 	return Options{
-		Seed:         seed,
-		Warmup:       20 * sim.Millisecond,
-		Duration:     50 * sim.Millisecond,
-		MiceInterval: 4 * sim.Millisecond,
+		Seed:     seed,
+		Warmup:   20 * sim.Millisecond,
+		Duration: 50 * sim.Millisecond,
 	}
 }
 
@@ -29,27 +28,23 @@ func benchOpt(seed uint64) Options {
 // under competing flows with a 500 µs inactivity gap.
 func BenchmarkFig1FlowletSizes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := RunFlowletSizes(3, 500*sim.Microsecond, 16<<20, benchOpt(uint64(i)))
-		b.ReportMetric(r.LargestFraction, "largest-flowlet-frac")
-		b.ReportMetric(float64(r.Count), "flowlets")
+		r := runFigure(b, "fig1/competing=3", benchOpt(uint64(i)))
+		b.ReportMetric(r.Metrics["largest_fraction"], "largest-flowlet-frac")
+		b.ReportMetric(r.Metrics["flowlets"], "flowlets")
 	}
 }
 
 // BenchmarkFig5GROReordering regenerates Figure 5: official vs Presto
 // GRO under flowcell spraying.
 func BenchmarkFig5GROReordering(b *testing.B) {
-	for _, official := range []bool{true, false} {
-		name := "PrestoGRO"
-		if official {
-			name = "OfficialGRO"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, gro := range []string{"official", "presto"} {
+		b.Run(gro, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunGROMicrobench(official, benchOpt(uint64(i)))
+				r := runFigure(b, "fig5/gro="+gro, benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
-				b.ReportMetric(r.OOOCounts.Percentile(90), "ooo-p90")
-				b.ReportMetric(r.SegSizes.Mean(), "seg-KB")
-				b.ReportMetric(r.CPUUtil*100, "cpu%")
+				b.ReportMetric(r.Metrics["ooo_p90"], "ooo-p90")
+				b.ReportMetric(r.Metrics["seg_kb_mean"], "seg-KB")
+				b.ReportMetric(r.Metrics["cpu_util_pct"], "cpu%")
 			}
 		})
 	}
@@ -58,15 +53,11 @@ func BenchmarkFig5GROReordering(b *testing.B) {
 // BenchmarkFig6CPUOverhead regenerates Figure 6: receiver CPU at line
 // rate, Presto GRO vs official GRO without reordering.
 func BenchmarkFig6CPUOverhead(b *testing.B) {
-	for _, prestoGRO := range []bool{false, true} {
-		name := "OfficialGRO"
-		if prestoGRO {
-			name = "PrestoGRO"
-		}
-		b.Run(name, func(b *testing.B) {
+	for _, gro := range []string{"official", "presto"} {
+		b.Run(gro, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunCPUOverhead(prestoGRO, benchOpt(uint64(i)))
-				b.ReportMetric(r.Mean, "cpu%")
+				r := runFigure(b, "fig6/gro="+gro, benchOpt(uint64(i)))
+				b.ReportMetric(r.Metrics["cpu_pct"], "cpu%")
 				b.ReportMetric(r.MeanTput, "Gbps")
 			}
 		})
@@ -79,7 +70,7 @@ func BenchmarkFig7Scalability(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunScalability(sys, 8, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig7/paths=8/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
 			}
 		})
@@ -92,7 +83,7 @@ func BenchmarkFig8ScalabilityRTT(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunScalability(sys, 8, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig7/paths=8/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.RTT.Percentile(99), "rtt-p99-ms")
 			}
 		})
@@ -105,7 +96,7 @@ func BenchmarkFig9LossFairness(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunScalability(sys, 4, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig7/paths=4/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.LossRate*100, "loss%")
 				b.ReportMetric(r.Fairness, "jain")
 			}
@@ -119,7 +110,7 @@ func BenchmarkFig10Oversubscription(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunOversubscription(sys, 8, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig10/flows=8/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
 			}
 		})
@@ -132,7 +123,7 @@ func BenchmarkFig11OversubRTT(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunOversubscription(sys, 8, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig10/flows=8/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.RTT.Percentile(99), "rtt-p99-ms")
 			}
 		})
@@ -144,7 +135,7 @@ func BenchmarkFig12OversubLossFairness(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunOversubscription(sys, 6, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig10/flows=6/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.LossRate*100, "loss%")
 				b.ReportMetric(r.Fairness, "jain")
 			}
@@ -158,7 +149,7 @@ func BenchmarkFig13Flowlet(b *testing.B) {
 	for _, sys := range []System{SysFlowlet100, SysFlowlet500, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunWorkload(sys, Stride, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig13/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
 				b.ReportMetric(r.RTT.Percentile(99.9), "rtt-p999-ms")
 			}
@@ -172,7 +163,7 @@ func BenchmarkFig14PerHop(b *testing.B) {
 	for _, sys := range []System{SysPrestoECMP, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunWorkload(sys, Stride, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig14/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.MeanTput, "Gbps")
 				b.ReportMetric(r.RTT.Percentile(99), "rtt-p99-ms")
 			}
@@ -184,11 +175,11 @@ func BenchmarkFig14PerHop(b *testing.B) {
 // across the four synthetic workloads (stride shown per system;
 // others via sub-benchmarks).
 func BenchmarkFig15Workloads(b *testing.B) {
-	for _, w := range []WorkloadKind{Shuffle, Random, Stride, Bijection} {
+	for _, w := range []string{"shuffle", "random", "stride", "bijection"} {
 		for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 			b.Run(fmt.Sprintf("%v/%v", w, sys), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r := RunWorkload(sys, w, benchOpt(uint64(i)))
+					r := runFigure(b, fmt.Sprintf("fig15/wl=%v/sys=%v", w, sys), benchOpt(uint64(i)))
 					b.ReportMetric(r.MeanTput, "Gbps")
 				}
 			})
@@ -202,7 +193,7 @@ func BenchmarkFig16MiceFCT(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunWorkload(sys, Stride, benchOpt(uint64(i)))
+				r := runFigure(b, fmt.Sprintf("fig16/wl=stride/sys=%v", sys), benchOpt(uint64(i)))
 				b.ReportMetric(r.FCT.Percentile(99.9), "fct-p999-ms")
 			}
 		})
@@ -214,9 +205,9 @@ func BenchmarkTable1Trace(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysOptimal, SysPresto} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunTrace(sys, benchOpt(uint64(i)))
-				b.ReportMetric(r.MiceFCT.Percentile(99), "fct-p99-ms")
-				b.ReportMetric(r.ElephantTput, "eleph-Gbps")
+				r := runFigure(b, fmt.Sprintf("table1/sys=%v", sys), benchOpt(uint64(i)))
+				b.ReportMetric(r.FCT.Percentile(99), "fct-p99-ms")
+				b.ReportMetric(r.MeanTput, "eleph-Gbps")
 			}
 		})
 	}
@@ -228,8 +219,8 @@ func BenchmarkTable2NorthSouth(b *testing.B) {
 	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
 		b.Run(sys.String(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunNorthSouth(sys, benchOpt(uint64(i)))
-				b.ReportMetric(r.MiceFCT.Percentile(99), "fct-p99-ms")
+				r := runFigure(b, fmt.Sprintf("table2/sys=%v", sys), benchOpt(uint64(i)))
+				b.ReportMetric(r.FCT.Percentile(99), "fct-p99-ms")
 				b.ReportMetric(r.MeanTput, "Gbps")
 			}
 		})
@@ -239,13 +230,13 @@ func BenchmarkTable2NorthSouth(b *testing.B) {
 // BenchmarkFig17Failover regenerates Figure 17: per-stage throughput
 // around a link failure.
 func BenchmarkFig17Failover(b *testing.B) {
-	for _, w := range []FailoverWorkload{FailL1L4, FailL4L1, FailStride, FailBijection} {
-		b.Run(w.String(), func(b *testing.B) {
+	for _, w := range FailoverWorkloads() {
+		b.Run(w, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r := RunFailover(w, benchOpt(uint64(i)))
-				b.ReportMetric(r.SymmetryTput, "sym-Gbps")
-				b.ReportMetric(r.FailoverTput, "fo-Gbps")
-				b.ReportMetric(r.WeightedTput, "wt-Gbps")
+				r := runFigure(b, "fig17/wl="+w, benchOpt(uint64(i))).Metrics
+				b.ReportMetric(r["symmetry_gbps"], "sym-Gbps")
+				b.ReportMetric(r["failover_gbps"], "fo-Gbps")
+				b.ReportMetric(r["weighted_gbps"], "wt-Gbps")
 			}
 		})
 	}
@@ -254,9 +245,9 @@ func BenchmarkFig17Failover(b *testing.B) {
 // BenchmarkFig18FailoverRTT regenerates Figure 18: per-stage RTT.
 func BenchmarkFig18FailoverRTT(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		r := RunFailover(FailBijection, benchOpt(uint64(i)))
-		b.ReportMetric(r.SymmetryRTT.Percentile(99), "sym-p99-ms")
-		b.ReportMetric(r.FailoverRTT.Percentile(99), "fo-p99-ms")
-		b.ReportMetric(r.WeightedRTT.Percentile(99), "wt-p99-ms")
+		r := runFigure(b, "fig18/wl=bijection", benchOpt(uint64(i))).Metrics
+		b.ReportMetric(r["symmetry_rtt_ms_p99"], "sym-p99-ms")
+		b.ReportMetric(r["failover_rtt_ms_p99"], "fo-p99-ms")
+		b.ReportMetric(r["weighted_rtt_ms_p99"], "wt-p99-ms")
 	}
 }

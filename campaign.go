@@ -8,58 +8,88 @@ import (
 	"presto/internal/cluster"
 	"presto/internal/fabric"
 	"presto/internal/gro"
-	"presto/internal/metrics"
+	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/tcp"
-	"presto/internal/workload"
+	"presto/internal/topo"
+	wspec "presto/internal/workload/spec"
 )
 
-// This file exposes the paper's evaluation as a declarative campaign:
-// every figure/table becomes a set of campaign cells (one simulator
-// run per parameter point), replicated over seeds and executed on
-// internal/campaign's worker pool. cmd/experiments drives all output
-// through it; examples can build specs directly.
+// This file is the experiment table: every figure and table of the
+// paper's evaluation, the ablations, the pod-scale run and the scheme
+// matrix as rows of Cells, and the campaign builders every front-end
+// (cmd/experiments, cmd/prestosim, prestod) shares.
 
 // scaleSystems are the four systems the scalability, oversubscription,
 // and workload sweeps compare (the paper's §4 lineup).
 var scaleSystems = []System{SysECMP, SysMPTCP, SysPresto, SysOptimal}
 
-// workloads is the synthetic workload sweep order of Figure 15.
-var workloads = []WorkloadKind{Shuffle, Random, Stride, Bijection}
+// clos3 is the lineup of figures that have no Optimal column.
+var clos3 = []System{SysECMP, SysMPTCP, SysPresto}
 
-// campaignBuilders maps experiment ID → cell builder, in render order.
-var campaignBuilders = []struct {
+// experiments maps experiment ID → rows, in render order.
+var experiments = []struct {
 	id    string
 	title string
-	cells func(opt Options) []campaign.Cell
+	cells func() []Cell
 }{
 	{"fig1", "Flowlet sizes vs competing flows (500us gap)", fig1Cells},
 	{"fig5", "GRO reordering microbenchmark (OOO counts, segment sizes)", fig5Cells},
 	{"fig6", "Receiver CPU overhead at line rate", fig6Cells},
-	{"fig7", "Scalability: throughput vs path count", fig7Cells},
-	{"fig8", "Scalability: RTT distribution", fig8Cells},
-	{"fig9", "Scalability: loss rate and fairness", fig9Cells},
-	{"fig10", "Oversubscription: throughput", fig10Cells},
-	{"fig11", "Oversubscription: RTT distribution", fig11Cells},
-	{"fig12", "Oversubscription: loss rate and fairness", fig12Cells},
-	{"fig13", "Flowlet switching vs Presto (stride)", fig13Cells},
-	{"fig14", "Presto shadow-MAC vs Presto+ECMP (stride)", fig14Cells},
-	{"fig15", "Elephant throughput across workloads", fig15Cells},
-	{"fig16", "Mice FCT across workloads", fig16Cells},
-	{"table1", "Trace-driven mice FCT (normalized to ECMP)", table1Cells},
-	{"table2", "North-south cross traffic: east-west mice FCT", table2Cells},
-	{"fig17", "Failure handling: throughput per stage", fig17Cells},
-	{"fig18", "Failure handling: RTT per stage (bijection)", fig18Cells},
+	{"fig7", "Scalability: throughput vs path count", func() []Cell {
+		return fabricSweep("fig7", "paths", []int{2, 3, 4, 5, 6, 7, 8}, scaleSystems, ScalabilityTopo)
+	}},
+	{"fig8", "Scalability: RTT distribution", func() []Cell {
+		return fabricSweep("fig8", "", []int{8}, scaleSystems, ScalabilityTopo)
+	}},
+	{"fig9", "Scalability: loss rate and fairness", func() []Cell {
+		return fabricSweep("fig9", "paths", []int{2, 4, 8}, scaleSystems, ScalabilityTopo)
+	}},
+	{"fig10", "Oversubscription: throughput", func() []Cell {
+		return fabricSweep("fig10", "flows", []int{2, 4, 6, 8}, scaleSystems, OversubTopo)
+	}},
+	{"fig11", "Oversubscription: RTT distribution", func() []Cell {
+		return fabricSweep("fig11", "", []int{8}, clos3, OversubTopo)
+	}},
+	{"fig12", "Oversubscription: loss rate and fairness", func() []Cell {
+		return fabricSweep("fig12", "flows", []int{2, 4, 8}, clos3, OversubTopo)
+	}},
+	{"fig13", "Flowlet switching vs Presto (stride)", func() []Cell {
+		return presetSweep("fig13", []string{"stride"}, []System{SysFlowlet100, SysFlowlet500, SysPresto}, 0)
+	}},
+	{"fig14", "Presto shadow-MAC vs Presto+ECMP (stride)", func() []Cell {
+		return presetSweep("fig14", []string{"stride"}, []System{SysPrestoECMP, SysPresto}, 0)
+	}},
+	{"fig15", "Elephant throughput across workloads", func() []Cell {
+		return presetSweep("fig15", []string{"shuffle", "random", "stride", "bijection"}, scaleSystems, 0)
+	}},
+	{"fig16", "Mice FCT across workloads", func() []Cell {
+		return presetSweep("fig16", []string{"stride", "bijection", "shuffle"}, scaleSystems, 0)
+	}},
+	{"table1", "Trace-driven mice FCT (normalized to ECMP)", func() []Cell {
+		return presetSweep("table1", []string{"trace-mix"}, []System{SysECMP, SysOptimal, SysPresto}, traceDrain)
+	}},
+	{"table2", "North-south cross traffic: east-west mice FCT", func() []Cell {
+		return presetSweep("table2", []string{"north-south"}, scaleSystems, 0)
+	}},
+	{"fig17", "Failure handling: throughput per stage", func() []Cell { return failoverCells("fig17", FailoverWorkloads()) }},
+	{"fig18", "Failure handling: RTT per stage (bijection)", func() []Cell { return failoverCells("fig18", []string{"bijection"}) }},
 	{"ablations", "Design-choice ablations (flowcell size, GRO alpha, buffers, DCTCP, tunnels)", ablationCells},
-	{"podtraffic", "Pod-scale cross-pod elephants on a 3-tier Clos (honors -shards)", podtrafficCells},
-	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", schemeMatrixCells},
+	{"podtraffic", "Pod-scale cross-pod elephants on a 3-tier Clos (honors -shards)", func() []Cell {
+		return []Cell{PodCell(SysECMP, 4, 2), PodCell(SysPresto, 4, 2)}
+	}},
+	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return mustMatrix(nil) }},
 }
+
+// traceDrain is how long the trace-driven cells keep running past the
+// window so straggling elephants finish and are counted.
+const traceDrain = 100 * sim.Millisecond
 
 // CampaignExperimentIDs lists the experiment IDs in render order.
 func CampaignExperimentIDs() []string {
-	out := make([]string, len(campaignBuilders))
-	for i, b := range campaignBuilders {
-		out[i] = b.id
+	out := make([]string, len(experiments))
+	for i, e := range experiments {
+		out[i] = e.id
 	}
 	return out
 }
@@ -67,12 +97,47 @@ func CampaignExperimentIDs() []string {
 // CampaignExperimentTitle returns the human title for an experiment
 // ID ("" when unknown).
 func CampaignExperimentTitle(id string) string {
-	for _, b := range campaignBuilders {
-		if b.id == id {
-			return b.title
+	for _, e := range experiments {
+		if e.id == id {
+			return e.title
 		}
 	}
 	return ""
+}
+
+// FigureCell looks a paper-experiment cell up by its campaign ID
+// ("fig5/gro=presto", "fig17/wl=stride", ...).
+func FigureCell(id string) (Cell, error) {
+	exp, _, _ := strings.Cut(id, "/")
+	for _, e := range experiments {
+		if e.id != exp {
+			continue
+		}
+		for _, cell := range e.cells() {
+			if cell.ID == id {
+				return cell, nil
+			}
+		}
+	}
+	return Cell{}, fmt.Errorf("unknown experiment cell %q", id)
+}
+
+// campaignOf assembles cells into a campaign spec. The windows are
+// folded into the spec hash so golden envelopes detect runs taken with
+// different ones.
+func campaignOf(name string, cells []Cell, opt Options) *campaign.Spec {
+	opt.fill()
+	spec := &campaign.Spec{
+		Name: name,
+		Params: map[string]string{
+			"duration": opt.Duration.String(),
+			"warmup":   opt.Warmup.String(),
+		},
+	}
+	for _, cell := range cells {
+		spec.Cells = append(spec.Cells, cell.Campaign(opt))
+	}
+	return spec
 }
 
 // CampaignSpec builds the campaign for an experiment selection: "all"
@@ -82,7 +147,6 @@ func CampaignExperimentTitle(id string) string {
 // knobs (Seeds, Parallelism, CellTimeout, Progress, Telemetry) are
 // left for the caller to fill in on the returned spec.
 func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
-	opt.fill()
 	var ids []string
 	if strings.ToLower(sel) == "all" {
 		ids = CampaignExperimentIDs()
@@ -101,24 +165,61 @@ func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
 			return nil, fmt.Errorf("empty experiment selection %q", sel)
 		}
 	}
-	spec := &campaign.Spec{
-		Name: "experiments/" + strings.Join(ids, ","),
-		// Workload knobs are folded into the spec hash so golden
-		// envelopes detect runs taken with different windows.
-		Params: map[string]string{
-			"duration":      opt.Duration.String(),
-			"warmup":        opt.Warmup.String(),
-			"mice_interval": opt.MiceInterval.String(),
-		},
-	}
+	var cells []Cell
 	for _, id := range ids {
-		for _, b := range campaignBuilders {
-			if b.id == id {
-				spec.Cells = append(spec.Cells, b.cells(opt)...)
+		for _, e := range experiments {
+			if e.id == id {
+				cells = append(cells, e.cells()...)
 			}
 		}
 	}
-	return spec, nil
+	return campaignOf("experiments/"+strings.Join(ids, ","), cells, opt), nil
+}
+
+// BuildCampaign maps a front-end request onto a campaign — the one
+// builder behind `experiments` flags and prestod job requests, so the
+// same request yields the same spec (and byte-identical artifacts)
+// through either door. A workload spec sweeps across schemes (default:
+// the §4 lineup); schemes alone restrict the scheme matrix; otherwise
+// sel selects paper experiments. The caller fills in the
+// execution knobs, as with CampaignSpec.
+func BuildCampaign(sel string, workload *wspec.Spec, schemes []string, opt Options) (*campaign.Spec, error) {
+	switch {
+	case workload != nil:
+		if sel != "" {
+			return nil, fmt.Errorf("an experiment selection and a workload are mutually exclusive")
+		}
+		systems, err := systemsFor(schemes)
+		if err != nil {
+			return nil, err
+		}
+		if systems == nil {
+			systems = scaleSystems
+		}
+		return WorkloadCampaign(workload, systems, opt), nil
+	case len(schemes) > 0:
+		if sel != "scheme-matrix" {
+			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
+		}
+		return SchemeMatrixSpec(schemes, opt)
+	case sel == "":
+		return nil, fmt.Errorf(`select experiments (e.g. "fig7" or "all") or give a workload (spec, preset name, or spec path)`)
+	}
+	return CampaignSpec(sel, opt)
+}
+
+// systemsFor resolves scheme specs (registry names, optionally with
+// params) to systems; nil in, nil out.
+func systemsFor(schemes []string) ([]System, error) {
+	var systems []System
+	for _, s := range schemes {
+		sys, err := SystemFor(s)
+		if err != nil {
+			return nil, err
+		}
+		systems = append(systems, sys)
+	}
+	return systems, nil
 }
 
 // RunCampaign executes a spec — the facade over internal/campaign.
@@ -126,460 +227,408 @@ func RunCampaign(spec *campaign.Spec) (*campaign.Report, error) {
 	return campaign.Run(spec)
 }
 
-// WorkloadCell builds a single campaign cell running one system ×
-// workload on the testbed — cmd/prestosim's seed-replication unit.
-func WorkloadCell(sys System, kind WorkloadKind, opt Options) campaign.Cell {
-	return campaign.Cell{
-		Experiment: "workload",
-		ID:         fmt.Sprintf("workload/wl=%v/sys=%v", kind, sys),
-		Run: func(seed uint64) (campaign.Result, error) {
-			o := opt
-			o.Seed = seed
-			r := RunWorkload(sys, kind, o)
-			return loadCellResult(r), nil
-		},
+// SpecCell is a workload spec on one system on the testbed, measured
+// like every -workload run: throughput, loss, probe RTT, the FCT of
+// every sized flow, and per-client outcomes. The cell carries the
+// spec hash, so artifacts key on the exact workload.
+func SpecCell(sys System, ws *wspec.Spec) Cell {
+	return Cell{
+		Experiment: "workload-spec",
+		ID:         fmt.Sprintf("workload-spec/wl=%s/sys=%v", ws.Name, sys),
+		System:     sys,
+		Workload:   ws,
+		probes:     true,
+		observe:    clientDetail,
+		shardable:  true,
+		keyed:      true,
 	}
 }
 
-// addDistStats folds a distribution's headline statistics into v under
-// prefix (prefix_p50 ... prefix_max, prefix_n).
-func addDistStats(v campaign.Values, prefix string, d *metrics.Dist) {
-	if d == nil || d.N() == 0 {
-		return
+// WorkloadCampaign sweeps one workload spec across systems. The spec
+// hash is recorded both per cell and as a campaign param, so the
+// campaign hash — and any golden gate — pins the exact workload.
+func WorkloadCampaign(ws *wspec.Spec, systems []System, opt Options) *campaign.Spec {
+	cells := make([]Cell, len(systems))
+	for i, sys := range systems {
+		cells[i] = SpecCell(sys, ws)
 	}
-	v[prefix+"_p50"] = d.Percentile(50)
-	v[prefix+"_p90"] = d.Percentile(90)
-	v[prefix+"_p99"] = d.Percentile(99)
-	v[prefix+"_p999"] = d.Percentile(99.9)
-	v[prefix+"_max"] = d.Max()
-	v[prefix+"_n"] = float64(d.N())
+	spec := campaignOf("workload-spec/"+ws.Name, cells, opt)
+	spec.Params["workload"] = ws.Hash()
+	return spec
 }
 
-// loadCellResult converts a LoadResult into campaign metrics + dists.
-func loadCellResult(r LoadResult) campaign.Result {
-	v := campaign.Values{
-		"tput_gbps": r.MeanTput,
-		"loss_pct":  r.LossRate * 100,
-		"fairness":  r.Fairness,
+// PodCell drives one cross-pod elephant per host (each host sends to
+// the same-position host one pod over) on a pod-based 3-tier Clos —
+// the datacenter-scale pattern the sharded engine exists for. Any
+// Options.Shards produces bit-identical results, so the knob only
+// trades wall-clock time.
+func PodCell(sys System, pods, hostsPerLeaf int) Cell {
+	ws := preset("podtraffic")
+	ws.Clients[0].Select.Stride = 2 * hostsPerLeaf // hosts per pod
+	return Cell{
+		Experiment: "podtraffic",
+		ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%v", pods, sys),
+		System:     sys,
+		Topo:       func() *topo.Topology { return PodTopo(pods, hostsPerLeaf) },
+		Workload:   ws,
+		observe:    podLoad,
+		shardable:  true,
 	}
-	addDistStats(v, "rtt_ms", r.RTT)
-	dists := map[string]*metrics.Dist{}
-	if r.RTT != nil && r.RTT.N() > 0 {
-		dists["rtt_ms"] = r.RTT
-	}
-	if r.FCT != nil && r.FCT.N() > 0 {
-		addDistStats(v, "fct_ms", r.FCT)
-		v["mice_timeouts"] = float64(r.MiceTimeouts)
-		dists["fct_ms"] = r.FCT
-	}
-	return campaign.Result{Metrics: v, Dists: dists}
 }
 
-// seeded returns opt with the replica's seed and per-run telemetry
-// passed through (the campaign runner decides whether to wire it).
-func seeded(opt Options, seed uint64) Options {
-	o := opt
-	o.Seed = seed
-	return o
+// preset loads a built-in workload preset.
+func preset(name string) *wspec.Spec {
+	ws, err := wspec.Preset(name)
+	if err != nil {
+		panic("presto: " + err.Error())
+	}
+	return ws
 }
 
-func fig1Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
+// elephants builds the workload of the figure-specific benchmarks: one
+// unlimited flow per explicit (src, dst) pair, plus — for Figure 1 —
+// one sized transfer.
+func elephants(pairs [][2]int, transfer *wspec.Client) *wspec.Spec {
+	ws := &wspec.Spec{
+		Version: wspec.Version,
+		Name:    "pairs",
+		Clients: []wspec.Client{{
+			ID:      "elephants",
+			Arrival: wspec.Arrival{Process: wspec.ProcOnce},
+			Size:    wspec.SizeDist{Kind: wspec.SizeUnlimited},
+			Select:  wspec.Select{Kind: wspec.SelPairs, Pairs: pairs},
+		}},
+	}
+	if transfer != nil {
+		ws.Clients = append(ws.Clients, *transfer)
+	}
+	return ws
+}
+
+// fig1Cells: a 32 MB transfer to a receiver shared with `competing`
+// background elephants on a single switch, chopped into flowlets by a
+// 500 µs inactivity gap.
+func fig1Cells() []Cell {
+	var cells []Cell
 	for _, competing := range []int{1, 2, 3, 4, 6, 8} {
-		competing := competing
-		cells = append(cells, campaign.Cell{
+		hosts := 2 + competing
+		var background [][2]int
+		for h := 2; h < hosts; h++ {
+			background = append(background, [2]int{h, 1})
+		}
+		cells = append(cells, Cell{
 			Experiment: "fig1",
 			ID:         fmt.Sprintf("fig1/competing=%d", competing),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunFlowletSizes(competing, 500*sim.Microsecond, 32<<20, seeded(opt, seed))
-				v := campaign.Values{
-					"flowlets":         float64(r.Count),
-					"largest_fraction": r.LargestFraction,
-				}
-				for i, s := range r.TopSizes {
-					if i >= 3 {
-						break
-					}
-					v[fmt.Sprintf("top%d_mb", i+1)] = s
-				}
-				return campaign.Result{Metrics: v}, nil
-			},
+			System:     SysFlowlet500,
+			Topo:       func() *topo.Topology { return OptimalTopo(hosts) },
+			Workload: elephants(background, &wspec.Client{
+				ID:      "transfer",
+				Arrival: wspec.Arrival{Process: wspec.ProcOnce},
+				Size:    wspec.SizeDist{Kind: wspec.SizeFixed, Bytes: 32 << 20},
+				Select:  wspec.Select{Kind: wspec.SelPairs, Pairs: [][2]int{{0, 1}}},
+			}),
+			observe: flowletSizes,
 		})
 	}
 	return cells
 }
 
-func fig5Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, official := range []bool{true, false} {
-		official := official
-		name := "presto"
-		if official {
-			name = "official"
-		}
-		cells = append(cells, campaign.Cell{
-			Experiment: "fig5",
-			ID:         "fig5/gro=" + name,
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunGROMicrobench(official, seeded(opt, seed))
-				v := campaign.Values{
-					"tput_gbps":    r.MeanTput,
-					"cpu_util_pct": r.CPUUtil * 100,
-					"seg_kb_mean":  r.SegSizes.Mean(),
-				}
-				addDistStats(v, "ooo", r.OOOCounts)
-				addDistStats(v, "seg_kb", r.SegSizes)
-				return campaign.Result{Metrics: v, Dists: map[string]*metrics.Dist{
-					"ooo_counts": r.OOOCounts,
-					"seg_kb":     r.SegSizes,
-				}}, nil
-			},
-		})
-	}
-	return cells
-}
-
-func fig6Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, prestoGRO := range []bool{false, true} {
-		prestoGRO := prestoGRO
-		name := "official"
-		if prestoGRO {
-			name = "presto"
-		}
-		cells = append(cells, campaign.Cell{
-			Experiment: "fig6",
-			ID:         "fig6/gro=" + name,
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunCPUOverhead(prestoGRO, seeded(opt, seed))
-				return campaign.Result{Metrics: campaign.Values{
-					"cpu_pct":   r.Mean,
-					"tput_gbps": r.MeanTput,
-				}}, nil
-			},
-		})
-	}
-	return cells
-}
-
-// scalabilityCell runs RunScalability at one (paths, system) point.
-func scalabilityCell(exp string, id string, sys System, paths int, opt Options) campaign.Cell {
-	return campaign.Cell{
-		Experiment: exp,
+// groCell runs elephants over pairs on tp through the given receive
+// offload, measured like Figure 5.
+func groCell(id string, sys System, tp func() *topo.Topology, pairs [][2]int, kind cluster.GROKind) Cell {
+	return Cell{
+		Experiment: "fig5",
 		ID:         id,
-		Run: func(seed uint64) (campaign.Result, error) {
-			return loadCellResult(RunScalability(sys, paths, seeded(opt, seed))), nil
-		},
+		System:     sys,
+		Topo:       tp,
+		Workload:   elephants(pairs, nil),
+		config:     groConfig(kind),
+		observe:    groMicrobench,
 	}
 }
 
-func fig7Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for paths := 2; paths <= 8; paths++ {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig7/paths=%d/sys=%v", paths, sys)
-			cells = append(cells, scalabilityCell("fig7", id, sys, paths, opt))
+// fig5Cells: two flows sprayed over two paths (Figure 4b topology),
+// received through official or Presto GRO.
+func fig5Cells() []Cell {
+	tp := func() *topo.Topology { return OversubTopo(2) }
+	return []Cell{
+		groCell("fig5/gro=official", SysPresto, tp, leafToLeaf(2), cluster.GROOfficial),
+		groCell("fig5/gro=presto", SysPresto, tp, leafToLeaf(2), cluster.GROPresto),
+	}
+}
+
+// GRODisabledCell measures the no-receive-offload wall (§2.2's ~5.5-7
+// Gbps at 100% CPU): one elephant with GRO disabled at the receiver.
+// It is not part of any campaign.
+func GRODisabledCell() Cell {
+	return groCell("gro=none", SysECMP, func() *topo.Topology { return OptimalTopo(2) }, [][2]int{{0, 1}}, cluster.GRONone)
+}
+
+// fig6Cells: stride at line rate; Presto (spraying + Presto GRO on the
+// Clos) versus official GRO with no reordering (same stride on the
+// non-blocking switch).
+func fig6Cells() []Cell {
+	return []Cell{
+		{Experiment: "fig6", ID: "fig6/gro=official", System: SysOptimal, Workload: preset("elephants"), observe: cpuOverhead},
+		{Experiment: "fig6", ID: "fig6/gro=presto", System: SysPresto, Workload: preset("elephants"), observe: cpuOverhead},
+	}
+}
+
+// leafToLeaf pairs host i on the first leaf with host i on the second
+// of a two-leaf fabric with n hosts per leaf.
+func leafToLeaf(n int) [][2]int {
+	pairs := make([][2]int, n)
+	for i := range pairs {
+		pairs[i] = [2]int{i, n + i}
+	}
+	return pairs
+}
+
+// fabricSweep builds the Figure 4 benchmark cells: for each point n, n
+// leaf-to-leaf elephants on tp(n) under every system, with RTT probes
+// and switch loss counters. An empty label leaves the point out of the
+// cell IDs (the single-point RTT figures).
+func fabricSweep(exp, label string, points []int, systems []System, tp func(int) *topo.Topology) []Cell {
+	var cells []Cell
+	for _, n := range points {
+		prefix := exp
+		if label != "" {
+			prefix = fmt.Sprintf("%s/%s=%d", exp, label, n)
+		}
+		ws := elephants(leafToLeaf(n), nil)
+		for _, sys := range systems {
+			cells = append(cells, Cell{
+				Experiment: exp,
+				ID:         fmt.Sprintf("%s/sys=%v", prefix, sys),
+				System:     sys,
+				Topo:       func() *topo.Topology { return tp(n) },
+				Workload:   ws,
+				probes:     true,
+			})
 		}
 	}
 	return cells
 }
 
-func fig8Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range scaleSystems {
-		id := fmt.Sprintf("fig8/sys=%v", sys)
-		cells = append(cells, scalabilityCell("fig8", id, sys, 8, opt))
-	}
-	return cells
-}
-
-func fig9Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, paths := range []int{2, 4, 8} {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig9/paths=%d/sys=%v", paths, sys)
-			cells = append(cells, scalabilityCell("fig9", id, sys, paths, opt))
+// presetSweep runs named workload presets on the testbed under every
+// system with the paper's size-split measurement. A single workload
+// stays out of the cell IDs.
+func presetSweep(exp string, workloads []string, systems []System, drain sim.Time) []Cell {
+	var cells []Cell
+	for _, wl := range workloads {
+		prefix := exp
+		if len(workloads) > 1 {
+			prefix = exp + "/wl=" + wl
+		}
+		ws := preset(wl)
+		for _, sys := range systems {
+			cells = append(cells, Cell{
+				Experiment: exp,
+				ID:         fmt.Sprintf("%s/sys=%v", prefix, sys),
+				System:     sys,
+				Workload:   ws,
+				probes:     true,
+				observe:    sizeSplit(drain),
+			})
 		}
 	}
 	return cells
 }
 
-// oversubCell runs RunOversubscription at one (flows, system) point.
-func oversubCell(exp, id string, sys System, flows int, opt Options) campaign.Cell {
-	return campaign.Cell{
-		Experiment: exp,
-		ID:         id,
-		Run: func(seed uint64) (campaign.Result, error) {
-			return loadCellResult(RunOversubscription(sys, flows, seeded(opt, seed))), nil
-		},
-	}
-}
+// FailoverWorkloads lists Figure 17's traffic patterns in render
+// order.
+func FailoverWorkloads() []string { return []string{"L1->L4", "L4->L1", "stride", "bijection"} }
 
-func fig10Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, flows := range []int{2, 4, 6, 8} {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig10/flows=%d/sys=%v", flows, sys)
-			cells = append(cells, oversubCell("fig10", id, sys, flows, opt))
+// failoverCells: Presto elephants on the testbed, measured through
+// the three stages around the S1-L1 link failure.
+func failoverCells(exp string, workloads []string) []Cell {
+	var cells []Cell
+	for _, wl := range workloads {
+		var ws *wspec.Spec
+		switch wl {
+		case "L1->L4": // every L1 host to one L4 host
+			ws = elephants([][2]int{{0, 12}, {1, 13}, {2, 14}, {3, 15}}, nil)
+		case "L4->L1":
+			ws = elephants([][2]int{{12, 0}, {13, 1}, {14, 2}, {15, 3}}, nil)
+		case "stride":
+			ws = preset("elephants")
+		case "bijection":
+			ws = preset("elephants")
+			ws.Clients[0].Select.Kind = wspec.SelBijection
 		}
-	}
-	return cells
-}
-
-func fig11Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto} {
-		id := fmt.Sprintf("fig11/sys=%v", sys)
-		cells = append(cells, oversubCell("fig11", id, sys, 8, opt))
-	}
-	return cells
-}
-
-func fig12Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, flows := range []int{2, 4, 8} {
-		for _, sys := range []System{SysECMP, SysMPTCP, SysPresto} {
-			id := fmt.Sprintf("fig12/flows=%d/sys=%v", flows, sys)
-			cells = append(cells, oversubCell("fig12", id, sys, flows, opt))
-		}
-	}
-	return cells
-}
-
-// workloadCellFor runs RunWorkload at one (workload, system) point.
-func workloadCellFor(exp, id string, sys System, kind WorkloadKind, opt Options) campaign.Cell {
-	return campaign.Cell{
-		Experiment: exp,
-		ID:         id,
-		Run: func(seed uint64) (campaign.Result, error) {
-			return loadCellResult(RunWorkload(sys, kind, seeded(opt, seed))), nil
-		},
-	}
-}
-
-func fig13Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range []System{SysFlowlet100, SysFlowlet500, SysPresto} {
-		id := fmt.Sprintf("fig13/sys=%v", sys)
-		cells = append(cells, workloadCellFor("fig13", id, sys, Stride, opt))
-	}
-	return cells
-}
-
-func fig14Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range []System{SysPrestoECMP, SysPresto} {
-		id := fmt.Sprintf("fig14/sys=%v", sys)
-		cells = append(cells, workloadCellFor("fig14", id, sys, Stride, opt))
-	}
-	return cells
-}
-
-func fig15Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, w := range workloads {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig15/wl=%v/sys=%v", w, sys)
-			cells = append(cells, workloadCellFor("fig15", id, sys, w, opt))
-		}
-	}
-	return cells
-}
-
-func fig16Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, w := range []WorkloadKind{Stride, Bijection, Shuffle} {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig16/wl=%v/sys=%v", w, sys)
-			cells = append(cells, workloadCellFor("fig16", id, sys, w, opt))
-		}
-	}
-	return cells
-}
-
-func table1Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range []System{SysECMP, SysOptimal, SysPresto} {
-		sys := sys
-		cells = append(cells, campaign.Cell{
-			Experiment: "table1",
-			ID:         fmt.Sprintf("table1/sys=%v", sys),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunTrace(sys, seeded(opt, seed))
-				v := campaign.Values{
-					"elephant_tput_gbps": r.ElephantTput,
-					"flows":              float64(r.Flows),
-				}
-				addDistStats(v, "fct_ms", r.MiceFCT)
-				return campaign.Result{Metrics: v, Dists: map[string]*metrics.Dist{"fct_ms": r.MiceFCT}}, nil
-			},
+		cells = append(cells, Cell{
+			Experiment: exp,
+			ID:         exp + "/wl=" + wl,
+			System:     SysPresto,
+			Workload:   ws,
+			probes:     true,
+			observe:    failover,
 		})
 	}
 	return cells
 }
 
-func table2Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, sys := range []System{SysECMP, SysMPTCP, SysPresto, SysOptimal} {
-		sys := sys
-		cells = append(cells, campaign.Cell{
-			Experiment: "table2",
-			ID:         fmt.Sprintf("table2/sys=%v", sys),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunNorthSouth(sys, seeded(opt, seed))
-				v := campaign.Values{
-					"tput_gbps":     r.MeanTput,
-					"mice_timeouts": float64(r.MiceTimeouts),
-				}
-				addDistStats(v, "fct_ms", r.MiceFCT)
-				return campaign.Result{Metrics: v, Dists: map[string]*metrics.Dist{"fct_ms": r.MiceFCT}}, nil
-			},
+// ablationCells sweeps the design choices §2.1/§3.2 argue for on the
+// stride workload under Presto.
+func ablationCells() []Cell {
+	var cells []Cell
+	add := func(id string, config func(*cluster.Config), extra func(*cluster.Cluster, campaign.Values)) {
+		cells = append(cells, Cell{
+			Experiment: "ablations",
+			ID:         "ablations/" + id,
+			System:     SysPresto,
+			Workload:   preset("elephants"),
+			config:     config,
+			observe:    ablation(extra),
 		})
-	}
-	return cells
-}
-
-func fig17Cells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	for _, w := range []FailoverWorkload{FailL1L4, FailL4L1, FailStride, FailBijection} {
-		w := w
-		cells = append(cells, campaign.Cell{
-			Experiment: "fig17",
-			ID:         fmt.Sprintf("fig17/wl=%v", w),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunFailover(w, seeded(opt, seed))
-				return campaign.Result{Metrics: campaign.Values{
-					"symmetry_gbps": r.SymmetryTput,
-					"failover_gbps": r.FailoverTput,
-					"weighted_gbps": r.WeightedTput,
-				}}, nil
-			},
-		})
-	}
-	return cells
-}
-
-func fig18Cells(opt Options) []campaign.Cell {
-	return []campaign.Cell{{
-		Experiment: "fig18",
-		ID:         "fig18/wl=bijection",
-		Run: func(seed uint64) (campaign.Result, error) {
-			r := RunFailover(FailBijection, seeded(opt, seed))
-			v := campaign.Values{}
-			addDistStats(v, "symmetry_rtt_ms", r.SymmetryRTT)
-			addDistStats(v, "failover_rtt_ms", r.FailoverRTT)
-			addDistStats(v, "weighted_rtt_ms", r.WeightedRTT)
-			return campaign.Result{Metrics: v, Dists: map[string]*metrics.Dist{
-				"rtt_symmetry": r.SymmetryRTT,
-				"rtt_failover": r.FailoverRTT,
-				"rtt_weighted": r.WeightedRTT,
-			}}, nil
-		},
-	}}
-}
-
-// ablationStride is the miniature stride harness the design-choice
-// sweeps share (20 ms warmup + 90 ms measurement regardless of opt,
-// matching bench_ablation_test.go).
-func ablationStride(seed uint64, opt Options, mut func(*cluster.Config)) (gbps float64, c *cluster.Cluster) {
-	cfg := cluster.Config{Topology: Testbed(), Scheme: cluster.Presto, Seed: seed, Telemetry: opt.Telemetry}
-	if mut != nil {
-		mut(&cfg)
-	}
-	c = cluster.New(cfg)
-	el := workload.Stride(c, 8)
-	c.Eng.Run(20 * sim.Millisecond)
-	el.ResetBaseline(c.Eng.Now())
-	c.Eng.Run(90 * sim.Millisecond)
-	return el.Mean(c.Eng.Now()), c
-}
-
-func ablationCells(opt Options) []campaign.Cell {
-	var cells []campaign.Cell
-	add := func(id string, run campaign.RunFunc) {
-		cells = append(cells, campaign.Cell{Experiment: "ablations", ID: id, Run: run})
 	}
 	for _, kb := range []int{16, 32, 64, 128, 256} {
-		kb := kb
-		add(fmt.Sprintf("ablations/flowcell_kb=%d", kb), func(seed uint64) (campaign.Result, error) {
-			g, _ := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.FlowcellBytes = kb << 10 })
-			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g}}, nil
-		})
+		add(fmt.Sprintf("flowcell_kb=%d", kb), func(cfg *cluster.Config) { cfg.FlowcellBytes = kb << 10 }, nil)
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
-		a := a
-		add(fmt.Sprintf("ablations/gro_alpha=%g", a), func(seed uint64) (campaign.Result, error) {
-			g, c := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.GROConfig = gro.PrestoConfig{Alpha: a} })
-			var fires uint64
-			for _, h := range c.Hosts {
-				fires += h.NIC.GRO().Stats().TimeoutFires
-			}
-			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g, "timeout_fires": float64(fires)}}, nil
-		})
+		add(fmt.Sprintf("gro_alpha=%g", a),
+			func(cfg *cluster.Config) { cfg.GROConfig = gro.PrestoConfig{Alpha: a} },
+			func(c *cluster.Cluster, v campaign.Values) {
+				var fires uint64
+				for _, h := range c.Hosts {
+					fires += h.NIC.GRO().Stats().TimeoutFires
+				}
+				v["timeout_fires"] = float64(fires)
+			})
 	}
 	for _, kb := range []int{256, 512, 2048, 8192} {
-		kb := kb
-		add(fmt.Sprintf("ablations/buffer_kb=%d", kb), func(seed uint64) (campaign.Result, error) {
-			g, c := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.Fabric = fabric.Config{SwitchQueueBytes: kb << 10} })
-			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g, "loss_pct": c.Net.LossRate() * 100}}, nil
-		})
+		add(fmt.Sprintf("buffer_kb=%d", kb),
+			func(cfg *cluster.Config) { cfg.Fabric = fabric.Config{SwitchQueueBytes: kb << 10} },
+			func(c *cluster.Cluster, v campaign.Values) { v["loss_pct"] = c.Net.LossRate() * 100 })
 	}
 	for _, cc := range []string{"cubic", "reno", "dctcp"} {
-		cc := cc
-		add("ablations/cc="+cc, func(seed uint64) (campaign.Result, error) {
-			g, _ := ablationStride(seed, opt, func(cfg *cluster.Config) {
-				cfg.TCP = tcp.Config{CC: cc}
-				if cc == "dctcp" {
-					cfg.Fabric = fabric.Config{ECNThresholdBytes: 200 << 10}
-				}
-			})
-			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g}}, nil
-		})
+		add("cc="+cc, func(cfg *cluster.Config) {
+			cfg.TCP = tcp.Config{CC: cc}
+			if cc == "dctcp" {
+				cfg.Fabric = fabric.Config{ECNThresholdBytes: 200 << 10}
+			}
+		}, nil)
 	}
 	for _, tunnel := range []bool{false, true} {
-		tunnel := tunnel
 		name := "per-host"
 		if tunnel {
 			name = "tunnel"
 		}
-		add("ablations/labels="+name, func(seed uint64) (campaign.Result, error) {
-			g, c := ablationStride(seed, opt, func(cfg *cluster.Config) { cfg.Ctrl.TunnelMode = tunnel })
-			rules := 0
-			for _, leaf := range c.Topo.Leaves {
-				rules += c.Net.Switch(leaf).LabelCount()
-			}
-			return campaign.Result{Metrics: campaign.Values{"tput_gbps": g, "leaf_rules": float64(rules)}}, nil
-		})
+		add("labels="+name,
+			func(cfg *cluster.Config) { cfg.Ctrl.TunnelMode = tunnel },
+			func(c *cluster.Cluster, v campaign.Values) {
+				rules := 0
+				for _, leaf := range c.Topo.Leaves {
+					rules += c.Net.Switch(leaf).LabelCount()
+				}
+				v["leaf_rules"] = float64(rules)
+			})
 	}
 	return cells
 }
 
-// podtrafficCells drives cross-pod elephants on a pod-based 3-tier
-// Clos. Options.Shards selects the engine partitioning; every metric
-// below is bit-identical across shard counts (the events metric pins
-// exactly that in golden gates), so the knob only changes wall-clock
-// time.
-func podtrafficCells(opt Options) []campaign.Cell {
-	const pods, hostsPerLeaf = 4, 2
-	var cells []campaign.Cell
-	for _, sys := range []System{SysECMP, SysPresto} {
-		sys := sys
-		cells = append(cells, campaign.Cell{
-			Experiment: "podtraffic",
-			ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%v", pods, sys),
-			Run: func(seed uint64) (campaign.Result, error) {
-				r := RunPodTraffic(sys, pods, hostsPerLeaf, seeded(opt, seed))
-				return campaign.Result{Metrics: campaign.Values{
-					"tput_gbps": r.MeanTput,
-					"fairness":  r.Fairness,
-					"loss_pct":  r.LossRate * 100,
-					"events":    float64(r.Events),
-				}}, nil
-			},
-		})
+// The scheme matrix is the standing scheme × workload × topology
+// comparison: every registered load-balancing scheme runs the same
+// declarative workloads on both a 2-tier Clos and a low-diameter leaf
+// mesh, and the campaign renders mean FCT, p99 FCT, and throughput per
+// cell. The golden gate in CI turns the matrix into a regression fence
+// for every scheme at once.
+
+// matrixWorkloads are the workload presets in the matrix grid, in
+// render order.
+var matrixWorkloads = []string{"elephants", "mice-heavy", "incast32"}
+
+// matrixTopos are the topology columns: the paper's Figure 3 Clos and
+// a 4-leaf mesh with the same server count.
+var matrixTopos = []struct {
+	name  string
+	build func() *topo.Topology
+}{
+	{"clos", Testbed},
+	{"mesh", func() *topo.Topology { return topo.LeafMesh(4, 4, topo.LinkConfig{}) }},
+}
+
+// SchemeMatrixTopos lists the topology column names in render order.
+func SchemeMatrixTopos() []string {
+	out := make([]string, len(matrixTopos))
+	for i, t := range matrixTopos {
+		out[i] = t.name
+	}
+	return out
+}
+
+// SchemeMatrixWorkloads lists the workload rows in render order.
+func SchemeMatrixWorkloads() []string { return append([]string(nil), matrixWorkloads...) }
+
+// SchemeMatrixCellID names one matrix cell; IDs are part of the
+// golden-gate contract, so the format is frozen.
+func SchemeMatrixCellID(schemeName, workload, topoName string) string {
+	return fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", schemeName, workload, topoName)
+}
+
+// matrixCells builds the grid for the given scheme specs (registry
+// names, optionally with params); nil means every registered scheme
+// with default parameters, in sorted registry order.
+func matrixCells(schemes []string) ([]Cell, error) {
+	systems, err := systemsFor(schemes)
+	if err != nil {
+		return nil, err
+	}
+	if systems == nil {
+		for _, n := range scheme.Names() {
+			systems = append(systems, System{scheme: n})
+		}
+	}
+	var cells []Cell
+	for _, sys := range systems {
+		for _, wl := range matrixWorkloads {
+			ws := preset(wl)
+			for _, mt := range matrixTopos {
+				cells = append(cells, Cell{
+					Experiment: "scheme-matrix",
+					ID:         SchemeMatrixCellID(sys.SchemeName(), wl, mt.name),
+					System:     sys,
+					Topo:       mt.build,
+					Workload:   ws,
+					probes:     true,
+					observe:    withMeanFCT,
+					keyed:      true,
+				})
+			}
+		}
+	}
+	return cells, nil
+}
+
+// mustMatrix is matrixCells for the built-in grid, which uses only
+// registry names; failure is a programming error.
+func mustMatrix(schemes []string) []Cell {
+	cells, err := matrixCells(schemes)
+	if err != nil {
+		panic("presto: scheme matrix: " + err.Error())
 	}
 	return cells
 }
+
+// SchemeMatrixSpec assembles the scheme-matrix campaign. nil schemes
+// means the whole registry.
+func SchemeMatrixSpec(schemes []string, opt Options) (*campaign.Spec, error) {
+	cells, err := matrixCells(schemes)
+	if err != nil {
+		return nil, err
+	}
+	name := "scheme-matrix"
+	if len(schemes) > 0 {
+		name += "/" + fmt.Sprint(len(schemes)) + "-schemes"
+	}
+	spec := campaignOf(name, cells, opt)
+	spec.Params["schemes"] = fmt.Sprint(len(cells) / (len(matrixWorkloads) * len(matrixTopos)))
+	return spec, nil
+}
+
+// SchemeNames exposes the registry listing (sorted) to front-ends
+// that do not import internal/scheme.
+func SchemeNames() []string { return scheme.Names() }
 
 // ExperimentsInReport lists the distinct experiment IDs present in a
 // report, in cell order.

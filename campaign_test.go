@@ -53,19 +53,18 @@ func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	}
 }
 
-// TestSeedRecordedInResults checks the replay contract: every Run*
-// result struct carries the seed that produced it.
+// TestSeedRecordedInResults checks the replay contract: every run's
+// result carries the seed that produced it.
 func TestSeedRecordedInResults(t *testing.T) {
 	opt := Options{
 		Seed:     7,
 		Duration: 20 * sim.Millisecond,
 		Warmup:   5 * sim.Millisecond,
 	}
-	if r := RunWorkload(SysECMP, Stride, opt); r.Seed != 7 {
-		t.Errorf("LoadResult.Seed = %d, want 7", r.Seed)
-	}
-	if r := RunGROMicrobench(true, opt); r.Seed != 7 {
-		t.Errorf("GROResult.Seed = %d, want 7", r.Seed)
+	for _, id := range []string{"fig15/wl=stride/sys=ECMP", "fig5/gro=official"} {
+		if r := runFigure(t, id, opt); r.Seed != 7 {
+			t.Errorf("%s: LoadResult.Seed = %d, want 7", id, r.Seed)
+		}
 	}
 }
 

@@ -1,0 +1,551 @@
+package presto
+
+import (
+	"fmt"
+	"sort"
+
+	"presto/internal/campaign"
+	"presto/internal/cluster"
+	"presto/internal/metrics"
+	"presto/internal/packet"
+	"presto/internal/sim"
+	"presto/internal/telemetry"
+	"presto/internal/topo"
+	wspec "presto/internal/workload/spec"
+)
+
+// Cell is one row of the experiment table: a system on a topology
+// under a workload spec, observed by a measurement set. Every paper
+// figure, scheme-matrix cell, -workload sweep, pod-scale run and
+// prestod job is a list of Cells, and Run is the one path that
+// executes them.
+type Cell struct {
+	// Experiment and ID name the cell in campaigns ("fig7",
+	// "fig7/paths=4/sys=Presto"); IDs are the golden-gate contract.
+	Experiment, ID string
+	System         System
+	// Topo builds the fabric (nil = Testbed). The Optimal system swaps
+	// in one non-blocking switch with the same host count, and a
+	// workload with north-south clients gets one 100 Mbps remote user
+	// per spine.
+	Topo func() *topo.Topology
+	// Workload is the traffic, always a declarative spec.
+	Workload *wspec.Spec
+
+	// The measurement set. probes starts sockperf-style RTT probers
+	// over the server stride pairs (i, i+N/2); they are serial-only and
+	// are skipped on a sharded run. config adjusts the cluster before
+	// it is built (GRO flavour, ablation knobs). observe drives the
+	// started run and harvests it; nil is loadWindow.
+	probes  bool
+	config  func(*cluster.Config)
+	observe func(*run) LoadResult
+
+	// shardable cells honor Options.Shards; the rest run serially.
+	shardable bool
+	// keyed cells record the workload hash on their campaign cell, so
+	// artifacts key on the exact spec (user-supplied workloads and the
+	// scheme matrix; paper figures are identified by their cell ID).
+	keyed bool
+}
+
+// LoadResult is the output of one cell run.
+type LoadResult struct {
+	System System
+	Seed   uint64 // the RNG seed the run used (replay: pass it back via Options.Seed)
+	// Shards is the number of engine shards the run actually used;
+	// Hosts the topology's host count.
+	Shards, Hosts int
+
+	MeanTput     float64       // average per-flow elephant goodput, Gbps
+	Fairness     float64       // Jain's index over elephant goodputs
+	LossRate     float64       // switch-counter loss fraction
+	RTT          *metrics.Dist // probe round-trip times, ms
+	FCT          *metrics.Dist // flow completion times, ms (nil when no sized flow finished)
+	MiceTimeouts int           // finished flows whose sender hit an RTO
+	// Clients are the per-client outcomes of the workload spec.
+	Clients []wspec.ClientResult
+	// Delivered counts packets handed to host NICs; Events counts
+	// engine events executed across all shards. Both are bit-identical
+	// across shard counts.
+	Delivered, Events uint64
+
+	// Metrics and Dists are the cell's campaign form: what the report
+	// envelopes and golden gates see.
+	Metrics campaign.Values
+	Dists   map[string]*metrics.Dist
+
+	// Telemetry is the run's component snapshot (nil unless
+	// Options.Telemetry was set).
+	Telemetry *telemetry.Snapshot
+}
+
+// run is a started cell: the cluster, its traffic, and its probers,
+// handed to the cell's observe.
+type run struct {
+	cell    Cell
+	opt     Options
+	c       *cluster.Cluster
+	g       *wspec.Generator
+	probers []*cluster.Prober
+}
+
+// probeInterval is the RTT probe spacing.
+const probeInterval = sim.Millisecond
+
+// topology returns the fabric the cell runs on.
+func (cell Cell) topology() *topo.Topology {
+	build := cell.Topo
+	if build == nil {
+		build = Testbed
+	}
+	tp := build()
+	remotes := len(tp.Spines)
+	if cell.System.optimal {
+		tp = topo.SingleSwitch(tp.NumHosts(), topo.LinkConfig{})
+	}
+	if !cell.Workload.NeedsRemotes() {
+		return tp
+	}
+	if cell.System.optimal {
+		for i := 0; i < remotes; i++ {
+			tp.MarkRemote(tp.AddLeafHost(tp.Leaves[0], 100e6, 5*sim.Microsecond))
+		}
+		return tp
+	}
+	for _, s := range tp.Spines {
+		tp.AddSpineHost(s, 100e6, 5*sim.Microsecond)
+	}
+	return tp
+}
+
+// shards returns the engine shard count a run on tp will use:
+// Options.Shards for shardable cells, capped at the pod count.
+func (cell Cell) shards(opt Options, tp *topo.Topology) int {
+	if !cell.shardable || opt.Shards <= 1 || tp.NumPods <= 1 {
+		return 1
+	}
+	return min(opt.Shards, tp.NumPods)
+}
+
+// ShardsUsed returns the engine shard count Run will use under opt.
+func (cell Cell) ShardsUsed(opt Options) int { return cell.shards(opt, cell.topology()) }
+
+// Run executes the cell: build the cluster, compile the workload onto
+// it, start probers and then traffic, and let the measurement set
+// drive and harvest the run. Everything that runs a simulation in
+// this repository outside the benchmark harness goes through here.
+func (cell Cell) Run(opt Options) (LoadResult, error) {
+	opt.fill()
+	tp := cell.topology()
+	cfg := cluster.Config{
+		Topology:     tp,
+		Seed:         opt.Seed,
+		Telemetry:    opt.Telemetry,
+		Scheme:       cluster.Scheme(cell.System.scheme),
+		SchemeParams: cell.System.paramMap(),
+		Shards:       cell.shards(opt, tp),
+	}
+	if cfg.Shards > 1 && cfg.Telemetry != nil {
+		return LoadResult{}, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
+	}
+	if cell.config != nil {
+		cell.config(&cfg)
+	}
+	c := cluster.New(cfg)
+	g, err := wspec.Compile(cell.Workload, c, opt.Seed)
+	if err != nil {
+		return LoadResult{}, err
+	}
+	r := &run{cell: cell, opt: opt, c: c, g: g}
+	if cell.probes && c.Shards() == 1 {
+		n := g.Servers()
+		for i := 0; i < n; i++ {
+			p := c.NewProber(packet.HostID(i), packet.HostID((i+n/2)%n), probeInterval)
+			p.Start()
+			r.probers = append(r.probers, p)
+		}
+	}
+	g.Start(opt.Warmup + opt.Duration)
+	observe := cell.observe
+	if observe == nil {
+		observe = loadWindow
+	}
+	return observe(r), nil
+}
+
+// Campaign wraps the cell as a campaign cell running under opt (the
+// replica's seed replaces opt.Seed).
+func (cell Cell) Campaign(opt Options) campaign.Cell {
+	cc := campaign.Cell{
+		Experiment: cell.Experiment,
+		ID:         cell.ID,
+		Run: func(seed uint64) (campaign.Result, error) {
+			o := opt
+			o.Seed = seed
+			r, err := cell.Run(o)
+			return campaign.Result{Metrics: r.Metrics, Dists: r.Dists}, err
+		},
+	}
+	if cell.keyed {
+		cc.Workload = cell.Workload.Hash()
+	}
+	return cc
+}
+
+// window warms up, restarts measurement, and runs to until.
+func (r *run) window(warmup, until sim.Time) {
+	r.c.Run(warmup)
+	r.g.ResetBaseline(r.c.Now())
+	r.c.Run(until)
+}
+
+// until is the end of the cell's measurement window.
+func (r *run) until() sim.Time { return r.opt.Warmup + r.opt.Duration }
+
+// harvest collects what every run reports: elephant throughput and
+// fairness from the generator, switch loss, probe RTTs, and the FCTs
+// of every sized flow.
+func (r *run) harvest() LoadResult {
+	c, now := r.c, r.c.Now()
+	res := LoadResult{
+		System:    r.cell.System,
+		Seed:      r.opt.Seed,
+		Shards:    c.Shards(),
+		Hosts:     c.Topo.NumHosts(),
+		MeanTput:  r.g.MeanTput(now),
+		Fairness:  1,
+		LossRate:  c.Net.LossRate(),
+		RTT:       &metrics.Dist{},
+		Clients:   r.g.Results(now),
+		Delivered: c.Net.TotalDelivered(),
+		Events:    c.Executed(),
+		Telemetry: c.Telemetry().Snapshot(now),
+	}
+	if f := r.g.Fairness(now); f > 0 {
+		res.Fairness = f
+	}
+	for _, p := range r.probers {
+		for _, v := range p.Samples.Samples() {
+			res.RTT.Add(v)
+		}
+	}
+	fct := &metrics.Dist{}
+	timeouts := 0
+	for _, cr := range res.Clients {
+		for _, v := range cr.FCT.Samples() {
+			fct.Add(v)
+		}
+		timeouts += cr.Timeouts
+	}
+	if fct.N() > 0 {
+		res.FCT = fct
+		res.MiceTimeouts = timeouts
+	}
+	return res
+}
+
+// addDistStats folds a distribution's headline statistics into v under
+// prefix (prefix_p50 ... prefix_max, prefix_n).
+func addDistStats(v campaign.Values, prefix string, d *metrics.Dist) {
+	if d == nil || d.N() == 0 {
+		return
+	}
+	v[prefix+"_p50"] = d.Percentile(50)
+	v[prefix+"_p90"] = d.Percentile(90)
+	v[prefix+"_p99"] = d.Percentile(99)
+	v[prefix+"_p999"] = d.Percentile(99.9)
+	v[prefix+"_max"] = d.Max()
+	v[prefix+"_n"] = float64(d.N())
+}
+
+// loadMetrics fills res.Metrics and res.Dists with the throughput /
+// latency form most cells report.
+func loadMetrics(res *LoadResult) {
+	res.Metrics = campaign.Values{
+		"tput_gbps": res.MeanTput,
+		"loss_pct":  res.LossRate * 100,
+		"fairness":  res.Fairness,
+	}
+	res.Dists = map[string]*metrics.Dist{}
+	addDistStats(res.Metrics, "rtt_ms", res.RTT)
+	if res.RTT.N() > 0 {
+		res.Dists["rtt_ms"] = res.RTT
+	}
+	if res.FCT != nil && res.FCT.N() > 0 {
+		addDistStats(res.Metrics, "fct_ms", res.FCT)
+		res.Metrics["mice_timeouts"] = float64(res.MiceTimeouts)
+		res.Dists["fct_ms"] = res.FCT
+	}
+}
+
+// loadWindow is the default measurement: warmup, baseline reset,
+// measurement window, then throughput, loss, RTT and the FCT of every
+// sized flow.
+func loadWindow(r *run) LoadResult {
+	r.window(r.opt.Warmup, r.until())
+	res := r.harvest()
+	loadMetrics(&res)
+	return res
+}
+
+// clientDetail is loadWindow plus per-client outcomes, so multi-client
+// specs stay diagnosable (e.g. mice vs elephants of mice-heavy).
+func clientDetail(r *run) LoadResult {
+	res := loadWindow(r)
+	for _, cr := range res.Clients {
+		p := "client_" + cr.ID
+		res.Metrics[p+"_started"] = float64(cr.Started)
+		res.Metrics[p+"_finished"] = float64(cr.Finished)
+		if cr.FCT.N() > 0 {
+			res.Metrics[p+"_fct_ms_p99"] = cr.FCT.Percentile(99)
+			res.Dists["fct_ms_"+cr.ID] = cr.FCT
+		}
+		if cr.Tput > 0 {
+			res.Metrics[p+"_tput_gbps"] = cr.Tput
+		}
+	}
+	return res
+}
+
+// withMeanFCT is loadWindow plus the mean FCT the scheme matrix
+// renders.
+func withMeanFCT(r *run) LoadResult {
+	res := loadWindow(r)
+	if res.FCT != nil {
+		res.Metrics["fct_ms_mean"] = res.FCT.Mean()
+	}
+	return res
+}
+
+// The paper's flow classes (Table 1): mice are flows under 100 KB,
+// elephants flows over 1 MB.
+const (
+	miceBytes     = 100_000
+	elephantBytes = 1_000_000
+)
+
+// sizeSplit is the paper's measurement for its §4/§6 workloads: FCT of
+// the east-west mice that complete inside the measured window, and
+// elephant goodput from the unlimited flows — or, when the workload
+// has none (shuffle, the trace-driven mix), from each completed
+// transfer over 1 MB. Flows to remote users are cross traffic, not
+// measured. drain extends the run past the window so stragglers
+// finish.
+func sizeSplit(drain sim.Time) func(*run) LoadResult {
+	return func(r *run) LoadResult {
+		r.c.Run(r.opt.Warmup)
+		r.g.ResetBaseline(r.c.Now())
+		mice, big := &metrics.Dist{}, &metrics.Dist{}
+		timeouts := 0
+		servers := r.g.Servers()
+		r.g.OnFlowDone = func(d wspec.FlowDone) {
+			switch {
+			case d.Dst >= servers:
+			case d.Bytes < miceBytes:
+				mice.Add(d.FCT.Milliseconds())
+				if d.TimedOut {
+					timeouts++
+				}
+			case d.Bytes > elephantBytes && d.FCT > 0:
+				big.Add(float64(d.Bytes) * 8 / d.FCT.Seconds() / 1e9)
+			}
+		}
+		r.c.Run(r.until() + drain)
+		res := r.harvest()
+		res.FCT, res.MiceTimeouts = mice, timeouts
+		if len(r.g.Throughputs(r.c.Now())) == 0 {
+			res.MeanTput = big.Mean()
+			res.Fairness = metrics.JainIndex(big.Samples())
+		}
+		loadMetrics(&res)
+		return res
+	}
+}
+
+// groMicrobench is the Figure 5 measurement: per-flowcell out-of-order
+// counts exposed to TCP, pushed segment sizes, and receiver CPU over
+// the steady-state window (slow-start overshoot during warmup is
+// excluded, like the paper's runs).
+func groMicrobench(r *run) LoadResult {
+	c := r.c
+	r.c.Run(r.opt.Warmup)
+	r.g.ResetBaseline(c.Now())
+	conns := c.Conns()
+	busy0 := make([]sim.Time, len(conns))
+	for i, conn := range conns {
+		busy0[i] = c.Hosts[conn.Dst].NIC.Stats.BusyTime
+		conn.Receiver().ResetFlowcellLog()
+	}
+	start := c.Now()
+	c.Run(r.until())
+
+	res := r.harvest()
+	ooo, seg := &metrics.Dist{}, &metrics.Dist{}
+	var util float64
+	for i, conn := range conns {
+		for _, n := range conn.Receiver().OutOfOrderCounts() {
+			ooo.Add(float64(n))
+		}
+		for _, v := range c.Hosts[conn.Dst].NIC.GRO().Stats().SegSizes.Samples() {
+			seg.Add(v / 1024)
+		}
+		util += c.Hosts[conn.Dst].NIC.Utilization(busy0[i], start)
+	}
+	res.Metrics = campaign.Values{
+		"tput_gbps":    res.MeanTput,
+		"cpu_util_pct": util / float64(len(conns)) * 100,
+		"seg_kb_mean":  seg.Mean(),
+	}
+	addDistStats(res.Metrics, "ooo", ooo)
+	addDistStats(res.Metrics, "seg_kb", seg)
+	res.Dists = map[string]*metrics.Dist{"ooo_counts": ooo, "seg_kb": seg}
+	return res
+}
+
+// groConfig forces a receive-offload handler and records flowcell
+// arrival logs (Figure 5 pairs Presto spraying with official GRO).
+func groConfig(kind cluster.GROKind) func(*cluster.Config) {
+	return func(cfg *cluster.Config) {
+		cfg.GRO = kind
+		cfg.RecordFlowcells = true
+	}
+}
+
+// cpuOverhead is the Figure 6 measurement: mean receiver CPU
+// utilization across all hosts, sampled every 10 ms over the window.
+func cpuOverhead(r *run) LoadResult {
+	c := r.c
+	const sample = 10 * sim.Millisecond
+	var series metrics.Series
+	lastBusy := make([]sim.Time, len(c.Hosts))
+	var tick func()
+	tick = func() {
+		now := c.Eng.Now()
+		if now >= r.opt.Warmup {
+			var u float64
+			for i, h := range c.Hosts {
+				u += float64(h.NIC.Stats.BusyTime-lastBusy[i]) / float64(sample)
+			}
+			series.Add(now.Seconds(), u/float64(len(c.Hosts))*100)
+		}
+		for i, h := range c.Hosts {
+			lastBusy[i] = h.NIC.Stats.BusyTime
+		}
+		if now < r.until() {
+			c.Eng.Schedule(sample, tick)
+		}
+	}
+	c.Eng.Schedule(sample, tick)
+	r.window(r.opt.Warmup, r.until())
+	res := r.harvest()
+	res.Metrics = campaign.Values{"cpu_pct": series.Mean(), "tput_gbps": res.MeanTput}
+	return res
+}
+
+// flowletSizes is the Figure 1 measurement: run until the workload's
+// one sized transfer (its last connection) has fully arrived — the
+// background elephants never finish — then read how the flowlet policy
+// chopped it up.
+func flowletSizes(r *run) LoadResult {
+	c := r.c
+	conns := c.Conns()
+	transfer := conns[len(conns)-1]
+	r.g.OnFlowDone = func(wspec.FlowDone) { c.StopRun() }
+	c.RunAll()
+
+	sizes := c.Hosts[transfer.Src].VS.Policy().(interface {
+		FlowletSizes(packet.FlowKey) []int
+	}).FlowletSizes(transfer.Flows()[0])
+	sort.Sort(sort.Reverse(sort.IntSlice(sizes)))
+	total := 0
+	for _, s := range sizes {
+		total += s
+	}
+	res := r.harvest()
+	res.Metrics = campaign.Values{"flowlets": float64(len(sizes)), "largest_fraction": 0}
+	for i, s := range sizes {
+		if i >= 3 {
+			break
+		}
+		res.Metrics[fmt.Sprintf("top%d_mb", i+1)] = float64(s) / 1e6
+	}
+	if total > 0 {
+		res.Metrics["largest_fraction"] = float64(sizes[0]) / float64(total)
+	}
+	return res
+}
+
+// failover is the Figures 17/18 measurement: Presto's throughput and
+// RTT in the symmetry, hardware fast-failover, and weighted
+// multipathing stages around the death of the S1-L1 link.
+func failover(r *run) LoadResult {
+	c, g := r.c, r.g
+	stage := r.opt.Duration / 3
+	if stage < 20*sim.Millisecond {
+		stage = 20 * sim.Millisecond
+	}
+	v := campaign.Values{}
+	dists := map[string]*metrics.Dist{}
+	// measure runs one stage over [from, to) and records it.
+	measure := func(name string, from, to sim.Time) {
+		c.Run(from)
+		g.ResetBaseline(c.Now())
+		c.Run(to)
+		v[name+"_gbps"] = g.MeanTput(c.Now())
+		rtt := &metrics.Dist{}
+		for _, p := range r.probers {
+			for i, at := range p.SampleAt {
+				if at >= from && at < to {
+					rtt.Add(p.RTTs[i])
+				}
+			}
+		}
+		addDistStats(v, name+"_rtt_ms", rtt)
+		dists["rtt_"+name] = rtt
+	}
+	measure("symmetry", r.opt.Warmup, r.opt.Warmup+stage)
+
+	// S1-L1 goes down. Hardware failover activates after the fabric's
+	// latency (5 ms); the controller's weighted mappings land after its
+	// 50 ms control loop.
+	failAt := c.Now()
+	c.FailLink(c.Ctrl.Trees()[0].LeafLink[c.Topo.Leaves[0]])
+	measure("failover", failAt+6*sim.Millisecond, failAt+48*sim.Millisecond)
+	measure("weighted", failAt+60*sim.Millisecond, failAt+60*sim.Millisecond+stage)
+
+	res := r.harvest()
+	res.Metrics, res.Dists = v, dists
+	return res
+}
+
+// ablation returns the fixed-window stride measurement the
+// design-choice sweeps share (20 ms warmup + 70 ms window regardless
+// of opt, matching bench_ablation_test.go), plus whatever extra
+// metrics the knob under study calls for.
+func ablation(extra func(*cluster.Cluster, campaign.Values)) func(*run) LoadResult {
+	return func(r *run) LoadResult {
+		r.window(20*sim.Millisecond, 90*sim.Millisecond)
+		res := r.harvest()
+		res.Metrics = campaign.Values{"tput_gbps": res.MeanTput}
+		if extra != nil {
+			extra(r.c, res.Metrics)
+		}
+		return res
+	}
+}
+
+// podLoad is the pod-scale measurement. Every metric is bit-identical
+// across shard counts (the events metric pins exactly that in golden
+// gates), so Options.Shards only changes wall-clock time.
+func podLoad(r *run) LoadResult {
+	r.window(r.opt.Warmup, r.until())
+	res := r.harvest()
+	res.Metrics = campaign.Values{
+		"tput_gbps": res.MeanTput,
+		"fairness":  res.Fairness,
+		"loss_pct":  res.LossRate * 100,
+		"events":    float64(res.Events),
+	}
+	return res
+}

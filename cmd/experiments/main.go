@@ -58,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		timeout  = fs.Duration("timeout", 5*time.Minute, "wall-clock budget per cell replica (0 = none)")
 		duration = fs.Duration("duration", 200*time.Millisecond, "measurement window per run (simulated)")
 		warmup   = fs.Duration("warmup", 50*time.Millisecond, "warmup per run (simulated)")
-		shards   = fs.Int("shards", 1, "per-pod engine shards for pod-scale experiments (podtraffic); results are bit-identical to serial, 1 = serial")
+		shards   = fs.Int("shards", 1, "per-pod engine shards for podtraffic and -workload cells (once/unlimited workloads only; RTT probes are skipped when sharded); 1 = serial")
 		format   = fs.String("format", "table", "stdout format: table (paper-style), json (campaign report), csv (envelope rows)")
 		outDir   = fs.String("out", "", "directory for campaign artifacts (report.json, report.csv, manifest.json)")
 		csvDir   = fs.String("csv", "", "directory to write raw CDF series as CSV (for replotting the figures)")
@@ -152,37 +152,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 
-	var spec *campaign.Spec
-	switch {
-	case *workload != "":
-		ws, err := wspec.Resolve(*workload)
-		if err != nil {
+	// -workload replaces the -run selection (whose default is "all").
+	sel := *runFlag
+	var ws *wspec.Spec
+	if *workload != "" {
+		sel = ""
+		var err error
+		if ws, err = wspec.Resolve(*workload); err != nil {
 			return fail("workload", err)
 		}
-		var systems []presto.System
-		for _, s := range schemes {
-			sys, err := presto.SystemFor(s)
-			if err != nil {
-				return fail("scheme", err)
-			}
-			systems = append(systems, sys)
-		}
-		spec = presto.SpecWorkloadCampaign(ws, systems, opt)
-	case len(schemes) > 0:
-		if *runFlag != "scheme-matrix" {
-			return fail("scheme", fmt.Errorf("-scheme needs -workload or -run scheme-matrix (registered schemes: %s)", strings.Join(presto.SchemeNames(), ", ")))
-		}
-		var err error
-		spec, err = presto.SchemeMatrixSpec(schemes, opt)
-		if err != nil {
-			return fail("scheme", err)
-		}
-	default:
-		var err error
-		spec, err = presto.CampaignSpec(*runFlag, opt)
-		if err != nil {
-			return fail("spec", err)
-		}
+	}
+	spec, err := presto.BuildCampaign(sel, ws, schemes, opt)
+	if err != nil {
+		return fail("spec", err)
 	}
 	spec.Seeds = campaign.Seeds(*seed, *seeds)
 	spec.Parallelism = *parallel

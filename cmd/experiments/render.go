@@ -212,12 +212,10 @@ func renderFig14(w io.Writer, x rx) {
 	fmt.Fprintln(w, "(paper: Presto+ECMP 8.9 vs Presto 9.3 Gbps, worse tail RTT)")
 }
 
-var renderWorkloads = []presto.WorkloadKind{presto.Shuffle, presto.Random, presto.Stride, presto.Bijection}
-
 func renderFig15(w io.Writer, x rx) {
 	tb := metrics.Table{Header: []string{"workload", "ECMP", "MPTCP", "Presto", "Optimal"}}
-	for _, wl := range renderWorkloads {
-		row := []string{wl.String()}
+	for _, wl := range []string{"shuffle", "random", "stride", "bijection"} {
+		row := []string{wl}
 		for _, sys := range scaleSystems {
 			row = append(row, x.val(fmt.Sprintf("fig15/wl=%v/sys=%v", wl, sys), "tput_gbps", 2))
 		}
@@ -227,7 +225,7 @@ func renderFig15(w io.Writer, x rx) {
 }
 
 func renderFig16(w io.Writer, x rx) {
-	for _, wl := range []presto.WorkloadKind{presto.Stride, presto.Bijection, presto.Shuffle} {
+	for _, wl := range []string{"stride", "bijection", "shuffle"} {
 		fmt.Fprintf(w, "mice FCT (ms), %v workload:\n", wl)
 		for _, sys := range scaleSystems {
 			id := fmt.Sprintf("fig16/wl=%v/sys=%v", wl, sys)
@@ -272,7 +270,7 @@ func renderTable1(w io.Writer, x rx) {
 	}
 	fmt.Fprint(w, "mice (<100KB) FCT normalized to ECMP (paper: Presto -9/-32/-56/-60%):\n"+tb.String())
 	fmt.Fprintf(w, "elephant tput (Gbps): ECMP=%s Optimal=%s Presto=%s\n",
-		x.val(ids[0], "elephant_tput_gbps", 2), x.val(ids[1], "elephant_tput_gbps", 2), x.val(ids[2], "elephant_tput_gbps", 2))
+		x.val(ids[0], "tput_gbps", 2), x.val(ids[1], "tput_gbps", 2), x.val(ids[2], "tput_gbps", 2))
 }
 
 func renderTable2(w io.Writer, x rx) {
@@ -295,9 +293,9 @@ func renderTable2(w io.Writer, x rx) {
 
 func renderFig17(w io.Writer, x rx) {
 	tb := metrics.Table{Header: []string{"workload", "symmetry", "failover", "weighted"}}
-	for _, wl := range []presto.FailoverWorkload{presto.FailL1L4, presto.FailL4L1, presto.FailStride, presto.FailBijection} {
-		id := fmt.Sprintf("fig17/wl=%v", wl)
-		tb.AddRow(wl.String(), x.val(id, "symmetry_gbps", 2), x.val(id, "failover_gbps", 2), x.val(id, "weighted_gbps", 2))
+	for _, wl := range presto.FailoverWorkloads() {
+		id := "fig17/wl=" + wl
+		tb.AddRow(wl, x.val(id, "symmetry_gbps", 2), x.val(id, "failover_gbps", 2), x.val(id, "weighted_gbps", 2))
 	}
 	fmt.Fprint(w, "Presto throughput per failure stage (Gbps):\n"+tb.String())
 }

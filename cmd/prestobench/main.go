@@ -33,6 +33,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"runtime"
 	"strings"
 	"testing"
@@ -186,20 +187,20 @@ type shardSpeedup struct {
 // are not.
 func measureShardSpeedup(pods, hostsPerLeaf, shards int, warmup, duration sim.Time) shardSpeedup {
 	opt := presto.Options{Seed: 1, Warmup: warmup, Duration: duration}
+	cell := presto.PodCell(presto.SysPresto, pods, hostsPerLeaf)
 	t0 := time.Now()
-	serial := presto.RunPodTraffic(presto.SysPresto, pods, hostsPerLeaf, opt)
+	serial, errSerial := cell.Run(opt)
 	t1 := time.Now()
 	opt.Shards = shards
-	sharded := presto.RunPodTraffic(presto.SysPresto, pods, hostsPerLeaf, opt)
+	sharded, errSharded := cell.Run(opt)
 	t2 := time.Now()
-	s := shardSpeedup{
+	return shardSpeedup{
 		Shards:  sharded.Shards,
 		Serial:  t1.Sub(t0),
 		Sharded: t2.Sub(t1),
+		Identical: errSerial == nil && errSharded == nil &&
+			serial.Delivered == sharded.Delivered && reflect.DeepEqual(serial.Metrics, sharded.Metrics),
 	}
-	sharded.Shards = serial.Shards
-	s.Identical = serial == sharded
-	return s
 }
 
 // gateAgainst fails when any gated benchmark's allocs/op exceeds the

@@ -143,13 +143,6 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 // -workload`.
 func specBuilder(defaultCellTimeout time.Duration) func(server.JobRequest) (*campaign.Spec, error) {
 	return func(req server.JobRequest) (*campaign.Spec, error) {
-		hasWorkload := len(req.Workload) > 0
-		if req.Experiments == "" && !hasWorkload {
-			return nil, fmt.Errorf(`missing "experiments" (e.g. "fig7" or "all") or "workload" (spec object, preset name, or spec path)`)
-		}
-		if req.Experiments != "" && hasWorkload {
-			return nil, fmt.Errorf(`"experiments" and "workload" are mutually exclusive`)
-		}
 		opt := presto.Options{
 			Duration: sim.FromDuration(time.Duration(req.Duration)),
 			Warmup:   sim.FromDuration(time.Duration(req.Warmup)),
@@ -160,37 +153,16 @@ func specBuilder(defaultCellTimeout time.Duration) func(server.JobRequest) (*cam
 				schemes = append(schemes, s)
 			}
 		}
-		var spec *campaign.Spec
-		switch {
-		case hasWorkload:
-			ws, err := wspec.ResolveJSON(req.Workload)
-			if err != nil {
+		var ws *wspec.Spec
+		if len(req.Workload) > 0 {
+			var err error
+			if ws, err = wspec.ResolveJSON(req.Workload); err != nil {
 				return nil, fmt.Errorf("workload: %w", err)
 			}
-			var systems []presto.System
-			for _, s := range schemes {
-				sys, err := presto.SystemFor(s)
-				if err != nil {
-					return nil, fmt.Errorf("scheme: %w", err)
-				}
-				systems = append(systems, sys)
-			}
-			spec = presto.SpecWorkloadCampaign(ws, systems, opt)
-		case len(schemes) > 0:
-			if req.Experiments != "scheme-matrix" {
-				return nil, fmt.Errorf(`"scheme" needs "workload" or "experiments": "scheme-matrix"`)
-			}
-			var err error
-			spec, err = presto.SchemeMatrixSpec(schemes, opt)
-			if err != nil {
-				return nil, fmt.Errorf("scheme: %w", err)
-			}
-		default:
-			var err error
-			spec, err = presto.CampaignSpec(req.Experiments, opt)
-			if err != nil {
-				return nil, err
-			}
+		}
+		spec, err := presto.BuildCampaign(req.Experiments, ws, schemes, opt)
+		if err != nil {
+			return nil, err
 		}
 		seed := req.Seed
 		if seed == 0 {

@@ -3,8 +3,13 @@ package main
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"fmt"
 	"net/http/httptest"
 	"os"
+	"os/exec"
+	"path/filepath"
+	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -91,6 +96,89 @@ func TestServerRunMatchesCLIRun(t *testing.T) {
 	}
 	if final.SpecHash != refReport.SpecHash {
 		t.Errorf("spec hash: server %s, direct %s", final.SpecHash, refReport.SpecHash)
+	}
+}
+
+// TestFrontDoorsAgree runs the same workload through all three front
+// doors — `experiments -workload stride`, a prestod {"workload":
+// "stride"} job, and `prestosim -workload stride -seeds 2` — and
+// requires byte-equal results: the daemon's report.json equals the
+// CLI's stdout, and prestosim's envelope lines equal the report's
+// Presto cell rendered the same way. One cell builder behind every
+// door is what makes this hold.
+func TestFrontDoorsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two CLIs and runs real simulator cells")
+	}
+	bin := t.TempDir()
+	for _, cmd := range []string{"experiments", "prestosim"} {
+		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "presto/cmd/"+cmd).CombinedOutput()
+		if err != nil {
+			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
+		}
+	}
+	windows := []string{"-duration", "10ms", "-warmup", "5ms", "-seeds", "2"}
+
+	cli, err := exec.Command(filepath.Join(bin, "experiments"),
+		append([]string{"-workload", "stride", "-format", "json"}, windows...)...).Output()
+	if err != nil {
+		t.Fatalf("experiments: %v", err)
+	}
+
+	srv, err := server.New(server.Config{SpecBuilder: specBuilder(time.Minute), DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+	defer cancel()
+	c := &server.Client{BaseURL: ts.URL}
+	st, err := c.Submit(ctx, server.JobRequest{
+		Workload: json.RawMessage(`"stride"`),
+		Seeds:    2,
+		Duration: server.Duration(10 * time.Millisecond),
+		Warmup:   server.Duration(5 * time.Millisecond),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final, err := c.Wait(ctx, st.ID); err != nil || final.State != server.StateDone {
+		t.Fatalf("job finished %+v, %v", final, err)
+	}
+	daemon, err := c.Artifact(ctx, st.ID, "report.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(daemon, cli) {
+		t.Errorf("prestod report.json (%d bytes) differs from experiments stdout (%d bytes)", len(daemon), len(cli))
+	}
+
+	sim, err := exec.Command(filepath.Join(bin, "prestosim"),
+		append([]string{"-workload", "stride", "-system", "presto"}, windows...)...).Output()
+	if err != nil {
+		t.Fatalf("prestosim: %v", err)
+	}
+	var report campaign.Report
+	if err := json.Unmarshal(cli, &report); err != nil {
+		t.Fatal(err)
+	}
+	cell := report.Cell("workload-spec/wl=stride/sys=Presto")
+	if cell == nil {
+		t.Fatal("experiments report has no Presto cell")
+	}
+	names := make([]string, 0, len(cell.Envelopes))
+	for k := range cell.Envelopes {
+		names = append(names, k)
+	}
+	sort.Strings(names)
+	want := ""
+	for _, k := range names {
+		want += fmt.Sprintf("  %-16s %s\n", k, cell.Envelopes[k].String())
+	}
+	if _, got, _ := strings.Cut(string(sim), "\n"); got != want {
+		t.Errorf("prestosim envelopes differ from the experiments report's Presto cell:\n--- prestosim ---\n%s--- experiments ---\n%s", got, want)
 	}
 }
 

@@ -8,9 +8,10 @@
 //	prestosim -system presto -workload mice-heavy        # declarative preset
 //	prestosim -system ecmp -workload examples/specs/incast32.json
 //
-// -workload accepts the built-in patterns (stride, shuffle, random,
-// bijection), a named workload-spec preset (elephants, mice-heavy,
-// incast32, trace), or a path to a presto-workload/1 spec JSON file.
+// -workload accepts a named workload-spec preset (the paper's stride,
+// shuffle, random, bijection, trace-mix and north-south; elephants,
+// mice-heavy, incast32, trace; podtraffic on the -pods pod topology)
+// or a path to a presto-workload/1 spec JSON file.
 //
 // With -seeds N > 1 the run is replicated over seeds seed..seed+N-1 on
 // the campaign worker pool (-parallel workers) and every metric is
@@ -54,8 +55,8 @@ func run(args []string, stdout io.Writer) error {
 	var (
 		system     = fs.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or any scheme spec")
 		schemeF    = fs.String("scheme", "", "scheme registry spec, name or name:k=v,... (e.g. diffflow:threshold=512KB); overrides -system")
-		workload   = fs.String("workload", "stride", "stride | shuffle | random | bijection | podtraffic, a workload-spec preset, or a spec.json path")
-		shards     = fs.Int("shards", 1, "per-pod engine shards for -workload podtraffic; results are bit-identical to serial, 1 = serial")
+		workload   = fs.String("workload", "stride", "a workload-spec preset (stride | shuffle | random | bijection | podtraffic | ...) or a spec.json path")
+		shards     = fs.Int("shards", 1, "per-pod engine shards, capped at the topology's pod count; once/unlimited workloads only, RTT probes are skipped when sharded, 1 = serial")
 		pods       = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
 		hostsLeaf  = fs.Int("hosts-per-leaf", 2, "hosts per leaf for -workload podtraffic")
 		duration   = fs.Duration("duration", 200*time.Millisecond, "measurement window (simulated)")
@@ -82,13 +83,15 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
+	var cell presto.Cell
 	if *workload == "podtraffic" {
-		return runPodTraffic(stdout, sys, *pods, *hostsLeaf, *shards, *seed, *seeds,
-			sim.FromDuration(*warmup), sim.FromDuration(*duration))
-	}
-	kind, ws, err := parseWorkloadOrSpec(*workload)
-	if err != nil {
-		return err
+		cell = presto.PodCell(sys, *pods, *hostsLeaf)
+	} else {
+		ws, err := wspec.Resolve(*workload)
+		if err != nil {
+			return fmt.Errorf("workload %q is neither a preset (%s) nor a workload spec: %v", *workload, strings.Join(wspec.PresetNames(), " | "), err)
+		}
+		cell = presto.SpecCell(sys, ws)
 	}
 
 	if *cpuProfile != "" {
@@ -119,26 +122,22 @@ func run(args []string, stdout io.Writer) error {
 		Duration:  sim.FromDuration(*duration),
 		Warmup:    sim.FromDuration(*warmup),
 		Telemetry: reg,
+		Shards:    *shards,
 	}
 
 	if *seeds > 1 {
-		return runReplicated(stdout, sys, kind, ws, opt, *seed, *seeds, *parallel)
+		return runReplicated(stdout, cell, opt, *seeds, *parallel)
 	}
 
 	start := time.Now()
-	var res presto.LoadResult
-	var clients []wspec.ClientResult
-	if ws != nil {
-		res, clients, err = presto.RunSpecWorkload(sys, ws, opt)
-		if err != nil {
-			return err
-		}
-	} else {
-		res = presto.RunWorkload(sys, kind, opt)
+	res, err := cell.Run(opt)
+	if err != nil {
+		return err
 	}
 	elapsed := time.Since(start)
 
-	fmt.Fprintf(stdout, "system=%v workload=%v seed=%d duration=%v\n", sys, workloadName(kind, ws), *seed, *duration)
+	fmt.Fprintf(stdout, "system=%v workload=%v hosts=%d shards=%d seed=%d duration=%v\n",
+		sys, workloadName(cell.Workload), res.Hosts, res.Shards, *seed, *duration)
 	fmt.Fprintf(stdout, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
 	fmt.Fprintf(stdout, "  loss rate:           %.4f%%\n", res.LossRate*100)
 	if res.RTT != nil && res.RTT.N() > 0 {
@@ -149,7 +148,7 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  mice FCT (ms):       p50=%.3f p90=%.3f p99=%.3f p99.9=%.3f (n=%d, timeouts=%d)\n",
 			res.FCT.Percentile(50), res.FCT.Percentile(90), res.FCT.Percentile(99), res.FCT.Percentile(99.9), res.FCT.N(), res.MiceTimeouts)
 	}
-	for _, cr := range clients {
+	for _, cr := range res.Clients {
 		fmt.Fprintf(stdout, "  client %-13s started=%d finished=%d timeouts=%d bytes=%d",
 			cr.ID+":", cr.Started, cr.Finished, cr.Timeouts, cr.BytesMoved)
 		if cr.FCT != nil && cr.FCT.N() > 0 {
@@ -160,6 +159,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 		fmt.Fprintln(stdout)
 	}
+	fmt.Fprintf(stdout, "  delivered packets:   %d\n", res.Delivered)
+	fmt.Fprintf(stdout, "  engine events:       %d\n", res.Events)
 	fmt.Fprintf(stdout, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
 
 	if err := writeTelemetry(reg, res.Telemetry, *tracePath, *eventsPath, *snapPath); err != nil {
@@ -184,46 +185,16 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// runPodTraffic drives the pod-scale cross-pod elephant experiment.
-// The -shards knob partitions the engine per pod; any shard count is
-// bit-identical to serial, so it only trades wall-clock time.
-func runPodTraffic(stdout io.Writer, sys presto.System, pods, hostsPerLeaf, shards int, seed uint64, seeds int, warmup, duration sim.Time) error {
-	if seeds > 1 {
-		return fmt.Errorf("-workload podtraffic runs a single seed; use cmd/experiments -run podtraffic -seeds %d", seeds)
-	}
-	opt := presto.Options{
-		Seed:     seed,
-		Warmup:   warmup,
-		Duration: duration,
-		Shards:   shards,
-	}
-	start := time.Now()
-	res := presto.RunPodTraffic(sys, pods, hostsPerLeaf, opt)
-	elapsed := time.Since(start)
-	fmt.Fprintf(stdout, "system=%v workload=podtraffic pods=%d hosts=%d shards=%d seed=%d duration=%v\n",
-		sys, res.Pods, res.Hosts, res.Shards, seed, duration.AsDuration())
-	fmt.Fprintf(stdout, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
-	fmt.Fprintf(stdout, "  loss rate:           %.4f%%\n", res.LossRate*100)
-	fmt.Fprintf(stdout, "  delivered packets:   %d\n", res.Delivered)
-	fmt.Fprintf(stdout, "  engine events:       %d\n", res.Events)
-	fmt.Fprintf(stdout, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
-	return nil
-}
-
-// runReplicated executes the system × workload as a one-cell campaign
-// over N seeds and prints per-metric envelopes.
-func runReplicated(stdout io.Writer, sys presto.System, kind presto.WorkloadKind, ws *wspec.Spec, opt presto.Options, seed uint64, seeds, parallel int) error {
+// runReplicated executes the cell as a one-cell campaign over N seeds
+// and prints per-metric envelopes.
+func runReplicated(stdout io.Writer, cell presto.Cell, opt presto.Options, seeds, parallel int) error {
 	// Per-run telemetry registries are not safe across concurrent
 	// replicas; the single-seed path keeps full telemetry support.
 	opt.Telemetry = nil
-	cell := presto.WorkloadCell(sys, kind, opt)
-	if ws != nil {
-		cell = presto.SpecWorkloadCell(sys, ws, opt)
-	}
 	spec := &campaign.Spec{
 		Name:        "prestosim",
-		Cells:       []campaign.Cell{cell},
-		Seeds:       campaign.Seeds(seed, seeds),
+		Cells:       []campaign.Cell{cell.Campaign(opt)},
+		Seeds:       campaign.Seeds(opt.Seed, seeds),
 		Parallelism: parallel,
 		Progress:    os.Stderr,
 	}
@@ -235,7 +206,8 @@ func runReplicated(stdout io.Writer, sys presto.System, kind presto.WorkloadKind
 		return fmt.Errorf("%d replica(s) failed, first: %s seed=%d: %s", len(failed), failed[0].Cell, failed[0].Seed, failed[0].Err)
 	}
 	res := &report.Cells[0]
-	fmt.Fprintf(stdout, "system=%v workload=%v seeds=%d..%d (n=%d)\n", sys, workloadName(kind, ws), seed, seed+uint64(seeds)-1, seeds)
+	fmt.Fprintf(stdout, "system=%v workload=%v shards=%d seeds=%d..%d (n=%d)\n",
+		cell.System, workloadName(cell.Workload), cell.ShardsUsed(opt), opt.Seed, opt.Seed+uint64(seeds)-1, seeds)
 	names := make([]string, 0, len(res.Envelopes))
 	for k := range res.Envelopes {
 		names = append(names, k)
@@ -309,40 +281,9 @@ func parseSystem(s string) (presto.System, error) {
 		s, strings.Join(scheme.Names(), " | "))
 }
 
-// parseWorkloadOrSpec maps the -workload value onto either a built-in
-// pattern (ws == nil) or a declarative workload spec resolved from a
-// preset name or a spec.json path (ws != nil, kind unused).
-func parseWorkloadOrSpec(s string) (presto.WorkloadKind, *wspec.Spec, error) {
-	if kind, err := parseWorkload(s); err == nil {
-		return kind, nil, nil
-	}
-	ws, err := wspec.Resolve(s)
-	if err != nil {
-		return 0, nil, fmt.Errorf("workload %q is neither a built-in pattern (stride | shuffle | random | bijection) nor a workload spec: %v", s, err)
-	}
-	return 0, ws, nil
-}
-
 // workloadName renders the workload for the result header: the
-// pattern name, or the spec's name plus hash so runs are attributable
-// to an exact workload definition.
-func workloadName(kind presto.WorkloadKind, ws *wspec.Spec) string {
-	if ws != nil {
-		return fmt.Sprintf("%s(spec %s)", ws.Name, ws.Hash())
-	}
-	return fmt.Sprint(kind)
-}
-
-func parseWorkload(s string) (presto.WorkloadKind, error) {
-	switch strings.ToLower(s) {
-	case "stride":
-		return presto.Stride, nil
-	case "shuffle":
-		return presto.Shuffle, nil
-	case "random":
-		return presto.Random, nil
-	case "bijection":
-		return presto.Bijection, nil
-	}
-	return 0, fmt.Errorf("unknown workload %q", s)
+// spec's name plus hash, so runs are attributable to an exact workload
+// definition.
+func workloadName(ws *wspec.Spec) string {
+	return fmt.Sprintf("%s(spec %s)", ws.Name, ws.Hash())
 }

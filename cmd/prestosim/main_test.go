@@ -21,14 +21,51 @@ func TestParseSystemAll(t *testing.T) {
 	}
 }
 
+// TestParseWorkloadAll smoke-runs every built-in -workload name over a
+// tiny window, and checks an unknown one is a usage error naming the
+// presets.
 func TestParseWorkloadAll(t *testing.T) {
-	for _, w := range []string{"stride", "shuffle", "random", "bijection"} {
-		if _, err := parseWorkload(w); err != nil {
-			t.Errorf("parseWorkload(%q): %v", w, err)
+	for _, w := range []string{"stride", "shuffle", "random", "bijection", "podtraffic", "trace-mix", "north-south"} {
+		var out bytes.Buffer
+		if err := run([]string{"-workload", w, "-warmup", "1ms", "-duration", "2ms"}, &out); err != nil {
+			t.Errorf("-workload %s: %v", w, err)
+		}
+		if !strings.Contains(out.String(), "workload="+w+"(spec ") {
+			t.Errorf("-workload %s: header missing the spec name and hash:\n%s", w, out.String())
 		}
 	}
-	if _, err := parseWorkload("bogus"); err == nil {
-		t.Error("parseWorkload accepted bogus workload")
+	var out bytes.Buffer
+	err := run([]string{"-workload", "bogus"}, &out)
+	if err == nil || !strings.Contains(err.Error(), "stride") {
+		t.Errorf("bogus workload: err = %v, want a usage error listing the presets", err)
+	}
+}
+
+// TestPodTrafficSeedsAndShards pins the two front-door fixes that came
+// with the single cell builder: podtraffic replicates over seeds, and
+// the replicated header reports the shard count actually used (capped
+// at the pod count) while the envelopes stay shard-independent.
+func TestPodTrafficSeedsAndShards(t *testing.T) {
+	replicated := func(shards string) string {
+		var out bytes.Buffer
+		err := run([]string{
+			"-workload", "podtraffic", "-pods", "3", "-hosts-per-leaf", "1",
+			"-warmup", "1ms", "-duration", "3ms", "-seeds", "2", "-shards", shards,
+		}, &out)
+		if err != nil {
+			t.Fatalf("-shards %s: %v", shards, err)
+		}
+		return out.String()
+	}
+	serial, sharded := replicated("1"), replicated("8")
+	if !strings.Contains(serial, "shards=1 seeds=1..2 (n=2)") {
+		t.Errorf("serial header:\n%s", serial)
+	}
+	if !strings.Contains(sharded, "shards=3 seeds=1..2 (n=2)") {
+		t.Errorf("-shards 8 on 3 pods should report 3 shards:\n%s", sharded)
+	}
+	if _, a, _ := strings.Cut(serial, "\n"); !strings.HasSuffix(sharded, a) {
+		t.Errorf("envelopes differ across shard counts:\n%s\n%s", serial, sharded)
 	}
 }
 

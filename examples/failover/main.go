@@ -8,6 +8,7 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"presto"
 	"presto/internal/sim"
@@ -19,14 +20,22 @@ func main() {
 		Warmup:   40 * sim.Millisecond,
 		Duration: 240 * sim.Millisecond,
 	}
-	for _, w := range []presto.FailoverWorkload{
-		presto.FailL1L4, presto.FailL4L1, presto.FailStride, presto.FailBijection,
-	} {
-		r := presto.RunFailover(w, opt)
+	for _, w := range presto.FailoverWorkloads() {
+		cell, err := presto.FigureCell("fig17/wl=" + w)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		r, err := cell.Run(opt)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		m := r.Metrics
 		fmt.Printf("%-10v symmetry=%.2f Gbps  failover=%.2f Gbps  weighted=%.2f Gbps\n",
-			w, r.SymmetryTput, r.FailoverTput, r.WeightedTput)
+			w, m["symmetry_gbps"], m["failover_gbps"], m["weighted_gbps"])
 		fmt.Printf("           RTT p99: %.2f -> %.2f -> %.2f ms\n",
-			r.SymmetryRTT.Percentile(99), r.FailoverRTT.Percentile(99), r.WeightedRTT.Percentile(99))
+			m["symmetry_rtt_ms_p99"], m["failover_rtt_ms_p99"], m["weighted_rtt_ms_p99"])
 	}
 	fmt.Println()
 	fmt.Println("Stage 1 uses all four spanning trees. After the S1-L1 link dies,")

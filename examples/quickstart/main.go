@@ -31,7 +31,7 @@ func main() {
 	fmt.Printf("workload %s (spec %s) on a 4-spine/4-leaf/16-host 10G Clos:\n", ws.Name, ws.Hash())
 	for _, sys := range []presto.System{presto.SysECMP, presto.SysPresto, presto.SysOptimal} {
 		start := time.Now()
-		r, _, err := presto.RunSpecWorkload(sys, ws, opt)
+		r, err := presto.SpecCell(sys, ws).Run(opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

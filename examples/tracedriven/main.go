@@ -35,7 +35,7 @@ func main() {
 	systems := []presto.System{presto.SysECMP, presto.SysPresto, presto.SysOptimal}
 	results := make(map[presto.System]presto.LoadResult)
 	for _, sys := range systems {
-		r, _, err := presto.RunSpecWorkload(sys, ws, opt)
+		r, err := presto.SpecCell(sys, ws).Run(opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

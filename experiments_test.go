@@ -1,26 +1,61 @@
 package presto
 
 import (
+	"fmt"
 	"testing"
 
+	"presto/internal/cluster"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 // fastOpt shrinks windows so the whole experiment suite stays quick;
 // the cmd/experiments binary uses the full defaults.
 func fastOpt(seed uint64) Options {
 	return Options{
-		Seed:         seed,
-		Warmup:       20 * sim.Millisecond,
-		Duration:     60 * sim.Millisecond,
-		MiceInterval: 4 * sim.Millisecond,
+		Seed:     seed,
+		Warmup:   20 * sim.Millisecond,
+		Duration: 60 * sim.Millisecond,
 	}
+}
+
+// runCell runs one cell, failing the test on error.
+func runCell(t testing.TB, cell Cell, opt Options) LoadResult {
+	t.Helper()
+	r, err := cell.Run(opt)
+	if err != nil {
+		t.Fatalf("%s: %v", cell.ID, err)
+	}
+	return r
+}
+
+// startStride starts the elephants preset — one unlimited flow per
+// server to the server half the fabric away — on a hand-built cluster.
+func startStride(t testing.TB, c *cluster.Cluster) *wspec.Generator {
+	t.Helper()
+	g, err := wspec.Compile(preset("elephants"), c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start(sim.Second)
+	return g
+}
+
+// runFigure runs one paper-experiment cell, named by its campaign ID —
+// exactly what `experiments -run` executes.
+func runFigure(t testing.TB, id string, opt Options) LoadResult {
+	t.Helper()
+	cell, err := FigureCell(id)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return runCell(t, cell, opt)
 }
 
 func TestScalabilityPrestoTracksOptimal(t *testing.T) {
 	for _, paths := range []int{2, 4} {
-		pr := RunScalability(SysPresto, paths, fastOpt(1))
-		op := RunScalability(SysOptimal, paths, fastOpt(1))
+		pr := runFigure(t, fmt.Sprintf("fig7/paths=%d/sys=Presto", paths), fastOpt(1))
+		op := runFigure(t, fmt.Sprintf("fig7/paths=%d/sys=Optimal", paths), fastOpt(1))
 		if pr.MeanTput < 0.9*op.MeanTput {
 			t.Errorf("paths=%d: presto %.2f vs optimal %.2f Gbps", paths, pr.MeanTput, op.MeanTput)
 		}
@@ -36,8 +71,8 @@ func TestScalabilityPrestoTracksOptimal(t *testing.T) {
 func TestScalabilityECMPLagsPresto(t *testing.T) {
 	// With 8 flows over 8 paths, ECMP hash collisions should cost
 	// throughput relative to Presto (Figure 7's gap).
-	ec := RunScalability(SysECMP, 8, fastOpt(2))
-	pr := RunScalability(SysPresto, 8, fastOpt(2))
+	ec := runFigure(t, "fig7/paths=8/sys=ECMP", fastOpt(2))
+	pr := runFigure(t, "fig7/paths=8/sys=Presto", fastOpt(2))
 	if ec.MeanTput >= pr.MeanTput {
 		t.Errorf("ECMP %.2f >= Presto %.2f Gbps at 8 paths", ec.MeanTput, pr.MeanTput)
 	}
@@ -45,7 +80,7 @@ func TestScalabilityECMPLagsPresto(t *testing.T) {
 
 func TestOversubscriptionAllSchemesProgress(t *testing.T) {
 	for _, sys := range []System{SysECMP, SysPresto, SysOptimal} {
-		r := RunOversubscription(sys, 4, fastOpt(3))
+		r := runFigure(t, fmt.Sprintf("fig10/flows=4/sys=%v", sys), fastOpt(3))
 		// 4 flows over 2 spines: per-flow ~5 Gbps at best.
 		if r.MeanTput < 1.5 {
 			t.Errorf("%v: %.2f Gbps under 2:1 oversubscription", sys, r.MeanTput)
@@ -54,7 +89,7 @@ func TestOversubscriptionAllSchemesProgress(t *testing.T) {
 }
 
 func TestWorkloadStride(t *testing.T) {
-	r := RunWorkload(SysPresto, Stride, fastOpt(4))
+	r := runFigure(t, "fig15/wl=stride/sys=Presto", fastOpt(4))
 	if r.MeanTput < 8 {
 		t.Errorf("presto stride %.2f Gbps", r.MeanTput)
 	}
@@ -67,26 +102,26 @@ func TestWorkloadStride(t *testing.T) {
 }
 
 func TestWorkloadShuffle(t *testing.T) {
-	r := RunWorkload(SysPresto, Shuffle, fastOpt(5))
+	r := runFigure(t, "fig15/wl=shuffle/sys=Presto", fastOpt(5))
 	if r.MeanTput <= 0 {
 		t.Fatal("shuffle produced no transfer throughput")
 	}
 }
 
 func TestGROMicrobenchContrast(t *testing.T) {
-	off := RunGROMicrobench(true, fastOpt(6))
-	pre := RunGROMicrobench(false, fastOpt(6))
+	off := runFigure(t, "fig5/gro=official", fastOpt(6))
+	pre := runFigure(t, "fig5/gro=presto", fastOpt(6))
 	// Figure 5a: Presto GRO masks reordering completely; official GRO
 	// leaks it.
-	if pre.OOOCounts.Max() != 0 {
-		t.Errorf("presto GRO exposed reordering: max OOO %v", pre.OOOCounts.Max())
+	if pre.Dists["ooo_counts"].Max() != 0 {
+		t.Errorf("presto GRO exposed reordering: max OOO %v", pre.Dists["ooo_counts"].Max())
 	}
-	if off.OOOCounts.Percentile(90) == 0 {
+	if off.Dists["ooo_counts"].Percentile(90) == 0 {
 		t.Error("official GRO shows no reordering — microbenchmark broken")
 	}
 	// Figure 5b: Presto pushes much larger segments.
-	if pre.SegSizes.Mean() < 2*off.SegSizes.Mean() {
-		t.Errorf("segment sizes: presto %.1fKB vs official %.1fKB", pre.SegSizes.Mean(), off.SegSizes.Mean())
+	if pre.Dists["seg_kb"].Mean() < 2*off.Dists["seg_kb"].Mean() {
+		t.Errorf("segment sizes: presto %.1fKB vs official %.1fKB", pre.Dists["seg_kb"].Mean(), off.Dists["seg_kb"].Mean())
 	}
 	// §5: official GRO at roughly half the goodput.
 	if off.MeanTput >= pre.MeanTput {
@@ -95,44 +130,49 @@ func TestGROMicrobenchContrast(t *testing.T) {
 }
 
 func TestCPUOverheadWithinBudget(t *testing.T) {
-	pre := RunCPUOverhead(true, fastOpt(7))
-	off := RunCPUOverhead(false, fastOpt(7))
+	pre := runFigure(t, "fig6/gro=presto", fastOpt(7))
+	off := runFigure(t, "fig6/gro=official", fastOpt(7))
 	if pre.MeanTput < 8 || off.MeanTput < 8 {
 		t.Fatalf("stride not at line rate: presto %.2f, official %.2f", pre.MeanTput, off.MeanTput)
 	}
 	// Figure 6: Presto adds a modest CPU premium over official GRO
 	// with no reordering (paper: ~6%).
-	delta := pre.Mean - off.Mean
+	preCPU, offCPU := pre.Metrics["cpu_pct"], off.Metrics["cpu_pct"]
+	delta := preCPU - offCPU
 	if delta < 0 || delta > 20 {
-		t.Errorf("CPU overhead delta = %.1f%% (presto %.1f%%, official %.1f%%)", delta, pre.Mean, off.Mean)
+		t.Errorf("CPU overhead delta = %.1f%% (presto %.1f%%, official %.1f%%)", delta, preCPU, offCPU)
 	}
 }
 
 func TestFlowletSizesSkewed(t *testing.T) {
-	r := RunFlowletSizes(2, 500*sim.Microsecond, 16<<20, fastOpt(8))
-	if r.Count < 2 {
-		t.Skipf("only %d flowlets formed", r.Count)
+	r := runFigure(t, "fig1/competing=2", fastOpt(8))
+	if r.Metrics["flowlets"] < 2 {
+		t.Skipf("only %v flowlets formed", r.Metrics["flowlets"])
 	}
 	// Figure 1's point: flowlet sizes are highly non-uniform — the
 	// largest flowlet dominates the transfer.
-	if r.LargestFraction < 0.2 {
-		t.Errorf("largest flowlet only %.2f of transfer; expected heavy skew", r.LargestFraction)
+	if f := r.Metrics["largest_fraction"]; f < 0.2 {
+		t.Errorf("largest flowlet only %.2f of transfer; expected heavy skew", f)
 	}
 }
 
 func TestTraceRuns(t *testing.T) {
-	r := RunTrace(SysPresto, fastOpt(9))
-	if r.Flows < 50 {
-		t.Fatalf("only %d trace flows", r.Flows)
+	r := runFigure(t, "table1/sys=Presto", fastOpt(9))
+	flows := 0
+	for _, cr := range r.Clients {
+		flows += cr.Started
 	}
-	if r.MiceFCT.N() < 20 {
-		t.Fatalf("only %d mice FCT samples", r.MiceFCT.N())
+	if flows < 50 {
+		t.Fatalf("only %d trace flows", flows)
+	}
+	if r.FCT.N() < 20 {
+		t.Fatalf("only %d mice FCT samples", r.FCT.N())
 	}
 }
 
 func TestNorthSouthRuns(t *testing.T) {
-	r := RunNorthSouth(SysPresto, fastOpt(10))
-	if r.MiceFCT.N() == 0 {
+	r := runFigure(t, "table2/sys=Presto", fastOpt(10))
+	if r.FCT.N() == 0 {
 		t.Fatal("no east-west mice under north-south cross traffic")
 	}
 	if r.MeanTput < 4 {
@@ -141,26 +181,27 @@ func TestNorthSouthRuns(t *testing.T) {
 }
 
 func TestFailoverStages(t *testing.T) {
-	r := RunFailover(FailL1L4, fastOpt(11))
-	if r.SymmetryTput < 7 {
-		t.Errorf("symmetry stage %.2f Gbps", r.SymmetryTput)
+	r := runFigure(t, "fig17/wl=L1->L4", fastOpt(11)).Metrics
+	if r["symmetry_gbps"] < 7 {
+		t.Errorf("symmetry stage %.2f Gbps", r["symmetry_gbps"])
 	}
 	// Failover and weighted stages must keep traffic flowing despite
 	// the dead link (Figure 17: "reasonable average throughput at each
 	// stage").
-	if r.FailoverTput < 2 {
-		t.Errorf("failover stage %.2f Gbps", r.FailoverTput)
+	if r["failover_gbps"] < 2 {
+		t.Errorf("failover stage %.2f Gbps", r["failover_gbps"])
 	}
-	if r.WeightedTput < 4 {
-		t.Errorf("weighted stage %.2f Gbps", r.WeightedTput)
+	if r["weighted_gbps"] < 4 {
+		t.Errorf("weighted stage %.2f Gbps", r["weighted_gbps"])
 	}
-	if r.SymmetryRTT.N() == 0 || r.WeightedRTT.N() == 0 {
+	if r["symmetry_rtt_ms_n"] == 0 || r["weighted_rtt_ms_n"] == 0 {
 		t.Error("missing stage RTT samples")
 	}
 }
 
 func TestGRODisabledWall(t *testing.T) {
-	gbps, cpu := GRODisabledThroughput(fastOpt(12))
+	r := runCell(t, GRODisabledCell(), fastOpt(12))
+	gbps, cpu := r.MeanTput, r.Metrics["cpu_util_pct"]/100
 	if gbps < 4.5 || gbps > 7.5 {
 		t.Errorf("GRO-disabled wall at %.2f Gbps, want 5.5-7", gbps)
 	}
@@ -178,13 +219,6 @@ func TestSystemStrings(t *testing.T) {
 	} {
 		if sys.String() != want {
 			t.Errorf("%s -> %q", sys.SchemeName(), sys.String())
-		}
-	}
-	for w, want := range map[WorkloadKind]string{
-		Stride: "stride", Shuffle: "shuffle", Random: "random", Bijection: "bijection",
-	} {
-		if w.String() != want {
-			t.Errorf("workload %d -> %q", w, w.String())
 		}
 	}
 }

@@ -231,12 +231,19 @@ func ClusterEndToEnd(b *testing.B) {
 	if Short {
 		warmup, duration = 2*sim.Millisecond, 8*sim.Millisecond
 	}
+	cell, err := presto.FigureCell("fig5/gro=presto")
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := presto.RunGROMicrobench(false, presto.Options{
+		r, err := cell.Run(presto.Options{
 			Seed:   uint64(i + 1),
 			Warmup: warmup, Duration: duration,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.MeanTput, "Gbps")
 	}
 }
@@ -255,11 +262,14 @@ func ShardedClusterEndToEnd(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r := presto.RunPodTraffic(presto.SysPresto, 4, 2, presto.Options{
+		r, err := presto.PodCell(presto.SysPresto, 4, 2).Run(presto.Options{
 			Seed:   uint64(i + 1),
 			Warmup: warmup, Duration: duration,
 			Shards: 4,
 		})
+		if err != nil {
+			b.Fatal(err)
+		}
 		b.ReportMetric(r.MeanTput, "Gbps")
 	}
 }

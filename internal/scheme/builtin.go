@@ -95,7 +95,7 @@ func init() {
 	Register(&Scheme{
 		Name:        "diffflow",
 		Description: "spray mice per-flowcell, pin elephants to hashed ECMP paths",
-		Paper:       "Carpa et al., DiffFlow (CCGrid 2017)",
+		Paper:       "Carpio, Engelmann, Jukan — DiffFlow (arXiv:1604.05107)",
 		Params: []Param{
 			{Name: "threshold", Kind: KindBytes, Default: "1MB", Min: float64(packet.MSS), Max: 1 << 30,
 				Help: "bytes before a flow is classified as an elephant"},
@@ -113,7 +113,7 @@ func init() {
 	Register(&Scheme{
 		Name:        "sprinklers",
 		Description: "per-destination randomized stripe sizes, reordering-free",
-		Paper:       "Cao, Xu, Li — Sprinklers (CoNEXT 2013)",
+		Paper:       "Ding, Xu, Dai, Song, Lin — Sprinklers (arXiv:1407.0006)",
 		Params: []Param{
 			{Name: "min-stripe", Kind: KindBytes, Default: "256KB", Min: float64(packet.MSS), Max: 1 << 30,
 				Help: "minimum stripe size"},

@@ -23,8 +23,8 @@ type diffFlowState struct {
 
 func (s *diffFlowState) idleSince() sim.Time { return s.lastSeen }
 
-// DiffFlow implements the size-threshold split of DiffFlow (Carpa et
-// al.): flows start as mice and are sprayed per-flowcell exactly like
+// DiffFlow implements the size-threshold split of DiffFlow (Carpio,
+// Engelmann, Jukan): flows start as mice and are sprayed per-flowcell exactly like
 // Presto; once a flow's byte count crosses Threshold it is an elephant
 // and gets pinned to a single ECMP path (chosen by flow hash), so long
 // transfers stop paying reordering costs while short flows keep the
@@ -104,8 +104,8 @@ type sprinklerDest struct {
 	stripeID  uint32
 }
 
-// Sprinklers implements randomized variable-size striping (Kandula et
-// al.'s Sprinklers): each sender stripes its aggregate traffic toward
+// Sprinklers implements randomized variable-size striping (Ding, Xu,
+// Dai, Song, Lin's Sprinklers): each sender stripes its aggregate traffic toward
 // a destination across the label list in contiguous runs whose sizes
 // are drawn uniformly from [MinStripe, MaxStripe]. Randomizing stripe
 // sizes per (sender, destination) desynchronizes senders so stripes

@@ -9,7 +9,6 @@ import (
 	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
-	"presto/internal/workload"
 )
 
 // Generator is a compiled workload spec bound to a cluster: an
@@ -26,10 +25,27 @@ type Generator struct {
 	// the generator opens (FlowStart.At is absolute simulation time).
 	// cmd/capture uses it to emit replayable flow logs.
 	OnFlowStart func(FlowStart)
+	// OnFlowDone, while set, observes every sized flow as it completes,
+	// immediately before the flow's connection closes — the hook
+	// measurements use to classify flows by size. Setting it after
+	// warmup observes the measured window only.
+	OnFlowDone func(FlowDone)
 
 	c       *cluster.Cluster
+	n       int // server count, fixed at Compile
 	clients []*clientRun
 	started bool
+}
+
+// FlowDone describes one completed sized flow.
+type FlowDone struct {
+	// FlowStart is what OnFlowStart reported when the flow opened.
+	FlowStart
+	// FCT is the completion time: start to last request byte delivered,
+	// or to last response byte for request/response clients.
+	FCT sim.Time
+	// TimedOut reports whether the sender hit at least one RTO.
+	TimedOut bool
 }
 
 // ClientResult aggregates one client's traffic outcomes.
@@ -56,10 +72,18 @@ type clientRun struct {
 	cfg *Client
 	rng *sim.RNG
 	res ClientResult
-	// eleph tracks unlimited once-flows (throughput-measured).
-	eleph *workload.Elephants
-	// pairs is the enumerable pair set for pairs/stride/bijection.
+	// eleph are the unlimited once-flows (throughput-measured), baseRx
+	// their delivered bytes at the last baseline, taken at baseAt.
+	eleph  []*cluster.Conn
+	baseRx []uint64
+	baseAt sim.Time
+	// pairs is the enumerable pair set for pairs/stride/bijection and
+	// once+random.
 	pairs [][2]packet.HostID
+	// queue holds, per shuffle source, the destinations not yet started.
+	queue [][]packet.HostID
+	// stop is when the client's window closes (set by Start).
+	stop sim.Time
 	// remotes are the north-south destinations.
 	remotes []packet.HostID
 	// trace holds the resolved flow-start log for trace clients.
@@ -95,9 +119,10 @@ func serverCount(c *cluster.Cluster) int {
 	return n
 }
 
-// crossPod reports whether (src, dst) is a valid cross-pod pair,
-// degenerating to src != dst on single-leaf topologies (mirrors
-// workload.crossPod).
+// crossPod reports whether (src, dst) is a valid cross-pod pair. On a
+// single-leaf topology every host shares the "pod", so the constraint
+// degenerates to src != dst (otherwise the Optimal baseline could
+// never run the random workloads).
 func crossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
 	if src == dst {
 		return false
@@ -108,8 +133,11 @@ func crossPod(c *cluster.Cluster, src, dst packet.HostID) bool {
 	return !c.Topo.SameLeaf(src, dst)
 }
 
-// randomCrossPodDst draws a cross-pod destination with a bounded draw
-// loop and deterministic fallback scan; ok=false when none exists.
+// randomCrossPodDst draws a cross-pod destination for src. The draw
+// loop is bounded: after maxDraws rejections it falls back to a
+// deterministic scan, and reports ok=false when the topology offers no
+// valid destination at all — the caller must not retry, or a
+// degenerate topology would hang the campaign runner.
 func randomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n int) (packet.HostID, bool) {
 	const maxDraws = 200
 	for attempt := 0; attempt < maxDraws; attempt++ {
@@ -129,8 +157,10 @@ func randomCrossPodDst(c *cluster.Cluster, rng *sim.RNG, src packet.HostID, n in
 // Compile binds a validated spec to a cluster, running the
 // topology-dependent checks Validate cannot (host IDs in range,
 // remotes present for north-south, incast fan-in vs fabric size) and
-// deriving each client's RNG stream from seed. The generator is inert
-// until Start.
+// deriving each client's RNG stream from seed. On a sharded cluster
+// only once+unlimited clients compile: everything else schedules
+// events and records completions on one engine. The generator is
+// inert until Start.
 func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 	if err := ws.Validate(); err != nil {
 		return nil, err
@@ -139,7 +169,7 @@ func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 	if n < 2 {
 		return nil, fmt.Errorf("workload %q: topology has %d servers; need >= 2", ws.Name, n)
 	}
-	g := &Generator{Spec: ws, c: c}
+	g := &Generator{Spec: ws, c: c, n: n}
 	for i := range ws.Clients {
 		cfg := &ws.Clients[i]
 		cr := &clientRun{
@@ -148,6 +178,9 @@ func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 			res: ClientResult{ID: cfg.ID, FCT: &metrics.Dist{}},
 		}
 		path := fmt.Sprintf("clients[%d]", i)
+		if c.Shards() > 1 && (cfg.Arrival.Process != ProcOnce || cfg.Size.Kind != SizeUnlimited || cfg.Start != 0) {
+			return nil, fmt.Errorf("%s.arrival.process: only once clients with unlimited size and no start offset run on a sharded cluster (%d shards)", path, c.Shards())
+		}
 		if cfg.Trace != nil {
 			flows, err := resolveTrace(cfg.Trace, c.Topo.NumHosts())
 			if err != nil {
@@ -170,6 +203,10 @@ func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 	}
 	return g, nil
 }
+
+// Servers returns the number of server hosts the workload runs over
+// (remote users excluded).
+func (g *Generator) Servers() int { return g.n }
 
 // compileSelect materializes a client's selection policy against the
 // topology.
@@ -211,7 +248,27 @@ func compileSelect(cr *clientRun, c *cluster.Cluster, n int, path string) error 
 			return fmt.Errorf("%s.select.bijection: no valid cross-pod pairing on this topology", path)
 		}
 	case SelRandom:
-		// Pairs drawn per arrival.
+		// Rate-based clients draw a pair per arrival; once draws one
+		// destination per server here.
+		if cr.cfg.Arrival.Process == ProcOnce {
+			for i := 0; i < n; i++ {
+				if d, ok := randomCrossPodDst(c, cr.rng, packet.HostID(i), n); ok {
+					cr.pairs = append(cr.pairs, [2]packet.HostID{packet.HostID(i), d})
+				}
+			}
+			if len(cr.pairs) == 0 {
+				return fmt.Errorf("%s.select.random: no valid cross-pod pairing on this topology", path)
+			}
+		}
+	case SelShuffle:
+		cr.queue = make([][]packet.HostID, n)
+		for i := range cr.queue {
+			for _, d := range cr.rng.Perm(n) {
+				if d != i {
+					cr.queue[i] = append(cr.queue[i], packet.HostID(d))
+				}
+			}
+		}
 	case SelIncast:
 		// Fan-in is capped by available distinct sources; a 32-way
 		// incast spec still runs on a 16-host testbed as 15-way.
@@ -232,9 +289,12 @@ func compileSelect(cr *clientRun, c *cluster.Cluster, n int, path string) error 
 	return nil
 }
 
-// crossPodPermutation draws permutations until one is fully cross-pod,
-// falling back to a deterministic rotation (mirrors the workload
-// package's bounded search).
+// crossPodPermutation draws permutations until one is fully cross-pod.
+// The search is bounded; the fallback is the first rotation whose pairs
+// are all cross-pod — n/2 first, always valid in a balanced Clos — else
+// rotation by 1, a derangement for any n >= 2 even when the constraint
+// is unsatisfiable. Only n == 1 yields the identity, which callers
+// treat as "no valid pairing".
 func crossPodPermutation(c *cluster.Cluster, rng *sim.RNG, n int) []int {
 	for attempt := 0; attempt < 200; attempt++ {
 		p := rng.Perm(n)
@@ -322,51 +382,76 @@ func (g *Generator) Start(until sim.Time) {
 		panic("spec: Generator.Start called twice")
 	}
 	g.started = true
-	base := g.c.Eng.Now()
+	base := g.c.Now()
 	for _, cr := range g.clients {
-		stop := until
-		if cr.cfg.Stop != 0 && base+sim.Time(cr.cfg.Stop) < stop {
-			stop = base + sim.Time(cr.cfg.Stop)
+		cr.stop = until
+		if cr.cfg.Stop != 0 && base+sim.Time(cr.cfg.Stop) < until {
+			cr.stop = base + sim.Time(cr.cfg.Stop)
 		}
-		start := sim.Time(cr.cfg.Start)
-		launch := func(cr *clientRun, stop sim.Time) func() {
-			return func() { g.launchClient(cr, stop) }
-		}(cr, stop)
-		if start == 0 {
-			launch()
+		if start := sim.Time(cr.cfg.Start); start == 0 {
+			g.launchClient(cr)
 		} else {
-			g.c.Eng.Schedule(start, launch)
+			g.c.Eng.Schedule(start, func() { g.launchClient(cr) })
 		}
 	}
 }
 
 // launchClient starts one client's arrival loop at the current time.
-func (g *Generator) launchClient(cr *clientRun, stop sim.Time) {
-	if g.c.Eng.Now() >= stop {
+func (g *Generator) launchClient(cr *clientRun) {
+	if g.c.Now() >= cr.stop {
 		return
 	}
 	switch {
 	case cr.cfg.Trace != nil:
-		g.runTrace(cr, stop)
+		g.runTrace(cr, cr.stop)
 	case cr.cfg.Arrival.Process == ProcOnce:
-		g.runOnce(cr, stop)
+		g.runOnce(cr)
 	default:
-		g.runArrivals(cr, stop)
+		g.runArrivals(cr, cr.stop)
 	}
 }
 
-// runOnce opens one flow per pair at window start: unlimited flows
-// become throughput-tracked elephants; sized flows complete like any
-// other.
-func (g *Generator) runOnce(cr *clientRun, stop sim.Time) {
-	if cr.cfg.Size.Kind == SizeUnlimited {
-		cr.eleph = workload.Pairs(g.c, cr.pairs)
+// runOnce opens the client's flows at window start: unlimited flows
+// become throughput-tracked elephants (dialed without touching the
+// engine, so they also run on a sharded cluster); shuffle starts two
+// transfers per source; other sized flows open one per pair.
+func (g *Generator) runOnce(cr *clientRun) {
+	switch {
+	case cr.cfg.Size.Kind == SizeUnlimited:
+		for _, p := range cr.pairs {
+			conn := g.c.Dial(p[0], p[1])
+			conn.SetUnlimited(true)
+			cr.eleph = append(cr.eleph, conn)
+		}
+		cr.baseRx = make([]uint64, len(cr.eleph))
+		cr.baseAt = g.c.Now()
 		cr.res.Started += len(cr.pairs)
+	case cr.queue != nil:
+		for src := range cr.queue {
+			for k := 0; k < shuffleInFlight; k++ {
+				g.nextTransfer(cr, packet.HostID(src))
+			}
+		}
+	default:
+		for _, p := range cr.pairs {
+			g.openFlow(cr, p[0], p[1], sampleSize(&cr.cfg.Size, cr.rng))
+		}
+	}
+}
+
+// shuffleInFlight is how many transfers each shuffle source keeps in
+// flight (§4: "two transfers at a time").
+const shuffleInFlight = 2
+
+// nextTransfer starts src's next queued shuffle transfer, if any
+// remain and the client's window is still open.
+func (g *Generator) nextTransfer(cr *clientRun, src packet.HostID) {
+	q := cr.queue[src]
+	if len(q) == 0 || g.c.Now() >= cr.stop {
 		return
 	}
-	for _, p := range cr.pairs {
-		g.openFlow(cr, p[0], p[1], sampleSize(&cr.cfg.Size, cr.rng))
-	}
+	cr.queue[src] = q[1:]
+	g.openFlow(cr, src, q[0], cr.cfg.Size.Bytes)
 }
 
 // runArrivals drives a rate-based arrival process: each tick opens the
@@ -397,7 +482,7 @@ func (g *Generator) runArrivals(cr *clientRun, stop sim.Time) {
 // arrive opens the flows for one arrival event per the client's
 // selection policy.
 func (g *Generator) arrive(cr *clientRun) {
-	n := serverCount(g.c)
+	n := g.n
 	switch cr.cfg.Select.Kind {
 	case SelPairs, SelStride, SelBijection:
 		p := cr.pairs[cr.rng.Intn(len(cr.pairs))]
@@ -473,7 +558,10 @@ func (g *Generator) runTrace(cr *clientRun, stop sim.Time) {
 	lap(0)
 }
 
-// openFlow opens one sized flow and records its completion.
+// openFlow opens one sized flow and records its completion: when the
+// last request byte is delivered, or — for request/response clients —
+// when the destination's response has come back on the same
+// connection.
 func (g *Generator) openFlow(cr *clientRun, src, dst packet.HostID, size int) {
 	if size <= 0 || src == dst {
 		return
@@ -485,18 +573,49 @@ func (g *Generator) openFlow(cr *clientRun, src, dst packet.HostID, size int) {
 	conn := g.c.Dial(src, dst)
 	start := g.c.Eng.Now()
 	conn.OnDelivered = func(total uint64) {
-		if total >= uint64(size) {
-			conn.OnDelivered = nil
-			cr.res.Finished++
-			cr.res.BytesMoved += uint64(size)
-			if conn.SenderTimeouts() > 0 {
-				cr.res.Timeouts++
+		if total < uint64(size) {
+			return
+		}
+		conn.OnDelivered = nil
+		if cr.cfg.ResponseBytes > 0 {
+			conn.WriteReverse(cr.cfg.ResponseBytes)
+			return
+		}
+		g.finishFlow(cr, conn, size, start)
+	}
+	if cr.cfg.ResponseBytes > 0 {
+		conn.OnReverseDelivered = func(total uint64) {
+			if total >= uint64(cr.cfg.ResponseBytes) {
+				conn.OnReverseDelivered = nil
+				g.finishFlow(cr, conn, size, start)
 			}
-			cr.res.FCT.Add(sim.Time(g.c.Eng.Now() - start).Milliseconds())
-			conn.Close()
 		}
 	}
 	conn.Write(size)
+}
+
+// finishFlow records a completed flow, reports it, closes its
+// connection, and — for shuffle — starts the source's next transfer.
+func (g *Generator) finishFlow(cr *clientRun, conn *cluster.Conn, size int, start sim.Time) {
+	cr.res.Finished++
+	cr.res.BytesMoved += uint64(size)
+	timedOut := conn.SenderTimeouts() > 0
+	if timedOut {
+		cr.res.Timeouts++
+	}
+	fct := g.c.Eng.Now() - start
+	cr.res.FCT.Add(fct.Milliseconds())
+	if g.OnFlowDone != nil {
+		g.OnFlowDone(FlowDone{
+			FlowStart: FlowStart{At: Duration(start), Src: int(conn.Src), Dst: int(conn.Dst), Bytes: size},
+			FCT:       fct,
+			TimedOut:  timedOut,
+		})
+	}
+	conn.Close()
+	if cr.queue != nil {
+		g.nextTransfer(cr, conn.Src)
+	}
 }
 
 // sampleSize draws one flow size in bytes from the client's
@@ -644,11 +763,13 @@ func onOffShift(now sim.Time, gap sim.Time, a *Arrival) sim.Time {
 
 // ResetBaseline restarts measurement at now: elephant throughput
 // baselines reset and per-client FCT distributions and counters clear,
-// so warmup traffic does not pollute the measured window.
+// so warmup traffic does not pollute the measured window (or one
+// failover stage the next).
 func (g *Generator) ResetBaseline(now sim.Time) {
 	for _, cr := range g.clients {
-		if cr.eleph != nil {
-			cr.eleph.ResetBaseline(now)
+		cr.baseAt = now
+		for i, conn := range cr.eleph {
+			cr.baseRx[i] = conn.Delivered()
 		}
 		cr.res.FCT = &metrics.Dist{}
 		cr.res.Started, cr.res.Finished, cr.res.Timeouts = 0, 0, 0
@@ -656,22 +777,33 @@ func (g *Generator) ResetBaseline(now sim.Time) {
 	}
 }
 
-// elephantTputs collects per-flow goodputs across all unlimited
-// clients.
-func (g *Generator) elephantTputs(now sim.Time) []float64 {
+// Throughputs returns the per-flow goodput in Gbps of every unlimited
+// flow since the last baseline, in spec order (nil if the spec has no
+// unlimited clients or no time has passed).
+func (g *Generator) Throughputs(now sim.Time) []float64 {
 	var all []float64
 	for _, cr := range g.clients {
-		if cr.eleph != nil {
-			all = append(all, cr.eleph.Throughputs(now)...)
-		}
+		all = append(all, cr.throughputs(now)...)
 	}
 	return all
 }
 
-// MeanTput returns the mean per-flow elephant goodput in Gbps since
-// the last baseline (0 if the spec has no unlimited clients).
-func (g *Generator) MeanTput(now sim.Time) float64 {
-	ts := g.elephantTputs(now)
+// throughputs returns the client's per-elephant goodputs since its
+// baseline.
+func (cr *clientRun) throughputs(now sim.Time) []float64 {
+	dur := now - cr.baseAt
+	if dur <= 0 || len(cr.eleph) == 0 {
+		return nil
+	}
+	out := make([]float64, len(cr.eleph))
+	for i, conn := range cr.eleph {
+		out[i] = float64(conn.Delivered()-cr.baseRx[i]) * 8 / dur.Seconds() / 1e9
+	}
+	return out
+}
+
+// mean averages ts (0 when empty).
+func mean(ts []float64) float64 {
 	if len(ts) == 0 {
 		return 0
 	}
@@ -682,9 +814,13 @@ func (g *Generator) MeanTput(now sim.Time) float64 {
 	return sum / float64(len(ts))
 }
 
+// MeanTput returns the mean per-flow elephant goodput in Gbps since
+// the last baseline (0 if the spec has no unlimited clients).
+func (g *Generator) MeanTput(now sim.Time) float64 { return mean(g.Throughputs(now)) }
+
 // Fairness returns Jain's index over all elephant flows (0 if none).
 func (g *Generator) Fairness(now sim.Time) float64 {
-	return metrics.JainIndex(g.elephantTputs(now))
+	return metrics.JainIndex(g.Throughputs(now))
 }
 
 // Results snapshots per-client outcomes at now, in spec order.
@@ -692,9 +828,7 @@ func (g *Generator) Results(now sim.Time) []ClientResult {
 	out := make([]ClientResult, len(g.clients))
 	for i, cr := range g.clients {
 		out[i] = cr.res
-		if cr.eleph != nil {
-			out[i].Tput = cr.eleph.Mean(now)
-		}
+		out[i].Tput = mean(cr.throughputs(now))
 	}
 	return out
 }

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"presto/internal/cluster"
@@ -52,32 +53,103 @@ func TestGeneratorPoissonRandom(t *testing.T) {
 }
 
 // TestGeneratorDeterminism pins the core invariant: same spec + seed →
-// identical traffic, regardless of how many times it runs.
+// the identical event sequence (every flow start and completion, to
+// the nanosecond) and identical results, however many times it runs —
+// for rate-based clients, and for the request/response, once+random
+// and closed-loop shuffle features alike.
 func TestGeneratorDeterminism(t *testing.T) {
-	ws, err := Preset("mice-heavy")
+	for _, name := range []string{"mice-heavy", "stride", "random", "bijection", "shuffle"} {
+		ws, err := Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		summary := func(seed uint64) string {
+			c := testCluster(seed)
+			g, err := Compile(ws, c, seed)
+			if err != nil {
+				t.Fatalf("%s: Compile: %v", name, err)
+			}
+			out := ""
+			g.OnFlowStart = func(f FlowStart) { out += fmt.Sprintf("+%d:%d>%d:%d;", f.At, f.Src, f.Dst, f.Bytes) }
+			g.OnFlowDone = func(d FlowDone) { out += fmt.Sprintf("-%d:%d>%d:%d;", d.At, d.Src, d.Dst, d.FCT) }
+			g.Start(60 * sim.Millisecond)
+			c.Eng.Run(60 * sim.Millisecond)
+			for _, conn := range c.Conns() {
+				out += fmt.Sprintf("%d>%d=%d;", conn.Src, conn.Dst, conn.Delivered())
+			}
+			for _, r := range g.Results(c.Eng.Now()) {
+				out += fmt.Sprintf("%s:%d/%d/%d/%d/%.6f/%.6f;", r.ID, r.Started, r.Finished, r.Timeouts, r.BytesMoved, r.FCT.Mean(), r.Tput)
+			}
+			return out
+		}
+		a, b := summary(42), summary(42)
+		if a != b {
+			t.Fatalf("%s: same spec+seed diverged:\n%s\n%s", name, a, b)
+		}
+		if summary(43) == a {
+			t.Fatalf("%s: different seeds produced identical traffic", name)
+		}
+	}
+}
+
+// TestCompileSharded pins what runs on a sharded cluster: once +
+// unlimited clients start without touching the (absent) single engine
+// and measure the same bytes as a serial run; anything that schedules
+// arrivals or records completions fails Compile with a field path
+// instead of dereferencing a nil engine.
+func TestCompileSharded(t *testing.T) {
+	pods := func(shards int) *cluster.Cluster {
+		return cluster.New(cluster.Config{
+			Topology: topo.ThreeTierClos(2, 2, 2, 1, topo.LinkConfig{}),
+			Scheme:   cluster.Presto,
+			Seed:     3,
+			Shards:   shards,
+		})
+	}
+	ws, err := Preset("elephants")
 	if err != nil {
 		t.Fatal(err)
 	}
-	summary := func() string {
-		g, c := compileRun(t, ws, 42, 60*sim.Millisecond)
-		out := ""
-		for _, r := range g.Results(c.Eng.Now()) {
-			out += fmt.Sprintf("%s:%d/%d/%d/%d/%.6f;", r.ID, r.Started, r.Finished, r.Timeouts, r.BytesMoved, r.FCT.Mean())
+	var tputs [2][]float64
+	for i, shards := range []int{1, 2} {
+		c := pods(shards)
+		if c.Shards() != shards {
+			t.Fatalf("cluster uses %d shards, want %d", c.Shards(), shards)
 		}
-		return out
+		g, err := Compile(ws, c, 3)
+		if err != nil {
+			t.Fatalf("%d shards: %v", shards, err)
+		}
+		g.Start(5 * sim.Millisecond)
+		c.Run(2 * sim.Millisecond)
+		g.ResetBaseline(c.Now())
+		c.Run(5 * sim.Millisecond)
+		tputs[i] = g.Throughputs(c.Now())
 	}
-	a, b := summary(), summary()
-	if a != b {
-		t.Fatalf("same spec+seed diverged:\n%s\n%s", a, b)
+	if len(tputs[0]) != 4 || fmt.Sprint(tputs[0]) != fmt.Sprint(tputs[1]) {
+		t.Fatalf("sharded elephants diverged from serial:\n%v\n%v", tputs[0], tputs[1])
 	}
-	// And a different seed produces different traffic.
-	g, c := compileRun(t, ws, 43, 60*sim.Millisecond)
-	diff := ""
-	for _, r := range g.Results(c.Eng.Now()) {
-		diff += fmt.Sprintf("%s:%d/%d/%d/%d/%.6f;", r.ID, r.Started, r.Finished, r.Timeouts, r.BytesMoved, r.FCT.Mean())
+
+	for _, tc := range []struct{ preset, wantPath string }{
+		{"mice-heavy", "clients[0].arrival.process"}, // rate-based
+		{"stride", "clients[1].arrival.process"},     // elephants fine, mice rate-based
+		{"shuffle", "clients[0].arrival.process"},    // once, but sized
+		{"trace", "clients[0].arrival.process"},      // replay
+	} {
+		ws, err := Preset(tc.preset)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = Compile(ws, pods(2), 3)
+		if err == nil || !strings.Contains(err.Error(), tc.wantPath) {
+			t.Errorf("%s on 2 shards: err = %v, want a %s error", tc.preset, err, tc.wantPath)
+		}
 	}
-	if diff == a {
-		t.Fatal("different seeds produced identical traffic")
+	delayed := *ws
+	delayed.Clients = []Client{ws.Clients[0]}
+	delayed.Clients[0].Start = Duration(sim.Millisecond)
+	if _, err := Compile(&delayed, pods(2), 3); err == nil {
+		t.Error("a start offset schedules on the engine; accepted on 2 shards")
 	}
 }
 

@@ -1,126 +1,67 @@
 package spec
 
+import (
+	"embed"
+	"sort"
+	"strings"
+)
+
 // Named presets make common workloads resolvable without a file,
 // kube-burner-style: every front-end accepts a preset name anywhere it
-// accepts a spec path. Each preset is an ordinary Spec — the committed
-// examples/specs/*.json files are their JSON forms, and TestPresets
-// pins the two in sync.
+// accepts a spec path. Each preset is an ordinary spec file under
+// presets/ (examples/specs/ holds the user-facing copies, pinned in
+// sync by TestExampleSpecsMatchPresets):
+//
+//	elephants    one unlimited flow per server to the server half the
+//	             fabric away — the throughput / fairness baseline
+//	mice-heavy   90% web-like mice + 10% Pareto elephants, random pairs
+//	incast32     32-way partition-aggregate bursts of 64 KB shards
+//	trace        a tiny looped inline trace showing the replay format
+//	stride, random, bijection
+//	             §4's synthetic patterns: one elephant per server by the
+//	             named selection, plus 50 KB request / 100 B response
+//	             mice (3200 flows/s: one per server pair every 5 ms)
+//	shuffle      §4's Hadoop shuffle: 8 MB to every other server, two
+//	             transfers in flight per server, plus stride mice
+//	trace-mix    Table 1: heavy-tailed sizes (log-normal body, Pareto
+//	             tail, ×10 scaling) between random cross-pod pairs
+//	north-south  Table 2: stride elephants and mice under web-like
+//	             flows from every server to the remote users
+//	podtraffic   one elephant per server to the same position one pod
+//	             over on the default pod topology (2 hosts per leaf)
+//
+//go:embed presets/*.json
+var presetFS embed.FS
 
 // PresetNames lists the named presets, sorted.
 func PresetNames() []string {
-	return []string{"elephants", "incast32", "mice-heavy", "trace"}
+	entries, err := presetFS.ReadDir("presets")
+	if err != nil {
+		panic("spec: embedded presets: " + err.Error())
+	}
+	names := make([]string, len(entries))
+	for i, e := range entries {
+		names[i] = strings.TrimSuffix(e.Name(), ".json")
+	}
+	sort.Strings(names)
+	return names
 }
 
 // IsPreset reports whether name is a known preset.
 func IsPreset(name string) bool {
-	for _, p := range PresetNames() {
-		if p == name {
-			return true
-		}
-	}
-	return false
+	_, err := presetFS.Open("presets/" + name + ".json")
+	return err == nil
 }
 
 // Preset returns a fresh copy of the named preset spec.
 func Preset(name string) (*Spec, error) {
-	var s *Spec
-	switch name {
-	case "elephants":
-		// Long-running stride elephants: one unlimited flow per server
-		// to the server half the fabric away — the paper's throughput /
-		// fairness baseline.
-		s = &Spec{
-			Version: Version,
-			Name:    "elephants",
-			Clients: []Client{{
-				ID:      "elephants",
-				Arrival: Arrival{Process: ProcOnce},
-				Size:    SizeDist{Kind: SizeUnlimited},
-				Select:  Select{Kind: SelStride},
-			}},
-		}
-	case "mice-heavy":
-		// 90% mice (empirical web-like heavy tail, most flows < 100 KB)
-		// + 10% elephant transfers (Pareto, ≥ 1 MB): the elephant/mice
-		// byte-vs-count decomposition the paper's schemes are judged on.
-		s = &Spec{
-			Version:       Version,
-			Name:          "mice-heavy",
-			AggregateRate: 2000,
-			Clients: []Client{
-				{
-					ID:           "mice",
-					RateFraction: 0.9,
-					Arrival:      Arrival{Process: ProcPoisson},
-					Size: SizeDist{
-						Kind: SizeEmpirical,
-						CDF: []CDFPoint{
-							{Bytes: 500, Frac: 0.15},
-							{Bytes: 5_000, Frac: 0.50},
-							{Bytes: 30_000, Frac: 0.80},
-							{Bytes: 100_000, Frac: 0.95},
-							{Bytes: 1_000_000, Frac: 1},
-						},
-					},
-					Select: Select{Kind: SelRandom},
-				},
-				{
-					ID:           "elephants",
-					RateFraction: 0.1,
-					Arrival:      Arrival{Process: ProcPoisson},
-					Size: SizeDist{
-						Kind:       SizePareto,
-						ScaleBytes: 1_000_000,
-						Alpha:      1.5,
-						Max:        50_000_000,
-					},
-					Select: Select{Kind: SelRandom},
-				},
-			},
-		}
-	case "incast32":
-		// Partition-aggregate: bursts of 32 synchronized senders each
-		// delivering a 64 KB shard to one aggregator. Fan-in is capped
-		// at N-1 on fabrics with fewer than 33 servers.
-		s = &Spec{
-			Version: Version,
-			Name:    "incast32",
-			Clients: []Client{{
-				ID:      "incast",
-				Rate:    100,
-				Arrival: Arrival{Process: ProcPoisson},
-				Size:    SizeDist{Kind: SizeFixed, Bytes: 64_000},
-				Select:  Select{Kind: SelIncast, FanIn: 32},
-			}},
-		}
-	case "trace":
-		// A tiny inline trace demonstrating the replay format: two
-		// elephants then a sprinkle of mice, looped for the whole run.
-		ms := func(v int64) Duration { return Duration(v * 1_000_000) }
-		s = &Spec{
-			Version: Version,
-			Name:    "trace",
-			Clients: []Client{{
-				ID: "replay",
-				Trace: &TraceSource{
-					Loop: true,
-					Inline: []FlowStart{
-						{At: ms(0), Src: 0, Dst: 8, Bytes: 2_000_000},
-						{At: ms(0), Src: 1, Dst: 9, Bytes: 2_000_000},
-						{At: ms(1), Src: 2, Dst: 10, Bytes: 50_000},
-						{At: ms(2), Src: 3, Dst: 11, Bytes: 50_000},
-						{At: ms(3), Src: 4, Dst: 12, Bytes: 50_000},
-						{At: ms(4), Src: 5, Dst: 13, Bytes: 50_000},
-						{At: ms(5), Src: 6, Dst: 14, Bytes: 50_000},
-					},
-				},
-			}},
-		}
-	default:
+	data, err := presetFS.ReadFile("presets/" + name + ".json")
+	if err != nil {
 		return nil, badField("preset", "unknown preset %q (have %v)", name, PresetNames())
 	}
-	if err := s.Validate(); err != nil {
-		// Presets are code; an invalid one is a programming error.
+	s, err := Parse(data)
+	if err != nil {
+		// Presets ship with the binary; an invalid one is a programming error.
 		panic("spec: invalid preset " + name + ": " + err.Error())
 	}
 	return s, nil

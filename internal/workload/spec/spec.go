@@ -3,10 +3,11 @@
 // turns "scenario" into data rather than code. A spec names a set of
 // clients, each with a traffic share, an arrival process (poisson,
 // gamma, weibull, on-off, or once), a flow-size distribution (fixed,
-// lognormal, pareto, empirical CDF, or unlimited), a src/dst selection
-// policy (pairs, stride, random, bijection, incast, north-south), and
-// an optional start/stop window — or a recorded trace of flow starts
-// to replay verbatim. Compile (generator.go) turns a validated spec
+// lognormal, pareto, empirical CDF, or unlimited), an optional
+// application-level response, a src/dst selection policy (pairs,
+// stride, random, bijection, incast, north-south, shuffle), and an
+// optional start/stop window — or a recorded trace of flow starts to
+// replay verbatim. Compile (generator.go) turns a validated spec
 // into a deterministic event-driven generator on a cluster.Cluster:
 // every random draw comes from per-client RNG streams derived from the
 // run seed, so a spec + seed is byte-identical at any parallelism.
@@ -103,6 +104,13 @@ type Client struct {
 	Arrival Arrival `json:"arrival"`
 	// Size is the flow-size distribution; required unless Trace is set.
 	Size SizeDist `json:"size"`
+	// ResponseBytes, when > 0, makes every flow a request/response
+	// exchange: once the request is delivered the destination answers
+	// with this many bytes on the same connection, and the flow's FCT
+	// spans request start → response delivered (the paper's mice with
+	// application-level acknowledgements). Not valid with unlimited
+	// sizes.
+	ResponseBytes int `json:"response_bytes,omitempty"`
 	// Select is the src/dst selection policy; required unless Trace is
 	// set.
 	Select Select `json:"select"`
@@ -190,21 +198,31 @@ const (
 	SelBijection  = "bijection"
 	SelIncast     = "incast"
 	SelNorthSouth = "northsouth"
+	SelShuffle    = "shuffle"
 )
+
+// selKinds lists the selection kinds for error messages.
+const selKinds = "pairs, stride, random, bijection, incast, northsouth, shuffle"
 
 // Select describes how each arrival picks its (src, dst) pair.
 type Select struct {
-	// Kind is pairs | stride | random | bijection | incast | northsouth.
+	// Kind is pairs | stride | random | bijection | incast | northsouth
+	// | shuffle.
 	//
 	//   pairs       uniform over the explicit Pairs list
 	//   stride      uniform over {(i, (i+Stride) mod N)}
-	//   random      uniform src, random cross-pod dst
+	//   random      uniform src, random cross-pod dst; with the once
+	//               process, one seed-drawn cross-pod dst per server
 	//   bijection   uniform over a seed-drawn cross-pod permutation
 	//   incast      uniform dst; each arrival opens FanIn concurrent
 	//               flows from distinct random sources (fan-in capped
 	//               at N-1 on small fabrics)
 	//   northsouth  uniform server src, uniform remote (spine-attached
 	//               user) dst — requires a topology with remotes
+	//   shuffle     closed loop: every server sends one fixed-size
+	//               transfer to every other server in seed-drawn order,
+	//               two in flight per source, each completion starting
+	//               the next (once process, fixed size only)
 	Kind string `json:"kind"`
 	// Stride is the stride offset (default N/2).
 	Stride int `json:"stride,omitempty"`
@@ -400,11 +418,25 @@ func (c *Client) validate(path string, s *Spec) error {
 	if c.Size.Kind == SizeUnlimited && c.Arrival.Process != ProcOnce {
 		return badField(path+".size.kind", "unlimited flows require the once process (they never finish)")
 	}
+	if c.ResponseBytes < 0 {
+		return badField(path+".response_bytes", "got %d; must be >= 0", c.ResponseBytes)
+	}
+	if c.ResponseBytes > 0 && c.Size.Kind == SizeUnlimited {
+		return badField(path+".response_bytes", "unlimited flows never finish, so they cannot be answered")
+	}
 	if c.Arrival.Process == ProcOnce {
 		switch c.Select.Kind {
-		case SelPairs, SelStride, SelBijection:
+		case SelPairs, SelStride, SelBijection, SelRandom, SelShuffle:
 		default:
-			return badField(path+".select.kind", "once needs an enumerable pair set (pairs, stride, bijection); got %q", c.Select.Kind)
+			return badField(path+".select.kind", "once needs an enumerable pair set (pairs, stride, bijection, random, shuffle); got %q", c.Select.Kind)
+		}
+	}
+	if c.Select.Kind == SelShuffle {
+		if c.Arrival.Process != ProcOnce {
+			return badField(path+".arrival.process", "shuffle is a closed loop started once; got %q", c.Arrival.Process)
+		}
+		if c.Size.Kind != SizeFixed {
+			return badField(path+".size.kind", "shuffle transfers have a fixed size; got %q", c.Size.Kind)
 		}
 	}
 	return nil
@@ -551,15 +583,15 @@ func (sel *Select) validate(path string) error {
 		if sel.Stride < 0 {
 			return badField(path+".stride", "got %d; must be >= 0 (0 = N/2)", sel.Stride)
 		}
-	case SelRandom, SelBijection, SelNorthSouth:
+	case SelRandom, SelBijection, SelNorthSouth, SelShuffle:
 	case SelIncast:
 		if sel.FanIn < 2 {
 			return badField(path+".fan_in", "incast needs fan_in >= 2 (got %d)", sel.FanIn)
 		}
 	case "":
-		return badField(path+".kind", "required (pairs, stride, random, bijection, incast, northsouth)")
+		return badField(path+".kind", "required (%s)", selKinds)
 	default:
-		return badField(path+".kind", "unknown selection %q (pairs, stride, random, bijection, incast, northsouth)", sel.Kind)
+		return badField(path+".kind", "unknown selection %q (%s)", sel.Kind, selKinds)
 	}
 	return nil
 }

@@ -110,10 +110,28 @@ func TestValidateRejections(t *testing.T) {
 		{"unlimited without once", func(s *Spec) {
 			s.Clients[0].Size = SizeDist{Kind: SizeUnlimited}
 		}, "clients[0].size.kind"},
-		{"once with random", func(s *Spec) {
+		{"once with incast", func(s *Spec) {
 			s.Clients[0].RateFraction = 0
 			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
+			s.Clients[0].Select = Select{Kind: SelIncast, FanIn: 4}
 		}, "clients[0].select.kind"},
+		{"negative response", func(s *Spec) { s.Clients[0].ResponseBytes = -1 }, "clients[0].response_bytes"},
+		{"response with unlimited", func(s *Spec) {
+			s.Clients[0].RateFraction = 0
+			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
+			s.Clients[0].Size = SizeDist{Kind: SizeUnlimited}
+			s.Clients[0].Select = Select{Kind: SelStride}
+			s.Clients[0].ResponseBytes = 100
+		}, "clients[0].response_bytes"},
+		{"shuffle not once", func(s *Spec) {
+			s.Clients[0].Select = Select{Kind: SelShuffle}
+		}, "clients[0].arrival.process"},
+		{"shuffle not fixed", func(s *Spec) {
+			s.Clients[0].RateFraction = 0
+			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
+			s.Clients[0].Size = SizeDist{Kind: SizeLognormal, MedianBytes: 1000, Sigma: 1}
+			s.Clients[0].Select = Select{Kind: SelShuffle}
+		}, "clients[0].size.kind"},
 		{"once with rate", func(s *Spec) {
 			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
 			s.Clients[0].Select = Select{Kind: SelStride}
@@ -219,6 +237,30 @@ func TestPresets(t *testing.T) {
 	}
 	if IsPreset("nope") {
 		t.Fatal("IsPreset(nope) = true")
+	}
+}
+
+// TestHashesPinned freezes the hashes of every spec that existed
+// before request/response, once+random and shuffle joined the
+// language: a new omitempty field must never silently re-key
+// artifacts. The benchmark's own spec files are pinned too, since the
+// benchmark records their hashes as provenance.
+func TestHashesPinned(t *testing.T) {
+	for name, want := range map[string]string{
+		"elephants":  "5984c5cc76cc6312",
+		"mice-heavy": "d3035f532357f264",
+		"incast32":   "1900a6e43138f4c9",
+		"trace":      "8a33650d285fe89d",
+		"../../../benchmark/workloads/elephants-mice.json": "5338df448ad0a0c7",
+		"../../../benchmark/workloads/mice-churn.json":     "71bda47fc18a16e3",
+	} {
+		s, err := Resolve(name)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := s.Hash(); got != want {
+			t.Errorf("%s hashes to %s, pinned %s", name, got, want)
+		}
 	}
 }
 

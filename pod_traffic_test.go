@@ -1,6 +1,7 @@
 package presto
 
 import (
+	"reflect"
 	"testing"
 
 	"presto/internal/sim"
@@ -12,16 +13,17 @@ import (
 func TestRunPodTrafficShardedMatchesSerial(t *testing.T) {
 	opt := Options{Seed: 11, Warmup: 2 * sim.Millisecond, Duration: 5 * sim.Millisecond}
 	for _, sys := range []System{SysPresto, SysECMP} {
+		cell := PodCell(sys, 3, 1)
 		opt.Shards = 1
-		want := RunPodTraffic(sys, 3, 1, opt)
+		want := runCell(t, cell, opt)
 		for _, shards := range []int{2, 3} {
 			opt.Shards = shards
-			got := RunPodTraffic(sys, 3, 1, opt)
+			got := runCell(t, cell, opt)
 			if got.Shards != shards {
 				t.Fatalf("%v: run used %d shards, want %d", sys, got.Shards, shards)
 			}
 			got.Shards = want.Shards
-			if got != want {
+			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("%v with %d shards diverged from serial:\nserial:  %+v\nsharded: %+v",
 					sys, shards, want, got)
 			}
@@ -42,7 +44,7 @@ func TestPodTraffic1000Hosts(t *testing.T) {
 		Duration: sim.Millisecond,
 		Shards:   25,
 	}
-	res := RunPodTraffic(SysPresto, 25, 20, opt)
+	res := runCell(t, PodCell(SysPresto, 25, 20), opt)
 	if res.Hosts != 1000 {
 		t.Fatalf("topology has %d hosts, want 1000", res.Hosts)
 	}

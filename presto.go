@@ -3,8 +3,10 @@
 // on a deterministic discrete-event network simulator.
 //
 // The package exposes the experiment harness used by the examples,
-// the cmd/experiments binary, and the benchmarks: one runner per
-// table and figure in the paper's evaluation. The building blocks —
+// the command-line front-ends, and the benchmarks: every table and
+// figure of the paper's evaluation is a list of Cells — a system on a
+// topology under a workload spec, observed by a measurement set — and
+// Cell.Run is the one path that executes them. The building blocks —
 // flowcell spraying (Algorithm 1), the modified GRO flush (Algorithm
 // 2), shadow-MAC spanning trees, the Clos fabric, TCP/MPTCP — live in
 // the internal packages and are assembled by internal/cluster.
@@ -13,8 +15,6 @@ package presto
 import (
 	"strings"
 
-	"presto/internal/cluster"
-	"presto/internal/packet"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -124,16 +124,6 @@ type Options struct {
 	Warmup   sim.Time // excluded from measurement (default 50 ms)
 	Duration sim.Time // measurement window (default 200 ms)
 
-	MiceSize      int      // bytes per mouse (default 50 KB, §4)
-	MiceResp      int      // app-level ack size (default 100 B)
-	MiceInterval  sim.Time // per-pair spacing (paper: 100 ms; default 5 ms to gather tail samples in a short window)
-	ProbeInterval sim.Time // RTT probe spacing (default 1 ms)
-
-	// GROOverride forces a receive-offload handler regardless of the
-	// system's natural choice (Figure 5 pairs Presto spraying with
-	// official GRO).
-	GROOverride cluster.GROKind
-
 	// Telemetry, when non-nil, wires event tracing and snapshot probes
 	// through the run's cluster; the run's snapshot is attached to the
 	// result. Nil (the default) adds zero overhead and leaves results
@@ -141,11 +131,10 @@ type Options struct {
 	Telemetry *telemetry.Registry
 
 	// Shards partitions the engine into per-pod shards with
-	// conservative lookahead synchronization; results stay
-	// bit-identical to the serial engine. Honored by pod-scale
-	// experiments (RunPodTraffic); the figure-specific runners above
-	// always execute serially — their probers, link failures, and
-	// telemetry hooks are cross-shard by nature. 0 or 1 = serial.
+	// conservative lookahead synchronization. Honored by shardable
+	// cells (workload-spec and pod-scale cells); paper-figure cells
+	// always execute serially — their probers, samplers and link
+	// failures are cross-shard by nature. 0 or 1 = serial.
 	Shards int
 }
 
@@ -155,18 +144,6 @@ func (o *Options) fill() {
 	}
 	if o.Duration == 0 {
 		o.Duration = 200 * sim.Millisecond
-	}
-	if o.MiceSize == 0 {
-		o.MiceSize = 50_000
-	}
-	if o.MiceResp == 0 {
-		o.MiceResp = 100
-	}
-	if o.MiceInterval == 0 {
-		o.MiceInterval = 5 * sim.Millisecond
-	}
-	if o.ProbeInterval == 0 {
-		o.ProbeInterval = sim.Millisecond
 	}
 }
 
@@ -194,39 +171,10 @@ func OptimalTopo(hosts int) *topo.Topology {
 	return topo.SingleSwitch(hosts, topo.LinkConfig{})
 }
 
-// buildCluster assembles a cluster for a system on a topology.
-func buildCluster(sys System, tp *topo.Topology, opt Options) *cluster.Cluster {
-	return cluster.New(clusterConfigFor(sys, tp, opt))
-}
-
-// clusterConfigFor maps a system onto a cluster configuration
-// (callers that support sharding set Shards on the result).
-func clusterConfigFor(sys System, tp *topo.Topology, opt Options) cluster.Config {
-	return cluster.Config{
-		Topology:     tp,
-		Seed:         opt.Seed,
-		GRO:          opt.GROOverride,
-		Telemetry:    opt.Telemetry,
-		Scheme:       cluster.Scheme(sys.scheme),
-		SchemeParams: sys.paramMap(),
-	}
-}
-
-// topoFor returns the topology a system runs on, given the Clos the
-// non-optimal systems use: Optimal swaps in a single switch with the
-// same host count.
-func topoFor(sys System, clos func() *topo.Topology) *topo.Topology {
-	if sys.optimal {
-		return topo.SingleSwitch(clos().NumHosts(), topo.LinkConfig{})
-	}
-	return clos()
-}
-
-// hostPairs builds (i, i+offset) pairs over n hosts.
-func hostPairs(n, offset int) [][2]packet.HostID {
-	out := make([][2]packet.HostID, 0, n)
-	for i := 0; i < n; i++ {
-		out = append(out, [2]packet.HostID{packet.HostID(i), packet.HostID((i + offset) % n)})
-	}
-	return out
+// PodTopo returns a pod-based 3-tier Clos for the pod-scale
+// experiment: `pods` pods of 2 aggregation switches and 2 leaves
+// each, `hostsPerLeaf` hosts per leaf (2·pods·hostsPerLeaf hosts
+// total), wired to 2 cores.
+func PodTopo(pods, hostsPerLeaf int) *topo.Topology {
+	return topo.ThreeTierClos(pods, 2, 2, hostsPerLeaf, topo.LinkConfig{})
 }

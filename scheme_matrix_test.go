@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"presto/internal/campaign"
 	"presto/internal/sim"
 )
 
@@ -67,7 +68,12 @@ func TestNewSchemesSelectableByName(t *testing.T) {
 // workloads) on clos and mesh alike.
 func TestSchemeMatrixRunsOneScheme(t *testing.T) {
 	opt := Options{Seed: 1, Warmup: 5 * sim.Millisecond, Duration: 20 * sim.Millisecond}
-	rep, err := RunSchemeMatrix([]string{"diffflow"}, 1, opt)
+	spec, err := SchemeMatrixSpec([]string{"diffflow"}, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec.Seeds = campaign.Seeds(1, 1)
+	rep, err := RunCampaign(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,6 @@ import (
 	"presto/internal/cluster"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
-	"presto/internal/workload"
 )
 
 func shortOpt(reg *telemetry.Registry) Options {
@@ -64,9 +63,9 @@ func sameLoadResult(t *testing.T, plain, traced LoadResult) {
 // test: the same seed must produce bit-identical metrics whether the
 // telemetry layer (tracer + probes + link monitor) is on or off.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
-	plain := RunWorkload(SysPresto, Stride, shortOpt(nil))
+	plain := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(nil))
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
-	traced := RunWorkload(SysPresto, Stride, shortOpt(reg))
+	traced := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(reg))
 
 	sameLoadResult(t, plain, traced)
 	if traced.Telemetry == nil {
@@ -85,7 +84,7 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 // ring-buffer tracer spilling compressed JSONL to disk must leave
 // every workload metric bit-identical to an untraced run.
 func TestTelemetryBoundedModesDoNotPerturbResults(t *testing.T) {
-	plain := RunWorkload(SysPresto, Stride, shortOpt(nil))
+	plain := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(nil))
 
 	tr := telemetry.NewTracer()
 	tr.SetRing(512)
@@ -94,7 +93,7 @@ func TestTelemetryBoundedModesDoNotPerturbResults(t *testing.T) {
 		t.Fatal(err)
 	}
 	reg := telemetry.NewRegistry(tr)
-	traced := RunWorkload(SysPresto, Stride, shortOpt(reg))
+	traced := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(reg))
 	if err := tr.CloseSpill(); err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +154,7 @@ func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
 		Scheme:   cluster.Presto,
 		Seed:     42,
 	})
-	workload.Stride(ref, 8)
+	startStride(t, ref)
 	ref.Eng.Run(horizon)
 
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
@@ -165,7 +164,7 @@ func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
 		Seed:      42,
 		Telemetry: reg,
 	})
-	workload.Stride(c, 8)
+	startStride(t, c)
 	ss := reg.Stream(4)
 	dec := telemetry.NewStreamDecoder()
 	var deltas, keyframes int
@@ -236,7 +235,7 @@ func TestTelemetryCountersConsistent(t *testing.T) {
 		Seed:      42,
 		Telemetry: reg,
 	})
-	workload.Stride(c, 8)
+	startStride(t, c)
 	c.Eng.Run(30 * sim.Millisecond)
 
 	var totalCells uint64
@@ -286,7 +285,7 @@ func TestTelemetryCountersConsistent(t *testing.T) {
 // arguments.
 func TestTraceExportFromRun(t *testing.T) {
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
-	RunWorkload(SysPresto, Stride, shortOpt(reg))
+	runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(reg))
 
 	var buf bytes.Buffer
 	if err := reg.Tracer().WriteChromeTrace(&buf); err != nil {
@@ -335,7 +334,7 @@ func TestEngineProbeCountsWork(t *testing.T) {
 		Seed:      1,
 		Telemetry: reg,
 	})
-	workload.Stride(c, 8)
+	startStride(t, c)
 	c.Eng.Run(5 * sim.Millisecond)
 	snap := reg.Snapshot(c.Eng.Now())
 	eng := snap.Components["engine"]

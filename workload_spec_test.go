@@ -30,11 +30,11 @@ func TestExampleSpecsMatchPresets(t *testing.T) {
 	}
 }
 
-// specCampaign builds a one-system mice-heavy campaign with the given
-// worker count — the spec-workload analogue of fig5Spec.
-func specCampaign(t *testing.T, parallelism, seeds int) *campaign.Spec {
+// specCampaign builds a one-system campaign of the named preset with
+// the given worker count — the spec-workload analogue of fig5Spec.
+func specCampaign(t *testing.T, name string, parallelism, seeds int) *campaign.Spec {
 	t.Helper()
-	ws, err := wspec.Preset("mice-heavy")
+	ws, err := wspec.Preset(name)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +42,7 @@ func specCampaign(t *testing.T, parallelism, seeds int) *campaign.Spec {
 		Duration: 10 * sim.Millisecond,
 		Warmup:   5 * sim.Millisecond,
 	}
-	spec := SpecWorkloadCampaign(ws, []System{SysPresto}, opt)
+	spec := WorkloadCampaign(ws, []System{SysPresto}, opt)
 	spec.Seeds = campaign.Seeds(1, seeds)
 	spec.Parallelism = parallelism
 	return spec
@@ -52,10 +52,18 @@ func specCampaign(t *testing.T, parallelism, seeds int) *campaign.Spec {
 // determinism invariant: the same spec + seed must produce
 // byte-identical campaign artifacts at -parallel 1 and -parallel 8,
 // because every random draw comes from per-client streams derived from
-// the run seed, never from scheduling.
+// the run seed, never from scheduling. mice-heavy covers the rate-based
+// clients; random and shuffle cover once+random pairs, request/response
+// mice and the closed-loop shuffle.
 func TestSpecWorkloadDeterministicAcrossParallelism(t *testing.T) {
+	for _, name := range []string{"mice-heavy", "random", "shuffle"} {
+		t.Run(name, func(t *testing.T) { parallelismInvariant(t, name) })
+	}
+}
+
+func parallelismInvariant(t *testing.T, name string) {
 	artifacts := func(parallelism int) (string, string) {
-		report, err := RunCampaign(specCampaign(t, parallelism, 2))
+		report, err := RunCampaign(specCampaign(t, name, parallelism, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -82,7 +90,7 @@ func TestSpecWorkloadDeterministicAcrossParallelism(t *testing.T) {
 // workload hash: cells record it and the manifest lists it, so cached
 // or archived artifacts key on the exact workload definition.
 func TestSpecWorkloadHashInArtifacts(t *testing.T) {
-	spec := specCampaign(t, 2, 1)
+	spec := specCampaign(t, "mice-heavy", 2, 1)
 	report, err := RunCampaign(spec)
 	if err != nil {
 		t.Fatal(err)
@@ -117,14 +125,11 @@ func TestRunSpecWorkloadNorthSouth(t *testing.T) {
 			Select:       wspec.Select{Kind: wspec.SelNorthSouth},
 		}},
 	}
-	_, clients, err := RunSpecWorkload(SysPresto, ws, Options{
+	clients := runCell(t, SpecCell(SysPresto, ws), Options{
 		Seed:     1,
 		Duration: 10 * sim.Millisecond,
 		Warmup:   2 * sim.Millisecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	}).Clients
 	if len(clients) != 1 || clients[0].Finished == 0 {
 		t.Fatalf("north-south client finished no flows: %+v", clients)
 	}
