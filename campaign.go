@@ -483,7 +483,9 @@ func ablationCells() []Cell {
 		})
 	}
 	for _, kb := range []int{16, 32, 64, 128, 256} {
-		add(fmt.Sprintf("flowcell_kb=%d", kb), func(cfg *cluster.Config) { cfg.FlowcellBytes = kb << 10 }, nil)
+		add(fmt.Sprintf("flowcell_kb=%d", kb), func(cfg *cluster.Config) {
+			cfg.SchemeParams = map[string]string{"cell": fmt.Sprintf("%dKB", kb)}
+		}, nil)
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
 		add(fmt.Sprintf("gro_alpha=%g", a),

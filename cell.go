@@ -143,7 +143,7 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 		Seed:         opt.Seed,
 		Telemetry:    opt.Telemetry,
 		Scheme:       cluster.Scheme(cell.System.scheme),
-		SchemeParams: cell.System.paramMap(),
+		SchemeParams: cell.System.SchemeParams(),
 		Shards:       cell.shards(opt, tp),
 	}
 	if cfg.Shards > 1 && cfg.Telemetry != nil {
@@ -521,8 +521,7 @@ func failover(r *run) LoadResult {
 
 // ablation returns the fixed-window stride measurement the
 // design-choice sweeps share (20 ms warmup + 70 ms window regardless
-// of opt, matching bench_ablation_test.go), plus whatever extra
-// metrics the knob under study calls for.
+// of opt), plus whatever extra metrics the knob under study calls for.
 func ablation(extra func(*cluster.Cluster, campaign.Values)) func(*run) LoadResult {
 	return func(r *run) LoadResult {
 		r.window(20*sim.Millisecond, 90*sim.Millisecond)

@@ -27,6 +27,7 @@ import (
 	"strings"
 	"time"
 
+	"presto"
 	"presto/internal/cluster"
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -37,7 +38,7 @@ import (
 
 func main() {
 	var (
-		system   = flag.String("system", "presto", "presto | ecmp | flowlet100 | flowlet500 | presto-ecmp")
+		system   = flag.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec")
 		workload = flag.String("workload", "mice-heavy", "workload-spec preset name or spec.json path to drive the capture")
 		flows    = flag.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
 		out      = flag.String("out", "", "pcap output path (empty = skip packet capture)")
@@ -52,26 +53,20 @@ func main() {
 		os.Exit(1)
 	}
 
-	cfg := cluster.Config{
-		Topology: topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{}),
-		Seed:     *seed,
-	}
-	switch strings.ToLower(*system) {
-	case "presto":
-		cfg.Scheme = cluster.Presto
-	case "ecmp":
-		cfg.Scheme = cluster.ECMP
-	case "flowlet100":
-		cfg.Scheme = cluster.Flowlet
-		cfg.FlowletGap = 100 * sim.Microsecond
-	case "flowlet500":
-		cfg.Scheme = cluster.Flowlet
-		cfg.FlowletGap = 500 * sim.Microsecond
-	case "presto-ecmp":
-		cfg.Scheme = cluster.PrestoECMP
-	default:
-		fmt.Fprintf(os.Stderr, "unknown system %q\n", *system)
+	sys, err := presto.ParseSystem(*system)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
+	}
+	tp := topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{})
+	if sys.Optimal() {
+		tp = presto.OptimalTopo(tp.NumHosts())
+	}
+	cfg := cluster.Config{
+		Topology:     tp,
+		Seed:         *seed,
+		Scheme:       cluster.Scheme(sys.SchemeName()),
+		SchemeParams: sys.SchemeParams(),
 	}
 
 	ws, err := wspec.Resolve(*workload)

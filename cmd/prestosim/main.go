@@ -37,7 +37,6 @@ import (
 
 	"presto"
 	"presto/internal/campaign"
-	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
 	wspec "presto/internal/workload/spec"
@@ -52,9 +51,11 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("prestosim", flag.ContinueOnError)
+	// -system and -scheme are two spellings of one setting.
+	var system string
+	fs.StringVar(&system, "system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec name[:k=v,...] (e.g. diffflow:threshold=512KB)")
+	fs.StringVar(&system, "scheme", "presto", "same as -system")
 	var (
-		system     = fs.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or any scheme spec")
-		schemeF    = fs.String("scheme", "", "scheme registry spec, name or name:k=v,... (e.g. diffflow:threshold=512KB); overrides -system")
 		workload   = fs.String("workload", "stride", "a workload-spec preset (stride | shuffle | random | bijection | podtraffic | ...) or a spec.json path")
 		shards     = fs.Int("shards", 1, "per-pod engine shards, capped at the topology's pod count; once/unlimited workloads only, RTT probes are skipped when sharded, 1 = serial")
 		pods       = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
@@ -75,11 +76,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	spec := *system
-	if *schemeF != "" {
-		spec = *schemeF
-	}
-	sys, err := parseSystem(spec)
+	sys, err := presto.ParseSystem(system)
 	if err != nil {
 		return err
 	}
@@ -240,45 +237,6 @@ func writeTelemetry(reg *telemetry.Registry, snap *telemetry.Snapshot, tracePath
 		}
 	}
 	return nil
-}
-
-func parseSystem(s string) (presto.System, error) {
-	switch strings.ToLower(s) {
-	case "ecmp":
-		return presto.SysECMP, nil
-	case "mptcp":
-		return presto.SysMPTCP, nil
-	case "presto":
-		return presto.SysPresto, nil
-	case "optimal":
-		return presto.SysOptimal, nil
-	case "flowlet100":
-		return presto.SysFlowlet100, nil
-	case "flowlet500":
-		return presto.SysFlowlet500, nil
-	case "presto-ecmp", "prestoecmp":
-		return presto.SysPrestoECMP, nil
-	case "per-packet", "perpacket":
-		return presto.SysPerPacket, nil
-	}
-	// Fall back to the scheme registry: any registered scheme (plus
-	// params, e.g. "diffflow:threshold=512KB") is a valid system.
-	sys, err := presto.SystemFor(s)
-	if err == nil {
-		return sys, nil
-	}
-	// A known scheme with bad params gets the registry's own error
-	// (which names the offending key/bound); only an unrecognized
-	// name gets the full lineup listing.
-	name := s
-	if i := strings.IndexByte(name, ':'); i >= 0 {
-		name = name[:i]
-	}
-	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
-		return presto.System{}, err
-	}
-	return presto.System{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
-		s, strings.Join(scheme.Names(), " | "))
 }
 
 // workloadName renders the workload for the result header: the

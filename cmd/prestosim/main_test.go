@@ -7,17 +7,19 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"presto"
 )
 
 func TestParseSystemAll(t *testing.T) {
 	for _, s := range []string{"ecmp", "mptcp", "presto", "optimal", "flowlet100",
 		"flowlet500", "presto-ecmp", "per-packet"} {
-		if _, err := parseSystem(s); err != nil {
-			t.Errorf("parseSystem(%q): %v", s, err)
+		if _, err := presto.ParseSystem(s); err != nil {
+			t.Errorf("ParseSystem(%q): %v", s, err)
 		}
 	}
-	if _, err := parseSystem("bogus"); err == nil {
-		t.Error("parseSystem accepted bogus system")
+	if _, err := presto.ParseSystem("bogus"); err == nil {
+		t.Error("ParseSystem accepted bogus system")
 	}
 }
 
@@ -79,20 +81,40 @@ func TestRunRejectsBadFlags(t *testing.T) {
 	}
 }
 
-// TestRunEverySystem smoke-runs each -system value over a tiny window.
+// TestRunEverySystem smoke-runs each -system value over a tiny window,
+// and checks -scheme is the same setting under another name: a paper
+// name and a registry spec each print the same header through both.
 func TestRunEverySystem(t *testing.T) {
-	for _, sys := range []string{"ecmp", "mptcp", "presto", "optimal", "flowlet100",
-		"flowlet500", "presto-ecmp", "per-packet"} {
+	header := func(flag, sys string) string {
 		var out bytes.Buffer
 		err := run([]string{
-			"-system", sys, "-workload", "stride",
+			flag, sys, "-workload", "stride",
 			"-warmup", "5ms", "-duration", "10ms",
 		}, &out)
 		if err != nil {
-			t.Fatalf("system %s: %v", sys, err)
+			t.Fatalf("%s %s: %v", flag, sys, err)
 		}
 		if !strings.Contains(out.String(), "elephant throughput") {
-			t.Fatalf("system %s: missing output:\n%s", sys, out.String())
+			t.Fatalf("%s %s: missing output:\n%s", flag, sys, out.String())
+		}
+		first, _, _ := strings.Cut(out.String(), "\n")
+		return first
+	}
+	for _, tc := range []struct {
+		sys       string
+		viaScheme bool // also run it through -scheme and compare headers
+	}{
+		{sys: "ecmp"}, {sys: "mptcp"}, {sys: "presto"}, {sys: "optimal"},
+		{sys: "flowlet100", viaScheme: true}, {sys: "flowlet500"},
+		{sys: "presto-ecmp"}, {sys: "per-packet"},
+		{sys: "diffflow:threshold=512KB", viaScheme: true},
+	} {
+		h := header("-system", tc.sys)
+		if !tc.viaScheme {
+			continue
+		}
+		if hs := header("-scheme", tc.sys); hs != h {
+			t.Errorf("-system %s and -scheme %s print different headers:\n%s\n%s", tc.sys, tc.sys, h, hs)
 		}
 	}
 }

@@ -3,11 +3,13 @@
 // heap-escaping constructs.
 //
 // The repository's hot paths — the event engine's Schedule/dispatch,
-// the Presto GRO flush walk, the telemetry ring emit — are bench-gated
-// at 0 allocs/op (cmd/prestobench against BENCH_1.json). The bench
-// gate catches a regression only after it lands and only for inputs
-// the benchmark exercises; this analyzer rejects the constructs that
-// cause such regressions at vet time:
+// the Presto GRO flush walk, the telemetry ring emit — are pinned at 0
+// allocations by testing.AllocsPerRun tests next to the code
+// (TestEngineScheduleDispatchAllocs, TestTimerResetAllocs,
+// TestPrestoFlushHoldSteadyStateAllocs, TestTracerRingEmitAllocs).
+// Those tests catch a regression only for the inputs they exercise;
+// this analyzer rejects the constructs that cause such regressions at
+// vet time:
 //
 //   - variable-capturing closures (the closure header escapes)
 //   - implicit interface conversions of non-pointer values (boxing)
@@ -22,7 +24,7 @@
 // The check is syntactic and intentionally stricter than the escape
 // analyzer: a construct the compiler happens to optimize today still
 // reads as an allocation hazard tomorrow. Amortized growth paths that
-// are measured at 0 allocs/op in steady state (arena/heap high-water
+// are tested at 0 allocations in steady state (arena/heap high-water
 // growth) take //prestolint:allow hotalloc -- reason.
 package hotalloc
 
@@ -45,8 +47,8 @@ var Analyzer = &analysis.Analyzer{
 	Aliases: []string{"noalloc"},
 	Doc: "forbid heap-escaping constructs (capturing closures, interface boxing, " +
 		"fmt, growing append, map/slice literals, make/new, string building) in " +
-		"functions annotated //prestolint:noalloc, so bench-gated 0 allocs/op " +
-		"paths are enforced at vet time, not just at benchmark time",
+		"functions annotated //prestolint:noalloc, so the paths the AllocsPerRun " +
+		"tests pin at 0 allocations are enforced at vet time, not just at test time",
 	Run: run,
 }
 

@@ -6,13 +6,9 @@
 package cluster
 
 import (
-	"fmt"
-	"sort"
-
 	"presto/internal/controller"
 	"presto/internal/fabric"
 	"presto/internal/gro"
-	"presto/internal/mptcp"
 	"presto/internal/nic"
 	"presto/internal/packet"
 	"presto/internal/scheme"
@@ -40,8 +36,8 @@ const (
 	// Presto sprays 64 KB flowcells round-robin over shadow-MAC
 	// spanning trees with Presto GRO at receivers.
 	Presto Scheme = "presto"
-	// Flowlet switches paths at inactivity gaps (see Config.FlowletGap)
-	// with official GRO.
+	// Flowlet switches paths at inactivity gaps (scheme param "gap",
+	// default 500 µs) with official GRO.
 	Flowlet Scheme = "flowlet"
 	// PrestoECMP stamps flowcells but lets switches hash them per hop
 	// (Figure 14's comparison).
@@ -81,19 +77,13 @@ type Config struct {
 	Seed     uint64
 
 	// SchemeParams overrides the scheme's schema defaults (raw values,
-	// validated against the registry schema: e.g. {"cell": "32KB"}).
-	// The legacy knobs below (FlowletGap, Subflows, FlowcellBytes) fold
-	// into the matching schema params when the scheme has them;
-	// SchemeParams wins on conflict.
+	// validated against the registry schema: e.g. {"cell": "32KB"},
+	// {"gap": "100us"}, {"subflows": "4"}). This is the only way to
+	// parameterise a scheme.
 	SchemeParams map[string]string
 
-	GRO        GROKind
-	GROConfig  gro.PrestoConfig
-	FlowletGap sim.Time // inactivity gap for Flowlet (default 500 µs)
-	Subflows   int      // MPTCP subflows (default 8)
-	// FlowcellBytes overrides the Presto policy's flowcell size
-	// (default 64 KB, the max TSO segment) — the granularity ablation.
-	FlowcellBytes int
+	GRO       GROKind
+	GROConfig gro.PrestoConfig
 
 	TCP    tcp.Config
 	NIC    nic.Config
@@ -164,12 +154,6 @@ func New(cfg Config) *Cluster {
 	}
 	if cfg.Scheme == "" {
 		cfg.Scheme = ECMP
-	}
-	if cfg.Subflows == 0 {
-		cfg.Subflows = mptcp.DefaultSubflows
-	}
-	if cfg.FlowletGap == 0 {
-		cfg.FlowletGap = 500 * sim.Microsecond
 	}
 	c := &Cluster{
 		Topo:     cfg.Topology,
@@ -330,8 +314,7 @@ func (c *Cluster) Executed() uint64 {
 }
 
 // resolveScheme looks the configured scheme up in the registry and
-// resolves its parameters: schema defaults, overlaid with the legacy
-// Config knobs when the schema has the matching param, overlaid with
+// resolves its parameters: schema defaults overlaid with
 // SchemeParams. Config errors panic — New has no error return, and
 // front-ends validate specs via scheme.ParseSpec before building.
 func (c *Cluster) resolveScheme() {
@@ -339,25 +322,7 @@ func (c *Cluster) resolveScheme() {
 	if err != nil {
 		panic("cluster: " + err.Error())
 	}
-	vals := make(map[string]string)
-	if c.cfg.FlowletGap > 0 && def.HasParam("gap") {
-		vals["gap"] = c.cfg.FlowletGap.AsDuration().String()
-	}
-	if c.cfg.FlowcellBytes > 0 && def.HasParam("cell") {
-		vals["cell"] = fmt.Sprintf("%d", c.cfg.FlowcellBytes)
-	}
-	if c.cfg.Subflows > 0 && def.HasParam("subflows") {
-		vals["subflows"] = fmt.Sprintf("%d", c.cfg.Subflows)
-	}
-	keys := make([]string, 0, len(c.cfg.SchemeParams))
-	for k := range c.cfg.SchemeParams {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		vals[k] = c.cfg.SchemeParams[k]
-	}
-	params, err := def.Resolve(vals)
+	params, err := def.Resolve(c.cfg.SchemeParams)
 	if err != nil {
 		panic("cluster: " + err.Error())
 	}
@@ -420,11 +385,6 @@ func (c *Cluster) tcpConfig() tcp.Config {
 	}
 	if c.transport.MaxSeg > 0 && c.transport.MaxSeg < packet.MaxSegSize {
 		cfg.MaxSeg = c.transport.MaxSeg
-	}
-	if c.cfg.FlowcellBytes > 0 && c.cfg.FlowcellBytes < packet.MaxSegSize {
-		// Algorithm 1 assigns whole skbs to flowcells, so a smaller
-		// flowcell requires capping the TSO write size to match.
-		cfg.MaxSeg = c.cfg.FlowcellBytes
 	}
 	cfg.RecordFlowcells = c.cfg.RecordFlowcells
 	return cfg

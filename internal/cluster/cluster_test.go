@@ -90,7 +90,7 @@ func TestOptimalSingleSwitch(t *testing.T) {
 }
 
 func TestFlowletScheme(t *testing.T) {
-	c := New(Config{Topology: clos(2, 2, 1), Scheme: Flowlet, Seed: 5, FlowletGap: 100 * sim.Microsecond})
+	c := New(Config{Topology: clos(2, 2, 1), Scheme: Flowlet, Seed: 5, SchemeParams: map[string]string{"gap": "100us"}})
 	conn := c.Dial(0, 1)
 	conn.Write(1 << 20)
 	c.Eng.RunAll()

@@ -2,7 +2,6 @@ package fabric
 
 import (
 	"fmt"
-	"sort"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -340,17 +339,6 @@ func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
 		return false
 	}
 	return now >= since+n.cfg.FailoverLatency
-}
-
-// DownLinks returns the currently failed links, sorted by link ID so
-// the result is independent of map iteration order.
-func (n *Network) DownLinks() []topo.LinkID {
-	var out []topo.LinkID
-	for id := range n.linkDownSince {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
 }
 
 // LossRate returns queue-overflow drops as a fraction of packets

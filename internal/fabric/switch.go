@@ -26,6 +26,10 @@ type Switch struct {
 	// numTrees is the number of allocated spanning trees, used to
 	// cycle to a backup tree during fast failover.
 	numTrees int
+	// nextLinks memoizes topo.NextLinksTo(this switch, dst) for real-MAC
+	// forwarding and failover detours. Only this switch's shard reads
+	// or fills it, so it needs no lock.
+	nextLinks map[topo.NodeID][]topo.LinkID
 
 	// RxPackets counts packets this switch forwarded.
 	RxPackets uint64
@@ -41,16 +45,25 @@ func newSwitch(n *Network, node topo.Node) *Switch {
 		eng:        n.EngineFor(node.ID),
 		ctr:        n.counterOf(node.ID),
 		labelTable: make(map[packet.MAC]topo.LinkID),
+		nextLinks:  make(map[topo.NodeID][]topo.LinkID),
 	}
+}
+
+// nextLinksTo returns the equal-cost links out of this switch toward
+// dst.
+func (s *Switch) nextLinksTo(dst topo.NodeID) []topo.LinkID {
+	links, ok := s.nextLinks[dst]
+	if !ok {
+		links = s.net.Topo.NextLinksTo(s.node.ID, dst)
+		s.nextLinks[dst] = links
+	}
+	return links
 }
 
 // InstallLabel adds (or replaces) a shadow-MAC forwarding entry.
 func (s *Switch) InstallLabel(label packet.MAC, egress topo.LinkID) {
 	s.labelTable[label] = egress
 }
-
-// RemoveLabel deletes a label entry.
-func (s *Switch) RemoveLabel(label packet.MAC) { delete(s.labelTable, label) }
 
 // SetNumTrees tells the switch how many trees exist (for backup-tree
 // rewriting).
@@ -127,7 +140,7 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		s.enqueue(s.net.Topo.HostLink(host), p)
 		return
 	}
-	for _, lid := range s.net.Topo.NextLinksTo(s.node.ID, dstLeaf) {
+	for _, lid := range s.nextLinksTo(dstLeaf) {
 		if s.net.LinkUp(lid) {
 			s.enqueue(lid, p)
 			return
@@ -186,7 +199,7 @@ func (s *Switch) forwardRealMAC(p *packet.Packet) {
 	}
 	// Equal-cost next hops toward the destination's attachment point
 	// (leaf for servers, spine for remote users), topology-agnostic.
-	candidates := t.NextLinksTo(s.node.ID, attach)
+	candidates := s.nextLinksTo(attach)
 	lid, ok := pickECMP(s.net, candidates, p, s.eng.Now())
 	if !ok {
 		s.ctr.hopDrops++
@@ -218,16 +231,6 @@ func pickECMP(n *Network, candidates []topo.LinkID, p *packet.Packet, now sim.Ti
 	h *= 0x5bd1e995
 	h ^= h >> 15
 	return live[int(h)%len(live)], true
-}
-
-// upLinkTo returns a live link from this spine to the given leaf.
-func (s *Switch) upLinkTo(leaf topo.NodeID) (topo.LinkID, bool) {
-	for _, lid := range s.net.Topo.SpineLeafLinks(s.node.ID, leaf) {
-		if s.net.LinkUp(lid) {
-			return lid, true
-		}
-	}
-	return 0, false
 }
 
 func (s *Switch) enqueue(lid topo.LinkID, p *packet.Packet) {

@@ -528,3 +528,78 @@ func TestPrestoNeverEvicts(t *testing.T) {
 		t.Fatal("presto GRO should never evict")
 	}
 }
+
+// discard drops delivered segments, so the alloc tests below count the
+// handler's allocations only.
+type discard struct{}
+
+func (discard) DeliverSegment(*packet.Segment) {}
+
+// TestPrestoFlushHoldSteadyStateAllocs pins Algorithm 2's flush walk in
+// its hold steady state: 8 flows each parked on a flowcell-boundary
+// gap, so every Flush walks the held lists, recomputes the adaptive
+// deadline and re-arms the hold timer without delivering anything.
+// Every NIC pays this per poll while reordering is in flight; it must
+// allocate nothing.
+func TestPrestoFlushHoldSteadyStateAllocs(t *testing.T) {
+	g := NewPresto(sim.NewEngine(), discard{}, PrestoConfig{})
+	for fl := 0; fl < 8; fl++ {
+		// Flowcell 1 in order, then the head of flowcell 3: the missing
+		// flowcell 2 is a boundary gap, held until the adaptive timeout.
+		for _, p := range []*packet.Packet{pkt(0, 1), pkt(1, 1), pkt(2, 1), pkt(3, 1), pkt(16, 3)} {
+			p.Flow.Src.Port = uint16(4000 + fl)
+			g.Receive(p)
+		}
+	}
+	g.Flush()
+	allocs := testing.AllocsPerRun(1000, g.Flush)
+	if g.HeldSegments() != 8 {
+		t.Fatalf("setup: held %d segments, want 8", g.HeldSegments())
+	}
+	if allocs != 0 {
+		t.Fatalf("Flush with 8 held flows allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestPrestoReorderWindowAllocs pins merge + sorted insert + delivery
+// of a reordered window: two flowcells (64 packets) arrive interleaved
+// out of order and both boundary gaps resolve within the poll, so one
+// Flush delivers the lot. Only the segments themselves may be
+// allocated — at most 3 per window.
+func TestPrestoReorderWindowAllocs(t *testing.T) {
+	g := NewPresto(sim.NewEngine(), discard{}, PrestoConfig{})
+	const cell = 32 // packets per flowcell
+	base, fc := 0, uint32(1)
+	p := pkt(0, 0)
+	recv := func(i int, fc uint32) {
+		p.Seq, p.FlowcellID = uint32((base+i)*packet.MSS), fc
+		g.Receive(p)
+	}
+	window := func() {
+		// Second half of cell fc+1 first, then cell fc, then the first
+		// half of cell fc+1.
+		for i := cell / 2; i < cell; i++ {
+			recv(cell+i, fc+1)
+		}
+		for i := 0; i < cell; i++ {
+			recv(i, fc)
+		}
+		for i := 0; i < cell/2; i++ {
+			recv(cell+i, fc+1)
+		}
+		g.Flush()
+		base += 2 * cell
+		fc += 2
+	}
+	window() // prime flow state
+	allocs := testing.AllocsPerRun(200, window)
+	if g.HeldSegments() != 0 {
+		t.Fatalf("setup: %d segments held after the window, want 0", g.HeldSegments())
+	}
+	if st := g.Stats(); st.PacketsIn != 202*2*cell {
+		t.Fatalf("setup: %d packets in, want %d", st.PacketsIn, 202*2*cell)
+	}
+	if allocs > 3 {
+		t.Fatalf("a 64-packet reorder window allocates %v, want <= 3", allocs)
+	}
+}

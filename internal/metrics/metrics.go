@@ -1,6 +1,6 @@
 // Package metrics provides the measurement primitives the evaluation
 // harness uses: sample distributions with percentiles/CDFs, Jain's
-// fairness index, exponentially-weighted moving averages, counters, and
+// fairness index, exponentially-weighted moving averages, and
 // periodic time-series samplers. All of it is allocation-light and has
 // no dependencies beyond the standard library.
 package metrics
@@ -13,60 +13,22 @@ import (
 )
 
 // Dist is an online collection of float64 samples supporting percentile
-// queries. The zero value is ready to use and stores samples exactly.
+// queries. The zero value is ready to use. It keeps every raw sample:
+// percentiles are exact and memory is O(samples). Sketch derives a
+// mergeable O(buckets) summary for live views and artifacts.
 //
-// Memory modes: the zero value keeps every raw sample (exact
-// percentiles, O(samples) memory). NewSketchDist starts sketch-backed
-// from the first sample, and SpillAt arms a threshold past which the
-// raw samples fold into a quantile sketch — both drop memory to
-// O(buckets) at the cost of percentiles being approximate within the
-// sketch's relative-error bound (see Sketch). Mean, min, max, stddev,
-// and counts stay exact in every mode.
-//
-// NaN and ±Inf samples are rejected by Add in all modes: a single NaN
-// would otherwise poison sorting, percentiles, and the mean.
+// NaN and ±Inf samples are rejected by Add: a single NaN would
+// otherwise poison sorting, percentiles, and the mean.
 type Dist struct {
 	samples []float64
 	sorted  bool
-
-	sketch     *Sketch // non-nil: sketch-backed, samples is empty
-	spillAt    int     // >0: fold samples into a sketch at this count
-	spillAlpha float64
 }
 
-// NewSketchDist returns a Dist that is sketch-backed from the start:
-// O(buckets) memory, percentiles within alpha relative error
-// (DefaultSketchAlpha when alpha is out of range).
-func NewSketchDist(alpha float64) *Dist {
-	return &Dist{sketch: NewSketch(alpha)}
-}
-
-// SpillAt arms threshold-based spilling: once n samples have
-// accumulated, the raw samples fold into a sketch with the given alpha
-// and the Dist stays sketch-backed. n <= 0 disarms. Calling it on an
-// already sketch-backed Dist is a no-op.
-func (d *Dist) SpillAt(n int, alpha float64) {
-	d.spillAt = n
-	d.spillAlpha = alpha
-	d.maybeSpill()
-}
-
-// SketchBacked reports whether the Dist has dropped its raw samples
-// for a sketch (percentiles are approximate, Samples returns nil).
-func (d *Dist) SketchBacked() bool { return d.sketch != nil }
-
-// Sketch returns a quantile sketch of the distribution at the given
-// alpha: a fresh sketch of the raw samples, or — when sketch-backed —
-// the live sketch's clone, re-bucketed if its alpha differs from the
-// request (see Sketch.Rebucket for the compounded error bound), so
-// the result always merges cleanly with peers built at alpha. An
-// out-of-range alpha means "whatever the backing sketch has" (raw
-// samples fall back to DefaultSketchAlpha). Returns nil for an empty
-// Dist.
+// Sketch returns a fresh quantile sketch of the samples at the given
+// alpha (DefaultSketchAlpha when alpha is out of range), so the result
+// always merges cleanly with peers built at alpha. Returns nil for an
+// empty Dist.
 func (d *Dist) Sketch(alpha float64) *Sketch {
-	if d.sketch != nil {
-		return d.sketch.Rebucket(alpha)
-	}
 	if len(d.samples) == 0 {
 		return nil
 	}
@@ -77,47 +39,22 @@ func (d *Dist) Sketch(alpha float64) *Sketch {
 	return s
 }
 
-// maybeSpill folds raw samples into the sketch once the armed
-// threshold is reached.
-func (d *Dist) maybeSpill() {
-	if d.sketch != nil || d.spillAt <= 0 || len(d.samples) < d.spillAt {
-		return
-	}
-	d.sketch = NewSketch(d.spillAlpha)
-	for _, v := range d.samples {
-		d.sketch.Add(v)
-	}
-	d.samples = nil
-	d.sorted = false
-}
-
 // Add appends a sample. NaN and ±Inf are silently dropped.
 func (d *Dist) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
-	if d.sketch != nil {
-		d.sketch.Add(v)
-		return
-	}
 	d.samples = append(d.samples, v)
 	d.sorted = false
-	d.maybeSpill()
 }
 
 // N returns the number of samples.
 func (d *Dist) N() int {
-	if d.sketch != nil {
-		return d.sketch.N()
-	}
 	return len(d.samples)
 }
 
 // Mean returns the arithmetic mean, or 0 if empty.
 func (d *Dist) Mean() float64 {
-	if d.sketch != nil {
-		return d.sketch.Mean()
-	}
 	if len(d.samples) == 0 {
 		return 0
 	}
@@ -130,9 +67,6 @@ func (d *Dist) Mean() float64 {
 
 // Min returns the smallest sample, or 0 if empty.
 func (d *Dist) Min() float64 {
-	if d.sketch != nil {
-		return d.sketch.Min()
-	}
 	d.sort()
 	if len(d.samples) == 0 {
 		return 0
@@ -142,9 +76,6 @@ func (d *Dist) Min() float64 {
 
 // Max returns the largest sample, or 0 if empty.
 func (d *Dist) Max() float64 {
-	if d.sketch != nil {
-		return d.sketch.Max()
-	}
 	d.sort()
 	if len(d.samples) == 0 {
 		return 0
@@ -154,9 +85,6 @@ func (d *Dist) Max() float64 {
 
 // Stddev returns the population standard deviation, or 0 if empty.
 func (d *Dist) Stddev() float64 {
-	if d.sketch != nil {
-		return d.sketch.Stddev()
-	}
 	n := len(d.samples)
 	if n == 0 {
 		return 0
@@ -171,12 +99,8 @@ func (d *Dist) Stddev() float64 {
 }
 
 // Percentile returns the p-th percentile (0 <= p <= 100) using linear
-// interpolation between closest ranks (exact mode) or the sketch's
-// bounded-relative-error estimate (sketch mode). Returns 0 if empty.
+// interpolation between closest ranks. Returns 0 if empty.
 func (d *Dist) Percentile(p float64) float64 {
-	if d.sketch != nil {
-		return d.sketch.Percentile(p)
-	}
 	d.sort()
 	n := len(d.samples)
 	if n == 0 {
@@ -202,12 +126,8 @@ func (d *Dist) Percentile(p float64) float64 {
 func (d *Dist) Median() float64 { return d.Percentile(50) }
 
 // CDF returns (value, cumulative-fraction) pairs at up to points evenly
-// spaced ranks, suitable for plotting a CDF. Returns nil if empty. In
-// sketch mode the values are quantile estimates at the same ranks.
+// spaced ranks, suitable for plotting a CDF. Returns nil if empty.
 func (d *Dist) CDF(points int) []CDFPoint {
-	if d.sketch != nil {
-		return d.sketchCDF(points)
-	}
 	d.sort()
 	n := len(d.samples)
 	if n == 0 || points <= 0 {
@@ -227,33 +147,8 @@ func (d *Dist) CDF(points int) []CDFPoint {
 	return out
 }
 
-// sketchCDF synthesizes CDF points from sketch quantiles at evenly
-// spaced ranks.
-func (d *Dist) sketchCDF(points int) []CDFPoint {
-	n := d.sketch.N()
-	if n == 0 || points <= 0 {
-		return nil
-	}
-	if points > n {
-		points = n
-	}
-	out := make([]CDFPoint, 0, points)
-	for i := 0; i < points; i++ {
-		idx := i * (n - 1) / max(points-1, 1)
-		out = append(out, CDFPoint{
-			Value:    d.sketch.Quantile(float64(idx) / float64(max(n-1, 1))),
-			Fraction: float64(idx+1) / float64(n),
-		})
-	}
-	return out
-}
-
-// FractionBelow returns the fraction of samples <= v (approximate in
-// sketch mode).
+// FractionBelow returns the fraction of samples <= v.
 func (d *Dist) FractionBelow(v float64) float64 {
-	if d.sketch != nil {
-		return d.sketch.FractionBelow(v)
-	}
 	d.sort()
 	if len(d.samples) == 0 {
 		return 0
@@ -263,13 +158,8 @@ func (d *Dist) FractionBelow(v float64) float64 {
 }
 
 // Samples returns a copy of the sorted samples; mutating it cannot
-// corrupt the distribution's internal state. A sketch-backed Dist has
-// no raw samples and returns nil — callers that need values at scale
-// should query Percentile/CDF instead.
+// corrupt the distribution's internal state.
 func (d *Dist) Samples() []float64 {
-	if d.sketch != nil {
-		return nil
-	}
 	d.sort()
 	out := make([]float64, len(d.samples))
 	copy(out, d.samples)
@@ -341,15 +231,6 @@ func (e *EWMA) Value() float64 { return e.value }
 
 // Initialized reports whether at least one sample has been observed.
 func (e *EWMA) Initialized() bool { return e.init }
-
-// Counter is a monotonically increasing count with a name.
-type Counter struct {
-	Name  string
-	Value uint64
-}
-
-// Inc adds n to the counter.
-func (c *Counter) Inc(n uint64) { c.Value += n }
 
 // Series is an append-only (time, value) series for time-series plots
 // such as the paper's Figure 6 CPU-usage graph.

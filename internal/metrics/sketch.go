@@ -1,10 +1,9 @@
 // Quantile sketches: a DDSketch-style mergeable summary with
-// relative-error-bounded quantiles in O(buckets) memory, the
-// bounded-memory backend behind Dist's sketch mode. At the paper's
-// million-flow scale the raw-sample Dist dominates observability
-// memory; the sketch replaces O(samples) storage with a few hundred
-// logarithmic buckets while keeping every quantile within a
-// guaranteed relative error of the exact answer.
+// relative-error-bounded quantiles in O(buckets) memory. Dist keeps
+// every sample of one run; the sketch (Dist.Sketch) is what crosses
+// replicas, jobs and artifacts: a few hundred logarithmic buckets that
+// keep every quantile within a guaranteed relative error of the exact
+// answer.
 package metrics
 
 import (

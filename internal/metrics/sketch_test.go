@@ -342,7 +342,7 @@ func TestSketchRebucket(t *testing.T) {
 	}
 }
 
-// --- Dist sketch mode -------------------------------------------------
+// --- Dist and its sketch -------------------------------------------------
 
 func TestDistAddRejectsNonFinite(t *testing.T) {
 	var d Dist
@@ -363,88 +363,6 @@ func TestDistAddRejectsNonFinite(t *testing.T) {
 	if got := d.Percentile(50); math.IsNaN(got) {
 		t.Fatalf("Percentile(50) = NaN")
 	}
-	// Sketch mode rejects too.
-	sd := NewSketchDist(0.01)
-	sd.Add(math.NaN())
-	sd.Add(2)
-	if sd.N() != 1 {
-		t.Fatalf("sketch-backed N = %d, want 1", sd.N())
-	}
-}
-
-func TestDistSketchModeMatchesExactWithinAlpha(t *testing.T) {
-	const alpha = 0.01
-	var exact Dist
-	sk := NewSketchDist(alpha)
-	samples := adversarialSamples(100_000, 9)
-	for _, v := range samples {
-		exact.Add(v)
-		sk.Add(v)
-	}
-	if !sk.SketchBacked() || exact.SketchBacked() {
-		t.Fatal("mode flags wrong")
-	}
-	if sk.N() != exact.N() || sk.Mean() != exact.Mean() || sk.Min() != exact.Min() || sk.Max() != exact.Max() {
-		t.Fatal("exact stats must match in sketch mode")
-	}
-	sorted := exact.Samples()
-	for _, p := range []float64{1, 10, 50, 90, 99, 99.9} {
-		rank := int(p / 100 * float64(len(sorted)-1))
-		if re := relErr(sk.Percentile(p), sorted[rank]); re > alpha+1e-9 {
-			t.Errorf("p%v: relative error %.4g > %v", p, re, alpha)
-		}
-	}
-	if sk.Samples() != nil {
-		t.Fatal("sketch-backed Samples() must be nil")
-	}
-	if cdf := sk.CDF(16); len(cdf) != 16 {
-		t.Fatalf("sketch CDF has %d points, want 16", len(cdf))
-	} else {
-		for i := 1; i < len(cdf); i++ {
-			if cdf[i].Value < cdf[i-1].Value || cdf[i].Fraction < cdf[i-1].Fraction {
-				t.Fatal("sketch CDF not monotonic")
-			}
-		}
-	}
-	if s := sk.Summary("ms"); s == "" {
-		t.Fatal("empty summary")
-	}
-}
-
-func TestDistSpillAtThreshold(t *testing.T) {
-	var d Dist
-	d.SpillAt(1000, 0.01)
-	for i := 0; i < 999; i++ {
-		d.Add(float64(i))
-	}
-	if d.SketchBacked() {
-		t.Fatal("spilled before threshold")
-	}
-	d.Add(999)
-	if !d.SketchBacked() {
-		t.Fatal("did not spill at threshold")
-	}
-	for i := 1000; i < 2000; i++ {
-		d.Add(float64(i))
-	}
-	if d.N() != 2000 {
-		t.Fatalf("N = %d, want 2000", d.N())
-	}
-	if re := relErr(d.Percentile(50), 999.5); re > 0.011 {
-		t.Fatalf("post-spill p50 = %v, relative error %.4g", d.Percentile(50), re)
-	}
-	if d.Mean() != 999.5 {
-		t.Fatalf("post-spill mean = %v, want 999.5 (exact)", d.Mean())
-	}
-	// Arming after the fact spills immediately.
-	var d2 Dist
-	for i := 0; i < 50; i++ {
-		d2.Add(float64(i))
-	}
-	d2.SpillAt(10, 0.01)
-	if !d2.SketchBacked() {
-		t.Fatal("SpillAt on an over-threshold Dist must spill immediately")
-	}
 }
 
 func TestDistSketchAccessor(t *testing.T) {
@@ -459,26 +377,21 @@ func TestDistSketchAccessor(t *testing.T) {
 	if s.N() != 100 || relErr(s.Quantile(0.5), 50) > 0.011 {
 		t.Fatalf("derived sketch wrong: N=%d p50=%v", s.N(), s.Quantile(0.5))
 	}
-	// Clone independence for sketch-backed mode.
-	sd := NewSketchDist(0.01)
-	sd.Add(1)
-	c := sd.Sketch(0)
-	c.Add(2)
-	if sd.N() != 1 {
+	// The result is a fresh sketch, not a view of the Dist.
+	s.Add(1000)
+	if d.N() != 100 || d.Max() != 100 {
 		t.Fatal("Sketch() exposed live internal state")
 	}
-	// A sketch-backed Dist must honor the requested alpha so the
-	// result merges with peers built at that alpha (re-bucketing when
-	// the backing alpha differs).
-	other := NewSketchDist(0.05)
+	// It is always built at the requested alpha, so it merges with
+	// peers built at that alpha.
+	var other Dist
 	for i := 1; i <= 100; i++ {
 		other.Add(float64(i))
 	}
-	got := other.Sketch(0.01)
-	if got.Alpha() != 0.01 {
-		t.Fatalf("Sketch(0.01) on an alpha=0.05 Dist returned alpha %v", got.Alpha())
+	if got := other.Sketch(0.05).Alpha(); got != 0.05 {
+		t.Fatalf("Sketch(0.05) returned alpha %v", got)
 	}
-	if err := d.Sketch(0.01).Merge(got); err != nil {
+	if err := d.Sketch(0.01).Merge(other.Sketch(0.01)); err != nil {
 		t.Fatalf("cross-Dist merge at a common alpha failed: %v", err)
 	}
 }

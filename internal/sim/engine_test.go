@@ -340,3 +340,49 @@ func TestTimerArmedNotConfusedBySlotReuse(t *testing.T) {
 		t.Fatalf("pending = %d, want 1 (unrelated event must survive)", e.Pending())
 	}
 }
+
+// TestEngineScheduleDispatchAllocs pins the arena's steady state: with
+// the queue held 256 deep, a Schedule (slot off the free list + heap
+// push) and a dispatch (heap pop + slot release) allocate nothing.
+// This is the test the hotalloc suppressions in engine.go cite.
+func TestEngineScheduleDispatchAllocs(t *testing.T) {
+	e := NewEngine()
+	const depth = 256
+	var tick func()
+	tick = func() { e.Schedule(Microsecond, tick) }
+	for i := 0; i < depth; i++ {
+		e.Schedule(Time(i), tick)
+	}
+	e.Run(e.Now() + Microsecond) // grow arena and heap to their high-water mark
+	before := e.Executed
+	allocs := testing.AllocsPerRun(100, func() { e.Run(e.Now() + Microsecond) })
+	if ran := e.Executed - before; ran < 100*depth || e.Pending() != depth {
+		t.Fatalf("setup: ran %d events with %d pending, want >= %d and %d", ran, e.Pending(), 100*depth, depth)
+	}
+	if allocs != 0 {
+		t.Fatalf("%d Schedule+dispatch pairs allocate %v, want 0", depth, allocs)
+	}
+}
+
+// TestTimerResetAllocs pins the cancel+rearm path: Reset removes the
+// pending expiration from the middle of a populated heap and schedules
+// its replacement through the bound fireFn, allocating nothing.
+func TestTimerResetAllocs(t *testing.T) {
+	e := NewEngine()
+	for i := 0; i < 64; i++ {
+		e.Schedule(Time(i)*Millisecond, func() {})
+	}
+	tm := NewTimer(e, func() {})
+	tm.Reset(Microsecond)
+	i := 0
+	allocs := testing.AllocsPerRun(1000, func() {
+		tm.Reset(Microsecond + Time(i&7))
+		i++
+	})
+	if !tm.Armed() || e.Pending() != 65 {
+		t.Fatalf("setup: armed=%v pending=%d, want true and 65", tm.Armed(), e.Pending())
+	}
+	if allocs != 0 {
+		t.Fatalf("Timer.Reset allocates %v per op, want 0", allocs)
+	}
+}

@@ -105,14 +105,6 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// Shuffle pseudo-randomizes the order of n elements using swap.
-func (r *RNG) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := r.Intn(i + 1)
-		swap(i, j)
-	}
-}
-
 // Duration returns a uniform Time in [0, d). It panics if d <= 0.
 func (r *RNG) Duration(d Time) Time {
 	return Time(r.Int63n(int64(d)))

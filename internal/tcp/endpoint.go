@@ -12,7 +12,6 @@
 package tcp
 
 import (
-	"fmt"
 	"sort"
 
 	"presto/internal/packet"
@@ -753,10 +752,6 @@ func (e *Endpoint) clampCwnd() {
 	}
 }
 
-// FlowcellLog returns the recorded flowcell IDs of received data
-// segments (RecordFlowcells must be set).
-func (e *Endpoint) FlowcellLog() []uint32 { return e.fcLog }
-
 // ResetFlowcellLog clears the recorded log (e.g. to exclude warmup
 // from an out-of-order analysis).
 func (e *Endpoint) ResetFlowcellLog() { e.fcLog = e.fcLog[:0] }
@@ -793,10 +788,4 @@ func (e *Endpoint) OutOfOrderCounts() []int {
 		out = append(out, n)
 	}
 	return out
-}
-
-// DebugDCTCP summarizes ECN state for tests.
-func (e *Endpoint) DebugDCTCP() string {
-	return fmt.Sprintf("dctcp=%v alpha=%.3f lastEchoCE=%d lastEchoTot=%d rcvCE=%d rcvTot=%d cwnd=%.0f",
-		e.dctcp, e.dctcpAlpha, e.lastEchoCE, e.lastEchoTot, e.rcvCEPkts, e.rcvTotalPkts, e.cwnd)
 }

@@ -28,13 +28,6 @@ const (
 	hsSynReceived                // passive opener, SYN-ACK in flight
 )
 
-// StartHandshake puts the endpoint into handshake mode: data written
-// before the SYN-ACK arrives is queued, not sent. Call on the active
-// opener; the passive side responds automatically.
-func (e *Endpoint) StartHandshake() {
-	e.hs = hsIdle
-}
-
 // Established reports whether data transfer may proceed.
 func (e *Endpoint) Established() bool { return e.hs == hsEstablished }
 

@@ -102,23 +102,6 @@ func (r *Registry) Snapshot(now sim.Time) *Snapshot {
 	return s
 }
 
-// Flat returns the snapshot with each component's (possibly nested)
-// values flattened into dotted keys — the canonical form the
-// incremental snapshot stream diffs and reassembles. Returns nil on a
-// nil snapshot.
-func (s *Snapshot) Flat() map[string]map[string]any {
-	if s == nil {
-		return nil
-	}
-	out := make(map[string]map[string]any, len(s.Components))
-	for name, comp := range s.Components {
-		flat := make(map[string]any, len(comp))
-		flatten("", comp, flat)
-		out[name] = flat
-	}
-	return out
-}
-
 // WriteJSON writes the snapshot as indented JSON (encoding/json sorts
 // map keys, so output is deterministic).
 func (s *Snapshot) WriteJSON(w io.Writer) error {

@@ -244,219 +244,3 @@ func TestTracerSpillNilSafe(t *testing.T) {
 	}
 	tr.SetRing(8)
 }
-
-// --- incremental snapshot stream --------------------------------------
-
-// countingRegistry builds a registry whose probe values the test can
-// mutate between frames.
-func countingRegistry() (*Registry, map[string]any) {
-	vals := map[string]any{
-		"flowcells": uint64(0),
-		"drops":     uint64(0),
-		"nested":    map[string]any{"deep": 1},
-	}
-	r := NewRegistry(nil)
-	r.Register("host0/vswitch", func() map[string]any {
-		out := make(map[string]any, len(vals))
-		for k, v := range vals {
-			out[k] = v
-		}
-		return out
-	})
-	r.Register("engine", func() map[string]any {
-		return map[string]any{"events": uint64(42)}
-	})
-	return r, vals
-}
-
-func TestSnapshotStreamDeltasAndKeyframes(t *testing.T) {
-	r, vals := countingRegistry()
-	ss := r.Stream(3)
-
-	d1 := ss.Next(100)
-	if !d1.Keyframe || d1.Seq != 1 {
-		t.Fatalf("first frame must be a keyframe: %+v", d1)
-	}
-	if len(d1.Keys) != 4 { // flowcells, drops, nested.deep, events
-		t.Fatalf("keyframe carries %d keys, want 4: %v", len(d1.Keys), d1.Keys)
-	}
-
-	// Nothing changed: the delta must be empty.
-	d2 := ss.Next(200)
-	if d2.Keyframe || len(d2.Keys) != 0 || len(d2.RemovedKeys) != 0 {
-		t.Fatalf("idle delta not empty: %+v", d2)
-	}
-	if d2.Base != 1 || d2.Seq != 2 {
-		t.Fatalf("chaining wrong: %+v", d2)
-	}
-
-	// One value changed: exactly one column entry.
-	vals["flowcells"] = uint64(7)
-	d3 := ss.Next(300)
-	if len(d3.Keys) != 1 || d3.Keys[0] != "flowcells" || d3.Components[0] != "host0/vswitch" {
-		t.Fatalf("delta = %+v, want single flowcells change", d3)
-	}
-	if d3.Values[0].(uint64) != 7 {
-		t.Fatalf("delta value = %v", d3.Values[0])
-	}
-
-	// Fourth frame: keyframe cadence (every 3) restates everything.
-	d4 := ss.Next(400)
-	if !d4.Keyframe || len(d4.Keys) != 4 {
-		t.Fatalf("frame 4 should be a full keyframe: %+v", d4)
-	}
-}
-
-func TestSnapshotStreamDecoderReassembles(t *testing.T) {
-	r, vals := countingRegistry()
-	ss := r.Stream(4)
-	dec := NewStreamDecoder()
-
-	for i := 0; i < 10; i++ {
-		vals["flowcells"] = uint64(i * 3)
-		if i == 5 {
-			vals["drops"] = uint64(99)
-		}
-		d := ss.Next(sim.Time(i * 100))
-		if err := dec.Apply(d); err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-	}
-	// The reconstructed state must equal a fresh full snapshot.
-	want := r.Snapshot(0).Flat()
-	if !reflect.DeepEqual(dec.State(), want) {
-		t.Fatalf("decoder state diverged:\n got %v\nwant %v", dec.State(), want)
-	}
-	if dec.Seq() != 10 || dec.TakenAtNs() != 900 {
-		t.Fatalf("decoder cursor wrong: seq=%d at=%d", dec.Seq(), dec.TakenAtNs())
-	}
-}
-
-func TestSnapshotStreamRemovedKeys(t *testing.T) {
-	vals := map[string]any{"a": 1, "b": 2}
-	r := NewRegistry(nil)
-	r.Register("p", func() map[string]any {
-		out := make(map[string]any, len(vals))
-		for k, v := range vals {
-			out[k] = v
-		}
-		return out
-	})
-	ss := r.Stream(0)
-	dec := NewStreamDecoder()
-	if err := dec.Apply(ss.Next(1)); err != nil {
-		t.Fatal(err)
-	}
-	delete(vals, "b")
-	d := ss.Next(2)
-	if len(d.RemovedKeys) != 1 || d.RemovedKeys[0] != "b" || d.RemovedComponents[0] != "p" {
-		t.Fatalf("removal not tracked: %+v", d)
-	}
-	if err := dec.Apply(d); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := dec.State()["p"]["b"]; ok {
-		t.Fatal("decoder kept removed key")
-	}
-}
-
-func TestSnapshotStreamJSONRoundTrip(t *testing.T) {
-	r, vals := countingRegistry()
-	ss := r.Stream(2)
-	var frames [][]byte
-	for i := 0; i < 5; i++ {
-		vals["flowcells"] = uint64(i)
-		data, err := json.Marshal(ss.Next(sim.Time(i)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		frames = append(frames, data)
-	}
-	// Decode through JSON and reassemble; compare against the direct
-	// state normalized the same way (JSON erases Go integer types).
-	dec := NewStreamDecoder()
-	for _, data := range frames {
-		var d Delta
-		if err := json.Unmarshal(data, &d); err != nil {
-			t.Fatal(err)
-		}
-		if err := dec.Apply(&d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	normalize := func(m map[string]map[string]any) map[string]map[string]any {
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var out map[string]map[string]any
-		if err := json.Unmarshal(data, &out); err != nil {
-			t.Fatal(err)
-		}
-		return out
-	}
-	want := normalize(r.Snapshot(0).Flat())
-	if got := normalize(dec.State()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("JSON round-trip diverged:\n got %v\nwant %v", got, want)
-	}
-}
-
-func TestSnapshotStreamDecoderRejectsGap(t *testing.T) {
-	r, vals := countingRegistry()
-	ss := r.Stream(0)
-	dec := NewStreamDecoder()
-	if err := dec.Apply(ss.Next(1)); err != nil {
-		t.Fatal(err)
-	}
-	vals["flowcells"] = uint64(1)
-	_ = ss.Next(2) // skipped frame
-	vals["flowcells"] = uint64(2)
-	d3 := ss.Next(3)
-	if err := dec.Apply(d3); err == nil {
-		t.Fatal("decoder accepted a frame with a gap")
-	}
-	// A later keyframe resynchronizes.
-	vals["flowcells"] = uint64(3)
-	kf := ss.Next(4)
-	kf.Keyframe = true // simulate a mid-stream keyframe join
-	// Rebuild as full restatement for the joined reader.
-	full := r.Stream(0).Next(4)
-	full.Seq = kf.Seq
-	if err := dec.Apply(full); err != nil {
-		t.Fatalf("keyframe join failed: %v", err)
-	}
-}
-
-func TestSnapshotStreamNilSafe(t *testing.T) {
-	var r *Registry
-	if r.Stream(3) != nil {
-		t.Fatal("nil registry returned a stream")
-	}
-	var ss *SnapshotStream
-	if ss.Next(0) != nil {
-		t.Fatal("nil stream returned a frame")
-	}
-	var dec *StreamDecoder
-	if err := dec.Apply(&Delta{}); err != nil {
-		t.Fatal(err)
-	}
-	if dec.State() != nil || dec.Seq() != 0 || dec.TakenAtNs() != 0 {
-		t.Fatal("nil decoder recorded state")
-	}
-	var s *Snapshot
-	if s.Flat() != nil {
-		t.Fatal("nil snapshot flattened")
-	}
-}
-
-func TestStreamDecoderRejectsRaggedColumns(t *testing.T) {
-	dec := NewStreamDecoder()
-	bad := &Delta{Seq: 1, Keyframe: true, Components: []string{"a"}, Keys: []string{"k", "extra"}, Values: []any{1, 2}}
-	if err := dec.Apply(bad); err == nil {
-		t.Fatal("accepted ragged columns")
-	}
-	bad2 := &Delta{Seq: 1, Keyframe: true, RemovedComponents: []string{"a"}}
-	if err := dec.Apply(bad2); err == nil {
-		t.Fatal("accepted ragged removed columns")
-	}
-}

@@ -66,72 +66,51 @@ func (t *Topology) linkBetween(a, b NodeID) (LinkID, bool) {
 	return 0, false
 }
 
-// nextLinksTo returns every link out of `from` that lies on a shortest
+// NextLinksTo returns every link out of `from` that lies on a shortest
 // path to the destination node — the equal-cost set hardware ECMP
-// hashes over. Distances are computed by one BFS per destination and
-// cached (the graph is immutable).
-func (t *Topology) nextLinksTo(from, dst NodeID) []LinkID {
-	t.routeMu.Lock()
-	defer t.routeMu.Unlock()
-	if t.nextCache == nil {
-		t.nextCache = make(map[NodeID][]int)
+// hashes over. It is a pure function of the immutable graph (one BFS
+// from dst per call); each fabric switch memoizes its own answers.
+func (t *Topology) NextLinksTo(from, dst NodeID) []LinkID {
+	dist := make([]int, len(t.Nodes))
+	for i := range dist {
+		dist[i] = -1
 	}
-	dist, ok := t.nextCache[dst]
-	if !ok {
-		dist = make([]int, len(t.Nodes))
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dst] = 0
-		queue := []NodeID{dst}
-		for len(queue) > 0 {
-			n := queue[0]
-			queue = queue[1:]
-			for _, lid := range t.adj[n] {
-				o := t.Links[lid].Other(n)
-				// Hosts do not transit traffic: only the destination
-				// itself may be a host.
-				if t.Nodes[o].Kind == KindHost {
-					continue
-				}
-				if dist[o] < 0 {
-					dist[o] = dist[n] + 1
-					queue = append(queue, o)
-				}
-			}
-		}
-		t.nextCache[dst] = dist
-	}
-	if t.candCache == nil {
-		t.candCache = make(map[[2]NodeID][]LinkID)
-	}
-	key := [2]NodeID{from, dst}
-	if out, ok := t.candCache[key]; ok {
-		return out
-	}
-	var out []LinkID
-	if dist[from] > 0 {
-		for _, lid := range t.adj[from] {
-			o := t.Links[lid].Other(from)
+	dist[dst] = 0
+	queue := []NodeID{dst}
+	for len(queue) > 0 {
+		n := queue[0]
+		queue = queue[1:]
+		for _, lid := range t.adj[n] {
+			o := t.Links[lid].Other(n)
+			// Hosts do not transit traffic: only the destination
+			// itself may be a host.
 			if t.Nodes[o].Kind == KindHost {
-				if o == dst {
-					out = []LinkID{lid}
-					break
-				}
 				continue
 			}
-			if dist[o] == dist[from]-1 {
-				out = append(out, lid)
+			if dist[o] < 0 {
+				dist[o] = dist[n] + 1
+				queue = append(queue, o)
 			}
 		}
 	}
-	t.candCache[key] = out
+	if dist[from] <= 0 {
+		return nil
+	}
+	var out []LinkID
+	for _, lid := range t.adj[from] {
+		o := t.Links[lid].Other(from)
+		if t.Nodes[o].Kind == KindHost {
+			if o == dst {
+				return []LinkID{lid}
+			}
+			continue
+		}
+		if dist[o] == dist[from]-1 {
+			out = append(out, lid)
+		}
+	}
 	return out
 }
-
-// NextLinksTo exposes the equal-cost next-hop set toward a destination
-// node (for the fabric's real-MAC ECMP forwarding).
-func (t *Topology) NextLinksTo(from, dst NodeID) []LinkID { return t.nextLinksTo(from, dst) }
 
 // RootedTrees computes one spanning tree per core switch of a 3-tier
 // topology, per-leaf star trees for a leaf mesh, and falls back to

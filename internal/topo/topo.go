@@ -10,7 +10,6 @@ package topo
 
 import (
 	"fmt"
-	"sync"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -156,13 +155,6 @@ type Topology struct {
 	hostLeaf  map[packet.HostID]NodeID
 	spineLeaf map[[2]NodeID][]LinkID // [spine, leaf] -> γ parallel links
 
-	// routeMu guards the lazily-filled routing caches below: shard
-	// workers hit NextLinksTo concurrently for real-MAC forwarding, and
-	// the memoized values are pure functions of the immutable graph, so
-	// a mutex keeps the fill race-free without affecting determinism.
-	routeMu   sync.Mutex
-	nextCache map[NodeID][]int       // per-destination BFS distances
-	candCache map[[2]NodeID][]LinkID // memoized equal-cost next hops
 }
 
 // NumHosts returns the number of hosts.

@@ -13,6 +13,7 @@
 package presto
 
 import (
+	"fmt"
 	"strings"
 
 	"presto/internal/scheme"
@@ -77,19 +78,50 @@ func SystemFor(spec string) (System, error) {
 	return sys, nil
 }
 
-// SchemeSystems returns one default-parameter System per registered
-// scheme, in sorted registry order.
-func SchemeSystems() []System {
-	names := scheme.Names()
-	out := make([]System, len(names))
-	for i, n := range names {
-		out[i] = System{scheme: n}
+// paperSystems maps the -system spellings of the paper's lineup to
+// their Systems.
+var paperSystems = map[string]System{
+	"ecmp":        SysECMP,
+	"mptcp":       SysMPTCP,
+	"presto":      SysPresto,
+	"optimal":     SysOptimal,
+	"flowlet100":  SysFlowlet100,
+	"flowlet500":  SysFlowlet500,
+	"presto-ecmp": SysPrestoECMP,
+	"prestoecmp":  SysPrestoECMP,
+	"per-packet":  SysPerPacket,
+	"perpacket":   SysPerPacket,
+}
+
+// ParseSystem resolves a front-end system name: one of the paper's
+// lineup (ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 |
+// presto-ecmp | per-packet, case-insensitive) or any registry scheme
+// spec ("diffflow:threshold=512KB").
+func ParseSystem(s string) (System, error) {
+	if sys, ok := paperSystems[strings.ToLower(s)]; ok {
+		return sys, nil
 	}
-	return out
+	sys, err := SystemFor(s)
+	if err == nil {
+		return sys, nil
+	}
+	// A known scheme with bad params gets the registry's own error
+	// (which names the offending key/bound); only an unrecognized
+	// name gets the full lineup listing.
+	name, _, _ := strings.Cut(s, ":")
+	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
+		return System{}, err
+	}
+	return System{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
+		s, strings.Join(scheme.Names(), " | "))
 }
 
 // SchemeName returns the registry scheme the system runs.
 func (s System) SchemeName() string { return s.scheme }
+
+// Optimal reports whether the system runs on the single non-blocking
+// switch baseline instead of the cell's fabric.
+func (s System) Optimal() bool { return s.optimal }
 
 func (s System) String() string {
 	if s.display != "" {
@@ -101,9 +133,9 @@ func (s System) String() string {
 	return s.scheme
 }
 
-// paramMap expands the canonical param string back into raw values
-// for cluster.Config.SchemeParams.
-func (s System) paramMap() map[string]string {
+// SchemeParams expands the canonical param string back into raw
+// values for cluster.Config.SchemeParams.
+func (s System) SchemeParams() map[string]string {
 	if s.params == "" {
 		return nil
 	}
