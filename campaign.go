@@ -11,14 +11,16 @@ import (
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/tcp"
+	"presto/internal/telemetry"
 	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
 
 // This file is the experiment table: every figure and table of the
 // paper's evaluation, the ablations, the pod-scale run and the scheme
-// matrix as rows of Cells, and the campaign builders every front-end
-// (cmd/experiments, cmd/prestosim, prestod) shares.
+// matrix as rows of Cells, and Campaign, the one builder that turns a
+// front-end request (cmd/experiments and cmd/prestosim flags, a
+// prestod job) into a campaign over them.
 
 // scaleSystems are the four systems the scalability, oversubscription,
 // and workload sweeps compare (the paper's §4 lineup).
@@ -72,13 +74,15 @@ var experiments = []struct {
 	{"table2", "North-south cross traffic: east-west mice FCT", func() []Cell {
 		return presetSweep("table2", []string{"north-south"}, scaleSystems, 0)
 	}},
-	{"fig17", "Failure handling: throughput per stage", func() []Cell { return failoverCells("fig17", FailoverWorkloads()) }},
+	{"fig17", "Failure handling: throughput per stage", func() []Cell {
+		return failoverCells("fig17", []string{"L1->L4", "L4->L1", "stride", "bijection"})
+	}},
 	{"fig18", "Failure handling: RTT per stage (bijection)", func() []Cell { return failoverCells("fig18", []string{"bijection"}) }},
 	{"ablations", "Design-choice ablations (flowcell size, GRO alpha, buffers, DCTCP, tunnels)", ablationCells},
 	{"podtraffic", "Pod-scale cross-pod elephants on a 3-tier Clos (honors -shards)", func() []Cell {
 		return []Cell{PodCell(SysECMP, 4, 2), PodCell(SysPresto, 4, 2)}
 	}},
-	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return mustMatrix(nil) }},
+	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return matrixCells(nil) }},
 }
 
 // traceDrain is how long the trace-driven cells keep running past the
@@ -122,38 +126,109 @@ func FigureCell(id string) (Cell, error) {
 	return Cell{}, fmt.Errorf("unknown experiment cell %q", id)
 }
 
-// campaignOf assembles cells into a campaign spec. The windows are
-// folded into the spec hash so golden envelopes detect runs taken with
-// different ones.
-func campaignOf(name string, cells []Cell, opt Options) *campaign.Spec {
-	opt.fill()
+// Campaign turns a request into the campaign it describes — the one
+// builder behind `experiments` and `prestosim` flags, prestod jobs and
+// examples/serving, so the same request yields the same spec hash (and
+// byte-identical artifacts) through every door. A workload sweeps
+// across the request's schemes (default: the §4 lineup); schemes alone
+// restrict the scheme matrix; otherwise Experiments selects paper
+// experiments ("all" or a comma-separated list of IDs). Explicit cells
+// stand in for the selection (prestosim's one cell on its -pods
+// topology). perRun, when non-nil, is wired through every run (see
+// campaign.Diagnostics.PerRun). Zero request fields take their
+// defaults (campaign.Request); Progress and Telemetry are the
+// caller's to set on the returned spec. A workload that cannot run on
+// the requested shards is an error here, not a failed replica later.
+func Campaign(req campaign.Request, perRun *telemetry.Registry, cells ...Cell) (*campaign.Spec, error) {
+	opt := RunOptions(req)
+	// The windows are folded into the spec hash so golden envelopes
+	// detect runs taken with different ones.
 	spec := &campaign.Spec{
-		Name: name,
-		Params: map[string]string{
-			"duration": opt.Duration.String(),
-			"warmup":   opt.Warmup.String(),
-		},
+		Name:        "cells",
+		Params:      map[string]string{"duration": opt.Duration.String(), "warmup": opt.Warmup.String()},
+		Seeds:       campaign.Seeds(opt.Seed, req.Seeds),
+		Parallelism: req.Parallelism,
+		CellTimeout: sim.Time(req.CellTimeout).AsDuration(),
 	}
+	if len(cells) == 0 {
+		var err error
+		if cells, err = selectCells(req, spec); err != nil {
+			return nil, err
+		}
+	}
+	traced := opt
+	traced.Telemetry = perRun
 	for _, cell := range cells {
-		spec.Cells = append(spec.Cells, cell.Campaign(opt))
+		if cell.shardable && opt.Shards > 1 {
+			if _, err := cell.start(opt); err != nil { // dry run: build and compile only
+				return nil, err
+			}
+		}
+		spec.Cells = append(spec.Cells, cell.Campaign(traced))
 	}
-	return spec
+	return spec, nil
 }
 
-// CampaignSpec builds the campaign for an experiment selection: "all"
-// or a comma-separated list of IDs (fig1, fig5, ..., table1, table2,
-// ablations). opt seeds each cell's Options; opt.Seed itself is
-// ignored — the spec's Seeds field decides replication. Execution
-// knobs (Seeds, Parallelism, CellTimeout, Progress, Telemetry) are
-// left for the caller to fill in on the returned spec.
-func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
-	var ids []string
-	if strings.ToLower(sel) == "all" {
-		ids = CampaignExperimentIDs()
-	} else {
-		for _, id := range strings.Split(strings.ToLower(sel), ",") {
-			id = strings.TrimSpace(id)
-			if id == "" {
+// RunOptions are the per-run Options a request asks for, at its base
+// seed (campaign replicas substitute their own).
+func RunOptions(req campaign.Request) Options {
+	req = req.WithDefaults()
+	return Options{
+		Seed:     req.Seed,
+		Warmup:   sim.Time(req.Warmup),
+		Duration: sim.Time(req.Duration),
+		Shards:   req.Shards,
+	}
+}
+
+// selectCells resolves the request's selection to rows of the
+// experiment table, naming spec after it and adding the selection's
+// identity params.
+func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err error) {
+	systems, err := parseSystems(req.Scheme)
+	if err != nil {
+		return nil, err
+	}
+	sel := strings.ToLower(req.Experiments)
+	switch {
+	case len(req.Workload) > 0:
+		if sel != "" {
+			return nil, fmt.Errorf("an experiment selection and a workload are mutually exclusive")
+		}
+		ws, err := wspec.ResolveJSON(req.Workload)
+		if err != nil {
+			return nil, fmt.Errorf("workload: %w", err)
+		}
+		if systems == nil {
+			systems = scaleSystems
+		}
+		for _, sys := range systems {
+			cells = append(cells, SpecCell(sys, ws))
+		}
+		// The spec hash is recorded both per cell and as a campaign
+		// param, so the campaign hash — and any golden gate — pins the
+		// exact workload.
+		spec.Name, spec.Params["workload"] = "workload-spec/"+ws.Name, ws.Hash()
+		return cells, nil
+	case systems != nil:
+		if sel != "scheme-matrix" {
+			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
+		}
+		for _, sys := range systems {
+			if sys.optimal {
+				return nil, fmt.Errorf("scheme-matrix varies the topology itself; %v is a topology baseline, not a scheme", sys)
+			}
+		}
+		spec.Name, spec.Params["schemes"] = fmt.Sprintf("scheme-matrix/%d-schemes", len(systems)), fmt.Sprint(len(systems))
+		return matrixCells(systems), nil
+	case sel == "":
+		return nil, fmt.Errorf(`select experiments (e.g. "fig7" or "all") or give a workload (spec, preset name, or spec path)`)
+	}
+	ids := CampaignExperimentIDs()
+	if sel != "all" {
+		ids = nil
+		for _, id := range strings.Split(sel, ",") {
+			if id = strings.TrimSpace(id); id == "" {
 				continue
 			}
 			if CampaignExperimentTitle(id) == "" {
@@ -162,10 +237,9 @@ func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
 			ids = append(ids, id)
 		}
 		if len(ids) == 0 {
-			return nil, fmt.Errorf("empty experiment selection %q", sel)
+			return nil, fmt.Errorf("empty experiment selection %q", req.Experiments)
 		}
 	}
-	var cells []Cell
 	for _, id := range ids {
 		for _, e := range experiments {
 			if e.id == id {
@@ -173,58 +247,25 @@ func CampaignSpec(sel string, opt Options) (*campaign.Spec, error) {
 			}
 		}
 	}
-	return campaignOf("experiments/"+strings.Join(ids, ","), cells, opt), nil
+	spec.Name = "experiments/" + strings.Join(ids, ",")
+	return cells, nil
 }
 
-// BuildCampaign maps a front-end request onto a campaign — the one
-// builder behind `experiments` flags and prestod job requests, so the
-// same request yields the same spec (and byte-identical artifacts)
-// through either door. A workload spec sweeps across schemes (default:
-// the §4 lineup); schemes alone restrict the scheme matrix; otherwise
-// sel selects paper experiments. The caller fills in the
-// execution knobs, as with CampaignSpec.
-func BuildCampaign(sel string, workload *wspec.Spec, schemes []string, opt Options) (*campaign.Spec, error) {
-	switch {
-	case workload != nil:
-		if sel != "" {
-			return nil, fmt.Errorf("an experiment selection and a workload are mutually exclusive")
-		}
-		systems, err := systemsFor(schemes)
-		if err != nil {
-			return nil, err
-		}
-		if systems == nil {
-			systems = scaleSystems
-		}
-		return WorkloadCampaign(workload, systems, opt), nil
-	case len(schemes) > 0:
-		if sel != "scheme-matrix" {
-			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
-		}
-		return SchemeMatrixSpec(schemes, opt)
-	case sel == "":
-		return nil, fmt.Errorf(`select experiments (e.g. "fig7" or "all") or give a workload (spec, preset name, or spec path)`)
-	}
-	return CampaignSpec(sel, opt)
-}
-
-// systemsFor resolves scheme specs (registry names, optionally with
-// params) to systems; nil in, nil out.
-func systemsFor(schemes []string) ([]System, error) {
+// parseSystems resolves a comma-separated system list through
+// ParseSystem; "" in, nil out.
+func parseSystems(list string) ([]System, error) {
 	var systems []System
-	for _, s := range schemes {
-		sys, err := SystemFor(s)
+	for _, s := range strings.Split(list, ",") {
+		if s = strings.TrimSpace(s); s == "" {
+			continue
+		}
+		sys, err := ParseSystem(s)
 		if err != nil {
 			return nil, err
 		}
 		systems = append(systems, sys)
 	}
 	return systems, nil
-}
-
-// RunCampaign executes a spec — the facade over internal/campaign.
-func RunCampaign(spec *campaign.Spec) (*campaign.Report, error) {
-	return campaign.Run(spec)
 }
 
 // SpecCell is a workload spec on one system on the testbed, measured
@@ -242,19 +283,6 @@ func SpecCell(sys System, ws *wspec.Spec) Cell {
 		shardable:  true,
 		keyed:      true,
 	}
-}
-
-// WorkloadCampaign sweeps one workload spec across systems. The spec
-// hash is recorded both per cell and as a campaign param, so the
-// campaign hash — and any golden gate — pins the exact workload.
-func WorkloadCampaign(ws *wspec.Spec, systems []System, opt Options) *campaign.Spec {
-	cells := make([]Cell, len(systems))
-	for i, sys := range systems {
-		cells[i] = SpecCell(sys, ws)
-	}
-	spec := campaignOf("workload-spec/"+ws.Name, cells, opt)
-	spec.Params["workload"] = ws.Hash()
-	return spec
 }
 
 // PodCell drives one cross-pod elephant per host (each host sends to
@@ -435,10 +463,6 @@ func presetSweep(exp string, workloads []string, systems []System, drain sim.Tim
 	return cells
 }
 
-// FailoverWorkloads lists Figure 17's traffic patterns in render
-// order.
-func FailoverWorkloads() []string { return []string{"L1->L4", "L4->L1", "stride", "bijection"} }
-
 // failoverCells: Presto elephants on the testbed, measured through
 // the three stages around the S1-L1 link failure.
 func failoverCells(exp string, workloads []string) []Cell {
@@ -550,32 +574,12 @@ var matrixTopos = []struct {
 	{"mesh", func() *topo.Topology { return topo.LeafMesh(4, 4, topo.LinkConfig{}) }},
 }
 
-// SchemeMatrixTopos lists the topology column names in render order.
-func SchemeMatrixTopos() []string {
-	out := make([]string, len(matrixTopos))
-	for i, t := range matrixTopos {
-		out[i] = t.name
-	}
-	return out
-}
-
-// SchemeMatrixWorkloads lists the workload rows in render order.
-func SchemeMatrixWorkloads() []string { return append([]string(nil), matrixWorkloads...) }
-
-// SchemeMatrixCellID names one matrix cell; IDs are part of the
-// golden-gate contract, so the format is frozen.
-func SchemeMatrixCellID(schemeName, workload, topoName string) string {
-	return fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", schemeName, workload, topoName)
-}
-
-// matrixCells builds the grid for the given scheme specs (registry
-// names, optionally with params); nil means every registered scheme
-// with default parameters, in sorted registry order.
-func matrixCells(schemes []string) ([]Cell, error) {
-	systems, err := systemsFor(schemes)
-	if err != nil {
-		return nil, err
-	}
+// matrixCells builds the grid for the given systems; nil means every
+// registered scheme with default parameters, in sorted registry order.
+// A cell is named by the canonical spec its system runs, so a
+// re-parameterised scheme ("presto:cell=16KB") gets its own IDs — they
+// are part of the golden-gate contract, so the format is frozen.
+func matrixCells(systems []System) []Cell {
 	if systems == nil {
 		for _, n := range scheme.Names() {
 			systems = append(systems, System{scheme: n})
@@ -588,7 +592,7 @@ func matrixCells(schemes []string) ([]Cell, error) {
 			for _, mt := range matrixTopos {
 				cells = append(cells, Cell{
 					Experiment: "scheme-matrix",
-					ID:         SchemeMatrixCellID(sys.SchemeName(), wl, mt.name),
+					ID:         fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", sys.Spec(), wl, mt.name),
 					System:     sys,
 					Topo:       mt.build,
 					Workload:   ws,
@@ -599,49 +603,5 @@ func matrixCells(schemes []string) ([]Cell, error) {
 			}
 		}
 	}
-	return cells, nil
-}
-
-// mustMatrix is matrixCells for the built-in grid, which uses only
-// registry names; failure is a programming error.
-func mustMatrix(schemes []string) []Cell {
-	cells, err := matrixCells(schemes)
-	if err != nil {
-		panic("presto: scheme matrix: " + err.Error())
-	}
 	return cells
-}
-
-// SchemeMatrixSpec assembles the scheme-matrix campaign. nil schemes
-// means the whole registry.
-func SchemeMatrixSpec(schemes []string, opt Options) (*campaign.Spec, error) {
-	cells, err := matrixCells(schemes)
-	if err != nil {
-		return nil, err
-	}
-	name := "scheme-matrix"
-	if len(schemes) > 0 {
-		name += "/" + fmt.Sprint(len(schemes)) + "-schemes"
-	}
-	spec := campaignOf(name, cells, opt)
-	spec.Params["schemes"] = fmt.Sprint(len(cells) / (len(matrixWorkloads) * len(matrixTopos)))
-	return spec, nil
-}
-
-// SchemeNames exposes the registry listing (sorted) to front-ends
-// that do not import internal/scheme.
-func SchemeNames() []string { return scheme.Names() }
-
-// ExperimentsInReport lists the distinct experiment IDs present in a
-// report, in cell order.
-func ExperimentsInReport(r *campaign.Report) []string {
-	seen := map[string]bool{}
-	var out []string
-	for i := range r.Cells {
-		if e := r.Cells[i].Experiment; !seen[e] {
-			seen[e] = true
-			out = append(out, e)
-		}
-	}
-	return out
 }

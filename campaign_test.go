@@ -2,26 +2,31 @@ package presto
 
 import (
 	"bytes"
+	"encoding/json"
+	"flag"
+	"strings"
 	"testing"
 
 	"presto/internal/campaign"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
+
+// fastReq is a request with the windows cut far below the defaults.
+func fastReq(r campaign.Request) campaign.Request {
+	r.Duration = wspec.Duration(20 * sim.Millisecond)
+	r.Warmup = wspec.Duration(5 * sim.Millisecond)
+	return r
+}
 
 // fig5Spec builds a small real-cell campaign (GRO microbenchmark, the
 // cheapest experiment) with the given worker count.
 func fig5Spec(t *testing.T, parallelism, seeds int) *campaign.Spec {
 	t.Helper()
-	opt := Options{
-		Duration: 20 * sim.Millisecond,
-		Warmup:   5 * sim.Millisecond,
-	}
-	spec, err := CampaignSpec("fig5", opt)
+	spec, err := Campaign(fastReq(campaign.Request{Experiments: "fig5", Seeds: seeds, Parallelism: parallelism}), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec.Seeds = campaign.Seeds(1, seeds)
-	spec.Parallelism = parallelism
 	return spec
 }
 
@@ -30,7 +35,7 @@ func fig5Spec(t *testing.T, parallelism, seeds int) *campaign.Spec {
 // CSV artifacts: scheduling must never leak into results.
 func TestCampaignDeterministicAcrossParallelism(t *testing.T) {
 	artifacts := func(parallelism int) (string, string) {
-		report, err := RunCampaign(fig5Spec(t, parallelism, 2))
+		report, err := campaign.Run(fig5Spec(t, parallelism, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -71,17 +76,20 @@ func TestSeedRecordedInResults(t *testing.T) {
 // TestCampaignSpecSelection exercises the ID parser: single, multiple,
 // all, and unknown selections.
 func TestCampaignSpecSelection(t *testing.T) {
-	opt := Options{Duration: 20 * sim.Millisecond, Warmup: 5 * sim.Millisecond}
-
-	single, err := CampaignSpec("fig5", opt)
+	build := func(sel string) (*campaign.Spec, error) {
+		return Campaign(fastReq(campaign.Request{Experiments: sel}), nil)
+	}
+	single, err := build("fig5")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := ExperimentsInReport(&campaign.Report{Cells: resultsOf(single)}); len(got) != 1 || got[0] != "fig5" {
-		t.Errorf("fig5 selection produced experiments %v", got)
+	for _, c := range single.Cells {
+		if c.Experiment != "fig5" {
+			t.Errorf("fig5 selection produced cell %s of experiment %q", c.ID, c.Experiment)
+		}
 	}
 
-	multi, err := CampaignSpec("fig5,table1", opt)
+	multi, err := build("fig5,table1")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +97,7 @@ func TestCampaignSpecSelection(t *testing.T) {
 		t.Errorf("fig5,table1 has %d cells, want more than fig5's %d", len(multi.Cells), len(single.Cells))
 	}
 
-	all, err := CampaignSpec("all", opt)
+	all, err := build("all")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,22 +105,15 @@ func TestCampaignSpecSelection(t *testing.T) {
 		t.Errorf("all has %d cells, want at least %d", len(all.Cells), len(multi.Cells))
 	}
 
-	if _, err := CampaignSpec("fig99", opt); err == nil {
+	if _, err := build("fig99"); err == nil {
 		t.Error("unknown experiment ID accepted")
 	}
-	if _, err := CampaignSpec("", opt); err == nil {
+	if _, err := build(""); err == nil {
 		t.Error("empty selection accepted")
 	}
-}
-
-// resultsOf turns a spec's cells into empty CellResults so the
-// experiment listing can be checked without running anything.
-func resultsOf(spec *campaign.Spec) []campaign.CellResult {
-	out := make([]campaign.CellResult, len(spec.Cells))
-	for i, c := range spec.Cells {
-		out[i] = campaign.CellResult{Experiment: c.Experiment, ID: c.ID}
+	if _, err := build(" , "); err == nil {
+		t.Error("blank selection accepted")
 	}
-	return out
 }
 
 // TestCampaignExperimentIDs checks the registry lists every paper
@@ -135,6 +136,100 @@ func TestCampaignExperimentIDs(t *testing.T) {
 	for _, want := range []string{"fig1", "fig5", "fig7", "table1", "table2", "ablations"} {
 		if !seen[want] {
 			t.Errorf("experiment registry missing %q", want)
+		}
+	}
+}
+
+// TestOneSystemNameTable checks every door resolves a system name the
+// same way: each paper name (and a registry spec with a parameter)
+// given as `experiments -workload elephants -scheme NAME` flags, as a
+// prestod JSON job, and as `prestosim -system NAME` lands on the same
+// cell — ParseSystem's.
+func TestOneSystemNameTable(t *testing.T) {
+	names := []string{"diffflow:threshold=512KB", "OPTIMAL"}
+	for name := range paperSystems {
+		names = append(names, name)
+	}
+	ws, err := wspec.Preset("elephants")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		var flags, wire campaign.Request
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		flags.Bind(fs)
+		if err := fs.Parse([]string{"-workload", "elephants", "-scheme", name}); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(`{"workload": "elephants", "scheme": "`+name+`"}`), &wire); err != nil {
+			t.Fatal(err)
+		}
+		fromFlags, err := Campaign(flags, nil)
+		if err != nil {
+			t.Fatalf("flags, %s: %v", name, err)
+		}
+		fromWire, err := Campaign(wire, nil)
+		if err != nil {
+			t.Fatalf("JSON, %s: %v", name, err)
+		}
+		sys, err := ParseSystem(name)
+		if err != nil {
+			t.Fatalf("ParseSystem(%s): %v", name, err)
+		}
+		want := SpecCell(sys, ws).ID // what prestosim -system NAME runs
+		if len(fromFlags.Cells) != 1 || fromFlags.Cells[0].ID != want || fromWire.Cells[0].ID != want || fromFlags.Hash() != fromWire.Hash() {
+			t.Errorf("%s: flags → %s (%s), JSON → %s (%s), prestosim → %s", name,
+				fromFlags.Cells[0].ID, fromFlags.Hash(), fromWire.Cells[0].ID, fromWire.Hash(), want)
+		}
+	}
+	// Bad params keep the registry's own error; unknown names list both kinds.
+	_, err = Campaign(campaign.Request{Workload: json.RawMessage(`"elephants"`), Scheme: "presto:cell=1"}, nil)
+	if err == nil || strings.Contains(err.Error(), "unknown system") {
+		t.Errorf("bad param error = %v, want the registry's", err)
+	}
+	_, err = Campaign(campaign.Request{Workload: json.RawMessage(`"elephants"`), Scheme: "nosuch"}, nil)
+	if err == nil || !strings.Contains(err.Error(), "flowlet100") {
+		t.Errorf("unknown system error = %v, want the lineup listing", err)
+	}
+}
+
+// TestCampaignDefaultsAndShards pins the one defaults rule — a zero
+// request field means its default, whichever door left it zero — and
+// that shards a workload cannot run on fail the build with Compile's
+// field-path error rather than every replica later.
+func TestCampaignDefaultsAndShards(t *testing.T) {
+	zero, err := Campaign(campaign.Request{Experiments: "fig5"}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	explicit, err := Campaign(campaign.Request{
+		Experiments: "fig5", Seed: 1, Seeds: 1, Shards: 1,
+		Duration: wspec.Duration(200 * sim.Millisecond), Warmup: wspec.Duration(50 * sim.Millisecond),
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(zero.Seeds) != 1 || zero.Seeds[0] != 1 || zero.Hash() != explicit.Hash() {
+		t.Errorf("zero request: seeds %v hash %s, explicit defaults hash %s", zero.Seeds, zero.Hash(), explicit.Hash())
+	}
+	if zero.CellTimeout != 0 || zero.Parallelism != 0 {
+		t.Errorf("zero request: cell timeout %v, parallelism %d; want none and GOMAXPROCS (0)", zero.CellTimeout, zero.Parallelism)
+	}
+	if neg, _ := Campaign(campaign.Request{Experiments: "fig5", Seeds: -3}, nil); len(neg.Seeds) != 1 {
+		t.Errorf("seeds -3 → %v, want one replica", neg.Seeds)
+	}
+
+	_, err = Campaign(campaign.Request{Workload: json.RawMessage(`"stride"`), Shards: 2}, nil)
+	if err == nil || !strings.Contains(err.Error(), "clients[1].arrival.process") {
+		t.Errorf("stride at 2 shards: err = %v, want Compile's field-path error", err)
+	}
+	for _, ok := range []campaign.Request{
+		{Workload: json.RawMessage(`"elephants"`), Shards: 2},
+		{Workload: json.RawMessage(`"stride"`), Shards: 1},
+		{Experiments: "fig5,podtraffic", Shards: 4},
+	} {
+		if _, err := Campaign(ok, nil); err != nil {
+			t.Errorf("%+v rejected: %v", ok, err)
 		}
 	}
 }

@@ -131,12 +131,11 @@ func (cell Cell) shards(opt Options, tp *topo.Topology) int {
 // ShardsUsed returns the engine shard count Run will use under opt.
 func (cell Cell) ShardsUsed(opt Options) int { return cell.shards(opt, cell.topology()) }
 
-// Run executes the cell: build the cluster, compile the workload onto
-// it, start probers and then traffic, and let the measurement set
-// drive and harvest the run. Everything that runs a simulation in
-// this repository outside the benchmark harness goes through here.
-func (cell Cell) Run(opt Options) (LoadResult, error) {
-	opt.fill()
+// start builds the cell's cluster under opt and compiles the workload
+// onto it. Campaign calls it on its own as a dry run, so a workload
+// that cannot run on the requested shards is rejected with Compile's
+// field-path error when the campaign is built.
+func (cell Cell) start(opt Options) (*run, error) {
 	tp := cell.topology()
 	cfg := cluster.Config{
 		Topology:     tp,
@@ -147,7 +146,7 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 		Shards:       cell.shards(opt, tp),
 	}
 	if cfg.Shards > 1 && cfg.Telemetry != nil {
-		return LoadResult{}, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
+		return nil, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
 	}
 	if cell.config != nil {
 		cell.config(&cfg)
@@ -155,9 +154,22 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 	c := cluster.New(cfg)
 	g, err := wspec.Compile(cell.Workload, c, opt.Seed)
 	if err != nil {
+		return nil, err
+	}
+	return &run{cell: cell, opt: opt, c: c, g: g}, nil
+}
+
+// Run executes the cell: build the cluster, compile the workload onto
+// it, start probers and then traffic, and let the measurement set
+// drive and harvest the run. Everything that runs a simulation in
+// this repository outside the benchmark harness goes through here.
+func (cell Cell) Run(opt Options) (LoadResult, error) {
+	opt.fill()
+	r, err := cell.start(opt)
+	if err != nil {
 		return LoadResult{}, err
 	}
-	r := &run{cell: cell, opt: opt, c: c, g: g}
+	c, g := r.c, r.g
 	if cell.probes && c.Shards() == 1 {
 		n := g.Servers()
 		for i := 0; i < n; i++ {

@@ -20,119 +20,138 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"slices"
 	"sort"
 	"strings"
 	"time"
 
 	"presto"
+	"presto/internal/campaign"
 	"presto/internal/cluster"
 	"presto/internal/packet"
 	"presto/internal/sim"
+	"presto/internal/telemetry"
 	"presto/internal/topo"
 	"presto/internal/trace"
 	wspec "presto/internal/workload/spec"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: exit code 0 on success, 1 on run or
+// IO errors, 2 on usage errors.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("capture", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	// What to capture is a campaign.Request like every other front
+	// door's: one system, one workload, a seed and a window.
+	req := campaign.Request{
+		Scheme:   "presto",
+		Workload: json.RawMessage(`"mice-heavy"`),
+		Duration: wspec.Duration(50 * sim.Millisecond),
+	}
+	req.Bind(fs, "seed", "duration")
+	fs.StringVar(&req.Scheme, "system", req.Scheme, "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec")
+	fs.Var(req.WorkloadFlag(), "workload", "workload-spec preset name or spec.json path to drive the capture")
 	var (
-		system   = flag.String("system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec")
-		workload = flag.String("workload", "mice-heavy", "workload-spec preset name or spec.json path to drive the capture")
-		flows    = flag.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
-		out      = flag.String("out", "", "pcap output path (empty = skip packet capture)")
-		analyze  = flag.Bool("analyze", false, "print the offline per-flow trace analysis of the tapped receiver")
-		duration = flag.Duration("duration", 50*time.Millisecond, "simulated capture window")
-		seed     = flag.Uint64("seed", 1, "random seed")
-		gap      = flag.Duration("gap", 500*time.Microsecond, "flowlet gap for the offline analysis")
+		flows   = fs.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
+		out     = fs.String("out", "", "pcap output path (empty = skip packet capture)")
+		analyze = fs.Bool("analyze", false, "print the offline per-flow trace analysis of the tapped receiver")
+		gap     = fs.Duration("gap", 500*time.Microsecond, "flowlet gap for the offline analysis")
 	)
-	flag.Parse()
-	fail := func(err error) {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	fail := func(code int, err error) int {
+		fmt.Fprintln(stderr, err)
+		return code
 	}
 
-	sys, err := presto.ParseSystem(*system)
+	sys, err := presto.ParseSystem(req.Scheme)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		return fail(2, err)
 	}
+	ws, err := wspec.ResolveJSON(req.Workload)
+	if err != nil {
+		return fail(1, fmt.Errorf("workload: %w", err))
+	}
+	opt := presto.RunOptions(req)
 	tp := topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{})
 	if sys.Optimal() {
 		tp = presto.OptimalTopo(tp.NumHosts())
 	}
-	cfg := cluster.Config{
+	c := cluster.New(cluster.Config{
 		Topology:     tp,
-		Seed:         *seed,
+		Seed:         opt.Seed,
 		Scheme:       cluster.Scheme(sys.SchemeName()),
 		SchemeParams: sys.SchemeParams(),
-	}
-
-	ws, err := wspec.Resolve(*workload)
-	if err != nil {
-		fail(fmt.Errorf("workload: %w", err))
-	}
-
-	c := cluster.New(cfg)
+	})
 
 	// Packet tap at host 2, feeding the pcap writer and/or the offline
 	// analysis — only when either output is requested.
 	var recs []trace.Record
+	var pcapFile *os.File
 	var pcap *trace.Writer
+	var tapErr error
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fail(err)
+		if pcapFile, err = os.Create(*out); err != nil {
+			return fail(1, err)
 		}
-		defer func() {
-			if err := f.Close(); err != nil {
-				fail(fmt.Errorf("closing %s: %w", *out, err))
-			}
-		}()
-		pcap = trace.NewWriter(f)
+		pcap = trace.NewWriter(pcapFile)
 	}
 	if pcap != nil || *analyze {
 		c.TapHost(2, func(at sim.Time, p *packet.Packet) {
 			if *analyze {
 				recs = append(recs, trace.Record{At: at, Packet: p.Clone()})
 			}
-			if pcap != nil {
-				if err := pcap.WritePacket(at, p); err != nil {
-					fail(fmt.Errorf("pcap write: %w", err))
-				}
+			if pcap != nil && tapErr == nil {
+				tapErr = pcap.WritePacket(at, p)
 			}
 		})
 	}
 
-	g, err := wspec.Compile(ws, c, *seed)
+	g, err := wspec.Compile(ws, c, opt.Seed)
 	if err != nil {
-		fail(err)
+		return fail(1, err)
 	}
 	var starts []wspec.FlowStart
 	if *flows != "" {
 		g.OnFlowStart = func(f wspec.FlowStart) { starts = append(starts, f) }
 	}
-	g.Start(sim.FromDuration(*duration))
-	c.Eng.Run(sim.FromDuration(*duration))
+	g.Start(opt.Duration)
+	c.Eng.Run(opt.Duration)
+	if tapErr != nil {
+		return fail(1, fmt.Errorf("pcap write: %w", tapErr))
+	}
 
-	fmt.Printf("workload %s (spec %s) on %s: %v simulated\n", ws.Name, ws.Hash(), *system, *duration)
+	fmt.Fprintf(stdout, "workload %s (spec %s) on %s: %v simulated\n", ws.Name, ws.Hash(), req.Scheme, &req.Duration)
 	for _, cr := range g.Results(c.Eng.Now()) {
-		fmt.Printf("  client %-13s started=%d finished=%d bytes=%d\n", cr.ID+":", cr.Started, cr.Finished, cr.BytesMoved)
+		fmt.Fprintf(stdout, "  client %-13s started=%d finished=%d bytes=%d\n", cr.ID+":", cr.Started, cr.Finished, cr.BytesMoved)
 	}
 
 	if *flows != "" {
 		if err := writeFlowLog(*flows, starts); err != nil {
-			fail(err)
+			return fail(1, err)
 		}
-		fmt.Printf("wrote %d flow starts to %s (replay with a spec trace source)\n", len(starts), *flows)
+		fmt.Fprintf(stdout, "wrote %d flow starts to %s (replay with a spec trace source)\n", len(starts), *flows)
 	}
 	if pcap != nil {
-		fmt.Printf("captured %d frames to %s\n", pcap.Count(), *out)
+		if err := pcapFile.Close(); err != nil {
+			return fail(1, fmt.Errorf("closing %s: %w", *out, err))
+		}
+		fmt.Fprintf(stdout, "captured %d frames to %s\n", pcap.Count(), *out)
 	}
 	if *analyze {
-		printAnalysis(recs, sim.FromDuration(*gap), *gap)
+		printAnalysis(stdout, recs, sim.FromDuration(*gap), *gap)
 	}
+	return 0
 }
 
 // writeFlowLog writes the recorded starts, normalized so the first
@@ -148,25 +167,17 @@ func writeFlowLog(path string, starts []wspec.FlowStart) error {
 		f.At -= base
 		out[i] = f
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
+	write := wspec.WriteFlowLogCSV
 	if strings.HasSuffix(path, ".jsonl") {
-		err = wspec.WriteFlowLogJSONL(f, out)
-	} else {
-		err = wspec.WriteFlowLogCSV(f, out)
+		write = wspec.WriteFlowLogJSONL
 	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	return err
+	return telemetry.WriteFile(path, func(w io.Writer) error { return write(w, out) })
 }
 
 // printAnalysis prints the classic offline trace analysis of the
 // tapped receiver's packet stream.
-func printAnalysis(recs []trace.Record, flowletGap sim.Time, gap time.Duration) {
-	fmt.Println()
+func printAnalysis(w io.Writer, recs []trace.Record, flowletGap sim.Time, gap time.Duration) {
+	fmt.Fprintln(w)
 	a := trace.Analyze(recs)
 	flows := make([]packet.FlowKey, 0, len(a.Flows))
 	for f := range a.Flows {
@@ -175,26 +186,16 @@ func printAnalysis(recs []trace.Record, flowletGap sim.Time, gap time.Duration) 
 	sort.Slice(flows, func(i, j int) bool { return flows[i].String() < flows[j].String() })
 	for _, f := range flows {
 		fs := a.Flows[f]
-		fmt.Printf("flow %v:\n", fs.Flow)
-		fmt.Printf("  %d packets, %d bytes, %.2f Gbps goodput\n", fs.Packets, fs.Bytes, fs.Goodput())
-		fmt.Printf("  %d flowcells, %.1f%% packets reordered, %d retransmissions\n",
+		fmt.Fprintf(w, "flow %v:\n", fs.Flow)
+		fmt.Fprintf(w, "  %d packets, %d bytes, %.2f Gbps goodput\n", fs.Packets, fs.Bytes, fs.Goodput())
+		fmt.Fprintf(w, "  %d flowcells, %.1f%% packets reordered, %d retransmissions\n",
 			fs.Flowcells, fs.ReorderFraction()*100, fs.Retransmissions)
 		sizes := trace.Flowlets(recs, fs.Flow, flowletGap)
 		if len(sizes) > 1 {
-			fmt.Printf("  %d flowlets at a %v gap; largest %d bytes\n", len(sizes), gap, maxInt(sizes))
+			fmt.Fprintf(w, "  %d flowlets at a %v gap; largest %d bytes\n", len(sizes), gap, slices.Max(sizes))
 		}
 	}
 	if a.InterArrival.N() > 0 {
-		fmt.Printf("\ninter-arrival (us): %s\n", a.InterArrival.Summary("us"))
+		fmt.Fprintf(w, "\ninter-arrival (us): %s\n", a.InterArrival.Summary("us"))
 	}
-}
-
-func maxInt(xs []int) int {
-	m := xs[0]
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }

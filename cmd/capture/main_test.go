@@ -1,0 +1,71 @@
+package main
+
+import (
+	"bytes"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"testing"
+
+	"presto"
+	"presto/internal/cluster"
+	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
+)
+
+// TestCaptureReplays closes the capture→replay loop: record mice-heavy
+// into a flow log (both encodings), then feed the log back through a
+// spec trace source and check every recorded flow starts again.
+func TestCaptureReplays(t *testing.T) {
+	for _, ext := range []string{"csv", "jsonl"} {
+		flows := filepath.Join(t.TempDir(), "flows."+ext)
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-workload", "mice-heavy", "-system", "flowlet100", "-seed", "3", "-duration", "10ms", "-flows", flows}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("capture exited %d:\n%s", code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "workload mice-heavy (spec ") || !strings.Contains(stdout.String(), "on flowlet100: 10ms simulated") {
+			t.Errorf("header missing the workload, system or window:\n%s", stdout.String())
+		}
+		var recorded int
+		_, tail, _ := strings.Cut(stdout.String(), "wrote ")
+		if _, err := fmt.Sscanf(tail, "%d flow starts", &recorded); err != nil || recorded < 5 {
+			t.Fatalf("no flow-start count in output (%v):\n%s", err, stdout.String())
+		}
+
+		ws, err := wspec.Parse([]byte(fmt.Sprintf(
+			`{"version": %q, "name": "replay", "clients": [{"id": "replay", "trace": {"path": %q}}]}`, wspec.Version, flows)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := cluster.New(cluster.Config{Topology: presto.Testbed(), Seed: 1, Scheme: "presto"})
+		g, err := wspec.Compile(ws, c, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g.Start(20 * sim.Millisecond)
+		c.Eng.Run(20 * sim.Millisecond)
+		if res := g.Results(c.Eng.Now()); len(res) != 1 || res[0].Started != recorded || res[0].Finished == 0 {
+			t.Errorf("%s replay: %+v, capture recorded %d flow starts", ext, res, recorded)
+		}
+	}
+}
+
+// TestCaptureUsageErrors checks the exit-code contract: bad flags and
+// system names are usage errors (2), a bad workload a run error (1).
+func TestCaptureUsageErrors(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		code int
+		want string
+	}{
+		{[]string{"-notaflag"}, 2, "notaflag"},
+		{[]string{"-system", "nope"}, 2, "unknown system"},
+		{[]string{"-workload", "nope", "-flows", ""}, 1, "workload"},
+	} {
+		var stdout, stderr bytes.Buffer
+		if code := run(tc.args, &stdout, &stderr); code != tc.code || !strings.Contains(stderr.String(), tc.want) {
+			t.Errorf("%v: exit code %d, want %d with %q on stderr:\n%s", tc.args, code, tc.code, tc.want, stderr.String())
+		}
+	}
+}

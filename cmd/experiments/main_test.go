@@ -194,3 +194,72 @@ func TestArtifactsWritten(t *testing.T) {
 		}
 	}
 }
+
+// reportOf runs the CLI with -format json and parses the report.
+func reportOf(t *testing.T, args ...string) campaign.Report {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	if code := run(append(args, "-format", "json"), &stdout, &stderr); code != 0 {
+		t.Fatalf("%v: exit code = %d, stderr:\n%s", args, code, stderr.String())
+	}
+	var report campaign.Report
+	if err := json.Unmarshal(stdout.Bytes(), &report); err != nil {
+		t.Fatal(err)
+	}
+	return report
+}
+
+// TestSchemeAcceptsPaperNames pins the first front-door bug: -scheme
+// resolves through the same name table as prestosim -system, so the
+// paper's Optimal baseline (and a registry spec beside it) sweep a
+// workload, and a bad name is a usage error listing both kinds.
+func TestSchemeAcceptsPaperNames(t *testing.T) {
+	report := reportOf(t, "-workload", "elephants", "-scheme", "optimal,diffflow:threshold=512KB", "-duration", "5ms", "-warmup", "2ms")
+	for _, id := range []string{"workload-spec/wl=elephants/sys=Optimal", "workload-spec/wl=elephants/sys=diffflow:threshold=512KB"} {
+		if e, ok := report.Envelope(id, "tput_gbps"); !ok || e.Mean <= 0 {
+			t.Errorf("cell %s: no throughput (%v, %v)", id, e, ok)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "elephants", "-scheme", "optimum"}, &stdout, &stderr); code != 2 {
+		t.Errorf("unknown scheme: exit code %d, want 2", code)
+	}
+	if !strings.Contains(stderr.String(), "flowlet100") || !strings.Contains(stderr.String(), "diffflow") {
+		t.Errorf("unknown-scheme error should list paper names and registry schemes:\n%s", stderr.String())
+	}
+}
+
+// TestSchemeMatrixParamsReachIDsAndTable pins the second: a param
+// override changes the scheme-matrix cell IDs and spec hash, and the
+// table groups the variant's cells into its own row — rows and columns
+// come from the report, so the restricted grid renders exactly the
+// rows it has.
+func TestSchemeMatrixParamsReachIDsAndTable(t *testing.T) {
+	args := func(scheme string) []string {
+		return []string{"-run", "scheme-matrix", "-scheme", scheme, "-duration", "5ms", "-warmup", "2ms"}
+	}
+	def, tuned := reportOf(t, args("presto")...), reportOf(t, args("presto:cell=16KB")...)
+	if def.SpecHash == tuned.SpecHash {
+		t.Errorf("presto and presto:cell=16KB share spec hash %s", def.SpecHash)
+	}
+	if def.Cell("scheme-matrix/scheme=presto/wl=elephants/topo=clos") == nil {
+		t.Error("default-parameter cell ID moved")
+	}
+	if tuned.Cell("scheme-matrix/scheme=presto:cell=16KB/wl=elephants/topo=clos") == nil || tuned.Cell("scheme-matrix/scheme=presto/wl=elephants/topo=clos") != nil {
+		t.Errorf("param override did not reach the cell IDs: first cell %s", tuned.Cells[0].ID)
+	}
+
+	var stdout, stderr bytes.Buffer
+	if code := run(args("presto:cell=16KB,presto"), &stdout, &stderr); code != 0 {
+		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr.String())
+	}
+	var rows []string
+	for _, line := range strings.Split(stdout.String(), "\n") {
+		if name, _, _ := strings.Cut(line, " "); strings.HasPrefix(name, "presto") {
+			rows = append(rows, name)
+		}
+	}
+	if got, want := strings.Join(rows, " "), strings.TrimSpace(strings.Repeat("presto:cell=16KB presto ", 3)); got != want {
+		t.Errorf("matrix rows = %q, want %q (one row per variant in each of the three workload tables)\n%s", got, want, stdout.String())
+	}
+}

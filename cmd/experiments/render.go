@@ -9,6 +9,9 @@ package main
 import (
 	"fmt"
 	"io"
+	"slices"
+	"sort"
+	"strconv"
 	"strings"
 
 	"presto"
@@ -16,10 +19,105 @@ import (
 	"presto/internal/metrics"
 )
 
-// rx wraps a report with the lookup helpers the renderers share.
+// rx wraps a report with the lookup helpers the renderers share. Rows
+// and columns come from the report's cells in campaign order (cell IDs
+// are "exp/<key>=<value>/.../sys=<system>"), never from a second copy
+// of the sweeps, so a partial or -scheme-restricted run renders the
+// rows it has.
 type rx struct {
 	r *campaign.Report
 }
+
+// cells returns the IDs of exp's cells in campaign order.
+func (x rx) cells(exp string) []string {
+	var ids []string
+	for i := range x.r.Cells {
+		if x.r.Cells[i].Experiment == exp {
+			ids = append(ids, x.r.Cells[i].ID)
+		}
+	}
+	return ids
+}
+
+// param returns the value of key in a cell ID ("" when absent):
+// param("fig7/paths=4/sys=ECMP", "paths") is "4".
+func param(id, key string) string {
+	for _, part := range strings.Split(id, "/") {
+		if v, ok := strings.CutPrefix(part, key+"="); ok {
+			return v
+		}
+	}
+	return ""
+}
+
+// values returns the distinct values of key among ids, in order.
+func values(ids []string, key string) []string {
+	var out []string
+	for _, id := range ids {
+		if v := param(id, key); !slices.Contains(out, v) {
+			out = append(out, v)
+		}
+	}
+	return out
+}
+
+// pivot lays exp out as a table with one row per value of rowKey
+// (rendered by label) and one column per system.
+func pivot(exp, rowKey, header string, label func(string) string, title string) func(io.Writer, rx) {
+	return func(w io.Writer, x rx) {
+		ids := x.cells(exp)
+		systems := values(ids, "sys")
+		tb := metrics.Table{Header: append([]string{header}, systems...)}
+		for _, row := range values(ids, rowKey) {
+			cols := []string{label(row)}
+			for _, sys := range systems {
+				cols = append(cols, x.val(fmt.Sprintf("%s/%s=%s/sys=%s", exp, rowKey, row, sys), "tput_gbps", 2))
+			}
+			tb.AddRow(cols...)
+		}
+		fmt.Fprint(w, title+"\n"+tb.String())
+	}
+}
+
+// lossTable is the long form of Figures 9 and 12: one row per cell
+// with its sweep point, system, loss rate and fairness.
+func lossTable(exp, rowKey, header string, label func(string) string) func(io.Writer, rx) {
+	return func(w io.Writer, x rx) {
+		tb := metrics.Table{Header: []string{header, "scheme", "loss%", "fairness"}}
+		for _, id := range x.cells(exp) {
+			tb.AddRow(label(param(id, rowKey)), param(id, "sys"), x.val(id, "loss_pct", 4), x.val(id, "fairness", 3))
+		}
+		fmt.Fprint(w, tb.String())
+	}
+}
+
+// perSystem prints title, one line per cell of exp — the system padded
+// to width, then row's columns — and the paper's numbers as trailer
+// (empty title or trailer prints nothing).
+func perSystem(exp, title string, width int, row func(x rx, id string) string, trailer string) func(io.Writer, rx) {
+	return func(w io.Writer, x rx) {
+		fmt.Fprint(w, title)
+		for _, id := range x.cells(exp) {
+			fmt.Fprintf(w, "  %-*v %s\n", width, param(id, "sys"), row(x, id))
+		}
+		fmt.Fprint(w, trailer)
+	}
+}
+
+func rttRow(x rx, id string) string { return x.pctRow(id, "rtt_ms") }
+
+func tputRTTRow(x rx, id string) string {
+	return fmt.Sprintf("tput=%s Gbps  RTT %s", x.val(id, "tput_gbps", 2), x.pctRow(id, "rtt_ms"))
+}
+
+// oversub renders a flows-per-leaf sweep point as the paper's
+// oversubscription ratio (two spines: flows/2).
+func oversub(flows string) string {
+	n, _ := strconv.Atoi(flows)
+	return fmt.Sprintf("%.1f", float64(n)/2)
+}
+
+func same(s string) string { return s }
 
 // env returns the envelope for (cell, metric); zero when absent (a
 // failed cell renders as 0 rather than aborting the document).
@@ -52,58 +150,77 @@ func (x rx) pctRow(id, prefix string) string {
 		x.env(id, prefix+"_max").Mean, n.Mean)
 }
 
-// dist returns a cell's merged sample distribution (nil-safe).
-func (x rx) dist(id, name string) *metrics.Dist {
-	if c := x.r.Cell(id); c != nil {
-		return c.Dist(name)
-	}
-	return nil
+// renderers maps an experiment to its paper-style layout; anything
+// else gets metricsTable.
+var renderers = map[string]func(io.Writer, rx){
+	"fig1": renderFig1, "fig5": renderFig5, "fig6": renderFig6,
+	"fig7": pivot("fig7", "paths", "paths", same, "avg flow throughput (Gbps):"),
+	"fig8": perSystem("fig8", "RTT (ms) in the 8-path scalability benchmark:\n", 8, func(x rx, id string) string {
+		bars := metrics.RenderQuantileBars(x.r.Cell(id).Dist("rtt_ms"), []float64{50, 90, 99, 99.9}, 40, "ms")
+		return rttRow(x, id) + "\n" + strings.TrimSuffix(bars, "\n")
+	}, ""),
+	"fig9":  lossTable("fig9", "paths", "paths", same),
+	"fig10": pivot("fig10", "flows", "oversub", oversub, "avg flow throughput (Gbps):"),
+	"fig11": perSystem("fig11", "RTT (ms) at oversubscription 4:1 (8 flows, 2 spines):\n", 8, rttRow, ""),
+	"fig12": lossTable("fig12", "flows", "oversub", oversub),
+	"fig13": perSystem("fig13", "stride workload, flowlet switching vs Presto:\n", 14, tputRTTRow,
+		"(paper: 4.3 / 7.6 / 9.3 Gbps; Presto cuts 99.9p RTT 2-3.6x)\n"),
+	"fig14": perSystem("fig14", "", 12, tputRTTRow, "(paper: Presto+ECMP 8.9 vs Presto 9.3 Gbps, worse tail RTT)\n"),
+	"fig15": pivot("fig15", "wl", "workload", same, "elephant throughput (Gbps):"),
+	"fig16": renderFig16, "fig17": renderFig17,
+	"table1": normalized("table1", "mice (<100KB) FCT normalized to ECMP (paper: Presto -9/-32/-56/-60%):\n",
+		"elephant tput (Gbps): ", "\n"),
+	"table2": normalized("table2", "east-west mice FCT normalized to ECMP (paper: Presto -20/-79/-86/-87%):\n",
+		"east-west tput (Gbps): ", " \n(paper: 5.7 / 7.4 / 8.2 / 8.9 Gbps)\n"), "fig18": renderFig18, "ablations": renderAblations,
+	"scheme-matrix": renderSchemeMatrix,
 }
 
 // renderReport writes the paper-style result document for every
 // experiment present in the report, in campaign order.
-func renderReport(w io.Writer, report *campaign.Report, seeds int) {
+func renderReport(w io.Writer, report *campaign.Report) {
 	x := rx{r: report}
-	renderers := map[string]func(io.Writer, rx){
-		"fig1": renderFig1, "fig5": renderFig5, "fig6": renderFig6,
-		"fig7": renderFig7, "fig8": renderFig8, "fig9": renderFig9,
-		"fig10": renderFig10, "fig11": renderFig11, "fig12": renderFig12,
-		"fig13": renderFig13, "fig14": renderFig14, "fig15": renderFig15,
-		"fig16": renderFig16, "table1": renderTable1, "table2": renderTable2,
-		"fig17": renderFig17, "fig18": renderFig18, "ablations": renderAblations,
-		"scheme-matrix": renderSchemeMatrix,
-	}
-	for _, exp := range presto.ExperimentsInReport(report) {
+	var seen []string
+	for i := range report.Cells {
+		exp := report.Cells[i].Experiment
+		if slices.Contains(seen, exp) {
+			continue
+		}
+		seen = append(seen, exp)
 		fmt.Fprintf(w, "==== %s: %s ====\n", exp, presto.CampaignExperimentTitle(exp))
-		if seeds > 1 {
-			fmt.Fprintf(w, "(%d-seed envelopes: mean ±stddev)\n", seeds)
+		if n := len(report.Seeds); n > 1 {
+			fmt.Fprintf(w, "(%d-seed envelopes: mean ±stddev)\n", n)
 		}
 		if render, ok := renderers[exp]; ok {
 			render(w, x)
 		} else {
-			renderGeneric(w, x, exp)
+			metricsTable(w, x, exp)
 		}
 		fmt.Fprintln(w)
 	}
 }
 
-// renderGeneric is the fallback for experiments without a bespoke
-// layout.
-func renderGeneric(w io.Writer, x rx, exp string) {
-	var cells []*campaign.CellResult
-	for i := range x.r.Cells {
-		if x.r.Cells[i].Experiment == exp {
-			cells = append(cells, &x.r.Cells[i])
+// metricsTable is the generic layout for experiments without a bespoke
+// one: a row per cell × metric envelope.
+func metricsTable(w io.Writer, x rx, exp string) {
+	tb := metrics.Table{Header: []string{"cell", "metric", "value"}}
+	for _, id := range x.cells(exp) {
+		c := x.r.Cell(id)
+		names := make([]string, 0, len(c.Envelopes))
+		for k := range c.Envelopes {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for _, k := range names {
+			tb.AddRow(strings.TrimPrefix(id, exp+"/"), k, c.Envelopes[k].String())
 		}
 	}
-	metricsTable(w, cells)
+	fmt.Fprint(w, tb.String())
 }
 
 func renderFig1(w io.Writer, x rx) {
-	for _, competing := range []int{1, 2, 3, 4, 6, 8} {
-		id := fmt.Sprintf("fig1/competing=%d", competing)
-		fmt.Fprintf(w, "competing=%d flowlets=%s largest-fraction=%s top sizes (MB): %s %s %s\n",
-			competing, x.val(id, "flowlets", 0), x.val(id, "largest_fraction", 2),
+	for _, id := range x.cells("fig1") {
+		fmt.Fprintf(w, "competing=%s flowlets=%s largest-fraction=%s top sizes (MB): %s %s %s\n",
+			param(id, "competing"), x.val(id, "flowlets", 0), x.val(id, "largest_fraction", 2),
 			x.val(id, "top1_mb", 2), x.val(id, "top2_mb", 2), x.val(id, "top3_mb", 2))
 	}
 }
@@ -131,171 +248,52 @@ func renderFig6(w io.Writer, x rx) {
 	fmt.Fprintf(w, "overhead: +%.1f%% (paper: +6%%)\n", delta)
 }
 
-var scaleSystems = []presto.System{presto.SysECMP, presto.SysMPTCP, presto.SysPresto, presto.SysOptimal}
-
-func renderFig7(w io.Writer, x rx) {
-	tb := metrics.Table{Header: []string{"paths", "ECMP", "MPTCP", "Presto", "Optimal"}}
-	for paths := 2; paths <= 8; paths++ {
-		row := []string{fmt.Sprint(paths)}
-		for _, sys := range scaleSystems {
-			row = append(row, x.val(fmt.Sprintf("fig7/paths=%d/sys=%v", paths, sys), "tput_gbps", 2))
-		}
-		tb.AddRow(row...)
-	}
-	fmt.Fprint(w, "avg flow throughput (Gbps):\n"+tb.String())
-}
-
-func renderFig8(w io.Writer, x rx) {
-	fmt.Fprintln(w, "RTT (ms) in the 8-path scalability benchmark:")
-	for _, sys := range scaleSystems {
-		id := fmt.Sprintf("fig8/sys=%v", sys)
-		fmt.Fprintf(w, "  %-8v %s\n", sys, x.pctRow(id, "rtt_ms"))
-		fmt.Fprint(w, metrics.RenderQuantileBars(x.dist(id, "rtt_ms"), []float64{50, 90, 99, 99.9}, 40, "ms"))
-	}
-}
-
-func renderFig9(w io.Writer, x rx) {
-	tb := metrics.Table{Header: []string{"paths", "scheme", "loss%", "fairness"}}
-	for _, paths := range []int{2, 4, 8} {
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig9/paths=%d/sys=%v", paths, sys)
-			tb.AddRow(fmt.Sprint(paths), sys.String(), x.val(id, "loss_pct", 4), x.val(id, "fairness", 3))
-		}
-	}
-	fmt.Fprint(w, tb.String())
-}
-
-func renderFig10(w io.Writer, x rx) {
-	tb := metrics.Table{Header: []string{"oversub", "ECMP", "MPTCP", "Presto", "Optimal"}}
-	for _, flows := range []int{2, 4, 6, 8} {
-		row := []string{fmt.Sprintf("%.1f", float64(flows)/2)}
-		for _, sys := range scaleSystems {
-			row = append(row, x.val(fmt.Sprintf("fig10/flows=%d/sys=%v", flows, sys), "tput_gbps", 2))
-		}
-		tb.AddRow(row...)
-	}
-	fmt.Fprint(w, "avg flow throughput (Gbps):\n"+tb.String())
-}
-
-func renderFig11(w io.Writer, x rx) {
-	fmt.Fprintln(w, "RTT (ms) at oversubscription 4:1 (8 flows, 2 spines):")
-	for _, sys := range []presto.System{presto.SysECMP, presto.SysMPTCP, presto.SysPresto} {
-		fmt.Fprintf(w, "  %-8v %s\n", sys, x.pctRow(fmt.Sprintf("fig11/sys=%v", sys), "rtt_ms"))
-	}
-}
-
-func renderFig12(w io.Writer, x rx) {
-	tb := metrics.Table{Header: []string{"oversub", "scheme", "loss%", "fairness"}}
-	for _, flows := range []int{2, 4, 8} {
-		for _, sys := range []presto.System{presto.SysECMP, presto.SysMPTCP, presto.SysPresto} {
-			id := fmt.Sprintf("fig12/flows=%d/sys=%v", flows, sys)
-			tb.AddRow(fmt.Sprintf("%.1f", float64(flows)/2), sys.String(), x.val(id, "loss_pct", 4), x.val(id, "fairness", 3))
-		}
-	}
-	fmt.Fprint(w, tb.String())
-}
-
-func renderFig13(w io.Writer, x rx) {
-	fmt.Fprintln(w, "stride workload, flowlet switching vs Presto:")
-	for _, sys := range []presto.System{presto.SysFlowlet100, presto.SysFlowlet500, presto.SysPresto} {
-		id := fmt.Sprintf("fig13/sys=%v", sys)
-		fmt.Fprintf(w, "  %-14v tput=%s Gbps  RTT %s\n", sys, x.val(id, "tput_gbps", 2), x.pctRow(id, "rtt_ms"))
-	}
-	fmt.Fprintln(w, "(paper: 4.3 / 7.6 / 9.3 Gbps; Presto cuts 99.9p RTT 2-3.6x)")
-}
-
-func renderFig14(w io.Writer, x rx) {
-	for _, sys := range []presto.System{presto.SysPrestoECMP, presto.SysPresto} {
-		id := fmt.Sprintf("fig14/sys=%v", sys)
-		fmt.Fprintf(w, "  %-12v tput=%s Gbps  RTT %s\n", sys, x.val(id, "tput_gbps", 2), x.pctRow(id, "rtt_ms"))
-	}
-	fmt.Fprintln(w, "(paper: Presto+ECMP 8.9 vs Presto 9.3 Gbps, worse tail RTT)")
-}
-
-func renderFig15(w io.Writer, x rx) {
-	tb := metrics.Table{Header: []string{"workload", "ECMP", "MPTCP", "Presto", "Optimal"}}
-	for _, wl := range []string{"shuffle", "random", "stride", "bijection"} {
-		row := []string{wl}
-		for _, sys := range scaleSystems {
-			row = append(row, x.val(fmt.Sprintf("fig15/wl=%v/sys=%v", wl, sys), "tput_gbps", 2))
-		}
-		tb.AddRow(row...)
-	}
-	fmt.Fprint(w, "elephant throughput (Gbps):\n"+tb.String())
-}
-
 func renderFig16(w io.Writer, x rx) {
-	for _, wl := range []string{"stride", "bijection", "shuffle"} {
-		fmt.Fprintf(w, "mice FCT (ms), %v workload:\n", wl)
-		for _, sys := range scaleSystems {
-			id := fmt.Sprintf("fig16/wl=%v/sys=%v", wl, sys)
-			fmt.Fprintf(w, "  %-8v %s timeouts=%s\n", sys, x.pctRow(id, "fct_ms"), x.val(id, "mice_timeouts", 0))
+	wl := ""
+	for _, id := range x.cells("fig16") {
+		if v := param(id, "wl"); v != wl {
+			wl = v
+			fmt.Fprintf(w, "mice FCT (ms), %v workload:\n", wl)
 		}
+		fmt.Fprintf(w, "  %-8v %s timeouts=%s\n", param(id, "sys"), x.pctRow(id, "fct_ms"), x.val(id, "mice_timeouts", 0))
 	}
-}
-
-// normalizedRow renders a percentile row normalized to the ECMP cell's
-// envelope means, the paper's Table 1/2 presentation.
-func normalizedRow(x rx, ids []string, baseID, prefix string, p string) []string {
-	base := x.env(baseID, prefix+"_"+p).Mean
-	row := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if id == baseID {
-			row = append(row, "1.0")
-			continue
-		}
-		if x.env(id, prefix+"_n").Mean == 0 {
-			row = append(row, "n/a")
-			continue
-		}
-		v := x.env(id, prefix+"_"+p).Mean
-		if base > 0 {
-			row = append(row, fmt.Sprintf("%+.0f%%", (v/base-1)*100))
-		} else {
-			row = append(row, "n/a")
-		}
-	}
-	return row
 }
 
 var pctKeys = []struct{ label, key string }{
 	{"50%", "p50"}, {"90%", "p90"}, {"99%", "p99"}, {"99.9%", "p999"},
 }
 
-func renderTable1(w io.Writer, x rx) {
-	ids := []string{"table1/sys=ECMP", "table1/sys=Optimal", "table1/sys=Presto"}
-	tb := metrics.Table{Header: []string{"percentile", "ECMP", "Optimal", "Presto"}}
-	for _, p := range pctKeys {
-		tb.AddRow(append([]string{p.label}, normalizedRow(x, ids, ids[0], "fct_ms", p.key)...)...)
+// normalized is the paper's Table 1/2 presentation: mice FCT
+// percentiles of exp's cells normalized to the first one (ECMP), one
+// column per system, then every system's elephant throughput.
+func normalized(exp, title, tputLabel, trailer string) func(io.Writer, rx) {
+	return func(w io.Writer, x rx) {
+		ids := x.cells(exp)
+		tb := metrics.Table{Header: append([]string{"percentile"}, values(ids, "sys")...)}
+		for _, p := range pctKeys {
+			base := x.env(ids[0], "fct_ms_"+p.key).Mean
+			row := []string{p.label, "1.0"}
+			for _, id := range ids[1:] {
+				rel := "n/a"
+				if base > 0 && x.env(id, "fct_ms_n").Mean != 0 {
+					rel = fmt.Sprintf("%+.0f%%", (x.env(id, "fct_ms_"+p.key).Mean/base-1)*100)
+				}
+				row = append(row, rel)
+			}
+			tb.AddRow(row...)
+		}
+		tputs := make([]string, len(ids))
+		for i, id := range ids {
+			tputs[i] = param(id, "sys") + "=" + x.val(id, "tput_gbps", 2)
+		}
+		fmt.Fprint(w, title+tb.String()+tputLabel+strings.Join(tputs, " ")+trailer)
 	}
-	fmt.Fprint(w, "mice (<100KB) FCT normalized to ECMP (paper: Presto -9/-32/-56/-60%):\n"+tb.String())
-	fmt.Fprintf(w, "elephant tput (Gbps): ECMP=%s Optimal=%s Presto=%s\n",
-		x.val(ids[0], "tput_gbps", 2), x.val(ids[1], "tput_gbps", 2), x.val(ids[2], "tput_gbps", 2))
-}
-
-func renderTable2(w io.Writer, x rx) {
-	systems := []presto.System{presto.SysECMP, presto.SysMPTCP, presto.SysPresto, presto.SysOptimal}
-	ids := make([]string, len(systems))
-	for i, sys := range systems {
-		ids[i] = fmt.Sprintf("table2/sys=%v", sys)
-	}
-	tb := metrics.Table{Header: []string{"percentile", "ECMP", "MPTCP", "Presto", "Optimal"}}
-	for _, p := range pctKeys {
-		tb.AddRow(append([]string{p.label}, normalizedRow(x, ids, ids[0], "fct_ms", p.key)...)...)
-	}
-	fmt.Fprint(w, "east-west mice FCT normalized to ECMP (paper: Presto -20/-79/-86/-87%):\n"+tb.String())
-	fmt.Fprintf(w, "east-west tput (Gbps): ")
-	for i, sys := range systems {
-		fmt.Fprintf(w, "%v=%s ", sys, x.val(ids[i], "tput_gbps", 2))
-	}
-	fmt.Fprintln(w, "\n(paper: 5.7 / 7.4 / 8.2 / 8.9 Gbps)")
 }
 
 func renderFig17(w io.Writer, x rx) {
 	tb := metrics.Table{Header: []string{"workload", "symmetry", "failover", "weighted"}}
-	for _, wl := range presto.FailoverWorkloads() {
-		id := "fig17/wl=" + wl
-		tb.AddRow(wl, x.val(id, "symmetry_gbps", 2), x.val(id, "failover_gbps", 2), x.val(id, "weighted_gbps", 2))
+	for _, id := range x.cells("fig17") {
+		tb.AddRow(param(id, "wl"), x.val(id, "symmetry_gbps", 2), x.val(id, "failover_gbps", 2), x.val(id, "weighted_gbps", 2))
 	}
 	fmt.Fprint(w, "Presto throughput per failure stage (Gbps):\n"+tb.String())
 }
@@ -309,82 +307,53 @@ func renderFig18(w io.Writer, x rx) {
 }
 
 func renderAblations(w io.Writer, x rx) {
-	fmt.Fprintln(w, "flowcell size (stride, Gbps/flow):")
-	for _, kb := range []int{16, 32, 64, 128, 256} {
-		fmt.Fprintf(w, "  %3d KB: %s\n", kb, x.val(fmt.Sprintf("ablations/flowcell_kb=%d", kb), "tput_gbps", 2))
+	// sweep prints title and one line per cell that sweeps key.
+	sweep := func(key, title string, line func(id, v string)) {
+		fmt.Fprintln(w, title)
+		for _, id := range x.cells("ablations") {
+			if v := param(id, key); v != "" {
+				line(id, v)
+			}
+		}
 	}
-	fmt.Fprintln(w, "GRO hold multiplier alpha (stride, Gbps/flow, false-loss fires):")
-	for _, a := range []float64{0.5, 1, 2, 4} {
-		id := fmt.Sprintf("ablations/gro_alpha=%g", a)
-		fmt.Fprintf(w, "  alpha=%-4g %s Gbps  %s timeouts\n", a, x.val(id, "tput_gbps", 2), x.val(id, "timeout_fires", 0))
-	}
-	fmt.Fprintln(w, "switch buffer depth (stride, Gbps/flow, loss%):")
-	for _, kb := range []int{256, 512, 2048, 8192} {
-		id := fmt.Sprintf("ablations/buffer_kb=%d", kb)
-		fmt.Fprintf(w, "  %4d KB: %s Gbps  %s%% loss\n", kb, x.val(id, "tput_gbps", 2), x.val(id, "loss_pct", 4))
-	}
-	fmt.Fprintln(w, "congestion control (stride, Gbps/flow):")
-	for _, cc := range []string{"cubic", "reno", "dctcp"} {
-		fmt.Fprintf(w, "  %-6s %s\n", cc, x.val("ablations/cc="+cc, "tput_gbps", 2))
-	}
-	fmt.Fprintln(w, "label mode (stride, Gbps/flow, leaf rules):")
-	for _, mode := range []string{"per-host", "tunnel"} {
-		id := "ablations/labels=" + mode
+	sweep("flowcell_kb", "flowcell size (stride, Gbps/flow):", func(id, kb string) {
+		fmt.Fprintf(w, "  %3s KB: %s\n", kb, x.val(id, "tput_gbps", 2))
+	})
+	sweep("gro_alpha", "GRO hold multiplier alpha (stride, Gbps/flow, false-loss fires):", func(id, a string) {
+		fmt.Fprintf(w, "  alpha=%-4s %s Gbps  %s timeouts\n", a, x.val(id, "tput_gbps", 2), x.val(id, "timeout_fires", 0))
+	})
+	sweep("buffer_kb", "switch buffer depth (stride, Gbps/flow, loss%):", func(id, kb string) {
+		fmt.Fprintf(w, "  %4s KB: %s Gbps  %s%% loss\n", kb, x.val(id, "tput_gbps", 2), x.val(id, "loss_pct", 4))
+	})
+	sweep("cc", "congestion control (stride, Gbps/flow):", func(id, cc string) {
+		fmt.Fprintf(w, "  %-6s %s\n", cc, x.val(id, "tput_gbps", 2))
+	})
+	sweep("labels", "label mode (stride, Gbps/flow, leaf rules):", func(id, mode string) {
 		fmt.Fprintf(w, "  %-8s %s Gbps  %s rules\n", mode, x.val(id, "tput_gbps", 2), x.val(id, "leaf_rules", 0))
-	}
+	})
 }
 
 // renderSchemeMatrix lays out the scheme × workload × topology grid:
 // one table per workload, schemes as rows, and per-topology mean FCT,
-// p99 FCT, and elephant throughput as columns. Rows come from the
-// cells actually present, so partial matrices (-scheme subsets,
-// smoke grids) render without empty rows.
+// p99 FCT, and elephant throughput as columns.
 func renderSchemeMatrix(w io.Writer, x rx) {
-	var schemes []string
-	seen := map[string]bool{}
-	for i := range x.r.Cells {
-		c := &x.r.Cells[i]
-		if c.Experiment != "scheme-matrix" {
-			continue
-		}
-		name := strings.TrimPrefix(c.ID, "scheme-matrix/scheme=")
-		if name == c.ID {
-			continue
-		}
-		if i := strings.IndexByte(name, '/'); i >= 0 {
-			name = name[:i]
-		}
-		if !seen[name] {
-			seen[name] = true
-			schemes = append(schemes, name)
-		}
-	}
-	topos := presto.SchemeMatrixTopos()
-	for _, wl := range presto.SchemeMatrixWorkloads() {
-		any := false
+	ids := x.cells("scheme-matrix")
+	topos := values(ids, "topo")
+	for _, wl := range values(ids, "wl") {
 		tb := metrics.Table{Header: []string{"scheme"}}
 		for _, tp := range topos {
 			tb.Header = append(tb.Header,
 				tp+" FCT-mean(ms)", tp+" FCT-p99(ms)", tp+" tput(Gbps)")
 		}
-		for _, s := range schemes {
+		for _, s := range values(ids, "scheme") {
 			row := []string{s}
-			present := false
 			for _, tp := range topos {
-				id := presto.SchemeMatrixCellID(s, wl, tp)
-				if x.r.Cell(id) != nil {
-					present = true
-				}
+				id := fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", s, wl, tp)
 				row = append(row, x.val(id, "fct_ms_mean", 3),
 					x.val(id, "fct_ms_p99", 3), x.val(id, "tput_gbps", 2))
 			}
-			if present {
-				any = true
-				tb.AddRow(row...)
-			}
+			tb.AddRow(row...)
 		}
-		if any {
-			fmt.Fprintf(w, "workload %s:\n%s", wl, tb.String())
-		}
+		fmt.Fprintf(w, "workload %s:\n%s", wl, tb.String())
 	}
 }

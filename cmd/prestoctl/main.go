@@ -13,10 +13,13 @@
 //	prestoctl cancel job-000000
 //	prestoctl fetch job-000000 -dir out/  # download report.json/report.csv/manifest.json
 //
-// spec.json carries the same knobs as cmd/experiments flags:
+// spec.json is a campaign.Request — the struct cmd/experiments binds
+// its flags to, field for flag:
 //
 //	{"experiments": "fig7", "seeds": 3, "parallelism": 4,
 //	 "duration": "200ms", "warmup": "50ms"}
+//	{"workload": "elephants", "scheme": "optimal,presto:cell=32KB",
+//	 "shards": 2, "cell_timeout": "1m"}
 //
 // -workload resolves a workload-spec preset name or presto-workload/1
 // file locally, validates it, and inlines its canonical form into the
@@ -37,6 +40,7 @@ import (
 	"path/filepath"
 	"syscall"
 
+	"presto/internal/campaign"
 	"presto/internal/server"
 	wspec "presto/internal/workload/spec"
 )
@@ -119,7 +123,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer, stdin io.
 			fmt.Fprintln(stderr, "usage: prestoctl submit [-wait] [-workload PRESET|spec.json] [<spec.json|->]")
 			return 2
 		}
-		var req server.JobRequest
+		var req campaign.Request
 		if sub.NArg() == 1 {
 			var specBytes []byte
 			var err error

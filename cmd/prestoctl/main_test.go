@@ -19,7 +19,7 @@ import (
 // two-cell campaign and returns its base URL.
 func testDaemon(t *testing.T) string {
 	t.Helper()
-	build := func(req server.JobRequest) (*campaign.Spec, error) {
+	build := func(req campaign.Request) (*campaign.Spec, error) {
 		cell := func(id string, base float64) campaign.Cell {
 			return campaign.Cell{
 				Experiment: "synth",

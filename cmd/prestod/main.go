@@ -8,13 +8,16 @@
 //
 //	curl -d '{"experiments":"fig7","seeds":3}' localhost:7377/v1/jobs
 //	curl -d '{"workload":"mice-heavy","seeds":2}' localhost:7377/v1/jobs
+//	curl -d '{"workload":"elephants","scheme":"optimal,presto:cell=32KB","shards":2}' localhost:7377/v1/jobs
 //	curl localhost:7377/v1/jobs/job-000000/events        # NDJSON stream
 //	curl localhost:7377/v1/jobs/job-000000/artifacts/report.json
 //
 // SIGTERM/SIGINT drains gracefully: intake stops (readyz turns 503),
 // running jobs get -drain-timeout to finish, stragglers are cancelled,
-// and completed jobs' artifacts are flushed before exit. See
-// cmd/prestoctl for the matching client.
+// and completed jobs' artifacts are flushed before exit. The job body
+// is a campaign.Request — the struct cmd/experiments binds its flags
+// to — so any campaign runnable from the CLI is submitted unchanged.
+// See cmd/prestoctl for the matching client.
 package main
 
 import (
@@ -26,9 +29,7 @@ import (
 	"net"
 	"net/http"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -59,7 +60,7 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		ttl          = fs.Duration("ttl", time.Hour, "artifact retention after a job finishes (negative = keep forever)")
 		drainTimeout = fs.Duration("drain-timeout", 30*time.Second, "SIGTERM grace period for running jobs before they are cancelled")
 		reqTimeout   = fs.Duration("request-timeout", 30*time.Second, "per-request timeout for non-streaming endpoints")
-		cellTimeout  = fs.Duration("cell-timeout", 5*time.Minute, "default wall-clock budget per replica when the job spec sets none")
+		cellTimeout  = fs.Duration("cell-timeout", campaign.DefaultCellTimeout, "default wall-clock budget per replica when the job spec sets none")
 		quiet        = fs.Bool("q", false, "suppress per-job log lines")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -83,13 +84,13 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 		jobLogf = nil
 	}
 	srv, err := server.New(server.Config{
-		SpecBuilder:    specBuilder(*cellTimeout),
+		SpecBuilder:    jobBuilder(*cellTimeout),
 		DataDir:        *dataDir,
 		QueueDepth:     *queueDepth,
 		Workers:        *workers,
 		ArtifactTTL:    *ttl,
 		RequestTimeout: *reqTimeout,
-		GitDescribe:    gitDescribe(),
+		GitDescribe:    campaign.GitDescribe(),
 		Logf:           jobLogf,
 	})
 	if err != nil {
@@ -134,60 +135,18 @@ func run(args []string, stderr io.Writer, ready chan<- string) int {
 	return 0
 }
 
-// specBuilder maps a JobRequest onto the same campaign spec
-// cmd/experiments builds for identical flags, so server-side runs are
-// byte-identical to CLI runs (the report carries no timing and result
-// ordering is spec-determined, not scheduling-determined). A request
-// carrying a workload spec (inline object, preset name, or spec path)
-// sweeps it across the system lineup exactly like `experiments
-// -workload`.
-func specBuilder(defaultCellTimeout time.Duration) func(server.JobRequest) (*campaign.Spec, error) {
-	return func(req server.JobRequest) (*campaign.Spec, error) {
-		opt := presto.Options{
-			Duration: sim.FromDuration(time.Duration(req.Duration)),
-			Warmup:   sim.FromDuration(time.Duration(req.Warmup)),
+// jobBuilder returns the daemon's server.Config.SpecBuilder:
+// presto.Campaign — the builder cmd/experiments calls for identical
+// flags, so server-side runs are byte-identical to CLI runs (the report
+// carries no timing and result ordering is spec-determined, not
+// scheduling-determined) — behind the one policy that is the daemon's
+// own: a request without a cell timeout gets the -cell-timeout budget
+// rather than none.
+func jobBuilder(cellTimeout time.Duration) func(campaign.Request) (*campaign.Spec, error) {
+	return func(req campaign.Request) (*campaign.Spec, error) {
+		if req.CellTimeout == 0 {
+			req.CellTimeout = wspec.Duration(sim.FromDuration(cellTimeout))
 		}
-		var schemes []string
-		for _, s := range strings.Split(req.Scheme, ",") {
-			if s = strings.TrimSpace(s); s != "" {
-				schemes = append(schemes, s)
-			}
-		}
-		var ws *wspec.Spec
-		if len(req.Workload) > 0 {
-			var err error
-			if ws, err = wspec.ResolveJSON(req.Workload); err != nil {
-				return nil, fmt.Errorf("workload: %w", err)
-			}
-		}
-		spec, err := presto.BuildCampaign(req.Experiments, ws, schemes, opt)
-		if err != nil {
-			return nil, err
-		}
-		seed := req.Seed
-		if seed == 0 {
-			seed = 1
-		}
-		nseeds := req.Seeds
-		if nseeds <= 0 {
-			nseeds = 1
-		}
-		spec.Seeds = campaign.Seeds(seed, nseeds)
-		spec.Parallelism = req.Parallelism
-		spec.CellTimeout = time.Duration(req.CellTimeout)
-		if spec.CellTimeout <= 0 {
-			spec.CellTimeout = defaultCellTimeout
-		}
-		return spec, nil
+		return presto.Campaign(req, nil)
 	}
-}
-
-// gitDescribe stamps job manifests with the repository state; empty
-// outside a git checkout (mirrors cmd/experiments).
-func gitDescribe() string {
-	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
 }

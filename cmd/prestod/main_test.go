@@ -4,11 +4,14 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"syscall"
@@ -19,39 +22,35 @@ import (
 	"presto/internal/campaign"
 	"presto/internal/server"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 // TestServerRunMatchesCLIRun is the headline acceptance check: a real
 // experiment campaign (fig5, the cheapest simulator cells) submitted
-// through the daemon's spec builder and executed server-side at
-// parallelism 4 with 2 concurrent server workers must produce a
-// report.json byte-identical to the same spec run directly at
-// parallelism 1 — the path cmd/experiments -out takes.
+// to the daemon and executed server-side at parallelism 4 with 2
+// concurrent server workers must produce a report.json byte-identical
+// to the same request built and run directly at parallelism 1 — the
+// path cmd/experiments -out takes.
 func TestServerRunMatchesCLIRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real simulator cells")
 	}
-	req := server.JobRequest{
+	req := campaign.Request{
 		Experiments: "fig5",
 		Seeds:       2,
 		Parallelism: 4,
-		Duration:    server.Duration(20 * time.Millisecond),
-		Warmup:      server.Duration(5 * time.Millisecond),
+		Duration:    wspec.Duration(20 * sim.Millisecond),
+		Warmup:      wspec.Duration(5 * sim.Millisecond),
 	}
 
-	// Reference: the exact sequence cmd/experiments performs.
-	opt := presto.Options{
-		Duration: sim.FromDuration(20 * time.Millisecond),
-		Warmup:   sim.FromDuration(5 * time.Millisecond),
-	}
-	refSpec, err := presto.CampaignSpec("fig5", opt)
+	// Reference: what cmd/experiments does with the same flags, serially.
+	serial := req
+	serial.Parallelism = 1
+	refSpec, err := presto.Campaign(serial, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	refSpec.Seeds = campaign.Seeds(1, 2)
-	refSpec.Parallelism = 1
-	refSpec.CellTimeout = time.Minute
-	refReport, err := presto.RunCampaign(refSpec)
+	refReport, err := campaign.Run(refSpec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,7 +61,7 @@ func TestServerRunMatchesCLIRun(t *testing.T) {
 
 	// Server side: same request through prestod's builder.
 	srv, err := server.New(server.Config{
-		SpecBuilder: specBuilder(time.Minute),
+		SpecBuilder: jobBuilder(time.Minute),
 		DataDir:     t.TempDir(),
 		Workers:     2,
 	})
@@ -99,75 +98,131 @@ func TestServerRunMatchesCLIRun(t *testing.T) {
 	}
 }
 
-// TestFrontDoorsAgree runs the same workload through all three front
-// doors — `experiments -workload stride`, a prestod {"workload":
-// "stride"} job, and `prestosim -workload stride -seeds 2` — and
-// requires byte-equal results: the daemon's report.json equals the
-// CLI's stdout, and prestosim's envelope lines equal the report's
-// Presto cell rendered the same way. One cell builder behind every
-// door is what makes this hold.
-func TestFrontDoorsAgree(t *testing.T) {
-	if testing.Short() {
-		t.Skip("builds two CLIs and runs real simulator cells")
-	}
+// buildCommands compiles the named main packages into a temp dir and
+// returns it; binaries are named after the package directory.
+func buildCommands(t *testing.T, pkgs ...string) string {
+	t.Helper()
 	bin := t.TempDir()
-	for _, cmd := range []string{"experiments", "prestosim"} {
-		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, cmd), "presto/cmd/"+cmd).CombinedOutput()
+	for _, pkg := range pkgs {
+		out, err := exec.Command("go", "build", "-o", filepath.Join(bin, filepath.Base(pkg)), "presto/"+pkg).CombinedOutput()
 		if err != nil {
-			t.Fatalf("go build %s: %v\n%s", cmd, err, out)
+			t.Fatalf("go build %s: %v\n%s", pkg, err, out)
 		}
 	}
+	return bin
+}
+
+// TestRequestFlagParity checks the CLIs against the request type by
+// reading their -h output: every JSON field of campaign.Request is a
+// flag on `experiments` (three keep their historical flag spelling),
+// and the subset `prestosim` shares prints the identical help block —
+// same name, default and usage string — because both bind it through
+// Request.Bind.
+func TestRequestFlagParity(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two CLIs")
+	}
+	bin := buildCommands(t, "cmd/experiments", "cmd/prestosim")
+	// help returns flag name → its block of `cmd -h` (header, usage, default).
+	help := func(cmd string) map[string]string {
+		out, _ := exec.Command(filepath.Join(bin, cmd), "-h").CombinedOutput() // -h exits 2 by design
+		blocks := map[string]string{}
+		name := ""
+		for _, line := range strings.Split(string(out), "\n") {
+			if rest, ok := strings.CutPrefix(line, "  -"); ok {
+				name, _, _ = strings.Cut(rest, " ")
+			}
+			if name != "" {
+				blocks[name] += line + "\n"
+			}
+		}
+		return blocks
+	}
+	experiments, prestosim := help("experiments"), help("prestosim")
+
+	spelling := map[string]string{"experiments": "run", "parallelism": "parallel", "cell_timeout": "timeout"}
+	rt := reflect.TypeOf(campaign.Request{})
+	for i := 0; i < rt.NumField(); i++ {
+		field, _, _ := strings.Cut(rt.Field(i).Tag.Get("json"), ",")
+		name := field
+		if s, ok := spelling[field]; ok {
+			name = s
+		}
+		if experiments[name] == "" {
+			t.Errorf("request field %q has no -%s flag on experiments", field, name)
+		}
+	}
+	for _, name := range []string{"seed", "seeds", "parallel", "duration", "warmup", "shards"} {
+		if experiments[name] == "" || prestosim[name] != experiments[name] {
+			t.Errorf("-%s differs between the CLIs:\n--- experiments ---\n%s--- prestosim ---\n%s", name, experiments[name], prestosim[name])
+		}
+	}
+	if len(experiments) < rt.NumField() || len(prestosim) < 6 {
+		t.Fatalf("parsed %d / %d flags from -h output", len(experiments), len(prestosim))
+	}
+}
+
+// TestFrontDoorsAgree sends one request through every front door and
+// requires the same spec hash and byte-equal results. A workload swept
+// over a paper name, a registry name and a param override (the scheme
+// list every door resolves through presto.ParseSystem) goes through
+// `experiments` flags, a prestod JSON job submitted and fetched with
+// `prestoctl`, and — for its Presto cell — `prestosim -seeds 2`, whose
+// envelope lines must equal the report's cell rendered the same way.
+// The fig5 request examples/serving hard-codes must reach the spec hash
+// and report size `experiments` gives for the same flags. One builder
+// behind every door is what makes this hold.
+func TestFrontDoorsAgree(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds the CLIs and runs real simulator cells")
+	}
+	bin := buildCommands(t, "cmd/experiments", "cmd/prestosim", "cmd/prestoctl", "examples/serving")
+	output := func(name string, stdin string, args ...string) []byte {
+		t.Helper()
+		cmd := exec.Command(filepath.Join(bin, name), args...)
+		cmd.Stdin = strings.NewReader(stdin)
+		out, err := cmd.Output()
+		if err != nil {
+			t.Fatalf("%s %v: %v", name, args, err)
+		}
+		return out
+	}
+	const schemes = "optimal,presto,presto:cell=32KB"
 	windows := []string{"-duration", "10ms", "-warmup", "5ms", "-seeds", "2"}
 
-	cli, err := exec.Command(filepath.Join(bin, "experiments"),
-		append([]string{"-workload", "stride", "-format", "json"}, windows...)...).Output()
-	if err != nil {
-		t.Fatalf("experiments: %v", err)
+	cli := output("experiments", "", append([]string{"-workload", "stride", "-scheme", schemes, "-format", "json"}, windows...)...)
+	var report campaign.Report
+	if err := json.Unmarshal(cli, &report); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []string{"workload-spec/wl=stride/sys=Optimal", "workload-spec/wl=stride/sys=Presto", "workload-spec/wl=stride/sys=presto:cell=32KB"} {
+		if report.Cell(id) == nil {
+			t.Errorf("experiments report has no cell %s", id)
+		}
 	}
 
-	srv, err := server.New(server.Config{SpecBuilder: specBuilder(time.Minute), DataDir: t.TempDir()})
+	srv, err := server.New(server.Config{SpecBuilder: jobBuilder(time.Minute), DataDir: t.TempDir()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
 	ts := httptest.NewServer(srv)
 	defer ts.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-	c := &server.Client{BaseURL: ts.URL}
-	st, err := c.Submit(ctx, server.JobRequest{
-		Workload: json.RawMessage(`"stride"`),
-		Seeds:    2,
-		Duration: server.Duration(10 * time.Millisecond),
-		Warmup:   server.Duration(5 * time.Millisecond),
-	})
-	if err != nil {
-		t.Fatal(err)
+	var st server.JobStatus
+	job := output("prestoctl", `{"workload":"stride","scheme":"`+schemes+`","seeds":2,"duration":"10ms","warmup":"5ms"}`,
+		"-addr", ts.URL, "submit", "-wait", "-")
+	if err := json.Unmarshal(job, &st); err != nil || st.State != server.StateDone {
+		t.Fatalf("prestoctl submit -wait: %v\n%s", err, job)
 	}
-	if final, err := c.Wait(ctx, st.ID); err != nil || final.State != server.StateDone {
-		t.Fatalf("job finished %+v, %v", final, err)
+	if st.SpecHash != report.SpecHash {
+		t.Errorf("spec hash: prestod %s, experiments %s", st.SpecHash, report.SpecHash)
 	}
-	daemon, err := c.Artifact(ctx, st.ID, "report.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(daemon, cli) {
+	if daemon := output("prestoctl", "", "-addr", ts.URL, "fetch", st.ID); !bytes.Equal(daemon, cli) {
 		t.Errorf("prestod report.json (%d bytes) differs from experiments stdout (%d bytes)", len(daemon), len(cli))
 	}
 
-	sim, err := exec.Command(filepath.Join(bin, "prestosim"),
-		append([]string{"-workload", "stride", "-system", "presto"}, windows...)...).Output()
-	if err != nil {
-		t.Fatalf("prestosim: %v", err)
-	}
-	var report campaign.Report
-	if err := json.Unmarshal(cli, &report); err != nil {
-		t.Fatal(err)
-	}
+	sim := output("prestosim", "", append([]string{"-workload", "stride", "-system", "presto"}, windows...)...)
 	cell := report.Cell("workload-spec/wl=stride/sys=Presto")
-	if cell == nil {
-		t.Fatal("experiments report has no Presto cell")
-	}
 	names := make([]string, 0, len(cell.Envelopes))
 	for k := range cell.Envelopes {
 		names = append(names, k)
@@ -180,13 +235,28 @@ func TestFrontDoorsAgree(t *testing.T) {
 	if _, got, _ := strings.Cut(string(sim), "\n"); got != want {
 		t.Errorf("prestosim envelopes differ from the experiments report's Presto cell:\n--- prestosim ---\n%s--- experiments ---\n%s", got, want)
 	}
+
+	// examples/serving submits fig5 × 2 seeds at 20 ms / 5 ms to its own
+	// in-process daemon and prints what it fetched.
+	fig5 := output("experiments", "", "-run", "fig5", "-seeds", "2", "-duration", "20ms", "-warmup", "5ms", "-format", "json")
+	if err := json.Unmarshal(fig5, &report); err != nil {
+		t.Fatal(err)
+	}
+	wantLine := fmt.Sprintf("report.json: spec %s, %d cells, %d bytes", report.SpecHash, len(report.Cells), len(fig5))
+	if serving := output("serving", ""); !strings.Contains(string(serving), wantLine) {
+		t.Errorf("examples/serving did not fetch the report experiments produces; want %q in:\n%s", wantLine, serving)
+	}
 }
 
-// TestSpecBuilderDefaults checks the flag-parity defaults: seed 1, one
-// seed replica, and the daemon's fallback cell timeout.
+// TestSpecBuilderDefaults pins the one defaults rule of the shared
+// builder as the daemon sees it: a zero field means its default (seed
+// 1, one replica — the values the CLI flags default to), an explicit
+// cell timeout wins over the daemon's fallback, and a request the
+// builder rejects — including shards a workload cannot run on — is a
+// 400 carrying the builder's error, not a failed or panicking job.
 func TestSpecBuilderDefaults(t *testing.T) {
-	build := specBuilder(90 * time.Second)
-	spec, err := build(server.JobRequest{Experiments: "fig5"})
+	build := jobBuilder(90 * time.Second)
+	spec, err := build(campaign.Request{Experiments: "fig5"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,11 +266,37 @@ func TestSpecBuilderDefaults(t *testing.T) {
 	if spec.CellTimeout != 90*time.Second {
 		t.Errorf("default cell timeout = %v, want 90s", spec.CellTimeout)
 	}
-	if _, err := build(server.JobRequest{}); err == nil {
+	explicit, err := build(campaign.Request{Experiments: "fig5", Seed: 1, Seeds: 1, CellTimeout: wspec.Duration(2 * sim.Second)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if explicit.Hash() != spec.Hash() || explicit.CellTimeout != 2*time.Second {
+		t.Errorf("explicit defaults: hash %s vs %s, cell timeout %v", explicit.Hash(), spec.Hash(), explicit.CellTimeout)
+	}
+	if _, err := build(campaign.Request{}); err == nil {
 		t.Error("empty experiments accepted, want error")
 	}
-	if _, err := build(server.JobRequest{Experiments: "nosuch"}); err == nil {
+	if _, err := build(campaign.Request{Experiments: "nosuch"}); err == nil {
 		t.Error("unknown experiment accepted, want error")
+	}
+
+	srv, err := server.New(server.Config{SpecBuilder: build, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+	c := &server.Client{BaseURL: ts.URL}
+	_, err = c.Submit(context.Background(), campaign.Request{Workload: json.RawMessage(`"stride"`), Shards: 2})
+	var apiErr *server.APIError
+	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest || !strings.Contains(apiErr.Message, "clients[1].arrival.process") {
+		t.Errorf("unshardable workload at shards 2: err = %v, want a 400 naming clients[1].arrival.process", err)
+	}
+	if st, err := c.Submit(context.Background(), campaign.Request{Workload: json.RawMessage(`"elephants"`), Shards: 2, Scheme: "presto"}); err != nil {
+		t.Errorf("shardable workload at shards 2 rejected: %v", err)
+	} else if _, err := c.Cancel(context.Background(), st.ID); err != nil {
+		t.Error(err)
 	}
 }
 
@@ -236,10 +332,10 @@ func TestPrestodSIGTERMDrain(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 	c := &server.Client{BaseURL: "http://" + addr}
-	st, err := c.Submit(ctx, server.JobRequest{
+	st, err := c.Submit(ctx, campaign.Request{
 		Experiments: "fig5",
-		Duration:    server.Duration(10 * time.Millisecond),
-		Warmup:      server.Duration(2 * time.Millisecond),
+		Duration:    wspec.Duration(10 * sim.Millisecond),
+		Warmup:      wspec.Duration(2 * sim.Millisecond),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -25,20 +25,17 @@
 package main
 
 import (
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"sort"
 	"strings"
 	"time"
 
 	"presto"
 	"presto/internal/campaign"
-	"presto/internal/sim"
-	"presto/internal/telemetry"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -51,81 +48,83 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("prestosim", flag.ContinueOnError)
-	// -system and -scheme are two spellings of one setting.
-	var system string
-	fs.StringVar(&system, "system", "presto", "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec name[:k=v,...] (e.g. diffflow:threshold=512KB)")
-	fs.StringVar(&system, "scheme", "presto", "same as -system")
+	// One system on one workload is a campaign.Request with a single
+	// scheme: the replication and window flags are the shared ones, and
+	// -system / -scheme are two spellings of its Scheme field.
+	req := campaign.Request{Scheme: "presto", Workload: json.RawMessage(`"stride"`)}
+	req.Bind(fs, "shards", "duration", "warmup", "seed", "seeds", "parallel")
+	fs.StringVar(&req.Scheme, "system", req.Scheme, "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec name[:k=v,...] (e.g. diffflow:threshold=512KB)")
+	fs.StringVar(&req.Scheme, "scheme", req.Scheme, "same as -system")
+	fs.Var(req.WorkloadFlag(), "workload", "a workload-spec preset (stride | shuffle | random | bijection | podtraffic | ...) or a spec.json path")
 	var (
-		workload   = fs.String("workload", "stride", "a workload-spec preset (stride | shuffle | random | bijection | podtraffic | ...) or a spec.json path")
-		shards     = fs.Int("shards", 1, "per-pod engine shards, capped at the topology's pod count; once/unlimited workloads only, RTT probes are skipped when sharded, 1 = serial")
-		pods       = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
-		hostsLeaf  = fs.Int("hosts-per-leaf", 2, "hosts per leaf for -workload podtraffic")
-		duration   = fs.Duration("duration", 200*time.Millisecond, "measurement window (simulated)")
-		warmup     = fs.Duration("warmup", 50*time.Millisecond, "warmup before measurement (simulated)")
-		seed       = fs.Uint64("seed", 1, "random seed (base seed with -seeds > 1)")
-		seeds      = fs.Int("seeds", 1, "seed replicas; > 1 reports mean ±stddev envelopes per metric")
-		parallel   = fs.Int("parallel", 0, "worker pool size for -seeds > 1; 0 = GOMAXPROCS")
-		tracePath  = fs.String("trace", "", "write Chrome trace-event JSON to this file")
-		eventsPath = fs.String("events", "", "write the raw event log as JSON Lines to this file")
-		snapPath   = fs.String("snapshot", "", "write the telemetry snapshot JSON to this file")
-		verbose    = fs.Bool("v", false, "print the telemetry snapshot summary table")
-		cpuProfile = fs.String("cpuprofile", "", "write a pprof CPU profile to this file")
-		memProfile = fs.String("memprofile", "", "write a pprof heap profile to this file")
+		pods      = fs.Int("pods", 4, "pod count for -workload podtraffic (2 aggs, 2 leaves per pod)")
+		hostsLeaf = fs.Int("hosts-per-leaf", 2, "hosts per leaf for -workload podtraffic")
+		diag      campaign.Diagnostics
 	)
+	diag.Bind(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	sys, err := presto.ParseSystem(system)
+	sys, err := presto.ParseSystem(req.Scheme)
 	if err != nil {
 		return err
 	}
 	var cell presto.Cell
-	if *workload == "podtraffic" {
+	if string(req.Workload) == `"podtraffic"` {
 		cell = presto.PodCell(sys, *pods, *hostsLeaf)
 	} else {
-		ws, err := wspec.Resolve(*workload)
+		ws, err := wspec.ResolveJSON(req.Workload)
 		if err != nil {
-			return fmt.Errorf("workload %q is neither a preset (%s) nor a workload spec: %v", *workload, strings.Join(wspec.PresetNames(), " | "), err)
+			return fmt.Errorf("workload %s is neither a preset (%s) nor a workload spec: %v", req.Workload, strings.Join(wspec.PresetNames(), " | "), err)
 		}
 		cell = presto.SpecCell(sys, ws)
 	}
+	// The header names the spec and its hash, so runs are attributable
+	// to an exact workload definition.
+	workload := fmt.Sprintf("%s(spec %s)", cell.Workload.Name, cell.Workload.Hash())
 
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
+	stop, err := diag.Start()
+	if err != nil {
+		return err
+	}
+	defer stop()
+
+	req = req.WithDefaults()
+	if req.Seeds > 1 {
+		// A one-cell campaign over the request's seeds, reported as
+		// per-metric envelopes.
+		spec, err := presto.Campaign(req, diag.PerRun(req.Parallelism, os.Stderr), cell)
 		if err != nil {
 			return err
 		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; StopCPUProfile already flushed before this close runs
-		if err := pprof.StartCPUProfile(f); err != nil {
+		spec.Progress = os.Stderr
+		spec.Telemetry = diag.Registry()
+		report, err := campaign.Run(spec)
+		if err != nil {
 			return err
 		}
-		defer pprof.StopCPUProfile()
+		if failed := report.FailedReplicas(); len(failed) > 0 {
+			return fmt.Errorf("%d replica(s) failed, first: %s seed=%d: %s", len(failed), failed[0].Cell, failed[0].Seed, failed[0].Err)
+		}
+		fmt.Fprintf(stdout, "system=%v workload=%v shards=%d seeds=%d..%d (n=%d)\n",
+			sys, workload, cell.ShardsUsed(presto.RunOptions(req)), req.Seed, req.Seed+uint64(req.Seeds)-1, req.Seeds)
+		envelopes := report.Cells[0].Envelopes
+		names := make([]string, 0, len(envelopes))
+		for k := range envelopes {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		for _, k := range names {
+			fmt.Fprintf(stdout, "  %-16s %s\n", k, envelopes[k].String())
+		}
+		return diag.Finish(diag.Registry().Snapshot(0), os.Stderr)
 	}
 
 	// Telemetry is wired only when some output wants it; otherwise the
 	// run takes the nil-tracer zero-overhead path.
-	var reg *telemetry.Registry
-	if *tracePath != "" || *eventsPath != "" || *snapPath != "" || *verbose {
-		var tr *telemetry.Tracer
-		if *tracePath != "" || *eventsPath != "" {
-			tr = telemetry.NewTracer()
-		}
-		reg = telemetry.NewRegistry(tr)
-	}
-
-	opt := presto.Options{
-		Seed:      *seed,
-		Duration:  sim.FromDuration(*duration),
-		Warmup:    sim.FromDuration(*warmup),
-		Telemetry: reg,
-		Shards:    *shards,
-	}
-
-	if *seeds > 1 {
-		return runReplicated(stdout, cell, opt, *seeds, *parallel)
-	}
-
+	opt := presto.RunOptions(req)
+	opt.Telemetry = diag.Registry()
 	start := time.Now()
 	res, err := cell.Run(opt)
 	if err != nil {
@@ -134,7 +133,7 @@ func run(args []string, stdout io.Writer) error {
 	elapsed := time.Since(start)
 
 	fmt.Fprintf(stdout, "system=%v workload=%v hosts=%d shards=%d seed=%d duration=%v\n",
-		sys, workloadName(cell.Workload), res.Hosts, res.Shards, *seed, *duration)
+		sys, workload, res.Hosts, res.Shards, req.Seed, &req.Duration)
 	fmt.Fprintf(stdout, "  elephant throughput: %.2f Gbps/flow (fairness %.3f)\n", res.MeanTput, res.Fairness)
 	fmt.Fprintf(stdout, "  loss rate:           %.4f%%\n", res.LossRate*100)
 	if res.RTT != nil && res.RTT.N() > 0 {
@@ -160,88 +159,8 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "  engine events:       %d\n", res.Events)
 	fmt.Fprintf(stdout, "  wall time:           %v\n", elapsed.Round(time.Millisecond))
 
-	if err := writeTelemetry(reg, res.Telemetry, *tracePath, *eventsPath, *snapPath); err != nil {
-		return err
-	}
-	if *verbose && res.Telemetry != nil {
+	if diag.Verbose {
 		fmt.Fprintln(stdout)
-		fmt.Fprint(stdout, res.Telemetry.Summary())
 	}
-
-	if *memProfile != "" {
-		f, err := os.Create(*memProfile)
-		if err != nil {
-			return err
-		}
-		defer f.Close() //prestolint:allow errdrop -- profile file is auxiliary diagnostics; WriteHeapProfile's error is already checked
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// runReplicated executes the cell as a one-cell campaign over N seeds
-// and prints per-metric envelopes.
-func runReplicated(stdout io.Writer, cell presto.Cell, opt presto.Options, seeds, parallel int) error {
-	// Per-run telemetry registries are not safe across concurrent
-	// replicas; the single-seed path keeps full telemetry support.
-	opt.Telemetry = nil
-	spec := &campaign.Spec{
-		Name:        "prestosim",
-		Cells:       []campaign.Cell{cell.Campaign(opt)},
-		Seeds:       campaign.Seeds(opt.Seed, seeds),
-		Parallelism: parallel,
-		Progress:    os.Stderr,
-	}
-	report, err := presto.RunCampaign(spec)
-	if err != nil {
-		return err
-	}
-	if failed := report.FailedReplicas(); len(failed) > 0 {
-		return fmt.Errorf("%d replica(s) failed, first: %s seed=%d: %s", len(failed), failed[0].Cell, failed[0].Seed, failed[0].Err)
-	}
-	res := &report.Cells[0]
-	fmt.Fprintf(stdout, "system=%v workload=%v shards=%d seeds=%d..%d (n=%d)\n",
-		cell.System, workloadName(cell.Workload), cell.ShardsUsed(opt), opt.Seed, opt.Seed+uint64(seeds)-1, seeds)
-	names := make([]string, 0, len(res.Envelopes))
-	for k := range res.Envelopes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	for _, k := range names {
-		e := res.Envelopes[k]
-		fmt.Fprintf(stdout, "  %-16s %s\n", k, e.String())
-	}
-	return nil
-}
-
-// writeTelemetry exports the tracer and snapshot to the requested
-// files (shared with cmd/experiments' flag handling in spirit).
-func writeTelemetry(reg *telemetry.Registry, snap *telemetry.Snapshot, tracePath, eventsPath, snapPath string) error {
-	tr := reg.Tracer()
-	if tracePath != "" {
-		if err := telemetry.WriteFile(tracePath, tr.WriteChromeTrace); err != nil {
-			return fmt.Errorf("writing trace: %w", err)
-		}
-	}
-	if eventsPath != "" {
-		if err := telemetry.WriteFile(eventsPath, tr.WriteJSONL); err != nil {
-			return fmt.Errorf("writing events: %w", err)
-		}
-	}
-	if snapPath != "" && snap != nil {
-		if err := telemetry.WriteFile(snapPath, snap.WriteJSON); err != nil {
-			return fmt.Errorf("writing snapshot: %w", err)
-		}
-	}
-	return nil
-}
-
-// workloadName renders the workload for the result header: the
-// spec's name plus hash, so runs are attributable to an exact workload
-// definition.
-func workloadName(ws *wspec.Spec) string {
-	return fmt.Sprintf("%s(spec %s)", ws.Name, ws.Hash())
+	return diag.Finish(res.Telemetry, stdout)
 }

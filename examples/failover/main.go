@@ -8,34 +8,41 @@ package main
 
 import (
 	"fmt"
-	"os"
+	"log"
+	"strings"
 
 	"presto"
+	"presto/internal/campaign"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 func main() {
-	opt := presto.Options{
-		Seed:     7,
-		Warmup:   40 * sim.Millisecond,
-		Duration: 240 * sim.Millisecond,
+	// Figure 17 is a row of the experiment table; a request selects it
+	// and the report's cells come back in the paper's workload order.
+	spec, err := presto.Campaign(campaign.Request{
+		Experiments: "fig17",
+		Seed:        7,
+		Warmup:      wspec.Duration(40 * sim.Millisecond),
+		Duration:    wspec.Duration(240 * sim.Millisecond),
+	}, nil)
+	if err != nil {
+		log.Fatal(err)
 	}
-	for _, w := range presto.FailoverWorkloads() {
-		cell, err := presto.FigureCell("fig17/wl=" + w)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		r, err := cell.Run(opt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		m := r.Metrics
+	report, err := campaign.Run(spec)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if failed := report.FailedReplicas(); len(failed) > 0 {
+		log.Fatal(failed[0].Err)
+	}
+	for i := range report.Cells {
+		c := &report.Cells[i]
+		m := func(name string) float64 { return c.Envelopes[name].Mean }
 		fmt.Printf("%-10v symmetry=%.2f Gbps  failover=%.2f Gbps  weighted=%.2f Gbps\n",
-			w, m["symmetry_gbps"], m["failover_gbps"], m["weighted_gbps"])
+			strings.TrimPrefix(c.ID, "fig17/wl="), m("symmetry_gbps"), m("failover_gbps"), m("weighted_gbps"))
 		fmt.Printf("           RTT p99: %.2f -> %.2f -> %.2f ms\n",
-			m["symmetry_rtt_ms_p99"], m["failover_rtt_ms_p99"], m["weighted_rtt_ms_p99"])
+			m("symmetry_rtt_ms_p99"), m("failover_rtt_ms_p99"), m("weighted_rtt_ms_p99"))
 	}
 	fmt.Println()
 	fmt.Println("Stage 1 uses all four spanning trees. After the S1-L1 link dies,")

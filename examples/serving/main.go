@@ -1,8 +1,8 @@
 // Serving: run an experiment campaign through an in-process prestod
 // server — submit, follow the event stream, and fetch the report —
 // using the same server.Client that cmd/prestoctl wraps. The daemon's
-// artifacts are byte-identical to a direct presto.RunCampaign of the
-// same spec, so serving is a deployment choice, not a results fork.
+// artifacts are byte-identical to a direct campaign.Run of the same
+// request, so serving is a deployment choice, not a results fork.
 //
 //	go run ./examples/serving
 package main
@@ -20,13 +20,15 @@ import (
 	"presto/internal/campaign"
 	"presto/internal/server"
 	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 func main() {
 	// The daemon core is an http.Handler; embedding it takes a spec
-	// builder (how job requests become campaigns) and a data dir.
+	// builder (how job requests become campaigns — presto.Campaign, the
+	// one every front door shares) and a data dir.
 	srv, err := server.New(server.Config{
-		SpecBuilder: buildSpec,
+		SpecBuilder: func(req campaign.Request) (*campaign.Spec, error) { return presto.Campaign(req, nil) },
 		Workers:     2,
 	})
 	if err != nil {
@@ -46,12 +48,12 @@ func main() {
 	c := &server.Client{BaseURL: "http://" + ln.Addr().String()}
 
 	// Submit the GRO microbenchmark (fig5) with two seed replicas.
-	st, err := c.Submit(ctx, server.JobRequest{
+	st, err := c.Submit(ctx, campaign.Request{
 		Experiments: "fig5",
 		Seeds:       2,
 		Parallelism: 4,
-		Duration:    server.Duration(20 * time.Millisecond),
-		Warmup:      server.Duration(5 * time.Millisecond),
+		Duration:    wspec.Duration(20 * sim.Millisecond),
+		Warmup:      wspec.Duration(5 * sim.Millisecond),
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -86,13 +88,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	var report struct {
-		SpecHash string `json:"spec_hash"`
-		Cells    []struct {
-			ID        string                     `json:"id"`
-			Envelopes map[string]json.RawMessage `json:"envelopes"`
-		} `json:"cells"`
-	}
+	var report campaign.Report
 	if err := json.Unmarshal(raw, &report); err != nil {
 		log.Fatal(err)
 	}
@@ -102,24 +98,4 @@ func main() {
 	}
 	fmt.Println("\nThe same bytes come out of `experiments -run fig5 -seeds 2 -out DIR`:")
 	fmt.Println("results depend on the spec, never on where or how wide it ran.")
-}
-
-// buildSpec maps job requests onto real experiment campaigns — the
-// in-process equivalent of cmd/prestod's builder.
-func buildSpec(req server.JobRequest) (*campaign.Spec, error) {
-	spec, err := presto.CampaignSpec(req.Experiments, presto.Options{
-		Duration: sim.FromDuration(time.Duration(req.Duration)),
-		Warmup:   sim.FromDuration(time.Duration(req.Warmup)),
-	})
-	if err != nil {
-		return nil, err
-	}
-	seeds := req.Seeds
-	if seeds <= 0 {
-		seeds = 1
-	}
-	spec.Seeds = campaign.Seeds(1, seeds)
-	spec.Parallelism = req.Parallelism
-	spec.CellTimeout = time.Minute
-	return spec, nil
 }

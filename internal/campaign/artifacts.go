@@ -7,13 +7,16 @@ import (
 	"io"
 	"math"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"runtime"
 	"sort"
 	"strconv"
+	"strings"
 	"time"
 
 	"presto/internal/metrics"
+	"presto/internal/telemetry"
 )
 
 // Envelope summarises one metric over a cell's successful seed
@@ -238,22 +241,21 @@ func (r *Report) WriteArtifacts(dir, gitDescribe string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	write := func(name string, fn func(io.Writer) error) error {
-		f, err := os.Create(filepath.Join(dir, name))
-		if err != nil {
-			return err
-		}
-		if err := fn(f); err != nil {
-			_ = f.Close() // fn's failure is the one to report; close is best-effort cleanup
-			return err
-		}
-		return f.Close()
-	}
-	if err := write("report.json", r.WriteJSON); err != nil {
+	if err := telemetry.WriteFile(filepath.Join(dir, "report.json"), r.WriteJSON); err != nil {
 		return err
 	}
-	if err := write("report.csv", r.WriteCSV); err != nil {
+	if err := telemetry.WriteFile(filepath.Join(dir, "report.csv"), r.WriteCSV); err != nil {
 		return err
 	}
-	return write("manifest.json", r.Manifest(gitDescribe).WriteJSON)
+	return telemetry.WriteFile(filepath.Join(dir, "manifest.json"), r.Manifest(gitDescribe).WriteJSON)
+}
+
+// GitDescribe is the repository state front-ends stamp manifests with;
+// empty outside a git checkout.
+func GitDescribe() string {
+	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
+	if err != nil {
+		return ""
+	}
+	return strings.TrimSpace(string(out))
 }

@@ -11,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"presto/internal/campaign"
 )
 
 // Client is the Go client for a prestod daemon — the programmatic
@@ -97,7 +99,7 @@ func apiError(resp *http.Response) error {
 }
 
 // Submit posts a job; the returned status carries the assigned ID.
-func (c *Client) Submit(ctx context.Context, req JobRequest) (*JobStatus, error) {
+func (c *Client) Submit(ctx context.Context, req campaign.Request) (*JobStatus, error) {
 	var st JobStatus
 	if err := c.do(ctx, http.MethodPost, "/v1/jobs", req, &st); err != nil {
 		return nil, err

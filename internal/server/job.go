@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"fmt"
 	"sync"
 	"time"
@@ -29,89 +27,14 @@ func (s State) Terminal() bool {
 	return s == StateDone || s == StateFailed || s == StateCancelled
 }
 
-// Duration is a time.Duration that marshals as a Go duration string
-// ("150ms") and unmarshals from either a string or a bare nanosecond
-// count, so job specs stay human-writable.
-type Duration time.Duration
-
-// MarshalJSON renders the duration as its Go string form.
-func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(time.Duration(d).String())
-}
-
-// UnmarshalJSON accepts "150ms"-style strings or integer nanoseconds;
-// null leaves the duration unset.
-func (d *Duration) UnmarshalJSON(b []byte) error {
-	if bytes.Equal(b, []byte("null")) {
-		return nil
-	}
-	if len(b) > 0 && b[0] == '"' {
-		var s string
-		if err := json.Unmarshal(b, &s); err != nil {
-			return err
-		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return err
-		}
-		*d = Duration(v)
-		return nil
-	}
-	var ns int64
-	if err := json.Unmarshal(b, &ns); err != nil {
-		return err
-	}
-	*d = Duration(ns)
-	return nil
-}
-
-// JobRequest is the wire form of a campaign submission (POST
-// /v1/jobs). It carries exactly the knobs cmd/experiments exposes, so
-// any campaign runnable from the CLI can be submitted to the daemon
-// unchanged; the server's SpecBuilder maps it onto a campaign.Spec.
-type JobRequest struct {
-	// Experiments selects the cells: "all" or a comma-separated list of
-	// experiment IDs (fig1, fig5, ..., table1, table2, ablations).
-	// Exactly one of Experiments and Workload must be set.
-	Experiments string `json:"experiments,omitempty"`
-	// Workload runs a declarative workload spec across the system
-	// lineup instead of a named experiment: either an inline
-	// presto-workload/1 spec object, or a quoted string naming a
-	// preset (elephants, mice-heavy, incast32, trace) or a spec file
-	// readable by the daemon. The spec's hash lands in the job's
-	// report cells and manifest.
-	Workload json.RawMessage `json:"workload,omitempty"`
-	// Scheme is a comma-separated list of scheme registry specs
-	// (name, optionally name:k=v,... e.g. "diffflow:threshold=512KB").
-	// With Workload it replaces the default system lineup; with
-	// Experiments "scheme-matrix" it restricts the matrix grid. It is
-	// an error with any other Experiments selection.
-	Scheme string `json:"scheme,omitempty"`
-	// Seed is the base random seed; replicas use seed, seed+1, ...
-	// (default 1).
-	Seed uint64 `json:"seed,omitempty"`
-	// Seeds is the number of seed replicas per cell (default 1).
-	Seeds int `json:"seeds,omitempty"`
-	// Parallelism bounds the job's worker pool; 0 means GOMAXPROCS.
-	// Results are byte-identical at any setting.
-	Parallelism int `json:"parallelism,omitempty"`
-	// CellTimeout is the wall-clock budget per replica (0 = server
-	// default).
-	CellTimeout Duration `json:"cell_timeout,omitempty"`
-	// Duration and Warmup are the per-run simulated windows (0 = the
-	// experiment defaults).
-	Duration Duration `json:"duration,omitempty"`
-	Warmup   Duration `json:"warmup,omitempty"`
-}
-
 // JobStatus is the wire form of a job's state (GET /v1/jobs/{id}).
 type JobStatus struct {
-	ID       string     `json:"id"`
-	State    State      `json:"state"`
-	Request  JobRequest `json:"request"`
-	SpecHash string     `json:"spec_hash,omitempty"`
-	Cells    int        `json:"cells"`
-	Replicas int        `json:"replicas"`
+	ID       string           `json:"id"`
+	State    State            `json:"state"`
+	Request  campaign.Request `json:"request"`
+	SpecHash string           `json:"spec_hash,omitempty"`
+	Cells    int              `json:"cells"`
+	Replicas int              `json:"replicas"`
 	// ReplicasDone/Failed track live progress (from the job's campaign
 	// telemetry probe while running, final counts afterwards).
 	ReplicasDone   int        `json:"replicas_done"`
@@ -129,7 +52,7 @@ type JobStatus struct {
 // job is the server-side record of one submitted campaign.
 type job struct {
 	id       string
-	req      JobRequest
+	req      campaign.Request
 	spec     *campaign.Spec
 	specHash string
 	cells    int
@@ -163,7 +86,7 @@ type job struct {
 // stream and telemetry registry are owned by the server so events and
 // live counters flow through the job regardless of what the builder
 // set.
-func newJob(id string, req JobRequest, spec *campaign.Spec, dir string) *job {
+func newJob(id string, req campaign.Request, spec *campaign.Spec, dir string) *job {
 	nseeds := len(spec.Seeds)
 	if nseeds == 0 {
 		nseeds = 1

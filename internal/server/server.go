@@ -9,7 +9,7 @@
 //
 // The API surface:
 //
-//	POST   /v1/jobs                       submit a JobRequest → 202 JobStatus (429 when the queue is full, 503 while draining)
+//	POST   /v1/jobs                       submit a campaign.Request → 202 JobStatus (429 when the queue is full, 503 while draining)
 //	GET    /v1/jobs                       list jobs in submission order
 //	GET    /v1/jobs/{id}                  one job's status
 //	DELETE /v1/jobs/{id}                  cancel (pending jobs die immediately; running ones have their context cancelled)
@@ -51,12 +51,15 @@ var artifactNames = []string{"manifest.json", "report.csv", "report.json"}
 
 // Config parameterizes a Server.
 type Config struct {
-	// SpecBuilder maps a submitted JobRequest onto an executable
-	// campaign spec. Required. The server overwrites the returned
-	// spec's Progress and Telemetry fields to wire the job's event
-	// stream and live counters; everything else (cells, seeds,
-	// parallelism, cell timeout) is the builder's to fill.
-	SpecBuilder func(req JobRequest) (*campaign.Spec, error)
+	// SpecBuilder maps a submitted request onto an executable campaign
+	// spec. Required. It is the seam that keeps this package free of
+	// the simulator: prestod plugs in presto.Campaign (after applying
+	// its -cell-timeout fallback), tests plug in synthetic campaigns.
+	// The server overwrites the returned spec's Progress and Telemetry
+	// fields to wire the job's event stream and live counters;
+	// everything else (cells, seeds, parallelism, cell timeout) is the
+	// builder's to fill.
+	SpecBuilder func(req campaign.Request) (*campaign.Spec, error)
 
 	// DataDir is the artifact root (one subdirectory per job). Empty
 	// means a fresh temporary directory.
@@ -266,7 +269,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req JobRequest
+	var req campaign.Request
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {

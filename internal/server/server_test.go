@@ -18,12 +18,14 @@ import (
 
 	"presto/internal/campaign"
 	"presto/internal/metrics"
+	"presto/internal/sim"
+	wspec "presto/internal/workload/spec"
 )
 
 // synthSpec is the shared two-cell test campaign: metrics are a pure
 // function of (cell, seed), so any two executions of the same request
 // produce byte-identical artifacts regardless of worker scheduling.
-func synthSpec(req JobRequest) (*campaign.Spec, error) {
+func synthSpec(req campaign.Request) (*campaign.Spec, error) {
 	if req.Experiments != "synth" {
 		return nil, fmt.Errorf("unknown experiments %q (this server only runs: synth)", req.Experiments)
 	}
@@ -56,15 +58,15 @@ func synthSpec(req JobRequest) (*campaign.Spec, error) {
 		Cells:       []campaign.Cell{cell("a", 3), cell("b", 11)},
 		Seeds:       campaign.Seeds(seed, nseeds),
 		Parallelism: req.Parallelism,
-		CellTimeout: time.Duration(req.CellTimeout),
+		CellTimeout: sim.Time(req.CellTimeout).AsDuration(),
 	}, nil
 }
 
 // blockingBuilder returns a builder whose single cell blocks on
 // release, plus the release channel — for backpressure/cancel/drain
 // tests that need a job to stay running until told otherwise.
-func blockingBuilder(release chan struct{}) func(JobRequest) (*campaign.Spec, error) {
-	return func(req JobRequest) (*campaign.Spec, error) {
+func blockingBuilder(release chan struct{}) func(campaign.Request) (*campaign.Spec, error) {
+	return func(req campaign.Request) (*campaign.Spec, error) {
 		return &campaign.Spec{
 			Name: "block",
 			Cells: []campaign.Cell{{
@@ -76,7 +78,7 @@ func blockingBuilder(release chan struct{}) func(JobRequest) (*campaign.Spec, er
 				},
 			}},
 			Parallelism: 1,
-			CellTimeout: time.Duration(req.CellTimeout),
+			CellTimeout: sim.Time(req.CellTimeout).AsDuration(),
 		}, nil
 	}
 }
@@ -112,7 +114,7 @@ func ctx(t *testing.T) context.Context {
 // direct campaign.Run of the same spec at a different parallelism.
 func TestSubmitStreamFetchByteIdentical(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec, Workers: 2})
-	req := JobRequest{Experiments: "synth", Seeds: 3, Parallelism: 4}
+	req := campaign.Request{Experiments: "synth", Seeds: 3, Parallelism: 4}
 
 	st, err := c.Submit(ctx(t), req)
 	if err != nil {
@@ -203,7 +205,7 @@ func TestSubmitStreamFetchByteIdentical(t *testing.T) {
 // same stream.
 func TestEventsSSE(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -241,18 +243,18 @@ func TestBackpressure(t *testing.T) {
 		RetryAfter:  3 * time.Second,
 	})
 
-	a, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	a, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Wait until the worker picked A up, so B occupies the queue slot.
 	waitState(t, c, a.ID, StateRunning)
-	b, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	b, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	_, err = c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	_, err = c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusTooManyRequests {
 		t.Fatalf("third submit err = %v, want 429 APIError", err)
@@ -283,14 +285,14 @@ func TestCancelRunningJob(t *testing.T) {
 
 	// Warm up the transport so the goroutine baseline includes idle
 	// keep-alive connections.
-	warm, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	warm, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, c, warm.ID, StateRunning)
 	before := runtime.NumGoroutine()
 
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "block", CellTimeout: Duration(30 * time.Second)})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "block", CellTimeout: wspec.Duration(30 * sim.Second)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -338,12 +340,12 @@ func TestCancelPendingJob(t *testing.T) {
 	defer close(release)
 	_, c := newTestServer(t, Config{SpecBuilder: blockingBuilder(release), Workers: 1, QueueDepth: 2})
 
-	a, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	a, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, c, a.ID, StateRunning)
-	b, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	b, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -366,12 +368,12 @@ func TestDrain(t *testing.T) {
 	release := make(chan struct{})
 	s, c := newTestServer(t, Config{SpecBuilder: blockingBuilder(release), Workers: 1, QueueDepth: 2})
 
-	run, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	run, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	waitState(t, c, run.ID, StateRunning)
-	queued, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	queued, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,7 +387,7 @@ func TestDrain(t *testing.T) {
 
 	// Draining: readyz 503, new submissions 503, queued job cancelled.
 	waitReadyz(t, c, http.StatusServiceUnavailable)
-	_, err = c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	_, err = c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("submit during drain err = %v, want 503", err)
@@ -430,7 +432,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 	release := make(chan struct{})
 	defer close(release)
 	s, c := newTestServer(t, Config{SpecBuilder: blockingBuilder(release)})
-	run, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	run, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +458,7 @@ func TestDrainDeadlineCancelsStragglers(t *testing.T) {
 func TestHealthAndMetricsWhileRunning(t *testing.T) {
 	release := make(chan struct{})
 	_, c := newTestServer(t, Config{SpecBuilder: blockingBuilder(release)})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "block"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "block"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -502,7 +504,7 @@ func TestHealthAndMetricsWhileRunning(t *testing.T) {
 // its TTL elapses.
 func TestArtifactGC(t *testing.T) {
 	s, c := newTestServer(t, Config{SpecBuilder: synthSpec, ArtifactTTL: time.Hour})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -533,7 +535,7 @@ func TestArtifactGC(t *testing.T) {
 // directory removal until the reader has streamed the complete file.
 func TestSlowArtifactReaderSurvivesGC(t *testing.T) {
 	s, c := newTestServer(t, Config{SpecBuilder: synthSpec, ArtifactTTL: time.Hour})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -614,7 +616,7 @@ func TestSlowArtifactReaderSurvivesGC(t *testing.T) {
 func TestBadRequests(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
 	// Unknown experiment selection → 400 from the builder.
-	_, err := c.Submit(ctx(t), JobRequest{Experiments: "nope"})
+	_, err := c.Submit(ctx(t), campaign.Request{Experiments: "nope"})
 	var apiErr *APIError
 	if !errors.As(err, &apiErr) || apiErr.StatusCode != http.StatusBadRequest {
 		t.Errorf("bad spec err = %v, want 400", err)
@@ -628,7 +630,7 @@ func TestBadRequests(t *testing.T) {
 	}
 	// Unknown artifact name → 404 (path traversal is unrepresentable:
 	// only whitelisted names resolve).
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -640,24 +642,28 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
-// TestDurationJSON pins the wire format of Duration.
+// TestDurationJSON pins the wire format of the request's durations
+// (the one JSON duration type, shared with workload specs).
 func TestDurationJSON(t *testing.T) {
-	var req JobRequest
+	var req campaign.Request
 	if err := jsonUnmarshal(`{"experiments":"x","duration":"150ms","warmup":50000000}`, &req); err != nil {
 		t.Fatal(err)
 	}
-	if time.Duration(req.Duration) != 150*time.Millisecond || time.Duration(req.Warmup) != 50*time.Millisecond {
-		t.Errorf("decoded durations = %v, %v", req.Duration, req.Warmup)
+	if req.Duration != wspec.Duration(150*sim.Millisecond) || req.Warmup != wspec.Duration(50*sim.Millisecond) {
+		t.Errorf("decoded durations = %v, %v", &req.Duration, &req.Warmup)
 	}
-	b, err := req.Duration.MarshalJSON()
-	if err != nil || string(b) != `"150ms"` {
+	b, err := json.Marshal(req)
+	if err != nil || string(b) != `{"experiments":"x","duration":"150ms","warmup":"50ms"}` {
 		t.Errorf("marshal = %s, %v", b, err)
 	}
 	if err := jsonUnmarshal(`{"experiments":"x","cell_timeout":null}`, &req); err != nil {
 		t.Errorf("null duration rejected: %v", err)
 	}
 	if req.CellTimeout != 0 {
-		t.Errorf("null cell_timeout = %v, want 0", req.CellTimeout)
+		t.Errorf("null cell_timeout = %v, want 0", &req.CellTimeout)
+	}
+	if err := jsonUnmarshal(`{"experiments":"x","shard":2}`, &req); err == nil {
+		t.Error("unknown request field accepted")
 	}
 }
 

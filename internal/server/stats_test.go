@@ -15,8 +15,8 @@ import (
 // statsBuilder returns a two-cell spec where the first cell finishes
 // immediately (emitting a "lat" distribution) and the second blocks on
 // release — so a follower can observe live percentiles mid-run.
-func statsBuilder(release chan struct{}) func(JobRequest) (*campaign.Spec, error) {
-	return func(req JobRequest) (*campaign.Spec, error) {
+func statsBuilder(release chan struct{}) func(campaign.Request) (*campaign.Spec, error) {
+	return func(req campaign.Request) (*campaign.Spec, error) {
 		mkCell := func(id string, block bool) campaign.Cell {
 			return campaign.Cell{
 				Experiment: "stats",
@@ -46,7 +46,7 @@ func statsBuilder(release chan struct{}) func(JobRequest) (*campaign.Spec, error
 
 func TestStatsSingleFrameAfterDone(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec, Workers: 1})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth", Seeds: 2})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth", Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestStatsFollowStreamsMidRun(t *testing.T) {
 	defer releaseOnce()
 	_, c := newTestServer(t, Config{SpecBuilder: statsBuilder(release)})
 
-	st, err := c.Submit(ctx(t), JobRequest{})
+	st, err := c.Submit(ctx(t), campaign.Request{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestStatsFollowStreamsMidRun(t *testing.T) {
 
 func TestStatsSSE(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -169,7 +169,7 @@ func TestStatsUnknownJobAndBadInterval(t *testing.T) {
 	if !asAPIError(err, &apiErr) || apiErr.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown job: %v", err)
 	}
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth"})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestStatsUnknownJobAndBadInterval(t *testing.T) {
 // exposes the merged live-stats quantiles.
 func TestMetricsCarriesQuantileGauges(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
-	st, err := c.Submit(ctx(t), JobRequest{Experiments: "synth", Seeds: 2})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth", Seeds: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,12 +36,27 @@ const Version = "presto-workload/1"
 
 // Duration is a sim.Time that marshals as a Go duration string
 // ("50ms") and unmarshals from either a string or a bare nanosecond
-// count, so specs stay human-writable.
+// count, so specs and campaign requests stay human-writable. *Duration
+// is also a flag.Value, so the same type backs the CLIs' duration
+// flags.
 type Duration sim.Time
+
+// String renders the duration as its Go string form ("50ms").
+func (d *Duration) String() string { return sim.Time(*d).AsDuration().String() }
+
+// Set parses a Go duration string (flag.Value).
+func (d *Duration) Set(s string) error {
+	v, err := time.ParseDuration(s)
+	if err != nil {
+		return err
+	}
+	*d = Duration(sim.FromDuration(v))
+	return nil
+}
 
 // MarshalJSON renders the duration as its Go string form.
 func (d Duration) MarshalJSON() ([]byte, error) {
-	return json.Marshal(sim.Time(d).AsDuration().String())
+	return json.Marshal(d.String())
 }
 
 // UnmarshalJSON accepts "150ms"-style strings or integer nanoseconds;
@@ -55,12 +70,7 @@ func (d *Duration) UnmarshalJSON(b []byte) error {
 		if err := json.Unmarshal(b, &s); err != nil {
 			return err
 		}
-		v, err := time.ParseDuration(s)
-		if err != nil {
-			return err
-		}
-		*d = Duration(sim.FromDuration(v))
-		return nil
+		return d.Set(s)
 	}
 	var ns int64
 	if err := json.Unmarshal(b, &ns); err != nil {

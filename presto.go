@@ -28,9 +28,9 @@ import (
 // baseline. Systems are comparable values — the historical enum-like
 // variables below keep their display names (and therefore campaign
 // cell IDs) byte-stable — and any registry scheme becomes a System
-// via SystemFor.
+// via ParseSystem.
 type System struct {
-	scheme string // registry name ("" is invalid; use SystemFor or the vars below)
+	scheme string // registry name ("" is invalid; use ParseSystem or the vars below)
 	params string // canonical "k=v,k=v" overrides ("" = schema defaults)
 	// display is the historical name ("ECMP", "Flowlet-100us", …);
 	// empty for registry-derived systems, which render as the spec.
@@ -62,22 +62,6 @@ var (
 	SysPerPacket = System{scheme: "per-packet", display: "PerPacket"}
 )
 
-// SystemFor builds a System from a registry scheme spec
-// ("diffflow", "presto:cell=32KB", …), validating the name and
-// parameters against the registry.
-func SystemFor(spec string) (System, error) {
-	name, params, err := scheme.ParseSpec(spec)
-	if err != nil {
-		return System{}, err
-	}
-	canon := scheme.CanonicalSpec(name, params)
-	sys := System{scheme: name}
-	if canon != name {
-		sys.params = strings.TrimPrefix(canon, name+":")
-	}
-	return sys, nil
-}
-
 // paperSystems maps the -system spellings of the paper's lineup to
 // their Systems.
 var paperSystems = map[string]System{
@@ -93,22 +77,25 @@ var paperSystems = map[string]System{
 	"perpacket":   SysPerPacket,
 }
 
-// ParseSystem resolves a front-end system name: one of the paper's
-// lineup (ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 |
-// presto-ecmp | per-packet, case-insensitive) or any registry scheme
-// spec ("diffflow:threshold=512KB").
+// ParseSystem resolves a system name — the one name table behind every
+// front door: one of the paper's lineup (ecmp | mptcp | presto |
+// optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet,
+// case-insensitive) or any registry scheme spec
+// ("diffflow:threshold=512KB"), validated against the registry.
 func ParseSystem(s string) (System, error) {
 	if sys, ok := paperSystems[strings.ToLower(s)]; ok {
 		return sys, nil
 	}
-	sys, err := SystemFor(s)
+	name, params, err := scheme.ParseSpec(s)
 	if err == nil {
+		sys := System{scheme: name}
+		_, sys.params, _ = strings.Cut(scheme.CanonicalSpec(name, params), ":")
 		return sys, nil
 	}
 	// A known scheme with bad params gets the registry's own error
 	// (which names the offending key/bound); only an unrecognized
 	// name gets the full lineup listing.
-	name, _, _ := strings.Cut(s, ":")
+	name, _, _ = strings.Cut(s, ":")
 	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
 		return System{}, err
 	}
@@ -123,29 +110,27 @@ func (s System) SchemeName() string { return s.scheme }
 // switch baseline instead of the cell's fabric.
 func (s System) Optimal() bool { return s.optimal }
 
-func (s System) String() string {
-	if s.display != "" {
-		return s.display
-	}
+// Spec returns the canonical registry spec the system runs: "name", or
+// "name:k=v,..." with parameter overrides.
+func (s System) Spec() string {
 	if s.params != "" {
 		return s.scheme + ":" + s.params
 	}
 	return s.scheme
 }
 
+func (s System) String() string {
+	if s.display != "" {
+		return s.display
+	}
+	return s.Spec()
+}
+
 // SchemeParams expands the canonical param string back into raw
 // values for cluster.Config.SchemeParams.
 func (s System) SchemeParams() map[string]string {
-	if s.params == "" {
-		return nil
-	}
-	m := make(map[string]string)
-	for _, kv := range strings.Split(s.params, ",") {
-		if eq := strings.IndexByte(kv, '='); eq > 0 {
-			m[kv[:eq]] = kv[eq+1:]
-		}
-	}
-	return m
+	_, params, _ := scheme.ParseSpec(s.Spec()) // valid by construction
+	return params
 }
 
 // Options tunes an experiment run. Zero values take defaults sized

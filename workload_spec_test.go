@@ -2,6 +2,7 @@ package presto
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"presto/internal/campaign"
@@ -34,17 +35,17 @@ func TestExampleSpecsMatchPresets(t *testing.T) {
 // the given worker count — the spec-workload analogue of fig5Spec.
 func specCampaign(t *testing.T, name string, parallelism, seeds int) *campaign.Spec {
 	t.Helper()
-	ws, err := wspec.Preset(name)
+	spec, err := Campaign(campaign.Request{
+		Workload:    json.RawMessage(`"` + name + `"`),
+		Scheme:      "presto",
+		Seeds:       seeds,
+		Parallelism: parallelism,
+		Duration:    wspec.Duration(10 * sim.Millisecond),
+		Warmup:      wspec.Duration(5 * sim.Millisecond),
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := Options{
-		Duration: 10 * sim.Millisecond,
-		Warmup:   5 * sim.Millisecond,
-	}
-	spec := WorkloadCampaign(ws, []System{SysPresto}, opt)
-	spec.Seeds = campaign.Seeds(1, seeds)
-	spec.Parallelism = parallelism
 	return spec
 }
 
@@ -63,7 +64,7 @@ func TestSpecWorkloadDeterministicAcrossParallelism(t *testing.T) {
 
 func parallelismInvariant(t *testing.T, name string) {
 	artifacts := func(parallelism int) (string, string) {
-		report, err := RunCampaign(specCampaign(t, name, parallelism, 2))
+		report, err := campaign.Run(specCampaign(t, name, parallelism, 2))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +92,7 @@ func parallelismInvariant(t *testing.T, name string) {
 // or archived artifacts key on the exact workload definition.
 func TestSpecWorkloadHashInArtifacts(t *testing.T) {
 	spec := specCampaign(t, "mice-heavy", 2, 1)
-	report, err := RunCampaign(spec)
+	report, err := campaign.Run(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
