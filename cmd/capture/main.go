@@ -126,13 +126,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 		g.OnFlowStart = func(f wspec.FlowStart) { starts = append(starts, f) }
 	}
 	g.Start(opt.Duration)
-	c.Eng.Run(opt.Duration)
+	c.Run(opt.Duration)
 	if tapErr != nil {
 		return fail(1, fmt.Errorf("pcap write: %w", tapErr))
 	}
 
 	fmt.Fprintf(stdout, "workload %s (spec %s) on %s: %v simulated\n", ws.Name, ws.Hash(), req.Scheme, &req.Duration)
-	for _, cr := range g.Results(c.Eng.Now()) {
+	for _, cr := range g.Results(c.Now()) {
 		fmt.Fprintf(stdout, "  client %-13s started=%d finished=%d bytes=%d\n", cr.ID+":", cr.Started, cr.Finished, cr.BytesMoved)
 	}
 

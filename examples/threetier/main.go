@@ -37,7 +37,7 @@ func main() {
 			conns = append(conns, conn)
 		}
 		const dur = 80 * sim.Millisecond
-		c.Eng.Run(dur)
+		c.Run(dur)
 		var total float64
 		for _, conn := range conns {
 			total += float64(conn.Delivered()) * 8 / dur.Seconds() / 1e9

@@ -33,7 +33,7 @@ func main() {
 
 	conn := c.Dial(0, 1)
 	conn.SetUnlimited(true)
-	c.Eng.Run(100 * sim.Millisecond)
+	c.Run(100 * sim.Millisecond)
 
 	fmt.Println("\npackets forwarded per spine after 100 ms:")
 	var total uint64

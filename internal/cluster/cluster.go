@@ -3,6 +3,11 @@
 // endpoints), the central controller, and helpers for opening
 // connections, probing RTT, and failing links. This is the layer the
 // experiment harness drives.
+//
+// A cluster has one shape: it always runs on a sim.ShardGroup, and
+// Config.Shards only sets the group's size. A serial run is the group
+// of one, whose single engine is Cluster.Eng; a connection is always a
+// list of subflows, and plain TCP is the list of one.
 package cluster
 
 import (
@@ -94,23 +99,21 @@ type Config struct {
 	// (Figure 5a).
 	RecordFlowcells bool
 
-	// Shards partitions the fabric into per-pod shards, each running
-	// its own engine on its own goroutine with conservative lookahead
+	// Shards is the size of the cluster's shard group: the fabric is
+	// partitioned into that many per-pod shards, each running its own
+	// engine on its own goroutine with conservative lookahead
 	// synchronization (the lookahead is the minimum propagation delay
-	// across inter-pod links). Results are bit-identical to the serial
-	// engine. 0 or 1 selects the serial engine; values above the
-	// topology's pod count are capped. Sharded clusters reject
-	// Telemetry, link failures, and Probers: those paths mutate or
-	// read cross-shard state mid-run.
+	// across inter-pod links). Results are bit-identical at every size.
+	// Values below 1 mean 1 (one engine, no windows); values above the
+	// topology's pod count are capped. Clusters of more than one shard
+	// reject Telemetry, link failures, and Probers: those paths mutate
+	// or read cross-shard state mid-run.
 	Shards int
 
 	// Telemetry, when non-nil, wires the registry's tracer through every
 	// component, registers snapshot probes, and starts the fabric link
 	// monitor. Nil (the default) leaves the whole layer off.
 	Telemetry *telemetry.Registry
-	// MonitorInterval overrides the link monitor's sampling period
-	// (default fabric.DefaultMonitorInterval). Only used with Telemetry.
-	MonitorInterval sim.Time
 }
 
 // Host is one server: its edge datapath and interface.
@@ -122,15 +125,18 @@ type Host struct {
 
 // Cluster is a running testbed.
 type Cluster struct {
-	// Eng is the single engine in serial mode; nil when sharded. Use
-	// Run/RunAll/Now/StopRun to drive the cluster in either mode.
+	// Eng is the control engine, Group().Shard(0): the controller's
+	// clock, and the only engine of a one-shard cluster, where driving
+	// it (Eng.Run, Eng.Schedule, Eng.Now) and driving the cluster are
+	// interchangeable. Use Run/RunAll/Now/StopRun to drive a cluster of
+	// any size.
 	Eng   *sim.Engine
 	Topo  *topo.Topology
 	Net   *fabric.Network
 	Ctrl  *controller.Controller
 	Hosts []*Host
 
-	// group synchronizes the per-pod shard engines (nil when serial).
+	// group synchronizes the per-pod shard engines.
 	group *sim.ShardGroup
 
 	cfg      Config
@@ -168,24 +174,17 @@ func New(cfg Config) *Cluster {
 		cfg.Ctrl.WeightSlots = c.def.Hooks.WeightSlots
 		c.cfg.Ctrl = cfg.Ctrl
 	}
-	shards := cfg.Shards
-	if shards > cfg.Topology.NumPods {
-		shards = cfg.Topology.NumPods
+	shards := max(1, min(cfg.Shards, cfg.Topology.NumPods))
+	if shards > 1 && cfg.Telemetry != nil {
+		panic("cluster: Telemetry requires Shards <= 1 (tracer state is cross-shard)")
 	}
-	if shards > 1 {
-		if cfg.Telemetry != nil {
-			panic("cluster: Telemetry requires Shards <= 1 (tracer state is cross-shard)")
-		}
-		shardOf, lookahead := shardPartition(cfg.Topology, shards)
-		c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
-		c.Net = fabric.NewSharded(c.group, shardOf, cfg.Topology, cfg.Fabric)
-	} else {
-		c.Eng = sim.NewEngine()
-		c.Net = fabric.New(c.Eng, cfg.Topology, cfg.Fabric)
-	}
+	shardOf, lookahead := shardPartition(cfg.Topology, shards)
+	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
+	c.Eng = c.group.Shard(0)
+	c.Net = fabric.NewSharded(c.group, shardOf, cfg.Topology, cfg.Fabric)
 	// The controller only runs at install time and on link failures;
 	// both are sequential-phase paths, so any engine's clock serves.
-	c.Ctrl = controller.New(c.ctrlEngine(), c.Net, cfg.Ctrl)
+	c.Ctrl = controller.New(c.Eng, c.Net, cfg.Ctrl)
 
 	for i := 0; i < cfg.Topology.NumHosts(); i++ {
 		h := packet.HostID(i)
@@ -245,73 +244,33 @@ func shardPartition(t *topo.Topology, count int) ([]int32, sim.Time) {
 	return shardOf, lookahead
 }
 
-// ctrlEngine picks the engine whose clock stamps controller actions.
-func (c *Cluster) ctrlEngine() *sim.Engine {
-	if c.group != nil {
-		return c.group.Shard(0)
-	}
-	return c.Eng
-}
-
 // engOf returns the engine host h's edge components run on.
 func (c *Cluster) engOf(h packet.HostID) *sim.Engine {
 	return c.Net.EngineFor(c.Topo.HostNode(h))
 }
 
-// Group returns the shard group driving a sharded cluster (nil when
-// serial).
+// Group returns the shard group driving the cluster (never nil; a
+// group of one on a serial run, with Group().Shard(0) == Eng).
 func (c *Cluster) Group() *sim.ShardGroup { return c.group }
 
-// Shards returns the number of engine shards (1 when serial).
-func (c *Cluster) Shards() int {
-	if c.group != nil {
-		return c.group.Shards()
-	}
-	return 1
-}
+// Shards returns the number of engine shards (1 on a serial run).
+func (c *Cluster) Shards() int { return c.group.Shards() }
 
-// Run advances simulated time to until in either mode and returns the
-// new clock.
-func (c *Cluster) Run(until sim.Time) sim.Time {
-	if c.group != nil {
-		return c.group.Run(until)
-	}
-	return c.Eng.Run(until)
-}
+// Run advances simulated time to until and returns the new clock.
+func (c *Cluster) Run(until sim.Time) sim.Time { return c.group.Run(until) }
 
-// RunAll drains every pending event in either mode.
-func (c *Cluster) RunAll() sim.Time {
-	if c.group != nil {
-		return c.group.RunAll()
-	}
-	return c.Eng.RunAll()
-}
+// RunAll drains every pending event.
+func (c *Cluster) RunAll() sim.Time { return c.group.RunAll() }
 
 // Now returns the cluster's simulated clock.
-func (c *Cluster) Now() sim.Time {
-	if c.group != nil {
-		return c.group.Now()
-	}
-	return c.Eng.Now()
-}
+func (c *Cluster) Now() sim.Time { return c.group.Now() }
 
 // StopRun halts the in-progress Run from any goroutine (at the next
-// window barrier when sharded).
-func (c *Cluster) StopRun() {
-	if c.group != nil {
-		c.group.Stop()
-		return
-	}
-	c.Eng.Stop()
-}
+// window barrier with more than one shard).
+func (c *Cluster) StopRun() { c.group.Stop() }
 
 // Executed returns the number of events executed across all engines.
-func (c *Cluster) Executed() uint64 {
-	if c.group != nil {
-		return c.group.Executed()
-	}
-	return c.Eng.Executed
-}
+func (c *Cluster) Executed() uint64 { return c.group.Executed() }
 
 // resolveScheme looks the configured scheme up in the registry and
 // resolves its parameters: schema defaults overlaid with
@@ -391,20 +350,20 @@ func (c *Cluster) tcpConfig() tcp.Config {
 }
 
 // FailLink fails a link in the fabric and notifies the controller.
-// Serial clusters only: the controller's deferred label push would
+// One-shard clusters only: the controller's deferred label push would
 // mutate switch tables on every shard mid-run.
 func (c *Cluster) FailLink(id topo.LinkID) {
-	if c.group != nil {
+	if c.Shards() > 1 {
 		panic("cluster: FailLink requires Shards <= 1")
 	}
 	c.Net.FailLink(id)
 	c.Ctrl.HandleLinkFailure(id)
 }
 
-// RestoreLink restores a link and notifies the controller. Serial
+// RestoreLink restores a link and notifies the controller. One-shard
 // clusters only, like FailLink.
 func (c *Cluster) RestoreLink(id topo.LinkID) {
-	if c.group != nil {
+	if c.Shards() > 1 {
 		panic("cluster: RestoreLink requires Shards <= 1")
 	}
 	c.Net.RestoreLink(id)

@@ -8,25 +8,36 @@ import (
 	"presto/internal/tcp"
 )
 
+// sender and receiver are the two method sets tcp.Endpoint shares with
+// mptcp.Sender and mptcp.Receiver: what a Conn needs from its
+// transport beyond the per-subflow endpoints.
+type sender interface {
+	Write(n int)
+	SetUnlimited(on bool)
+	Acked() uint64
+	Done() bool
+}
+
+type receiver interface {
+	Delivered() uint64
+}
+
 // Conn is an application-level connection from Src to Dst over the
-// scheme's transport (plain TCP or MPTCP). The reverse direction
-// carries ACKs and application responses (the paper's app-level
-// acknowledgement for mice FCTs).
+// scheme's transport: a list of TCP subflows, coupled by MPTCP when
+// there is more than one (plain TCP is the connection of one subflow,
+// which is its own sender and receiver). The reverse direction carries
+// ACKs and application responses (the paper's app-level
+// acknowledgement for mice FCTs), which ride subflow 0.
 type Conn struct {
 	c        *Cluster
 	Src, Dst packet.HostID
 
-	// Plain-TCP endpoints (nil when MPTCP).
-	fwd *tcp.Endpoint // at Src: sends request data
-	rev *tcp.Endpoint // at Dst: sends responses
+	fwd  []*tcp.Endpoint // at Src, one per subflow: send request data
+	rev  []*tcp.Endpoint // at Dst, one per subflow: send responses
+	send sender          // request bytes in: fwd[0] or the MPTCP scheduler over fwd
+	recv receiver        // request bytes out: rev[0] or the MPTCP sum over rev
 
-	// MPTCP halves (nil when plain TCP).
-	msend *mptcp.Sender
-	mrecv *mptcp.Receiver
-	mfwd  []*tcp.Endpoint // src-side subflow endpoints
-	mrev  []*tcp.Endpoint // dst-side subflow endpoints
-
-	flows []packet.FlowKey // forward flow key(s), for unregistering
+	flows []packet.FlowKey // forward flow key per subflow, for unregistering
 
 	// OnDelivered fires at the destination as request bytes arrive
 	// in order (connection total).
@@ -42,8 +53,8 @@ type Conn struct {
 func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 	conn := &Conn{c: c, Src: src, Dst: dst, OpenedAt: c.Now()}
 	cfg := c.tcpConfig()
-	// Each endpoint runs on the engine of the host that owns it, so a
-	// sharded cluster keeps every endpoint's timers shard-local.
+	// Each endpoint runs on the engine of the host that owns it, so
+	// every endpoint's timers stay shard-local.
 	srcEng, dstEng := c.engOf(src), c.engOf(dst)
 	// Endpoint trace events are attributed to the host whose stack runs
 	// the endpoint: the forward sender lives at src, the reverse at dst.
@@ -54,52 +65,37 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 	revCfg.TraceHost = int32(dst)
 	srcVS, dstVS := c.Hosts[src].VS, c.Hosts[dst].VS
 
-	if c.transport.Subflows > 1 {
-		for i := 0; i < c.transport.Subflows; i++ {
-			f := packet.FlowKey{
-				Src: packet.Addr{Host: src, Port: c.allocPort()},
-				Dst: packet.Addr{Host: dst, Port: 5001},
-			}
-			fe := tcp.New(srcEng, f, srcVS, fwdCfg)
-			re := tcp.New(dstEng, f.Reverse(), dstVS, revCfg)
-			srcVS.Register(f, fe)
-			dstVS.Register(f.Reverse(), re)
-			conn.mfwd = append(conn.mfwd, fe)
-			conn.mrev = append(conn.mrev, re)
-			conn.flows = append(conn.flows, f)
-		}
-		conn.msend = mptcp.NewSender(srcEng, conn.mfwd)
-		conn.mrecv = mptcp.NewReceiver(conn.mrev)
-		conn.mrecv.OnDelivered = func(total uint64) {
-			if conn.OnDelivered != nil {
-				conn.OnDelivered(total)
-			}
-		}
-		// Responses ride subflow 0's reverse direction.
-		conn.mfwd[0].OnDelivered = func(total uint64) {
-			if conn.OnReverseDelivered != nil {
-				conn.OnReverseDelivered(total)
-			}
-		}
-	} else {
+	n := max(1, c.transport.Subflows)
+	eps := make([]*tcp.Endpoint, 2*n) // one allocation for both sides: Dial is mice-churn's hot path
+	conn.fwd, conn.rev = eps[:n:n], eps[n:]
+	conn.flows = make([]packet.FlowKey, n)
+	for i := range conn.flows {
 		f := packet.FlowKey{
 			Src: packet.Addr{Host: src, Port: c.allocPort()},
 			Dst: packet.Addr{Host: dst, Port: 5001},
 		}
-		conn.fwd = tcp.New(srcEng, f, srcVS, fwdCfg)
-		conn.rev = tcp.New(dstEng, f.Reverse(), dstVS, revCfg)
-		srcVS.Register(f, conn.fwd)
-		dstVS.Register(f.Reverse(), conn.rev)
-		conn.flows = append(conn.flows, f)
-		conn.rev.OnDelivered = func(total uint64) {
-			if conn.OnDelivered != nil {
-				conn.OnDelivered(total)
-			}
+		conn.fwd[i] = tcp.New(srcEng, f, srcVS, fwdCfg)
+		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, revCfg)
+		srcVS.Register(f, conn.fwd[i])
+		dstVS.Register(f.Reverse(), conn.rev[i])
+		conn.flows[i] = f
+	}
+	delivered := func(total uint64) {
+		if conn.OnDelivered != nil {
+			conn.OnDelivered(total)
 		}
-		conn.fwd.OnDelivered = func(total uint64) {
-			if conn.OnReverseDelivered != nil {
-				conn.OnReverseDelivered(total)
-			}
+	}
+	if n > 1 {
+		recv := mptcp.NewReceiver(conn.rev)
+		recv.OnDelivered = delivered
+		conn.send, conn.recv = mptcp.NewSender(srcEng, conn.fwd), recv
+	} else {
+		conn.rev[0].OnDelivered = delivered
+		conn.send, conn.recv = conn.fwd[0], conn.rev[0]
+	}
+	conn.fwd[0].OnDelivered = func(total uint64) {
+		if conn.OnReverseDelivered != nil {
+			conn.OnReverseDelivered(total)
 		}
 	}
 	c.conns = append(c.conns, conn)
@@ -107,89 +103,51 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 }
 
 // Write queues n request bytes at the source.
-func (conn *Conn) Write(n int) {
-	if conn.msend != nil {
-		conn.msend.Write(n)
-		return
-	}
-	conn.fwd.Write(n)
-}
+func (conn *Conn) Write(n int) { conn.send.Write(n) }
 
 // WriteReverse queues n response bytes at the destination (the
 // application-level acknowledgement).
-func (conn *Conn) WriteReverse(n int) {
-	if conn.mrev != nil {
-		conn.mrev[0].Write(n)
-		return
-	}
-	conn.rev.Write(n)
-}
+func (conn *Conn) WriteReverse(n int) { conn.rev[0].Write(n) }
 
 // SetUnlimited makes the forward direction an elephant.
-func (conn *Conn) SetUnlimited(on bool) {
-	if conn.msend != nil {
-		conn.msend.SetUnlimited(on)
-		return
-	}
-	conn.fwd.SetUnlimited(on)
-}
+func (conn *Conn) SetUnlimited(on bool) { conn.send.SetUnlimited(on) }
 
 // Delivered returns request bytes delivered in order at Dst.
-func (conn *Conn) Delivered() uint64 {
-	if conn.mrecv != nil {
-		return conn.mrecv.Delivered()
-	}
-	return conn.rev.Delivered()
-}
+func (conn *Conn) Delivered() uint64 { return conn.recv.Delivered() }
 
 // Acked returns request bytes acknowledged at Src.
-func (conn *Conn) Acked() uint64 {
-	if conn.msend != nil {
-		return conn.msend.Acked()
-	}
-	return conn.fwd.Acked()
-}
+func (conn *Conn) Acked() uint64 { return conn.send.Acked() }
 
 // Done reports whether all written request bytes are acknowledged.
-func (conn *Conn) Done() bool {
-	if conn.msend != nil {
-		return conn.msend.Done()
-	}
-	return conn.fwd.Done()
-}
+func (conn *Conn) Done() bool { return conn.send.Done() }
 
-// SetProbe marks the connection's traffic as latency probes
-// (single-packet sockperf-style measurements that bypass GRO
-// merging). Plain-TCP connections only.
+// SetProbe marks a single-subflow connection's traffic as latency
+// probes (single-packet sockperf-style measurements that bypass GRO
+// merging). A coupled connection's pings stay ordinary data — its
+// scheduler may place them on any subflow — which is what the MPTCP
+// RTT figures have always measured.
 func (conn *Conn) SetProbe() {
-	if conn.fwd != nil {
-		conn.fwd.Probe = true
-	}
-	if conn.rev != nil {
-		conn.rev.Probe = true
+	if len(conn.fwd) == 1 {
+		conn.fwd[0].Probe, conn.rev[0].Probe = true, true
 	}
 }
 
-// Receiver returns the destination-side endpoint of a plain-TCP
-// connection (instrumentation access: flowcell logs, stats).
-func (conn *Conn) Receiver() *tcp.Endpoint { return conn.rev }
+// Receiver returns the destination-side endpoint of the connection's
+// first subflow — under plain TCP, of the connection (instrumentation
+// access: flowcell logs, stats).
+func (conn *Conn) Receiver() *tcp.Endpoint { return conn.rev[0] }
 
-// Sender returns the source-side endpoint of a plain-TCP connection.
-func (conn *Conn) Sender() *tcp.Endpoint { return conn.fwd }
-
-// Subflows returns the MPTCP sender subflows (nil for plain TCP).
-func (conn *Conn) Subflows() []*tcp.Endpoint { return conn.mfwd }
+// Sender returns the source-side endpoint of the connection's first
+// subflow.
+func (conn *Conn) Sender() *tcp.Endpoint { return conn.fwd[0] }
 
 // SenderTimeouts returns RTO fires across the forward direction.
 func (conn *Conn) SenderTimeouts() uint64 {
-	if conn.msend != nil {
-		var t uint64
-		for _, e := range conn.mfwd {
-			t += e.Stats.Timeouts
-		}
-		return t
+	var t uint64
+	for _, e := range conn.fwd {
+		t += e.Stats.Timeouts
 	}
-	return conn.fwd.Stats.Timeouts
+	return t
 }
 
 // Flows returns the forward flow key(s) of the connection (one for
@@ -226,7 +184,7 @@ type Prober struct {
 // NewProber opens a probe connection between two hosts. Call Start to
 // begin probing.
 func (c *Cluster) NewProber(src, dst packet.HostID, interval sim.Time) *Prober {
-	if c.group != nil {
+	if c.Shards() > 1 {
 		// The prober's sample bookkeeping is written from callbacks on
 		// both hosts' engines, which may live on different shards.
 		panic("cluster: Prober requires Shards <= 1")

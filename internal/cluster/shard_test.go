@@ -3,10 +3,12 @@ package cluster
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"presto/internal/packet"
 	"presto/internal/scheme"
+	"presto/internal/sim"
 	"presto/internal/telemetry"
 	"presto/internal/topo"
 )
@@ -59,7 +61,7 @@ func podScenarioFingerprint(t *testing.T, scheme Scheme, shards int) string {
 // and per-switch outcomes — for shard counts that both divide and
 // straddle the pod count.
 func TestShardedClusterMatchesSerial(t *testing.T) {
-	for _, scheme := range []Scheme{Presto, ECMP} {
+	for _, scheme := range []Scheme{Presto, ECMP, MPTCP} {
 		want := podScenarioFingerprint(t, scheme, 1)
 		for _, shards := range []int{2, 3, 4} {
 			got := podScenarioFingerprint(t, scheme, shards)
@@ -104,9 +106,86 @@ func TestShardsCappedAtPods(t *testing.T) {
 		t.Fatalf("Shards() = %d, want capped at 2 pods", c.Shards())
 	}
 	one := New(Config{Topology: topo.SingleSwitch(4, topo.LinkConfig{}), Shards: 8})
-	if one.Group() != nil || one.Eng == nil {
+	if one.Shards() != 1 || one.Eng == nil {
 		t.Fatal("single-pod topology should fall back to the serial engine")
 	}
+	// Every way of asking for a serial run builds the same shape: a
+	// group of one whose engine is Eng.
+	for _, shards := range []int{0, 1, 8} {
+		c := New(Config{Topology: topo.SingleSwitch(4, topo.LinkConfig{}), Shards: shards})
+		if c.Shards() != 1 || c.Group() == nil || c.Eng != c.Group().Shard(0) {
+			t.Fatalf("Shards: %d on one pod: Shards() = %d, Eng == Group().Shard(0) is %v",
+				shards, c.Shards(), c.Group() != nil && c.Eng == c.Group().Shard(0))
+		}
+	}
+	if c.Eng != c.Group().Shard(0) {
+		t.Fatal("Eng of a sharded cluster is not the control engine Group().Shard(0)")
+	}
+}
+
+// TestGroupOfOneDrivesLikeItsEngine pins the contract that lets the
+// tree keep calling c.Eng.Run/Schedule/Now on a serial cluster: on a
+// group of one, driving the engine and driving the cluster are
+// interchangeable, and the cluster's clock and counters read through
+// to the engine's after every step, whichever side took it.
+func TestGroupOfOneDrivesLikeItsEngine(t *testing.T) {
+	c := New(Config{Topology: clos(2, 2, 2), Scheme: Presto, Seed: 3})
+	check := func(step string) {
+		t.Helper()
+		if c.Now() != c.Eng.Now() || c.Executed() != c.Eng.Executed || c.Group().Pending() != c.Eng.Pending() {
+			t.Fatalf("after %s: cluster now=%v executed=%d pending=%d, engine now=%v executed=%d pending=%d",
+				step, c.Now(), c.Executed(), c.Group().Pending(), c.Eng.Now(), c.Eng.Executed, c.Eng.Pending())
+		}
+	}
+	a := c.Dial(0, 2)
+	a.Write(200 << 10)
+	check("Dial")
+	if got := c.Eng.Run(100 * sim.Microsecond); got != 100*sim.Microsecond {
+		t.Fatalf("Eng.Run returned %v", got)
+	}
+	check("Eng.Run")
+	if got := c.Run(300 * sim.Microsecond); got != 300*sim.Microsecond {
+		t.Fatalf("Run returned %v", got)
+	}
+	check("Run")
+	c.RunAll()
+	check("RunAll")
+	if !a.Done() || c.Eng.Pending() != 0 {
+		t.Fatalf("RunAll left the transfer unfinished (done=%v pending=%d)", a.Done(), c.Eng.Pending())
+	}
+
+	// An elephant keeps the queue busy so only a stop can end the run.
+	c.Dial(1, 3).SetUnlimited(true)
+	t0 := c.Now()
+	c.Eng.Schedule(50*sim.Microsecond, c.StopRun)
+	if got := c.Run(t0 + 10*sim.Millisecond); got != t0+50*sim.Microsecond {
+		t.Fatalf("StopRun from an event: Run returned %v, want %v", got, t0+50*sim.Microsecond)
+	}
+	check("StopRun from an event")
+
+	progress := make(chan struct{})
+	c.Eng.Schedule(20*sim.Microsecond, func() { close(progress) })
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		<-progress
+		c.StopRun()
+	}()
+	c.RunAll()
+	wg.Wait()
+	check("StopRun from another goroutine")
+	if c.Eng.Pending() == 0 {
+		t.Fatal("stop drained the elephant's event chain")
+	}
+	// The stop was consumed by the run it ended: both doors still drive.
+	t1 := c.Now()
+	c.Eng.Run(t1 + 10*sim.Microsecond)
+	check("Eng.Run after stops")
+	if got := c.Run(t1 + 20*sim.Microsecond); got != t1+20*sim.Microsecond {
+		t.Fatalf("Run after stops returned %v, want %v", got, t1+20*sim.Microsecond)
+	}
+	check("Run after stops")
 }
 
 // meshScenarioFingerprint drives cross-leaf traffic on a 4-leaf mesh

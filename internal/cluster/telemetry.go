@@ -37,7 +37,7 @@ func (c *Cluster) wireTelemetry() {
 	// The monitor only reads data-plane state, so sampling shifts event
 	// sequence numbers without changing simulated outcomes (verified by
 	// the determinism regression test).
-	c.mon = fabric.NewMonitor(c.Net, c.cfg.MonitorInterval, 0)
+	c.mon = fabric.NewMonitor(c.Net)
 	c.mon.Start()
 	reg.Register(prefix+"links", c.mon.TelemetrySnapshot)
 
@@ -50,27 +50,18 @@ func (c *Cluster) wireTelemetry() {
 	reg.Register(prefix+"tcp", func() map[string]any {
 		var sent, acked, retrans, timeouts, probes, dupacks, ooo uint64
 		eps := 0
-		each := func(e *tcp.Endpoint) {
-			if e == nil {
-				return
-			}
-			eps++
-			sent += e.Stats.BytesSent
-			acked += e.Stats.BytesAcked
-			retrans += e.Stats.Retransmits
-			timeouts += e.Stats.Timeouts
-			probes += e.Stats.Probes
-			dupacks += e.Stats.DupAcks
-			ooo += e.Stats.OOOSegments
-		}
 		for _, conn := range c.conns {
-			each(conn.fwd)
-			each(conn.rev)
-			for _, e := range conn.mfwd {
-				each(e)
-			}
-			for _, e := range conn.mrev {
-				each(e)
+			for _, side := range [][]*tcp.Endpoint{conn.fwd, conn.rev} {
+				for _, e := range side {
+					eps++
+					sent += e.Stats.BytesSent
+					acked += e.Stats.BytesAcked
+					retrans += e.Stats.Retransmits
+					timeouts += e.Stats.Timeouts
+					probes += e.Stats.Probes
+					dupacks += e.Stats.DupAcks
+					ooo += e.Stats.OOOSegments
+				}
 			}
 		}
 		return map[string]any{

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -90,6 +91,34 @@ func TestPipeSerializationAndPropagation(t *testing.T) {
 	want := 2*ser + 2*500*sim.Nanosecond
 	if c.at[0] != want {
 		t.Fatalf("delivery at %v, want %v", c.at[0], want)
+	}
+}
+
+// TestSnapshotClockFollowsBareEngine pins the group-of-one contract on
+// the fabric side: a New(eng, ...) network driven only through eng.Run
+// computes link utilisation against eng's current clock, not a group
+// clock that only the group's own Run would advance.
+func TestSnapshotClockFollowsBareEngine(t *testing.T) {
+	eng, n, _ := testNet(t, 2, 2, 2)
+	if n.EngineFor(n.Topo.HostNode(0)) != eng {
+		t.Fatal("EngineFor does not return the engine the fabric was built on")
+	}
+	p := mkPkt(0, 1, 1000)
+	for i := 0; i < 10; i++ {
+		n.SendFromHost(0, p)
+	}
+	const window = 100 * sim.Microsecond
+	eng.Run(window)
+	tp := n.Topo
+	access := n.Pipe(tp.HostLink(0), tp.HostNode(0))
+	want := float64(access.TxBytes*8) / (window.Seconds() * 10e9)
+	key := fmt.Sprintf("link%d:%d->%d", tp.HostLink(0), tp.HostNode(0), tp.LeafOf(0))
+	link, ok := n.TelemetrySnapshot()["links"].(map[string]any)[key].(map[string]any)
+	if !ok {
+		t.Fatalf("snapshot has no %s", key)
+	}
+	if got := link["utilization"].(float64); got != want || want == 0 {
+		t.Fatalf("utilization %g after eng.Run(%v), want %g (tx_bytes over the engine clock)", got, window, want)
 	}
 }
 

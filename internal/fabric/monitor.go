@@ -20,9 +20,8 @@ type LinkSample struct {
 // engine sequence numbers without changing any simulated outcome; it
 // is started only when telemetry is requested.
 type Monitor struct {
-	net      *Network
-	interval sim.Time
-	max      int // per-series sample cap
+	net *Network
+	eng *sim.Engine // the fabric's control engine (shard 0)
 
 	lastTx    map[pipeKey]uint64
 	series    map[pipeKey][]LinkSample
@@ -37,21 +36,14 @@ const DefaultMonitorInterval = 100 * sim.Microsecond
 // DefaultMonitorSamples caps each link-direction series.
 const DefaultMonitorSamples = 4096
 
-// NewMonitor creates a monitor over n. Zero interval or cap select the
-// defaults.
-func NewMonitor(n *Network, interval sim.Time, maxSamples int) *Monitor {
-	if interval <= 0 {
-		interval = DefaultMonitorInterval
-	}
-	if maxSamples <= 0 {
-		maxSamples = DefaultMonitorSamples
-	}
+// NewMonitor creates a monitor over n, sampling every
+// DefaultMonitorInterval up to DefaultMonitorSamples per series.
+func NewMonitor(n *Network) *Monitor {
 	return &Monitor{
-		net:      n,
-		interval: interval,
-		max:      maxSamples,
-		lastTx:   make(map[pipeKey]uint64),
-		series:   make(map[pipeKey][]LinkSample),
+		net:    n,
+		eng:    n.group.Shard(0),
+		lastTx: make(map[pipeKey]uint64),
+		series: make(map[pipeKey][]LinkSample),
 	}
 }
 
@@ -64,27 +56,27 @@ func (m *Monitor) Start() {
 	for k, p := range m.net.pipes {
 		m.lastTx[k] = p.TxBytes
 	}
-	m.net.Eng.Schedule(m.interval, m.tick)
+	m.eng.Schedule(DefaultMonitorInterval, m.tick)
 }
 
 func (m *Monitor) tick() {
-	now := m.net.Eng.Now()
+	now := m.eng.Now()
 	for k, p := range m.net.pipes {
 		s := m.series[k]
-		if len(s) >= m.max {
+		if len(s) >= DefaultMonitorSamples {
 			m.truncated = true
 			continue
 		}
 		sent := p.TxBytes - m.lastTx[k]
 		m.lastTx[k] = p.TxBytes
-		capBits := m.interval.Seconds() * float64(p.link.BitsPerSec)
+		capBits := DefaultMonitorInterval.Seconds() * float64(p.link.BitsPerSec)
 		util := 0.0
 		if capBits > 0 {
 			util = float64(sent*8) / capBits
 		}
 		m.series[k] = append(s, LinkSample{At: now, QueuedBytes: p.QueuedBytes(), Utilization: util})
 	}
-	m.net.Eng.Schedule(m.interval, m.tick)
+	m.eng.Schedule(DefaultMonitorInterval, m.tick)
 }
 
 // Series returns the samples for one link direction (nil if none).
@@ -128,7 +120,7 @@ func (m *Monitor) TelemetrySnapshot() map[string]any {
 			"mean_utilization": sumU / float64(len(s)),
 		}
 	}
-	out["interval_ns"] = int64(m.interval)
+	out["interval_ns"] = int64(DefaultMonitorInterval)
 	out["truncated"] = m.truncated
 	return out
 }

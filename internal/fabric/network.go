@@ -24,27 +24,22 @@ type Config struct {
 	// HostQueueBytes is the host NIC's transmit queue (driver ring),
 	// deeper than a switch port.
 	HostQueueBytes int
-	// FailoverLatency is the time between a link failing and the
-	// hardware fast-failover rule activating ("several to tens of
-	// milliseconds", §3.3). Until it elapses, traffic to the dead port
-	// is black-holed.
-	FailoverLatency sim.Time
-	// DisableFailover turns off backup-tree rewriting at switches
-	// (Presto leverages failover; plain ECMP fabrics may not). The
-	// zero value leaves failover enabled.
-	DisableFailover bool
 	// ECNThresholdBytes makes switch ports mark Congestion Experienced
 	// on packets that arrive to a queue deeper than this (DCTCP-style
 	// marking). Zero disables marking. Host access pipes never mark.
 	ECNThresholdBytes int
 }
 
+// failoverLatency is the time between a link failing and the hardware
+// fast-failover rule activating ("several to tens of milliseconds",
+// §3.3). Until it elapses, traffic to the dead port is black-holed.
+const failoverLatency = 5 * sim.Millisecond
+
 // DefaultConfig returns testbed-like defaults.
 func DefaultConfig() Config {
 	return Config{
 		SwitchQueueBytes: 2 << 20,
 		HostQueueBytes:   4 * 1024 * 1024,
-		FailoverLatency:  5 * sim.Millisecond,
 	}
 }
 
@@ -55,9 +50,6 @@ func (c *Config) fill() {
 	}
 	if c.HostQueueBytes == 0 {
 		c.HostQueueBytes = d.HostQueueBytes
-	}
-	if c.FailoverLatency == 0 {
-		c.FailoverLatency = d.FailoverLatency
 	}
 }
 
@@ -81,16 +73,12 @@ type shardCounters struct {
 
 // Network is the running data plane for a Topology.
 type Network struct {
-	// Eng drives the whole fabric in serial mode; it is nil for a
-	// sharded network, where every node runs on its shard's engine
-	// (see EngineFor).
-	Eng  *sim.Engine
 	Topo *topo.Topology
 	cfg  Config
 
-	// Sharded mode (NewSharded): the shard group, the node→shard
-	// assignment, and one counter bucket per shard. Serial networks
-	// keep group/shardOf nil and a single bucket.
+	// The shard group every node's engine belongs to (a group of one
+	// for a serial fabric), the node→shard assignment, and one counter
+	// bucket per shard.
 	group    *sim.ShardGroup
 	shardOf  []int32
 	counters []shardCounters
@@ -103,22 +91,21 @@ type Network struct {
 	tracer        *telemetry.Tracer
 }
 
-// New builds the data plane for t, driven by the single engine eng.
+// New builds the data plane for t on the single engine eng: NewSharded
+// over the group of one that views eng, with every node on shard 0.
+// Driving eng directly drives the fabric.
 func New(eng *sim.Engine, t *topo.Topology, cfg Config) *Network {
-	n := newNetwork(t, cfg)
-	n.Eng = eng
-	n.counters = make([]shardCounters, 1)
-	n.populate()
-	return n
+	return NewSharded(sim.GroupOf(eng), make([]int32, len(t.Nodes)), t, cfg)
 }
 
-// NewSharded builds the data plane over a shard group: every node's
-// events run on the engine of its assigned shard, and packets crossing
-// a shard boundary ride ShardGroup.Send with the link's propagation
-// delay. shardOf maps every NodeID to a shard index. Bit-identity with
-// the serial engine requires every cross-shard link's propagation to
-// be at least the group's lookahead; violations panic here rather than
-// reordering events mid-run.
+// NewSharded builds the data plane over a shard group — the one
+// construction path: every node's events run on the engine of its
+// assigned shard, and packets crossing a shard boundary ride
+// ShardGroup.Send with the link's propagation delay. shardOf maps every
+// NodeID to a shard index. Bit-identity with a one-shard run requires
+// every cross-shard link's propagation to be at least the group's
+// lookahead; violations panic here rather than reordering events
+// mid-run.
 func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config) *Network {
 	if len(shardOf) != len(t.Nodes) {
 		panic(fmt.Sprintf("fabric: shard map covers %d nodes, topology has %d", len(shardOf), len(t.Nodes)))
@@ -134,30 +121,18 @@ func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config
 				l.ID, l.Propagation, g.Lookahead()))
 		}
 	}
-	n := newNetwork(t, cfg)
-	n.group = g
-	n.shardOf = shardOf
-	n.counters = make([]shardCounters, g.Shards())
-	n.populate()
-	return n
-}
-
-func newNetwork(t *topo.Topology, cfg Config) *Network {
 	cfg.fill()
-	return &Network{
+	n := &Network{
 		Topo:          t,
 		cfg:           cfg,
+		group:         g,
+		shardOf:       shardOf,
+		counters:      make([]shardCounters, g.Shards()),
 		pipes:         make(map[pipeKey]*Pipe),
 		switches:      make(map[topo.NodeID]*Switch),
 		hosts:         make(map[packet.HostID]Handler),
 		linkDownSince: make(map[topo.LinkID]sim.Time),
 	}
-}
-
-// populate builds the pipes and switches once the engine topology
-// (serial or sharded) is settled.
-func (n *Network) populate() {
-	t := n.Topo
 	for _, l := range t.Links {
 		for _, from := range []topo.NodeID{l.A, l.B} {
 			capBytes := n.cfg.SwitchQueueBytes
@@ -166,8 +141,8 @@ func (n *Network) populate() {
 			}
 			dst := l.Other(from)
 			dstShard := -1
-			if n.group != nil && n.shardOf[from] != n.shardOf[dst] {
-				dstShard = int(n.shardOf[dst])
+			if shardOf[from] != shardOf[dst] {
+				dstShard = int(shardOf[dst])
 			}
 			n.pipes[pipeKey{l.ID, from}] = &Pipe{
 				eng: n.EngineFor(from), net: n, link: l, from: from,
@@ -181,33 +156,24 @@ func (n *Network) populate() {
 			n.switches[node.ID] = newSwitch(n, node)
 		}
 	}
+	return n
 }
 
 // EngineFor returns the engine that node's events must run on: its
-// shard's engine in sharded mode, the serial engine otherwise.
+// shard's engine.
 func (n *Network) EngineFor(node topo.NodeID) *sim.Engine {
-	if n.group == nil {
-		return n.Eng
-	}
 	return n.group.Shard(int(n.shardOf[node]))
 }
 
 // counterOf returns the counter bucket of node's shard.
 func (n *Network) counterOf(node topo.NodeID) *shardCounters {
-	if n.shardOf == nil {
-		return &n.counters[0]
-	}
 	return &n.counters[n.shardOf[node]]
 }
 
 // now returns fabric time for control-plane paths (link failures,
-// telemetry snapshots) that execute between runs.
-func (n *Network) now() sim.Time {
-	if n.group != nil {
-		return n.group.Now()
-	}
-	return n.Eng.Now()
-}
+// telemetry snapshots): the group clock, which on a group of one is
+// its engine's clock even mid-run.
+func (n *Network) now() sim.Time { return n.group.Now() }
 
 // TotalDrops returns queue-overflow drops summed across shards.
 func (n *Network) TotalDrops() uint64 {
@@ -321,10 +287,10 @@ func (n *Network) LinkUp(id topo.LinkID) bool {
 	return !dead
 }
 
-// checkQuiescent panics if a sharded run is in progress: callers
-// mutate state every shard reads without synchronization.
+// checkQuiescent panics if a windowed (multi-shard) run is in progress:
+// callers mutate state every shard reads without synchronization.
 func (n *Network) checkQuiescent(op string) {
-	if n.group != nil && n.group.Running() {
+	if n.group.Running() {
 		panic("fabric: " + op + " during a sharded run; change link state between Run calls")
 	}
 }
@@ -335,10 +301,7 @@ func (n *Network) checkQuiescent(op string) {
 // now so the check is shard-local.
 func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
 	since, dead := n.linkDownSince[id]
-	if !dead || n.cfg.DisableFailover {
-		return false
-	}
-	return now >= since+n.cfg.FailoverLatency
+	return dead && now >= since+failoverLatency
 }
 
 // LossRate returns queue-overflow drops as a fraction of packets

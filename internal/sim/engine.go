@@ -95,9 +95,10 @@ type Engine struct {
 	arena []eventSlot
 	free  int32   // head of the free-slot list, -1 when empty
 	heap  []int32 // 4-ary min-heap of arena indices, ordered by (at, seq)
-	// sh is non-nil when the engine is one shard of a ShardGroup; it
-	// redirects sequence-number draws to the group so the global
-	// schedule order stays bit-identical to a serial run. See shard.go.
+	// sh is non-nil when the engine is one shard of a multi-shard
+	// ShardGroup; it redirects sequence-number draws to the group so the
+	// global schedule order stays bit-identical to a serial run. See
+	// shard.go.
 	sh      *shard
 	running bool
 	// stopped is written by Stop — which may run on another goroutine
@@ -265,7 +266,7 @@ func (e *Engine) run(until Time) (stopped bool) {
 	if e.running {
 		panic("sim: Run called reentrantly")
 	}
-	if e.sh != nil && !e.sh.solo {
+	if e.sh != nil {
 		panic("sim: Run on a shard-owned engine; drive it through ShardGroup.Run")
 	}
 	e.running = true

@@ -82,11 +82,10 @@ type handoff struct {
 
 // shard is the per-engine view of a ShardGroup.
 type shard struct {
-	g    *ShardGroup
-	idx  int
-	eng  *Engine
-	rng  *RNG
-	solo bool // single-shard group: serial fast path, no journaling
+	g   *ShardGroup
+	idx int
+	eng *Engine
+	rng *RNG
 
 	// Window state. Owned by the shard's worker goroutine during a
 	// window and by the coordinator between windows; the start channel
@@ -157,9 +156,11 @@ type ShardGroup struct {
 // NewShardGroup returns a group of n engines synchronized with the
 // given conservative lookahead: every cross-shard Send must have delay
 // >= lookahead. Per-shard RNG streams are derived deterministically
-// from seed and the shard index. n == 1 is the serial fast path — no
-// windows, no journaling — so a -shards 1 run is an ordinary serial
-// run behind the group API.
+// from seed and the shard index. n == 1 is the serial run behind the
+// group API: its one engine stays a lone Engine (no shard pointer, no
+// windows, no journaling), Run/RunAll/Stop forward to it and
+// Now/Executed/Pending read through to it, so driving the group and
+// driving Shard(0) directly are interchangeable.
 func NewShardGroup(n int, lookahead Time, seed uint64) *ShardGroup {
 	if n < 1 {
 		panic("sim: NewShardGroup with n < 1")
@@ -170,10 +171,25 @@ func NewShardGroup(n int, lookahead Time, seed uint64) *ShardGroup {
 	g := &ShardGroup{shards: make([]*shard, n), lookahead: lookahead}
 	root := NewRNG(seed)
 	for i := range g.shards {
-		sh := &shard{g: g, idx: i, eng: NewEngine(), rng: root.Fork(), solo: n == 1}
-		sh.eng.sh = sh
+		sh := &shard{g: g, idx: i, eng: NewEngine(), rng: root.Fork()}
+		if n > 1 {
+			sh.eng.sh = sh
+		}
 		g.shards[i] = sh
 	}
+	return g
+}
+
+// GroupOf views a lone engine as a ShardGroup of one, for code that is
+// written against the group API but handed a bare Engine. The engine is
+// untouched, so the caller may keep driving it directly. RNG(0) is the
+// seed-0 stream.
+func GroupOf(e *Engine) *ShardGroup {
+	if e.sh != nil {
+		panic("sim: GroupOf on a shard-owned engine")
+	}
+	g := &ShardGroup{}
+	g.shards = []*shard{{g: g, eng: e, rng: NewRNG(0).Fork()}}
 	return g
 }
 
@@ -191,11 +207,17 @@ func (g *ShardGroup) Shard(i int) *Engine { return g.shards[i].eng }
 func (g *ShardGroup) RNG(i int) *RNG { return g.shards[i].rng }
 
 // Now returns the group's current simulated time.
-func (g *ShardGroup) Now() Time { return g.now }
+func (g *ShardGroup) Now() Time {
+	if len(g.shards) == 1 {
+		return g.shards[0].eng.now
+	}
+	return g.now
+}
 
-// Running reports whether a windowed run is in progress. Control-plane
-// callers use it to reject mid-run mutation of state that shards read
-// without synchronization (e.g. fabric link status).
+// Running reports whether a windowed run is in progress (never, for a
+// group of one). Control-plane callers use it to reject mid-run
+// mutation of state that shards read without synchronization (e.g.
+// fabric link status).
 func (g *ShardGroup) Running() bool { return g.running }
 
 // Executed returns the total number of events executed across shards.
@@ -232,19 +254,19 @@ func (g *ShardGroup) Stop() {
 // a window must respect the lookahead (delay >= Lookahead) — that
 // bound is what makes the window safe to run in parallel.
 func (g *ShardGroup) Send(src *Engine, dst int, delay Time, fn func()) {
-	sh := src.sh
-	if sh == nil || sh.g != g {
-		panic("sim: Send from an engine outside this group")
-	}
 	if dst < 0 || dst >= len(g.shards) {
 		panic(fmt.Sprintf("sim: Send to invalid shard %d of %d", dst, len(g.shards)))
 	}
 	if fn == nil {
 		panic("sim: Send with nil fn")
 	}
-	if dst == sh.idx {
+	if src == g.shards[dst].eng {
 		src.Schedule(delay, fn)
 		return
+	}
+	sh := src.sh
+	if sh == nil || sh.g != g {
+		panic("sim: Send from an engine outside this group")
 	}
 	if !sh.inWindow {
 		// Sequential phase: clocks are aligned, and nextSeq on the
@@ -269,8 +291,7 @@ func (g *ShardGroup) Send(src *Engine, dst int, delay Time, fn func()) {
 // stopped — the same contract as Engine.Run.
 func (g *ShardGroup) Run(until Time) Time {
 	if len(g.shards) == 1 {
-		g.now = g.shards[0].eng.Run(until)
-		return g.now
+		return g.shards[0].eng.Run(until)
 	}
 	stopped := g.runWindows(until)
 	if g.now < until && !stopped {
@@ -284,8 +305,7 @@ func (g *ShardGroup) Run(until Time) Time {
 // called, returning the time of the last executed event.
 func (g *ShardGroup) RunAll() Time {
 	if len(g.shards) == 1 {
-		g.now = g.shards[0].eng.RunAll()
-		return g.now
+		return g.shards[0].eng.RunAll()
 	}
 	const forever = Time(1<<62 - 1)
 	g.runWindows(forever)

@@ -121,6 +121,50 @@ func TestPrestoWeightedMultipathing(t *testing.T) {
 	}
 }
 
+// TestSpritzSchedMatchesComparesLabels pins the rebuild trigger: a
+// remap that keeps the slot count is still a different mapping.
+func TestSpritzSchedMatchesComparesLabels(t *testing.T) {
+	a, b, c, d := packet.ShadowMAC(4, 0), packet.ShadowMAC(4, 1), packet.ShadowMAC(4, 2), packet.ShadowMAC(4, 3)
+	sc := &spritzSched{}
+	sc.rebuild([]packet.MAC{a, b, c, d})
+	if !sc.matches([]packet.MAC{a, b, c, d}) {
+		t.Fatal("schedule does not match the mapping it was built from")
+	}
+	if sc.matches([]packet.MAC{a, a, b, c}) {
+		t.Fatal("same-length remap [A,A,B,C] matches a schedule built from [A,B,C,D]")
+	}
+}
+
+// TestSpritzFollowsSameLengthRemap re-weights a destination mid-flow to
+// a list of the same length that drops one tree (what the controller
+// pushes on a link failure): from the next flowcell on, nothing may be
+// stamped with the dropped label.
+func TestSpritzFollowsSameLengthRemap(t *testing.T) {
+	eng := sim.NewEngine()
+	out := &capture{}
+	vs := New(eng, 0, out, NewSpritz(64*1024))
+	macs := labelSet(4)
+	vs.SetMapping(4, macs)
+	for i := 0; i < 8; i++ {
+		vs.Send(seg(i*64, 64))
+	}
+	dropped := macs[3]
+	vs.SetMapping(4, []packet.MAC{macs[0], macs[0], macs[1], macs[2]})
+	for i := 8; i < 40; i++ {
+		vs.Send(seg(i*64, 64)) // every 64 KB segment opens a new flowcell
+	}
+	counts := map[packet.MAC]int{}
+	for _, s := range out.segs[8:] {
+		counts[s.DstMAC]++
+	}
+	if counts[dropped] != 0 {
+		t.Fatalf("%d of 32 flowcells after the remap still ride the dropped label: %v", counts[dropped], counts)
+	}
+	if counts[macs[0]] != 16 || counts[macs[1]] != 8 || counts[macs[2]] != 8 {
+		t.Fatalf("post-remap split %v, want 16/8/8 over the new weights", counts)
+	}
+}
+
 func TestPrestoNoMappingUsesRealMAC(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}

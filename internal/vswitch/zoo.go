@@ -1,6 +1,8 @@
 package vswitch
 
 import (
+	"slices"
+
 	"presto/internal/packet"
 	"presto/internal/sim"
 )
@@ -304,17 +306,17 @@ func (s *spritzFlow) idleSince() sim.Time { return s.lastSeen }
 // WRR spreads a weight-3 label as A..A..A.. rather than AAA...,
 // avoiding the burst clustering plain list iteration produces.
 type spritzSched struct {
+	macs    []packet.MAC // the mapping the schedule was built from; its length is the total weight
 	labels  []packet.MAC
 	weights []int
 	credit  []int
-	total   int
 }
 
 // rebuild recomputes distinct labels and multiplicities from macs.
 func (sc *spritzSched) rebuild(macs []packet.MAC) {
+	sc.macs = append(sc.macs[:0], macs...)
 	sc.labels = sc.labels[:0]
 	sc.weights = sc.weights[:0]
-	sc.total = 0
 	for _, m := range macs {
 		found := false
 		for i, l := range sc.labels {
@@ -328,22 +330,15 @@ func (sc *spritzSched) rebuild(macs []packet.MAC) {
 			sc.labels = append(sc.labels, m)
 			sc.weights = append(sc.weights, 1)
 		}
-		sc.total++
 	}
 	sc.credit = make([]int, len(sc.labels))
 }
 
-// matches reports whether the schedule was built from an equivalent
-// mapping (same length and same distinct-label multiset in order).
+// matches reports whether the schedule was built from this mapping:
+// the same label sequence, not merely the same length — a controller
+// remap (link failure, re-weighting) usually keeps the slot count.
 func (sc *spritzSched) matches(macs []packet.MAC) bool {
-	if sc.total != len(macs) {
-		return false
-	}
-	n := 0
-	for i := range sc.labels {
-		n += sc.weights[i]
-	}
-	return n == len(macs)
+	return slices.Equal(sc.macs, macs)
 }
 
 // next picks the label with the highest credit (ties to the lowest
@@ -356,7 +351,7 @@ func (sc *spritzSched) next() (packet.MAC, int) {
 			best = i
 		}
 	}
-	sc.credit[best] -= sc.total
+	sc.credit[best] -= len(sc.macs)
 	return sc.labels[best], best
 }
 
