@@ -23,7 +23,7 @@ func rig(t *testing.T, spines, leaves, hostsPer int) (*sim.Engine, *fabric.Netwo
 	vss := make(map[packet.HostID]*vswitch.VSwitch)
 	for i := 0; i < tp.NumHosts(); i++ {
 		h := packet.HostID(i)
-		vs := vswitch.New(eng, h, nullSender{}, vswitch.NewPresto())
+		vs := vswitch.New(eng, h, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 		vss[h] = vs
 		c.RegisterVSwitch(vs)
 	}
@@ -151,7 +151,7 @@ func TestSingleSwitchTopologyNoLabels(t *testing.T) {
 	tp := topo.SingleSwitch(4, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
 	c := New(eng, net, Config{})
-	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto())
+	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()
 	if got := vs.Mapping(3); len(got) != 0 {
@@ -164,7 +164,7 @@ func TestTunnelModeRuleCounts(t *testing.T) {
 	tp := topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
 	c := New(eng, net, Config{TunnelMode: true})
-	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto())
+	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()
 	// Per-host mode needs 16 hosts x 4 trees = 64 entries per leaf;

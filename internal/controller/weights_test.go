@@ -92,7 +92,7 @@ func TestSetWeightedMapping(t *testing.T) {
 	tp := topo.TwoTierClos(3, 2, 1, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
 	c := New(eng, net, Config{})
-	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto())
+	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()
 	if !c.SetWeightedMapping(0, 1, []float64{0.5, 0.25, 0.25}, 8) {

@@ -13,13 +13,14 @@ import (
 // descriptor carries everything the cluster needs (policy
 // constructor, transport caps, GRO requirement, controller hooks).
 func init() {
+	// ecmp and mptcp share the policy: MPTCP's subflow placement is the
+	// ECMP roll per subflow flow key.
+	newECMP := func(h Host, _ Resolved) vswitch.Policy { return vswitch.NewECMP(h.Fork()) }
 	Register(&Scheme{
 		Name:        "ecmp",
 		Description: "pin each flow to one random end-to-end path (official GRO)",
 		Paper:       "Hopps, RFC 2992 (baseline in Presto §4)",
-		New: func(h Host, p Resolved) vswitch.Policy {
-			return vswitch.NewECMP(h.Fork())
-		},
+		New:         newECMP,
 	})
 	Register(&Scheme{
 		Name:        "mptcp",
@@ -32,10 +33,7 @@ func init() {
 		Transport: func(p Resolved) Transport {
 			return Transport{Subflows: p.Int("subflows")}
 		},
-		New: func(h Host, p Resolved) vswitch.Policy {
-			// Subflow placement is the ECMP roll per subflow flow key.
-			return vswitch.NewECMP(h.Fork())
-		},
+		New: newECMP,
 	})
 	Register(&Scheme{
 		Name:        "presto",
@@ -55,7 +53,7 @@ func init() {
 			return Transport{}
 		},
 		New: func(h Host, p Resolved) vswitch.Policy {
-			return vswitch.NewPrestoThreshold(p.Bytes("cell"))
+			return vswitch.NewPresto(p.Bytes("cell"))
 		},
 	})
 	Register(&Scheme{
@@ -103,9 +101,6 @@ func init() {
 				Help: "flowcell size for the mice phase"},
 		},
 		GRO: GROPresto,
-		Hooks: Hooks{
-			ElephantBytes: func(p Resolved) int { return p.Bytes("threshold") },
-		},
 		New: func(h Host, p Resolved) vswitch.Policy {
 			return vswitch.NewDiffFlow(p.Bytes("threshold"), p.Bytes("cell"))
 		},
@@ -137,9 +132,6 @@ func init() {
 				Help: "fraction of labels reserved for elephants"},
 		},
 		GRO: GROPresto,
-		Hooks: Hooks{
-			ElephantBytes: func(p Resolved) int { return p.Bytes("elephant") },
-		},
 		New: func(h Host, p Resolved) vswitch.Policy {
 			return vswitch.NewRDNABalance(p.Bytes("elephant"), p.Bytes("cell"), p.Float("isolated-frac"))
 		},

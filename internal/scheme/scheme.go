@@ -195,9 +195,6 @@ type Hooks struct {
 	TreeWeights func(tp *topo.Topology, trees []topo.Tree, srcLeaf, dstLeaf topo.NodeID) []float64
 	// WeightSlots bounds the expanded label list length (0 = 16).
 	WeightSlots int
-	// ElephantBytes reports the scheme's edge elephant-detection
-	// threshold given resolved params (nil/0 = no elephant detection).
-	ElephantBytes func(p Resolved) int
 }
 
 // Scheme is one registered load-balancing scheme.

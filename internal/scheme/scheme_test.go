@@ -153,7 +153,7 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		Register(s)
 	}
-	newP := func(Host, Resolved) vswitch.Policy { return vswitch.NewPresto() }
+	newP := func(Host, Resolved) vswitch.Policy { return vswitch.NewPresto(packet.MaxSegSize) }
 	mustPanic("no name", &Scheme{New: newP})
 	mustPanic("no constructor", &Scheme{Name: "x-no-new"})
 	mustPanic("duplicate", &Scheme{Name: "presto", New: newP})
@@ -161,26 +161,4 @@ func TestRegisterPanics(t *testing.T) {
 		Name: "x-bad-default", New: newP,
 		Params: []Param{{Name: "cell", Kind: KindBytes, Default: "oops"}},
 	})
-}
-
-// TestElephantHooks checks the elephant-detection hook surfaces the
-// resolved threshold for the schemes that advertise one.
-func TestElephantHooks(t *testing.T) {
-	for name, want := range map[string]int{"diffflow": 1 << 20, "rdna-balance": 1 << 20} {
-		s, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if s.Hooks.ElephantBytes == nil {
-			t.Errorf("%s: no ElephantBytes hook", name)
-			continue
-		}
-		r, err := s.Resolve(nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got := s.Hooks.ElephantBytes(r); got != want {
-			t.Errorf("%s: default elephant threshold %d, want %d", name, got, want)
-		}
-	}
 }

@@ -46,28 +46,39 @@ func labels(dst packet.HostID, trees ...int) []packet.MAC {
 	return macs
 }
 
-// The scripted stream's four destinations.
+// The scripted streams' four destinations.
 const (
 	dstFour     = packet.HostID(4) // four distinct labels
 	dstWeighted = packet.HostID(5) // §3.3 duplicated-label weights
 	dstSingle   = packet.HostID(6) // one label
-	dstUnmapped = packet.HostID(7) // no mapping: real MAC
+	dstUnmapped = packet.HostID(7) // never mapped: real MAC
 )
 
-// labelTrace drives the fixed script through the scheme's edge and
-// returns an FNV-64a digest of every (flow, DstMAC, FlowcellID) in send
-// order followed by the datapath counters. The script is independent of
-// the scheme: 6,000 segments in short bursts over 12 flows (3 per
-// destination), sizes cycling MSS / 64 KB / random, gaps cycling
-// 5 µs / 150 µs / 700 µs by a different period, a same-length remap of
-// dstFour at segment 2,000 and a shorter remap of dstWeighted at
-// segment 4,000.
-func labelTrace(t *testing.T, spec string) uint64 {
-	eng, vs, out := newEdge(t, spec)
-	vs.SetMapping(dstFour, labels(dstFour, 0, 1, 2, 3))
-	vs.SetMapping(dstWeighted, labels(dstWeighted, 0, 1, 2, 1))
-	vs.SetMapping(dstSingle, labels(dstSingle, 2))
+// mapping is one controller push.
+type mapping struct {
+	dst  packet.HostID
+	macs []packet.MAC
+}
 
+// startMaps are installed before a script runs; remaps are what a
+// script can push mid-run: same-length, shorter, longer, withdrawn.
+var (
+	startMaps = []mapping{
+		{dstFour, labels(dstFour, 0, 1, 2, 3)},
+		{dstWeighted, labels(dstWeighted, 0, 1, 2, 1)},
+		{dstSingle, labels(dstSingle, 2)},
+	}
+	remaps = []mapping{
+		{dstFour, labels(dstFour, 0, 0, 1, 2)},
+		{dstWeighted, labels(dstWeighted, 0, 2)},
+		{dstSingle, labels(dstSingle, 0, 1, 2, 3, 4, 5)},
+		{dstFour, nil},
+		{dstFour, labels(dstFour, 3, 2, 1, 0)},
+	}
+)
+
+// scriptFlows are three flows to each scripted destination.
+var scriptFlows = func() []packet.FlowKey {
 	var flows []packet.FlowKey
 	for _, dst := range []packet.HostID{dstFour, dstWeighted, dstSingle, dstUnmapped} {
 		for p := 0; p < 3; p++ {
@@ -77,45 +88,76 @@ func labelTrace(t *testing.T, spec string) uint64 {
 			})
 		}
 	}
-	const segments = 6000
-	script := sim.NewRNG(2015)
-	seq := make([]uint32, len(flows))
+	return flows
+}()
+
+// step is one scripted segment: which flow, how many bytes, how long
+// after the previous one, and (remap > 0) remaps[remap-1] pushed just
+// before it.
+type step struct {
+	flow  int
+	size  int
+	gap   sim.Time
+	remap int
+}
+
+// drive installs startMaps on the scheme's edge, plays script through
+// it and returns the edge and the segments it emitted, one per step.
+func drive(t testing.TB, spec string, script []step) (*vswitch.VSwitch, []*packet.Segment) {
+	t.Helper()
+	eng, vs, out := newEdge(t, spec)
+	for _, m := range startMaps {
+		vs.SetMapping(m.dst, m.macs)
+	}
+	for _, st := range script {
+		eng.Run(eng.Now() + st.gap)
+		if st.remap > 0 {
+			vs.SetMapping(remaps[st.remap-1].dst, remaps[st.remap-1].macs)
+		}
+		vs.Send(&packet.Segment{Flow: scriptFlows[st.flow], EndSeq: uint32(st.size), Flags: packet.FlagACK})
+	}
+	if len(out.segs) != len(script) {
+		t.Fatalf("%s: edge passed %d of %d segments", spec, len(out.segs), len(script))
+	}
+	return vs, out.segs
+}
+
+// labelTrace plays a fixed script through the scheme's edge and returns
+// an FNV-64a digest of every (flow, DstMAC, FlowcellID) in send order
+// followed by the datapath counters. The script is independent of the
+// scheme: 6,000 segments in short bursts over the 12 script flows, sizes
+// cycling MSS / 64 KB / random, gaps cycling 5 µs / 150 µs / 700 µs by a
+// different period, a same-length remap of dstFour at segment 2,000 and
+// a shorter remap of dstWeighted at segment 4,000.
+func labelTrace(t *testing.T, spec string) uint64 {
+	rng := sim.NewRNG(2015)
 	gaps := [...]sim.Time{5 * sim.Microsecond, 150 * sim.Microsecond, 700 * sim.Microsecond, 5 * sim.Microsecond, 5 * sim.Microsecond}
-	at := sim.Time(0)
+	script := make([]step, 6000)
 	f := 0
-	for i := 0; i < segments; i++ {
+	for i := range script {
 		// Bursts: stay on a flow for three segments on average, so
 		// per-flow gaps fall on both sides of the flowlet timeouts.
-		if script.Intn(3) == 0 {
-			f = script.Intn(len(flows))
+		if rng.Intn(3) == 0 {
+			f = rng.Intn(len(scriptFlows))
 		}
-		var n int
+		st := step{flow: f, gap: gaps[i%len(gaps)]}
 		switch i % 3 {
 		case 0:
-			n = packet.MSS
+			st.size = packet.MSS
 		case 1:
-			n = packet.MaxSegSize
+			st.size = packet.MaxSegSize
 		default:
-			n = 1 + script.Intn(packet.MaxSegSize)
+			st.size = 1 + rng.Intn(packet.MaxSegSize)
 		}
-		s := &packet.Segment{Flow: flows[f], StartSeq: seq[f], EndSeq: seq[f] + uint32(n), Flags: packet.FlagACK}
-		seq[f] += uint32(n)
-		at += gaps[i%len(gaps)]
-		i := i
-		eng.At(at, func() {
-			switch i {
-			case 2000:
-				vs.SetMapping(dstFour, labels(dstFour, 0, 0, 1, 2))
-			case 4000:
-				vs.SetMapping(dstWeighted, labels(dstWeighted, 0, 2))
-			}
-			vs.Send(s)
-		})
+		switch i {
+		case 2000:
+			st.remap = 1 // dstFour, same length
+		case 4000:
+			st.remap = 2 // dstWeighted, shorter
+		}
+		script[i] = st
 	}
-	eng.RunAll()
-	if len(out.segs) != segments {
-		t.Fatalf("%s: edge passed %d of %d segments", spec, len(out.segs), segments)
-	}
+	vs, segs := drive(t, spec, script)
 
 	h := fnv.New64a()
 	word := func(v uint64) {
@@ -123,7 +165,7 @@ func labelTrace(t *testing.T, spec string) uint64 {
 		binary.LittleEndian.PutUint64(b[:], v)
 		h.Write(b[:])
 	}
-	for _, s := range out.segs {
+	for _, s := range segs {
 		word(uint64(s.Flow.Src.Host)<<48 | uint64(s.Flow.Src.Port)<<32 | uint64(s.Flow.Dst.Host)<<16 | uint64(s.Flow.Dst.Port))
 		h.Write(s.DstMAC[:])
 		word(uint64(s.FlowcellID))

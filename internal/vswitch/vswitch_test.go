@@ -1,8 +1,8 @@
 package vswitch
 
 import (
+	"math/bits"
 	"testing"
-	"testing/quick"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -41,7 +41,7 @@ func labelSet(n int) []packet.MAC {
 func TestPrestoAlgorithm1RoundRobin(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	vs := New(eng, 0, out, NewPresto())
+	vs := New(eng, 0, out, NewPresto(packet.MaxSegSize))
 	vs.SetMapping(4, labelSet(4))
 
 	// 8 segments of 64KB: each fills one flowcell, so labels rotate
@@ -66,7 +66,7 @@ func TestPrestoAlgorithm1RoundRobin(t *testing.T) {
 func TestPrestoSmallSegmentsShareFlowcell(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	vs := New(eng, 0, out, NewPresto())
+	vs := New(eng, 0, out, NewPresto(packet.MaxSegSize))
 	vs.SetMapping(4, labelSet(2))
 	// 16KB segments: four fit in one 64KB flowcell.
 	for i := 0; i < 8; i++ {
@@ -91,7 +91,7 @@ func TestPrestoSmallSegmentsShareFlowcell(t *testing.T) {
 func TestPrestoMiceStayInOneFlowcell(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	vs := New(eng, 0, out, NewPresto())
+	vs := New(eng, 0, out, NewPresto(packet.MaxSegSize))
 	vs.SetMapping(4, labelSet(8))
 	// A 50KB mouse: one flowcell, one path — no reordering exposure
 	// (§2.1).
@@ -104,7 +104,7 @@ func TestPrestoMiceStayInOneFlowcell(t *testing.T) {
 func TestPrestoWeightedMultipathing(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	vs := New(eng, 0, out, NewPresto())
+	vs := New(eng, 0, out, NewPresto(packet.MaxSegSize))
 	// Weights 0.25/0.5/0.25 via the duplicated sequence p1,p2,p3,p2
 	// from §3.3.
 	p1, p2, p3 := packet.ShadowMAC(4, 0), packet.ShadowMAC(4, 1), packet.ShadowMAC(4, 2)
@@ -168,7 +168,7 @@ func TestSpritzFollowsSameLengthRemap(t *testing.T) {
 func TestPrestoNoMappingUsesRealMAC(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	vs := New(eng, 0, out, NewPresto())
+	vs := New(eng, 0, out, NewPresto(packet.MaxSegSize))
 	vs.Send(seg(0, 64))
 	if out.segs[0].DstMAC != packet.HostMAC(4) {
 		t.Fatal("expected real MAC without mappings")
@@ -214,7 +214,7 @@ func TestECMPDifferentFlowsCanDiffer(t *testing.T) {
 func TestFlowletGapDetection(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	fl := NewFlowlet(500 * sim.Microsecond)
+	fl := NewFlowlet(500 * sim.Microsecond).(*flowlet)
 	vs := New(eng, 0, out, fl)
 	vs.SetMapping(4, labelSet(4))
 
@@ -280,7 +280,7 @@ func TestPerPacketRotatesEveryMSS(t *testing.T) {
 
 func TestReceiveDemuxAndMACRestore(t *testing.T) {
 	eng := sim.NewEngine()
-	vs := New(eng, 4, &capture{}, NewPresto())
+	vs := New(eng, 4, &capture{}, NewPresto(packet.MaxSegSize))
 	ep := &epCapture{}
 	// Local endpoint sends on the reverse of flowAB.
 	vs.Register(flowAB.Reverse(), ep)
@@ -307,64 +307,10 @@ func TestReceiveDemuxAndMACRestore(t *testing.T) {
 	}
 }
 
-// Property: for any segment size pattern, Algorithm 1 produces
-// monotonically non-decreasing flowcell IDs, never exceeds the
-// threshold per flowcell (for segments below the threshold), and uses
-// exactly one label per flowcell.
-func TestPrestoFlowcellInvariantProperty(t *testing.T) {
-	prop := func(seed uint64, sizesRaw []uint16) bool {
-		if len(sizesRaw) == 0 {
-			return true
-		}
-		eng := sim.NewEngine()
-		out := &capture{}
-		vs := New(eng, 0, out, NewPresto())
-		vs.SetMapping(4, labelSet(4))
-		start := 0
-		for _, r := range sizesRaw {
-			n := int(r)%packet.MaxSegSize + 1
-			s := &packet.Segment{
-				Flow:     flowAB,
-				StartSeq: uint32(start),
-				EndSeq:   uint32(start + n),
-				Flags:    packet.FlagACK,
-			}
-			start += n
-			vs.Send(s)
-		}
-		byFC := map[uint32]int{}
-		fcMac := map[uint32]packet.MAC{}
-		lastFC := uint32(0)
-		for _, s := range out.segs {
-			if packet.SeqLT(s.FlowcellID, lastFC) {
-				return false
-			}
-			lastFC = s.FlowcellID
-			byFC[s.FlowcellID] += s.Len()
-			if m, ok := fcMac[s.FlowcellID]; ok && m != s.DstMAC {
-				return false
-			}
-			fcMac[s.FlowcellID] = s.DstMAC
-		}
-		for _, total := range byFC {
-			// A single oversized segment can exceed the threshold, but
-			// multi-segment flowcells cannot blow past it by more than
-			// one segment's worth.
-			if total > 2*packet.MaxSegSize {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 150}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestPolicyFlowStateGC(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &capture{}
-	p := NewPresto()
+	p := NewPresto(packet.MaxSegSize).(*sender)
 	vs := New(eng, 0, out, p)
 	vs.SetMapping(4, labelSet(2))
 	// Create more flows than the GC threshold, spaced in time so the
@@ -382,7 +328,9 @@ func TestPolicyFlowStateGC(t *testing.T) {
 }
 
 // TestPolicyGCShrinksDeterministically pushes more distinct flows than
-// the GC threshold through every stateful policy, advances simulated
+// the GC threshold through the sender datapath under a cursor rule, the
+// rule that embeds its datapath and the rule that draws randomness (the
+// registry-wide version is TestSchemeInvariants), advances simulated
 // time past the idle horizon, and checks that (a) the flow table was
 // swept back under the threshold and (b) the label sequence is
 // identical across two runs — GC must not perturb path selection.
@@ -390,27 +338,18 @@ func TestPolicyGCShrinksDeterministically(t *testing.T) {
 	const flows = policyGCThreshold + 300
 	cases := []struct {
 		name  string
-		build func() (Policy, func() int)
+		build func() Policy
 	}{
-		{"presto", func() (Policy, func() int) {
-			p := NewPresto()
-			return p, func() int { return len(p.flows) }
-		}},
-		{"flowlet", func() (Policy, func() int) {
-			f := NewFlowlet(500 * sim.Microsecond)
-			return f, func() int { return len(f.flows) }
-		}},
-		{"ecmp", func() (Policy, func() int) {
-			e := NewECMP(sim.NewRNG(7))
-			return e, func() int { return len(e.pinned) }
-		}},
+		{"presto", func() Policy { return NewPresto(packet.MaxSegSize) }},
+		{"flowlet", func() Policy { return NewFlowlet(500 * sim.Microsecond) }},
+		{"ecmp", func() Policy { return NewECMP(sim.NewRNG(7)) }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			run := func() ([]packet.MAC, int) {
 				eng := sim.NewEngine()
 				out := &capture{}
-				p, tableLen := tc.build()
+				p := tc.build()
 				vs := New(eng, 0, out, p)
 				vs.SetMapping(4, labelSet(4))
 				for i := 0; i < flows; i++ {
@@ -426,7 +365,7 @@ func TestPolicyGCShrinksDeterministically(t *testing.T) {
 				for i, s := range out.segs {
 					macs[i] = s.DstMAC
 				}
-				return macs, tableLen()
+				return macs, p.(interface{ States() int }).States()
 			}
 			macs1, size1 := run()
 			macs2, size2 := run()
@@ -445,5 +384,38 @@ func TestPolicyGCShrinksDeterministically(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestSweepBacksOffWhenNothingAges admits 32,000 flows that never go
+// idle. A sweep that frees nothing must not run again until the table
+// has doubled: at most ⌈log2(n/threshold)⌉+1 sweeps, visiting fewer
+// entries in total than there are flows — not one full rescan per new
+// flow, which made admitting a flow cost ~360× more at 32,000 live
+// flows than at 4,000.
+func TestSweepBacksOffWhenNothingAges(t *testing.T) {
+	const flows = 32000
+	p := NewPresto(packet.MaxSegSize).(*sender)
+	vs := New(sim.NewEngine(), 0, &capture{}, p)
+	sweeps, visited := 0, 0
+	for i := 0; i < flows; i++ {
+		before := p.sweepAt
+		s := seg(0, 1)
+		s.Flow.Src.Port = uint16(i)
+		s.Flow.Dst.Port = uint16(i >> 16)
+		vs.Send(s)
+		if p.sweepAt != before {
+			sweeps++
+			visited += len(p.flows) - 1 // the table as the sweep saw it
+		}
+	}
+	if len(p.flows) != flows {
+		t.Fatalf("table holds %d of %d live flows", len(p.flows), flows)
+	}
+	if limit := bits.Len(uint(flows/policyGCThreshold)) + 1; sweeps == 0 || sweeps > limit {
+		t.Errorf("%d sweeps admitting %d live flows, want 1..%d", sweeps, flows, limit)
+	}
+	if visited > flows {
+		t.Errorf("sweeps visited %d entries admitting %d flows", visited, flows)
 	}
 }

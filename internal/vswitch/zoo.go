@@ -8,93 +8,52 @@ import (
 )
 
 // This file holds the scheme-zoo policies beyond the paper's own
-// lineup: DiffFlow, Sprinklers, RDNA Balance, and Spritz. Each reuses
-// the same datapath seams as the Presto policy (controller label
-// lists, noteFlowcell accounting, idle flow-table GC) so they compose
+// lineup: DiffFlow, RDNA Balance and Spritz as label rules on the sender
+// datapath (policy.go), and Sprinklers, which keys on destination
+// rather than flow and so is its own Policy. All use the same seams
+// (controller label lists, noteFlowcell accounting) so they compose
 // with weighted multipathing, sharding, and telemetry unchanged.
 
-// diffFlowState tracks one flow's byte count and spray cursor.
-type diffFlowState struct {
-	bytes      int // lifetime bytes (elephant detection)
-	cellBytes  int // bytes in the current flowcell
-	macIdx     int
-	flowcellID uint32
-	pinned     bool
-	lastSeen   sim.Time
-}
-
-func (s *diffFlowState) idleSince() sim.Time { return s.lastSeen }
-
-// DiffFlow implements the size-threshold split of DiffFlow (Carpio,
+// diffFlow implements the size-threshold split of DiffFlow (Carpio,
 // Engelmann, Jukan): flows start as mice and are sprayed per-flowcell exactly like
-// Presto; once a flow's byte count crosses Threshold it is an elephant
+// Presto; once a flow's byte count crosses threshold it is an elephant
 // and gets pinned to a single ECMP path (chosen by flow hash), so long
 // transfers stop paying reordering costs while short flows keep the
 // low-latency spread.
-type DiffFlow struct {
-	// Threshold is the elephant-detection byte count.
-	Threshold int
-	// Cell is the flowcell size mice are sprayed at.
-	Cell int
-
-	flows map[packet.FlowKey]*diffFlowState
+type diffFlow struct {
+	cursorOpen
+	threshold int // elephant-detection byte count
+	cell      int // flowcell size mice are sprayed at
 }
 
 // NewDiffFlow returns a DiffFlow policy splitting at threshold bytes,
 // spraying mice in cell-sized flowcells.
-func NewDiffFlow(threshold, cell int) *DiffFlow {
-	if threshold <= 0 {
-		threshold = 1 << 20
-	}
-	if cell <= 0 {
-		cell = packet.MaxSegSize
-	}
-	return &DiffFlow{Threshold: threshold, Cell: cell, flows: make(map[packet.FlowKey]*diffFlowState)}
+func NewDiffFlow(threshold, cell int) Policy {
+	return newSender("diffflow", diffFlow{threshold: threshold, cell: cell})
 }
 
-// Name implements Policy.
-func (d *DiffFlow) Name() string { return "diffflow" }
-
-// Select implements Policy.
-func (d *DiffFlow) Select(vs *VSwitch, seg *packet.Segment) {
-	macs := vs.Mapping(seg.Flow.Dst.Host)
-	st, ok := d.flows[seg.Flow]
-	if !ok {
-		if len(d.flows) >= policyGCThreshold {
-			sweepIdle(vs.Eng.Now(), d.flows)
-		}
-		st = &diffFlowState{}
-		d.flows[seg.Flow] = st
-		vs.noteFlowcell(pathIndex(macs, 0), 0)
-	}
-	st.lastSeen = vs.Eng.Now()
+func (r diffFlow) label(vs *VSwitch, st *flowState, seg *packet.Segment, macs []packet.MAC) packet.MAC {
 	n := seg.Len()
-	st.bytes += n
+	st.total += n
 	switch {
 	case st.pinned:
 		// Elephant: everything stays on the pinned path.
-	case st.bytes > d.Threshold:
+	case st.total > r.threshold:
 		// Crossing the threshold: pin to the hash-chosen ECMP path.
 		// The transition is one final flowcell boundary so a Presto GRO
 		// receiver sees a clean cut, deterministic without RNG.
 		st.pinned = true
-		st.flowcellID++
 		if len(macs) > 0 {
-			st.macIdx = int(seg.Flow.Hash() % uint32(len(macs)))
+			st.cursor = int(seg.Flow.Hash() % uint32(len(macs)))
 		}
-		vs.noteFlowcell(pathIndex(macs, st.macIdx), st.flowcellID)
-		st.cellBytes = n
-	case st.cellBytes+n > d.Cell:
+		st.bytes = n
+		vs.newCell(st, pathIndex(macs, st.cursor))
+	case st.fill(n, r.cell):
 		// Mouse: Presto-style flowcell spray.
-		st.cellBytes = n
-		st.macIdx++
-		st.flowcellID++
-		vs.noteFlowcell(pathIndex(macs, st.macIdx), st.flowcellID)
-	default:
-		st.cellBytes += n
+		st.cursor++
+		vs.newCell(st, pathIndex(macs, st.cursor))
 	}
-	seg.FlowcellID = st.flowcellID
-	stampLabel(seg, macs, st.macIdx)
+	return labelAt(macs, st.cursor, seg.Flow.Dst.Host)
 }
 
 // sprinklerDest is one destination's striping cursor: Sprinklers
@@ -141,6 +100,9 @@ func NewSprinklers(rng *sim.RNG, minStripe, maxStripe int) *Sprinklers {
 // Name implements Policy.
 func (s *Sprinklers) Name() string { return "sprinklers" }
 
+// States reports how many per-destination cursors are held.
+func (s *Sprinklers) States() int { return len(s.dests) }
+
 // drawStripe samples the next stripe size.
 func (s *Sprinklers) drawStripe() int {
 	return s.MinStripe + s.rng.Intn(s.MaxStripe-s.MinStripe+1)
@@ -166,71 +128,40 @@ func (s *Sprinklers) Select(vs *VSwitch, seg *packet.Segment) {
 	}
 	d.remaining -= n
 	seg.FlowcellID = d.stripeID
-	stampLabel(seg, macs, d.macIdx)
+	seg.DstMAC = labelAt(macs, d.macIdx, dst)
 }
 
-// rdnaState mirrors diffFlowState for the RDNA policy.
-type rdnaState struct {
-	bytes      int
-	cellBytes  int
-	macIdx     int
-	flowcellID uint32
-	isolated   bool
-	lastSeen   sim.Time
-}
-
-func (s *rdnaState) idleSince() sim.Time { return s.lastSeen }
-
-// RDNABalance implements RDNA Balance-style elephant isolation: the
+// rdnaBalance implements RDNA Balance-style elephant isolation: the
 // label list is partitioned into a mice subset and a dedicated
-// elephant subset (the last ceil(IsolatedFrac·len) labels). Mice spray
+// elephant subset (the last ceil(isolatedFrac·len) labels). Mice spray
 // flowcells round-robin over the mice subset; once a flow crosses
-// ElephantBytes it is strict-source-routed onto one label of the
+// elephant bytes it is strict-source-routed onto one label of the
 // elephant subset (each shadow-MAC label is exactly one deterministic
 // path through its spanning tree), so elephants cannot queue behind
 // mice on the shared labels.
-type RDNABalance struct {
-	// ElephantBytes is the isolation threshold.
-	ElephantBytes int
-	// Cell is the mice flowcell size.
-	Cell int
-	// IsolatedFrac is the fraction of the label list reserved for
+type rdnaBalance struct {
+	cursorOpen
+	elephant int // isolation threshold in bytes
+	cell     int // mice flowcell size
+	// isolatedFrac is the fraction of the label list reserved for
 	// elephants (at least one label when the list has ≥ 2 entries).
-	IsolatedFrac float64
-
-	flows map[packet.FlowKey]*rdnaState
+	isolatedFrac float64
 }
 
-// NewRDNABalance returns an RDNA Balance policy.
-func NewRDNABalance(elephantBytes, cell int, isolatedFrac float64) *RDNABalance {
-	if elephantBytes <= 0 {
-		elephantBytes = 1 << 20
-	}
-	if cell <= 0 {
-		cell = packet.MaxSegSize
-	}
-	if isolatedFrac <= 0 || isolatedFrac >= 1 {
-		isolatedFrac = 0.25
-	}
-	return &RDNABalance{
-		ElephantBytes: elephantBytes,
-		Cell:          cell,
-		IsolatedFrac:  isolatedFrac,
-		flows:         make(map[packet.FlowKey]*rdnaState),
-	}
+// NewRDNABalance returns an RDNA Balance policy isolating flows past
+// elephantBytes on the last isolatedFrac (in (0,1)) of the label list.
+func NewRDNABalance(elephantBytes, cell int, isolatedFrac float64) Policy {
+	return newSender("rdna-balance", rdnaBalance{elephant: elephantBytes, cell: cell, isolatedFrac: isolatedFrac})
 }
-
-// Name implements Policy.
-func (r *RDNABalance) Name() string { return "rdna-balance" }
 
 // split returns the sizes of the mice prefix and elephant suffix of an
 // n-label list. Lists too short to partition (< 2) keep everything in
 // the mice subset.
-func (r *RDNABalance) split(n int) (mice, elephants int) {
+func (r rdnaBalance) split(n int) (mice, elephants int) {
 	if n < 2 {
 		return n, 0
 	}
-	elephants = int(float64(n)*r.IsolatedFrac + 0.5)
+	elephants = int(float64(n)*r.isolatedFrac + 0.5)
 	if elephants < 1 {
 		elephants = 1
 	}
@@ -240,65 +171,27 @@ func (r *RDNABalance) split(n int) (mice, elephants int) {
 	return n - elephants, elephants
 }
 
-// Select implements Policy.
-func (r *RDNABalance) Select(vs *VSwitch, seg *packet.Segment) {
-	macs := vs.Mapping(seg.Flow.Dst.Host)
+func (r rdnaBalance) label(vs *VSwitch, st *flowState, seg *packet.Segment, macs []packet.MAC) packet.MAC {
 	mice, eleph := r.split(len(macs))
-	st, ok := r.flows[seg.Flow]
-	if !ok {
-		if len(r.flows) >= policyGCThreshold {
-			sweepIdle(vs.Eng.Now(), r.flows)
-		}
-		st = &rdnaState{}
-		r.flows[seg.Flow] = st
-		vs.noteFlowcell(pathIndex(macs, 0), 0)
-	}
-	st.lastSeen = vs.Eng.Now()
+	shared := macs[:mice] // mice spray, and are accounted, over this prefix only
 	n := seg.Len()
-	st.bytes += n
+	st.total += n
 	switch {
-	case st.isolated:
-	case st.bytes > r.ElephantBytes && eleph > 0:
+	case st.pinned:
+	case st.total > r.elephant && eleph > 0:
 		// Promote: strict source route onto one dedicated label.
-		st.isolated = true
-		st.flowcellID++
-		st.macIdx = mice + int(seg.Flow.Hash()%uint32(eleph))
-		vs.noteFlowcell(pathIndex(macs, st.macIdx), st.flowcellID)
-	case st.cellBytes+n > r.Cell:
-		// Mice spray over the shared subset only.
-		st.cellBytes = n
-		st.macIdx++
-		st.flowcellID++
-		vs.noteFlowcell(r.micePath(macs, mice, st.macIdx), st.flowcellID)
-	default:
-		st.cellBytes += n
+		st.pinned = true
+		st.cursor = mice + int(seg.Flow.Hash()%uint32(eleph))
+		vs.newCell(st, pathIndex(macs, st.cursor))
+	case st.fill(n, r.cell):
+		st.cursor++
+		vs.newCell(st, pathIndex(shared, st.cursor))
 	}
-	seg.FlowcellID = st.flowcellID
-	if !st.isolated && mice > 0 && len(macs) > 0 {
-		seg.DstMAC = macs[st.macIdx%mice]
-		return
+	if st.pinned {
+		return labelAt(macs, st.cursor, seg.Flow.Dst.Host)
 	}
-	stampLabel(seg, macs, st.macIdx)
+	return labelAt(shared, st.cursor, seg.Flow.Dst.Host)
 }
-
-// micePath is pathIndex restricted to the mice subset.
-func (r *RDNABalance) micePath(macs []packet.MAC, mice, macIdx int) int {
-	if mice <= 0 {
-		return pathIndex(macs, macIdx)
-	}
-	return macIdx % mice
-}
-
-// spritzFlow tracks one flow's flowcell accumulation; the label choice
-// itself is per destination (spritzSched).
-type spritzFlow struct {
-	cellBytes  int
-	mac        packet.MAC
-	flowcellID uint32
-	lastSeen   sim.Time
-}
-
-func (s *spritzFlow) idleSince() sim.Time { return s.lastSeen }
 
 // spritzSched is a smooth weighted round-robin over the distinct
 // labels of a mapping, weighted by each label's multiplicity (the
@@ -355,87 +248,56 @@ func (sc *spritzSched) next() (packet.MAC, int) {
 	return sc.labels[best], best
 }
 
-// Spritz implements path-aware weighted flowcell spraying for
+// spritz implements path-aware weighted flowcell spraying for
 // low-diameter topologies (Spritz: De Marchi et al.): the controller's
 // per-tree link-load weights arrive as duplicated labels in the
-// mapping (§3.3); the policy runs a smooth weighted round-robin over
+// mapping (§3.3); the rule runs a smooth weighted round-robin over
 // the distinct labels at flowcell granularity, so direct (1-hop) mesh
-// paths carry proportionally more flowcells than 2-hop detours.
-type Spritz struct {
-	// Cell is the flowcell size.
-	Cell int
-
-	flows  map[packet.FlowKey]*spritzFlow
+// paths carry proportionally more flowcells than 2-hop detours. The
+// schedule is per destination, so a flow holds each cell's pick as a
+// MAC (st.mac), not a cursor.
+type spritz struct {
+	cell   int // flowcell size
 	scheds map[packet.HostID]*spritzSched
 }
 
 // NewSpritz returns a Spritz policy spraying cell-sized flowcells.
-func NewSpritz(cell int) *Spritz {
-	if cell <= 0 {
-		cell = packet.MaxSegSize
-	}
-	return &Spritz{
-		Cell:   cell,
-		flows:  make(map[packet.FlowKey]*spritzFlow),
-		scheds: make(map[packet.HostID]*spritzSched),
-	}
+func NewSpritz(cell int) Policy {
+	return newSender("spritz", spritz{cell: cell, scheds: make(map[packet.HostID]*spritzSched)})
 }
 
-// Name implements Policy.
-func (s *Spritz) Name() string { return "spritz" }
-
-// sched returns the destination's WRR schedule, rebuilding it when the
-// controller has pushed a new mapping.
-func (s *Spritz) sched(dst packet.HostID, macs []packet.MAC) *spritzSched {
-	sc, ok := s.scheds[dst]
+// pick draws the next flowcell's label from the destination's WRR
+// schedule — rebuilt when the controller has pushed a new mapping — and
+// returns it with its accounting path.
+func (r spritz) pick(dst packet.HostID, macs []packet.MAC) (packet.MAC, int) {
+	if len(macs) == 0 {
+		return packet.HostMAC(dst), 0
+	}
+	sc, ok := r.scheds[dst]
 	if !ok {
 		sc = &spritzSched{}
-		sc.rebuild(macs)
-		s.scheds[dst] = sc
-	} else if !sc.matches(macs) {
+		r.scheds[dst] = sc
+	}
+	if !sc.matches(macs) {
 		sc.rebuild(macs)
 	}
-	return sc
+	return sc.next()
 }
 
-// Select implements Policy.
-func (s *Spritz) Select(vs *VSwitch, seg *packet.Segment) {
-	macs := vs.Mapping(seg.Flow.Dst.Host)
-	st, ok := s.flows[seg.Flow]
-	if !ok {
-		if len(s.flows) >= policyGCThreshold {
-			sweepIdle(vs.Eng.Now(), s.flows)
-		}
-		st = &spritzFlow{}
-		s.flows[seg.Flow] = st
-		st.mac, _ = s.pick(vs, seg, macs, 0)
-	}
-	st.lastSeen = vs.Eng.Now()
-	n := seg.Len()
-	if st.cellBytes+n > s.Cell {
-		st.cellBytes = n
-		st.flowcellID++
-		st.mac, _ = s.pick(vs, seg, macs, st.flowcellID)
-	} else {
-		st.cellBytes += n
-	}
-	seg.FlowcellID = st.flowcellID
-	if len(macs) == 0 {
-		seg.DstMAC = packet.HostMAC(seg.Flow.Dst.Host)
-		return
-	}
-	seg.DstMAC = st.mac
+func (r spritz) open(vs *VSwitch, st *flowState, seg *packet.Segment, macs []packet.MAC) {
+	var path int
+	st.mac, path = r.pick(seg.Flow.Dst.Host, macs)
+	vs.noteFlowcell(path, 0)
 }
 
-// pick selects the next flowcell's label through the destination's WRR
-// schedule and records the per-path accounting.
-func (s *Spritz) pick(vs *VSwitch, seg *packet.Segment, macs []packet.MAC, cell uint32) (packet.MAC, int) {
-	if len(macs) == 0 {
-		vs.noteFlowcell(0, cell)
-		return packet.HostMAC(seg.Flow.Dst.Host), 0
+func (r spritz) label(vs *VSwitch, st *flowState, seg *packet.Segment, macs []packet.MAC) packet.MAC {
+	if st.fill(seg.Len(), r.cell) {
+		var path int
+		st.mac, path = r.pick(seg.Flow.Dst.Host, macs)
+		vs.newCell(st, path)
 	}
-	sc := s.sched(seg.Flow.Dst.Host, macs)
-	mac, idx := sc.next()
-	vs.noteFlowcell(idx, cell)
-	return mac, idx
+	if len(macs) == 0 {
+		return packet.HostMAC(seg.Flow.Dst.Host)
+	}
+	return st.mac
 }
