@@ -72,6 +72,12 @@ func (s *Switch) SetNumTrees(n int) { s.numTrees = n }
 // LabelCount returns the number of installed label entries.
 func (s *Switch) LabelCount() int { return len(s.labelTable) }
 
+// Egress returns the installed egress link for label, if any.
+func (s *Switch) Egress(label packet.MAC) (topo.LinkID, bool) {
+	egress, ok := s.labelTable[label]
+	return egress, ok
+}
+
 func (s *Switch) forward(p *packet.Packet) {
 	s.RxPackets++
 	p.Hops++
