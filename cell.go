@@ -518,11 +518,13 @@ func failover(r *run) LoadResult {
 	}
 	measure("symmetry", r.opt.Warmup, r.opt.Warmup+stage)
 
-	// S1-L1 goes down. Hardware failover activates after the fabric's
-	// latency (5 ms); the controller's weighted mappings land after its
-	// 50 ms control loop.
+	// The first tree's link out of the first leaf (S1-L1 on the testbed)
+	// goes down. Hardware failover activates after the fabric's latency
+	// (5 ms); the controller's weighted mappings land after its 50 ms
+	// control loop.
 	failAt := c.Now()
-	c.FailLink(c.Ctrl.Trees()[0].LeafLink[c.Topo.Leaves[0]])
+	s1l1, _ := c.Ctrl.Trees()[0].NextLink(c.Topo.Leaves[0], c.Topo.Leaves[1])
+	c.FailLink(s1l1)
 	measure("failover", failAt+6*sim.Millisecond, failAt+48*sim.Millisecond)
 	measure("weighted", failAt+60*sim.Millisecond, failAt+60*sim.Millisecond+stage)
 

@@ -55,10 +55,9 @@ func TestDoubleFailureStillConnected(t *testing.T) {
 	})
 	conn := c.Dial(0, 1)
 	conn.Write(1 << 20)
-	trees := c.Ctrl.Trees()
 	c.Eng.At(sim.Millisecond, func() {
-		c.FailLink(trees[0].LeafLink[c.Topo.Leaves[0]])
-		c.FailLink(trees[1].LeafLink[c.Topo.Leaves[1]])
+		c.FailLink(treeLink(c, 0, 0))
+		c.FailLink(treeLink(c, 1, 1))
 	})
 	c.Eng.Run(5 * sim.Second)
 	if conn.Delivered() != 1<<20 {
@@ -85,7 +84,7 @@ func TestFailureDuringMice(t *testing.T) {
 		c.Eng.At(sim.Time(i)*200*sim.Microsecond, func() { conn.Write(50_000) })
 	}
 	c.Eng.At(300*sim.Microsecond, func() {
-		c.FailLink(c.Ctrl.Trees()[0].LeafLink[c.Topo.Leaves[0]])
+		c.FailLink(treeLink(c, 0, 0))
 	})
 	c.Eng.Run(10 * sim.Second)
 	if done != 8 {

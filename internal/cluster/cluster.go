@@ -64,11 +64,6 @@ const (
 	GROPresto
 	// GRONone disables receive offload.
 	GRONone
-	// GROLROOfficial stacks hardware LRO in front of official GRO.
-	GROLROOfficial
-	// GROLROPresto stacks hardware LRO in front of Presto GRO (§2.2:
-	// the hardware stays simple, software handles reordering).
-	GROLROPresto
 )
 
 // prestoGROOverhead is the extra per-packet CPU cost of Presto GRO's
@@ -193,7 +188,7 @@ func New(cfg Config) *Cluster {
 		nicCfg := cfg.NIC
 		nicCfg.CPU.HandlerOverhead = 0
 		kind := c.groKind()
-		if kind == GROPresto || kind == GROLROPresto {
+		if kind == GROPresto {
 			base := nic.DefaultCPUConfig()
 			if nicCfg.CPU != (nic.CPUConfig{}) {
 				base = nicCfg.CPU
@@ -312,10 +307,6 @@ func (c *Cluster) makeGRO(kind GROKind, eng *sim.Engine) func(out gro.Output) gr
 			return gro.NewPresto(eng, out, cfg)
 		case GRONone:
 			return gro.NewNone(eng, out)
-		case GROLROOfficial:
-			return gro.NewLRO(eng, gro.NewOfficial(eng, out))
-		case GROLROPresto:
-			return gro.NewLRO(eng, gro.NewPresto(eng, out, cfg))
 		default:
 			return gro.NewOfficial(eng, out)
 		}

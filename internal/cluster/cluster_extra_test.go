@@ -190,7 +190,7 @@ func TestTunnelModeFailover(t *testing.T) {
 	conn.SetUnlimited(true)
 	c.Eng.Run(20 * sim.Millisecond)
 	before := conn.Delivered()
-	bad := c.Ctrl.Trees()[0].LeafLink[c.Topo.Leaves[0]]
+	bad := treeLink(c, 0, 0)
 	c.FailLink(bad)
 	c.Eng.Run(300 * sim.Millisecond)
 	if conn.Delivered() <= before {
@@ -278,25 +278,6 @@ func TestThreeTierElephantNearLineRate(t *testing.T) {
 	gbps := float64(conn.Delivered()) * 8 / dur.Seconds() / 1e9
 	if gbps < 8 {
 		t.Fatalf("3-tier presto elephant at %.2f Gbps", gbps)
-	}
-}
-
-func TestPrestoOverLROStack(t *testing.T) {
-	// Hardware LRO in front of Presto GRO: spraying still masked.
-	c := New(Config{
-		Topology: clos(4, 4, 1), Scheme: Presto, Seed: 61,
-		GRO: GROLROPresto, RecordFlowcells: true,
-	})
-	conn := c.Dial(0, 2)
-	conn.Write(4 << 20)
-	c.Eng.RunAll()
-	if conn.Delivered() != 4<<20 {
-		t.Fatalf("delivered %d over LRO stack", conn.Delivered())
-	}
-	for _, n := range conn.Receiver().OutOfOrderCounts() {
-		if n != 0 {
-			t.Fatal("LRO+Presto GRO leaked reordering")
-		}
 	}
 }
 

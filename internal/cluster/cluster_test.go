@@ -12,6 +12,13 @@ func clos(spines, leaves, hostsPer int) *topo.Topology {
 	return topo.TwoTierClos(spines, leaves, hostsPer, 1, topo.LinkConfig{})
 }
 
+// treeLink returns the link tree i uses between its root and leaf li.
+func treeLink(c *Cluster, i, li int) topo.LinkID {
+	tr := c.Ctrl.Trees()[i]
+	lid, _ := tr.NextLink(tr.Root, c.Topo.Leaves[li])
+	return lid
+}
+
 func TestPrestoTransferAcrossClos(t *testing.T) {
 	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 1, RecordFlowcells: true})
 	conn := c.Dial(0, 2) // leaf 0 -> leaf 2
@@ -168,7 +175,7 @@ func TestFailoverKeepsTrafficFlowing(t *testing.T) {
 		t.Fatal("no traffic before failure")
 	}
 	// Fail tree 0's link at leaf 0.
-	bad := c.Ctrl.Trees()[0].LeafLink[c.Topo.Leaves[0]]
+	bad := treeLink(c, 0, 0)
 	c.FailLink(bad)
 	c.Eng.Run(200 * sim.Millisecond)
 	after := conn.Delivered()

@@ -151,3 +151,60 @@ func TestLabelStatePinned(t *testing.T) {
 		}
 	}
 }
+
+// TestTunnelLabelsOnEveryShape: tunnel mode (§3.1's
+// O(|switches| x |paths|) extension) must install and spray on the
+// fabrics where the rule count matters. Before the one-tree installer
+// it wrote no labels on 3-tier and mesh fabrics while the edge still
+// sprayed tunnel MACs, so every flowcell fell through the switches'
+// no-entry detour onto one path.
+func TestTunnelLabelsOnEveryShape(t *testing.T) {
+	type outcome struct {
+		labels    int
+		perRoot   []uint64 // packets through each tree's root switch
+		hopDrops  uint64
+		delivered uint64
+	}
+	run := func(tp *topo.Topology, tunnel bool) outcome {
+		cfg := Config{Topology: tp, Scheme: Presto, Seed: 7}
+		cfg.Ctrl.TunnelMode = tunnel
+		c := New(cfg)
+		conn := c.Dial(0, packet.HostID(tp.NumHosts()-1)) // first pod to last
+		conn.SetUnlimited(true)
+		c.Run(20 * sim.Millisecond)
+		var o outcome
+		for _, n := range tp.Nodes {
+			if n.Kind != topo.KindHost {
+				o.labels += c.Net.Switch(n.ID).LabelCount()
+			}
+		}
+		for _, tr := range c.Ctrl.Trees() {
+			o.perRoot = append(o.perRoot, c.Net.Switch(tr.Root).RxPackets)
+		}
+		o.hopDrops, o.delivered = c.Net.TotalHopDrops(), conn.Delivered()
+		return o
+	}
+	for name, build := range map[string]func() *topo.Topology{
+		"threetier": func() *topo.Topology { return topo.ThreeTierClos(4, 2, 2, 2, topo.LinkConfig{}) },
+		"mesh":      func() *topo.Topology { return topo.LeafMesh(4, 2, topo.LinkConfig{}) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			perHost, tunnel := run(build(), false), run(build(), true)
+			if tunnel.labels == 0 || tunnel.labels >= perHost.labels {
+				t.Errorf("tunnel mode installed %d labels, want > 0 and < per-host's %d", tunnel.labels, perHost.labels)
+			}
+			for i, want := range perHost.perRoot {
+				got := tunnel.perRoot[i]
+				if got == 0 || float64(got) < 0.99*float64(want) || float64(got) > 1.01*float64(want) {
+					t.Errorf("tree %d root carried %d packets under tunnel labels, %d under per-host labels", i, got, want)
+				}
+			}
+			if tunnel.hopDrops != 0 {
+				t.Errorf("%d hop drops under tunnel labels", tunnel.hopDrops)
+			}
+			if tunnel.delivered != perHost.delivered {
+				t.Errorf("delivered %d bytes under tunnel labels, %d under per-host labels", tunnel.delivered, perHost.delivered)
+			}
+		})
+	}
+}

@@ -1,7 +1,8 @@
 // Package controller implements Presto's centralized controller
-// (§3.1, §3.3): it partitions a 2-tier Clos into disjoint spanning
-// trees (one per spine × parallel link), assigns each host one shadow
-// MAC per tree, installs the label-forwarding rules into the switches,
+// (§3.1, §3.3): it takes the fabric's spanning trees from topo.Trees —
+// whatever the fabric's shape — gives every destination one label per
+// tree (a shadow MAC per host, or a tunnel label per destination leaf
+// in TunnelMode), installs label → egress at every switch on the tree,
 // and pushes destination→label-list mappings to the edge vSwitches.
 //
 // On failure it relies on the fabric's hardware fast failover for the
@@ -51,6 +52,8 @@ type Controller struct {
 	cfg  Config
 
 	trees     []topo.Tree
+	switches  []topo.NodeID       // every switch, in node order
+	leafIdx   map[topo.NodeID]int // leaf → position in Topology.Leaves
 	vswitches map[packet.HostID]*vswitch.VSwitch
 
 	// Updates counts mapping pushes (initial install + failure
@@ -63,13 +66,23 @@ func New(eng *sim.Engine, net *fabric.Network, cfg Config) *Controller {
 	if cfg.UpdateLatency == 0 {
 		cfg.UpdateLatency = DefaultConfig().UpdateLatency
 	}
-	return &Controller{
+	c := &Controller{
 		eng:       eng,
 		net:       net,
 		topo:      net.Topo,
 		cfg:       cfg,
+		leafIdx:   make(map[topo.NodeID]int, len(net.Topo.Leaves)),
 		vswitches: make(map[packet.HostID]*vswitch.VSwitch),
 	}
+	for _, n := range c.topo.Nodes {
+		if n.Kind != topo.KindHost {
+			c.switches = append(c.switches, n.ID)
+		}
+	}
+	for i, leaf := range c.topo.Leaves {
+		c.leafIdx[leaf] = i
+	}
+	return c
 }
 
 // RegisterVSwitch attaches an edge vSwitch to the controller.
@@ -81,138 +94,83 @@ func (c *Controller) RegisterVSwitch(vs *vswitch.VSwitch) {
 func (c *Controller) Trees() []topo.Tree { return c.trees }
 
 // InstallAll allocates the spanning trees, installs one label per
-// (host, tree) at every switch on each tree, and pushes the initial
+// (tree, target) — a target is a host, or a destination leaf in
+// TunnelMode — at every switch on each tree, and pushes the initial
 // destination→labels mappings to all registered vSwitches.
 func (c *Controller) InstallAll() {
-	// RootedTrees covers every shape: Route-table trees for 3-tier and
-	// leaf-mesh topologies, LeafLink trees for 2-tier/single-switch.
-	c.trees = c.topo.RootedTrees()
-	if c.cfg.TunnelMode {
-		c.installTunnels()
-		c.pushMappings()
-		return
-	}
-	if len(c.trees) > 0 && c.trees[0].Route != nil {
-		c.installRooted()
-		c.pushMappings()
-		return
+	c.trees = c.topo.Trees()
+	for _, sw := range c.switches {
+		// Every switch, routed at or not: the failover rule cycles
+		// through this many trees.
+		c.net.Switch(sw).SetNumTrees(len(c.trees))
 	}
 	for _, tr := range c.trees {
-		for _, hostNode := range c.topo.Hosts {
-			host := c.topo.Nodes[hostNode].Host
+		if c.cfg.TunnelMode {
+			for _, leaf := range c.topo.Leaves {
+				c.install(tr, c.label(tr, leaf, 0), leaf)
+			}
+			continue
+		}
+		for h := range c.topo.Hosts {
+			host := packet.HostID(h)
 			if c.topo.SpineAttached(host) {
 				// Remote users hang off spines and are reached by
 				// L3/real-MAC forwarding, never labels (§6).
 				continue
 			}
-			label := packet.ShadowMAC(host, tr.Index)
-			hostLeaf := c.topo.LeafOf(host)
-			for _, leaf := range c.topo.Leaves {
-				sw := c.net.Switch(leaf)
-				if leaf == hostLeaf {
-					sw.InstallLabel(label, c.topo.HostLink(host))
-				} else if lid, ok := tr.LeafLink[leaf]; ok {
-					sw.InstallLabel(label, lid)
-				}
-				sw.SetNumTrees(len(c.trees))
-			}
-			if len(c.topo.Spines) > 0 {
-				if lid, ok := tr.LeafLink[hostLeaf]; ok {
-					sw := c.net.Switch(tr.Spine)
-					sw.InstallLabel(label, lid)
-					sw.SetNumTrees(len(c.trees))
-				}
-			}
+			leaf := c.topo.LeafOf(host)
+			label := c.label(tr, leaf, host)
+			c.install(tr, label, leaf)
+			// The host's own leaf ends the label at the host port, even
+			// when it routes nothing (the single switch).
+			c.net.Switch(leaf).InstallLabel(label, c.topo.HostLink(host))
 		}
 	}
 	c.pushMappings()
 }
 
-// installRooted installs per-host labels along rooted (3-tier) trees:
-// at every switch the tree's Route covers, the label's egress is the
-// tree edge toward the host's leaf; the host's own leaf forwards to
-// the host port.
-func (c *Controller) installRooted() {
-	for _, tr := range c.trees {
-		for _, hostNode := range c.topo.Hosts {
-			host := c.topo.Nodes[hostNode].Host
-			if c.topo.SpineAttached(host) {
-				continue
-			}
-			label := packet.ShadowMAC(host, tr.Index)
-			hostLeaf := c.topo.LeafOf(host)
-			for sw := range tr.Route {
-				node := c.net.Switch(sw)
-				node.SetNumTrees(len(c.trees))
-				if sw == hostLeaf {
-					node.InstallLabel(label, c.topo.HostLink(host))
-					continue
-				}
-				if lid, ok := tr.NextLink(sw, hostLeaf); ok {
-					node.InstallLabel(label, lid)
-				}
-			}
-			// The host's leaf may not appear in Route (it has no
-			// forwarding decisions for other leaves' traffic in tiny
-			// topologies); ensure the terminal entry exists.
-			leafSw := c.net.Switch(hostLeaf)
-			leafSw.InstallLabel(label, c.topo.HostLink(host))
-			leafSw.SetNumTrees(len(c.trees))
+// install writes label's egress — tr's link toward dstLeaf — at every
+// switch tr routes at. dstLeaf itself gets nothing here: a tunnel's
+// terminus forwards on L3.
+func (c *Controller) install(tr topo.Tree, label packet.MAC, dstLeaf topo.NodeID) {
+	for _, sw := range c.switches {
+		if lid, ok := tr.NextLink(sw, dstLeaf); ok {
+			c.net.Switch(sw).InstallLabel(label, lid)
 		}
 	}
 }
 
-// installTunnels installs one label per (destination leaf, tree):
-// uplink entries at every other leaf, a downlink entry at the tree's
-// spine, and nothing at the terminal leaf (it forwards on L3).
-func (c *Controller) installTunnels() {
-	for _, tr := range c.trees {
-		for di, dstLeaf := range c.topo.Leaves {
-			label := packet.TunnelMAC(di, tr.Index)
-			for _, leaf := range c.topo.Leaves {
-				sw := c.net.Switch(leaf)
-				sw.SetNumTrees(len(c.trees))
-				if leaf == dstLeaf {
-					continue
-				}
-				if lid, ok := tr.LeafLink[leaf]; ok {
-					sw.InstallLabel(label, lid)
-				}
-			}
-			if len(c.topo.Spines) > 0 {
-				sw := c.net.Switch(tr.Spine)
-				sw.InstallLabel(label, tr.LeafLink[dstLeaf])
-				sw.SetNumTrees(len(c.trees))
-			}
-		}
+// label returns the label that reaches host dst, attached to dstLeaf,
+// along tr: the leaf's tunnel label in TunnelMode (dst is ignored),
+// the host's shadow MAC otherwise.
+func (c *Controller) label(tr topo.Tree, dstLeaf topo.NodeID, dst packet.HostID) packet.MAC {
+	if c.cfg.TunnelMode {
+		return packet.TunnelMAC(c.leafIdx[dstLeaf], tr.Index)
 	}
-}
-
-// leafIndex returns the position of a leaf node in Topology.Leaves.
-func (c *Controller) leafIndex(leaf topo.NodeID) int {
-	for i, l := range c.topo.Leaves {
-		if l == leaf {
-			return i
-		}
-	}
-	return -1
+	return packet.ShadowMAC(dst, tr.Index)
 }
 
 // treeUsable reports whether tree tr currently connects the two
 // leaves: every link on the tree path from srcLeaf to dstLeaf is up.
 func (c *Controller) treeUsable(tr topo.Tree, srcLeaf, dstLeaf topo.NodeID) bool {
-	if len(tr.LeafLink) == 0 && tr.Route == nil {
-		return true // degenerate single-switch tree
+	path, ok := tr.Path(c.topo, srcLeaf, dstLeaf)
+	for _, lid := range path {
+		ok = ok && c.net.LinkUp(lid)
 	}
-	at := srcLeaf
-	for hops := 0; at != dstLeaf && hops < 8; hops++ {
-		lid, ok := tr.NextLink(at, dstLeaf)
-		if !ok || !c.net.LinkUp(lid) {
-			return false
+	return ok
+}
+
+// usableLabels returns, in tree order, the trees that currently connect
+// src's leaf to dst's and dst's label on each of them.
+func (c *Controller) usableLabels(src, dst packet.HostID) (usable []topo.Tree, labels []packet.MAC) {
+	srcLeaf, dstLeaf := c.topo.LeafOf(src), c.topo.LeafOf(dst)
+	for _, tr := range c.trees {
+		if c.treeUsable(tr, srcLeaf, dstLeaf) {
+			usable = append(usable, tr)
+			labels = append(labels, c.label(tr, dstLeaf, dst))
 		}
-		at = c.topo.Links[lid].Other(at)
 	}
-	return at == dstLeaf
+	return usable, labels
 }
 
 // pushMappings (re)computes and disseminates per-destination label
@@ -239,25 +197,13 @@ func (c *Controller) pushMappings() {
 				vs.SetMapping(dst, nil)
 				continue
 			}
-			dstLeaf := c.topo.LeafOf(dst)
-			var macs []packet.MAC
-			var usable []topo.Tree
-			for _, tr := range c.trees {
-				if c.treeUsable(tr, srcLeaf, dstLeaf) {
-					usable = append(usable, tr)
-					if c.cfg.TunnelMode {
-						macs = append(macs, packet.TunnelMAC(c.leafIndex(dstLeaf), tr.Index))
-					} else {
-						macs = append(macs, packet.ShadowMAC(dst, tr.Index))
-					}
-				}
-			}
+			usable, macs := c.usableLabels(srcHost, dst)
 			if c.cfg.TreeWeights != nil && len(macs) > 1 {
 				slots := c.cfg.WeightSlots
 				if slots <= 0 {
 					slots = 16
 				}
-				w := c.cfg.TreeWeights(c.topo, usable, srcLeaf, dstLeaf)
+				w := c.cfg.TreeWeights(c.topo, usable, srcLeaf, c.topo.LeafOf(dst))
 				if seq := WeightedLabels(macs, w, slots); seq != nil {
 					macs = seq
 				}

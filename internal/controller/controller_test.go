@@ -98,7 +98,7 @@ func TestFailurePrunesAffectedMappings(t *testing.T) {
 	c.InstallAll()
 	// Fail the tree-0 link between its spine and leaf 0.
 	tr0 := c.Trees()[0]
-	bad := tr0.LeafLink[net.Topo.Leaves[0]]
+	bad, _ := tr0.NextLink(tr0.Root, net.Topo.Leaves[0])
 	net.FailLink(bad)
 	c.HandleLinkFailure(bad)
 
@@ -131,7 +131,8 @@ func TestFailurePrunesAffectedMappings(t *testing.T) {
 func TestRestoreReinstatesMappings(t *testing.T) {
 	eng, net, c, vss := rig(t, 2, 2, 1)
 	c.InstallAll()
-	bad := c.Trees()[0].LeafLink[net.Topo.Leaves[0]]
+	tr0 := c.Trees()[0]
+	bad, _ := tr0.NextLink(tr0.Root, net.Topo.Leaves[0])
 	net.FailLink(bad)
 	c.HandleLinkFailure(bad)
 	eng.Run(sim.Second)

@@ -95,18 +95,7 @@ func (c *Controller) SetWeightedMapping(src, dst packet.HostID, weights []float6
 	if !ok {
 		return false
 	}
-	srcLeaf := c.topo.LeafOf(src)
-	dstLeaf := c.topo.LeafOf(dst)
-	var labels []packet.MAC
-	for _, tr := range c.trees {
-		if c.treeUsable(tr, srcLeaf, dstLeaf) {
-			if c.cfg.TunnelMode {
-				labels = append(labels, packet.TunnelMAC(c.leafIndex(dstLeaf), tr.Index))
-			} else {
-				labels = append(labels, packet.ShadowMAC(dst, tr.Index))
-			}
-		}
-	}
+	_, labels := c.usableLabels(src, dst)
 	if len(labels) != len(weights) {
 		return false
 	}

@@ -23,30 +23,21 @@ func (c *collector) HandlePacket(p *packet.Packet) {
 }
 
 // installTrees hand-installs label forwarding state the way the
-// controller does: one shadow MAC per (host, tree) at every switch on
-// the tree.
+// controller does: one shadow MAC per (host, tree) at every switch the
+// tree routes at, ending at the host port.
 func installTrees(n *Network) []topo.Tree {
-	trees := n.Topo.Trees(nil)
-	for _, tr := range trees {
-		for h, hostNode := range n.Topo.Hosts {
-			host := n.Topo.Nodes[hostNode].Host
-			label := packet.ShadowMAC(host, tr.Index)
-			hostLeaf := n.Topo.LeafOf(host)
-			for _, leaf := range n.Topo.Leaves {
-				sw := n.Switch(leaf)
-				if leaf == hostLeaf {
-					sw.InstallLabel(label, n.Topo.HostLink(host))
-				} else if lid, ok := tr.LeafLink[leaf]; ok {
-					sw.InstallLabel(label, lid)
+	trees := n.Topo.Trees()
+	for id, sw := range n.switches {
+		sw.SetNumTrees(len(trees))
+		for h := range n.Topo.Hosts {
+			host := packet.HostID(h)
+			for _, tr := range trees {
+				if lid, ok := tr.NextLink(id, n.Topo.LeafOf(host)); ok {
+					sw.InstallLabel(packet.ShadowMAC(host, tr.Index), lid)
+				} else if id == n.Topo.LeafOf(host) {
+					sw.InstallLabel(packet.ShadowMAC(host, tr.Index), n.Topo.HostLink(host))
 				}
-				sw.SetNumTrees(len(trees))
 			}
-			if tr.Spine >= 0 && len(n.Topo.Spines) > 0 {
-				sw := n.Switch(tr.Spine)
-				sw.InstallLabel(label, tr.LeafLink[hostLeaf])
-				sw.SetNumTrees(len(trees))
-			}
-			_ = h
 		}
 	}
 	return trees
@@ -203,9 +194,9 @@ func TestRealMACForwardingECMP(t *testing.T) {
 func TestFailoverBlackHoleThenReroute(t *testing.T) {
 	eng, n, cols := testNet(t, 2, 2, 2)
 	installTrees(n)
-	tree0 := n.Topo.Trees(nil)[0]
+	tree0 := n.Topo.Trees()[0]
 	// Fail the tree-0 link between its spine and leaf 0 at t=0.
-	failed := tree0.LeafLink[n.Topo.Leaves[0]]
+	failed, _ := tree0.NextLink(tree0.Root, n.Topo.Leaves[0])
 	n.FailLink(failed)
 
 	// Immediately send on tree 0 from host 0 (leaf 0) to host 2
@@ -239,9 +230,9 @@ func TestFailoverDetourAtSpine(t *testing.T) {
 	// the spine must detour via another leaf.
 	eng, n, cols := testNet(t, 2, 3, 1)
 	installTrees(n)
-	tree0 := n.Topo.Trees(nil)[0]
+	tree0 := n.Topo.Trees()[0]
 	dstLeaf := n.Topo.LeafOf(2) // host 2 on leaf 2
-	failed := tree0.LeafLink[dstLeaf]
+	failed, _ := tree0.NextLink(tree0.Root, dstLeaf)
 	n.FailLink(failed)
 	eng.At(10*sim.Millisecond, func() {
 		p := mkPkt(0, 2, 100)
@@ -257,7 +248,8 @@ func TestFailoverDetourAtSpine(t *testing.T) {
 func TestRestoreLink(t *testing.T) {
 	eng, n, cols := testNet(t, 1, 2, 1)
 	installTrees(n)
-	lid := n.Topo.Trees(nil)[0].LeafLink[n.Topo.Leaves[0]]
+	tree0 := n.Topo.Trees()[0]
+	lid, _ := tree0.NextLink(tree0.Root, n.Topo.Leaves[0])
 	n.FailLink(lid)
 	if n.LinkUp(lid) {
 		t.Fatal("link should be down")
@@ -366,7 +358,7 @@ func TestPacketConservationProperty(t *testing.T) {
 			eng.Schedule(50*sim.Microsecond, func() { n.FailLink(lid) })
 		}
 		const injected = 400
-		trees := tp.Trees(nil)
+		trees := tp.Trees()
 		for i := 0; i < injected; i++ {
 			src := packet.HostID(rng.Intn(tp.NumHosts()))
 			dst := packet.HostID(rng.Intn(tp.NumHosts()))

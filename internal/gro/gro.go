@@ -118,9 +118,7 @@ type Stats struct {
 }
 
 // SetTracer attaches a structured event tracer (nil disables, the
-// default) and the host actor for emitted events. For stacked handlers
-// (LRO) this reaches the inner software handler, whose Stats are the
-// shared ones.
+// default) and the host actor for emitted events.
 func (s *Stats) SetTracer(tr *telemetry.Tracer, host int32) {
 	s.tracer = tr
 	s.host = host

@@ -220,21 +220,6 @@ func TestCPUModelLineRateWithGRO(t *testing.T) {
 	}
 }
 
-func TestDisableCPUModel(t *testing.T) {
-	eng, _, n, sink := testRig(t, Config{DisableCPUModel: true})
-	n.HandlePacket(&packet.Packet{
-		Flow: packet.FlowKey{Src: packet.Addr{Host: 1, Port: 1}, Dst: packet.Addr{Host: 0, Port: 2}},
-		Seq:  1, Payload: 500, Flags: packet.FlagACK,
-	})
-	eng.RunAll()
-	if len(sink.segs) != 1 {
-		t.Fatal("packet not delivered with CPU model disabled")
-	}
-	if n.Stats.BusyTime != 0 {
-		t.Fatal("busy time accounted with CPU model disabled")
-	}
-}
-
 func TestRingOverflowDrops(t *testing.T) {
 	eng, _, n, _ := testRig(t, Config{RingSize: 16, CoalesceCount: 1000, CoalesceDelay: sim.Second})
 	for i := 0; i < 40; i++ {

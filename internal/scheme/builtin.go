@@ -162,35 +162,9 @@ func init() {
 func TreeHopWeights(tp *topo.Topology, trees []topo.Tree, srcLeaf, dstLeaf topo.NodeID) []float64 {
 	w := make([]float64, len(trees))
 	for i, tr := range trees {
-		hops := treeHops(tp, tr, srcLeaf, dstLeaf)
-		if hops > 0 {
-			w[i] = 1 / float64(hops)
+		if path, _ := tr.Path(tp, srcLeaf, dstLeaf); len(path) > 0 {
+			w[i] = 1 / float64(len(path))
 		}
 	}
 	return w
-}
-
-// treeHops walks tree next-links from src to dst, returning the hop
-// count (0 when src == dst, -1 when the tree has no path).
-func treeHops(tp *topo.Topology, tr topo.Tree, src, dst topo.NodeID) int {
-	if src == dst {
-		return 0
-	}
-	at := src
-	for hops := 1; hops <= 8; hops++ {
-		lid, ok := tr.NextLink(at, dst)
-		if !ok {
-			return -1
-		}
-		l := tp.Links[lid]
-		next := l.A
-		if next == at {
-			next = l.B
-		}
-		if next == dst {
-			return hops
-		}
-		at = next
-	}
-	return -1
 }

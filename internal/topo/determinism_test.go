@@ -2,7 +2,6 @@ package topo
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"testing"
 
@@ -10,8 +9,8 @@ import (
 )
 
 // fingerprintRouting renders everything shard-vs-serial byte-identity
-// depends on — equal-cost next-hop sets, rooted-tree route tables, and
-// 2-tier spanning trees — into one canonical string. Map-backed tables
+// depends on — equal-cost next-hop sets and spanning-tree route
+// tables — into one canonical string. Map-backed tables
 // are rendered by iterating ID-ordered slices (never by ranging the
 // maps), so the fingerprint reflects the structures' contents and the
 // *slice* orders the fabric consumes them in.
@@ -28,8 +27,8 @@ func fingerprintRouting(t *Topology) string {
 			fmt.Fprintf(&b, "next %d->%d:%v\n", from, dst, t.NextLinksTo(from, dst))
 		}
 	}
-	for _, tr := range t.RootedTrees() {
-		fmt.Fprintf(&b, "tree %d root %d\n", tr.Index, tr.Spine)
+	for _, tr := range t.Trees() {
+		fmt.Fprintf(&b, "tree %d root %d\n", tr.Index, tr.Root)
 		for from := NodeID(0); int(from) < len(t.Nodes); from++ {
 			for _, dstLeaf := range t.Leaves {
 				if lid, ok := tr.NextLink(from, dstLeaf); ok {
@@ -38,22 +37,11 @@ func fingerprintRouting(t *Topology) string {
 			}
 		}
 	}
-	for _, tr := range t.Trees(nil) {
-		fmt.Fprintf(&b, "flat tree %d root %d\n", tr.Index, tr.Spine)
-		leaves := make([]int, 0, len(tr.LeafLink))
-		for l := range tr.LeafLink {
-			leaves = append(leaves, int(l))
-		}
-		sort.Ints(leaves)
-		for _, l := range leaves {
-			fmt.Fprintf(&b, "  leaf %d via %d\n", l, tr.LeafLink[NodeID(l)])
-		}
-	}
 	return b.String()
 }
 
 // TestRoutingDeterminismAcrossRebuilds pins the equal-cost ordering
-// audit: NextLinksTo, RootedTrees, and Trees must produce byte-
+// audit: NextLinksTo and Trees must produce byte-
 // identical results across 100 independent rebuilds of the same
 // topology. Any map-range or append-order sensitivity in the builders
 // or the routing computations would flip the fingerprint between
@@ -66,6 +54,7 @@ func TestRoutingDeterminismAcrossRebuilds(t *testing.T) {
 		{"threetier", func() *Topology { return ThreeTierClos(4, 2, 2, 2, LinkConfig{}) }},
 		{"twotier", func() *Topology { return TwoTierClos(4, 4, 4, 2, LinkConfig{}) }},
 		{"single", func() *Topology { return SingleSwitch(8, LinkConfig{}) }},
+		{"mesh", func() *Topology { return LeafMesh(4, 2, LinkConfig{}) }},
 	}
 	for _, bc := range builders {
 		name, build := bc.name, bc.build

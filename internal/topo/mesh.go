@@ -9,7 +9,7 @@ import "fmt"
 // setting path-aware schemes like Spritz target.
 //
 // Spanning trees are stars: tree i routes all traffic through hub
-// leaf i (see meshTrees). With ν leaves that yields ν trees per
+// leaf i (see Trees). With ν leaves that yields ν trees per
 // destination — two of them one-hop (the hubs incident to the pair),
 // the rest two-hop detours — so weighted multipathing, not tree
 // disjointness, is what keeps load off the detours. Each leaf plus
@@ -50,30 +50,4 @@ func (t *Topology) Mesh() bool { return t.mesh }
 // has path diversity worth installing label mappings for.
 func (t *Topology) HasFabric() bool {
 	return len(t.Spines) > 0 || len(t.Cores) > 0 || t.mesh
-}
-
-// meshTrees returns one star tree per leaf: tree i's hub is leaf i,
-// every other leaf reaches every destination leaf through the hub
-// (or directly, when the hub is an endpoint). Routes are expressed
-// through the rooted-tree Route table so NextLink, the controller's
-// installer, and treeUsable all work unchanged.
-func (t *Topology) meshTrees() []Tree {
-	trees := make([]Tree, 0, len(t.Leaves))
-	for i, hub := range t.Leaves {
-		tr := Tree{Index: i, Spine: hub, Route: make(map[NodeID]map[NodeID]LinkID)}
-		for _, dst := range t.Leaves {
-			for _, at := range t.Leaves {
-				if at == dst {
-					continue
-				}
-				if at == hub {
-					tr.setRoute(t, at, dst, dst)
-				} else {
-					tr.setRoute(t, at, dst, hub)
-				}
-			}
-		}
-		trees = append(trees, tr)
-	}
-	return trees
 }

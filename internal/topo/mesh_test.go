@@ -56,37 +56,25 @@ func TestLeafMeshPanicsOnDegenerate(t *testing.T) {
 // leaf, every leaf pair routed, hub trees one hop, others two.
 func TestMeshTreesAreStars(t *testing.T) {
 	tp := LeafMesh(4, 2, LinkConfig{})
-	trees := tp.RootedTrees()
+	trees := tp.Trees()
 	if len(trees) != 4 {
 		t.Fatalf("%d trees, want one per leaf", len(trees))
 	}
 	for i, tr := range trees {
-		if tr.Spine != tp.Leaves[i] {
-			t.Errorf("tree %d hub %v, want leaf %v", i, tr.Spine, tp.Leaves[i])
+		if tr.Root != tp.Leaves[i] {
+			t.Errorf("tree %d hub %v, want leaf %v", i, tr.Root, tp.Leaves[i])
 		}
 		for _, src := range tp.Leaves {
 			for _, dst := range tp.Leaves {
 				if src == dst {
 					continue
 				}
-				at := src
-				hops := 0
-				for ; at != dst && hops < 8; hops++ {
-					lid, ok := tr.NextLink(at, dst)
-					if !ok {
-						t.Fatalf("tree %d has no route %v->%v at %v", i, src, dst, at)
-					}
-					at = tp.Links[lid].Other(at)
-				}
-				if at != dst {
-					t.Fatalf("tree %d path %v->%v did not terminate", i, src, dst)
-				}
 				want := 2
-				if src == tr.Spine || dst == tr.Spine {
+				if src == tr.Root || dst == tr.Root {
 					want = 1
 				}
-				if hops != want {
-					t.Errorf("tree %d path %v->%v took %d hops, want %d", i, src, dst, hops, want)
+				if p, ok := tr.Path(tp, src, dst); !ok || len(p) != want {
+					t.Errorf("tree %d path %v->%v = %v, %v; want %d hops", i, src, dst, p, ok, want)
 				}
 			}
 		}
@@ -98,7 +86,7 @@ func TestMeshTreesAreStars(t *testing.T) {
 // multipathing to weight.
 func TestMeshTreesRouteEveryPair(t *testing.T) {
 	tp := LeafMesh(5, 1, LinkConfig{})
-	trees := tp.RootedTrees()
+	trees := tp.Trees()
 	if len(trees) != 5 {
 		t.Fatalf("%d trees, want 5", len(trees))
 	}

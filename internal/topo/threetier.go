@@ -1,10 +1,6 @@
 package topo
 
-import (
-	"fmt"
-
-	"presto/internal/sim"
-)
+import "fmt"
 
 // ThreeTierClos builds a 3-tier (pod-based) Clos: each pod has
 // aggPerPod aggregation switches and leafPerPod leaves (every leaf
@@ -56,16 +52,6 @@ func ThreeTierClos(pods, aggPerPod, leafPerPod, hostsPerLeaf int, cfg LinkConfig
 	return t
 }
 
-// linkBetween returns the (first) link between two nodes.
-func (t *Topology) linkBetween(a, b NodeID) (LinkID, bool) {
-	for _, lid := range t.adj[a] {
-		if t.Links[lid].Other(a) == b {
-			return lid, true
-		}
-	}
-	return 0, false
-}
-
 // NextLinksTo returns every link out of `from` that lies on a shortest
 // path to the destination node — the equal-cost set hardware ECMP
 // hashes over. It is a pure function of the immutable graph (one BFS
@@ -111,87 +97,3 @@ func (t *Topology) NextLinksTo(from, dst NodeID) []LinkID {
 	}
 	return out
 }
-
-// RootedTrees computes one spanning tree per core switch of a 3-tier
-// topology, per-leaf star trees for a leaf mesh, and falls back to
-// Trees for 2-tier/single-switch. Route-table trees map
-// (switch → destination leaf → egress link).
-func (t *Topology) RootedTrees() []Tree {
-	if t.mesh {
-		return t.meshTrees()
-	}
-	if len(t.Cores) == 0 {
-		return t.Trees(nil)
-	}
-	var trees []Tree
-	for i, core := range t.Cores {
-		tr := Tree{Index: i, Spine: core, Route: make(map[NodeID]map[NodeID]LinkID)}
-		// The tree uses agg index i in every pod: core i is wired to
-		// exactly those aggs.
-		var treeAggs []NodeID
-		for _, lid := range t.adj[core] {
-			treeAggs = append(treeAggs, t.Links[lid].Other(core))
-		}
-		aggOfLeaf := make(map[NodeID]NodeID)
-		for _, leaf := range t.Leaves {
-			for _, agg := range treeAggs {
-				if _, ok := t.linkBetween(agg, leaf); ok {
-					aggOfLeaf[leaf] = agg
-					break
-				}
-			}
-		}
-		for _, dstLeaf := range t.Leaves {
-			dstAgg := aggOfLeaf[dstLeaf]
-			// Core: descend to the destination pod's agg.
-			tr.setRoute(t, core, dstLeaf, dstAgg)
-			for _, agg := range treeAggs {
-				if agg == dstAgg {
-					// Destination pod's agg: descend to the leaf.
-					tr.setRoute(t, agg, dstLeaf, dstLeaf)
-				} else {
-					// Other pods' aggs: ascend to the core.
-					tr.setRoute(t, agg, dstLeaf, core)
-				}
-			}
-			for _, leaf := range t.Leaves {
-				if leaf == dstLeaf {
-					continue
-				}
-				// Every other leaf ascends to its pod's tree agg.
-				tr.setRoute(t, leaf, dstLeaf, aggOfLeaf[leaf])
-			}
-		}
-		trees = append(trees, tr)
-	}
-	return trees
-}
-
-// setRoute records (from → dstLeaf) via the direct link from→nexthop.
-func (tr *Tree) setRoute(t *Topology, from, dstLeaf, nexthop NodeID) {
-	lid, ok := t.linkBetween(from, nexthop)
-	if !ok {
-		return
-	}
-	if tr.Route[from] == nil {
-		tr.Route[from] = make(map[NodeID]LinkID)
-	}
-	tr.Route[from][dstLeaf] = lid
-}
-
-// NextLink returns the tree's egress at `from` toward dstLeaf, using
-// Route when present (3-tier) and LeafLink otherwise (2-tier).
-func (tr *Tree) NextLink(from, dstLeaf NodeID) (LinkID, bool) {
-	if tr.Route != nil {
-		lid, ok := tr.Route[from][dstLeaf]
-		return lid, ok
-	}
-	if from == tr.Spine {
-		lid, ok := tr.LeafLink[dstLeaf]
-		return lid, ok
-	}
-	lid, ok := tr.LeafLink[from]
-	return lid, ok
-}
-
-var _ = sim.Time(0) // keep the sim import for the builder signature

@@ -27,9 +27,9 @@ func TestThreeTierShape(t *testing.T) {
 	}
 }
 
-func TestRootedTreesCoverAllLeafPairs(t *testing.T) {
+func TestTreesCoverAllLeafPairs(t *testing.T) {
 	tp := ThreeTierClos(2, 2, 2, 1, LinkConfig{})
-	trees := tp.RootedTrees()
+	trees := tp.Trees()
 	if len(trees) != 2 {
 		t.Fatalf("%d trees, want one per core", len(trees))
 	}
@@ -39,32 +39,31 @@ func TestRootedTreesCoverAllLeafPairs(t *testing.T) {
 				if src == dst {
 					continue
 				}
-				// Walk the tree path; it must terminate at dst.
-				at := src
-				for hops := 0; at != dst && hops < 8; hops++ {
-					lid, ok := tr.NextLink(at, dst)
-					if !ok {
-						t.Fatalf("tree %d has no route %v->%v at %v", tr.Index, src, dst, at)
-					}
-					at = tp.Links[lid].Other(at)
+				// Same pod: up to the tree's agg and down; across pods:
+				// through the tree's core.
+				want := 4
+				if tp.PodOf(src) == tp.PodOf(dst) {
+					want = 2
 				}
-				if at != dst {
-					t.Fatalf("tree %d path %v->%v did not terminate", tr.Index, src, dst)
+				if p, ok := tr.Path(tp, src, dst); !ok || len(p) != want {
+					t.Fatalf("tree %d path %v->%v = %v, %v; want %d links", tr.Index, src, dst, p, ok, want)
 				}
 			}
 		}
 	}
 }
 
-func TestRootedTreesDisjointAtCoreTier(t *testing.T) {
+func TestTreesDisjointAtCoreTier(t *testing.T) {
 	tp := ThreeTierClos(3, 2, 2, 1, LinkConfig{})
-	trees := tp.RootedTrees()
+	trees := tp.Trees()
 	used := map[LinkID]int{}
 	for _, tr := range trees {
 		seen := map[LinkID]bool{}
-		for _, m := range tr.Route {
-			for _, lid := range m {
-				seen[lid] = true
+		for _, n := range tp.Nodes {
+			for _, dst := range tp.Leaves {
+				if lid, ok := tr.NextLink(n.ID, dst); ok {
+					seen[lid] = true
+				}
 			}
 		}
 		for lid := range seen {

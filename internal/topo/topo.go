@@ -1,8 +1,8 @@
 // Package topo describes static network topologies: the 2-tier Clos
 // fabrics the paper evaluates on (Figure 3, Figure 4a, Figure 4b), the
-// single non-blocking switch used as the Optimal baseline, plus path
-// enumeration and disjoint spanning-tree computation (one tree per
-// spine switch × parallel link, §3.1).
+// single non-blocking switch used as the Optimal baseline, the 3-tier
+// and leaf-mesh extensions, and the spanning trees the controller
+// labels (§3.1) — one Tree type and one Trees for every shape.
 //
 // A Topology is immutable once built; dynamic state (queues, failures)
 // lives in package fabric.
@@ -328,75 +328,127 @@ func SingleSwitch(hosts int, cfg LinkConfig) *Topology {
 	return t
 }
 
-// Tree is one spanning tree of a Clos topology: it routes through a
-// single spine and uses exactly one of the γ parallel links to each
-// leaf. Trees with distinct (spine, link-choice) pairs are link-disjoint
-// in the fabric layer, which is what lets the controller allocate ν·γ
-// disjoint trees (§3.1).
+// Tree is one spanning tree of the fabric (§3.1): the switches it
+// spans and, at each of them, the one link it uses toward every
+// destination leaf. Every fabric shape yields the same thing; what
+// differs is only where the trees hang from (see Trees). Distinct
+// 2-tier and 3-tier trees are link-disjoint, which is what lets the
+// controller allocate ν·γ disjoint trees.
 type Tree struct {
+	// Index is the tree's stable position in Trees(); labels carry it.
 	Index int
-	// Spine is the tree's root: a spine switch (2-tier) or a core
-	// switch (3-tier).
-	Spine NodeID
-	// LeafLink maps each leaf to the link this tree uses between
-	// Spine and that leaf (2-tier trees).
-	LeafLink map[NodeID]LinkID
-	// Route maps (switch → destination leaf → egress link) for rooted
-	// trees of deeper topologies (3-tier); nil for 2-tier trees, whose
-	// routing LeafLink fully determines. Use NextLink for both.
-	Route map[NodeID]map[NodeID]LinkID
+	// Root is the switch the tree hangs from: a spine (2-tier), a core
+	// (3-tier), a hub leaf (leaf mesh), or the lone switch.
+	Root NodeID
+	// route maps switch → destination leaf → egress link. A leaf has no
+	// entry toward itself; the lone switch's tree has no entries at all.
+	route map[NodeID]map[NodeID]LinkID
 }
 
-// Trees computes the disjoint spanning trees of a Clos topology,
-// skipping any tree that would use a link in omit (the controller's
-// pruning path after a failure). For a single-switch topology it
-// returns one degenerate tree.
-func (t *Topology) Trees(omit map[LinkID]bool) []Tree {
-	if len(t.Spines) == 0 {
-		return []Tree{{Index: 0, LeafLink: map[NodeID]LinkID{}}}
-	}
+// Trees computes the fabric's spanning trees, in an order (and with
+// Index values) that labels and per-path counters depend on: one per
+// spine × parallel link for a 2-tier Clos (spine-major), one per core
+// for a 3-tier Clos, one star per hub leaf for a leaf mesh, and a
+// single routeless tree for a single switch.
+func (t *Topology) Trees() []Tree {
 	var trees []Tree
-	idx := 0
-	for _, s := range t.Spines {
-		for g := 0; g < t.Gamma; g++ {
-			tree := Tree{Index: idx, Spine: s, LeafLink: make(map[NodeID]LinkID, len(t.Leaves))}
-			ok := true
-			for _, l := range t.Leaves {
-				links := t.SpineLeafLinks(s, l)
-				if g >= len(links) || omit[links[g]] {
-					ok = false
-					break
-				}
-				tree.LeafLink[l] = links[g]
+	// grow adds the tree hanging from root; up gives every other switch
+	// on it its link toward the root.
+	grow := func(root NodeID, up map[NodeID]LinkID) {
+		trees = append(trees, t.newTree(len(trees), root, up))
+	}
+	switch {
+	case t.mesh:
+		for _, hub := range t.Leaves {
+			up := make(map[NodeID]LinkID)
+			t.leavesBelow(hub, up)
+			grow(hub, up)
+		}
+	case len(t.Cores) > 0:
+		// Core i is wired to agg i of every pod, so its tree uses those
+		// aggs and every leaf under them.
+		for _, core := range t.Cores {
+			up := make(map[NodeID]LinkID)
+			for _, lid := range t.adj[core] {
+				agg := t.Links[lid].Other(core)
+				up[agg] = lid
+				t.leavesBelow(agg, up)
 			}
-			if ok {
-				trees = append(trees, tree)
-				idx++
+			grow(core, up)
+		}
+	case len(t.Spines) == 0:
+		grow(t.Leaves[0], nil)
+	default:
+		for _, s := range t.Spines {
+			for g := 0; g < t.Gamma; g++ {
+				// The g-th parallel link by name: searching the
+				// adjacency list would find the first one every time.
+				up := make(map[NodeID]LinkID, len(t.Leaves))
+				for _, l := range t.Leaves {
+					up[l] = t.SpineLeafLinks(s, l)[g]
+				}
+				grow(s, up)
 			}
 		}
 	}
 	return trees
 }
 
-// Path is a sequence of links from a source host to a destination host.
-type Path []LinkID
-
-// Paths enumerates every end-to-end path between two hosts: the access
-// link, an uplink to some spine, a downlink to the destination leaf,
-// and the destination access link. Hosts on the same leaf have exactly
-// one path. This is what the ECMP baseline randomizes over (§4).
-func (t *Topology) Paths(src, dst packet.HostID) []Path {
-	sl, dl := t.LeafOf(src), t.LeafOf(dst)
-	if sl == dl {
-		return []Path{{t.HostLink(src), t.HostLink(dst)}}
-	}
-	var paths []Path
-	for _, s := range t.Spines {
-		for _, up := range t.SpineLeafLinks(s, sl) {
-			for _, down := range t.SpineLeafLinks(s, dl) {
-				paths = append(paths, Path{t.HostLink(src), up, down, t.HostLink(dst)})
-			}
+// leavesBelow records every leaf adjacent to n with its link to n.
+func (t *Topology) leavesBelow(n NodeID, up map[NodeID]LinkID) {
+	for _, lid := range t.adj[n] {
+		if o := t.Links[lid].Other(n); t.Nodes[o].Kind == KindLeaf {
+			up[o] = lid
 		}
 	}
-	return paths
+}
+
+// newTree derives the route table of the tree that hangs from root,
+// given every other member switch's link toward the root: toward a
+// destination leaf, that leaf's ancestors descend along its own climb
+// and every other switch climbs.
+func (t *Topology) newTree(index int, root NodeID, up map[NodeID]LinkID) Tree {
+	tr := Tree{Index: index, Root: root, route: make(map[NodeID]map[NodeID]LinkID, len(up)+1)}
+	set := func(at, dst NodeID, lid LinkID) {
+		if tr.route[at] == nil {
+			tr.route[at] = make(map[NodeID]LinkID, len(t.Leaves))
+		}
+		tr.route[at][dst] = lid
+	}
+	for _, dst := range t.Leaves {
+		for at, lid := range up {
+			if at != dst {
+				set(at, dst, lid)
+			}
+		}
+		for at := dst; at != root; {
+			lid := up[at]
+			at = t.Links[lid].Other(at)
+			set(at, dst, lid)
+		}
+	}
+	return tr
+}
+
+// NextLink returns the tree's egress at switch from toward dstLeaf.
+func (tr Tree) NextLink(from, dstLeaf NodeID) (LinkID, bool) {
+	lid, ok := tr.route[from][dstLeaf]
+	return lid, ok
+}
+
+// Path walks the tree from srcLeaf to dstLeaf and returns the links it
+// crosses, in order; ok is false when the tree does not connect the
+// two. A leaf reaches itself by the empty path, which is how the lone
+// switch's routeless tree is usable.
+func (tr Tree) Path(t *Topology, srcLeaf, dstLeaf NodeID) ([]LinkID, bool) {
+	var path []LinkID
+	for at := srcLeaf; at != dstLeaf; {
+		lid, ok := tr.NextLink(at, dstLeaf)
+		if !ok || len(path) == len(t.Nodes) {
+			return nil, false
+		}
+		path = append(path, lid)
+		at = t.Links[lid].Other(at)
+	}
+	return path, true
 }

@@ -54,19 +54,22 @@ func TestHostLeafAssignment(t *testing.T) {
 func TestTreesAreDisjointAndCoverLeaves(t *testing.T) {
 	for _, gamma := range []int{1, 2} {
 		tp := TwoTierClos(4, 4, 2, gamma, LinkConfig{})
-		trees := tp.Trees(nil)
+		trees := tp.Trees()
 		if want := 4 * gamma; len(trees) != want {
 			t.Fatalf("gamma=%d: %d trees, want %d", gamma, len(trees), want)
 		}
 		used := map[LinkID]int{}
-		for _, tr := range trees {
-			if len(tr.LeafLink) != len(tp.Leaves) {
-				t.Fatalf("tree %d covers %d leaves, want %d", tr.Index, len(tr.LeafLink), len(tp.Leaves))
+		for i, tr := range trees {
+			if tr.Index != i || tr.Root != tp.Spines[i/gamma] {
+				t.Fatalf("tree %d: index %d root %d, want spine-major order", i, tr.Index, tr.Root)
 			}
-			for leaf, l := range tr.LeafLink {
+			for _, leaf := range tp.Leaves {
+				l, ok := tr.NextLink(tr.Root, leaf)
+				if !ok {
+					t.Fatalf("tree %d does not cover leaf %d", tr.Index, leaf)
+				}
 				used[l]++
-				link := tp.Links[l]
-				if link.Other(tr.Spine) != leaf {
+				if tp.Links[l].Other(tr.Root) != leaf {
 					t.Fatalf("tree %d leaf link %d does not connect spine to leaf", tr.Index, l)
 				}
 			}
@@ -77,22 +80,8 @@ func TestTreesAreDisjointAndCoverLeaves(t *testing.T) {
 				t.Fatalf("gamma=%d: link %d used by %d trees", gamma, l, n)
 			}
 		}
-	}
-}
-
-func TestTreesPruneOmittedLinks(t *testing.T) {
-	tp := TwoTierClos(4, 4, 2, 1, LinkConfig{})
-	// Fail the link between spine 0 and leaf 0.
-	bad := tp.SpineLeafLinks(tp.Spines[0], tp.Leaves[0])[0]
-	trees := tp.Trees(map[LinkID]bool{bad: true})
-	if len(trees) != 3 {
-		t.Fatalf("%d trees after prune, want 3", len(trees))
-	}
-	for _, tr := range trees {
-		for _, l := range tr.LeafLink {
-			if l == bad {
-				t.Fatal("pruned tree still uses failed link")
-			}
+		if want := 4 * 4 * gamma; len(used) != want {
+			t.Fatalf("gamma=%d: trees use %d fabric links, want all %d", gamma, len(used), want)
 		}
 	}
 }
@@ -101,27 +90,30 @@ func TestPathsCount(t *testing.T) {
 	cases := []struct {
 		spines, gamma, want int
 	}{
-		{2, 1, 2}, {4, 1, 4}, {8, 1, 8}, {2, 2, 8}, // γ² per spine
+		{2, 1, 2}, {4, 1, 4}, {8, 1, 8}, {2, 2, 4}, // one tree path per spine × parallel link
 	}
 	for _, c := range cases {
 		tp := TwoTierClos(c.spines, 2, 2, c.gamma, LinkConfig{})
-		paths := tp.Paths(0, 2) // host 0 on leaf 0, host 2 on leaf 1
-		if len(paths) != c.want {
-			t.Errorf("spines=%d gamma=%d: %d paths, want %d", c.spines, c.gamma, len(paths), c.want)
-		}
-		for _, p := range paths {
-			if len(p) != 4 {
-				t.Errorf("cross-leaf path has %d links, want 4", len(p))
+		distinct := map[[2]LinkID]bool{}
+		for _, tr := range tp.Trees() {
+			p, ok := tr.Path(tp, tp.Leaves[0], tp.Leaves[1])
+			if !ok || len(p) != 2 {
+				t.Fatalf("spines=%d gamma=%d tree %d: cross-leaf path %v, want 2 links", c.spines, c.gamma, tr.Index, p)
 			}
+			distinct[[2]LinkID{p[0], p[1]}] = true
+		}
+		if len(distinct) != c.want {
+			t.Errorf("spines=%d gamma=%d: %d distinct tree paths, want %d", c.spines, c.gamma, len(distinct), c.want)
 		}
 	}
 }
 
 func TestPathsSameLeaf(t *testing.T) {
 	tp := TwoTierClos(4, 2, 4, 1, LinkConfig{})
-	paths := tp.Paths(0, 1)
-	if len(paths) != 1 || len(paths[0]) != 2 {
-		t.Fatalf("same-leaf paths = %v", paths)
+	for _, tr := range tp.Trees() {
+		if p, ok := tr.Path(tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
+			t.Fatalf("tree %d same-leaf path = %v, %v; want empty and usable", tr.Index, p, ok)
+		}
 	}
 }
 
@@ -133,13 +125,12 @@ func TestSingleSwitch(t *testing.T) {
 	if len(tp.Links) != 16 {
 		t.Fatalf("links = %d, want 16", len(tp.Links))
 	}
-	trees := tp.Trees(nil)
-	if len(trees) != 1 {
-		t.Fatalf("single switch should have 1 degenerate tree, got %d", len(trees))
+	trees := tp.Trees()
+	if len(trees) != 1 || trees[0].Root != tp.Leaves[0] {
+		t.Fatalf("single switch should have 1 routeless tree at the switch, got %v", trees)
 	}
-	paths := tp.Paths(0, 15)
-	if len(paths) != 1 || len(paths[0]) != 2 {
-		t.Fatalf("single switch paths = %v", paths)
+	if p, ok := trees[0].Path(tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
+		t.Fatalf("routeless tree path = %v, %v; want empty and usable", p, ok)
 	}
 }
 
@@ -155,40 +146,47 @@ func TestDefaultLinkConfigApplied(t *testing.T) {
 	}
 }
 
-// Property: every enumerated path starts at the source access link,
-// ends at the destination access link, and alternates valid endpoints.
+// Property: on every fabric shape, every tree's path between two
+// leaves is a contiguous walk over switch-to-switch links from the
+// source leaf to the destination leaf that visits no switch twice.
 func TestPathsWellFormedProperty(t *testing.T) {
-	prop := func(spinesRaw, leavesRaw, hostsRaw, srcRaw, dstRaw uint8) bool {
-		spines := int(spinesRaw)%6 + 1
-		leaves := int(leavesRaw)%4 + 2
-		hostsPer := int(hostsRaw)%3 + 1
-		tp := TwoTierClos(spines, leaves, hostsPer, 1, LinkConfig{})
-		n := tp.NumHosts()
-		src := packet.HostID(int(srcRaw) % n)
-		dst := packet.HostID(int(dstRaw) % n)
-		if src == dst {
-			return true
+	prop := func(kind, aRaw, bRaw, gammaRaw, srcRaw, dstRaw uint8) bool {
+		a, b := int(aRaw)%4+1, int(bRaw)%3+2
+		var tp *Topology
+		switch kind % 3 {
+		case 0:
+			tp = TwoTierClos(a, b, 1, int(gammaRaw)%2+1, LinkConfig{})
+		case 1:
+			tp = ThreeTierClos(b, a, 2, 1, LinkConfig{})
+		default:
+			tp = LeafMesh(b, 1, LinkConfig{})
 		}
-		for _, p := range tp.Paths(src, dst) {
-			if p[0] != tp.HostLink(src) || p[len(p)-1] != tp.HostLink(dst) {
+		src := tp.Leaves[int(srcRaw)%len(tp.Leaves)]
+		dst := tp.Leaves[int(dstRaw)%len(tp.Leaves)]
+		for _, tr := range tp.Trees() {
+			p, ok := tr.Path(tp, src, dst)
+			if !ok {
 				return false
 			}
-			// Check connectivity: walk from the source host.
-			at := tp.HostNode(src)
+			at, seen := src, map[NodeID]bool{src: true}
 			for _, lid := range p {
 				l := tp.Links[lid]
 				if l.A != at && l.B != at {
 					return false
 				}
 				at = l.Other(at)
+				if seen[at] || tp.Nodes[at].Kind == KindHost {
+					return false
+				}
+				seen[at] = true
 			}
-			if at != tp.HostNode(dst) {
+			if at != dst {
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,11 +1,11 @@
-// Package workload_test holds the conformance tests for §4's traffic
-// patterns. The imperative generators they were written against are
-// gone — internal/workload/spec is the only traffic generator — so
-// each test now drives the same behaviour through a workload spec: the
+// Conformance tests for §4's traffic patterns, written against the
+// imperative generators this package replaced and kept as an external
+// test package (they drive presto.SpecCell, which imports spec). Each
+// test drives the old behaviour through a workload spec: the
 // cross-pod constraint of random and bijection, the bounded fallbacks
 // on degenerate topologies, shuffle's closed loop, request/response
 // mice, the trace-driven size mix, and north-south cross traffic.
-package workload_test
+package spec_test
 
 import (
 	"testing"
