@@ -74,6 +74,14 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 			Src: packet.Addr{Host: src, Port: c.allocPort()},
 			Dst: packet.Addr{Host: dst, Port: 5001},
 		}
+		// The port counter wraps after 55,536 dials; a key a live
+		// connection still owns must not be handed out again.
+		for tries := 0; srcVS.Registered(f); tries++ {
+			if tries == 1<<16 {
+				panic("cluster: every source port between these hosts is in use")
+			}
+			f.Src.Port = c.allocPort()
+		}
 		conn.fwd[i] = tcp.New(srcEng, f, srcVS, fwdCfg)
 		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, revCfg)
 		srcVS.Register(f, conn.fwd[i])
@@ -154,11 +162,16 @@ func (conn *Conn) SenderTimeouts() uint64 {
 // TCP, one per subflow for MPTCP).
 func (conn *Conn) Flows() []packet.FlowKey { return conn.flows }
 
-// Close unregisters the connection's flows from both edge tables.
+// Close unregisters the connection's flows from both edge tables and
+// ends their receive-offload state at both NICs (data arrives on f at
+// Dst, responses on f.Reverse() at Src).
 func (conn *Conn) Close() {
+	src, dst := conn.c.Hosts[conn.Src], conn.c.Hosts[conn.Dst]
 	for _, f := range conn.flows {
-		conn.c.Hosts[conn.Src].VS.Unregister(f)
-		conn.c.Hosts[conn.Dst].VS.Unregister(f.Reverse())
+		src.VS.Unregister(f)
+		dst.VS.Unregister(f.Reverse())
+		dst.NIC.GRO().CloseFlow(f)
+		src.NIC.GRO().CloseFlow(f.Reverse())
 	}
 }
 

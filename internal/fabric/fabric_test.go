@@ -27,7 +27,11 @@ func (c *collector) HandlePacket(p *packet.Packet) {
 // tree routes at, ending at the host port.
 func installTrees(n *Network) []topo.Tree {
 	trees := n.Topo.Trees()
-	for id, sw := range n.switches {
+	for i, sw := range n.switches {
+		if sw == nil {
+			continue
+		}
+		id := topo.NodeID(i)
 		sw.SetNumTrees(len(trees))
 		for h := range n.Topo.Hosts {
 			host := packet.HostID(h)

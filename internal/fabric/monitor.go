@@ -1,10 +1,6 @@
 package fabric
 
-import (
-	"fmt"
-
-	"presto/internal/sim"
-)
+import "presto/internal/sim"
 
 // LinkSample is one point in a monitored link-direction time series.
 type LinkSample struct {
@@ -23,8 +19,9 @@ type Monitor struct {
 	net *Network
 	eng *sim.Engine // the fabric's control engine (shard 0)
 
-	lastTx    map[pipeKey]uint64
-	series    map[pipeKey][]LinkSample
+	// Per pipe, indexed like Network.pipes.
+	lastTx    []uint64
+	series    [][]LinkSample
 	truncated bool
 	started   bool
 }
@@ -42,8 +39,8 @@ func NewMonitor(n *Network) *Monitor {
 	return &Monitor{
 		net:    n,
 		eng:    n.group.Shard(0),
-		lastTx: make(map[pipeKey]uint64),
-		series: make(map[pipeKey][]LinkSample),
+		lastTx: make([]uint64, len(n.pipes)),
+		series: make([][]LinkSample, len(n.pipes)),
 	}
 }
 
@@ -84,9 +81,9 @@ func (m *Monitor) Series(link int, from int) []LinkSample {
 	if m == nil {
 		return nil
 	}
-	for k, s := range m.series {
-		if int(k.link) == link && int(k.from) == from {
-			return s
+	for k, p := range m.net.pipes {
+		if int(p.link.ID) == link && int(p.from) == from {
+			return m.series[k]
 		}
 	}
 	return nil
@@ -112,8 +109,7 @@ func (m *Monitor) TelemetrySnapshot() map[string]any {
 			}
 			sumU += pt.Utilization
 		}
-		key := fmt.Sprintf("link%d:%d->%d", k.link, k.from, m.net.Topo.Links[k.link].Other(k.from))
-		out[key] = map[string]any{
+		out[m.net.pipes[k].name()] = map[string]any{
 			"samples":          len(s),
 			"max_queued_bytes": maxQ,
 			"peak_utilization": peakU,

@@ -53,10 +53,8 @@ func (c *Config) fill() {
 	}
 }
 
-type pipeKey struct {
-	link topo.LinkID
-	from topo.NodeID
-}
+// linkUp is linkDownSince's value for a link that is up.
+const linkUp sim.Time = -1
 
 // shardCounters holds one shard's slice of the aggregate drop and
 // delivery counts. Each pipe and switch increments the bucket of the
@@ -83,11 +81,14 @@ type Network struct {
 	shardOf  []int32
 	counters []shardCounters
 
-	pipes    map[pipeKey]*Pipe
-	switches map[topo.NodeID]*Switch
-	hosts    map[packet.HostID]Handler
+	// Dense per-hop tables: pipes by 2·LinkID + direction (see
+	// linkPipes), switches by NodeID (nil at host nodes), host handlers
+	// by HostID, link state by LinkID.
+	pipes    []*Pipe
+	switches []*Switch
+	hosts    []Handler
 
-	linkDownSince map[topo.LinkID]sim.Time
+	linkDownSince []sim.Time // when each link failed; linkUp while it is up
 	tracer        *telemetry.Tracer
 }
 
@@ -128,27 +129,26 @@ func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config
 		group:         g,
 		shardOf:       shardOf,
 		counters:      make([]shardCounters, g.Shards()),
-		pipes:         make(map[pipeKey]*Pipe),
-		switches:      make(map[topo.NodeID]*Switch),
-		hosts:         make(map[packet.HostID]Handler),
-		linkDownSince: make(map[topo.LinkID]sim.Time),
+		pipes:         make([]*Pipe, 0, 2*len(t.Links)),
+		switches:      make([]*Switch, len(t.Nodes)),
+		hosts:         make([]Handler, t.NumHosts()),
+		linkDownSince: make([]sim.Time, len(t.Links)),
 	}
 	for _, l := range t.Links {
+		n.linkDownSince[l.ID] = linkUp
 		for _, from := range []topo.NodeID{l.A, l.B} {
 			capBytes := n.cfg.SwitchQueueBytes
 			if t.Nodes[from].Kind == topo.KindHost {
 				capBytes = n.cfg.HostQueueBytes
 			}
 			dst := l.Other(from)
-			dstShard := -1
-			if shardOf[from] != shardOf[dst] {
-				dstShard = int(shardOf[dst])
-			}
-			n.pipes[pipeKey{l.ID, from}] = &Pipe{
+			p := &Pipe{
 				eng: n.EngineFor(from), net: n, link: l, from: from,
-				dst: dst, dstShard: dstShard,
+				dst: dst, dstShard: int(shardOf[dst]),
 				ctr: n.counterOf(from), capBytes: capBytes,
 			}
+			p.txDoneFn, p.arriveFn = p.txDone, p.arrive
+			n.pipes = append(n.pipes, p)
 		}
 	}
 	for _, node := range t.Nodes {
@@ -227,28 +227,36 @@ func (n *Network) Switch(id topo.NodeID) *Switch { return n.switches[id] }
 // Pipe returns the directed pipe of link id transmitting from node
 // from.
 func (n *Network) Pipe(id topo.LinkID, from topo.NodeID) *Pipe {
-	return n.pipes[pipeKey{id, from}]
+	for _, p := range n.linkPipes(id) {
+		if p.from == from {
+			return p
+		}
+	}
+	return nil
 }
+
+// linkPipes returns both directions of link id.
+func (n *Network) linkPipes(id topo.LinkID) []*Pipe { return n.pipes[2*int(id) : 2*int(id)+2] }
 
 // SendFromHost injects a packet from host h onto its access link.
 func (n *Network) SendFromHost(h packet.HostID, p *packet.Packet) {
-	lid := n.Topo.HostLink(h)
-	n.pipes[pipeKey{lid, n.Topo.HostNode(h)}].Enqueue(p)
+	n.Pipe(n.Topo.HostLink(h), n.Topo.HostNode(h)).Enqueue(p)
 }
 
 // deliver hands a packet that finished propagating to its next node.
 // In sharded mode it always runs on the engine of node's shard (the
 // pipe either scheduled it locally or routed it through the group).
+//
+//prestolint:noalloc
 func (n *Network) deliver(node topo.NodeID, p *packet.Packet) {
-	nd := n.Topo.Nodes[node]
-	if nd.Kind == topo.KindHost {
-		n.counterOf(node).delivered++
-		if h := n.hosts[nd.Host]; h != nil {
-			h.HandlePacket(p)
-		}
+	if sw := n.switches[node]; sw != nil {
+		sw.forward(p)
 		return
 	}
-	n.switches[node].forward(p)
+	n.counterOf(node).delivered++
+	if h := n.hosts[n.Topo.Nodes[node].Host]; h != nil {
+		h.HandlePacket(p)
+	}
 }
 
 // FailLink takes both directions of link id down. Switch fast-failover
@@ -257,35 +265,32 @@ func (n *Network) deliver(node topo.NodeID, p *packet.Packet) {
 // by every shard without synchronization during windows.
 func (n *Network) FailLink(id topo.LinkID) {
 	n.checkQuiescent("FailLink")
-	if _, dead := n.linkDownSince[id]; dead {
+	if !n.LinkUp(id) {
 		return
 	}
 	n.linkDownSince[id] = n.now()
 	n.tracer.LinkDown(n.now(), int32(id))
-	l := n.Topo.Links[id]
-	n.pipes[pipeKey{id, l.A}].fail()
-	n.pipes[pipeKey{id, l.B}].fail()
+	for _, p := range n.linkPipes(id) {
+		p.fail()
+	}
 }
 
 // RestoreLink brings link id back up. Like FailLink it is only legal
 // between Run calls on a sharded network.
 func (n *Network) RestoreLink(id topo.LinkID) {
 	n.checkQuiescent("RestoreLink")
-	if _, dead := n.linkDownSince[id]; !dead {
+	if n.LinkUp(id) {
 		return
 	}
-	delete(n.linkDownSince, id)
+	n.linkDownSince[id] = linkUp
 	n.tracer.LinkUp(n.now(), int32(id))
-	l := n.Topo.Links[id]
-	n.pipes[pipeKey{id, l.A}].restore()
-	n.pipes[pipeKey{id, l.B}].restore()
+	for _, p := range n.linkPipes(id) {
+		p.restore()
+	}
 }
 
 // LinkUp reports whether link id is up.
-func (n *Network) LinkUp(id topo.LinkID) bool {
-	_, dead := n.linkDownSince[id]
-	return !dead
-}
+func (n *Network) LinkUp(id topo.LinkID) bool { return n.linkDownSince[id] == linkUp }
 
 // checkQuiescent panics if a windowed (multi-shard) run is in progress:
 // callers mutate state every shard reads without synchronization.
@@ -300,8 +305,8 @@ func (n *Network) checkQuiescent(op string) {
 // latency) as of the caller's clock. Switches pass their own engine's
 // now so the check is shard-local.
 func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
-	since, dead := n.linkDownSince[id]
-	return dead && now >= since+failoverLatency
+	since := n.linkDownSince[id]
+	return since != linkUp && now >= since+failoverLatency
 }
 
 // LossRate returns queue-overflow drops as a fraction of packets
@@ -309,8 +314,8 @@ func (n *Network) failoverActive(id topo.LinkID, now sim.Time) bool {
 // paper's switch-counter measurement.
 func (n *Network) LossRate() float64 {
 	var drops, enq uint64
-	for k, p := range n.pipes {
-		if n.Topo.Nodes[k.from].Kind == topo.KindHost {
+	for _, p := range n.pipes {
+		if n.Topo.Nodes[p.from].Kind == topo.KindHost {
 			continue
 		}
 		drops += p.Drops
@@ -328,12 +333,12 @@ func (n *Network) LossRate() float64 {
 func (n *Network) TelemetrySnapshot() map[string]any {
 	links := make(map[string]any, len(n.pipes))
 	elapsed := n.now()
-	for k, p := range n.pipes {
+	for _, p := range n.pipes {
 		util := 0.0
 		if elapsed > 0 {
 			util = float64(p.TxBytes*8) / (elapsed.Seconds() * float64(p.link.BitsPerSec))
 		}
-		links[fmt.Sprintf("link%d:%d->%d", k.link, k.from, p.link.Other(k.from))] = map[string]any{
+		links[p.name()] = map[string]any{
 			"tx_packets":      p.TxPackets,
 			"tx_bytes":        p.TxBytes,
 			"drops":           p.Drops,

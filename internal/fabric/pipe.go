@@ -6,6 +6,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -15,23 +17,32 @@ import (
 // link rate, followed by propagation delay. Packets that would
 // overflow the queue are dropped (tail drop), as in the paper's
 // shallow-buffered 10 GbE switches.
+//
+// The forward path builds no closure: the packet being serialised sits
+// in tx, the queue is a ring, and the two per-packet events —
+// serialisation done, arrival at the far end — are callbacks bound once
+// at construction (the arrival carries its packet as the event's
+// argument). Arrivals of one pipe fire in transmit order: they share
+// one propagation delay and the engine breaks ties FIFO.
 type Pipe struct {
 	eng  *sim.Engine // engine of the transmitting end's shard
 	net  *Network
 	link topo.Link
 	from topo.NodeID // transmitting end
 	dst  topo.NodeID // receiving end
-	// dstShard is the receiving end's shard when it differs from the
-	// transmitting end's (-1 when both ends share an engine): delivery
-	// then crosses via ShardGroup.Send instead of a local schedule.
+	// dstShard is the receiving end's shard: the arrival rides
+	// ShardGroup.SendArg, a plain schedule when both ends share an
+	// engine and the group's handoff path when they do not.
 	dstShard int
 	ctr      *shardCounters // aggregate bucket of the transmitting shard
 
 	capBytes   int
-	queuedWire int // wire bytes currently queued (excluding in-flight)
-	queue      []*packet.Packet
-	busy       bool
+	queuedWire int            // wire bytes currently queued (excluding in-service)
+	queue      packet.Ring    // waiting packets
+	tx         *packet.Packet // the packet being serialised; nil when the link is idle
 	down       bool
+	txDoneFn   func()
+	arriveFn   func(any)
 
 	// Counters (switch-counter analogues; loss rate in the paper is
 	// measured from these).
@@ -45,6 +56,11 @@ type Pipe struct {
 	MaxQueuedBytes int
 }
 
+// name labels the pipe in telemetry snapshots.
+func (p *Pipe) name() string {
+	return fmt.Sprintf("link%d:%d->%d", p.link.ID, p.from, p.dst)
+}
+
 // Up reports whether the pipe's link is up.
 func (p *Pipe) Up() bool { return !p.down }
 
@@ -53,6 +69,8 @@ func (p *Pipe) QueuedBytes() int { return p.queuedWire }
 
 // Enqueue places pkt on the output queue, dropping it if the link is
 // down or the queue is full.
+//
+//prestolint:noalloc
 func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	p.EnqPackets++
 	if p.down {
@@ -76,59 +94,74 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	if p.queuedWire > p.MaxQueuedBytes {
 		p.MaxQueuedBytes = p.queuedWire
 	}
-	p.queue = append(p.queue, pkt)
-	if !p.busy {
+	p.queue.Push(pkt)
+	if p.tx == nil {
 		p.transmitNext()
 	}
 }
 
+// transmitNext starts serialising the head of the queue on an idle
+// link.
+//
+//prestolint:noalloc
 func (p *Pipe) transmitNext() {
-	if len(p.queue) == 0 || p.down {
-		p.busy = false
+	if p.queue.Len() == 0 || p.down {
 		return
 	}
-	p.busy = true
-	pkt := p.queue[0]
-	p.queue = p.queue[1:]
-	w := pkt.WireSize()
+	p.tx = p.queue.Pop()
+	w := p.tx.WireSize()
 	p.queuedWire -= w
 	ser := sim.Time(int64(w) * 8 * int64(sim.Second) / p.link.BitsPerSec)
-	p.eng.Schedule(ser, func() {
-		p.TxPackets++
-		p.TxBytes += uint64(w)
-		p.LastActive = p.eng.Now()
-		if !p.down {
-			// Propagation: the packet arrives at the far end later; the
-			// queue meanwhile keeps draining. A shard boundary rides the
-			// group's handoff path (propagation >= lookahead is checked
-			// at construction, so the send is always window-legal).
-			dst := p.dst
-			if p.dstShard < 0 {
-				p.eng.Schedule(p.link.Propagation, func() { p.net.deliver(dst, pkt) })
-			} else {
-				p.net.group.Send(p.eng, p.dstShard, p.link.Propagation, func() { p.net.deliver(dst, pkt) })
-			}
-		} else {
-			p.DropsDown++
-			p.ctr.dropsDown++
-		}
-		p.transmitNext()
-	})
+	p.eng.Schedule(ser, p.txDoneFn)
 }
 
-// fail marks the pipe down and discards its queue.
+// txDone fires when tx has left the wire: count it, start its
+// propagation, and only then start the next serialisation — the order
+// the two schedule calls have always been made in, which the engine's
+// FIFO tie-break turns into event order.
+//
+//prestolint:noalloc
+func (p *Pipe) txDone() {
+	pkt := p.tx
+	p.tx = nil
+	p.TxPackets++
+	p.TxBytes += uint64(pkt.WireSize())
+	p.LastActive = p.eng.Now()
+	if !p.down {
+		// Propagation: the packet arrives at the far end later; the
+		// queue meanwhile keeps draining. (Cross-shard propagation >=
+		// lookahead is checked at construction, so the send is always
+		// window-legal.)
+		p.net.group.SendArg(p.eng, p.dstShard, p.link.Propagation, p.arriveFn, pkt)
+	} else {
+		p.DropsDown++
+		p.ctr.dropsDown++
+	}
+	p.transmitNext()
+}
+
+// arrive hands a packet that finished propagating to the receiving
+// node. It runs on the receiving end's engine.
+//
+//prestolint:noalloc
+func (p *Pipe) arrive(pkt any) { p.net.deliver(p.dst, pkt.(*packet.Packet)) }
+
+// fail marks the pipe down and discards its queue — but neither the
+// packet in service (txDone counts it black-holed) nor packets already
+// propagating (they still arrive).
 func (p *Pipe) fail() {
 	p.down = true
-	p.DropsDown += uint64(len(p.queue))
-	p.ctr.dropsDown += uint64(len(p.queue))
-	p.queue = nil
+	n := uint64(p.queue.Len())
+	p.DropsDown += n
+	p.ctr.dropsDown += n
+	p.queue.Reset()
 	p.queuedWire = 0
 }
 
 // restore brings the pipe back up.
 func (p *Pipe) restore() {
 	p.down = false
-	if !p.busy {
+	if p.tx == nil {
 		p.transmitNext()
 	}
 }

@@ -78,6 +78,7 @@ func (s *Switch) Egress(label packet.MAC) (topo.LinkID, bool) {
 	return egress, ok
 }
 
+//prestolint:noalloc
 func (s *Switch) forward(p *packet.Packet) {
 	s.RxPackets++
 	p.Hops++
@@ -104,6 +105,8 @@ func (s *Switch) labelDstLeaf(m packet.MAC) topo.NodeID {
 // failover path: when the installed egress is down and the failover
 // rule has activated, the label is rewritten to a backup tree
 // (pre-determined, local decision) and forwarding retries.
+//
+//prestolint:noalloc
 func (s *Switch) forwardLabel(p *packet.Packet) {
 	if p.DstMAC.IsTunnel() && s.node.Kind == topo.KindLeaf &&
 		s.labelDstLeaf(p.DstMAC) == s.node.ID {
@@ -239,6 +242,7 @@ func pickECMP(n *Network, candidates []topo.LinkID, p *packet.Packet, now sim.Ti
 	return live[int(h)%len(live)], true
 }
 
+//prestolint:noalloc
 func (s *Switch) enqueue(lid topo.LinkID, p *packet.Packet) {
 	s.net.Pipe(lid, s.node.ID).Enqueue(p)
 }

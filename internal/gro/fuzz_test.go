@@ -14,16 +14,37 @@ import (
 // in-order delivery produces (every byte exactly once, no gaps, no
 // overlaps), and no segment is left held once all timers drain.
 //
+// It is also the differential test of the O(active) flush: everything
+// is fed to the optimised handler and to the walk-every-flow reference
+// (reference_test.go) alike, and the two must emit the identical
+// sequence of (flow, StartSeq, EndSeq, Packets, FlushReason, at) and
+// identical Stats. The single-flow window cannot reach the flow
+// bookkeeping that changed, so the rest of the input drives a second
+// stage over several flows: packets (in-order, reordered, retransmitted
+// under a later flowcell), polls, idle stretches in which hold timers
+// fire, closes between polls, and closes from inside a delivery — after
+// which the key is used again.
+//
 // The fuzz input is a raw byte string consumed as a stream of
 // decisions: packet count, flowcell width, a Fisher-Yates shuffle,
-// then alternating batch sizes and inter-batch delays. Everything is
-// derived from the input bytes, so each case replays deterministically.
+// alternating batch sizes and inter-batch delays, then the second
+// stage's operations. Everything is derived from the input bytes, so
+// each case replays deterministically.
 func FuzzPrestoGRO(f *testing.F) {
 	// The Figure 2 interleaving, a straight in-order run, and a
 	// single-packet-batch tail-of-window case.
 	f.Add([]byte{9, 5, 0, 1, 2, 5, 6, 3, 4, 7, 8, 9, 0})
 	f.Add([]byte{16, 4})
 	f.Add([]byte{24, 3, 0xff, 0x80, 0x40, 7, 1, 90, 1, 90, 1, 90})
+	// Second-stage cases, each after a minimal window (2 packets,
+	// 1-packet flowcells, one batch): two flows polled in swapped order;
+	// a flow holding two segments closed from inside the timer-driven
+	// delivery of the first, then its key reused; a close between polls
+	// with a segment held.
+	stage2 := func(ops ...byte) []byte { return append([]byte{0, 0, 0, 1, 0}, ops...) }
+	f.Add(stage2(0, 0, 0, 0, 1, 0, 5, 10, 0, 1, 1, 0, 0, 1, 5, 10))
+	f.Add(stage2(0, 0, 0, 0, 0, 2, 5, 1, 0, 0, 4, 5, 10, 7, 0, 5, 250, 0, 0, 0, 5, 1))
+	f.Add(stage2(0, 0, 0, 0, 0, 2, 5, 1, 6, 0, 0, 0, 3, 5, 250))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() byte {
@@ -47,9 +68,8 @@ func FuzzPrestoGRO(f *testing.F) {
 			order[i], order[j] = order[j], order[i]
 		}
 
-		eng := sim.NewEngine()
-		out := &sink{}
-		g := NewPresto(eng, out, PrestoConfig{InitialEWMA: 200 * sim.Microsecond})
+		cfg := PrestoConfig{InitialEWMA: 200 * sim.Microsecond}
+		rs := newRigs(cfg)
 
 		// Split the arrival order into poll batches at fuzz-chosen
 		// boundaries and feed each at a fuzz-chosen simulated time, so
@@ -64,23 +84,27 @@ func FuzzPrestoGRO(f *testing.F) {
 			batch := order[idx:end]
 			idx = end
 			at += sim.Time(int(next())%100) * sim.Microsecond
-			eng.At(at, func() {
+			rs.at(at, func(r *rig) {
 				for _, i := range batch {
-					g.Receive(pkt(i, uint32(1+i/cell)))
+					r.h.Receive(pkt(i, uint32(1+i/cell)))
 				}
-				g.Flush()
+				r.h.Flush()
 			})
 		}
-		eng.RunAll() // drain every hold timer
+		rs.run(t) // drain every hold timer; same deliveries as the reference walk
 
-		if held := g.HeldSegments(); held != 0 {
+		if held := rs[0].h.HeldSegments(); held != 0 {
 			t.Fatalf("held-segment leak: %d segments still buffered after all timers drained", held)
+		}
+		var out sink
+		for _, d := range rs[0].log {
+			out.segs = append(out.segs, &packet.Segment{StartSeq: d.start, EndSeq: d.end})
 		}
 
 		// Reference: the same window fed strictly in order.
 		refEng := sim.NewEngine()
 		refOut := &sink{}
-		ref := NewPresto(refEng, refOut, PrestoConfig{InitialEWMA: 200 * sim.Microsecond})
+		ref := NewPresto(refEng, refOut, cfg)
 		for i := 0; i < n; i++ {
 			ref.Receive(pkt(i, uint32(1+i/cell)))
 		}
@@ -89,6 +113,42 @@ func FuzzPrestoGRO(f *testing.F) {
 
 		if got, want := coverage(t, out.dataSegs()), coverage(t, refOut.dataSegs()); got != want {
 			t.Fatalf("reassembled stream %+v does not match in-order delivery %+v", got, want)
+		}
+
+		// Second stage: several flows, closes and key reuse, on fresh
+		// handlers. One operation per byte (plus its operands) until the
+		// input runs out.
+		const flows, span = 4, 32
+		rs = newRigs(cfg)
+		at = 0
+		var batch []*packet.Packet
+		for ops := 0; pos < len(data) && ops < 512; ops++ {
+			switch op := next() % 8; op {
+			default: // a data packet joins the current poll's batch
+				flow, i := int(next())%flows, int(next())%span
+				fc := uint32(1 + i/cell)
+				if op == 4 {
+					fc += uint32(next())%3 + 1 // a retransmission, stamped with a later flowcell
+				}
+				batch = append(batch, flowPkt(flow, i, fc))
+			case 5: // poll, after an idle stretch of up to 2.5 ms
+				at += sim.Time(next()) * 10 * sim.Microsecond
+				rs.poll(at, batch...)
+				batch = nil
+			case 6: // the connection closes between polls
+				key := flowPkt(int(next())%flows, 0, 0).Flow
+				at += sim.Microsecond
+				rs.at(at, func(r *rig) { r.h.CloseFlow(key) })
+			case 7: // the connection closes inside its next data delivery
+				key := flowPkt(int(next())%flows, 0, 0).Flow
+				at += sim.Microsecond
+				rs.at(at, func(r *rig) { r.closeOn[key] = true })
+			}
+		}
+		rs.poll(at+sim.Microsecond, batch...)
+		rs.run(t)
+		if held := rs[0].h.HeldSegments(); held != 0 {
+			t.Fatalf("held-segment leak: %d segments still buffered after all timers drained", held)
 		}
 	})
 }

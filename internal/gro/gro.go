@@ -30,6 +30,9 @@ type Handler interface {
 	Receive(p *packet.Packet)
 	// Flush is called at the end of each poll event.
 	Flush()
+	// CloseFlow tells the handler that the connection receiving on flow
+	// f has closed: per-flow state kept across polls is dropped.
+	CloseFlow(f packet.FlowKey)
 	// Stats exposes counters for CPU accounting and the Figure 5
 	// microbenchmarks.
 	Stats() *Stats
@@ -245,6 +248,9 @@ func (n *None) Receive(p *packet.Packet) {
 
 // Flush implements Handler.
 func (n *None) Flush() {}
+
+// CloseFlow implements Handler; None keeps no per-flow state.
+func (n *None) CloseFlow(packet.FlowKey) {}
 
 // Stats implements Handler.
 func (n *None) Stats() *Stats { return &n.stats }

@@ -1,6 +1,8 @@
 package gro
 
 import (
+	"slices"
+
 	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -69,6 +71,12 @@ type prestoFlow struct {
 	// original head-prepend + stable-sort produced.
 	segs []*packet.Segment
 
+	// ord is the flow's first-seen ordinal at this handler — Flush
+	// delivers flows in ord order — and listed marks membership of
+	// Presto.active.
+	ord    uint64
+	listed bool
+
 	init         bool
 	lastFlowcell uint32 // flowcell of the most recent in-order byte
 	expSeq       uint32 // next expected in-order sequence number
@@ -130,15 +138,31 @@ func (f *prestoFlow) insertSeg(s *packet.Segment) {
 // flowcell: push immediately) from reordering (gap at a flowcell
 // boundary: hold briefly), and adapts its hold timeout to observed
 // reordering via an EWMA.
+//
+// Flow lifetime: an entry is created by a flow's first data packet and
+// dies at CloseFlow; Flush visits only the flows that hold segments, in
+// first-seen order. That is the order segments of different flows go up
+// the stack in, hence the order their ACKs are emitted in, hence every
+// downstream event key — it must not follow this poll's arrival order.
 type Presto struct {
 	Eng *sim.Engine
 	Out Output
 	cfg PrestoConfig
 
 	flows map[packet.FlowKey]*prestoFlow
-	order []packet.FlowKey
-	timer *sim.Timer
-	stats Stats
+	// active lists the flows holding segments: Receive appends a flow
+	// when its list becomes non-empty, Flush sorts the few newcomers into
+	// first-seen order and drops the flows it drained.
+	active []*prestoFlow
+	seen   uint64 // flows created so far; the last first-seen ordinal
+	// walking is set while Flush walks active. A timer-driven Flush
+	// delivers straight up the stack, so a connection can complete and
+	// close inside the walk over its own segments; such closes wait in
+	// closing until the walk ends.
+	walking bool
+	closing []packet.FlowKey
+	timer   *sim.Timer
+	stats   Stats
 }
 
 // NewPresto returns a Presto GRO handler.
@@ -163,11 +187,11 @@ func (g *Presto) Receive(p *packet.Packet) {
 	g.stats.PacketsIn++
 	f, ok := g.flows[p.Flow]
 	if !ok {
-		f = &prestoFlow{}
+		g.seen++
+		f = &prestoFlow{ord: g.seen}
 		f.ewma.Alpha = g.cfg.EWMAWeight
 		f.mdev.Alpha = g.cfg.EWMAWeight
 		g.flows[p.Flow] = f
-		g.order = append(g.order, p.Flow)
 	}
 	// Scan merge candidates from the highest start sequence down: the
 	// common in-order packet extends the most recent (highest-seq)
@@ -189,22 +213,52 @@ func (g *Presto) Receive(p *packet.Packet) {
 		}
 	}
 	f.insertSeg(segFromPacket(p, now))
+	if !f.listed {
+		f.listed = true
+		g.active = append(g.active, f)
+	}
+}
+
+// CloseFlow implements Handler: the flow's entry — reorder state, hold
+// estimator and any segments still held — dies with its connection, so
+// the table tracks live flows and a reused flow key starts clean.
+func (g *Presto) CloseFlow(key packet.FlowKey) {
+	if g.walking {
+		g.closing = append(g.closing, key)
+		return
+	}
+	f, ok := g.flows[key]
+	if !ok {
+		return
+	}
+	delete(g.flows, key)
+	if f.listed {
+		i := slices.Index(g.active, f)
+		g.active = slices.Delete(g.active, i, i+1)
+	}
 }
 
 // Flush implements Handler: Algorithm 2's flush function, run at the
 // end of every poll event (and again from a timer while segments are
-// held).
+// held). Its cost is proportional to the flows holding segments, not to
+// the flows the handler has seen.
 //
 //prestolint:noalloc
 func (g *Presto) Flush() {
 	now := g.Eng.Now()
 	var nextDeadline sim.Time = -1
 	held := false
-	for _, key := range g.order {
-		f := g.flows[key]
-		if f == nil || len(f.segs) == 0 {
-			continue
+	// Flows held over from the last flush are already in first-seen
+	// order; insertion-sort this poll's newcomers in behind them.
+	a := g.active
+	for i := 1; i < len(a); i++ {
+		for j := i; j > 0 && a[j].ord < a[j-1].ord; j-- {
+			a[j], a[j-1] = a[j-1], a[j]
 		}
+	}
+	g.walking = true
+	live := a[:0]
+	for _, f := range a {
 		// The list is maintained sorted by start sequence on arrival
 		// (insertSeg / the mergeHead bubble), so the walk needs no sort.
 		if !f.init {
@@ -280,7 +334,19 @@ func (g *Presto) Flush() {
 			}
 		}
 		f.segs = kept
+		if len(kept) > 0 {
+			live = append(live, f)
+		} else {
+			f.listed = false
+		}
 	}
+	clear(a[len(live):]) // drained flows must not be pinned by the reused backing array
+	g.active = live
+	g.walking = false
+	for _, key := range g.closing {
+		g.CloseFlow(key)
+	}
+	g.closing = g.closing[:0]
 	if held {
 		g.stats.ReorderHolds++
 		delay := nextDeadline - now
@@ -326,13 +392,15 @@ func (g *Presto) holdUntil(s *packet.Segment, e sim.Time) sim.Time {
 // Stats implements Handler.
 func (g *Presto) Stats() *Stats { return &g.stats }
 
+// Flows returns the number of flows the handler keeps state for: those
+// that have sent data and whose connection has not closed.
+func (g *Presto) Flows() int { return len(g.flows) }
+
 // HeldSegments returns the number of segments currently held across
-// flows (zero when no reordering is in flight). Ranging over the flows
-// map is safe here: += into a scalar is order-insensitive, so the
-// result does not depend on map iteration order.
+// flows (zero when no reordering is in flight).
 func (g *Presto) HeldSegments() int {
 	n := 0
-	for _, f := range g.flows {
+	for _, f := range g.active {
 		n += len(f.segs)
 	}
 	return n

@@ -114,7 +114,7 @@ type NIC struct {
 	gro   gro.Handler
 	stage *stagingOutput
 
-	ring     pktRing
+	ring     packet.Ring       // RX descriptor ring
 	batch    []*packet.Packet  // reused per-poll scratch
 	staged   []*packet.Segment // segments awaiting the current poll's completion
 	doneFn   func()            // pollDone bound once, so poll() doesn't allocate a closure
@@ -124,47 +124,6 @@ type NIC struct {
 	tracer   *telemetry.Tracer
 
 	Stats Stats
-}
-
-// pktRing is the RX descriptor ring: a growable circular queue whose
-// push/pop are allocation-free in steady state (the backing array only
-// grows, by doubling, to the high-water mark).
-type pktRing struct {
-	buf  []*packet.Packet // power-of-two capacity
-	head int
-	n    int
-}
-
-// Len returns the number of queued packets.
-func (r *pktRing) Len() int { return r.n }
-
-func (r *pktRing) push(p *packet.Packet) {
-	if r.n == len(r.buf) {
-		r.grow()
-	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = p
-	r.n++
-}
-
-func (r *pktRing) pop() *packet.Packet {
-	p := r.buf[r.head]
-	r.buf[r.head] = nil // release the reference; the ring must not pin packets
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
-	return p
-}
-
-func (r *pktRing) grow() {
-	cap2 := len(r.buf) * 2
-	if cap2 == 0 {
-		cap2 = 64
-	}
-	buf := make([]*packet.Packet, cap2)
-	for i := 0; i < r.n; i++ {
-		buf[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-	}
-	r.buf = buf
-	r.head = 0
 }
 
 // stagingOutput buffers GRO output during a poll so delivery happens
@@ -295,7 +254,7 @@ func (n *NIC) HandlePacket(p *packet.Packet) {
 		n.tracer.RingDrop(n.eng.Now(), int32(n.host), n.ring.Len())
 		return
 	}
-	n.ring.push(p)
+	n.ring.Push(p)
 	if n.ring.Len() > n.Stats.MaxRing {
 		n.Stats.MaxRing = n.ring.Len()
 	}
@@ -325,7 +284,7 @@ func (n *NIC) takeBatch(budget int) []*packet.Packet {
 	}
 	n.batch = n.batch[:0]
 	for i := 0; i < budget; i++ {
-		n.batch = append(n.batch, n.ring.pop())
+		n.batch = append(n.batch, n.ring.Pop())
 	}
 	return n.batch
 }

@@ -11,13 +11,17 @@
 //
 // Performance: the hot path (Schedule → dispatch) is allocation-free in
 // steady state. Events live in a pooled arena (a slice of slots recycled
-// through a free list) and are ordered by an intrusive 4-ary min-heap of
-// slot indices, so scheduling neither boxes values into interfaces nor
-// touches the garbage collector. Arena invariants, for future editors:
+// through a free list) and are ordered by an intrusive 4-ary min-heap
+// whose cells carry the (at, seq) key inline next to the slot index, so
+// scheduling neither boxes values into interfaces nor touches the
+// garbage collector, and the sift loops compare contiguous memory and
+// touch the arena only to write pos. Arena invariants, for future
+// editors:
 //
-//   - A slot is in exactly one of three states: queued (pos >= 0, index
-//     into heap), firing (popped this dispatch, pos == -1, not yet
-//     released), or free (on the free list, pos == -1, fn == nil).
+//   - A slot is in exactly one of two states: queued (pos >= 0, index
+//     into heap) or free (on the free list, pos == -1, callback zero).
+//   - The key lives in the heap cell only; whoever changes a queued
+//     event's key (rekey) writes heap[pos], not the slot.
 //   - EventID carries the slot's generation at allocation time. Every
 //     release increments the generation, so a stale EventID — one whose
 //     event fired, was canceled, or whose slot was reused — can never
@@ -25,7 +29,8 @@
 //   - The slot is released *before* its callback runs: from inside a
 //     callback, the firing event's own EventID is already dead, and a
 //     Schedule there may legitimately reuse the slot.
-//   - fn is cleared on release so the arena never pins dead closures.
+//   - The callback is cleared on release so the arena never pins dead
+//     closures or arguments.
 package sim
 
 import (
@@ -66,16 +71,45 @@ func (t Time) String() string {
 	}
 }
 
+// callback is what an event runs: fn(), or — the argument-carrying
+// form behind ShardGroup.SendArg — afn(arg) when fn is nil. A component
+// binds afn once and passes the per-event datum in arg, so a per-packet
+// event needs no closure; a pointer in arg does not allocate.
+type callback struct {
+	fn  func()
+	afn func(any)
+	arg any
+}
+
+func (c callback) call() {
+	if c.fn != nil {
+		c.fn()
+		return
+	}
+	c.afn(c.arg)
+}
+
 // eventSlot is one arena cell. See the package comment for the state
 // machine and generation rules.
 type eventSlot struct {
-	at  Time
-	seq uint64 // FIFO tie-break for events at the same instant
 	gen uint64 // bumped on every release; EventIDs must match to act
-	fn  func()
+	cb  callback
 
-	pos  int32 // index in Engine.heap, or -1 when firing/free
+	pos  int32 // index in Engine.heap, or -1 when free
 	next int32 // next free slot while on the free list
+}
+
+// heapCell is one heap entry: the event's key inline, and the arena
+// slot holding the rest of it.
+type heapCell struct {
+	at   Time
+	seq  uint64 // FIFO tie-break for events at the same instant
+	slot int32
+}
+
+// before reports whether c fires strictly before d.
+func (c *heapCell) before(d *heapCell) bool {
+	return c.at < d.at || (c.at == d.at && c.seq < d.seq)
 }
 
 // EventID identifies a scheduled event so it can be canceled. The zero
@@ -93,8 +127,8 @@ type Engine struct {
 	now   Time
 	seq   uint64
 	arena []eventSlot
-	free  int32   // head of the free-slot list, -1 when empty
-	heap  []int32 // 4-ary min-heap of arena indices, ordered by (at, seq)
+	free  int32      // head of the free-slot list, -1 when empty
+	heap  []heapCell // 4-ary min-heap ordered by (at, seq)
 	// sh is non-nil when the engine is one shard of a multi-shard
 	// ShardGroup; it redirects sequence-number draws to the group so the
 	// global schedule order stays bit-identical to a serial run. See
@@ -135,14 +169,14 @@ func (e *Engine) alloc() int32 {
 	return int32(len(e.arena) - 1)
 }
 
-// release retires a slot: kill its generation, drop the closure, and
+// release retires a slot: kill its generation, drop the callback, and
 // push it onto the free list.
 //
 //prestolint:noalloc
 func (e *Engine) release(i int32) {
 	s := &e.arena[i]
 	s.gen++
-	s.fn = nil
+	s.cb = callback{}
 	s.pos = -1
 	s.next = e.free
 	e.free = i
@@ -168,6 +202,15 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
+	return e.at(t, callback{fn: fn})
+}
+
+// at is the one schedule path, behind At and the group's sends: draw
+// the sequence number, enqueue, and journal the call when a window is
+// open.
+//
+//prestolint:noalloc
+func (e *Engine) at(t Time, cb callback) EventID {
 	if t < e.now {
 		t = e.now
 	}
@@ -178,14 +221,8 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	} else {
 		sq = e.sh.nextSeq()
 	}
-	i := e.alloc()
-	s := &e.arena[i]
-	s.at, s.seq, s.fn = t, sq, fn
-	e.heapPush(i)
-	if len(e.heap) > e.PeakPending {
-		e.PeakPending = len(e.heap)
-	}
-	id := EventID{slot: i, gen: s.gen}
+	i := e.insertKeyed(t, sq, cb)
+	id := EventID{slot: i, gen: e.arena[i].gen}
 	if e.sh != nil {
 		e.sh.noteLocal(t, id)
 	}
@@ -277,18 +314,17 @@ func (e *Engine) run(until Time) (stopped bool) {
 
 	for len(e.heap) > 0 && !e.stopped.Load() {
 		top := e.heap[0]
-		s := &e.arena[top]
-		if s.at > until {
+		if top.at > until {
 			break
 		}
-		fn := s.fn
-		e.now = s.at
+		cb := e.arena[top.slot].cb
+		e.now = top.at
 		e.heapPopMin()
 		// Release before dispatch: the firing event's ID is dead from
 		// inside its own callback, and the slot may be reused there.
-		e.release(top)
+		e.release(top.slot)
 		e.Executed++
-		fn()
+		cb.call()
 	}
 	return e.stopped.Load()
 }
@@ -304,22 +340,20 @@ func (e *Engine) run(until Time) (stopped bool) {
 func (e *Engine) runWindow(limit Time) {
 	for len(e.heap) > 0 {
 		top := e.heap[0]
-		s := &e.arena[top]
-		if s.at >= limit {
+		if top.at >= limit {
 			break
 		}
-		fn := s.fn
-		at, sq := s.at, s.seq
-		e.now = s.at
+		cb := e.arena[top.slot].cb
+		e.now = top.at
 		e.heapPopMin()
-		e.release(top)
+		e.release(top.slot)
 		e.Executed++
 		k0 := e.sh.k
-		fn()
+		cb.call()
 		if e.sh.k > k0 {
 			// Journal only events that scheduled something: the barrier
 			// merge replays schedule calls, not executions.
-			e.sh.execLog = append(e.sh.execLog, execRec{at: at, seq: sq, nCalls: e.sh.k - k0})
+			e.sh.execLog = append(e.sh.execLog, execRec{at: top.at, seq: top.seq, nCalls: e.sh.k - k0})
 		}
 	}
 }
@@ -329,7 +363,7 @@ func (e *Engine) peekAt() (Time, bool) {
 	if len(e.heap) == 0 {
 		return 0, false
 	}
-	return e.arena[e.heap[0]].at, true
+	return e.heap[0].at, true
 }
 
 // rekey rewrites a queued event's sequence number from its provisional
@@ -338,85 +372,79 @@ func (e *Engine) peekAt() (Time, bool) {
 // provisional order equals its true relative order, and every true seq
 // assigned at the barrier exceeds every seq issued before the window —
 // so all comparator outcomes are preserved and the field can be
-// overwritten in place. A dead ID (fired or canceled inside the
-// window) is a no-op, exactly like Cancel.
+// overwritten in place. The key lives in the heap cell, so that is what
+// is rewritten, found through the slot's pos. A dead ID (fired or
+// canceled inside the window) is a no-op, exactly like Cancel.
 func (e *Engine) rekey(id EventID, seq uint64) {
 	if id.slot < 0 || int(id.slot) >= len(e.arena) {
 		return
 	}
 	s := &e.arena[id.slot]
-	if s.gen != id.gen {
+	if s.gen != id.gen || s.pos < 0 {
 		return
 	}
-	s.seq = seq
+	e.heap[s.pos].seq = seq
 }
 
-// insertKeyed enqueues an event with an explicit (at, seq) key — the
-// barrier's path for landing a cross-shard handoff with the global
-// sequence number it was assigned in the merge.
-func (e *Engine) insertKeyed(at Time, seq uint64, fn func()) {
+// insertKeyed enqueues an event with an explicit (at, seq) key and
+// returns its slot — the tail of every schedule call, and the barrier's
+// path for landing a cross-shard handoff with the global sequence
+// number it was assigned in the merge.
+//
+//prestolint:noalloc
+func (e *Engine) insertKeyed(at Time, seq uint64, cb callback) int32 {
 	i := e.alloc()
-	s := &e.arena[i]
-	s.at, s.seq, s.fn = at, seq, fn
-	e.heapPush(i)
+	e.arena[i].cb = cb
+	//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
+	e.heap = append(e.heap, heapCell{at: at, seq: seq, slot: i})
+	e.siftUp(len(e.heap) - 1)
 	if len(e.heap) > e.PeakPending {
 		e.PeakPending = len(e.heap)
 	}
+	return i
 }
 
-// ---- intrusive 4-ary min-heap over arena indices ----
+// ---- intrusive 4-ary min-heap of inline-key cells ----
 //
 // A 4-ary layout halves the tree depth of a binary heap, and the hole-
 // based sift loops below write each moved element exactly once. Order
-// is (at, seq) ascending — seq is the FIFO tie-break.
-
-// heapPush inserts slot i, sifting it up from the bottom.
-//
-//prestolint:noalloc
-func (e *Engine) heapPush(i int32) {
-	//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
-	e.heap = append(e.heap, i)
-	e.siftUp(len(e.heap) - 1)
-}
+// is (at, seq) ascending — seq is the FIFO tie-break. A level's four
+// children are 96 contiguous bytes; the only arena access is the pos
+// write-back for a cell that moved.
 
 // heapPopMin removes the root (the earliest event). The caller has
-// already read the slot's fields.
+// already read the cell and releases its slot, which clears pos.
 //
 //prestolint:noalloc
 func (e *Engine) heapPopMin() {
 	h := e.heap
 	n := len(h) - 1
-	top := h[0]
 	last := h[n]
 	e.heap = h[:n]
 	if n > 0 {
 		e.heap[0] = last
-		e.arena[last].pos = 0
 		e.siftDown(0)
 	}
-	e.arena[top].pos = -1
 }
 
-// heapRemove deletes the element at heap position pos (Cancel's path).
+// heapRemove deletes the element at heap position pos (Cancel's path,
+// which then releases the slot).
 //
 //prestolint:noalloc
 func (e *Engine) heapRemove(pos int32) {
 	h := e.heap
 	n := len(h) - 1
 	i := int(pos)
-	removed := h[i]
 	last := h[n]
 	e.heap = h[:n]
 	if i < n {
 		e.heap[i] = last
-		e.arena[last].pos = pos
 		e.siftDown(i)
-		if e.arena[last].pos == pos {
+		if e.arena[last.slot].pos == pos {
 			// Didn't move down; it may need to move up instead.
 			e.siftUp(i)
 		}
 	}
-	e.arena[removed].pos = -1
 }
 
 // siftUp restores heap order by floating the element at index i toward
@@ -426,19 +454,17 @@ func (e *Engine) heapRemove(pos int32) {
 func (e *Engine) siftUp(i int) {
 	h := e.heap
 	moved := h[i]
-	mAt, mSeq := e.arena[moved].at, e.arena[moved].seq
 	for i > 0 {
 		p := (i - 1) >> 2
-		ps := &e.arena[h[p]]
-		if ps.at < mAt || (ps.at == mAt && ps.seq < mSeq) {
+		if h[p].before(&moved) {
 			break
 		}
 		h[i] = h[p]
-		e.arena[h[i]].pos = int32(i)
+		e.arena[h[i].slot].pos = int32(i)
 		i = p
 	}
 	h[i] = moved
-	e.arena[moved].pos = int32(i)
+	e.arena[moved.slot].pos = int32(i)
 }
 
 // siftDown restores heap order by sinking the element at index i.
@@ -448,33 +474,30 @@ func (e *Engine) siftDown(i int) {
 	h := e.heap
 	n := len(h)
 	moved := h[i]
-	mAt, mSeq := e.arena[moved].at, e.arena[moved].seq
 	for {
 		c := i<<2 + 1
 		if c >= n {
 			break
 		}
 		best := c
-		bs := &e.arena[h[c]]
 		end := c + 4
 		if end > n {
 			end = n
 		}
 		for j := c + 1; j < end; j++ {
-			s := &e.arena[h[j]]
-			if s.at < bs.at || (s.at == bs.at && s.seq < bs.seq) {
-				best, bs = j, s
+			if h[j].before(&h[best]) {
+				best = j
 			}
 		}
-		if bs.at > mAt || (bs.at == mAt && bs.seq >= mSeq) {
+		if !h[best].before(&moved) {
 			break
 		}
 		h[i] = h[best]
-		e.arena[h[i]].pos = int32(i)
+		e.arena[h[i].slot].pos = int32(i)
 		i = best
 	}
 	h[i] = moved
-	e.arena[moved].pos = int32(i)
+	e.arena[moved.slot].pos = int32(i)
 }
 
 // Timer is a restartable one-shot timer bound to an Engine, analogous to

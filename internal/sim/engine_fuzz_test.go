@@ -285,6 +285,8 @@ func runShardScriptSerial(data []byte, numShards int, seed uint64) shardRunResul
 	return res
 }
 
+func callArg(fn any) { fn.(func())() }
+
 // runShardScriptGroup runs the same script on a ShardGroup.
 func runShardScriptGroup(data []byte, numShards int, seed uint64) shardRunResult {
 	g := NewShardGroup(numShards, shardFuzzLookahead, seed)
@@ -293,7 +295,14 @@ func runShardScriptGroup(data []byte, numShards int, seed uint64) shardRunResult
 		schedule: func(src, dst int, delay Time, fn func()) func() bool {
 			se, de := shardOf(src), shardOf(dst)
 			if se != de {
-				g.Send(g.Shard(se), de, delay, fn)
+				// Odd delays ride the argument-carrying form (the argument
+				// is the callback itself), so the journal, the sends FIFO
+				// and the barrier carry both forms in one window.
+				if delay&1 != 0 {
+					g.SendArg(g.Shard(se), de, delay, callArg, fn)
+				} else {
+					g.Send(g.Shard(se), de, delay, fn)
+				}
 				return nil
 			}
 			id := g.Shard(de).Schedule(delay, fn)

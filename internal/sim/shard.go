@@ -63,13 +63,13 @@ type execRec struct {
 }
 
 // callRec journals one schedule call. dst < 0 is a local schedule
-// (rekeyed at the barrier via id); dst >= 0 is a cross-shard handoff
-// carrying the callback until the barrier stages it.
+// (rekeyed at the barrier via id); dst >= 0 is a cross-shard handoff,
+// whose callback waits in the shard's sends FIFO until the barrier
+// stages it.
 type callRec struct {
 	at  Time
 	id  EventID
 	dst int32
-	fn  func()
 }
 
 // handoff is a merged cross-shard event waiting to be inserted into
@@ -77,7 +77,7 @@ type callRec struct {
 type handoff struct {
 	at  Time
 	seq uint64
-	fn  func()
+	cb  callback
 }
 
 // shard is the per-engine view of a ShardGroup.
@@ -94,11 +94,16 @@ type shard struct {
 	k        uint64    // schedule calls made this window
 	execLog  []execRec // executed events that scheduled something
 	callLog  []callRec // every schedule call, in k order
-	panicked any       // callback panic captured for the coordinator
+	// sends holds the callbacks of this window's handoffs in call
+	// order — beside the journal, so a local schedule's record stays
+	// small and only this list has references to drop at the barrier.
+	sends    []callback
+	panicked any // callback panic captured for the coordinator
 
 	// Barrier state (coordinator only).
 	execPos int
 	callPos int
+	sendPos int
 	trueOf  []uint64  // trueOf[j] = true seq of provisional base+j+1
 	staged  []handoff // merged handoffs destined for this shard
 	start   chan Time // window dispatch; nil until a windowed Run
@@ -151,6 +156,10 @@ type ShardGroup struct {
 	now       Time
 	running   bool
 	stop      atomic.Bool
+	// windowWG counts the workers still inside the current window. A
+	// field, not a runWindows local: the workers' reference would move a
+	// local to the heap on every Run call.
+	windowWG sync.WaitGroup
 }
 
 // NewShardGroup returns a group of n engines synchronized with the
@@ -254,14 +263,32 @@ func (g *ShardGroup) Stop() {
 // a window must respect the lookahead (delay >= Lookahead) — that
 // bound is what makes the window safe to run in parallel.
 func (g *ShardGroup) Send(src *Engine, dst int, delay Time, fn func()) {
-	if dst < 0 || dst >= len(g.shards) {
-		panic(fmt.Sprintf("sim: Send to invalid shard %d of %d", dst, len(g.shards)))
-	}
 	if fn == nil {
 		panic("sim: Send with nil fn")
 	}
+	g.send(src, dst, delay, callback{fn: fn})
+}
+
+// SendArg is Send in the argument-carrying event form: fn(arg) runs on
+// shard dst after delay. A caller that binds fn once and passes the
+// per-event datum in arg (a fabric pipe and its arriving packets) builds
+// no closure per event, same-engine or cross-shard — the journal and the
+// barrier carry arg beside fn.
+//
+//prestolint:noalloc
+func (g *ShardGroup) SendArg(src *Engine, dst int, delay Time, fn func(any), arg any) {
+	if fn == nil {
+		panic("sim: SendArg with nil fn")
+	}
+	g.send(src, dst, delay, callback{afn: fn, arg: arg})
+}
+
+func (g *ShardGroup) send(src *Engine, dst int, delay Time, cb callback) {
+	if dst < 0 || dst >= len(g.shards) {
+		panic(fmt.Sprintf("sim: Send to invalid shard %d of %d", dst, len(g.shards)))
+	}
 	if src == g.shards[dst].eng {
-		src.Schedule(delay, fn)
+		src.at(src.now+max(delay, 0), cb)
 		return
 	}
 	sh := src.sh
@@ -272,7 +299,7 @@ func (g *ShardGroup) Send(src *Engine, dst int, delay Time, fn func()) {
 		// Sequential phase: clocks are aligned, and nextSeq on the
 		// destination draws from the shared counter — identical to a
 		// serial Schedule.
-		g.shards[dst].eng.At(src.now+delay, fn)
+		g.shards[dst].eng.at(src.now+delay, cb)
 		return
 	}
 	if delay < g.lookahead {
@@ -282,7 +309,8 @@ func (g *ShardGroup) Send(src *Engine, dst int, delay Time, fn func()) {
 	// consumed one here) and journal the handoff; the barrier assigns
 	// the true seq and inserts it into dst's heap.
 	sh.k++
-	sh.callLog = append(sh.callLog, callRec{at: src.now + delay, dst: int32(dst), fn: fn})
+	sh.callLog = append(sh.callLog, callRec{at: src.now + delay, dst: int32(dst)})
+	sh.sends = append(sh.sends, cb)
 }
 
 // Run executes events in global timestamp order until all queues drain
@@ -334,7 +362,6 @@ func (g *ShardGroup) runWindows(until Time) bool {
 	g.running = true
 	defer func() { g.running = false }()
 
-	var windowWG sync.WaitGroup
 	workers := false
 	defer func() {
 		for _, sh := range g.shards {
@@ -386,16 +413,16 @@ func (g *ShardGroup) runWindows(until Time) bool {
 			only.runOne(limit)
 		} else {
 			if !workers {
-				g.spawnWorkers(&windowWG)
+				g.spawnWorkers()
 				workers = true
 			}
-			windowWG.Add(active)
+			g.windowWG.Add(active)
 			for _, sh := range g.shards {
 				if at, ok := sh.eng.peekAt(); ok && at < limit {
 					sh.start <- limit
 				}
 			}
-			windowWG.Wait()
+			g.windowWG.Wait()
 		}
 		g.barrier()
 		for _, sh := range g.shards {
@@ -419,13 +446,13 @@ func (g *ShardGroup) runWindows(until Time) bool {
 
 // spawnWorkers starts one goroutine per shard for the duration of this
 // run; each exits when runWindows closes its start channel.
-func (g *ShardGroup) spawnWorkers(wg *sync.WaitGroup) {
+func (g *ShardGroup) spawnWorkers() {
 	for _, sh := range g.shards {
 		sh.start = make(chan Time)
 		go func(sh *shard) {
 			for limit := range sh.start {
 				sh.runOne(limit)
-				wg.Done()
+				g.windowWG.Done()
 			}
 		}(sh)
 	}
@@ -473,23 +500,24 @@ func (g *ShardGroup) barrier() {
 				sh.eng.rekey(call.id, g.counter)
 			} else {
 				d := g.shards[call.dst]
-				d.staged = append(d.staged, handoff{at: call.at, seq: g.counter, fn: call.fn})
+				d.staged = append(d.staged, handoff{at: call.at, seq: g.counter, cb: sh.sends[sh.sendPos]})
+				sh.sendPos++
 			}
 		}
 	}
 	for _, sh := range g.shards {
-		for i := range sh.staged {
-			h := &sh.staged[i]
-			sh.eng.insertKeyed(h.at, h.seq, h.fn)
-			h.fn = nil
+		for _, h := range sh.staged {
+			sh.eng.insertKeyed(h.at, h.seq, h.cb)
 		}
-		for i := range sh.callLog {
-			sh.callLog[i].fn = nil // don't pin dead closures in the reused backing array
-		}
+		// Don't pin dead closures or arguments in the reused backing
+		// arrays.
+		clear(sh.staged)
+		clear(sh.sends)
 		sh.staged = sh.staged[:0]
+		sh.sends = sh.sends[:0]
 		sh.execLog = sh.execLog[:0]
 		sh.callLog = sh.callLog[:0]
 		sh.trueOf = sh.trueOf[:0]
-		sh.execPos, sh.callPos, sh.k = 0, 0, 0
+		sh.execPos, sh.callPos, sh.sendPos, sh.k = 0, 0, 0, 0
 	}
 }

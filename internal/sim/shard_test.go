@@ -65,11 +65,15 @@ func TestShardGroupSequentialPhase(t *testing.T) {
 // TestShardGroupSameInstantTieBreak checks the FIFO tie-break across a
 // handoff: events landing at the same instant on one shard fire in
 // global schedule order even when one of them crossed a shard boundary.
+// The local event is queued under a provisional seq (window base + 1)
+// that is below the handoff's true one (base + 2), so the order holds
+// only if the barrier rekeys the queued event's heap cell.
 func TestShardGroupSameInstantTieBreak(t *testing.T) {
 	g := NewShardGroup(2, 100, 1)
 	var order []string
 	g.Shard(0).Schedule(10, func() {
-		// Scheduled first: the handoff arriving on shard 1 at t=110.
+		g.Shard(0).Schedule(100, func() {}) // takes true seq base+1
+		// Scheduled next: the handoff arriving on shard 1 at t=110.
 		g.Send(g.Shard(0), 1, 100, func() { order = append(order, "handoff") })
 	})
 	g.Shard(1).Schedule(20, func() {

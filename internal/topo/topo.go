@@ -151,8 +151,8 @@ type Topology struct {
 	mesh bool
 
 	adj       map[NodeID][]LinkID
-	hostLink  map[packet.HostID]LinkID
-	hostLeaf  map[packet.HostID]NodeID
+	hostLink  []LinkID               // access link, indexed by HostID
+	hostLeaf  []NodeID               // attachment switch, indexed by HostID
 	spineLeaf map[[2]NodeID][]LinkID // [spine, leaf] -> γ parallel links
 
 }
@@ -183,13 +183,18 @@ func (t *Topology) AddLeafHost(leaf NodeID, bps int64, prop sim.Time) packet.Hos
 	if t.Nodes[leaf].Kind != KindLeaf {
 		panic("topo: AddLeafHost requires a leaf node")
 	}
+	return t.attachHost(leaf, bps, prop)
+}
+
+// attachHost adds the next host (HostIDs are dense, in creation order)
+// on an access link to switch sw, in sw's pod.
+func (t *Topology) attachHost(sw NodeID, bps int64, prop sim.Time) packet.HostID {
 	h := packet.HostID(len(t.Hosts))
 	hn := t.addNode(KindHost, fmt.Sprintf("h%d", h), h)
-	t.Nodes[hn].Pod = t.Nodes[leaf].Pod
+	t.Nodes[hn].Pod = t.Nodes[sw].Pod
 	t.Hosts = append(t.Hosts, hn)
-	lid := t.addLink(hn, leaf, bps, prop)
-	t.hostLink[h] = lid
-	t.hostLeaf[h] = leaf
+	t.hostLink = append(t.hostLink, t.addLink(hn, sw, bps, prop))
+	t.hostLeaf = append(t.hostLeaf, sw)
 	return h
 }
 
@@ -200,14 +205,8 @@ func (t *Topology) AddSpineHost(spine NodeID, bps int64, prop sim.Time) packet.H
 	if t.Nodes[spine].Kind != KindSpine {
 		panic("topo: AddSpineHost requires a spine node")
 	}
-	h := packet.HostID(len(t.Hosts))
-	hn := t.addNode(KindHost, fmt.Sprintf("h%d", h), h)
-	t.Nodes[hn].Remote = true
-	t.Nodes[hn].Pod = t.Nodes[spine].Pod
-	t.Hosts = append(t.Hosts, hn)
-	lid := t.addLink(hn, spine, bps, prop)
-	t.hostLink[h] = lid
-	t.hostLeaf[h] = spine
+	h := t.attachHost(spine, bps, prop)
+	t.MarkRemote(h)
 	return h
 }
 
@@ -250,8 +249,6 @@ func (t *Topology) addLink(a, b NodeID, bps int64, prop sim.Time) LinkID {
 func newTopology() *Topology {
 	return &Topology{
 		adj:       make(map[NodeID][]LinkID),
-		hostLink:  make(map[packet.HostID]LinkID),
-		hostLeaf:  make(map[packet.HostID]NodeID),
 		spineLeaf: make(map[[2]NodeID][]LinkID),
 	}
 }
@@ -289,15 +286,9 @@ func TwoTierClos(spines, leaves, hostsPerLeaf, gamma int, cfg LinkConfig) *Topol
 			}
 		}
 	}
-	for li, leaf := range t.Leaves {
+	for _, leaf := range t.Leaves {
 		for j := 0; j < hostsPerLeaf; j++ {
-			h := packet.HostID(li*hostsPerLeaf + j)
-			hn := t.addNode(KindHost, fmt.Sprintf("h%d", h), h)
-			t.Nodes[hn].Pod = li
-			t.Hosts = append(t.Hosts, hn)
-			lid := t.addLink(hn, leaf, cfg.HostBitsPerSec, cfg.HostProp)
-			t.hostLink[h] = lid
-			t.hostLeaf[h] = leaf
+			t.attachHost(leaf, cfg.HostBitsPerSec, cfg.HostProp)
 		}
 	}
 	return t
@@ -317,13 +308,7 @@ func SingleSwitch(hosts int, cfg LinkConfig) *Topology {
 	t.Nodes[leaf].Pod = 0
 	t.Leaves = append(t.Leaves, leaf)
 	for i := 0; i < hosts; i++ {
-		h := packet.HostID(i)
-		hn := t.addNode(KindHost, fmt.Sprintf("h%d", h), h)
-		t.Nodes[hn].Pod = 0
-		t.Hosts = append(t.Hosts, hn)
-		lid := t.addLink(hn, leaf, cfg.HostBitsPerSec, cfg.HostProp)
-		t.hostLink[h] = lid
-		t.hostLeaf[h] = leaf
+		t.attachHost(leaf, cfg.HostBitsPerSec, cfg.HostProp)
 	}
 	return t
 }

@@ -151,6 +151,12 @@ func (vs *VSwitch) Register(sendFlow packet.FlowKey, ep Endpoint) {
 	vs.table[sendFlow] = ep
 }
 
+// Registered reports whether a local endpoint is bound to sendFlow.
+func (vs *VSwitch) Registered(sendFlow packet.FlowKey) bool {
+	_, ok := vs.table[sendFlow]
+	return ok
+}
+
 // Unregister removes a flow binding.
 func (vs *VSwitch) Unregister(sendFlow packet.FlowKey) { delete(vs.table, sendFlow) }
 
