@@ -378,7 +378,10 @@ func (t *tap) HandlePacket(p *packet.Packet) {
 
 // TapHost inserts a packet-capture callback in front of host h's NIC:
 // every packet delivered to the host is reported (with its arrival
-// time) before normal processing. Multiple taps stack.
+// time) before normal processing. Multiple taps stack. The packet is
+// only valid until fn returns — the NIC recycles it through the shard's
+// packet.Pool once GRO has consumed it — so a tap that keeps packets
+// keeps p.Clone(), as benchmark/trace.go and cmd/capture do.
 func (c *Cluster) TapHost(h packet.HostID, fn func(at sim.Time, p *packet.Packet)) {
 	var next fabric.Handler = c.Hosts[h].NIC
 	if t, ok := c.taps[h]; ok {

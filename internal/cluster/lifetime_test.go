@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"runtime"
 	"testing"
 
 	"presto/internal/gro"
@@ -86,34 +85,5 @@ func TestCloseEndsGROState(t *testing.T) {
 	conn.Close()
 	if got := held(); got != 0 {
 		t.Fatalf("%d GRO flow entries survive Close, want 0", got)
-	}
-}
-
-// TestSteadyStateAllocsPerPacket gates the deterministic half of the
-// ledger's allocs_per_pkt where every workload pays it: the paper's
-// 16-host testbed, Presto, one stride elephant per host. Past warm-up
-// the whole stack — TCP, vSwitch, TSO, four pipe hops, RX ring, Presto
-// GRO — may allocate at most 2 objects per delivered packet (the packet
-// itself and a share of a segment; the forward path and the engine
-// allocate nothing).
-func TestSteadyStateAllocsPerPacket(t *testing.T) {
-	c := New(Config{Topology: clos(4, 4, 4), Scheme: Presto, Seed: 1})
-	n := c.Topo.NumHosts()
-	for i := 0; i < n; i++ {
-		c.Dial(packet.HostID(i), packet.HostID((i+4)%n)).SetUnlimited(true)
-	}
-	c.Run(5 * sim.Millisecond) // slow start over; rings, arenas and tables at their steady size
-
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	d0 := c.Net.TotalDelivered()
-	c.Run(c.Now() + 3*sim.Millisecond)
-	runtime.ReadMemStats(&m1)
-	pkts := c.Net.TotalDelivered() - d0
-	if pkts < 20_000 {
-		t.Fatalf("setup: %d packets delivered in 3 ms, want the fabric busy", pkts)
-	}
-	if per := float64(m1.Mallocs-m0.Mallocs) / float64(pkts); per > 2 {
-		t.Fatalf("%.2f allocations per delivered packet, want <= 2", per)
 	}
 }

@@ -80,6 +80,7 @@ func TestForwardPathAllocsAcrossShards(t *testing.T) {
 // places a packet can be: waiting ones are black-holed at once, the one
 // being serialised is black-holed when its serialisation ends (and
 // still counts as transmitted), and one already propagating arrives.
+// Each black-holed packet goes to the arena exactly when it is counted.
 func TestFailDiscardsOnlyTheQueue(t *testing.T) {
 	eng, n, cols := testNet(t, 2, 2, 2)
 	tp := n.Topo
@@ -96,11 +97,77 @@ func TestFailDiscardsOnlyTheQueue(t *testing.T) {
 		t.Fatalf("at fail: black-holed %d, transmitted %d, %d bytes queued; want 2, 1, 0",
 			access.DropsDown, access.TxPackets, access.QueuedBytes())
 	}
+	if _, puts, _ := n.PoolTotals(); puts != 2 {
+		t.Fatalf("at fail: %d packets returned to the arena, want the 2 discarded with the queue", puts)
+	}
 	eng.RunAll()
 	if access.DropsDown != 3 || access.TxPackets != 2 {
 		t.Fatalf("after drain: black-holed %d, transmitted %d; want 3, 2", access.DropsDown, access.TxPackets)
 	}
+	if _, puts, _ := n.PoolTotals(); puts != 3 {
+		t.Fatalf("after drain: %d packets returned to the arena, want 3 (the delivered one is its handler's)", puts)
+	}
 	if got := len(cols[1].pkts); got != 1 {
 		t.Fatalf("delivered %d packets, want the 1 that was already propagating", got)
+	}
+}
+
+// putter is a Handler that consumes what it is delivered, as a NIC does
+// once GRO has seen the packet.
+type putter struct{ pool *packet.Pool }
+
+func (h putter) HandlePacket(p *packet.Packet) { h.pool.Put(p) }
+
+// TestOneWayCrossShardTrafficReturnsPackets is the leak the barrier's
+// return path exists to prevent: host 0 on shard 0 sends at line rate
+// to host 1 on shard 1 and nothing comes back, so every packet is taken
+// from shard 0's pool and dies into shard 1's. Levelling must keep
+// handing them back: over 80,000 packets, the number ever allocated
+// stays within the peak number in flight plus 2 x poolSlack (what the
+// receiving pool may hold before a barrier levels it, and what the
+// levelling then leaves on each side).
+func TestOneWayCrossShardTrafficReturnsPackets(t *testing.T) {
+	const (
+		prop  = 100 * sim.Microsecond
+		burst = 8 // full frames per 10 us: just under 10 Gbps
+		total = 80_000
+	)
+	tp := topo.SingleSwitch(2, topo.LinkConfig{HostProp: prop})
+	shardOf := make([]int32, len(tp.Nodes))
+	shardOf[tp.HostNode(1)] = 1
+	g := sim.NewShardGroup(2, prop, 1)
+	n := NewSharded(g, shardOf, tp, Config{})
+	src := n.PacketPool(0)
+	n.AttachHost(1, putter{n.PacketPool(1)})
+
+	eng, sent := g.Shard(0), 0
+	var tick func()
+	tick = func() {
+		for i := 0; i < burst; i++ {
+			p := src.Get()
+			*p = *mkPkt(0, 1, packet.MSS)
+			n.SendFromHost(0, p)
+		}
+		if sent += burst; sent < total {
+			eng.Schedule(10*sim.Microsecond, tick)
+		}
+	}
+	eng.Schedule(0, tick)
+	peak := uint64(0)
+	for g.Pending() > 0 {
+		g.Run(g.Now() + sim.Millisecond)
+		gets, puts, _ := n.PoolTotals()
+		peak = max(peak, gets-puts)
+	}
+	gets, puts, news := n.PoolTotals()
+	if gets != total || puts != total {
+		t.Fatalf("%d packets taken and %d returned, want %d each", gets, puts, total)
+	}
+	if peak < 100 {
+		t.Fatalf("setup: at most %d packets in flight, want a standing queue across the shard boundary", peak)
+	}
+	if limit := peak + 2*poolSlack; news > limit {
+		t.Fatalf("%d packets allocated for %d sent with at most %d in flight, want <= %d: the receiving shard is hoarding",
+			news, total, peak, limit)
 	}
 }

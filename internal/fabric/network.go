@@ -57,17 +57,24 @@ func (c *Config) fill() {
 const linkUp sim.Time = -1
 
 // shardCounters holds one shard's slice of the aggregate drop and
-// delivery counts. Each pipe and switch increments the bucket of the
-// shard its node runs on, so counting never crosses goroutines; the
-// Total* accessors sum the buckets. Padding keeps concurrently-written
-// buckets on separate cache lines.
+// delivery counts, and its packet arena. Each pipe and switch uses the
+// bucket of the shard its node runs on, so neither counting nor a Put
+// crosses goroutines; the Total* accessors sum the buckets. Padding
+// keeps concurrently-written buckets on separate cache lines.
 type shardCounters struct {
-	drops     uint64 // queue-overflow drops
-	dropsDown uint64 // failure black-hole drops
-	delivered uint64 // packets handed to host NICs
-	hopDrops  uint64 // loop-guard drops
-	_         [4]uint64
+	drops     uint64      // queue-overflow drops
+	dropsDown uint64      // failure black-hole drops
+	delivered uint64      // packets handed to host NICs
+	hopDrops  uint64      // loop-guard drops
+	pool      packet.Pool // where the shard's NICs get packets and every packet dying on it goes
+	_         [5]uint64
 }
+
+// poolSlack is how far apart, in free packets, the fullest and emptiest
+// shard pools may drift before a barrier levels them: large enough that
+// a levelling moves a hundred packets or more, small against what is in
+// flight (a quarter of one switch port's 2 MB of full frames).
+const poolSlack = 256
 
 // Network is the running data plane for a Topology.
 type Network struct {
@@ -156,6 +163,9 @@ func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config
 			n.switches[node.ID] = newSwitch(n, node)
 		}
 	}
+	if g.Shards() > 1 {
+		g.OnBarrier(n.levelPools)
+	}
 	return n
 }
 
@@ -168,6 +178,46 @@ func (n *Network) EngineFor(node topo.NodeID) *sim.Engine {
 // counterOf returns the counter bucket of node's shard.
 func (n *Network) counterOf(node topo.NodeID) *shardCounters {
 	return &n.counters[n.shardOf[node]]
+}
+
+// PacketPool returns the packet arena of host h's shard, which h's NIC
+// sends from and returns consumed packets to.
+func (n *Network) PacketPool(h packet.HostID) *packet.Pool {
+	return &n.counterOf(n.Topo.HostNode(h)).pool
+}
+
+// PoolTotals sums the shards' arena counters: packets handed out,
+// returned, and allocated. Between runs gets - puts is what is in flight.
+func (n *Network) PoolTotals() (gets, puts, news uint64) {
+	for i := range n.counters {
+		p := &n.counters[i].pool
+		gets, puts, news = gets+p.Gets, puts+p.Puts, news+p.News
+	}
+	return gets, puts, news
+}
+
+// levelPools is the arena's return path, run at every window barrier
+// with all workers idle. A packet dies into the pool of the shard it
+// dies on, so a shard that receives more than it sends piles up what
+// the sender then allocates afresh: when the fullest and emptiest lists
+// are more than poolSlack apart, half the difference moves over. It
+// reads list sizes only, so what is allocated repeats with the run.
+//
+//prestolint:noalloc
+func (n *Network) levelPools() {
+	lo, hi := &n.counters[0].pool, &n.counters[0].pool
+	for i := 1; i < len(n.counters); i++ {
+		p := &n.counters[i].pool
+		if p.Free() < lo.Free() {
+			lo = p
+		}
+		if p.Free() > hi.Free() {
+			hi = p
+		}
+	}
+	if d := hi.Free() - lo.Free(); d > poolSlack {
+		hi.MoveTo(lo, d/2)
+	}
 }
 
 // now returns fabric time for control-plane paths (link failures,

@@ -77,6 +77,7 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 		p.DropsDown++
 		p.ctr.dropsDown++
 		p.net.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "link-down")
+		p.ctr.pool.Put(pkt)
 		return
 	}
 	w := pkt.WireSize()
@@ -84,6 +85,7 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 		p.Drops++
 		p.ctr.drops++
 		p.net.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "tail-drop")
+		p.ctr.pool.Put(pkt)
 		return
 	}
 	if t := p.net.cfg.ECNThresholdBytes; t > 0 && p.queuedWire > t &&
@@ -136,6 +138,7 @@ func (p *Pipe) txDone() {
 	} else {
 		p.DropsDown++
 		p.ctr.dropsDown++
+		p.ctr.pool.Put(pkt)
 	}
 	p.transmitNext()
 }
@@ -154,7 +157,9 @@ func (p *Pipe) fail() {
 	n := uint64(p.queue.Len())
 	p.DropsDown += n
 	p.ctr.dropsDown += n
-	p.queue.Reset()
+	for p.queue.Len() > 0 {
+		p.ctr.pool.Put(p.queue.Pop())
+	}
 	p.queuedWire = 0
 }
 

@@ -20,9 +20,9 @@ type Switch struct {
 	eng  *sim.Engine    // engine of this switch's shard
 	ctr  *shardCounters // aggregate bucket of this switch's shard
 
-	// labelTable maps shadow-MAC labels to egress links, installed by
-	// the controller (§3.1: "installs the relevant forwarding rules").
-	labelTable map[packet.MAC]topo.LinkID
+	// labels maps shadow-MAC and tunnel labels to egress links, installed
+	// by the controller (§3.1: "installs the relevant forwarding rules").
+	labels labelTable
 	// numTrees is the number of allocated spanning trees, used to
 	// cycle to a backup tree during fast failover.
 	numTrees int
@@ -40,12 +40,11 @@ type Switch struct {
 
 func newSwitch(n *Network, node topo.Node) *Switch {
 	return &Switch{
-		net:        n,
-		node:       node,
-		eng:        n.EngineFor(node.ID),
-		ctr:        n.counterOf(node.ID),
-		labelTable: make(map[packet.MAC]topo.LinkID),
-		nextLinks:  make(map[topo.NodeID][]topo.LinkID),
+		net:       n,
+		node:      node,
+		eng:       n.EngineFor(node.ID),
+		ctr:       n.counterOf(node.ID),
+		nextLinks: make(map[topo.NodeID][]topo.LinkID),
 	}
 }
 
@@ -60,9 +59,58 @@ func (s *Switch) nextLinksTo(dst topo.NodeID) []topo.LinkID {
 	return links
 }
 
-// InstallLabel adds (or replaces) a shadow-MAC forwarding entry.
+// labelTable is a switch's exact-match label table. A label is (kind,
+// tree, host | leaf), so the per-hop lookup indexes and hashes nothing:
+// rows[2*tree+kind] grows to the highest host (shadow MACs) or leaf
+// (tunnel MACs) installed on that tree, noEgress where nothing is.
+type labelTable struct {
+	rows [][]int32
+	n    int // installed entries
+}
+
+const noEgress = -1
+
+// labelIndex splits a label into its row and index; row < 0 if m is none.
+func labelIndex(m packet.MAC) (row, id int) {
+	switch {
+	case m.IsShadow() && m.Host() >= 0:
+		return 2 * m.ShadowTree(), int(m.Host())
+	case m.IsTunnel():
+		return 2*m.ShadowTree() + 1, m.TunnelLeaf()
+	}
+	return -1, 0
+}
+
+//prestolint:noalloc
+func (t *labelTable) get(m packet.MAC) (topo.LinkID, bool) {
+	r, id := labelIndex(m)
+	if r < 0 || r >= len(t.rows) || id >= len(t.rows[r]) {
+		return 0, false
+	}
+	e := t.rows[r][id]
+	return topo.LinkID(e), e != noEgress
+}
+
+func (t *labelTable) set(m packet.MAC, egress topo.LinkID) {
+	r, id := labelIndex(m)
+	if r < 0 {
+		panic("fabric: InstallLabel with a MAC that is not a label: " + m.String())
+	}
+	for len(t.rows) <= r {
+		t.rows = append(t.rows, nil)
+	}
+	for len(t.rows[r]) <= id {
+		t.rows[r] = append(t.rows[r], noEgress)
+	}
+	if t.rows[r][id] == noEgress {
+		t.n++
+	}
+	t.rows[r][id] = int32(egress)
+}
+
+// InstallLabel adds (or replaces) a label's forwarding entry.
 func (s *Switch) InstallLabel(label packet.MAC, egress topo.LinkID) {
-	s.labelTable[label] = egress
+	s.labels.set(label, egress)
 }
 
 // SetNumTrees tells the switch how many trees exist (for backup-tree
@@ -70,12 +118,11 @@ func (s *Switch) InstallLabel(label packet.MAC, egress topo.LinkID) {
 func (s *Switch) SetNumTrees(n int) { s.numTrees = n }
 
 // LabelCount returns the number of installed label entries.
-func (s *Switch) LabelCount() int { return len(s.labelTable) }
+func (s *Switch) LabelCount() int { return s.labels.n }
 
 // Egress returns the installed egress link for label, if any.
 func (s *Switch) Egress(label packet.MAC) (topo.LinkID, bool) {
-	egress, ok := s.labelTable[label]
-	return egress, ok
+	return s.labels.get(label)
 }
 
 //prestolint:noalloc
@@ -83,7 +130,7 @@ func (s *Switch) forward(p *packet.Packet) {
 	s.RxPackets++
 	p.Hops++
 	if p.Hops > maxHops {
-		s.ctr.hopDrops++
+		s.hopDrop(p)
 		return
 	}
 	if p.DstMAC.IsLabel() {
@@ -116,7 +163,7 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		s.enqueue(s.net.Topo.HostLink(p.Flow.Dst.Host), p)
 		return
 	}
-	egress, ok := s.labelTable[p.DstMAC]
+	egress, ok := s.labels.get(p.DstMAC)
 	if ok {
 		if s.net.LinkUp(egress) {
 			s.enqueue(egress, p)
@@ -162,7 +209,15 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 			return
 		}
 	}
+	s.hopDrop(p)
+}
+
+// hopDrop ends a packet the loop guard or the lack of a live link stops.
+//
+//prestolint:noalloc
+func (s *Switch) hopDrop(p *packet.Packet) {
 	s.ctr.hopDrops++
+	s.ctr.pool.Put(p)
 }
 
 // rewriteToBackupTree rewrites the packet's label to the next tree
@@ -183,7 +238,7 @@ func (s *Switch) rewriteToBackupTree(p *packet.Packet) bool {
 	for i := 1; i < s.numTrees; i++ {
 		t := (cur + i) % s.numTrees
 		label := relabel(t)
-		if e, ok := s.labelTable[label]; ok && s.net.LinkUp(e) {
+		if e, ok := s.labels.get(label); ok && s.net.LinkUp(e) {
 			p.DstMAC = label
 			return true
 		}
@@ -211,7 +266,7 @@ func (s *Switch) forwardRealMAC(p *packet.Packet) {
 	candidates := s.nextLinksTo(attach)
 	lid, ok := pickECMP(s.net, candidates, p, s.eng.Now())
 	if !ok {
-		s.ctr.hopDrops++
+		s.hopDrop(p)
 		return
 	}
 	s.enqueue(lid, p)

@@ -108,6 +108,7 @@ type Stats struct {
 type NIC struct {
 	eng  *sim.Engine
 	net  *fabric.Network
+	pool *packet.Pool // arena of this host's shard
 	host packet.HostID
 	cfg  Config
 
@@ -115,7 +116,6 @@ type NIC struct {
 	stage *stagingOutput
 
 	ring     packet.Ring       // RX descriptor ring
-	batch    []*packet.Packet  // reused per-poll scratch
 	staged   []*packet.Segment // segments awaiting the current poll's completion
 	doneFn   func()            // pollDone bound once, so poll() doesn't allocate a closure
 	busy     bool
@@ -165,7 +165,7 @@ func (s *stagingOutput) recycle(b []*packet.Segment) {
 // handler around the NIC's staging output, which forwards to up.
 func New(eng *sim.Engine, net *fabric.Network, h packet.HostID, up gro.Output, makeGRO func(out gro.Output) gro.Handler, cfg Config) *NIC {
 	cfg.fill()
-	n := &NIC{eng: eng, net: net, host: h, cfg: cfg}
+	n := &NIC{eng: eng, net: net, pool: net.PacketPool(h), host: h, cfg: cfg}
 	n.stage = &stagingOutput{up: up}
 	n.gro = makeGRO(n.stage)
 	n.intTimer = sim.NewTimer(eng, n.interrupt)
@@ -206,13 +206,16 @@ func (n *NIC) TelemetrySnapshot() map[string]any {
 // SendSegment performs TSO: split a ≤64 KB segment into MTU packets,
 // replicating the shadow MAC and flowcell ID onto each (exactly what
 // the NIC hardware does with header fields, §3.1), and inject them
-// onto the host's access link.
+// onto the host's access link. The packets come from the shard's arena.
+//
+//prestolint:noalloc
 func (n *NIC) SendSegment(seg *packet.Segment) {
 	n.Stats.TxSegments++
 	total := seg.Len()
 	if total == 0 {
 		// Pure ACK / control.
-		p := &packet.Packet{
+		p := n.pool.Get()
+		*p = packet.Packet{
 			SrcMAC: seg.SrcMAC, DstMAC: seg.DstMAC,
 			Flow: seg.Flow, Seq: seg.StartSeq, Ack: seg.Ack,
 			Flags: seg.Flags, Sack: seg.Sack,
@@ -230,7 +233,8 @@ func (n *NIC) SendSegment(seg *packet.Segment) {
 		if l > mss {
 			l = mss
 		}
-		p := &packet.Packet{
+		p := n.pool.Get()
+		*p = packet.Packet{
 			SrcMAC: seg.SrcMAC, DstMAC: seg.DstMAC,
 			Flow: seg.Flow, Seq: seg.StartSeq + uint32(off),
 			Ack: seg.Ack, Flags: seg.Flags &^ packet.FlagPSH, Payload: l,
@@ -246,12 +250,16 @@ func (n *NIC) SendSegment(seg *packet.Segment) {
 }
 
 // HandlePacket implements fabric.Handler: packets arriving from the
-// wire enter the RX ring.
+// wire enter the RX ring. The NIC owns p from here on and returns it to
+// the arena on overflow or once GRO has consumed it.
+//
+//prestolint:noalloc
 func (n *NIC) HandlePacket(p *packet.Packet) {
 	if n.ring.Len() >= n.cfg.RingSize {
 		// Receiver livelock: the CPU can't drain the ring fast enough.
 		n.Stats.RxDrops++
 		n.tracer.RingDrop(n.eng.Now(), int32(n.host), n.ring.Len())
+		n.pool.Put(p)
 		return
 	}
 	n.ring.Push(p)
@@ -276,28 +284,6 @@ func (n *NIC) HandlePacket(p *packet.Packet) {
 	n.intTimer.Reset(n.cfg.CoalesceDelay)
 }
 
-// takeBatch moves up to budget packets from the ring into the reused
-// scratch slice.
-func (n *NIC) takeBatch(budget int) []*packet.Packet {
-	if budget > n.ring.Len() {
-		budget = n.ring.Len()
-	}
-	n.batch = n.batch[:0]
-	for i := 0; i < budget; i++ {
-		n.batch = append(n.batch, n.ring.Pop())
-	}
-	return n.batch
-}
-
-// releaseBatch clears the scratch references so processed packets are
-// not pinned until the next poll.
-func (n *NIC) releaseBatch() {
-	for i := range n.batch {
-		n.batch[i] = nil
-	}
-	n.batch = n.batch[:0]
-}
-
 // interrupt starts a poll if the CPU is free.
 func (n *NIC) interrupt() {
 	n.intArmed = false
@@ -312,7 +298,7 @@ func (n *NIC) interrupt() {
 // delivered when the cost has elapsed (pollDone). If the ring is
 // non-empty at completion, polling continues immediately (NAPI-style).
 func (n *NIC) poll() {
-	batch := n.takeBatch(n.cfg.PollBudget)
+	batch := min(n.cfg.PollBudget, n.ring.Len())
 	n.Stats.Polls++
 	n.busy = true
 
@@ -321,9 +307,11 @@ func (n *NIC) poll() {
 	evBefore := st.Evictions
 	bytes := 0
 	n.stage.staging = true
-	for _, p := range batch {
+	for i := 0; i < batch; i++ {
+		p := n.ring.Pop()
 		bytes += p.Payload
 		n.gro.Receive(p)
+		n.pool.Put(p) // every GRO flavour copies what it keeps
 	}
 	n.gro.Flush()
 	n.stage.staging = false
@@ -332,12 +320,11 @@ func (n *NIC) poll() {
 
 	c := n.cfg.CPU
 	cost := c.PerPoll +
-		sim.Time(len(batch))*(c.PerPacket+c.HandlerOverhead) +
+		sim.Time(batch)*(c.PerPacket+c.HandlerOverhead) +
 		sim.Time(segs)*c.PerSegment +
 		sim.Time(evictions)*c.PerEviction +
 		sim.Time(float64(bytes)*c.PerByteNs)
 	n.Stats.BusyTime += cost
-	n.releaseBatch()
 
 	// The busy flag guarantees a single outstanding poll, so the staged
 	// segments ride in a field and the completion callback is the

@@ -220,8 +220,11 @@ func TestCPUModelLineRateWithGRO(t *testing.T) {
 	}
 }
 
+// TestRingOverflowDrops also pins where a received packet's life ends:
+// one the ring refuses goes back to the arena at once, one it accepts
+// goes back when the poll has run GRO over it.
 func TestRingOverflowDrops(t *testing.T) {
-	eng, _, n, _ := testRig(t, Config{RingSize: 16, CoalesceCount: 1000, CoalesceDelay: sim.Second})
+	eng, net, n, _ := testRig(t, Config{RingSize: 16, CoalesceCount: 1000, CoalesceDelay: sim.Second})
 	for i := 0; i < 40; i++ {
 		n.HandlePacket(&packet.Packet{
 			Flow: packet.FlowKey{Src: packet.Addr{Host: 1, Port: 1}, Dst: packet.Addr{Host: 0, Port: 2}},
@@ -231,7 +234,14 @@ func TestRingOverflowDrops(t *testing.T) {
 	if n.Stats.RxDrops != 24 {
 		t.Fatalf("drops = %d, want 24", n.Stats.RxDrops)
 	}
-	_ = eng
+	pool := net.PacketPool(0)
+	if pool.Puts != 24 {
+		t.Fatalf("%d packets returned to the arena on overflow, want the 24 dropped", pool.Puts)
+	}
+	eng.RunAll()
+	if pool.Puts != 40 {
+		t.Fatalf("%d packets returned to the arena after the poll, want all 40", pool.Puts)
+	}
 }
 
 func TestPollDelaysDeliveryByCPUCost(t *testing.T) {

@@ -172,7 +172,10 @@ type SackBlock struct {
 }
 
 // Packet is one MTU-sized (or smaller) packet on the wire. Packets are
-// passed by pointer and owned by the receiver after handoff.
+// passed by pointer and owned by the receiver after handoff: a *Packet
+// is valid until the handler it was passed to returns, after which the
+// fabric may have recycled it through a Pool. Keep a Clone, not the
+// pointer.
 type Packet struct {
 	// L2: DstMAC carries the shadow-MAC label while in the fabric; the
 	// destination vSwitch rewrites it back to the real MAC.
@@ -202,6 +205,7 @@ type Packet struct {
 	SentAt  sim.Time // transmit timestamp for RTT estimation
 	Retrans bool     // retransmitted data (pushed up GRO immediately)
 	Probe   bool     // single-packet RTT probe (sockperf-like)
+	pooled  bool     // on a Pool's free list; only there to catch a second Put
 	Hops    int      // number of switch hops taken, for loop detection
 }
 
@@ -219,9 +223,10 @@ func (p *Packet) String() string {
 	return fmt.Sprintf("%v %v seq=%d len=%d ack=%d fc=%d", p.Flow, p.Flags, p.Seq, p.Payload, p.Ack, p.FlowcellID)
 }
 
-// Clone returns a deep copy (SACK list included).
+// Clone returns a deep copy (SACK list included) that no pool owns.
 func (p *Packet) Clone() *Packet {
 	q := *p
+	q.pooled = false
 	if p.Sack != nil {
 		q.Sack = append([]SackBlock(nil), p.Sack...)
 	}

@@ -35,13 +35,6 @@ func (r *Ring) Pop() *Packet {
 	return p
 }
 
-// Reset discards every queued packet, keeping the backing array.
-func (r *Ring) Reset() {
-	for r.n > 0 {
-		r.Pop()
-	}
-}
-
 func (r *Ring) grow() {
 	cap2 := len(r.buf) * 2
 	if cap2 == 0 {

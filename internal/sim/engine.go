@@ -11,17 +11,19 @@
 //
 // Performance: the hot path (Schedule → dispatch) is allocation-free in
 // steady state. Events live in a pooled arena (a slice of slots recycled
-// through a free list) and are ordered by an intrusive 4-ary min-heap
-// whose cells carry the (at, seq) key inline next to the slot index, so
-// scheduling neither boxes values into interfaces nor touches the
-// garbage collector, and the sift loops compare contiguous memory and
-// touch the arena only to write pos. Arena invariants, for future
-// editors:
+// through a free list). Their (at, seq) keys sit inline in cells next to
+// the slot index, queued in a fixed-delay FIFO lane when the delay is one
+// the engine keeps seeing (see the lanes section), otherwise in an
+// intrusive 4-ary min-heap; dispatch pops the earliest of the heap top
+// and the lane heads. Nothing is boxed or seen by the garbage collector,
+// and the sift loops compare contiguous memory, touching the arena only
+// to write pos. Arena invariants, for future editors:
 //
-//   - A slot is in exactly one of two states: queued (pos >= 0, index
-//     into heap) or free (on the free list, pos == -1, callback zero).
-//   - The key lives in the heap cell only; whoever changes a queued
-//     event's key (rekey) writes heap[pos], not the slot.
+//   - A slot is in exactly one of two states: queued (pos >= 0: an index
+//     into heap, or into lanes[lane].cells when lane >= 0) or free (on
+//     the free list, pos == -1, callback zero).
+//   - The key lives in the cell only; whoever changes a queued event's
+//     key (rekey) writes the cell found through (lane, pos), not the slot.
 //   - EventID carries the slot's generation at allocation time. Every
 //     release increments the generation, so a stale EventID — one whose
 //     event fired, was canceled, or whose slot was reused — can never
@@ -95,12 +97,16 @@ type eventSlot struct {
 	gen uint64 // bumped on every release; EventIDs must match to act
 	cb  callback
 
-	pos  int32 // index in Engine.heap, or -1 when free
+	pos  int32 // index of the cell in its heap or lane ring, or -1 when free
 	next int32 // next free slot while on the free list
+	lane int8  // lane holding the cell while queued, or inHeap
 }
 
-// heapCell is one heap entry: the event's key inline, and the arena
-// slot holding the rest of it.
+// inHeap is eventSlot.lane (and earliest's source) for a cell in the heap.
+const inHeap = -1
+
+// heapCell is one queue entry, in the heap or a lane: the event's key
+// inline, and the arena slot holding the rest (< 0: a lane tombstone).
 type heapCell struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
@@ -129,6 +135,13 @@ type Engine struct {
 	arena []eventSlot
 	free  int32      // head of the free-slot list, -1 when empty
 	heap  []heapCell // 4-ary min-heap ordered by (at, seq)
+	// Fixed-delay lanes (see the lanes section): laneDelay[i] is the delay
+	// lane i serves, cand counts sightings of lane-less delays, live counts
+	// queued events, heap and lanes together, tombstones excluded.
+	lanes     [maxLanes]lane
+	laneDelay [maxLanes]Time
+	cand      [1 << laneCandidateBits]laneCandidate
+	live      int
 	// sh is non-nil when the engine is one shard of a multi-shard
 	// ShardGroup; it redirects sequence-number draws to the group so the
 	// global schedule order stays bit-identical to a serial run. See
@@ -143,8 +156,8 @@ type Engine struct {
 	// Executed counts events that have run, as a cheap progress/liveness
 	// measure for tests and benchmarks.
 	Executed uint64
-	// PeakPending is the high-water mark of the event queue — the
-	// engine's peak heap depth, exposed as a telemetry probe.
+	// PeakPending is the high-water mark of Pending, exposed as a
+	// telemetry probe.
 	PeakPending int
 }
 
@@ -205,9 +218,8 @@ func (e *Engine) At(t Time, fn func()) EventID {
 	return e.at(t, callback{fn: fn})
 }
 
-// at is the one schedule path, behind At and the group's sends: draw
-// the sequence number, enqueue, and journal the call when a window is
-// open.
+// at is the one schedule path, behind At and the group's sends: draw the
+// seq, enqueue (on the delay's lane if it has one), journal in a window.
 //
 //prestolint:noalloc
 func (e *Engine) at(t Time, cb callback) EventID {
@@ -221,7 +233,8 @@ func (e *Engine) at(t Time, cb callback) EventID {
 	} else {
 		sq = e.sh.nextSeq()
 	}
-	i := e.insertKeyed(t, sq, cb)
+	// The delay is taken after the clamp: lanes rely on at = now + delay.
+	i := e.insertKeyed(e.laneFor(t-e.now), t, sq, cb)
 	id := EventID{slot: i, gen: e.arena[i].gen}
 	if e.sh != nil {
 		e.sh.noteLocal(t, id)
@@ -242,7 +255,12 @@ func (e *Engine) Cancel(id EventID) bool {
 	if s.gen != id.gen || s.pos < 0 {
 		return false
 	}
-	e.heapRemove(s.pos)
+	if s.lane >= 0 {
+		e.laneRemove(&e.lanes[s.lane], s.pos)
+	} else {
+		e.heapRemove(s.pos)
+	}
+	e.live--
 	e.release(id.slot)
 	return true
 }
@@ -259,7 +277,7 @@ func (e *Engine) Armed(id EventID) bool {
 }
 
 // Pending returns the number of events waiting to fire.
-func (e *Engine) Pending() int { return len(e.heap) }
+func (e *Engine) Pending() int { return e.live }
 
 // Stop makes the in-progress Run/RunAll return after the currently
 // executing event completes. Safe to call from inside an event
@@ -312,21 +330,35 @@ func (e *Engine) run(until Time) (stopped bool) {
 	//prestolint:allow hotalloc -- receiver-only capture in an open-coded defer; the compiler keeps it off the heap (TestEngineScheduleDispatchAllocs pins 0 allocs)
 	defer func() { e.running = false; e.stopped.Store(false) }()
 
-	for len(e.heap) > 0 && !e.stopped.Load() {
-		top := e.heap[0]
+	for e.live > 0 && !e.stopped.Load() {
+		top, src := e.earliest()
 		if top.at > until {
 			break
 		}
-		cb := e.arena[top.slot].cb
-		e.now = top.at
-		e.heapPopMin()
-		// Release before dispatch: the firing event's ID is dead from
-		// inside its own callback, and the slot may be reused there.
-		e.release(top.slot)
-		e.Executed++
-		cb.call()
+		e.take(top, src).call()
 	}
 	return e.stopped.Load()
+}
+
+// take dequeues the cell earliest returned, advances the clock to it and
+// returns its callback — the step run and runWindow share.
+//
+//prestolint:noalloc
+func (e *Engine) take(top heapCell, src int) callback {
+	cb := e.arena[top.slot].cb
+	e.now = top.at
+	if src >= 0 {
+		l := &e.lanes[src]
+		e.laneRemove(l, l.head)
+	} else {
+		e.heapPopMin()
+	}
+	e.live--
+	// Release before dispatch: the firing event's ID is dead from
+	// inside its own callback, and the slot may be reused there.
+	e.release(top.slot)
+	e.Executed++
+	return cb
 }
 
 // runWindow executes queued events with at strictly below limit. It is
@@ -338,16 +370,12 @@ func (e *Engine) run(until Time) (stopped bool) {
 // the whole group stops on a window boundary and the executed-event
 // prefix stays identical to a serial run.
 func (e *Engine) runWindow(limit Time) {
-	for len(e.heap) > 0 {
-		top := e.heap[0]
+	for e.live > 0 {
+		top, src := e.earliest()
 		if top.at >= limit {
 			break
 		}
-		cb := e.arena[top.slot].cb
-		e.now = top.at
-		e.heapPopMin()
-		e.release(top.slot)
-		e.Executed++
+		cb := e.take(top, src)
 		k0 := e.sh.k
 		cb.call()
 		if e.sh.k > k0 {
@@ -358,12 +386,10 @@ func (e *Engine) runWindow(limit Time) {
 	}
 }
 
-// peekAt returns the timestamp of the earliest queued event.
-func (e *Engine) peekAt() (Time, bool) {
-	if len(e.heap) == 0 {
-		return 0, false
-	}
-	return e.heap[0].at, true
+// peekAt returns when the earliest queued event fires, never if none is.
+func (e *Engine) peekAt() Time {
+	top, _ := e.earliest()
+	return top.at
 }
 
 // rekey rewrites a queued event's sequence number from its provisional
@@ -372,9 +398,10 @@ func (e *Engine) peekAt() (Time, bool) {
 // provisional order equals its true relative order, and every true seq
 // assigned at the barrier exceeds every seq issued before the window —
 // so all comparator outcomes are preserved and the field can be
-// overwritten in place. The key lives in the heap cell, so that is what
-// is rewritten, found through the slot's pos. A dead ID (fired or
-// canceled inside the window) is a no-op, exactly like Cancel.
+// overwritten in place (a lane stays sorted for the same reason). The
+// key lives in the cell, so that is what is rewritten, found through the
+// slot's (lane, pos). A dead ID (fired or canceled inside the window) is
+// a no-op, exactly like Cancel.
 func (e *Engine) rekey(id EventID, seq uint64) {
 	if id.slot < 0 || int(id.slot) >= len(e.arena) {
 		return
@@ -383,25 +410,188 @@ func (e *Engine) rekey(id EventID, seq uint64) {
 	if s.gen != id.gen || s.pos < 0 {
 		return
 	}
-	e.heap[s.pos].seq = seq
+	if s.lane >= 0 {
+		e.lanes[s.lane].cells[s.pos].seq = seq
+	} else {
+		e.heap[s.pos].seq = seq
+	}
 }
 
-// insertKeyed enqueues an event with an explicit (at, seq) key and
-// returns its slot — the tail of every schedule call, and the barrier's
-// path for landing a cross-shard handoff with the global sequence
-// number it was assigned in the merge.
+// insertKeyed enqueues an event with an explicit (at, seq) key on lane
+// li, or in the heap for inHeap, and returns its slot — the tail of every
+// schedule call, and the barrier's path for landing a cross-shard
+// handoff under its merged global seq (always inHeap: that key is not
+// now + delay for any delay).
 //
 //prestolint:noalloc
-func (e *Engine) insertKeyed(at Time, seq uint64, cb callback) int32 {
+func (e *Engine) insertKeyed(li int, at Time, seq uint64, cb callback) int32 {
 	i := e.alloc()
 	e.arena[i].cb = cb
-	//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
-	e.heap = append(e.heap, heapCell{at: at, seq: seq, slot: i})
-	e.siftUp(len(e.heap) - 1)
-	if len(e.heap) > e.PeakPending {
-		e.PeakPending = len(e.heap)
+	c := heapCell{at: at, seq: seq, slot: i}
+	if li >= 0 {
+		e.lanePush(li, c)
+	} else {
+		e.arena[i].lane = inHeap
+		//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
+		e.heap = append(e.heap, c)
+		e.siftUp(len(e.heap) - 1)
 	}
+	e.live++
+	e.PeakPending = max(e.PeakPending, e.live)
 	return i
+}
+
+// ---- fixed-delay FIFO lanes ----
+//
+// A lane is a ring of the events scheduled with one delay d, sorted by
+// construction: keys are (now + d, seq), the clock never moves backwards
+// and seq only grows, so every push belongs at the tail — an O(1) append
+// and head pop where the heap sifts through its depth, and a simulated
+// network schedules nearly all its events with a handful of delays. Which
+// delays get lanes (laneFor) is a function of the schedule calls alone.
+//
+// Cancel cannot pull a cell out of a ring: it leaves a tombstone
+// (slot < 0), dropped when it reaches the head — a non-empty lane's head
+// is always live — or by compaction once the dead outnumber the living.
+// Timer.Reset at a constant delay (the RTO, on every ACK) is a cancel
+// mid-ring plus a push: one dead cell per ACK otherwise.
+
+const (
+	// maxLanes bounds the heads every dispatch compares. Elephant runs
+	// recur on seven delays (two propagations, three serialisations, the
+	// coalescing delay, the RTO); mice-churn adds five backoff timers, but
+	// 16 lanes measured no faster there and 5 % slower on elephants.
+	maxLanes = 8
+	// lanePromoteHits sightings in a row earn a delay a lane: a one-off
+	// batch of equal delays should not take one, and the wait is invisible.
+	lanePromoteHits = 8
+	// The sighting table is direct-mapped with twice maxLanes entries; a
+	// colliding delay evicts the resident, so it is kept sparse.
+	laneCandidateBits = 4
+	laneMinRing       = 64 // a lane's first ring size, a power of two
+)
+
+// lane is one fixed-delay FIFO: a power-of-two ring of cells in firing
+// order, n of them starting at head, dead of which are tombstones.
+type lane struct {
+	cells         []heapCell
+	head, n, dead int32
+}
+
+// laneCandidate counts sightings of one lane-less delay.
+type laneCandidate struct {
+	delay Time
+	hits  int32
+}
+
+// laneFor returns the lane serving delay d, or inHeap. A miss is a
+// sighting of d; the lanePromoteHits-th gives d the first empty lane. An
+// empty lane holds no order, so lanes change hands freely (a new
+// engine's all serve delay 0); a delay that finds none empty stays in
+// the heap, which is always correct.
+//
+//prestolint:noalloc
+func (e *Engine) laneFor(d Time) int {
+	for i := range e.laneDelay {
+		if e.laneDelay[i] == d {
+			return i
+		}
+	}
+	c := &e.cand[uint64(d)*0x9e3779b97f4a7c15>>(64-laneCandidateBits)]
+	if c.delay != d {
+		*c = laneCandidate{delay: d} // a collision costs the resident its sightings
+	}
+	c.hits++
+	if c.hits < lanePromoteHits {
+		return inHeap
+	}
+	for i := range e.lanes {
+		if e.lanes[i].n == 0 {
+			e.laneDelay[i] = d
+			c.hits = 0
+			return i
+		}
+	}
+	c.hits-- // no empty lane now: ask again at the next sighting
+	return inHeap
+}
+
+// lanePush appends c to lane li and points c's slot at the cell.
+//
+//prestolint:noalloc
+func (e *Engine) lanePush(li int, c heapCell) {
+	l := &e.lanes[li]
+	if int(l.n) == len(l.cells) {
+		//prestolint:allow hotalloc -- lane ring high-water growth is amortized; steady state reuses the ring (TestEngineScheduleDispatchAllocs pins 0 allocs)
+		e.laneRepack(l, make([]heapCell, max(2*len(l.cells), laneMinRing)), 0)
+	}
+	mask := int32(len(l.cells) - 1)
+	if l.n > 0 && c.before(&l.cells[(l.head+l.n-1)&mask]) {
+		panic("sim: lane push out of order") // the clock or the sequence moved backwards
+	}
+	pos := (l.head + l.n) & mask
+	l.cells[pos] = c
+	l.n++
+	s := &e.arena[c.slot]
+	s.pos, s.lane = pos, int8(li)
+}
+
+// laneRemove takes out the cell at pos, the head for a pop or any for a
+// cancel: it becomes a tombstone, tombstones at the head are dropped, and
+// the ring is compacted once the dead outnumber the living — so it never
+// exceeds four times the lane's peak live count, and the removals since
+// the last compaction pay for the next.
+//
+//prestolint:noalloc
+func (e *Engine) laneRemove(l *lane, pos int32) {
+	l.cells[pos].slot = -1
+	l.dead++
+	for mask := int32(len(l.cells) - 1); l.n > 0 && l.cells[l.head].slot < 0; l.head = (l.head + 1) & mask {
+		l.n--
+		l.dead--
+	}
+	if l.dead > l.n-l.dead {
+		e.laneRepack(l, l.cells, l.head)
+	}
+}
+
+// laneRepack copies the live cells, in order, into dst from index start
+// on — l's own ring and head to compact in place, a bigger ring to grow —
+// rewriting each survivor's index in its slot.
+//
+//prestolint:noalloc
+func (e *Engine) laneRepack(l *lane, dst []heapCell, start int32) {
+	mask, dmask := int32(len(l.cells)-1), int32(len(dst)-1)
+	w := start
+	for i := int32(0); i < l.n; i++ {
+		c := l.cells[(l.head+i)&mask]
+		if c.slot < 0 {
+			continue
+		}
+		dst[w] = c
+		e.arena[c.slot].pos = w
+		w = (w + 1) & dmask
+	}
+	l.cells, l.head, l.n, l.dead = dst, start, l.n-l.dead, 0
+}
+
+// earliest returns the queued cell that fires first and where it sits, a
+// lane index or inHeap; a cell at never when nothing is queued.
+//
+//prestolint:noalloc
+func (e *Engine) earliest() (best heapCell, src int) {
+	best, src = heapCell{at: never, seq: 1<<64 - 1}, inHeap
+	if len(e.heap) > 0 {
+		best = e.heap[0]
+	}
+	for i := range e.lanes {
+		if l := &e.lanes[i]; l.n > 0 {
+			if c := &l.cells[l.head]; c.before(&best) {
+				best, src = *c, i
+			}
+		}
+	}
+	return best, src
 }
 
 // ---- intrusive 4-ary min-heap of inline-key cells ----

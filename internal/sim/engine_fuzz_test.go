@@ -1,161 +1,14 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"testing"
 )
 
-// This file checks the pooled-arena 4-ary heap engine against an
-// oracle: a frozen copy of the original container/heap implementation
-// the repo seeded with. Both engines are driven through the same
-// fuzz-derived script of schedules, cancels, and nested callbacks; any
-// divergence in (label, time) firing order is a determinism break.
-
-// ---- oracle: the seed engine, verbatim semantics ----
-
-type oracleEvent struct {
-	at       Time
-	seq      uint64
-	fn       func()
-	index    int
-	canceled bool
-}
-
-type oracleHeap []*oracleEvent
-
-func (h oracleHeap) Len() int { return len(h) }
-func (h oracleHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
-	}
-	return h[i].seq < h[j].seq
-}
-func (h oracleHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *oracleHeap) Push(x any) {
-	ev := x.(*oracleEvent)
-	ev.index = len(*h)
-	*h = append(*h, ev)
-}
-func (h *oracleHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
-}
-
-type oracleEngine struct {
-	now   Time
-	seq   uint64
-	queue oracleHeap
-}
-
-func (e *oracleEngine) schedule(delay Time, fn func()) *oracleEvent {
-	if delay < 0 {
-		delay = 0
-	}
-	t := e.now + delay
-	e.seq++
-	ev := &oracleEvent{at: t, seq: e.seq, fn: fn}
-	heap.Push(&e.queue, ev)
-	return ev
-}
-
-func (e *oracleEngine) cancel(ev *oracleEvent) bool {
-	if ev == nil || ev.canceled || ev.index < 0 {
-		return false
-	}
-	ev.canceled = true
-	heap.Remove(&e.queue, ev.index)
-	return true
-}
-
-func (e *oracleEngine) runAll() {
-	for len(e.queue) > 0 {
-		ev := heap.Pop(&e.queue).(*oracleEvent)
-		e.now = ev.at
-		ev.fn()
-	}
-}
-
-// ---- shared driver ----
-
-// engineAPI abstracts the two engines so one script drives both.
-type engineAPI struct {
-	schedule func(delay Time, fn func()) (cancel func() bool)
-	runAll   func()
-	now      func() Time
-}
-
-// driveScript interprets data as a schedule/cancel script: a handful of
-// root events, each callback possibly scheduling a child (tight delays,
-// so same-instant ties are common) and possibly canceling an earlier
-// event. It returns the (label, time) firing log.
-func driveScript(data []byte, api engineAPI) []int64 {
-	pos := 0
-	next := func() byte {
-		if pos >= len(data) {
-			return 0
-		}
-		b := data[pos]
-		pos++
-		return b
-	}
-
-	var log []int64
-	var cancels []func() bool
-	label := int64(0)
-	var mk func() func()
-	mk = func() func() {
-		l := label
-		label++
-		return func() {
-			log = append(log, l, int64(api.now()))
-			op := next()
-			if op&1 != 0 && label < 512 {
-				cancels = append(cancels, api.schedule(Time(next()&15), mk()))
-			}
-			if op&2 != 0 && len(cancels) > 0 {
-				cancels[int(next())%len(cancels)]()
-			}
-		}
-	}
-	roots := int(next())%12 + 2
-	for i := 0; i < roots; i++ {
-		cancels = append(cancels, api.schedule(Time(next()&7), mk()))
-	}
-	api.runAll()
-	return log
-}
-
-func realAPI(e *Engine) engineAPI {
-	return engineAPI{
-		schedule: func(d Time, fn func()) func() bool {
-			id := e.Schedule(d, fn)
-			return func() bool { return e.Cancel(id) }
-		},
-		runAll: func() { e.RunAll() },
-		now:    e.Now,
-	}
-}
-
-func oracleAPI(e *oracleEngine) engineAPI {
-	return engineAPI{
-		schedule: func(d Time, fn func()) func() bool {
-			ev := e.schedule(d, fn)
-			return func() bool { return e.cancel(ev) }
-		},
-		runAll: func() { e.runAll() },
-		now:    func() Time { return e.now },
-	}
-}
+// Two fuzz targets. FuzzEngineHeapOrder drives the real engine and the
+// heap-only reference (reference_test.go) through one script and
+// compares everything observable. FuzzShardedEngine, below, compares a
+// ShardGroup with a serial engine.
 
 // ---- sharded engine vs serial engine ----
 //
@@ -219,7 +72,7 @@ func driveShardScript(data []byte, env *shardEnv) [][]uint64 {
 			op := next(d)
 			if op&1 != 0 {
 				budget[d]--
-				if c := env.schedule(d, d, Time(next(d)&63), mk(d)); c != nil {
+				if c := env.schedule(d, d, shardFuzzDelay(next(d)), mk(d)); c != nil {
 					cancels[d] = append(cancels[d], c)
 				}
 			}
@@ -243,6 +96,17 @@ func driveShardScript(data []byte, env *shardEnv) [][]uint64 {
 	}
 	env.runAll()
 	return logs
+}
+
+// shardFuzzDelay turns a script byte into a local delay: mostly one of
+// the recurring delays below the lookahead, so that lanes form on every
+// shard and the barrier's rekey lands on lane cells as well as heap
+// cells, otherwise an irregular one.
+func shardFuzzDelay(b byte) Time {
+	if b&3 != 0 {
+		return fuzzDelays[int(b>>2)%5]
+	}
+	return Time(b >> 2)
 }
 
 // shardRunResult captures everything the bit-identity claim covers:
@@ -360,6 +224,14 @@ func FuzzShardedEngine(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{255, 254, 253, 3, 3, 3, 7, 7, 7, 1, 0, 255, 9, 9, 2, 2, 4, 4, 6, 6})
 	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0})
+	// Long, and every op both schedules locally on a recurring delay and
+	// sends: each shard's delays earn lanes and the barrier rekeys cells
+	// queued in them.
+	long := make([]byte, 4096)
+	for i := range long {
+		long[i] = byte(i*37) | 3
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, shards := range []int{1, 2, 4, 7} {
 			want := runShardScriptSerial(data, shards, 42)
@@ -371,22 +243,30 @@ func FuzzShardedEngine(f *testing.F) {
 	})
 }
 
-// FuzzEngineHeapOrder asserts the 4-ary arena heap pops events in
-// exactly the (at, seq) order of the original container/heap engine,
-// under interleaved scheduling and cancellation from inside callbacks.
+// FuzzEngineHeapOrder asserts that the engine — arena, 4-ary heap and
+// fixed-delay lanes — is indistinguishable from the heap-only reference
+// under driveScript's interleaving of schedules, cancels, timer storms
+// and stops.
 func FuzzEngineHeapOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{12, 3, 3, 3, 3, 1, 4, 2, 9, 7, 7, 0, 1, 1, 2, 2})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
+	// Long enough for lanes to form, fill, be canceled into and change hands.
+	long := make([]byte, 4096)
+	for i := range long {
+		long[i] = byte(i*131 + i>>3)
+	}
+	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := driveScript(data, realAPI(NewEngine()))
-		want := driveScript(data, oracleAPI(&oracleEngine{}))
+		got := driveScript(data, realScript{NewEngine()})
+		want := driveScript(data, refScript{&refEngine{}})
 		if len(got) != len(want) {
-			t.Fatalf("fired %d records, oracle fired %d", len(got)/2, len(want)/2)
+			t.Fatalf("logged %d values, reference logged %d", len(got), len(want))
 		}
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("divergence at record %d: engine %v, oracle %v", i/2, got[i:i+2], want[i:i+2])
+				lo := max(i-4, 0)
+				t.Fatalf("divergence at log index %d: engine ...%v, reference ...%v", i, got[lo:i+1], want[lo:i+1])
 			}
 		}
 	})

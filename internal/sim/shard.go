@@ -106,8 +106,12 @@ type shard struct {
 	sendPos int
 	trueOf  []uint64  // trueOf[j] = true seq of provisional base+j+1
 	staged  []handoff // merged handoffs destined for this shard
-	start   chan Time // window dispatch; nil until a windowed Run
+	head    Time      // earliest queued event this iteration, never if none
+	start   chan Time // window dispatch to this shard's worker; nil outside a windowed Run and always on shard 0
 }
+
+// never is later than any event: the head of an empty queue.
+const never = Time(1<<63 - 1)
 
 // nextSeq issues the next sequence number for a schedule call on this
 // shard: provisional during a window, drawn from the group's shared
@@ -156,10 +160,11 @@ type ShardGroup struct {
 	now       Time
 	running   bool
 	stop      atomic.Bool
-	// windowWG counts the workers still inside the current window. A
-	// field, not a runWindows local: the workers' reference would move a
-	// local to the heap on every Run call.
-	windowWG sync.WaitGroup
+	// windowWG counts the workers still inside the current window and
+	// workerWG the worker goroutines alive. Fields, not runWindows locals:
+	// the workers' reference would move a local to the heap every Run.
+	windowWG, workerWG sync.WaitGroup
+	hooks              []func() // run at the end of every barrier (OnBarrier)
 }
 
 // NewShardGroup returns a group of n engines synchronized with the
@@ -201,6 +206,11 @@ func GroupOf(e *Engine) *ShardGroup {
 	g.shards = []*shard{{g: g, eng: e, rng: NewRNG(0).Fork()}}
 	return g
 }
+
+// OnBarrier registers fn to run on the coordinator at the end of every
+// window barrier, every worker idle, so fn may touch any shard's state.
+// It must not schedule. A group of one has no barriers: fn never runs.
+func (g *ShardGroup) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 
 // Shards returns the number of shards in the group.
 func (g *ShardGroup) Shards() int { return len(g.shards) }
@@ -352,9 +362,9 @@ func (g *ShardGroup) align() {
 }
 
 // runWindows is the coordinator loop: pick the window [T, T+L), run it
-// on every shard that has work in it (in parallel when more than one
-// does), then merge journals at the barrier. Returns whether the run
-// was stopped.
+// on every shard that has work in it — the first of them on this
+// goroutine, the rest in parallel on their workers — then merge
+// journals at the barrier. Returns whether the run was stopped.
 func (g *ShardGroup) runWindows(until Time) bool {
 	if g.running {
 		panic("sim: ShardGroup.Run called reentrantly")
@@ -362,15 +372,15 @@ func (g *ShardGroup) runWindows(until Time) bool {
 	g.running = true
 	defer func() { g.running = false }()
 
-	workers := false
 	defer func() {
 		for _, sh := range g.shards {
 			sh.inWindow = false
-			if workers && sh.start != nil {
+			if sh.start != nil {
 				close(sh.start)
 				sh.start = nil
 			}
 		}
+		g.workerWG.Wait() // a Run leaves no goroutine behind
 	}()
 	for _, sh := range g.shards {
 		sh.inWindow = true
@@ -382,14 +392,12 @@ func (g *ShardGroup) runWindows(until Time) bool {
 			return true
 		}
 		// T = earliest pending event anywhere; the window is [T, T+L).
-		var t Time
-		have := false
+		t := never
 		for _, sh := range g.shards {
-			if at, ok := sh.eng.peekAt(); ok && (!have || at < t) {
-				t, have = at, true
-			}
+			sh.head = sh.eng.peekAt()
+			t = min(t, sh.head)
 		}
-		if !have || t > until {
+		if t > until {
 			return false
 		}
 		limit := t + g.lookahead
@@ -398,32 +406,27 @@ func (g *ShardGroup) runWindows(until Time) bool {
 			limit = until + 1
 		}
 
-		active := 0
-		var only *shard
+		// The first busy shard runs here: a worker would only park this
+		// goroutine until it is done, and most windows have one busy
+		// shard. Journaling stays on either way — its calls still consume
+		// seqs that the barrier turns into true ones.
+		var inline *shard
 		for _, sh := range g.shards {
-			if at, ok := sh.eng.peekAt(); ok && at < limit {
-				active++
-				only = sh
+			if sh.head >= limit {
+				continue
 			}
+			if inline == nil {
+				inline = sh
+				continue
+			}
+			if sh.start == nil {
+				g.spawnWorker(sh)
+			}
+			g.windowWG.Add(1)
+			sh.start <- limit
 		}
-		if active == 1 {
-			// One busy shard: run it inline and skip the goroutine
-			// round-trip. Journaling stays on — its calls still consume
-			// seqs that the barrier turns into true ones.
-			only.runOne(limit)
-		} else {
-			if !workers {
-				g.spawnWorkers()
-				workers = true
-			}
-			g.windowWG.Add(active)
-			for _, sh := range g.shards {
-				if at, ok := sh.eng.peekAt(); ok && at < limit {
-					sh.start <- limit
-				}
-			}
-			g.windowWG.Wait()
-		}
+		inline.runOne(limit)
+		g.windowWG.Wait()
 		g.barrier()
 		for _, sh := range g.shards {
 			if sh.panicked != nil {
@@ -444,18 +447,19 @@ func (g *ShardGroup) runWindows(until Time) bool {
 	}
 }
 
-// spawnWorkers starts one goroutine per shard for the duration of this
-// run; each exits when runWindows closes its start channel.
-func (g *ShardGroup) spawnWorkers() {
-	for _, sh := range g.shards {
-		sh.start = make(chan Time)
-		go func(sh *shard) {
-			for limit := range sh.start {
-				sh.runOne(limit)
-				g.windowWG.Done()
-			}
-		}(sh)
-	}
+// spawnWorker starts sh's goroutine for the rest of this run; it exits
+// when runWindows closes the start channel — handed over as an argument,
+// so the goroutine never reads the field the end of the run clears.
+func (g *ShardGroup) spawnWorker(sh *shard) {
+	sh.start = make(chan Time)
+	g.workerWG.Add(1)
+	go func(start <-chan Time) {
+		defer g.workerWG.Done()
+		for limit := range start {
+			sh.runOne(limit)
+			g.windowWG.Done()
+		}
+	}(sh.start)
 }
 
 // barrier merges the shards' window journals in global execution order
@@ -507,7 +511,7 @@ func (g *ShardGroup) barrier() {
 	}
 	for _, sh := range g.shards {
 		for _, h := range sh.staged {
-			sh.eng.insertKeyed(h.at, h.seq, h.cb)
+			sh.eng.insertKeyed(inHeap, h.at, h.seq, h.cb)
 		}
 		// Don't pin dead closures or arguments in the reused backing
 		// arrays.
@@ -519,5 +523,8 @@ func (g *ShardGroup) barrier() {
 		sh.callLog = sh.callLog[:0]
 		sh.trueOf = sh.trueOf[:0]
 		sh.execPos, sh.callPos, sh.sendPos, sh.k = 0, 0, 0, 0
+	}
+	for _, fn := range g.hooks {
+		fn()
 	}
 }
