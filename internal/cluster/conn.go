@@ -162,16 +162,14 @@ func (conn *Conn) SenderTimeouts() uint64 {
 // TCP, one per subflow for MPTCP).
 func (conn *Conn) Flows() []packet.FlowKey { return conn.flows }
 
-// Close unregisters the connection's flows from both edge tables and
-// ends their receive-offload state at both NICs (data arrives on f at
-// Dst, responses on f.Reverse() at Src).
+// Close unregisters the connection's flows from both edge tables. The
+// NICs' receive-offload state for them is soft state that ages on its
+// own, so a retransmission still in flight meets its flow's own entry.
 func (conn *Conn) Close() {
 	src, dst := conn.c.Hosts[conn.Src], conn.c.Hosts[conn.Dst]
 	for _, f := range conn.flows {
 		src.VS.Unregister(f)
 		dst.VS.Unregister(f.Reverse())
-		dst.NIC.GRO().CloseFlow(f)
-		src.NIC.GRO().CloseFlow(f.Reverse())
 	}
 }
 

@@ -56,34 +56,43 @@ func TestDialSkipsLiveKeysAfterPortWrap(t *testing.T) {
 	}
 }
 
-// TestCloseEndsGROState: a connection's receive-offload entries — data
-// on f at Dst, ACKs and responses on f.Reverse() at Src — die at Close,
-// so GRO state tracks live flows instead of flows ever seen.
-func TestCloseEndsGROState(t *testing.T) {
+// TestLateRetransmitMeetsItsGROEntry: receive-offload state is soft
+// state that Close leaves alone. The spec generator closes a connection
+// as its last request byte is delivered, before the final ACK reaches
+// the sender, so the sender's tail-loss probe and RTO resend data that
+// lands at the destination after the close. It must meet the flow's own
+// GRO entry — the expected sequence and flowcell that judged the
+// original bytes — not a fresh entry seeded from the retransmission
+// under a new first-seen ordinal.
+func TestLateRetransmitMeetsItsGROEntry(t *testing.T) {
 	c := New(Config{Topology: clos(2, 2, 1), Scheme: Presto, Seed: 1})
-	held := func() int {
-		n := 0
-		for _, h := range c.Hosts {
-			n += h.NIC.GRO().(*gro.Presto).Flows()
-		}
-		return n
-	}
+	g := c.Hosts[1].NIC.GRO().(*gro.Presto)
+	// Exactly one flowcell of data, so whatever is resent opens the next.
+	const n = packet.MaxSegSize
 	conn := c.Dial(0, 1)
+	var pktsAtClose uint64
+	flowsAfterClose := -1
 	conn.OnDelivered = func(total uint64) {
-		if total == 200_000 {
-			conn.WriteReverse(1000)
+		if total == n {
+			conn.Close()
+			pktsAtClose = g.Stats().PacketsIn
+			c.Eng.Schedule(0, func() { flowsAfterClose = g.Flows() })
 		}
 	}
-	conn.Write(200_000)
-	c.RunAll()
-	if conn.Delivered() != 200_000 {
-		t.Fatalf("delivered %d", conn.Delivered())
+	conn.Write(n)
+	c.Run(300 * sim.Millisecond)
+
+	if conn.Delivered() != n || flowsAfterClose != 1 {
+		t.Fatalf("delivered %d of %d bytes; %d GRO entries after Close, want the flow's 1", conn.Delivered(), n, flowsAfterClose)
 	}
-	if got := held(); got != 2 {
-		t.Fatalf("%d GRO flow entries for one open request/response connection, want 2", got)
+	if g.Stats().PacketsIn == pktsAtClose || conn.SenderTimeouts() == 0 {
+		t.Fatalf("setup: no retransmission reached the destination after Close (%d RTOs)", conn.SenderTimeouts())
 	}
-	conn.Close()
-	if got := held(); got != 0 {
-		t.Fatalf("%d GRO flow entries survive Close, want 0", got)
+	// The first retransmission is a duplicate stamped with the next
+	// flowcell: against the flow's entry that is Algorithm 2's overlap
+	// case, while a fresh entry would seed from it and count it in order.
+	if g.Flows() != 1 || g.Stats().FlushReasons[gro.FlushOverlap] == 0 {
+		t.Fatalf("%d GRO entries, %d overlap pushes after the late retransmissions; want the flow's 1 entry and > 0",
+			g.Flows(), g.Stats().FlushReasons[gro.FlushOverlap])
 	}
 }

@@ -22,8 +22,10 @@ import (
 // bookkeeping that changed, so the rest of the input drives a second
 // stage over several flows: packets (in-order, reordered, retransmitted
 // under a later flowcell), polls, idle stretches in which hold timers
-// fire, closes between polls, and closes from inside a delivery — after
-// which the key is used again.
+// fire, and late retransmissions — an old sequence of a flow, stamped
+// with its own or a later flowcell, arriving after an idle stretch in
+// which everything the flow held was delivered, as a retransmission in
+// flight when its connection closes does.
 //
 // The fuzz input is a raw byte string consumed as a stream of
 // decisions: packet count, flowcell width, a Fisher-Yates shuffle,
@@ -38,13 +40,14 @@ func FuzzPrestoGRO(f *testing.F) {
 	f.Add([]byte{24, 3, 0xff, 0x80, 0x40, 7, 1, 90, 1, 90, 1, 90})
 	// Second-stage cases, each after a minimal window (2 packets,
 	// 1-packet flowcells, one batch): two flows polled in swapped order;
-	// a flow holding two segments closed from inside the timer-driven
-	// delivery of the first, then its key reused; a close between polls
-	// with a segment held.
+	// a flow holding a segment behind a boundary gap, then 10 ms later a
+	// retransmission of its first byte stamped three flowcells on, after
+	// which the flow carries on; a late retransmission of one flow in its
+	// own flowcell while another flow still holds a segment.
 	stage2 := func(ops ...byte) []byte { return append([]byte{0, 0, 0, 1, 0}, ops...) }
 	f.Add(stage2(0, 0, 0, 0, 1, 0, 5, 10, 0, 1, 1, 0, 0, 1, 5, 10))
-	f.Add(stage2(0, 0, 0, 0, 0, 2, 5, 1, 0, 0, 4, 5, 10, 7, 0, 5, 250, 0, 0, 0, 5, 1))
-	f.Add(stage2(0, 0, 0, 0, 0, 2, 5, 1, 6, 0, 0, 0, 3, 5, 250))
+	f.Add(stage2(0, 0, 0, 0, 0, 1, 0, 0, 3, 5, 1, 6, 0, 0, 3, 100, 0, 0, 4, 5, 1))
+	f.Add(stage2(0, 0, 0, 0, 1, 0, 0, 1, 2, 5, 1, 6, 0, 0, 0, 1))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		pos := 0
 		next := func() byte {
@@ -115,34 +118,39 @@ func FuzzPrestoGRO(f *testing.F) {
 			t.Fatalf("reassembled stream %+v does not match in-order delivery %+v", got, want)
 		}
 
-		// Second stage: several flows, closes and key reuse, on fresh
+		// Second stage: several flows and late retransmissions, on fresh
 		// handlers. One operation per byte (plus its operands) until the
 		// input runs out.
 		const flows, span = 4, 32
 		rs = newRigs(cfg)
 		at = 0
 		var batch []*packet.Packet
+		var sent [flows]int // per flow, one past the highest packet index fed
 		for ops := 0; pos < len(data) && ops < 512; ops++ {
-			switch op := next() % 8; op {
+			switch op := next() % 7; op {
 			default: // a data packet joins the current poll's batch
 				flow, i := int(next())%flows, int(next())%span
 				fc := uint32(1 + i/cell)
 				if op == 4 {
 					fc += uint32(next())%3 + 1 // a retransmission, stamped with a later flowcell
 				}
+				sent[flow] = max(sent[flow], i+1)
 				batch = append(batch, flowPkt(flow, i, fc))
 			case 5: // poll, after an idle stretch of up to 2.5 ms
 				at += sim.Time(next()) * 10 * sim.Microsecond
 				rs.poll(at, batch...)
 				batch = nil
-			case 6: // the connection closes between polls
-				key := flowPkt(int(next())%flows, 0, 0).Flow
+			case 6: // the current poll, an idle stretch of up to 25.5 ms, then a late retransmission
+				flow := int(next()) % flows
+				i := int(next()) % max(sent[flow], 1)
+				fc := uint32(1+i/cell) + uint32(next())%4 // its own flowcell or a later one
 				at += sim.Microsecond
-				rs.at(at, func(r *rig) { r.h.CloseFlow(key) })
-			case 7: // the connection closes inside its next data delivery
-				key := flowPkt(int(next())%flows, 0, 0).Flow
-				at += sim.Microsecond
-				rs.at(at, func(r *rig) { r.closeOn[key] = true })
+				rs.poll(at, batch...)
+				batch = nil
+				at += sim.Time(next()) * 100 * sim.Microsecond
+				p := flowPkt(flow, i, fc)
+				p.Retrans = true
+				rs.poll(at, p)
 			}
 		}
 		rs.poll(at+sim.Microsecond, batch...)

@@ -1,6 +1,7 @@
 package gro
 
 import (
+	"math/bits"
 	"testing"
 	"testing/quick"
 
@@ -601,5 +602,79 @@ func TestPrestoReorderWindowAllocs(t *testing.T) {
 	}
 	if allocs > 3 {
 		t.Fatalf("a 64-packet reorder window allocates %v, want <= 3", allocs)
+	}
+}
+
+// agingPkt is packet i, in flowcell fc, of the k-th of many flows.
+func agingPkt(k, i int, fc uint32) *packet.Packet {
+	p := pkt(i, fc)
+	p.Flow.Src.Port = uint16(k)
+	p.Flow.Dst.Port = uint16(k >> 16)
+	return p
+}
+
+// TestPrestoAgesIdleFlows: the flow table is soft state on the sender
+// datapath's rule (packet.SweepIdle). An idle entry goes only when a new
+// flow finds the table due a sweep; a flow holding a segment survives
+// the sweep however old its last packet; an aged key starts clean, with
+// a fresh first-seen ordinal; and a sweep that frees nothing backs off
+// until the table has doubled, as TestSweepBacksOffWhenNothingAges pins
+// for the vSwitch.
+func TestPrestoAgesIdleFlows(t *testing.T) {
+	eng := sim.NewEngine()
+	// A hold budget past the idle horizon, so flow 0's boundary gap is
+	// still held when the sweep runs.
+	g := NewPresto(eng, discard{}, PrestoConfig{InitialEWMA: packet.FlowIdle})
+	recv := func(ps ...*packet.Packet) {
+		for _, p := range ps {
+			g.Receive(p)
+		}
+		g.Flush()
+	}
+	const n = packet.FlowSweepMin
+	recv(agingPkt(0, 0, 1), agingPkt(0, 2, 2)) // flow 0 holds packet 2
+	for k := 1; k < n; k++ {
+		recv(agingPkt(k, 0, 1))
+	}
+
+	eng.Run(packet.FlowIdle + sim.Second)
+	recv(agingPkt(1, 1, 1)) // a known flow: no sweep
+	if g.Flows() != n {
+		t.Fatalf("%d entries before any new flow, want all %d: idleness alone must not drop an entry", g.Flows(), n)
+	}
+	recv(agingPkt(n, 0, 1)) // the table is due: flows 2..n-1 age out
+	if g.Flows() != 3 || g.HeldSegments() != 1 {
+		t.Fatalf("after the sweep: %d entries holding %d segments, want flows 0, 1 and %d holding 1", g.Flows(), g.HeldSegments(), n)
+	}
+
+	// Flow 2 again, further on in its old flowcell: against its aged-out
+	// state that is a loss gap, on a clean entry it is in order.
+	recv(agingPkt(2, 5, 1))
+	st := g.Stats()
+	if st.FlushReasons[FlushLossGap] != 0 || g.flows[agingPkt(2, 0, 0).Flow].ord != n+2 {
+		t.Fatalf("aged key reused: %d loss-gap pushes, ordinal %d; want 0 and a fresh %d",
+			st.FlushReasons[FlushLossGap], g.flows[agingPkt(2, 0, 0).Flow].ord, n+2)
+	}
+
+	// Every flow live: each sweep frees nothing, so sweeps must thin out.
+	const live = 32000
+	g = NewPresto(sim.NewEngine(), discard{}, PrestoConfig{})
+	sweeps, visited := 0, 0
+	for k := 0; k < live; k++ {
+		before := g.sweepAt
+		recv(agingPkt(k, 0, 1))
+		if g.sweepAt != before {
+			sweeps++
+			visited += g.Flows() - 1 // the table as the sweep saw it
+		}
+	}
+	if g.Flows() != live {
+		t.Fatalf("table holds %d of %d live flows", g.Flows(), live)
+	}
+	if limit := bits.Len(uint(live/packet.FlowSweepMin)) + 1; sweeps == 0 || sweeps > limit {
+		t.Errorf("%d sweeps admitting %d live flows, want 1..%d", sweeps, live, limit)
+	}
+	if visited > live {
+		t.Errorf("sweeps visited %d entries admitting %d flows", visited, live)
 	}
 }

@@ -71,10 +71,6 @@ func (o *Official) Flush() {
 	o.order = o.order[:0]
 }
 
-// CloseFlow implements Handler; the gro_list is emptied by every
-// Flush, so no per-flow state outlives a poll.
-func (o *Official) CloseFlow(packet.FlowKey) {}
-
 // Stats implements Handler.
 func (o *Official) Stats() *Stats { return &o.stats }
 

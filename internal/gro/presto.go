@@ -1,8 +1,6 @@
 package gro
 
 import (
-	"slices"
-
 	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -72,10 +70,14 @@ type prestoFlow struct {
 	segs []*packet.Segment
 
 	// ord is the flow's first-seen ordinal at this handler — Flush
-	// delivers flows in ord order — and listed marks membership of
-	// Presto.active.
-	ord    uint64
-	listed bool
+	// delivers flows in ord order — listed marks membership of
+	// Presto.active, and lastSeen is when Flush last drained the flow
+	// (every arrival is drained at or after it), which the aging sweep
+	// reads. (Field order keeps the record in the 112-byte size
+	// class: flow-churn workloads allocate one per flow.)
+	ord      uint64
+	lastSeen sim.Time
+	listed   bool
 
 	init         bool
 	lastFlowcell uint32 // flowcell of the most recent in-order byte
@@ -140,29 +142,28 @@ func (f *prestoFlow) insertSeg(s *packet.Segment) {
 // reordering via an EWMA.
 //
 // Flow lifetime: an entry is created by a flow's first data packet and
-// dies at CloseFlow; Flush visits only the flows that hold segments, in
-// first-seen order. That is the order segments of different flows go up
-// the stack in, hence the order their ACKs are emitted in, hence every
-// downstream event key — it must not follow this poll's arrival order.
+// is soft state, aged like the sender datapath's flow table
+// (packet.SweepIdle) and never while it holds segments; nothing closes
+// it, so a retransmission that arrives after its connection closed
+// still meets the flow's own entry. Flush visits only the flows that
+// hold segments, in first-seen order. That is the order segments of
+// different flows go up the stack in, hence the order their ACKs are
+// emitted in, hence every downstream event key — it must not follow
+// this poll's arrival order.
 type Presto struct {
 	Eng *sim.Engine
 	Out Output
 	cfg PrestoConfig
 
-	flows map[packet.FlowKey]*prestoFlow
+	flows   map[packet.FlowKey]*prestoFlow
+	sweepAt int // packet.SweepIdle's back-off mark
 	// active lists the flows holding segments: Receive appends a flow
 	// when its list becomes non-empty, Flush sorts the few newcomers into
 	// first-seen order and drops the flows it drained.
 	active []*prestoFlow
 	seen   uint64 // flows created so far; the last first-seen ordinal
-	// walking is set while Flush walks active. A timer-driven Flush
-	// delivers straight up the stack, so a connection can complete and
-	// close inside the walk over its own segments; such closes wait in
-	// closing until the walk ends.
-	walking bool
-	closing []packet.FlowKey
-	timer   *sim.Timer
-	stats   Stats
+	timer  *sim.Timer
+	stats  Stats
 }
 
 // NewPresto returns a Presto GRO handler.
@@ -187,6 +188,7 @@ func (g *Presto) Receive(p *packet.Packet) {
 	g.stats.PacketsIn++
 	f, ok := g.flows[p.Flow]
 	if !ok {
+		packet.SweepIdle(g.flows, &g.sweepAt, now, flowLastSeen)
 		g.seen++
 		f = &prestoFlow{ord: g.seen}
 		f.ewma.Alpha = g.cfg.EWMAWeight
@@ -219,24 +221,9 @@ func (g *Presto) Receive(p *packet.Packet) {
 	}
 }
 
-// CloseFlow implements Handler: the flow's entry — reorder state, hold
-// estimator and any segments still held — dies with its connection, so
-// the table tracks live flows and a reused flow key starts clean.
-func (g *Presto) CloseFlow(key packet.FlowKey) {
-	if g.walking {
-		g.closing = append(g.closing, key)
-		return
-	}
-	f, ok := g.flows[key]
-	if !ok {
-		return
-	}
-	delete(g.flows, key)
-	if f.listed {
-		i := slices.Index(g.active, f)
-		g.active = slices.Delete(g.active, i, i+1)
-	}
-}
+// flowLastSeen is the GRO table's input to the aging rule: a flow that
+// holds segments stays.
+func flowLastSeen(f *prestoFlow) (sim.Time, bool) { return f.lastSeen, !f.listed }
 
 // Flush implements Handler: Algorithm 2's flush function, run at the
 // end of every poll event (and again from a timer while segments are
@@ -256,7 +243,6 @@ func (g *Presto) Flush() {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
-	g.walking = true
 	live := a[:0]
 	for _, f := range a {
 		// The list is maintained sorted by start sequence on arrival
@@ -338,15 +324,11 @@ func (g *Presto) Flush() {
 			live = append(live, f)
 		} else {
 			f.listed = false
+			f.lastSeen = now
 		}
 	}
 	clear(a[len(live):]) // drained flows must not be pinned by the reused backing array
 	g.active = live
-	g.walking = false
-	for _, key := range g.closing {
-		g.CloseFlow(key)
-	}
-	g.closing = g.closing[:0]
 	if held {
 		g.stats.ReorderHolds++
 		delay := nextDeadline - now
@@ -393,7 +375,7 @@ func (g *Presto) holdUntil(s *packet.Segment, e sim.Time) sim.Time {
 func (g *Presto) Stats() *Stats { return &g.stats }
 
 // Flows returns the number of flows the handler keeps state for: those
-// that have sent data and whose connection has not closed.
+// that have sent data and have not aged out.
 func (g *Presto) Flows() int { return len(g.flows) }
 
 // HeldSegments returns the number of segments currently held across

@@ -16,14 +16,12 @@ import (
 // must emit the same segments, in the same order, for the same reasons,
 // at the same instants, with the same Stats. It embeds a Presto for its
 // configuration, flow table, estimator helpers and counters, and
-// replaces what changed: Receive's bookkeeping, the Flush walk and flow
-// removal (a close is "drop the entry", deferred to the end of a walk in
-// progress, exactly the contract CloseFlow documents).
+// replaces what changed: Receive's bookkeeping and the Flush walk. It
+// never ages an entry; the fuzzed tables stay far below the size at
+// which the optimised handler's sweep first runs.
 type refPresto struct {
 	Presto
-	order   []packet.FlowKey
-	walking bool
-	closing []packet.FlowKey
+	order []packet.FlowKey
 }
 
 func newRefPresto(eng *sim.Engine, out Output, cfg PrestoConfig) *refPresto {
@@ -65,19 +63,6 @@ func (g *refPresto) Receive(p *packet.Packet) {
 	f.insertSeg(segFromPacket(p, now))
 }
 
-func (g *refPresto) CloseFlow(key packet.FlowKey) {
-	if g.walking {
-		g.closing = append(g.closing, key)
-		return
-	}
-	if _, ok := g.flows[key]; !ok {
-		return
-	}
-	delete(g.flows, key)
-	i := slices.Index(g.order, key)
-	g.order = slices.Delete(g.order, i, i+1)
-}
-
 func (g *refPresto) HeldSegments() int {
 	n := 0
 	for _, f := range g.flows {
@@ -86,13 +71,11 @@ func (g *refPresto) HeldSegments() int {
 	return n
 }
 
-// Flush is the pre-optimisation walk, verbatim but for the walking
-// flag around it.
+// Flush is the pre-optimisation walk, verbatim.
 func (g *refPresto) Flush() {
 	now := g.Eng.Now()
 	var nextDeadline sim.Time = -1
 	held := false
-	g.walking = true
 	for _, key := range g.order {
 		f := g.flows[key]
 		if f == nil || len(f.segs) == 0 {
@@ -154,11 +137,6 @@ func (g *refPresto) Flush() {
 		}
 		f.segs = kept
 	}
-	g.walking = false
-	for _, key := range g.closing {
-		g.CloseFlow(key)
-	}
-	g.closing = g.closing[:0]
 	if held {
 		g.stats.ReorderHolds++
 		delay := nextDeadline - now
@@ -189,15 +167,12 @@ type delivery struct {
 
 // rig is one handler on its own engine with a recording Output. The
 // recorder reads each delivery's FlushReason off the Stats counter
-// deliverData bumps just before the upcall, and closes a flow from
-// inside its next data delivery when told to — the situation a
-// timer-driven flush puts Conn.Close in.
+// deliverData bumps just before the upcall.
 type rig struct {
 	eng     *sim.Engine
 	h       prestoLike
 	log     []delivery
 	reasons [numFlushReasons]uint64
-	closeOn map[packet.FlowKey]bool
 }
 
 func (r *rig) DeliverSegment(s *packet.Segment) {
@@ -209,10 +184,6 @@ func (r *rig) DeliverSegment(s *packet.Segment) {
 	}
 	r.reasons = r.h.Stats().FlushReasons
 	r.log = append(r.log, delivery{s.Flow, s.StartSeq, s.EndSeq, s.Packets, reason, r.eng.Now()})
-	if s.Len() > 0 && r.closeOn[s.Flow] {
-		delete(r.closeOn, s.Flow)
-		r.h.CloseFlow(s.Flow)
-	}
 }
 
 // rigs is the optimised handler and the reference, fed identically.
@@ -221,7 +192,7 @@ type rigs [2]*rig
 func newRigs(cfg PrestoConfig) rigs {
 	var rs rigs
 	for i := range rs {
-		r := &rig{eng: sim.NewEngine(), closeOn: map[packet.FlowKey]bool{}}
+		r := &rig{eng: sim.NewEngine()}
 		if i == 0 {
 			r.h = NewPresto(r.eng, r, cfg)
 		} else {
@@ -291,42 +262,5 @@ func TestPrestoFlushDeliversInFirstSeenOrder(t *testing.T) {
 	}
 	if want := []uint16{a, b, a, b}; !slices.Equal(ports, want) {
 		t.Fatalf("flows delivered in order %v, want %v", ports, want)
-	}
-}
-
-// TestPrestoCloseInsideTimerFlush: a timer-driven Flush delivers
-// straight up the stack, so the connection can finish and close inside
-// the walk over its own segments. The walk must finish on the flow's
-// old state, the entry — with the segment it still holds — must be gone
-// afterwards, and a reused key must start clean instead of inheriting
-// the dead flow's expected sequence and flowcell.
-func TestPrestoCloseInsideTimerFlush(t *testing.T) {
-	rs := newRigs(PrestoConfig{})
-	const later = 100 * sim.Microsecond
-	// Flowcell 1 in order; then the heads of flowcells 3 and 4 behind a
-	// boundary gap, the second one received (so held until) 100 us later.
-	rs.poll(0, pkt(0, 1), pkt(1, 1), pkt(16, 3))
-	rs.poll(later, pkt(24, 4))
-	rs.at(later, func(r *rig) { r.closeOn[testFlow] = true })
-	// Long after every timer: the same key again, at a flowcell the dead
-	// flow would call stale.
-	rs.poll(10*sim.Millisecond, pkt(40, 2))
-	rs.run(t)
-
-	g := rs[0].h.(*Presto)
-	hold := sim.Time(g.cfg.Alpha * float64(g.cfg.InitialEWMA))
-	want := []delivery{
-		{testFlow, 0, 2 * packet.MSS, 2, FlushInOrder, 0},
-		// The hold timer fires for flowcell 3, the delivery closes the
-		// flow; flowcell 4 has 100 us of hold left, stays in the list and
-		// dies with the entry at the end of the walk.
-		{testFlow, 16 * packet.MSS, 17 * packet.MSS, 1, FlushBoundaryTimeout, hold},
-		{testFlow, 40 * packet.MSS, 41 * packet.MSS, 1, FlushInOrder, 10 * sim.Millisecond},
-	}
-	if !slices.Equal(rs[0].log, want) {
-		t.Fatalf("deliveries:\n got %+v\nwant %+v", rs[0].log, want)
-	}
-	if g.Flows() != 1 || g.HeldSegments() != 0 {
-		t.Fatalf("%d flow entries holding %d segments, want the reused key's 1 entry holding 0", g.Flows(), g.HeldSegments())
 	}
 }

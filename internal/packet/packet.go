@@ -72,6 +72,34 @@ func (f FlowKey) Hash() uint32 {
 	return h
 }
 
+// The edge's per-flow tables — the sender datapath's and Presto GRO's —
+// hold soft state, aged by one rule the way OVS ages datapath flows: an
+// entry idle longer than FlowIdle is dropped at the next sweep, and a
+// table is swept only when it holds FlowSweepMin entries and has doubled
+// since its last sweep.
+const (
+	FlowSweepMin = 4096
+	FlowIdle     = 10 * sim.Second
+)
+
+// SweepIdle applies that rule to table before it admits a new flow.
+// sweepAt is the table's own back-off mark; lastActive reports when an
+// entry was last used, and false for an entry that must stay whatever
+// its age.
+func SweepIdle[V any](table map[FlowKey]V, sweepAt *int, now sim.Time, lastActive func(V) (sim.Time, bool)) {
+	if len(table) < max(*sweepAt, FlowSweepMin) {
+		return
+	}
+	for k, v := range table {
+		if at, ok := lastActive(v); ok && now-at > FlowIdle {
+			delete(table, k)
+		}
+	}
+	// A sweep that freed nothing would otherwise rescan the whole table on
+	// every new flow; wait until it has doubled.
+	*sweepAt = 2 * len(table)
+}
+
 // MAC is a 48-bit Ethernet address. Real host MACs and shadow-MAC
 // forwarding labels share this type; IsShadow distinguishes them.
 type MAC [6]byte

@@ -1,9 +1,6 @@
 package tcp
 
-import (
-	"presto/internal/packet"
-	"presto/internal/sim"
-)
+import "presto/internal/packet"
 
 // Connection lifecycle: the experiments run over pre-established
 // long-lived connections (§4/§6: "each server establishes a long-lived
@@ -155,5 +152,3 @@ func (e *Endpoint) handleFIN(s *packet.Segment) {
 		cb()
 	}
 }
-
-var _ = sim.Time(0)

@@ -33,14 +33,6 @@ func (st *flowState) fill(n, size int) bool {
 	return false
 }
 
-// policyGCThreshold bounds per-flow datapath state: once the flow table
-// exceeds this, entries idle longer than policyGCIdle are swept (OVS
-// ages datapath flows the same way).
-const (
-	policyGCThreshold = 4096
-	policyGCIdle      = sim.Time(10 * sim.Second)
-)
-
 // pathIndex maps a rule's label cursor onto the per-path accounting
 // index used by noteFlowcell (index 0 also covers destinations with no
 // mapping installed).
@@ -84,12 +76,10 @@ type labelRule interface {
 // labelRule. Retransmitted TCP segments run through it again, exactly
 // as in the paper's OVS datapath.
 type sender struct {
-	name  string
-	rule  labelRule
-	flows map[packet.FlowKey]*flowState
-	// sweepAt holds off the next aging sweep until the table has grown
-	// to it (and to policyGCThreshold).
-	sweepAt int
+	name    string
+	rule    labelRule
+	flows   map[packet.FlowKey]*flowState
+	sweepAt int // packet.SweepIdle's back-off mark
 }
 
 func newSender(name string, rule labelRule) *sender {
@@ -121,20 +111,15 @@ func (p *sender) Select(vs *VSwitch, seg *packet.Segment) {
 // costs an idle flow its cursor: a flow seen again starts over at cell
 // 0, as a new flow would.
 func (p *sender) admit(now sim.Time, flow packet.FlowKey) *flowState {
-	if len(p.flows) >= max(p.sweepAt, policyGCThreshold) {
-		for k, st := range p.flows {
-			if now-st.lastSeen > policyGCIdle {
-				delete(p.flows, k)
-			}
-		}
-		// A sweep that freed nothing would otherwise rescan the whole
-		// table on every new flow; wait until it has doubled.
-		p.sweepAt = 2 * len(p.flows)
-	}
+	packet.SweepIdle(p.flows, &p.sweepAt, now, flowLastSeen)
 	st := &flowState{lastSeen: now}
 	p.flows[flow] = st
 	return st
 }
+
+// flowLastSeen is the sender table's input to the aging rule: every
+// record may age.
+func flowLastSeen(st *flowState) (sim.Time, bool) { return st.lastSeen, true }
 
 // newCell opens the flow's next flowcell on accounting path pathIdx —
 // the one place a flowcell ID advances.
