@@ -2,21 +2,19 @@
 // replayable flow log — the presto-workload/1 trace format that a
 // spec's trace source (or the `trace` preset) feeds back through the
 // generator, closing the capture→replay loop used by
-// examples/tracedriven. It can additionally capture every packet
-// arriving at one receiver into a classic pcap file (openable in
-// tcpdump/Wireshark — flowcell IDs ride in TCP option 253) and print
-// the offline trace analysis: per-flow goodput, reordering fraction
-// (the §5 flowlet-trace metric), and flowlet sizes.
+// examples/tracedriven. With -out it also captures every packet
+// arriving at one receiver (host 2) into a classic pcap file, openable
+// in tcpdump/Wireshark, with flowcell IDs in TCP option 253.
 //
 //	capture -flows flows.csv                          # record mice-heavy flow starts
 //	capture -workload examples/specs/incast32.json -flows flows.jsonl
-//	capture -system flowlet100 -analyze -out /tmp/presto.pcap
+//	capture -system flowlet100 -out /tmp/presto.pcap
 //
 // The flow-log encoding follows the -flows extension: .jsonl writes
 // JSON Lines, anything else CSV. Times are normalized so the first
 // flow starts at 0; replay it with a spec whose trace.path points at
-// the file. The packet-level outputs (pcap + analysis) are opt-in via
-// -out and -analyze.
+// the file. The paper's reordering and flowlet numbers come from the
+// simulator itself (experiments -run fig1,fig5), not from the pcap.
 package main
 
 import (
@@ -25,10 +23,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"sort"
 	"strings"
-	"time"
 
 	"presto"
 	"presto/internal/campaign"
@@ -37,7 +32,6 @@ import (
 	"presto/internal/sim"
 	"presto/internal/telemetry"
 	"presto/internal/topo"
-	"presto/internal/trace"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -61,10 +55,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&req.Scheme, "system", req.Scheme, "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec")
 	fs.Var(req.WorkloadFlag(), "workload", "workload-spec preset name or spec.json path to drive the capture")
 	var (
-		flows   = fs.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
-		out     = fs.String("out", "", "pcap output path (empty = skip packet capture)")
-		analyze = fs.Bool("analyze", false, "print the offline per-flow trace analysis of the tapped receiver")
-		gap     = fs.Duration("gap", 500*time.Microsecond, "flowlet gap for the offline analysis")
+		flows = fs.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
+		out   = fs.String("out", "", "pcap output path (empty = skip packet capture)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -94,24 +86,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 		SchemeParams: sys.SchemeParams(),
 	})
 
-	// Packet tap at host 2, feeding the pcap writer and/or the offline
-	// analysis — only when either output is requested.
-	var recs []trace.Record
+	// Packet tap at host 2 feeding the pcap writer, only when -out is
+	// set. The writer serializes the packet before the tap returns, so
+	// it keeps no reference to it.
 	var pcapFile *os.File
-	var pcap *trace.Writer
+	var pcap *pcapWriter
 	var tapErr error
 	if *out != "" {
 		if pcapFile, err = os.Create(*out); err != nil {
 			return fail(1, err)
 		}
-		pcap = trace.NewWriter(pcapFile)
-	}
-	if pcap != nil || *analyze {
+		pcap = newPcapWriter(pcapFile)
 		c.TapHost(2, func(at sim.Time, p *packet.Packet) {
-			if *analyze {
-				recs = append(recs, trace.Record{At: at, Packet: p.Clone()})
-			}
-			if pcap != nil && tapErr == nil {
+			if tapErr == nil {
 				tapErr = pcap.WritePacket(at, p)
 			}
 		})
@@ -148,9 +135,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		fmt.Fprintf(stdout, "captured %d frames to %s\n", pcap.Count(), *out)
 	}
-	if *analyze {
-		printAnalysis(stdout, recs, sim.FromDuration(*gap), *gap)
-	}
 	return 0
 }
 
@@ -172,30 +156,4 @@ func writeFlowLog(path string, starts []wspec.FlowStart) error {
 		write = wspec.WriteFlowLogJSONL
 	}
 	return telemetry.WriteFile(path, func(w io.Writer) error { return write(w, out) })
-}
-
-// printAnalysis prints the classic offline trace analysis of the
-// tapped receiver's packet stream.
-func printAnalysis(w io.Writer, recs []trace.Record, flowletGap sim.Time, gap time.Duration) {
-	fmt.Fprintln(w)
-	a := trace.Analyze(recs)
-	flows := make([]packet.FlowKey, 0, len(a.Flows))
-	for f := range a.Flows {
-		flows = append(flows, f)
-	}
-	sort.Slice(flows, func(i, j int) bool { return flows[i].String() < flows[j].String() })
-	for _, f := range flows {
-		fs := a.Flows[f]
-		fmt.Fprintf(w, "flow %v:\n", fs.Flow)
-		fmt.Fprintf(w, "  %d packets, %d bytes, %.2f Gbps goodput\n", fs.Packets, fs.Bytes, fs.Goodput())
-		fmt.Fprintf(w, "  %d flowcells, %.1f%% packets reordered, %d retransmissions\n",
-			fs.Flowcells, fs.ReorderFraction()*100, fs.Retransmissions)
-		sizes := trace.Flowlets(recs, fs.Flow, flowletGap)
-		if len(sizes) > 1 {
-			fmt.Fprintf(w, "  %d flowlets at a %v gap; largest %d bytes\n", len(sizes), gap, slices.Max(sizes))
-		}
-	}
-	if a.InterArrival.N() > 0 {
-		fmt.Fprintf(w, "\ninter-arrival (us): %s\n", a.InterArrival.Summary("us"))
-	}
 }

@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -47,6 +48,39 @@ func TestCaptureReplays(t *testing.T) {
 		c.Eng.Run(20 * sim.Millisecond)
 		if res := g.Results(c.Eng.Now()); len(res) != 1 || res[0].Started != recorded || res[0].Finished == 0 {
 			t.Errorf("%s replay: %+v, capture recorded %d flow starts", ext, res, recorded)
+		}
+	}
+}
+
+// TestCapturePcapOut runs capture with -out and reads the file back:
+// it holds exactly the frame count the run prints, and every frame
+// decodes through packet.Unmarshal.
+func TestCapturePcapOut(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "x.pcap")
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-duration", "5ms", "-flows", "", "-out", path}, &stdout, &stderr); code != 0 {
+		t.Fatalf("capture exited %d:\n%s", code, stderr.String())
+	}
+	var printed int
+	_, tail, _ := strings.Cut(stdout.String(), "captured ")
+	if _, err := fmt.Sscanf(tail, "%d frames", &printed); err != nil || printed == 0 {
+		t.Fatalf("no frame count in output (%v):\n%s", err, stdout.String())
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	recs, err := readAllPcap(f)
+	if err != nil {
+		t.Fatalf("frame %d: %v", len(recs), err)
+	}
+	if len(recs) != printed {
+		t.Fatalf("pcap holds %d frames, capture printed %d", len(recs), printed)
+	}
+	for i, r := range recs {
+		if r.Packet.Flow.Dst.Host != 2 && r.Packet.Flow.Src.Host != 2 {
+			t.Fatalf("frame %d (%v) does not involve the tapped host 2", i, r.Packet.Flow)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Command prestolint is the repository's custom vet tool: it runs the
-// internal/analysis suite (errdrop, goroleak, hotalloc, lockorder,
-// maporder, niltracer, simclock, simtime) over packages handed to it
-// by the go command. Invoke it through go vet so the build system
+// internal/analysis suite (errdrop, hotalloc, lockorder, maporder,
+// niltracer, simclock, simtime) over packages handed to it by the go
+// command. Invoke it through go vet so the build system
 // supplies type information:
 //
 //	go build -o /tmp/prestolint ./cmd/prestolint

@@ -150,7 +150,6 @@ func TestVettoolNewAnalyzers(t *testing.T) {
 		wants []string
 	}{
 		{"./badlock", []string{"[lockorder]", "lock order cycle", "badlock.go"}},
-		{"./badgoro", []string{"[goroleak]", "no reachable termination path", "badgoro.go"}},
 		{"./badclose", []string{"[errdrop]", "discarded error from Close", "badclose.go"}},
 		{"./badalloc", []string{"[hotalloc]", "appends through a bare slice", "badalloc.go"}},
 	}

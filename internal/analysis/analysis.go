@@ -12,6 +12,10 @@
 // suite can be ported to the upstream framework mechanically if the
 // dependency ever becomes available.
 //
+// An analyzer stays in the suite while a seeded mutation shows it
+// catches what `go test -race -count=3` misses; an analyzer whose
+// seeded mutations the tests already catch is deleted.
+//
 // # Suppressions
 //
 // A finding is suppressed by a comment on the same line or the line
@@ -20,11 +24,11 @@
 //	//prestolint:allow <name>[,<name>...] [-- reason]
 //
 // where <name> is an analyzer name (simclock, maporder, niltracer,
-// simtime, lockorder, goroleak, errdrop, hotalloc) or one of its
-// aliases (e.g. "wallclock" for simclock). The "-- reason" tail is
-// mandatory: a bare //prestolint:allow is itself reported as a
-// diagnostic (see MissingReasonDiagnostics), because an exception that
-// does not document why it is sound cannot be reviewed or retired.
+// simtime, lockorder, errdrop, hotalloc) or one of its aliases (e.g.
+// "wallclock" for simclock). The "-- reason" tail is mandatory: a bare
+// //prestolint:allow is itself reported as a diagnostic (see
+// MissingReasonDiagnostics), because an exception that does not
+// document why it is sound cannot be reviewed or retired.
 // cmd/prestolint -suppressions lists every annotation in a tree so
 // exceptions stay auditable, and -suppressions -budget enforces
 // per-analyzer allow-counts so the exception list can only shrink
@@ -84,18 +88,16 @@ type Pass struct {
 	// Package-level facts (see ExportObjectFact). Facts never cross
 	// package boundaries — the vettool's vetx files stay empty — but
 	// within one package they let an analyzer summarize a function once
-	// (locks it acquires, whether it can run forever) and consult that
-	// summary from every call site.
+	// (the locks it acquires) and consult that summary from every call
+	// site.
 	objFacts map[types.Object]Fact
-	pkgFact  Fact
 }
 
 // A Fact is an analyzer-defined summary attached to a package-level
-// object (usually a *types.Func) or to the package itself. Facts are
-// scoped to a single analyzer's Pass over a single package: they exist
-// so interprocedural analyzers (lockorder, goroleak) can reason across
-// the functions of one package without re-walking callee bodies at
-// every call site.
+// object (usually a *types.Func). Facts are scoped to a single
+// analyzer's Pass over a single package: they exist so an
+// interprocedural analyzer (lockorder) can reason across the functions
+// of one package without re-walking callee bodies at every call site.
 type Fact any
 
 // ExportObjectFact attaches fact to obj for the remainder of this pass.
@@ -116,13 +118,6 @@ func (p *Pass) ObjectFact(obj types.Object) (Fact, bool) {
 	f, ok := p.objFacts[obj]
 	return f, ok
 }
-
-// ExportPackageFact attaches a single package-wide fact to this pass.
-func (p *Pass) ExportPackageFact(fact Fact) { p.pkgFact = fact }
-
-// PackageFact returns the fact attached by ExportPackageFact (nil if
-// none was exported).
-func (p *Pass) PackageFact() Fact { return p.pkgFact }
 
 // Reportf records a diagnostic at pos.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {

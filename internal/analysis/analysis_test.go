@@ -146,13 +146,6 @@ func g() {}
 	if !ok || got.(summary).n != 7 {
 		t.Errorf("ObjectFact = %v, %v; want {7}, true", got, ok)
 	}
-	if pass.PackageFact() != nil {
-		t.Error("PackageFact before export non-nil")
-	}
-	pass.ExportPackageFact("pkg-wide")
-	if pass.PackageFact() != "pkg-wide" {
-		t.Errorf("PackageFact = %v, want pkg-wide", pass.PackageFact())
-	}
 }
 
 // TestReportRangef checks end positions flow into the diagnostic.

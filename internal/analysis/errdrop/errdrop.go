@@ -3,8 +3,8 @@
 // encode, write, and sync.
 //
 // This is errcheck narrowed to the class that actually bit this
-// repository: the PR 6 CloseSpill crash came from a flush error whose
-// only signal was a return value nobody looked at. A dropped error
+// repository: a crash while finalizing a trace file came from a flush
+// error whose only signal was a return value nobody looked at. A dropped error
 // from Close/Flush/Sync means acknowledged data loss (buffered bytes
 // that never reached the file); from Encode/Write it means a truncated
 // artifact that downstream tooling will half-parse.
@@ -30,7 +30,7 @@ var Analyzer = &analysis.Analyzer{
 	Name:    "errdrop",
 	Aliases: []string{"errcheck"},
 	Doc: "flag discarded error returns from flush/close/spill/encode/write/sync " +
-		"functions — the CloseSpill-crash class: a dropped flush or close error is " +
+		"functions — a dropped flush or close error is " +
 		"acknowledged data loss",
 	SkipTestFiles: true,
 	Run:           run,

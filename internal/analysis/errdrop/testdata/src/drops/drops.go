@@ -14,7 +14,7 @@ type sink struct{}
 
 func (s *sink) Close() error              { return nil }
 func (s *sink) Flush() error              { return nil }
-func (s *sink) CloseSpill() error         { return nil }
+func (s *sink) CloseSink() error          { return nil }
 func (s *sink) WriteJSONL(b []byte) error { return nil }
 func (s *sink) SyncDir() error            { return nil }
 func (s *sink) Deliver() error            { return nil } // not a watched family
@@ -25,7 +25,7 @@ func spillTo(path string) error           { return nil }
 func Bad(s *sink, f *os.File, enc *json.Encoder) {
 	s.Close()         // want `discarded error from Close`
 	s.Flush()         // want `discarded error from Flush`
-	s.CloseSpill()    // want `discarded error from CloseSpill`
+	s.CloseSink()     // want `discarded error from CloseSink`
 	s.WriteJSONL(nil) // want `discarded error from WriteJSONL`
 	s.SyncDir()       // want `discarded error from SyncDir`
 	s.WriteCount()    // want `discarded error from WriteCount`
@@ -40,7 +40,7 @@ func Good(s *sink, f *os.File, enc *json.Encoder) error {
 		return err
 	}
 	_ = s.Flush() // explicit discard is deliberate and greppable
-	err := s.CloseSpill()
+	err := s.CloseSink()
 
 	// Non-error-returning and unwatched calls are never flagged.
 	s.Deliver()

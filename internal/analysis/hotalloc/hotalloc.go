@@ -3,10 +3,10 @@
 // heap-escaping constructs.
 //
 // The repository's hot paths — the event engine's Schedule/dispatch,
-// the Presto GRO flush walk, the telemetry ring emit — are pinned at 0
-// allocations by testing.AllocsPerRun tests next to the code
+// the Presto GRO flush walk, the tracer's at-limit emit — are pinned at
+// 0 allocations by testing.AllocsPerRun tests next to the code
 // (TestEngineScheduleDispatchAllocs, TestTimerResetAllocs,
-// TestPrestoFlushHoldSteadyStateAllocs, TestTracerRingEmitAllocs).
+// TestPrestoFlushHoldSteadyStateAllocs, TestTracerDropEmitAllocs).
 // Those tests catch a regression only for the inputs they exercise;
 // this analyzer rejects the constructs that cause such regressions at
 // vet time:

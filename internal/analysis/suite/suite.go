@@ -6,7 +6,6 @@ package suite
 import (
 	"presto/internal/analysis"
 	"presto/internal/analysis/errdrop"
-	"presto/internal/analysis/goroleak"
 	"presto/internal/analysis/hotalloc"
 	"presto/internal/analysis/lockorder"
 	"presto/internal/analysis/maporder"
@@ -19,7 +18,6 @@ import (
 func Analyzers() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		errdrop.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
 		lockorder.Analyzer,
 		maporder.Analyzer,

@@ -381,7 +381,8 @@ func (t *tap) HandlePacket(p *packet.Packet) {
 // time) before normal processing. Multiple taps stack. The packet is
 // only valid until fn returns — the NIC recycles it through the shard's
 // packet.Pool once GRO has consumed it — so a tap that keeps packets
-// keeps p.Clone(), as benchmark/trace.go and cmd/capture do.
+// keeps p.Clone(), as benchmark/trace.go does, or serializes them
+// before returning, as cmd/capture does.
 func (c *Cluster) TapHost(h packet.HostID, fn func(at sim.Time, p *packet.Packet)) {
 	var next fabric.Handler = c.Hosts[h].NIC
 	if t, ok := c.taps[h]; ok {

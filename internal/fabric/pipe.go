@@ -61,9 +61,6 @@ func (p *Pipe) name() string {
 	return fmt.Sprintf("link%d:%d->%d", p.link.ID, p.from, p.dst)
 }
 
-// Up reports whether the pipe's link is up.
-func (p *Pipe) Up() bool { return !p.down }
-
 // QueuedBytes returns the wire bytes waiting in the queue.
 func (p *Pipe) QueuedBytes() int { return p.queuedWire }
 

@@ -17,7 +17,7 @@ func BenchmarkEmitDisabled(b *testing.B) {
 // into the event buffer).
 func BenchmarkEmitEnabled(b *testing.B) {
 	tr := NewTracer()
-	tr.SetLimit(1 << 30)
+	tr.limit = 1 << 30
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		tr.GROFlush(1, 2, 1500, 1, "in-order")

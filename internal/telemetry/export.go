@@ -9,8 +9,7 @@ import (
 	"sort"
 )
 
-// eventRecord builds the self-describing JSONL record for one event —
-// the schema shared by WriteJSONL and the tracer's spill sink.
+// eventRecord builds the self-describing JSONL record for one event.
 func eventRecord(ev *Event) map[string]any {
 	an, bn := ev.Kind.argNames()
 	rec := map[string]any{

@@ -163,190 +163,24 @@ const DefaultEventLimit = 1 << 21
 // the emit path performs zero allocations (guaranteed by a
 // testing.AllocsPerRun regression test).
 //
-// Memory is bounded one of three ways:
+// Memory is bounded: past DefaultEventLimit events, Emit only counts
+// into Dropped.
 //
-//   - default: buffer up to the event limit, then count further events
-//     as dropped (SetLimit adjusts the cap);
-//   - ring mode (SetRing): hold the newest n events in a fixed ring,
-//     overwriting the oldest once full — steady-state emission writes
-//     into pre-allocated slots and performs zero allocations;
-//   - spill mode (SpillTo, composable with either of the above): when
-//     the buffer fills, flush the whole chunk to a gzip-compressed
-//     JSON-Lines file and reset the buffer, so no event is lost and
-//     resident memory stays O(buffer).
-//
-// Tracers are not safe for concurrent use; the simulator is
-// single-threaded by construction.
+// A Tracer is not safe for concurrent use. Telemetry therefore needs a
+// one-shard cluster: cluster.New panics, and Cell.start returns an
+// error, when a tracer is attached to a run with Shards > 1.
 type Tracer struct {
 	limit   int
 	events  []Event
 	dropped uint64
 	run     int32
 	labels  []string // one per run, index = run ID
-
-	// Ring mode: events is a fixed-capacity circular buffer. head is
-	// the next overwrite slot; wrapped is set once the ring has lapped.
-	ring        bool
-	head        int
-	wrapped     bool
-	overwritten uint64
-
-	// Spill mode: full buffers are flushed here as gzip JSONL chunks.
-	spill    *spillSink
-	spilled  uint64
-	spillErr error
 }
 
 // NewTracer returns an enabled tracer with the default event limit.
 func NewTracer() *Tracer {
 	return &Tracer{limit: DefaultEventLimit, labels: []string{"run0"}}
 }
-
-// SetLimit overrides the buffered-event cap. In ring mode the ring is
-// resized via SetRing so the buffer and head/wrapped bookkeeping stay
-// consistent.
-func (t *Tracer) SetLimit(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	if t.ring {
-		t.SetRing(n)
-		return
-	}
-	t.limit = n
-}
-
-// SetRing switches the tracer to bounded ring-buffer mode holding the
-// newest n events. Once the ring is full, new events overwrite the
-// oldest (counted by Overwritten) unless a spill sink is armed, in
-// which case the full ring is flushed to disk and reset instead. The
-// steady-state emit path writes into pre-allocated slots and performs
-// zero allocations. Existing buffered events are retained (the newest
-// n of them if more are held).
-func (t *Tracer) SetRing(n int) {
-	if t == nil || n <= 0 {
-		return
-	}
-	held := t.Events()
-	if len(held) > n {
-		held = held[len(held)-n:]
-	}
-	buf := make([]Event, 0, n)
-	buf = append(buf, held...)
-	t.events = buf
-	t.limit = n
-	t.ring = true
-	t.head = 0
-	t.wrapped = false
-}
-
-// SpillTo arms a spill sink at path: whenever the event buffer fills
-// (ring mode or the plain limit), the buffered chunk is appended to
-// the file as gzip-compressed JSON Lines — the same record schema as
-// WriteJSONL — and the in-memory buffer resets, so long traced runs
-// keep every event at O(buffer) resident memory. Call CloseSpill when
-// the run ends to flush the tail and finalize the file. Replaces any
-// previously armed sink (closing it).
-func (t *Tracer) SpillTo(path string) error {
-	if t == nil {
-		return nil
-	}
-	s, err := newSpillSink(path)
-	if err != nil {
-		return err
-	}
-	if t.spill != nil {
-		if err := t.spill.close(); err != nil && t.spillErr == nil {
-			t.spillErr = err
-		}
-	}
-	t.spill = s
-	return nil
-}
-
-// CloseSpill flushes any still-buffered events to the armed spill
-// sink, empties the in-memory buffer, and finalizes the file, making
-// it the complete in-order trace. Returns the first error the sink
-// hit (including mid-run flush failures). A no-op when no sink is
-// armed.
-func (t *Tracer) CloseSpill() error {
-	if t == nil {
-		return nil
-	}
-	if t.spill == nil {
-		return t.spillErr
-	}
-	// flushToSpill detaches the sink on a write error, so re-check
-	// before closing: a disk-full final flush must degrade, not panic.
-	t.flushToSpill()
-	var err error
-	if t.spill != nil {
-		err = t.spill.close()
-		t.spill = nil
-	}
-	if t.spillErr != nil {
-		return t.spillErr
-	}
-	return err
-}
-
-// Spilled returns the number of events written to the spill sink.
-func (t *Tracer) Spilled() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.spilled
-}
-
-// Overwritten returns the number of events overwritten in ring mode.
-func (t *Tracer) Overwritten() uint64 {
-	if t == nil {
-		return 0
-	}
-	return t.overwritten
-}
-
-// SpillError returns the first error the spill sink hit, if any.
-// After a flush error the sink is closed and the tracer falls back to
-// its in-memory policy (ring overwrite or drop).
-func (t *Tracer) SpillError() error {
-	if t == nil {
-		return nil
-	}
-	return t.spillErr
-}
-
-// flushToSpill writes the buffered events, in order, to the spill
-// sink and resets the buffer in place. On error the sink is closed
-// and detached so the tracer degrades to its in-memory policy.
-func (t *Tracer) flushToSpill() {
-	if t.spill == nil {
-		return
-	}
-	start := 0
-	if t.wrapped {
-		start = t.head
-	}
-	n := len(t.events)
-	for i := 0; i < n; i++ {
-		ev := &t.events[(start+i)%n]
-		if err := t.spill.writeEvent(ev); err != nil {
-			if t.spillErr == nil {
-				t.spillErr = err
-			}
-			_ = t.spill.close() // the write error is already in spillErr; close is best-effort
-			t.spill = nil
-			return
-		}
-		t.spilled++
-	}
-	t.events = t.events[:0]
-	t.head = 0
-	t.wrapped = false
-}
-
-// Enabled reports whether events are being recorded.
-func (t *Tracer) Enabled() bool { return t != nil }
 
 // BeginRun marks the start of a new run scope (one simulation engine's
 // lifetime); subsequent events are stamped with its ID. Run 0 exists
@@ -367,20 +201,12 @@ func (t *Tracer) BeginRun(label string) int32 {
 }
 
 // Events returns the buffered events in emission order (oldest
-// first). In unwrapped buffers this is the live slice and callers
-// must not modify it; once a ring has wrapped, a fresh unrolled copy
-// is returned. Events already spilled to disk are not included.
+// first). It is the live slice; callers must not modify it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
-	if !t.wrapped {
-		return t.events
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.head:]...)
-	out = append(out, t.events[:t.head]...)
-	return out
+	return t.events
 }
 
 // Dropped returns the number of events discarded after the buffer
@@ -410,26 +236,10 @@ func (t *Tracer) Emit(at sim.Time, k Kind, actor Actor, a, b int64, reason strin
 		return
 	}
 	if len(t.events) >= t.limit {
-		if t.spill != nil {
-			t.flushToSpill()
-		}
-		if len(t.events) >= t.limit {
-			if t.ring {
-				// Overwrite the oldest slot in place: no allocation.
-				t.events[t.head] = Event{At: at, Run: t.run, Kind: k, Actor: actor, A: a, B: b, Reason: reason}
-				t.head++
-				if t.head == len(t.events) {
-					t.head = 0
-				}
-				t.wrapped = true
-				t.overwritten++
-			} else {
-				t.dropped++
-			}
-			return
-		}
+		t.dropped++
+		return
 	}
-	//prestolint:allow hotalloc -- buffered (non-ring) mode grows to its limit once; the ring path (TestTracerRingEmitAllocs pins 0 allocs) overwrites in place and never reaches this append
+	//prestolint:allow hotalloc -- the buffer grows to its limit once; past it Emit only counts the drop (TestTracerDropEmitAllocs pins 0 allocs)
 	t.events = append(t.events, Event{At: at, Run: t.run, Kind: k, Actor: actor, A: a, B: b, Reason: reason})
 }
 

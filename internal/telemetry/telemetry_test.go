@@ -12,14 +12,10 @@ import (
 
 func TestNilTracerIsNoOp(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled() {
-		t.Fatal("nil tracer reports enabled")
-	}
 	tr.Emit(0, KindGROFlush, Host(1), 1, 2, "x")
 	tr.FlowcellEmit(0, 1, 2, 3)
 	tr.GROFlush(0, 1, 2, 3, "in-order")
 	tr.QueueDrop(0, 1, 2, "tail-drop")
-	tr.SetLimit(10)
 	if tr.Events() != nil || tr.Dropped() != 0 || tr.CountKind(KindGROFlush) != 0 {
 		t.Fatal("nil tracer recorded state")
 	}
@@ -72,7 +68,7 @@ func TestTracerRecordsAndCounts(t *testing.T) {
 
 func TestTracerLimit(t *testing.T) {
 	tr := NewTracer()
-	tr.SetLimit(2)
+	tr.limit = 2
 	for i := 0; i < 5; i++ {
 		tr.RingDrop(sim.Time(i), 0, i)
 	}
@@ -81,6 +77,26 @@ func TestTracerLimit(t *testing.T) {
 	}
 	if tr.Dropped() != 3 {
 		t.Fatalf("dropped=%d, want 3", tr.Dropped())
+	}
+}
+
+// TestTracerDropEmitAllocs pins the bounded-memory guarantee: once the
+// buffer is at its limit, Emit only counts the drop and performs zero
+// allocations.
+func TestTracerDropEmitAllocs(t *testing.T) {
+	tr := NewTracer()
+	tr.limit = 64
+	for i := 0; i < 64; i++ {
+		tr.GROFlush(sim.Time(i), 2, 1500, 1, "in-order")
+	}
+	allocs := testing.AllocsPerRun(1000, func() {
+		tr.GROFlush(1, 2, 1500, 1, "in-order")
+	})
+	if allocs != 0 {
+		t.Fatalf("at-limit emit allocates %v per op, want 0", allocs)
+	}
+	if len(tr.Events()) != 64 || tr.Dropped() != 1001 {
+		t.Fatalf("buffered %d, dropped %d; want 64 and 1001", len(tr.Events()), tr.Dropped())
 	}
 }
 

@@ -1,12 +1,8 @@
 package presto
 
 import (
-	"bufio"
 	"bytes"
-	"compress/gzip"
 	"encoding/json"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"presto/internal/cluster"
@@ -76,68 +72,6 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	}
 	if len(reg.Tracer().Events()) == 0 {
 		t.Fatal("traced run recorded no events")
-	}
-}
-
-// TestTelemetryBoundedModesDoNotPerturbResults extends the
-// determinism regression to the bounded-memory paths: a small
-// ring-buffer tracer spilling compressed JSONL to disk must leave
-// every workload metric bit-identical to an untraced run.
-func TestTelemetryBoundedModesDoNotPerturbResults(t *testing.T) {
-	plain := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(nil))
-
-	tr := telemetry.NewTracer()
-	tr.SetRing(512)
-	spillPath := filepath.Join(t.TempDir(), "trace.jsonl.gz")
-	if err := tr.SpillTo(spillPath); err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.NewRegistry(tr)
-	traced := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(reg))
-	if err := tr.CloseSpill(); err != nil {
-		t.Fatal(err)
-	}
-
-	sameLoadResult(t, plain, traced)
-
-	if err := tr.SpillError(); err != nil {
-		t.Fatalf("spill sink failed: %v", err)
-	}
-	if tr.Spilled() == 0 {
-		t.Fatal("a 512-slot ring over a full run spilled nothing")
-	}
-	if tr.Overwritten() != 0 {
-		t.Errorf("spill mode overwrote %d events; spill should preempt the ring", tr.Overwritten())
-	}
-	// The spill file alone is the complete trace: gzip JSONL, one
-	// event per line, Spilled() lines in total.
-	f, err := os.Open(spillPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	gz, err := gzip.NewReader(f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sc := bufio.NewScanner(gz)
-	sc.Buffer(make([]byte, 0, 64<<10), 1<<20)
-	var lines uint64
-	for sc.Scan() {
-		var ev map[string]any
-		if err := json.Unmarshal(sc.Bytes(), &ev); err != nil {
-			t.Fatalf("spill line %d is not JSON: %v", lines, err)
-		}
-		lines++
-	}
-	if err := sc.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if lines != tr.Spilled() {
-		t.Errorf("spill file has %d events, tracer spilled %d", lines, tr.Spilled())
-	}
-	if len(tr.Events()) != 0 {
-		t.Errorf("CloseSpill left %d events buffered", len(tr.Events()))
 	}
 }
 
