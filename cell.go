@@ -238,16 +238,12 @@ func (r *run) harvest() LoadResult {
 		res.Fairness = f
 	}
 	for _, p := range r.probers {
-		for _, v := range p.Samples.Samples() {
-			res.RTT.Add(v)
-		}
+		res.RTT.Merge(&p.Samples)
 	}
 	fct := &metrics.Dist{}
 	timeouts := 0
 	for _, cr := range res.Clients {
-		for _, v := range cr.FCT.Samples() {
-			fct.Add(v)
-		}
+		fct.Merge(cr.FCT)
 		timeouts += cr.Timeouts
 	}
 	if fct.N() > 0 {

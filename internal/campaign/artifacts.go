@@ -83,21 +83,8 @@ func envelope(xs []float64) Envelope {
 func mergeDists(reps []ReplicaResult, raw []Result) map[string]*metrics.Dist {
 	out := make(map[string]*metrics.Dist)
 	for i, r := range raw {
-		if reps[i].Err != "" {
-			continue
-		}
-		for name, d := range r.Dists {
-			if d == nil || d.N() == 0 {
-				continue
-			}
-			m := out[name]
-			if m == nil {
-				m = &metrics.Dist{}
-				out[name] = m
-			}
-			for _, v := range d.Samples() {
-				m.Add(v)
-			}
+		if reps[i].Err == "" {
+			addDists(out, r.Dists)
 		}
 	}
 	if len(out) == 0 {
@@ -106,24 +93,20 @@ func mergeDists(reps []ReplicaResult, raw []Result) map[string]*metrics.Dist {
 	return out
 }
 
-// sketchDists converts each merged distribution into a quantile
-// sketch at the default relative-error bound, for the report
-// artifact. Samples fold in stored (seed) order, and a sketch's JSON
-// form sorts its buckets, so the output is deterministic.
-func sketchDists(dists map[string]*metrics.Dist) map[string]*metrics.Sketch {
-	if len(dists) == 0 {
-		return nil
-	}
-	out := make(map[string]*metrics.Sketch, len(dists))
-	for name, d := range dists {
-		if sk := d.Sketch(metrics.DefaultSketchAlpha); sk != nil {
-			out[name] = sk
+// addDists merges each non-empty distribution of src into dst under
+// its name, allocating the entries dst lacks.
+func addDists(dst, src map[string]*metrics.Dist) {
+	for name, d := range src {
+		if d == nil || d.N() == 0 {
+			continue
 		}
+		acc := dst[name]
+		if acc == nil {
+			acc = &metrics.Dist{}
+			dst[name] = acc
+		}
+		acc.Merge(d)
 	}
-	if len(out) == 0 {
-		return nil
-	}
-	return out
 }
 
 // WriteJSON writes the report as indented JSON. encoding/json sorts

@@ -83,10 +83,8 @@ type Spec struct {
 	// Telemetry, when non-nil, gets a "campaign" probe (replicas
 	// completed/failed, worker utilization, slowest replicas).
 	Telemetry *telemetry.Registry
-	// Stats, when non-nil, accumulates mergeable quantile sketches of
-	// every replica distribution as replicas finish, for live
-	// percentile reporting (see LiveStats). When Telemetry is also
-	// set, the accumulator is registered as the "stats" probe.
+	// Stats, when non-nil, accumulates every replica distribution as
+	// replicas finish, for live percentile reporting (see LiveStats).
 	Stats *LiveStats
 }
 

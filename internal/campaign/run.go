@@ -35,12 +35,6 @@ type CellResult struct {
 	Replicas []ReplicaResult `json:"replicas"`
 	// Envelopes summarise each metric over the successful replicas.
 	Envelopes map[string]Envelope `json:"envelopes,omitempty"`
-	// Sketches carry each merged distribution as a quantile sketch at
-	// metrics.DefaultSketchAlpha, so report.json stays O(buckets) per
-	// distribution and downstream tools can re-derive any percentile.
-	// Built from the seed-ordered merged samples, so the bytes are
-	// deterministic at any parallelism.
-	Sketches map[string]*metrics.Sketch `json:"sketches,omitempty"`
 
 	dists map[string]*metrics.Dist
 }
@@ -192,9 +186,6 @@ func RunContext(ctx context.Context, spec *Spec) (*Report, error) {
 		cellWall:    make(map[string]time.Duration),
 	}
 	spec.Telemetry.Register("campaign", tm.probe)
-	if spec.Stats != nil {
-		spec.Telemetry.Register("stats", spec.Stats.probe)
-	}
 
 	// results[cell][seed] — indexed writes keep ordering deterministic
 	// no matter which worker finishes when.
@@ -262,15 +253,13 @@ dispatch:
 		timing:   tm,
 	}
 	for i, c := range spec.Cells {
-		dists := mergeDists(results[i], raw[i])
 		rep.Cells[i] = CellResult{
 			Experiment: c.Experiment,
 			ID:         c.ID,
 			Workload:   c.Workload,
 			Replicas:   results[i],
 			Envelopes:  aggregate(results[i]),
-			Sketches:   sketchDists(dists),
-			dists:      dists,
+			dists:      mergeDists(results[i], raw[i]),
 		}
 	}
 	if progress != nil {

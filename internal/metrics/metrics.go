@@ -1,5 +1,5 @@
 // Package metrics provides the measurement primitives the evaluation
-// harness uses: sample distributions with percentiles/CDFs, Jain's
+// harness uses: exact sample distributions with percentiles/CDFs, Jain's
 // fairness index, exponentially-weighted moving averages, and
 // periodic time-series samplers. All of it is allocation-light and has
 // no dependencies beyond the standard library.
@@ -14,8 +14,7 @@ import (
 
 // Dist is an online collection of float64 samples supporting percentile
 // queries. The zero value is ready to use. It keeps every raw sample:
-// percentiles are exact and memory is O(samples). Sketch derives a
-// mergeable O(buckets) summary for live views and artifacts.
+// percentiles are exact and memory is 8 B per sample.
 //
 // NaN and ±Inf samples are rejected by Add: a single NaN would
 // otherwise poison sorting, percentiles, and the mean.
@@ -24,27 +23,23 @@ type Dist struct {
 	sorted  bool
 }
 
-// Sketch returns a fresh quantile sketch of the samples at the given
-// alpha (DefaultSketchAlpha when alpha is out of range), so the result
-// always merges cleanly with peers built at alpha. Returns nil for an
-// empty Dist.
-func (d *Dist) Sketch(alpha float64) *Sketch {
-	if len(d.samples) == 0 {
-		return nil
-	}
-	s := NewSketch(alpha)
-	for _, v := range d.samples {
-		s.Add(v)
-	}
-	return s
-}
-
 // Add appends a sample. NaN and ±Inf are silently dropped.
 func (d *Dist) Add(v float64) {
 	if math.IsNaN(v) || math.IsInf(v, 0) {
 		return
 	}
 	d.samples = append(d.samples, v)
+	d.sorted = false
+}
+
+// Merge appends o's samples in sorted order, the order Samples returns
+// them, so Mean's summation order is that of adding them one by one.
+func (d *Dist) Merge(o *Dist) {
+	if len(o.samples) == 0 {
+		return
+	}
+	o.sort()
+	d.samples = append(d.samples, o.samples...)
 	d.sorted = false
 }
 
@@ -147,16 +142,6 @@ func (d *Dist) CDF(points int) []CDFPoint {
 	return out
 }
 
-// FractionBelow returns the fraction of samples <= v.
-func (d *Dist) FractionBelow(v float64) float64 {
-	d.sort()
-	if len(d.samples) == 0 {
-		return 0
-	}
-	i := sort.SearchFloat64s(d.samples, math.Nextafter(v, math.Inf(1)))
-	return float64(i) / float64(len(d.samples))
-}
-
 // Samples returns a copy of the sorted samples; mutating it cannot
 // corrupt the distribution's internal state.
 func (d *Dist) Samples() []float64 {
@@ -164,13 +149,6 @@ func (d *Dist) Samples() []float64 {
 	out := make([]float64, len(d.samples))
 	copy(out, d.samples)
 	return out
-}
-
-// Summary formats mean and key percentiles in the given unit.
-func (d *Dist) Summary(unit string) string {
-	return fmt.Sprintf("n=%d mean=%.3f%s p50=%.3f%s p90=%.3f%s p99=%.3f%s p99.9=%.3f%s",
-		d.N(), d.Mean(), unit, d.Percentile(50), unit, d.Percentile(90), unit,
-		d.Percentile(99), unit, d.Percentile(99.9), unit)
 }
 
 func (d *Dist) sort() {

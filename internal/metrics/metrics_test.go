@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"math/rand"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -60,19 +61,24 @@ func TestDistAddAfterQueryResorts(t *testing.T) {
 	}
 }
 
-func TestDistFractionBelow(t *testing.T) {
+func TestDistAddRejectsNonFinite(t *testing.T) {
 	var d Dist
-	for i := 1; i <= 10; i++ {
-		d.Add(float64(i))
+	d.Add(3)
+	d.Add(math.NaN())
+	d.Add(math.Inf(1))
+	d.Add(math.Inf(-1))
+	d.Add(1)
+	if d.N() != 2 {
+		t.Fatalf("N = %d, want 2 (non-finite samples must be dropped)", d.N())
 	}
-	if got := d.FractionBelow(5); got != 0.5 {
-		t.Errorf("FractionBelow(5) = %v, want 0.5", got)
+	if d.Min() != 1 || d.Max() != 3 {
+		t.Fatalf("Min/Max = %v/%v, want 1/3", d.Min(), d.Max())
 	}
-	if got := d.FractionBelow(0.5); got != 0 {
-		t.Errorf("FractionBelow(0.5) = %v, want 0", got)
+	if got := d.Mean(); math.IsNaN(got) || got != 2 {
+		t.Fatalf("Mean = %v, want 2 (NaN poisoned the mean)", got)
 	}
-	if got := d.FractionBelow(10); got != 1 {
-		t.Errorf("FractionBelow(10) = %v, want 1", got)
+	if got := d.Percentile(50); math.IsNaN(got) {
+		t.Fatalf("Percentile(50) = NaN")
 	}
 }
 
@@ -101,15 +107,37 @@ func TestDistCDFMonotonic(t *testing.T) {
 	}
 }
 
-// Property: percentile is bounded by min/max and monotone in p.
+// Property: percentile is bounded by min/max and monotone in p. The
+// distribution under test is merged from two halves, and must equal
+// the add-every-sample loop Merge replaces: same samples and a
+// bit-equal Mean (same summation order).
 func TestDistPercentileProperty(t *testing.T) {
 	prop := func(vals []float64, a, b uint8) bool {
-		var d Dist
-		for _, v := range vals {
+		var halves [2]Dist
+		for i, v := range vals {
 			if math.IsNaN(v) || math.IsInf(v, 0) {
 				continue
 			}
-			d.Add(v)
+			halves[i%2].Add(v)
+		}
+		var d, loop Dist
+		for i := range halves {
+			d.Merge(&halves[i]) // first, while the half is still unsorted
+			for _, v := range halves[i].Samples() {
+				loop.Add(v)
+			}
+		}
+		if math.Float64bits(d.Mean()) != math.Float64bits(loop.Mean()) {
+			return false
+		}
+		got, want := d.Samples(), loop.Samples()
+		if len(got) != len(want) {
+			return false
+		}
+		for i := range got {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				return false
+			}
 		}
 		if d.N() == 0 {
 			return true
@@ -282,5 +310,41 @@ func TestRenderQuantileBarsAllNegative(t *testing.T) {
 	out := RenderQuantileBars(&d, []float64{50, 90, 99}, 20, "ms")
 	if out == "" {
 		t.Fatal("empty render")
+	}
+}
+
+// BenchmarkDistPercentileCached proves repeated percentile queries on
+// an unchanged Dist do not re-sort: with 1e6 samples a re-sort costs
+// ~100ms while the cached path is a few ns.
+func BenchmarkDistPercentileCached(b *testing.B) {
+	var d Dist
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 1_000_000; i++ {
+		d.Add(rng.Float64())
+	}
+	d.Percentile(50) // prime the sort
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Percentile(99)
+		d.Percentile(99.9)
+		_ = d.CDF(16)
+		_ = d.Max()
+	}
+}
+
+// BenchmarkDistPercentileResort is the contrast case: an Add between
+// queries invalidates the cache and forces a re-sort per iteration.
+func BenchmarkDistPercentileResort(b *testing.B) {
+	var d Dist
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 100_000; i++ {
+		d.Add(rng.Float64())
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Add(rng.Float64())
+		d.Percentile(99)
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"presto/internal/campaign"
-	"presto/internal/metrics"
 	"presto/internal/telemetry"
 )
 
@@ -58,7 +57,7 @@ type job struct {
 	cells    int
 	replicas int
 	reg      *telemetry.Registry // per-job registry: campaign probe
-	stats    *campaign.LiveStats // live quantile sketches per distribution
+	stats    *campaign.LiveStats // live samples per distribution
 	events   *broker
 	dir      string // artifact directory
 
@@ -99,7 +98,7 @@ func newJob(id string, req campaign.Request, spec *campaign.Spec, dir string) *j
 		cells:     len(spec.Cells),
 		replicas:  len(spec.Cells) * nseeds,
 		reg:       telemetry.NewRegistry(nil),
-		stats:     campaign.NewLiveStats(metrics.DefaultSketchAlpha),
+		stats:     campaign.NewLiveStats(),
 		events:    newBroker(),
 		dir:       dir,
 		state:     StatePending,

@@ -14,7 +14,7 @@
 //	GET    /v1/jobs/{id}                  one job's status
 //	DELETE /v1/jobs/{id}                  cancel (pending jobs die immediately; running ones have their context cancelled)
 //	GET    /v1/jobs/{id}/events[?since=N] stream events: NDJSON, or SSE with Accept: text/event-stream
-//	GET    /v1/jobs/{id}/stats            live sketch-derived percentiles (one frame; ?follow=1 streams until terminal)
+//	GET    /v1/jobs/{id}/stats            live exact percentiles (one frame; ?follow=1 streams until terminal)
 //	GET    /v1/jobs/{id}/artifacts        list artifact names
 //	GET    /v1/jobs/{id}/artifacts/{name} serve one artifact verbatim
 //	GET    /healthz                       liveness (200 while the process runs)

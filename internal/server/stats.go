@@ -4,13 +4,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"sort"
 	"strings"
 	"time"
 
 	"presto/internal/metrics"
 )
 
-// DistStats is one distribution's live sketch-derived tail summary.
+// DistStats is one distribution's exact live tail summary.
 type DistStats struct {
 	Name string  `json:"name"`
 	N    int     `json:"n"`
@@ -22,8 +23,8 @@ type DistStats struct {
 
 // StatsFrame is one frame of a job's live-percentile stream (GET
 // /v1/jobs/{id}/stats): the job's progress plus p50/p95/p99/p999 of
-// every distribution observed so far, derived from mergeable quantile
-// sketches as replicas finish — available mid-run, long before
+// every distribution observed so far, exact over the samples of the
+// replicas finished so far — available mid-run, long before
 // report.json exists. The closing frame of a followed stream has
 // Final set.
 type StatsFrame struct {
@@ -38,29 +39,33 @@ type StatsFrame struct {
 // statsFrame snapshots the job's live percentiles.
 func (j *job) statsFrame(final bool) StatsFrame {
 	done, failed := j.progress()
-	f := StatsFrame{
+	pooled := make(map[string]*metrics.Dist)
+	j.stats.MergeInto(pooled)
+	return StatsFrame{
 		Job:            j.id,
 		State:          j.stateNow(),
 		ReplicasDone:   done,
 		ReplicasFailed: failed,
 		Final:          final,
-		Dists:          []DistStats{},
+		Dists:          distStats(pooled),
 	}
-	for _, name := range j.stats.Names() {
-		sk := j.stats.Sketch(name)
-		if sk == nil {
-			continue
-		}
-		f.Dists = append(f.Dists, DistStats{
+}
+
+// distStats summarises each pooled distribution, sorted by name.
+func distStats(pooled map[string]*metrics.Dist) []DistStats {
+	out := make([]DistStats, 0, len(pooled))
+	for name, d := range pooled {
+		out = append(out, DistStats{
 			Name: name,
-			N:    sk.N(),
-			P50:  sk.Quantile(0.50),
-			P95:  sk.Quantile(0.95),
-			P99:  sk.Quantile(0.99),
-			P999: sk.Quantile(0.999),
+			N:    d.N(),
+			P50:  d.Percentile(50),
+			P95:  d.Percentile(95),
+			P99:  d.Percentile(99),
+			P999: d.Percentile(99.9),
 		})
 	}
-	return f
+	sort.Slice(out, func(a, b int) bool { return out[a].Name < out[b].Name })
+	return out
 }
 
 // handleStats serves GET /v1/jobs/{id}/stats: one frame of live
@@ -140,11 +145,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 // the frame emitted now reflects every replica that will ever run.
 func frameIsFinal(j *job) bool { return j.stateNow().Terminal() }
 
-// statsProbe merges live sketches across every retained job into one
-// quantile gauge set per distribution name — the "stats" component of
-// the server registry, surfacing presto_stats_<dist>_p99-style gauges
-// on /metrics. Sketch merging is order-independent, so the gauges are
-// deterministic for a given set of observed replicas.
+// statsProbe pools the live samples of every retained job into one
+// exact gauge set per distribution name — the "stats" component of the
+// server registry, surfacing presto_stats_<dist>_p99-style gauges on
+// /metrics.
 func (s *Server) statsProbe() map[string]any {
 	s.mu.Lock()
 	jobs := make([]*job, 0, len(s.order))
@@ -153,31 +157,19 @@ func (s *Server) statsProbe() map[string]any {
 	}
 	s.mu.Unlock()
 
-	merged := make(map[string]*metrics.Sketch)
+	pooled := make(map[string]*metrics.Dist)
 	var replicas uint64
 	for _, j := range jobs {
 		replicas += j.stats.Replicas()
-		for _, name := range j.stats.Names() {
-			sk := j.stats.Sketch(name)
-			if sk == nil {
-				continue
-			}
-			if acc := merged[name]; acc == nil {
-				merged[name] = sk
-			} else if err := acc.Merge(sk); err != nil {
-				// Jobs may run at different sketch alphas; re-bucket
-				// rather than silently dropping the job's samples.
-				acc.Merge(sk.Rebucket(acc.Alpha()))
-			}
-		}
+		j.stats.MergeInto(pooled)
 	}
 	m := map[string]any{"replicas_observed": replicas}
-	for name, sk := range merged {
-		m[name+".n"] = sk.N()
-		m[name+".p50"] = sk.Quantile(0.50)
-		m[name+".p95"] = sk.Quantile(0.95)
-		m[name+".p99"] = sk.Quantile(0.99)
-		m[name+".p999"] = sk.Quantile(0.999)
+	for _, d := range distStats(pooled) {
+		m[d.Name+".n"] = d.N
+		m[d.Name+".p50"] = d.P50
+		m[d.Name+".p95"] = d.P95
+		m[d.Name+".p99"] = d.P99
+		m[d.Name+".p999"] = d.P999
 	}
 	return m
 }

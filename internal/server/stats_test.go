@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -183,16 +184,61 @@ func TestStatsUnknownJobAndBadInterval(t *testing.T) {
 	}
 }
 
-// TestMetricsCarriesQuantileGauges checks the Prometheus endpoint
-// exposes the merged live-stats quantiles.
-func TestMetricsCarriesQuantileGauges(t *testing.T) {
+// synthLat is the exact pooled "lat" distribution synthSpec's replicas
+// emit for the given seeds.
+func synthLat(seeds ...uint64) *metrics.Dist {
+	d := &metrics.Dist{}
+	for _, base := range []float64{3, 11} {
+		for _, seed := range seeds {
+			for k := 0; k < 4; k++ {
+				d.Add(base + float64(seed) + float64(k))
+			}
+		}
+	}
+	return d
+}
+
+// TestStatsFramesAreExact checks the final frame's count and
+// percentiles equal metrics.Dist over every replica's samples.
+func TestStatsFramesAreExact(t *testing.T) {
 	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
-	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth", Seeds: 2})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth", Seeds: 3, Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.Wait(ctx(t), st.ID); err != nil {
 		t.Fatal(err)
+	}
+	var last StatsFrame
+	err = c.Stats(ctx(t), st.ID, false, 0, func(f StatsFrame) error {
+		last = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := synthLat(1, 2, 3)
+	want := DistStats{Name: "lat", N: d.N(), P50: d.Percentile(50), P95: d.Percentile(95), P99: d.Percentile(99), P999: d.Percentile(99.9)}
+	if !last.Final || len(last.Dists) != 1 || last.Dists[0] != want {
+		t.Fatalf("final frame = %+v, want final with dists [%+v]", last, want)
+	}
+}
+
+// TestMetricsCarriesQuantileGauges checks the Prometheus endpoint
+// exposes exact quantiles pooled over every retained job.
+func TestMetricsCarriesQuantileGauges(t *testing.T) {
+	_, c := newTestServer(t, Config{SpecBuilder: synthSpec})
+	for _, req := range []campaign.Request{
+		{Experiments: "synth", Seeds: 2},
+		{Experiments: "synth", Seed: 5},
+	} {
+		st, err := c.Submit(ctx(t), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Wait(ctx(t), st.ID); err != nil {
+			t.Fatal(err)
+		}
 	}
 	resp, err := c.http().Get(c.BaseURL + "/metrics")
 	if err != nil {
@@ -204,13 +250,14 @@ func TestMetricsCarriesQuantileGauges(t *testing.T) {
 		t.Fatal(err)
 	}
 	text := string(body)
+	d := synthLat(1, 2, 5)
 	for _, want := range []string{
-		"presto_stats_lat_p50",
-		"presto_stats_lat_p95",
-		"presto_stats_lat_p99",
-		"presto_stats_lat_p999",
-		"presto_stats_lat_n 16",
-		"presto_stats_replicas_observed 4",
+		fmt.Sprintf("presto_stats_lat_p50 %g\n", d.Percentile(50)),
+		fmt.Sprintf("presto_stats_lat_p95 %g\n", d.Percentile(95)),
+		fmt.Sprintf("presto_stats_lat_p99 %g\n", d.Percentile(99)),
+		fmt.Sprintf("presto_stats_lat_p999 %g\n", d.Percentile(99.9)),
+		"presto_stats_lat_n 24\n",
+		"presto_stats_replicas_observed 6\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("/metrics missing %q", want)
