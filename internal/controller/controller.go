@@ -153,24 +153,36 @@ func (c *Controller) label(tr topo.Tree, dstLeaf topo.NodeID, dst packet.HostID)
 // treeUsable reports whether tree tr currently connects the two
 // leaves: every link on the tree path from srcLeaf to dstLeaf is up.
 func (c *Controller) treeUsable(tr topo.Tree, srcLeaf, dstLeaf topo.NodeID) bool {
-	path, ok := tr.Path(c.topo, srcLeaf, dstLeaf)
-	for _, lid := range path {
-		ok = ok && c.net.LinkUp(lid)
-	}
-	return ok
+	up := true
+	_, ok := tr.Walk(c.topo, srcLeaf, dstLeaf, func(lid topo.LinkID) { up = up && c.net.LinkUp(lid) })
+	return ok && up
 }
 
-// usableLabels returns, in tree order, the trees that currently connect
-// src's leaf to dst's and dst's label on each of them.
-func (c *Controller) usableLabels(src, dst packet.HostID) (usable []topo.Tree, labels []packet.MAC) {
-	srcLeaf, dstLeaf := c.topo.LeafOf(src), c.topo.LeafOf(dst)
+// usableTrees returns, in tree order, the trees that currently connect
+// the two leaves.
+func (c *Controller) usableTrees(srcLeaf, dstLeaf topo.NodeID) []topo.Tree {
+	var usable []topo.Tree
 	for _, tr := range c.trees {
 		if c.treeUsable(tr, srcLeaf, dstLeaf) {
 			usable = append(usable, tr)
-			labels = append(labels, c.label(tr, dstLeaf, dst))
 		}
 	}
-	return usable, labels
+	return usable
+}
+
+// appendLabels appends dst's label on each of trees to macs.
+func (c *Controller) appendLabels(macs []packet.MAC, trees []topo.Tree, dstLeaf topo.NodeID, dst packet.HostID) []packet.MAC {
+	for _, tr := range trees {
+		macs = append(macs, c.label(tr, dstLeaf, dst))
+	}
+	return macs
+}
+
+// leafRoute is what a mapping needs from its leaf pair: the usable
+// trees and, under TreeWeights, their weights.
+type leafRoute struct {
+	usable  []topo.Tree
+	weights []float64
 }
 
 // pushMappings (re)computes and disseminates per-destination label
@@ -180,8 +192,17 @@ func (c *Controller) usableLabels(src, dst packet.HostID) (usable []topo.Tree, l
 // vswitch.SetMapping for custom weighting.
 func (c *Controller) pushMappings() {
 	c.Updates++
+	slots := c.cfg.WeightSlots
+	if slots <= 0 {
+		slots = 16
+	}
+	// Which trees are usable, and their weights, depend on the leaf pair
+	// alone: worked out once per pair, not per host pair.
+	routes := make(map[[2]topo.NodeID]leafRoute)
 	for srcHost, vs := range c.vswitches {
 		srcLeaf := c.topo.LeafOf(srcHost)
+		// One backing array holds all of this source's label lists.
+		buf := make([]packet.MAC, 0, len(c.topo.Hosts)*len(c.trees))
 		for _, dstNode := range c.topo.Hosts {
 			dst := c.topo.Nodes[dstNode].Host
 			if dst == srcHost {
@@ -197,14 +218,24 @@ func (c *Controller) pushMappings() {
 				vs.SetMapping(dst, nil)
 				continue
 			}
-			usable, macs := c.usableLabels(srcHost, dst)
-			if c.cfg.TreeWeights != nil && len(macs) > 1 {
-				slots := c.cfg.WeightSlots
-				if slots <= 0 {
-					slots = 16
+			dstLeaf := c.topo.LeafOf(dst)
+			r, ok := routes[[2]topo.NodeID{srcLeaf, dstLeaf}]
+			if !ok {
+				r.usable = c.usableTrees(srcLeaf, dstLeaf)
+				if c.cfg.TreeWeights != nil && len(r.usable) > 1 {
+					r.weights = c.cfg.TreeWeights(c.topo, r.usable, srcLeaf, dstLeaf)
 				}
-				w := c.cfg.TreeWeights(c.topo, usable, srcLeaf, c.topo.LeafOf(dst))
-				if seq := WeightedLabels(macs, w, slots); seq != nil {
+				routes[[2]topo.NodeID{srcLeaf, dstLeaf}] = r
+			}
+			if len(r.usable) == 0 {
+				vs.SetMapping(dst, nil)
+				continue
+			}
+			start := len(buf)
+			buf = c.appendLabels(buf, r.usable, dstLeaf, dst)
+			macs := buf[start:len(buf):len(buf)]
+			if r.weights != nil {
+				if seq := WeightedLabels(macs, r.weights, slots); seq != nil {
 					macs = seq
 				}
 			}

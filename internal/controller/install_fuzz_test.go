@@ -35,8 +35,8 @@ func auditInstall(net *fabric.Network, c *Controller, vss []*vswitch.VSwitch, do
 			var want []int
 			paths := map[int][]topo.LinkID{}
 			for _, tr := range c.Trees() {
-				path, ok := tr.Path(tp, srcLeaf, dstLeaf)
-				if !ok {
+				var path []topo.LinkID
+				if _, ok := tr.Walk(tp, srcLeaf, dstLeaf, func(lid topo.LinkID) { path = append(path, lid) }); !ok {
 					return fmt.Errorf("tree %d does not connect leaves %d and %d", tr.Index, srcLeaf, dstLeaf)
 				}
 				paths[tr.Index] = path

@@ -95,7 +95,8 @@ func (c *Controller) SetWeightedMapping(src, dst packet.HostID, weights []float6
 	if !ok {
 		return false
 	}
-	_, labels := c.usableLabels(src, dst)
+	dstLeaf := c.topo.LeafOf(dst)
+	labels := c.appendLabels(nil, c.usableTrees(c.topo.LeafOf(src), dstLeaf), dstLeaf, dst)
 	if len(labels) != len(weights) {
 		return false
 	}

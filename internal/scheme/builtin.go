@@ -162,8 +162,8 @@ func init() {
 func TreeHopWeights(tp *topo.Topology, trees []topo.Tree, srcLeaf, dstLeaf topo.NodeID) []float64 {
 	w := make([]float64, len(trees))
 	for i, tr := range trees {
-		if path, _ := tr.Path(tp, srcLeaf, dstLeaf); len(path) > 0 {
-			w[i] = 1 / float64(len(path))
+		if hops, ok := tr.Walk(tp, srcLeaf, dstLeaf, nil); ok && hops > 0 {
+			w[i] = 1 / float64(hops)
 		}
 	}
 	return w

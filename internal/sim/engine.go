@@ -394,14 +394,19 @@ func (e *Engine) peekAt() Time {
 
 // rekey rewrites a queued event's sequence number from its provisional
 // window-local value to the true global one resolved at the barrier.
-// Rekeying never reorders the heap: within one window a shard's
+// The shard applies it in its fixup: at the start of its next busy
+// window, or when the run ends, possibly several windows after the
+// barrier — but its queue is untouched in between (an idle shard fires
+// nothing, and handoffs to it wait staged until after the rekey), so it
+// is as the window that scheduled the event left it. Rekeying then
+// never reorders the heap: within that window the shard's
 // provisional order equals its true relative order, and every true seq
-// assigned at the barrier exceeds every seq issued before the window —
-// so all comparator outcomes are preserved and the field can be
-// overwritten in place (a lane stays sorted for the same reason). The
-// key lives in the cell, so that is what is rewritten, found through the
-// slot's (lane, pos). A dead ID (fired or canceled inside the window) is
-// a no-op, exactly like Cancel.
+// assigned for it exceeds every seq issued before the window — so all
+// comparator outcomes are preserved and the field can be overwritten in
+// place (a lane stays sorted for the same reason). The key lives in the
+// cell, so that is what is rewritten, found through the slot's (lane,
+// pos). A dead ID (fired or canceled inside the window) is a no-op,
+// exactly like Cancel.
 func (e *Engine) rekey(id EventID, seq uint64) {
 	if id.slot < 0 || int(id.slot) >= len(e.arena) {
 		return

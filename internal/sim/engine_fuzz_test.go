@@ -33,6 +33,7 @@ type shardEnv struct {
 	rng      func(d int) *RNG
 	now      func(d int) Time
 	runAll   func()
+	group    *ShardGroup // the run's group; nil on the serial engine
 }
 
 // driveShardScript interprets data as per-domain schedule/send/cancel
@@ -123,6 +124,16 @@ type shardRunResult struct {
 // same per-shard RNG stream derivation a ShardGroup of numShards would
 // use (domain d draws from stream d % numShards).
 func runShardScriptSerial(data []byte, numShards int, seed uint64) shardRunResult {
+	return runSerial(numShards, seed, func(env *shardEnv) [][]uint64 { return driveShardScript(data, env) })
+}
+
+// runShardScriptGroup runs the same script on a ShardGroup.
+func runShardScriptGroup(data []byte, numShards int, seed uint64) shardRunResult {
+	return runGroup(numShards, seed, func(env *shardEnv) [][]uint64 { return driveShardScript(data, env) })
+}
+
+// runSerial runs drive on one serial Engine (see runShardScriptSerial).
+func runSerial(numShards int, seed uint64, drive func(*shardEnv) [][]uint64) shardRunResult {
 	eng := NewEngine()
 	root := NewRNG(seed)
 	streams := make([]*RNG, numShards)
@@ -141,7 +152,7 @@ func runShardScriptSerial(data []byte, numShards int, seed uint64) shardRunResul
 		now:    func(d int) Time { return eng.Now() },
 		runAll: func() { eng.RunAll() },
 	}
-	logs := driveShardScript(data, env)
+	logs := drive(env)
 	res := shardRunResult{logs: logs, executed: eng.Executed, now: eng.Now()}
 	for _, r := range streams {
 		res.finals = append(res.finals, r.Uint64())
@@ -151,8 +162,9 @@ func runShardScriptSerial(data []byte, numShards int, seed uint64) shardRunResul
 
 func callArg(fn any) { fn.(func())() }
 
-// runShardScriptGroup runs the same script on a ShardGroup.
-func runShardScriptGroup(data []byte, numShards int, seed uint64) shardRunResult {
+// runGroup runs drive on a ShardGroup of numShards, domain d on shard
+// d % numShards.
+func runGroup(numShards int, seed uint64, drive func(*shardEnv) [][]uint64) shardRunResult {
 	g := NewShardGroup(numShards, shardFuzzLookahead, seed)
 	shardOf := func(d int) int { return d % numShards }
 	env := &shardEnv{
@@ -178,8 +190,9 @@ func runShardScriptGroup(data []byte, numShards int, seed uint64) shardRunResult
 		rng:    func(d int) *RNG { return g.RNG(shardOf(d)) },
 		now:    func(d int) Time { return g.Shard(shardOf(d)).Now() },
 		runAll: func() { g.RunAll() },
+		group:  g,
 	}
-	logs := driveShardScript(data, env)
+	logs := drive(env)
 	res := shardRunResult{logs: logs, executed: g.Executed(), now: g.Now()}
 	for i := 0; i < numShards; i++ {
 		res.finals = append(res.finals, g.RNG(i).Uint64())
@@ -216,6 +229,44 @@ func diffShardResults(want, got shardRunResult) string {
 	return ""
 }
 
+// idleShardSeed is a script that leaves a shard idle while work for it
+// is pending (at 2 and 4 shards, the shards holding only odd domains).
+// Even domains tick every 16 ns and, at every 7th tick, hand a packet
+// to the next odd domain 163 ns ahead — so the handoff waits staged
+// through a window in which its destination has nothing to run. Odd
+// domains only answer handoffs, each with one local event 120 ns out.
+func idleShardSeed() []byte {
+	var scripts [shardFuzzDomains][]byte
+	for d := range scripts {
+		s := []byte{0, 0} // one root event, at t = 0
+		for k := 0; k < 48; k++ {
+			switch {
+			case d%2 == 1:
+				s = append(s, 0, 1, 17) // the root's or a local's op: none; a handoff's: local after 120
+			case k%7 == 6:
+				s = append(s, 3, 13, byte(d+1), 63) // tick after 16, hand off after 163
+			default:
+				s = append(s, 1, 13) // tick after 16
+			}
+		}
+		scripts[d] = s
+	}
+	var data []byte
+	for i := 0; ; i++ {
+		more := false
+		for d := range scripts {
+			var b byte
+			if i < len(scripts[d]) {
+				b, more = scripts[d][i], true
+			}
+			data = append(data, b)
+		}
+		if !more {
+			return data
+		}
+	}
+}
+
 // FuzzShardedEngine asserts that a ShardGroup of 1, 2, 4, or 7 shards
 // produces byte-identical per-domain event logs, final RNG states,
 // executed counts, and final clocks to a serial engine, under random
@@ -232,6 +283,7 @@ func FuzzShardedEngine(f *testing.F) {
 		long[i] = byte(i*37) | 3
 	}
 	f.Add(long)
+	f.Add(idleShardSeed())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, shards := range []int{1, 2, 4, 7} {
 			want := runShardScriptSerial(data, shards, 42)

@@ -9,7 +9,19 @@
 // shard may safely execute all events with timestamp < T + L before
 // re-synchronizing, because a cross-shard handoff sent at or after T
 // cannot arrive before T + L. Handoffs made during a window are staged
-// and enqueued into the destination shard's heap at the barrier.
+// at the barrier and enqueued by their destination shard when it next
+// runs.
+//
+// A window is a round trip between the coordinator (the goroutine that
+// called Run, which runs the first busy shard itself) and one worker
+// goroutine per other busy shard. Windows are short — on a two-shard
+// pod fabric about 120 events, both shards busy in nearly all of them —
+// so the round trip must not cost a futex: the coordinator posts a
+// window by advancing the worker's epoch word, the worker publishes its
+// done word, and each side waits by spinning with runtime.Gosched. A
+// wait parks (signal.await) only past a bounded number of checks, or at
+// once when the running shards of the whole process outnumber
+// GOMAXPROCS and spinning would take the processor from a busy shard.
 //
 // Bit-identity with the serial engine is the hard invariant: the same
 // events fire in the same global (at, seq) order with the same seq
@@ -35,10 +47,17 @@
 //   - At the barrier the coordinator k-way merges the shards' journals
 //     in global execution order — (at, true seq) of the *scheduling*
 //     event — and replays the schedule calls against the real counter,
-//     assigning each call the seq a serial engine would have issued.
-//     Queued events are rekeyed in place (provisional → true; proven
-//     order-preserving, see Engine.rekey), and staged handoffs are
-//     inserted into their destination heaps under their true seqs.
+//     recording for each call the seq a serial engine would have issued
+//     (trueOf) and staging each handoff under its true seq for its
+//     destination. That is all the barrier does.
+//   - Each shard then fixes its own queue up (shard.fixup), on its own
+//     goroutine, first thing in its next window and before any schedule
+//     call: it rekeys its queued events provisional → true (proven
+//     order-preserving, see Engine.rekey), then inserts its staged
+//     handoffs. A shard idle in a window keeps that work pending — its
+//     head for window selection is the earlier of its queue's head and
+//     its earliest staged handoff — and the end of a Run fixes every
+//     shard up, so sequential-phase code only ever sees true keys.
 //
 // Resolving a provisional journal key at the barrier is always
 // possible: the scheduling parent belongs to the same shard and
@@ -49,7 +68,7 @@ package sim
 
 import (
 	"fmt"
-	"sync"
+	"runtime"
 	"sync/atomic"
 )
 
@@ -63,9 +82,9 @@ type execRec struct {
 }
 
 // callRec journals one schedule call. dst < 0 is a local schedule
-// (rekeyed at the barrier via id); dst >= 0 is a cross-shard handoff,
-// whose callback waits in the shard's sends FIFO until the barrier
-// stages it.
+// (rekeyed by the shard's next fixup via id); dst >= 0 is a cross-shard
+// handoff, whose callback waits in the shard's sends FIFO until the
+// barrier stages it.
 type callRec struct {
 	at  Time
 	id  EventID
@@ -80,6 +99,90 @@ type handoff struct {
 	cb  callback
 }
 
+// spinChecks bounds how many times a window wait checks its word,
+// yielding the processor in between, before it parks: enough to cover
+// a barrier and the imbalance between two shards' windows, few enough
+// that a worker whose shard idles for many windows soon stops burning
+// a core.
+const spinChecks = 1 << 14
+
+// quit is the window limit that ends a worker.
+const quit = Time(-1)
+
+// runningShards counts the shards of every windowed run in progress in
+// the process: a campaign runs several sharded cells at once, and the
+// processors they compete for are the process's.
+var runningShards atomic.Int64
+
+// spin is how many checks a window wait makes before it parks.
+// Spinning pays only while every running shard in the process can hold
+// a processor; past that, a spinning wait takes the processor from a
+// busy shard, so waits park at once.
+func (g *ShardGroup) spin() int {
+	if runningShards.Load() > g.procs {
+		return 0
+	}
+	return spinChecks
+}
+
+// signal is a word one goroutine advances and another waits on: a
+// worker's window epoch (coordinator → worker) or its done mark
+// (worker → coordinator). The waiter spins on it and parks only past
+// its spin bound, so a window round trip normally costs no futex.
+type signal struct {
+	v      atomic.Uint64
+	parked atomic.Bool   // the waiter is (about to be) blocked on wake
+	wake   chan struct{} // capacity 1: the token that unparks the waiter
+	_      [64]byte      // whatever follows starts on another cache line
+}
+
+// set advances the word to v and wakes the waiter if it parked.
+func (s *signal) set(v uint64) {
+	s.v.Store(v)
+	s.notify()
+}
+
+// notify sends the wake token if the waiter has announced that it parks.
+func (s *signal) notify() {
+	if s.parked.Load() && s.parked.CompareAndSwap(true, false) {
+		s.wake <- struct{}{}
+	}
+}
+
+// await returns once the word reaches v: it checks up to spin times,
+// yielding the processor in between, then parks until the word gets
+// there.
+//
+// Parking is announced before the check that decides it, so a racing
+// set either is seen by that check or sees the announcement and sends
+// the token (both sides' atomics are sequentially consistent). Each
+// announcement is taken by exactly one compare-and-swap — the waiter's,
+// which sends nothing, or a setter's, which sends one token — and the
+// waiter announces again only after taking that token, so at most one
+// token is ever in flight and the capacity-1 channel never blocks set.
+// A token only says the word moved, not that it reached v: a set of an
+// earlier value, stalled between its store and its notify, can take
+// the announcement of a later wait. So a token ends the wait only if
+// the word has reached v; otherwise the waiter parks again.
+func (s *signal) await(v uint64, spin int) {
+	for range spin {
+		if s.v.Load() >= v {
+			return
+		}
+		runtime.Gosched()
+	}
+	for {
+		s.parked.Store(true)
+		if s.v.Load() >= v && s.parked.CompareAndSwap(true, false) {
+			return
+		}
+		<-s.wake
+		if s.v.Load() >= v {
+			return
+		}
+	}
+}
+
 // shard is the per-engine view of a ShardGroup.
 type shard struct {
 	g   *ShardGroup
@@ -87,27 +190,38 @@ type shard struct {
 	eng *Engine
 	rng *RNG
 
-	// Window state. Owned by the shard's worker goroutine during a
-	// window and by the coordinator between windows; the start channel
-	// and window WaitGroup order the handoff.
+	// Window state, owned by whichever goroutine runs the shard's window
+	// and by the coordinator during a barrier; the epoch and done words
+	// order the handoff between them.
 	inWindow bool
 	k        uint64    // schedule calls made this window
 	execLog  []execRec // executed events that scheduled something
 	callLog  []callRec // every schedule call, in k order
 	// sends holds the callbacks of this window's handoffs in call
 	// order — beside the journal, so a local schedule's record stays
-	// small and only this list has references to drop at the barrier.
+	// small and only this list has references to drop.
 	sends    []callback
 	panicked any // callback panic captured for the coordinator
 
-	// Barrier state (coordinator only).
-	execPos int
-	callPos int
-	sendPos int
-	trueOf  []uint64  // trueOf[j] = true seq of provisional base+j+1
-	staged  []handoff // merged handoffs destined for this shard
-	head    Time      // earliest queued event this iteration, never if none
-	start   chan Time // window dispatch to this shard's worker; nil outside a windowed Run and always on shard 0
+	// Barrier state, written by the coordinator; trueOf and staged are
+	// the fixup the shard applies at the start of its next window.
+	execPos  int
+	callPos  int
+	sendPos  int
+	trueOf   []uint64  // trueOf[j] = true seq of callLog[j]
+	staged   []handoff // merged handoffs destined for this shard
+	stagedAt Time      // earliest staged handoff, never if none
+	head     Time      // earliest pending work this iteration, never if none
+
+	// Worker handoff, coordinator-owned apart from the words: live is
+	// whether this run started the shard's worker, epoch the last window
+	// posted to it and limit that window's bound (or quit).
+	live  bool
+	epoch uint64
+	limit Time
+	_     [64]byte
+	post  signal // epoch, coordinator → worker
+	done  signal // last epoch finished, worker → coordinator
 }
 
 // never is later than any event: the head of an empty queue.
@@ -125,8 +239,8 @@ func (sh *shard) nextSeq() uint64 {
 	return sh.g.counter
 }
 
-// noteLocal journals an in-window local schedule so the barrier can
-// rekey it to its true seq.
+// noteLocal journals an in-window local schedule so the shard's next
+// fixup can rekey it to its true seq.
 func (sh *shard) noteLocal(at Time, id EventID) {
 	if !sh.inWindow {
 		return
@@ -134,16 +248,65 @@ func (sh *shard) noteLocal(at Time, id EventID) {
 	sh.callLog = append(sh.callLog, callRec{at: at, id: id, dst: -1})
 }
 
-// runOne executes one window on the shard, capturing a callback panic
-// so the coordinator can re-raise it after the barrier instead of
-// killing the process from a worker goroutine.
+// fixup applies the barriers' verdict to the shard's own queue: rekey
+// what its last busy window scheduled to true seqs, then insert the
+// handoffs staged for it since — rekeying first, so every comparison
+// an insert makes is between true keys. Only trueOf's prefix of
+// callLog was merged (after a callback panic, the rest never will be).
+func (sh *shard) fixup() {
+	for j, seq := range sh.trueOf {
+		if c := sh.callLog[j]; c.dst < 0 {
+			sh.eng.rekey(c.id, seq)
+		}
+	}
+	for _, h := range sh.staged {
+		sh.eng.insertKeyed(inHeap, h.at, h.seq, h.cb)
+	}
+	// Don't pin dead closures or arguments in the reused backing arrays.
+	clear(sh.staged)
+	clear(sh.sends)
+	sh.staged = sh.staged[:0]
+	sh.sends = sh.sends[:0]
+	sh.callLog = sh.callLog[:0]
+	sh.trueOf = sh.trueOf[:0]
+	sh.stagedAt = never
+	sh.k = 0
+}
+
+// runOne executes one window on the shard, fixup first, capturing a
+// callback panic so the coordinator can re-raise it after the barrier
+// instead of killing the process from a worker goroutine.
 func (sh *shard) runOne(limit Time) {
 	defer func() {
 		if r := recover(); r != nil {
 			sh.panicked = r
 		}
 	}()
+	sh.fixup()
 	sh.eng.runWindow(limit)
+}
+
+// work is a worker goroutine: wait for the next epoch, run the window
+// it posts, publish done; until quit. epoch is the last one posted
+// before the worker started.
+func (sh *shard) work(epoch uint64) {
+	for {
+		epoch++
+		sh.post.await(epoch, sh.g.spin())
+		if sh.limit == quit {
+			sh.done.set(epoch)
+			return
+		}
+		sh.runOne(sh.limit)
+		sh.done.set(epoch)
+	}
+}
+
+// dispatch posts the window bounded by limit (or quit) to sh's worker.
+func (sh *shard) dispatch(limit Time) {
+	sh.limit = limit
+	sh.epoch++
+	sh.post.set(sh.epoch)
 }
 
 // ShardGroup coordinates n shard Engines so that their union behaves
@@ -159,12 +322,9 @@ type ShardGroup struct {
 	counter   uint64 // true global schedule-order counter
 	now       Time
 	running   bool
+	procs     int64 // GOMAXPROCS when the run in progress started
 	stop      atomic.Bool
-	// windowWG counts the workers still inside the current window and
-	// workerWG the worker goroutines alive. Fields, not runWindows locals:
-	// the workers' reference would move a local to the heap every Run.
-	windowWG, workerWG sync.WaitGroup
-	hooks              []func() // run at the end of every barrier (OnBarrier)
+	hooks     []func() // run at the end of every barrier (OnBarrier)
 }
 
 // NewShardGroup returns a group of n engines synchronized with the
@@ -185,9 +345,11 @@ func NewShardGroup(n int, lookahead Time, seed uint64) *ShardGroup {
 	g := &ShardGroup{shards: make([]*shard, n), lookahead: lookahead}
 	root := NewRNG(seed)
 	for i := range g.shards {
-		sh := &shard{g: g, idx: i, eng: NewEngine(), rng: root.Fork()}
+		sh := &shard{g: g, idx: i, eng: NewEngine(), rng: root.Fork(), stagedAt: never}
 		if n > 1 {
 			sh.eng.sh = sh
+			sh.post.wake = make(chan struct{}, 1)
+			sh.done.wake = make(chan struct{}, 1)
 		}
 		g.shards[i] = sh
 	}
@@ -208,8 +370,10 @@ func GroupOf(e *Engine) *ShardGroup {
 }
 
 // OnBarrier registers fn to run on the coordinator at the end of every
-// window barrier, every worker idle, so fn may touch any shard's state.
-// It must not schedule. A group of one has no barriers: fn never runs.
+// window barrier, every worker idle, so fn may touch any shard's
+// component state. It must not schedule, and must not read queue keys:
+// the shards' fixups are still pending. A group of one has no
+// barriers: fn never runs.
 func (g *ShardGroup) OnBarrier(fn func()) { g.hooks = append(g.hooks, fn) }
 
 // Shards returns the number of shards in the group.
@@ -317,7 +481,7 @@ func (g *ShardGroup) send(src *Engine, dst int, delay Time, cb callback) {
 	}
 	// Consume a provisional seq (a serial engine's Schedule would have
 	// consumed one here) and journal the handoff; the barrier assigns
-	// the true seq and inserts it into dst's heap.
+	// the true seq and stages it for dst.
 	sh.k++
 	sh.callLog = append(sh.callLog, callRec{at: src.now + delay, dst: int32(dst)})
 	sh.sends = append(sh.sends, cb)
@@ -372,15 +536,22 @@ func (g *ShardGroup) runWindows(until Time) bool {
 	g.running = true
 	defer func() { g.running = false }()
 
+	g.procs = int64(runtime.GOMAXPROCS(0))
+	runningShards.Add(int64(len(g.shards)))
 	defer func() {
 		for _, sh := range g.shards {
-			sh.inWindow = false
-			if sh.start != nil {
-				close(sh.start)
-				sh.start = nil
+			if sh.live {
+				// A Run leaves no goroutine behind.
+				sh.dispatch(quit)
+				sh.done.await(sh.epoch, g.spin())
+				sh.live = false
 			}
 		}
-		g.workerWG.Wait() // a Run leaves no goroutine behind
+		runningShards.Add(-int64(len(g.shards)))
+		for _, sh := range g.shards {
+			sh.inWindow = false
+			sh.fixup()
+		}
 	}()
 	for _, sh := range g.shards {
 		sh.inWindow = true
@@ -391,10 +562,10 @@ func (g *ShardGroup) runWindows(until Time) bool {
 			g.stop.Store(false)
 			return true
 		}
-		// T = earliest pending event anywhere; the window is [T, T+L).
+		// T = earliest pending work anywhere; the window is [T, T+L).
 		t := never
 		for _, sh := range g.shards {
-			sh.head = sh.eng.peekAt()
+			sh.head = min(sh.eng.peekAt(), sh.stagedAt)
 			t = min(t, sh.head)
 		}
 		if t > until {
@@ -406,10 +577,10 @@ func (g *ShardGroup) runWindows(until Time) bool {
 			limit = until + 1
 		}
 
-		// The first busy shard runs here: a worker would only park this
-		// goroutine until it is done, and most windows have one busy
-		// shard. Journaling stays on either way — its calls still consume
-		// seqs that the barrier turns into true ones.
+		// The first busy shard runs here, the others on their workers,
+		// started the first time this run needs them. Journaling stays
+		// on either way — its calls still consume seqs that the barrier
+		// turns into true ones.
 		var inline *shard
 		for _, sh := range g.shards {
 			if sh.head >= limit {
@@ -419,14 +590,19 @@ func (g *ShardGroup) runWindows(until Time) bool {
 				inline = sh
 				continue
 			}
-			if sh.start == nil {
-				g.spawnWorker(sh)
+			if !sh.live {
+				sh.live = true
+				go sh.work(sh.epoch)
 			}
-			g.windowWG.Add(1)
-			sh.start <- limit
+			sh.dispatch(limit)
 		}
 		inline.runOne(limit)
-		g.windowWG.Wait()
+		for _, sh := range g.shards {
+			if sh.live {
+				// An idle worker is already done with its last epoch.
+				sh.done.await(sh.epoch, g.spin())
+			}
+		}
 		g.barrier()
 		for _, sh := range g.shards {
 			if sh.panicked != nil {
@@ -447,26 +623,11 @@ func (g *ShardGroup) runWindows(until Time) bool {
 	}
 }
 
-// spawnWorker starts sh's goroutine for the rest of this run; it exits
-// when runWindows closes the start channel — handed over as an argument,
-// so the goroutine never reads the field the end of the run clears.
-func (g *ShardGroup) spawnWorker(sh *shard) {
-	sh.start = make(chan Time)
-	g.workerWG.Add(1)
-	go func(start <-chan Time) {
-		defer g.workerWG.Done()
-		for limit := range start {
-			sh.runOne(limit)
-			g.windowWG.Done()
-		}
-	}(sh.start)
-}
-
 // barrier merges the shards' window journals in global execution order
-// and replays their schedule calls against the true counter: local
-// schedules are rekeyed in place, cross-shard handoffs are inserted
-// into their destination heaps. Runs on the coordinator with all
-// workers idle.
+// and replays their schedule calls against the true counter: each
+// call's true seq goes to its shard's trueOf, and each handoff is
+// staged for its destination. The queues are left to each shard's next
+// fixup. Runs on the coordinator with all workers idle.
 func (g *ShardGroup) barrier() {
 	base := g.counter
 	for {
@@ -500,29 +661,17 @@ func (g *ShardGroup) barrier() {
 			sh.callPos++
 			g.counter++
 			sh.trueOf = append(sh.trueOf, g.counter)
-			if call.dst < 0 {
-				sh.eng.rekey(call.id, g.counter)
-			} else {
+			if call.dst >= 0 {
 				d := g.shards[call.dst]
 				d.staged = append(d.staged, handoff{at: call.at, seq: g.counter, cb: sh.sends[sh.sendPos]})
+				d.stagedAt = min(d.stagedAt, call.at)
 				sh.sendPos++
 			}
 		}
 	}
 	for _, sh := range g.shards {
-		for _, h := range sh.staged {
-			sh.eng.insertKeyed(inHeap, h.at, h.seq, h.cb)
-		}
-		// Don't pin dead closures or arguments in the reused backing
-		// arrays.
-		clear(sh.staged)
-		clear(sh.sends)
-		sh.staged = sh.staged[:0]
-		sh.sends = sh.sends[:0]
 		sh.execLog = sh.execLog[:0]
-		sh.callLog = sh.callLog[:0]
-		sh.trueOf = sh.trueOf[:0]
-		sh.execPos, sh.callPos, sh.sendPos, sh.k = 0, 0, 0, 0
+		sh.execPos, sh.callPos, sh.sendPos = 0, 0, 0
 	}
 	for _, fn := range g.hooks {
 		fn()

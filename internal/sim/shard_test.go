@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -86,6 +87,207 @@ func TestShardGroupSameInstantTieBreak(t *testing.T) {
 	}
 	if g.Now() != 110 {
 		t.Fatalf("Now() = %v, want 110", g.Now())
+	}
+}
+
+// TestShardGroupIdleShardReceivesHandoffs pins the deferred fixup. Of
+// three shards, shard 2 runs once at t=5, scheduling two local events
+// at t=500, then idles for at least three windows while shards 0 and 1
+// tick every 30 ns and hand it events landing at t=480 and at t=500 —
+// the first of them scheduled at t=0, before shard 2's locals in
+// global order, so they must fire first although shard 2 queued its
+// locals under provisional seqs below theirs. Each shard's event log
+// must equal the serial engine's, which it does only if the idle
+// shard, on waking, rekeys before it inserts what was staged for it.
+func TestShardGroupIdleShardReceivesHandoffs(t *testing.T) {
+	idleStreak := 0 // longest run of barriers shard 2 sat out with its fixup pending
+	script := func(env *shardEnv) [][]uint64 {
+		logs := make([][]uint64, 3)
+		mark := func(d int, tag uint64) {
+			env.rng(d).Uint64()
+			logs[d] = append(logs[d], uint64(env.now(d)), tag)
+		}
+		var tick func(d int, n uint64) func()
+		tick = func(d int, n uint64) func() {
+			return func() {
+				mark(d, n)
+				now := env.now(d)
+				if now >= 600 {
+					return
+				}
+				env.schedule(d, d, 30, tick(d, n+1))
+				if now <= 400 {
+					env.schedule(d, 2, 500-now, func() { mark(2, 1000*uint64(d+1)+n) })
+				}
+				if now <= 380 && n%2 == 0 {
+					env.schedule(d, 2, 480-now, func() { mark(2, 2000*uint64(d+1)+n) })
+				}
+			}
+		}
+		env.schedule(0, 0, 0, tick(0, 0))
+		env.schedule(1, 1, 0, tick(1, 0))
+		env.schedule(2, 2, 5, func() {
+			mark(2, 1)
+			env.schedule(2, 2, 495, func() { mark(2, 2) })
+			env.schedule(2, 2, 495, func() { mark(2, 3) })
+			env.schedule(2, 2, 505, func() { mark(2, 4) })
+		})
+		if g := env.group; g != nil {
+			sh, streak, last := g.shards[2], 0, uint64(0)
+			g.OnBarrier(func() {
+				if sh.eng.Executed == last && len(sh.trueOf) > 0 && len(sh.staged) > 0 {
+					streak++
+					idleStreak = max(idleStreak, streak)
+				} else {
+					streak = 0
+				}
+				last = sh.eng.Executed
+			})
+		}
+		env.runAll()
+		return logs
+	}
+	want := runSerial(3, 5, script)
+	got := runGroup(3, 5, script)
+	if d := diffShardResults(want, got); d != "" {
+		t.Fatalf("sharded run diverged from serial: %s", d)
+	}
+	if idleStreak < 3 {
+		t.Fatalf("shard 2 sat out %d windows with its fixup pending, want >= 3", idleStreak)
+	}
+}
+
+// TestShardGroupOversubscribed runs a group with more shards than
+// processors, where every window wait parks: under GOMAXPROCS(1) a
+// 7-shard group is bit-identical to serial, every Run leaves no worker
+// goroutine behind, and a Stop from another goroutine still ends a run
+// that would otherwise never drain.
+func TestShardGroupOversubscribed(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	base := runtime.NumGoroutine()
+	settled := func() bool {
+		// A worker publishes its last done word just before it returns.
+		for range 100000 {
+			if runtime.NumGoroutine() <= base {
+				return true
+			}
+			runtime.Gosched()
+		}
+		return false
+	}
+
+	script := make([]byte, 4096)
+	for i := range script {
+		script[i] = byte(i*37) | 3
+	}
+	if d := diffShardResults(runShardScriptSerial(script, 7, 42), runShardScriptGroup(script, 7, 42)); d != "" {
+		t.Fatalf("sharded run diverged from serial: %s", d)
+	}
+	if !settled() {
+		t.Fatalf("%d goroutines after RunAll, %d before", runtime.NumGoroutine(), base)
+	}
+
+	g := NewShardGroup(7, 100, 1)
+	progress := make(chan struct{})
+	var once sync.Once
+	for s := 0; s < 7; s++ {
+		n := 0
+		var spin func()
+		spin = func() {
+			if n++; n == 5000 {
+				once.Do(func() { close(progress) })
+			}
+			g.Shard(s).Schedule(7, spin)
+			if n%10 == 0 {
+				g.Send(g.Shard(s), (s+1)%7, 100, func() {})
+			}
+		}
+		g.Shard(s).Schedule(0, spin)
+	}
+	for i := Time(1); i <= 20; i++ {
+		g.Run(i * 500)
+		if !settled() {
+			t.Fatalf("Run %d: %d goroutines after, %d before", i, runtime.NumGoroutine(), base)
+		}
+	}
+	go func() {
+		<-progress
+		g.Stop()
+	}()
+	g.RunAll()
+	if !settled() {
+		t.Fatalf("%d goroutines after the stopped RunAll, %d before", runtime.NumGoroutine(), base)
+	}
+	if g.Pending() == 0 {
+		t.Fatal("stop consumed the pending self-rescheduling chains")
+	}
+}
+
+// TestSignalStaleWake replays the interleaving where a set of epoch 1
+// stalls between its store and its notify while the waiter sees the
+// word, moves on and parks for epoch 2: the stalled notify's token must
+// not end the wait for epoch 2.
+func TestSignalStaleWake(t *testing.T) {
+	s := signal{wake: make(chan struct{}, 1)}
+	s.v.Store(1) // set(1), stalled before notify
+	s.await(1, 0)
+	returned := make(chan uint64)
+	go func() {
+		s.await(2, 0)
+		returned <- s.v.Load()
+	}()
+	for !s.parked.Load() {
+		runtime.Gosched()
+	}
+	s.notify() // the stalled set(1) resumes and takes the announcement
+	for !s.parked.Load() || len(s.wake) > 0 {
+		select {
+		case v := <-returned:
+			t.Fatalf("await(2) returned on a stale token with the word at %d", v)
+		default:
+			runtime.Gosched()
+		}
+	}
+	s.set(2)
+	if v := <-returned; v != 2 {
+		t.Fatalf("await(2) returned with the word at %d", v)
+	}
+}
+
+// TestShardGroupSpinsOnlyWhenShardsFitProcessors pins the spin-or-park
+// rule to the process, not the group: a 2-shard group spins on two
+// processors alone, and parks while another 2-shard run is in progress.
+func TestShardGroupSpinsOnlyWhenShardsFitProcessors(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	probe := func(g *ShardGroup) int {
+		spin := -1
+		g.Shard(0).Schedule(0, func() { spin = g.spin() })
+		g.Shard(1).Schedule(0, func() {})
+		g.RunAll()
+		return spin
+	}
+	b := NewShardGroup(2, 100, 2)
+	if got := probe(b); got != spinChecks {
+		t.Fatalf("alone: spin %d, want %d", got, spinChecks)
+	}
+
+	a := NewShardGroup(2, 100, 1)
+	inA, release, doneA := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	a.Shard(0).Schedule(0, func() {
+		close(inA)
+		<-release
+	})
+	a.Shard(1).Schedule(0, func() {})
+	go func() {
+		a.RunAll()
+		close(doneA)
+	}()
+	<-inA
+	got := probe(b)
+	close(release)
+	<-doneA
+	if got != 0 {
+		t.Fatalf("beside another 2-shard run: spin %d, want 0", got)
 	}
 }
 

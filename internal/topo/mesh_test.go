@@ -73,7 +73,7 @@ func TestMeshTreesAreStars(t *testing.T) {
 				if src == tr.Root || dst == tr.Root {
 					want = 1
 				}
-				if p, ok := tr.Path(tp, src, dst); !ok || len(p) != want {
+				if p, ok := treePath(tr, tp, src, dst); !ok || len(p) != want {
 					t.Errorf("tree %d path %v->%v = %v, %v; want %d hops", i, src, dst, p, ok, want)
 				}
 			}

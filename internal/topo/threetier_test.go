@@ -45,7 +45,7 @@ func TestTreesCoverAllLeafPairs(t *testing.T) {
 				if tp.PodOf(src) == tp.PodOf(dst) {
 					want = 2
 				}
-				if p, ok := tr.Path(tp, src, dst); !ok || len(p) != want {
+				if p, ok := treePath(tr, tp, src, dst); !ok || len(p) != want {
 					t.Fatalf("tree %d path %v->%v = %v, %v; want %d links", tr.Index, src, dst, p, ok, want)
 				}
 			}

@@ -421,19 +421,22 @@ func (tr Tree) NextLink(from, dstLeaf NodeID) (LinkID, bool) {
 	return lid, ok
 }
 
-// Path walks the tree from srcLeaf to dstLeaf and returns the links it
-// crosses, in order; ok is false when the tree does not connect the
-// two. A leaf reaches itself by the empty path, which is how the lone
-// switch's routeless tree is usable.
-func (tr Tree) Path(t *Topology, srcLeaf, dstLeaf NodeID) ([]LinkID, bool) {
-	var path []LinkID
-	for at := srcLeaf; at != dstLeaf; {
+// Walk walks the tree from srcLeaf to dstLeaf, calling visit (unless
+// nil) on each link it crosses, in order, and returns how many it
+// crossed; ok is false when the tree does not connect the two (visit
+// may have seen a prefix). A leaf reaches itself by the empty walk,
+// which is how the lone switch's routeless tree is usable. Walk does
+// not allocate.
+func (tr Tree) Walk(t *Topology, srcLeaf, dstLeaf NodeID, visit func(LinkID)) (hops int, ok bool) {
+	for at := srcLeaf; at != dstLeaf; hops++ {
 		lid, ok := tr.NextLink(at, dstLeaf)
-		if !ok || len(path) == len(t.Nodes) {
-			return nil, false
+		if !ok || hops == len(t.Nodes) {
+			return hops, false
 		}
-		path = append(path, lid)
+		if visit != nil {
+			visit(lid)
+		}
 		at = t.Links[lid].Other(at)
 	}
-	return path, true
+	return hops, true
 }

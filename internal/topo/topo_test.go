@@ -7,6 +7,13 @@ import (
 	"presto/internal/packet"
 )
 
+// treePath collects the links tr.Walk crosses from src to dst.
+func treePath(tr Tree, tp *Topology, src, dst NodeID) ([]LinkID, bool) {
+	var path []LinkID
+	_, ok := tr.Walk(tp, src, dst, func(lid LinkID) { path = append(path, lid) })
+	return path, ok
+}
+
 func TestTwoTierClosShape(t *testing.T) {
 	// The paper's testbed: 4 spines, 4 leaves, 4 hosts per leaf.
 	tp := TwoTierClos(4, 4, 4, 1, LinkConfig{})
@@ -96,7 +103,7 @@ func TestPathsCount(t *testing.T) {
 		tp := TwoTierClos(c.spines, 2, 2, c.gamma, LinkConfig{})
 		distinct := map[[2]LinkID]bool{}
 		for _, tr := range tp.Trees() {
-			p, ok := tr.Path(tp, tp.Leaves[0], tp.Leaves[1])
+			p, ok := treePath(tr, tp, tp.Leaves[0], tp.Leaves[1])
 			if !ok || len(p) != 2 {
 				t.Fatalf("spines=%d gamma=%d tree %d: cross-leaf path %v, want 2 links", c.spines, c.gamma, tr.Index, p)
 			}
@@ -111,7 +118,7 @@ func TestPathsCount(t *testing.T) {
 func TestPathsSameLeaf(t *testing.T) {
 	tp := TwoTierClos(4, 2, 4, 1, LinkConfig{})
 	for _, tr := range tp.Trees() {
-		if p, ok := tr.Path(tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
+		if p, ok := treePath(tr, tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
 			t.Fatalf("tree %d same-leaf path = %v, %v; want empty and usable", tr.Index, p, ok)
 		}
 	}
@@ -129,7 +136,7 @@ func TestSingleSwitch(t *testing.T) {
 	if len(trees) != 1 || trees[0].Root != tp.Leaves[0] {
 		t.Fatalf("single switch should have 1 routeless tree at the switch, got %v", trees)
 	}
-	if p, ok := trees[0].Path(tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
+	if p, ok := treePath(trees[0], tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
 		t.Fatalf("routeless tree path = %v, %v; want empty and usable", p, ok)
 	}
 }
@@ -164,7 +171,7 @@ func TestPathsWellFormedProperty(t *testing.T) {
 		src := tp.Leaves[int(srcRaw)%len(tp.Leaves)]
 		dst := tp.Leaves[int(dstRaw)%len(tp.Leaves)]
 		for _, tr := range tp.Trees() {
-			p, ok := tr.Path(tp, src, dst)
+			p, ok := treePath(tr, tp, src, dst)
 			if !ok {
 				return false
 			}
