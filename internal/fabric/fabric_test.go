@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -288,6 +289,30 @@ func TestHopGuardDropsLoops(t *testing.T) {
 	if n.TotalHopDrops() == 0 {
 		t.Fatal("loop guard did not trigger")
 	}
+}
+
+// TestInstallLabelOffSwitchPanics: a label installed on a link that does
+// not touch the switch fails at install, naming the switch, the link and
+// the label, and installs nothing.
+func TestInstallLabelOffSwitchPanics(t *testing.T) {
+	_, n, _ := testNet(t, 2, 2, 2)
+	leaf := n.Topo.Leaves[0]
+	far := n.Topo.HostLink(3)
+	if n.Topo.LeafOf(3) == leaf {
+		t.Fatal("setup: host 3 is attached to leaf 0")
+	}
+	label := packet.ShadowMAC(3, 0)
+	defer func() {
+		msg, _ := recover().(string)
+		want := fmt.Sprintf("switch %d: label %v installed on link %d", leaf, label, far)
+		if !strings.Contains(msg, want) {
+			t.Fatalf("InstallLabel panicked with %q, want it to name %q", msg, want)
+		}
+		if c := n.Switch(leaf).LabelCount(); c != 0 {
+			t.Fatalf("%d labels installed after the refused install", c)
+		}
+	}()
+	n.Switch(leaf).InstallLabel(label, far)
 }
 
 func TestBandwidthSharing(t *testing.T) {

@@ -40,9 +40,12 @@ type Pipe struct {
 	queuedWire int            // wire bytes currently queued (excluding in-service)
 	queue      packet.Ring    // waiting packets
 	tx         *packet.Packet // the packet being serialised; nil when the link is idle
-	down       bool
-	txDoneFn   func()
-	arriveFn   func(any)
+	// down is the link's state, set and cleared by the same FailLink and
+	// RestoreLink calls as Network.linkDownSince: the label fast path
+	// reads it from the pipe it enqueues on instead of LinkUp.
+	down     bool
+	txDoneFn func()
+	arriveFn func(any)
 
 	// Counters (switch-counter analogues; loss rate in the paper is
 	// measured from these).

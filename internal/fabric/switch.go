@@ -1,6 +1,8 @@
 package fabric
 
 import (
+	"fmt"
+
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -20,7 +22,7 @@ type Switch struct {
 	eng  *sim.Engine    // engine of this switch's shard
 	ctr  *shardCounters // aggregate bucket of this switch's shard
 
-	// labels maps shadow-MAC and tunnel labels to egress links, installed
+	// labels maps shadow-MAC and tunnel labels to egress pipes, installed
 	// by the controller (§3.1: "installs the relevant forwarding rules").
 	labels labelTable
 	// numTrees is the number of allocated spanning trees, used to
@@ -62,7 +64,9 @@ func (s *Switch) nextLinksTo(dst topo.NodeID) []topo.LinkID {
 // labelTable is a switch's exact-match label table. A label is (kind,
 // tree, host | leaf), so the per-hop lookup indexes and hashes nothing:
 // rows[2*tree+kind] grows to the highest host (shadow MACs) or leaf
-// (tunnel MACs) installed on that tree, noEgress where nothing is.
+// (tunnel MACs) installed on that tree, noEgress where nothing is. An
+// entry is the egress pipe's index in Network.pipes (2·LinkID +
+// direction), resolved at install, so a forward reads no link table.
 type labelTable struct {
 	rows [][]int32
 	n    int // installed entries
@@ -82,16 +86,16 @@ func labelIndex(m packet.MAC) (row, id int) {
 }
 
 //prestolint:noalloc
-func (t *labelTable) get(m packet.MAC) (topo.LinkID, bool) {
+func (t *labelTable) get(m packet.MAC) (pipe int32, ok bool) {
 	r, id := labelIndex(m)
 	if r < 0 || r >= len(t.rows) || id >= len(t.rows[r]) {
 		return 0, false
 	}
 	e := t.rows[r][id]
-	return topo.LinkID(e), e != noEgress
+	return e, e != noEgress
 }
 
-func (t *labelTable) set(m packet.MAC, egress topo.LinkID) {
+func (t *labelTable) set(m packet.MAC, pipe int32) {
 	r, id := labelIndex(m)
 	if r < 0 {
 		panic("fabric: InstallLabel with a MAC that is not a label: " + m.String())
@@ -105,12 +109,21 @@ func (t *labelTable) set(m packet.MAC, egress topo.LinkID) {
 	if t.rows[r][id] == noEgress {
 		t.n++
 	}
-	t.rows[r][id] = int32(egress)
+	t.rows[r][id] = pipe
 }
 
-// InstallLabel adds (or replaces) a label's forwarding entry.
+// InstallLabel adds (or replaces) a label's forwarding entry. egress
+// must be a link of this switch; any other panics here, not at the
+// label's first forward.
 func (s *Switch) InstallLabel(label packet.MAC, egress topo.LinkID) {
-	s.labels.set(label, egress)
+	for i, p := range s.net.linkPipes(egress) {
+		if p.from == s.node.ID {
+			s.labels.set(label, 2*int32(egress)+int32(i))
+			return
+		}
+	}
+	panic(fmt.Sprintf("fabric: switch %d: label %v installed on link %d, which does not touch the switch",
+		s.node.ID, label, egress))
 }
 
 // SetNumTrees tells the switch how many trees exist (for backup-tree
@@ -122,7 +135,8 @@ func (s *Switch) LabelCount() int { return s.labels.n }
 
 // Egress returns the installed egress link for label, if any.
 func (s *Switch) Egress(label packet.MAC) (topo.LinkID, bool) {
-	return s.labels.get(label)
+	pipe, ok := s.labels.get(label)
+	return topo.LinkID(pipe / 2), ok
 }
 
 //prestolint:noalloc
@@ -163,12 +177,13 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		s.enqueue(s.net.Topo.HostLink(p.Flow.Dst.Host), p)
 		return
 	}
-	egress, ok := s.labels.get(p.DstMAC)
-	if ok {
-		if s.net.LinkUp(egress) {
-			s.enqueue(egress, p)
+	if i, ok := s.labels.get(p.DstMAC); ok {
+		pipe := s.net.pipes[i] // pipe.down is LinkUp without the lookup (see Pipe.down)
+		if !pipe.down {
+			pipe.Enqueue(p)
 			return
 		}
+		egress := pipe.link.ID
 		if s.net.failoverActive(egress, s.eng.Now()) && s.rewriteToBackupTree(p) {
 			s.FailoverRewrites++
 			s.net.tracer.FailoverSwitch(s.eng.Now(), int32(s.node.ID), int32(egress), p.DstMAC.ShadowTree())
@@ -178,7 +193,7 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		// Link down, failover not yet active (or no backup): black hole,
 		// exactly what happens on hardware before the failover rule
 		// fires.
-		s.enqueue(egress, p)
+		pipe.Enqueue(p)
 		return
 	}
 	// No entry: this switch is not on the label's tree. This only
@@ -238,7 +253,7 @@ func (s *Switch) rewriteToBackupTree(p *packet.Packet) bool {
 	for i := 1; i < s.numTrees; i++ {
 		t := (cur + i) % s.numTrees
 		label := relabel(t)
-		if e, ok := s.labels.get(label); ok && s.net.LinkUp(e) {
+		if i, ok := s.labels.get(label); ok && !s.net.pipes[i].down {
 			p.DstMAC = label
 			return true
 		}

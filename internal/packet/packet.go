@@ -204,37 +204,47 @@ type SackBlock struct {
 // is valid until the handler it was passed to returns, after which the
 // fabric may have recycled it through a Pool. Keep a Clone, not the
 // pointer.
+//
+// Layout: the first 64 bytes hold exactly what every hop reads — the
+// MACs, flags, the flow key, sequence numbers, flowcell ID, payload
+// length and hop count — so a pipe's dequeue and a switch's forward
+// touch one cache line. The end host's fields follow, padded to 128
+// bytes (TestPacketHotFieldsShareOneLine pins both).
 type Packet struct {
 	// L2: DstMAC carries the shadow-MAC label while in the fabric; the
 	// destination vSwitch rewrites it back to the real MAC.
 	SrcMAC, DstMAC MAC
 
-	// L3/L4.
-	Flow    FlowKey
-	Seq     uint32 // first payload byte, or probe/control seq
-	Ack     uint32 // cumulative ACK (valid if FlagACK)
-	Flags   Flags
-	Sack    []SackBlock
-	Payload int // TCP payload bytes in this packet
+	Flags Flags
+	// CE is the ECN Congestion Experienced mark, set by switches whose
+	// queue exceeds the marking threshold (DCTCP support).
+	CE      bool
+	Retrans bool // retransmitted data (pushed up GRO immediately; not on the wire)
+	Probe   bool // single-packet RTT probe (sockperf-like; not on the wire)
+	pooled  bool // on a Pool's free list; only there to catch a second Put
 
+	// L3/L4.
+	Flow FlowKey
+	Seq  uint32 // first payload byte, or probe/control seq
+	Ack  uint32 // cumulative ACK (valid if FlagACK)
 	// FlowcellID is the sequentially increasing flowcell number assigned
 	// by the sending vSwitch (TCP option in the paper's implementation).
 	FlowcellID uint32
+	Payload    int // TCP payload bytes in this packet
+	Hops       int // number of switch hops taken, for loop detection (not on the wire)
 
-	// CE is the ECN Congestion Experienced mark, set by switches whose
-	// queue exceeds the marking threshold (DCTCP support).
-	CE bool
+	// Second cache line: read at the end hosts only.
+	Sack []SackBlock
 	// EchoCE/EchoTotal ride on ACKs: the receiver's cumulative CE and
 	// total data-packet counts (the simulator's condensed form of
 	// DCTCP's per-ACK ECE echo state machine).
 	EchoCE, EchoTotal uint64
+	SentAt            sim.Time // transmit timestamp for RTT estimation (not on the wire)
 
-	// Bookkeeping (not on the wire).
-	SentAt  sim.Time // transmit timestamp for RTT estimation
-	Retrans bool     // retransmitted data (pushed up GRO immediately)
-	Probe   bool     // single-packet RTT probe (sockperf-like)
-	pooled  bool     // on a Pool's free list; only there to catch a second Put
-	Hops    int      // number of switch hops taken, for loop detection
+	// The fields above fill 112 bytes, a size class of their own: packets
+	// would sit at a 112-byte stride and most would straddle cache lines.
+	// Padded to 128, every packet starts on a line.
+	_ [16]byte
 }
 
 // WireSize returns the bytes this packet occupies on the wire,

@@ -3,7 +3,37 @@ package packet
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
+
+// TestPacketHotFieldsShareOneLine pins Packet's layout: the fields every
+// hop reads end within the first 64 bytes, and the packet is exactly 128
+// bytes, its allocation size class, so it starts on a cache line. A new
+// field must not split the hot line or change the size class.
+func TestPacketHotFieldsShareOneLine(t *testing.T) {
+	var p Packet
+	hot := []struct {
+		name      string
+		off, size uintptr
+	}{
+		{"DstMAC", unsafe.Offsetof(p.DstMAC), unsafe.Sizeof(p.DstMAC)},
+		{"Flags", unsafe.Offsetof(p.Flags), unsafe.Sizeof(p.Flags)},
+		{"Flow", unsafe.Offsetof(p.Flow), unsafe.Sizeof(p.Flow)},
+		{"Seq", unsafe.Offsetof(p.Seq), unsafe.Sizeof(p.Seq)},
+		{"Ack", unsafe.Offsetof(p.Ack), unsafe.Sizeof(p.Ack)},
+		{"FlowcellID", unsafe.Offsetof(p.FlowcellID), unsafe.Sizeof(p.FlowcellID)},
+		{"Payload", unsafe.Offsetof(p.Payload), unsafe.Sizeof(p.Payload)},
+		{"Hops", unsafe.Offsetof(p.Hops), unsafe.Sizeof(p.Hops)},
+	}
+	for _, f := range hot {
+		if f.off+f.size > 64 {
+			t.Errorf("Packet.%s ends at byte %d, outside the first cache line", f.name, f.off+f.size)
+		}
+	}
+	if n := unsafe.Sizeof(p); n != 128 {
+		t.Errorf("unsafe.Sizeof(Packet{}) = %d, want 128", n)
+	}
+}
 
 func TestHostMACRoundTrip(t *testing.T) {
 	for _, h := range []HostID{0, 1, 15, 255, 70000} {

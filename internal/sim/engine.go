@@ -15,15 +15,17 @@
 // the slot index, queued in a fixed-delay FIFO lane when the delay is one
 // the engine keeps seeing (see the lanes section), otherwise in an
 // intrusive 4-ary min-heap; dispatch pops the earliest of the heap top
-// and the lane heads. Nothing is boxed or seen by the garbage collector,
-// and the sift loops compare contiguous memory, touching the arena only
-// to write pos. Arena invariants, for future editors:
+// and the lane heads, whose keys are mirrored in one array. Nothing is
+// boxed or seen by the garbage collector, and the sift loops compare
+// contiguous memory, touching the arena only to write pos. Arena
+// invariants, for future editors:
 //
 //   - A slot is in exactly one of two states: queued (pos >= 0: an index
 //     into heap, or into lanes[lane].cells when lane >= 0) or free (on
 //     the free list, pos == -1, callback zero).
 //   - The key lives in the cell only; whoever changes a queued event's
-//     key (rekey) writes the cell found through (lane, pos), not the slot.
+//     key (rekey) writes the cell found through (lane, pos), not the slot
+//     — and heads[lane] too when the cell is its lane's head.
 //   - EventID carries the slot's generation at allocation time. Every
 //     release increments the generation, so a stale EventID — one whose
 //     event fired, was canceled, or whose slot was reused — can never
@@ -135,9 +137,12 @@ type Engine struct {
 	arena []eventSlot
 	free  int32      // head of the free-slot list, -1 when empty
 	heap  []heapCell // 4-ary min-heap ordered by (at, seq)
-	// Fixed-delay lanes (see the lanes section): laneDelay[i] is the delay
-	// lane i serves, cand counts sightings of lane-less delays, live counts
-	// queued events, heap and lanes together, tombstones excluded.
+	// Fixed-delay lanes (see the lanes section): heads[i] is a copy of
+	// lane i's head cell, or emptyHead, so earliest reads 8 contiguous
+	// keys; laneDelay[i] is the delay lane i serves, cand counts sightings
+	// of lane-less delays, live counts queued events, heap and lanes
+	// together, tombstones excluded.
+	heads     [maxLanes]heapCell
 	lanes     [maxLanes]lane
 	laneDelay [maxLanes]Time
 	cand      [1 << laneCandidateBits]laneCandidate
@@ -163,7 +168,11 @@ type Engine struct {
 
 // NewEngine returns an Engine with the clock at zero.
 func NewEngine() *Engine {
-	return &Engine{free: -1}
+	e := &Engine{free: -1}
+	for i := range e.heads {
+		e.heads[i] = emptyHead
+	}
+	return e
 }
 
 // Now returns the current simulated time.
@@ -256,7 +265,7 @@ func (e *Engine) Cancel(id EventID) bool {
 		return false
 	}
 	if s.lane >= 0 {
-		e.laneRemove(&e.lanes[s.lane], s.pos)
+		e.laneRemove(int(s.lane), s.pos)
 	} else {
 		e.heapRemove(s.pos)
 	}
@@ -348,8 +357,7 @@ func (e *Engine) take(top heapCell, src int) callback {
 	cb := e.arena[top.slot].cb
 	e.now = top.at
 	if src >= 0 {
-		l := &e.lanes[src]
-		e.laneRemove(l, l.head)
+		e.laneRemove(src, e.lanes[src].head)
 	} else {
 		e.heapPopMin()
 	}
@@ -416,7 +424,11 @@ func (e *Engine) rekey(id EventID, seq uint64) {
 		return
 	}
 	if s.lane >= 0 {
-		e.lanes[s.lane].cells[s.pos].seq = seq
+		l := &e.lanes[s.lane]
+		l.cells[s.pos].seq = seq
+		if s.pos == l.head {
+			e.heads[s.lane].seq = seq
+		}
 	} else {
 		e.heap[s.pos].seq = seq
 	}
@@ -460,6 +472,12 @@ func (e *Engine) insertKeyed(li int, at Time, seq uint64, cb callback) int32 {
 // is always live — or by compaction once the dead outnumber the living.
 // Timer.Reset at a constant delay (the RTO, on every ACK) is a cancel
 // mid-ring plus a push: one dead cell per ACK otherwise.
+//
+// heads[i] mirrors lane i's head cell (emptyHead when the lane is
+// empty), so dispatch compares keys in one array instead of chasing each
+// lane's ring. The head changes only when a push lands in an empty lane
+// (lanePush), a removal drops it (laneRemove) and when rekey rewrites it;
+// compaction and growth move the head cell but never change it.
 
 const (
 	// maxLanes bounds the heads every dispatch compares. Elephant runs
@@ -482,6 +500,10 @@ type lane struct {
 	cells         []heapCell
 	head, n, dead int32
 }
+
+// emptyHead is heads[i] for an empty lane: later than any event, so
+// earliest never picks it.
+var emptyHead = heapCell{at: never, seq: 1<<64 - 1, slot: -1}
 
 // laneCandidate counts sightings of one lane-less delay.
 type laneCandidate struct {
@@ -536,6 +558,9 @@ func (e *Engine) lanePush(li int, c heapCell) {
 	}
 	pos := (l.head + l.n) & mask
 	l.cells[pos] = c
+	if l.n == 0 {
+		e.heads[li] = c
+	}
 	l.n++
 	s := &e.arena[c.slot]
 	s.pos, s.lane = pos, int8(li)
@@ -548,7 +573,8 @@ func (e *Engine) lanePush(li int, c heapCell) {
 // the last compaction pay for the next.
 //
 //prestolint:noalloc
-func (e *Engine) laneRemove(l *lane, pos int32) {
+func (e *Engine) laneRemove(li int, pos int32) {
+	l := &e.lanes[li]
 	l.cells[pos].slot = -1
 	l.dead++
 	for mask := int32(len(l.cells) - 1); l.n > 0 && l.cells[l.head].slot < 0; l.head = (l.head + 1) & mask {
@@ -557,6 +583,10 @@ func (e *Engine) laneRemove(l *lane, pos int32) {
 	}
 	if l.dead > l.n-l.dead {
 		e.laneRepack(l, l.cells, l.head)
+	}
+	e.heads[li] = emptyHead
+	if l.n > 0 {
+		e.heads[li] = l.cells[l.head]
 	}
 }
 
@@ -585,15 +615,13 @@ func (e *Engine) laneRepack(l *lane, dst []heapCell, start int32) {
 //
 //prestolint:noalloc
 func (e *Engine) earliest() (best heapCell, src int) {
-	best, src = heapCell{at: never, seq: 1<<64 - 1}, inHeap
+	best, src = emptyHead, inHeap
 	if len(e.heap) > 0 {
 		best = e.heap[0]
 	}
-	for i := range e.lanes {
-		if l := &e.lanes[i]; l.n > 0 {
-			if c := &l.cells[l.head]; c.before(&best) {
-				best, src = *c, i
-			}
+	for i := range e.heads {
+		if c := &e.heads[i]; c.before(&best) {
+			best, src = *c, i
 		}
 	}
 	return best, src

@@ -310,7 +310,7 @@ func FuzzEngineHeapOrder(f *testing.F) {
 	}
 	f.Add(long)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		got := driveScript(data, realScript{NewEngine()})
+		got := driveScript(data, realScript{NewEngine(), t})
 		want := driveScript(data, refScript{&refEngine{}})
 		if len(got) != len(want) {
 			t.Fatalf("logged %d values, reference logged %d", len(got), len(want))

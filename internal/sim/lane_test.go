@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -10,6 +11,21 @@ func laneOf(e *Engine, d Time) *lane {
 	for i := range e.laneDelay {
 		if e.laneDelay[i] == d {
 			return &e.lanes[i]
+		}
+	}
+	return nil
+}
+
+// checkHeads verifies the dispatch invariant: heads[i] is lane i's head
+// cell, live, or emptyHead when the lane is empty.
+func checkHeads(e *Engine) error {
+	for i := range e.lanes {
+		l, want := &e.lanes[i], emptyHead
+		if l.n > 0 {
+			want = l.cells[l.head]
+		}
+		if e.heads[i] != want || (l.n > 0 && want.slot < 0) {
+			return fmt.Errorf("lane %d: heads[%d] = %+v, head cell %+v of %d", i, i, e.heads[i], want, l.n)
 		}
 	}
 	return nil
@@ -180,8 +196,9 @@ func TestLanePushOutOfOrderPanics(t *testing.T) {
 // reference through a branching workload on three recurring delays —
 // thousands of events pending, one firing in three canceling a random
 // earlier event — so lane rings grow while wrapped, with tombstones
-// inside, and are compacted many times. The fuzz target covers the
-// API's corners; this covers depth.
+// inside, and are compacted many times; the lane heads are checked at
+// every tick. The fuzz target covers the API's corners; this covers
+// depth.
 func TestLanesMatchReferenceAtDepth(t *testing.T) {
 	run := func(q scriptEngine) []int64 {
 		rng := NewRNG(7)
@@ -192,6 +209,7 @@ func TestLanesMatchReferenceAtDepth(t *testing.T) {
 		)
 		grow := func() { events = append(events, q.schedule(fuzzDelays[2+rng.Intn(3)], tick)) }
 		tick = func() {
+			q.check()
 			log = append(log, int64(q.Now()), int64(q.Pending()))
 			for k := 0; k < 2 && len(events) < 20_000; k++ {
 				grow()
@@ -207,7 +225,7 @@ func TestLanesMatchReferenceAtDepth(t *testing.T) {
 		return append(log, int64(q.ran()))
 	}
 	e := NewEngine()
-	got, want := run(realScript{e}), run(refScript{&refEngine{}})
+	got, want := run(realScript{e, t}), run(refScript{&refEngine{}})
 	if len(got) != len(want) {
 		t.Fatalf("logged %d values, reference %d", len(got), len(want))
 	}
@@ -228,28 +246,39 @@ func TestLanesMatchReferenceAtDepth(t *testing.T) {
 }
 
 // TestBarrierRekeysLaneCells is TestShardGroupSameInstantTieBreak with
-// the local event queued in a lane: its provisional seq is below the
-// handoff's true one, so "handoff, local" holds only if the barrier's
-// rekey reaches the lane cell through the slot.
+// the local events queued in a lane: their provisional seqs are below
+// the handoff's true one, so "handoff, local, local2" holds only if the
+// barrier's rekey reaches the lane cells through their slots. The first
+// Run ends at the barrier after the window that scheduled them, whose
+// fixup rekeys local — by then its lane's head (the lane's earlier
+// cells fired in that window) — and local2 behind it: the heads entry
+// and a mid-ring cell are both rewritten.
 func TestBarrierRekeysLaneCells(t *testing.T) {
 	g := NewShardGroup(2, 100, 1)
-	earnLane(t, g.Shard(1), 90)
-	var order []string
+	e := g.Shard(1)
+	earnLane(t, e, 90)
+	var (
+		order []string
+		local EventID
+	)
 	g.Shard(0).Schedule(10, func() {
 		g.Shard(0).Schedule(100, func() {})
 		g.Send(g.Shard(0), 1, 100, func() { order = append(order, "handoff") })
 	})
-	inLane := false
-	g.Shard(1).Schedule(20, func() {
-		id := g.Shard(1).Schedule(90, func() { order = append(order, "local") })
-		inLane = g.Shard(1).arena[id.slot].lane >= 0
+	e.Schedule(20, func() {
+		local = e.Schedule(90, func() { order = append(order, "local") })
+		e.Schedule(90, func() { order = append(order, "local2") })
 	})
-	g.RunAll()
-	if !inLane {
-		t.Fatal("setup: the local event was not queued in a lane")
+	g.Run(100)
+	if s := &e.arena[local.slot]; s.lane < 0 || s.pos != e.lanes[s.lane].head {
+		t.Fatal("setup: the rekeyed local event is not at its lane's head")
 	}
-	if len(order) != 2 || order[0] != "handoff" || order[1] != "local" {
-		t.Fatalf("same-instant order = %v, want [handoff local]", order)
+	if err := checkHeads(e); err != nil {
+		t.Fatalf("after the rekey: %v", err)
+	}
+	g.RunAll()
+	if len(order) != 3 || order[0] != "handoff" || order[1] != "local" || order[2] != "local2" {
+		t.Fatalf("same-instant order = %v, want [handoff local local2]", order)
 	}
 }
 

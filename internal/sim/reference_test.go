@@ -1,6 +1,9 @@
 package sim
 
-import "container/heap"
+import (
+	"container/heap"
+	"testing"
+)
 
 // This file is the event queue's differential oracle: the engine the
 // repository seeded with — one container/heap binary heap ordered by
@@ -158,9 +161,15 @@ type scriptEngine interface {
 	Now() Time
 	Pending() int
 	ran() uint64
+	// check asserts the engine's internal invariants between steps.
+	check()
 }
 
-type realScript struct{ *Engine }
+// realScript drives the real engine and fails t when checkHeads does.
+type realScript struct {
+	*Engine
+	t testing.TB
+}
 
 func (r realScript) event(id EventID) scriptEvent {
 	return scriptEvent{
@@ -172,6 +181,11 @@ func (r realScript) schedule(d Time, fn func()) scriptEvent { return r.event(r.S
 func (r realScript) at(t Time, fn func()) scriptEvent       { return r.event(r.At(t, fn)) }
 func (r realScript) timer(fn func()) scriptTimer            { return NewTimer(r.Engine, fn) }
 func (r realScript) ran() uint64                            { return r.Executed }
+func (r realScript) check() {
+	if err := checkHeads(r.Engine); err != nil {
+		r.t.Fatal(err)
+	}
+}
 
 type refScript struct{ *refEngine }
 
@@ -186,6 +200,7 @@ func (r refScript) at(t Time, fn func()) scriptEvent       { return r.event(r.At
 func (r refScript) timer(fn func()) scriptTimer            { return &refTimer{e: r.refEngine, fn: fn} }
 func (r refScript) Now() Time                              { return r.now }
 func (r refScript) ran() uint64                            { return r.executed }
+func (r refScript) check()                                 {}
 
 // fuzzDelays is the small set of delays scripts mostly draw from, so
 // that each recurs often enough to earn a lane and the lanes fill: the
@@ -213,7 +228,8 @@ func b2i(b bool) int64 {
 // zero and negative delays, absolute times in the past — cancel the
 // oldest, the newest or an arbitrary earlier event (a lane's head, tail
 // or middle), storm Timer.Reset at one constant delay, and Stop the run
-// from inside, after which the driver resumes it.
+// from inside, after which the driver resumes it. The engine's invariants
+// are checked after every step and every run.
 func driveScript(data []byte, q scriptEngine) []int64 {
 	pos := 0
 	next := func() int {
@@ -280,6 +296,7 @@ func driveScript(data []byte, q scriptEngine) []int64 {
 			t := timers[arg&3]
 			log = append(log, -3, b2i(t.Armed()), b2i(t.Stop()), b2i(t.Armed()), int64(q.Pending()))
 		}
+		q.check()
 	}
 	mk = func() func() {
 		l := label
@@ -296,9 +313,11 @@ func driveScript(data []byte, q scriptEngine) []int64 {
 		step()
 	}
 	log = append(log, -4, int64(q.Run(Time(next())*100)), int64(q.Now()), int64(q.Pending()), int64(q.ran()))
+	q.check()
 	// At most 8 Stops, so the queue drains within 9 more runs.
 	for i := 0; i < 9 && q.Pending() > 0; i++ {
 		log = append(log, -5, int64(q.RunAll()), int64(q.Now()), int64(q.Pending()), int64(q.ran()))
+		q.check()
 	}
 	return log
 }
