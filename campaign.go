@@ -24,10 +24,10 @@ import (
 
 // scaleSystems are the four systems the scalability, oversubscription,
 // and workload sweeps compare (the paper's §4 lineup).
-var scaleSystems = []System{SysECMP, SysMPTCP, SysPresto, SysOptimal}
+var scaleSystems = []string{"ecmp", "mptcp", "presto", "optimal"}
 
 // clos3 is the lineup of figures that have no Optimal column.
-var clos3 = []System{SysECMP, SysMPTCP, SysPresto}
+var clos3 = []string{"ecmp", "mptcp", "presto"}
 
 // experiments maps experiment ID → rows, in render order.
 var experiments = []struct {
@@ -57,10 +57,10 @@ var experiments = []struct {
 		return fabricSweep("fig12", "flows", []int{2, 4, 8}, clos3, OversubTopo)
 	}},
 	{"fig13", "Flowlet switching vs Presto (stride)", func() []Cell {
-		return presetSweep("fig13", []string{"stride"}, []System{SysFlowlet100, SysFlowlet500, SysPresto}, 0)
+		return presetSweep("fig13", []string{"stride"}, []string{"flowlet100", "flowlet500", "presto"}, 0)
 	}},
 	{"fig14", "Presto shadow-MAC vs Presto+ECMP (stride)", func() []Cell {
-		return presetSweep("fig14", []string{"stride"}, []System{SysPrestoECMP, SysPresto}, 0)
+		return presetSweep("fig14", []string{"stride"}, []string{"presto-ecmp", "presto"}, 0)
 	}},
 	{"fig15", "Elephant throughput across workloads", func() []Cell {
 		return presetSweep("fig15", []string{"shuffle", "random", "stride", "bijection"}, scaleSystems, 0)
@@ -69,7 +69,7 @@ var experiments = []struct {
 		return presetSweep("fig16", []string{"stride", "bijection", "shuffle"}, scaleSystems, 0)
 	}},
 	{"table1", "Trace-driven mice FCT (normalized to ECMP)", func() []Cell {
-		return presetSweep("table1", []string{"trace-mix"}, []System{SysECMP, SysOptimal, SysPresto}, traceDrain)
+		return presetSweep("table1", []string{"trace-mix"}, []string{"ecmp", "optimal", "presto"}, traceDrain)
 	}},
 	{"table2", "North-south cross traffic: east-west mice FCT", func() []Cell {
 		return presetSweep("table2", []string{"north-south"}, scaleSystems, 0)
@@ -80,7 +80,7 @@ var experiments = []struct {
 	{"fig18", "Failure handling: RTT per stage (bijection)", func() []Cell { return failoverCells("fig18", []string{"bijection"}) }},
 	{"ablations", "Design-choice ablations (flowcell size, GRO alpha, buffers, DCTCP, tunnels)", ablationCells},
 	{"podtraffic", "Pod-scale cross-pod elephants on a 3-tier Clos (honors -shards)", func() []Cell {
-		return []Cell{PodCell(SysECMP, 4, 2), PodCell(SysPresto, 4, 2)}
+		return []Cell{podCell(paper("ecmp"), 4, 2), podCell(paper("presto"), 4, 2)}
 	}},
 	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return matrixCells(nil) }},
 }
@@ -160,7 +160,7 @@ func Campaign(req campaign.Request, perRun *telemetry.Registry, cells ...Cell) (
 	traced.Telemetry = perRun
 	for _, cell := range cells {
 		if cell.shardable && opt.Shards > 1 {
-			if _, err := cell.start(opt); err != nil { // dry run: build and compile only
+			if _, _, err := cell.Start(opt); err != nil { // dry run: build and compile only
 				return nil, err
 			}
 		}
@@ -185,7 +185,7 @@ func RunOptions(req campaign.Request) Options {
 // experiment table, naming spec after it and adding the selection's
 // identity params.
 func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err error) {
-	systems, err := parseSystems(req.Scheme)
+	systems, err := lookupSchemes(req.Scheme)
 	if err != nil {
 		return nil, err
 	}
@@ -200,10 +200,12 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 			return nil, fmt.Errorf("workload: %w", err)
 		}
 		if systems == nil {
-			systems = scaleSystems
+			for _, name := range scaleSystems {
+				systems = append(systems, paper(name))
+			}
 		}
 		for _, sys := range systems {
-			cells = append(cells, SpecCell(sys, ws))
+			cells = append(cells, specCell(sys, ws))
 		}
 		// The spec hash is recorded both per cell and as a campaign
 		// param, so the campaign hash — and any golden gate — pins the
@@ -214,13 +216,15 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 		if sel != "scheme-matrix" {
 			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
 		}
+		var specs []string
 		for _, sys := range systems {
 			if sys.optimal {
-				return nil, fmt.Errorf("scheme-matrix varies the topology itself; %v is a topology baseline, not a scheme", sys)
+				return nil, fmt.Errorf("scheme-matrix varies the topology itself; %s is a topology baseline, not a scheme", sys.display)
 			}
+			specs = append(specs, sys.spec)
 		}
 		spec.Name, spec.Params["schemes"] = fmt.Sprintf("scheme-matrix/%d-schemes", len(systems)), fmt.Sprint(len(systems))
-		return matrixCells(systems), nil
+		return matrixCells(specs), nil
 	case sel == "":
 		return nil, fmt.Errorf(`select experiments (e.g. "fig7" or "all") or give a workload (spec, preset name, or spec path)`)
 	}
@@ -251,15 +255,15 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 	return cells, nil
 }
 
-// parseSystems resolves a comma-separated system list through
-// ParseSystem; "" in, nil out.
-func parseSystems(list string) ([]System, error) {
-	var systems []System
+// lookupSchemes resolves a comma-separated scheme list through
+// lookupScheme; "" in, nil out.
+func lookupSchemes(list string) ([]lineupRow, error) {
+	var systems []lineupRow
 	for _, s := range strings.Split(list, ",") {
 		if s = strings.TrimSpace(s); s == "" {
 			continue
 		}
-		sys, err := ParseSystem(s)
+		sys, err := lookupScheme(s)
 		if err != nil {
 			return nil, err
 		}
@@ -268,16 +272,26 @@ func parseSystems(list string) ([]System, error) {
 	return systems, nil
 }
 
-// SpecCell is a workload spec on one system on the testbed, measured
-// like every -workload run: throughput, loss, probe RTT, the FCT of
-// every sized flow, and per-client outcomes. The cell carries the
-// spec hash, so artifacts key on the exact workload.
-func SpecCell(sys System, ws *wspec.Spec) Cell {
+// SpecCell is a workload spec under the named scheme (a lineup
+// spelling or a registry spec) on the testbed, measured like every
+// -workload run: throughput, loss, probe RTT, the FCT of every sized
+// flow, and per-client outcomes. The cell carries the spec hash, so
+// artifacts key on the exact workload.
+func SpecCell(name string, ws *wspec.Spec) (Cell, error) {
+	sys, err := lookupScheme(name)
+	if err != nil {
+		return Cell{}, err
+	}
+	return specCell(sys, ws), nil
+}
+
+func specCell(sys lineupRow, ws *wspec.Spec) Cell {
 	return Cell{
 		Experiment: "workload-spec",
-		ID:         fmt.Sprintf("workload-spec/wl=%s/sys=%v", ws.Name, sys),
-		System:     sys,
+		ID:         fmt.Sprintf("workload-spec/wl=%s/sys=%s", ws.Name, sys.display),
+		Scheme:     sys.spec,
 		Workload:   ws,
+		optimal:    sys.optimal,
 		probes:     true,
 		observe:    clientDetail,
 		shardable:  true,
@@ -286,19 +300,28 @@ func SpecCell(sys System, ws *wspec.Spec) Cell {
 }
 
 // PodCell drives one cross-pod elephant per host (each host sends to
-// the same-position host one pod over) on a pod-based 3-tier Clos —
-// the datacenter-scale pattern the sharded engine exists for. Any
-// Options.Shards produces bit-identical results, so the knob only
-// trades wall-clock time.
-func PodCell(sys System, pods, hostsPerLeaf int) Cell {
+// the same-position host one pod over) on a pod-based 3-tier Clos,
+// under the named scheme — the datacenter-scale pattern the sharded
+// engine exists for. Any Options.Shards produces bit-identical
+// results, so the knob only trades wall-clock time.
+func PodCell(name string, pods, hostsPerLeaf int) (Cell, error) {
+	sys, err := lookupScheme(name)
+	if err != nil {
+		return Cell{}, err
+	}
+	return podCell(sys, pods, hostsPerLeaf), nil
+}
+
+func podCell(sys lineupRow, pods, hostsPerLeaf int) Cell {
 	ws := preset("podtraffic")
 	ws.Clients[0].Select.Stride = 2 * hostsPerLeaf // hosts per pod
 	return Cell{
 		Experiment: "podtraffic",
-		ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%v", pods, sys),
-		System:     sys,
+		ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%s", pods, sys.display),
+		Scheme:     sys.spec,
 		Topo:       func() *topo.Topology { return PodTopo(pods, hostsPerLeaf) },
 		Workload:   ws,
+		optimal:    sys.optimal,
 		observe:    podLoad,
 		shardable:  true,
 	}
@@ -347,8 +370,8 @@ func fig1Cells() []Cell {
 		cells = append(cells, Cell{
 			Experiment: "fig1",
 			ID:         fmt.Sprintf("fig1/competing=%d", competing),
-			System:     SysFlowlet500,
-			Topo:       func() *topo.Topology { return OptimalTopo(hosts) },
+			Scheme:     "flowlet:gap=500us",
+			Topo:       func() *topo.Topology { return topo.SingleSwitch(hosts, topo.LinkConfig{}) },
 			Workload: elephants(background, &wspec.Client{
 				ID:      "transfer",
 				Arrival: wspec.Arrival{Process: wspec.ProcOnce},
@@ -363,11 +386,11 @@ func fig1Cells() []Cell {
 
 // groCell runs elephants over pairs on tp through the given receive
 // offload, measured like Figure 5.
-func groCell(id string, sys System, tp func() *topo.Topology, pairs [][2]int, kind cluster.GROKind) Cell {
+func groCell(id, spec string, tp func() *topo.Topology, pairs [][2]int, kind cluster.GROKind) Cell {
 	return Cell{
 		Experiment: "fig5",
 		ID:         id,
-		System:     sys,
+		Scheme:     spec,
 		Topo:       tp,
 		Workload:   elephants(pairs, nil),
 		config:     groConfig(kind),
@@ -380,8 +403,8 @@ func groCell(id string, sys System, tp func() *topo.Topology, pairs [][2]int, ki
 func fig5Cells() []Cell {
 	tp := func() *topo.Topology { return OversubTopo(2) }
 	return []Cell{
-		groCell("fig5/gro=official", SysPresto, tp, leafToLeaf(2), cluster.GROOfficial),
-		groCell("fig5/gro=presto", SysPresto, tp, leafToLeaf(2), cluster.GROPresto),
+		groCell("fig5/gro=official", "presto", tp, leafToLeaf(2), cluster.GROOfficial),
+		groCell("fig5/gro=presto", "presto", tp, leafToLeaf(2), cluster.GROPresto),
 	}
 }
 
@@ -389,16 +412,17 @@ func fig5Cells() []Cell {
 // Gbps at 100% CPU): one elephant with GRO disabled at the receiver.
 // It is not part of any campaign.
 func GRODisabledCell() Cell {
-	return groCell("gro=none", SysECMP, func() *topo.Topology { return OptimalTopo(2) }, [][2]int{{0, 1}}, cluster.GRONone)
+	return groCell("gro=none", "ecmp", func() *topo.Topology { return topo.SingleSwitch(2, topo.LinkConfig{}) }, [][2]int{{0, 1}}, cluster.GRONone)
 }
 
 // fig6Cells: stride at line rate; Presto (spraying + Presto GRO on the
 // Clos) versus official GRO with no reordering (same stride on the
 // non-blocking switch).
 func fig6Cells() []Cell {
+	opt := paper("optimal")
 	return []Cell{
-		{Experiment: "fig6", ID: "fig6/gro=official", System: SysOptimal, Workload: preset("elephants"), observe: cpuOverhead},
-		{Experiment: "fig6", ID: "fig6/gro=presto", System: SysPresto, Workload: preset("elephants"), observe: cpuOverhead},
+		{Experiment: "fig6", ID: "fig6/gro=official", Scheme: opt.spec, optimal: opt.optimal, Workload: preset("elephants"), observe: cpuOverhead},
+		{Experiment: "fig6", ID: "fig6/gro=presto", Scheme: "presto", Workload: preset("elephants"), observe: cpuOverhead},
 	}
 }
 
@@ -416,7 +440,7 @@ func leafToLeaf(n int) [][2]int {
 // leaf-to-leaf elephants on tp(n) under every system, with RTT probes
 // and switch loss counters. An empty label leaves the point out of the
 // cell IDs (the single-point RTT figures).
-func fabricSweep(exp, label string, points []int, systems []System, tp func(int) *topo.Topology) []Cell {
+func fabricSweep(exp, label string, points []int, systems []string, tp func(int) *topo.Topology) []Cell {
 	var cells []Cell
 	for _, n := range points {
 		prefix := exp
@@ -424,13 +448,15 @@ func fabricSweep(exp, label string, points []int, systems []System, tp func(int)
 			prefix = fmt.Sprintf("%s/%s=%d", exp, label, n)
 		}
 		ws := elephants(leafToLeaf(n), nil)
-		for _, sys := range systems {
+		for _, name := range systems {
+			sys := paper(name)
 			cells = append(cells, Cell{
 				Experiment: exp,
-				ID:         fmt.Sprintf("%s/sys=%v", prefix, sys),
-				System:     sys,
+				ID:         fmt.Sprintf("%s/sys=%s", prefix, sys.display),
+				Scheme:     sys.spec,
 				Topo:       func() *topo.Topology { return tp(n) },
 				Workload:   ws,
+				optimal:    sys.optimal,
 				probes:     true,
 			})
 		}
@@ -441,7 +467,7 @@ func fabricSweep(exp, label string, points []int, systems []System, tp func(int)
 // presetSweep runs named workload presets on the testbed under every
 // system with the paper's size-split measurement. A single workload
 // stays out of the cell IDs.
-func presetSweep(exp string, workloads []string, systems []System, drain sim.Time) []Cell {
+func presetSweep(exp string, workloads, systems []string, drain sim.Time) []Cell {
 	var cells []Cell
 	for _, wl := range workloads {
 		prefix := exp
@@ -449,12 +475,14 @@ func presetSweep(exp string, workloads []string, systems []System, drain sim.Tim
 			prefix = exp + "/wl=" + wl
 		}
 		ws := preset(wl)
-		for _, sys := range systems {
+		for _, name := range systems {
+			sys := paper(name)
 			cells = append(cells, Cell{
 				Experiment: exp,
-				ID:         fmt.Sprintf("%s/sys=%v", prefix, sys),
-				System:     sys,
+				ID:         fmt.Sprintf("%s/sys=%s", prefix, sys.display),
+				Scheme:     sys.spec,
 				Workload:   ws,
+				optimal:    sys.optimal,
 				probes:     true,
 				observe:    sizeSplit(drain),
 			})
@@ -483,7 +511,7 @@ func failoverCells(exp string, workloads []string) []Cell {
 		cells = append(cells, Cell{
 			Experiment: exp,
 			ID:         exp + "/wl=" + wl,
-			System:     SysPresto,
+			Scheme:     "presto",
 			Workload:   ws,
 			probes:     true,
 			observe:    failover,
@@ -496,23 +524,21 @@ func failoverCells(exp string, workloads []string) []Cell {
 // stride workload under Presto.
 func ablationCells() []Cell {
 	var cells []Cell
-	add := func(id string, config func(*cluster.Config), extra func(*cluster.Cluster, campaign.Values)) {
+	add := func(id, spec string, config func(*cluster.Config), extra func(*cluster.Cluster, campaign.Values)) {
 		cells = append(cells, Cell{
 			Experiment: "ablations",
 			ID:         "ablations/" + id,
-			System:     SysPresto,
+			Scheme:     spec,
 			Workload:   preset("elephants"),
 			config:     config,
 			observe:    ablation(extra),
 		})
 	}
 	for _, kb := range []int{16, 32, 64, 128, 256} {
-		add(fmt.Sprintf("flowcell_kb=%d", kb), func(cfg *cluster.Config) {
-			cfg.SchemeParams = map[string]string{"cell": fmt.Sprintf("%dKB", kb)}
-		}, nil)
+		add(fmt.Sprintf("flowcell_kb=%d", kb), fmt.Sprintf("presto:cell=%dKB", kb), nil, nil)
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
-		add(fmt.Sprintf("gro_alpha=%g", a),
+		add(fmt.Sprintf("gro_alpha=%g", a), "presto",
 			func(cfg *cluster.Config) { cfg.GROConfig = gro.PrestoConfig{Alpha: a} },
 			func(c *cluster.Cluster, v campaign.Values) {
 				var fires uint64
@@ -523,12 +549,12 @@ func ablationCells() []Cell {
 			})
 	}
 	for _, kb := range []int{256, 512, 2048, 8192} {
-		add(fmt.Sprintf("buffer_kb=%d", kb),
+		add(fmt.Sprintf("buffer_kb=%d", kb), "presto",
 			func(cfg *cluster.Config) { cfg.Fabric = fabric.Config{SwitchQueueBytes: kb << 10} },
 			func(c *cluster.Cluster, v campaign.Values) { v["loss_pct"] = c.Net.LossRate() * 100 })
 	}
 	for _, cc := range []string{"cubic", "reno", "dctcp"} {
-		add("cc="+cc, func(cfg *cluster.Config) {
+		add("cc="+cc, "presto", func(cfg *cluster.Config) {
 			cfg.TCP = tcp.Config{CC: cc}
 			if cc == "dctcp" {
 				cfg.Fabric = fabric.Config{ECNThresholdBytes: 200 << 10}
@@ -540,7 +566,7 @@ func ablationCells() []Cell {
 		if tunnel {
 			name = "tunnel"
 		}
-		add("labels="+name,
+		add("labels="+name, "presto",
 			func(cfg *cluster.Config) { cfg.Ctrl.TunnelMode = tunnel },
 			func(c *cluster.Cluster, v campaign.Values) {
 				rules := 0
@@ -574,26 +600,24 @@ var matrixTopos = []struct {
 	{"mesh", func() *topo.Topology { return topo.LeafMesh(4, 4, topo.LinkConfig{}) }},
 }
 
-// matrixCells builds the grid for the given systems; nil means every
-// registered scheme with default parameters, in sorted registry order.
-// A cell is named by the canonical spec its system runs, so a
+// matrixCells builds the grid for the given canonical scheme specs;
+// nil means every registered scheme with default parameters, in sorted
+// registry order. A cell is named by the spec it runs, so a
 // re-parameterised scheme ("presto:cell=16KB") gets its own IDs — they
 // are part of the golden-gate contract, so the format is frozen.
-func matrixCells(systems []System) []Cell {
-	if systems == nil {
-		for _, n := range scheme.Names() {
-			systems = append(systems, System{scheme: n})
-		}
+func matrixCells(specs []string) []Cell {
+	if specs == nil {
+		specs = scheme.Names()
 	}
 	var cells []Cell
-	for _, sys := range systems {
+	for _, spec := range specs {
 		for _, wl := range matrixWorkloads {
 			ws := preset(wl)
 			for _, mt := range matrixTopos {
 				cells = append(cells, Cell{
 					Experiment: "scheme-matrix",
-					ID:         fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", sys.Spec(), wl, mt.name),
-					System:     sys,
+					ID:         fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", spec, wl, mt.name),
+					Scheme:     spec,
 					Topo:       mt.build,
 					Workload:   ws,
 					probes:     true,

@@ -140,15 +140,15 @@ func TestCampaignExperimentIDs(t *testing.T) {
 	}
 }
 
-// TestOneSystemNameTable checks every door resolves a system name the
-// same way: each paper name (and a registry spec with a parameter)
-// given as `experiments -workload elephants -scheme NAME` flags, as a
-// prestod JSON job, and as `prestosim -system NAME` lands on the same
-// cell — ParseSystem's.
-func TestOneSystemNameTable(t *testing.T) {
+// TestOneSchemeNameTable checks every door resolves a scheme name the
+// same way: each lineup spelling (and a registry spec with a
+// parameter) given as `experiments -workload elephants -scheme NAME`
+// flags, as a prestod JSON job, and as `prestosim -system NAME` lands
+// on the same cell — SpecCell's.
+func TestOneSchemeNameTable(t *testing.T) {
 	names := []string{"diffflow:threshold=512KB", "OPTIMAL"}
-	for name := range paperSystems {
-		names = append(names, name)
+	for _, row := range lineup {
+		names = append(names, row.name)
 	}
 	ws, err := wspec.Preset("elephants")
 	if err != nil {
@@ -172,11 +172,11 @@ func TestOneSystemNameTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("JSON, %s: %v", name, err)
 		}
-		sys, err := ParseSystem(name)
+		cell, err := SpecCell(name, ws)
 		if err != nil {
-			t.Fatalf("ParseSystem(%s): %v", name, err)
+			t.Fatalf("SpecCell(%s): %v", name, err)
 		}
-		want := SpecCell(sys, ws).ID // what prestosim -system NAME runs
+		want := cell.ID // what prestosim -system NAME runs
 		if len(fromFlags.Cells) != 1 || fromFlags.Cells[0].ID != want || fromWire.Cells[0].ID != want || fromFlags.Hash() != fromWire.Hash() {
 			t.Errorf("%s: flags → %s (%s), JSON → %s (%s), prestosim → %s", name,
 				fromFlags.Cells[0].ID, fromFlags.Hash(), fromWire.Cells[0].ID, fromWire.Hash(), want)

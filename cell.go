@@ -8,13 +8,14 @@ import (
 	"presto/internal/cluster"
 	"presto/internal/metrics"
 	"presto/internal/packet"
+	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
 	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
 
-// Cell is one row of the experiment table: a system on a topology
+// Cell is one row of the experiment table: a scheme on a topology
 // under a workload spec, observed by a measurement set. Every paper
 // figure, scheme-matrix cell, -workload sweep, pod-scale run and
 // prestod job is a list of Cells, and Run is the one path that
@@ -23,14 +24,17 @@ type Cell struct {
 	// Experiment and ID name the cell in campaigns ("fig7",
 	// "fig7/paths=4/sys=Presto"); IDs are the golden-gate contract.
 	Experiment, ID string
-	System         System
-	// Topo builds the fabric (nil = Testbed). The Optimal system swaps
-	// in one non-blocking switch with the same host count, and a
-	// workload with north-south clients gets one 100 Mbps remote user
-	// per spine.
+	// Scheme is the canonical registry spec the cell runs
+	// ("flowlet:gap=100us").
+	Scheme string
+	// Topo builds the fabric (nil = Testbed). A workload with
+	// north-south clients gets one 100 Mbps remote user per spine.
 	Topo func() *topo.Topology
 	// Workload is the traffic, always a declarative spec.
 	Workload *wspec.Spec
+	// optimal runs the cell on topo.SingleSwitchOf its fabric: the
+	// paper's Optimal baseline, set only by the lineup's optimal row.
+	optimal bool
 
 	// The measurement set. probes starts sockperf-style RTT probers
 	// over the server stride pairs (i, i+N/2); they are serial-only and
@@ -51,8 +55,7 @@ type Cell struct {
 
 // LoadResult is the output of one cell run.
 type LoadResult struct {
-	System System
-	Seed   uint64 // the RNG seed the run used (replay: pass it back via Options.Seed)
+	Seed uint64 // the RNG seed the run used (replay: pass it back via Options.Seed)
 	// Shards is the number of engine shards the run actually used;
 	// Hosts the topology's host count.
 	Shards, Hosts int
@@ -83,7 +86,6 @@ type LoadResult struct {
 // run is a started cell: the cluster, its traffic, and its probers,
 // handed to the cell's observe.
 type run struct {
-	cell    Cell
 	opt     Options
 	c       *cluster.Cluster
 	g       *wspec.Generator
@@ -100,21 +102,13 @@ func (cell Cell) topology() *topo.Topology {
 		build = Testbed
 	}
 	tp := build()
-	remotes := len(tp.Spines)
-	if cell.System.optimal {
-		tp = topo.SingleSwitch(tp.NumHosts(), topo.LinkConfig{})
-	}
-	if !cell.Workload.NeedsRemotes() {
-		return tp
-	}
-	if cell.System.optimal {
-		for i := 0; i < remotes; i++ {
-			tp.MarkRemote(tp.AddLeafHost(tp.Leaves[0], 100e6, 5*sim.Microsecond))
+	if cell.Workload.NeedsRemotes() {
+		for _, s := range tp.Spines {
+			tp.AddSpineHost(s, 100e6, 5*sim.Microsecond)
 		}
-		return tp
 	}
-	for _, s := range tp.Spines {
-		tp.AddSpineHost(s, 100e6, 5*sim.Microsecond)
+	if cell.optimal {
+		tp = topo.SingleSwitchOf(tp)
 	}
 	return tp
 }
@@ -131,22 +125,28 @@ func (cell Cell) shards(opt Options, tp *topo.Topology) int {
 // ShardsUsed returns the engine shard count Run will use under opt.
 func (cell Cell) ShardsUsed(opt Options) int { return cell.shards(opt, cell.topology()) }
 
-// start builds the cell's cluster under opt and compiles the workload
-// onto it. Campaign calls it on its own as a dry run, so a workload
-// that cannot run on the requested shards is rejected with Compile's
-// field-path error when the campaign is built.
-func (cell Cell) start(opt Options) (*run, error) {
+// Start builds the cell's cluster under opt and compiles the workload
+// onto it, leaving both unstarted — the one place a (scheme, topology,
+// workload) triple becomes a cluster. Run drives what it returns;
+// Campaign calls it on its own as a dry run, so a workload that cannot
+// run on the requested shards is rejected with Compile's field-path
+// error when the campaign is built.
+func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) {
+	name, params, err := scheme.ParseSpec(cell.Scheme)
+	if err != nil {
+		return nil, nil, err
+	}
 	tp := cell.topology()
 	cfg := cluster.Config{
 		Topology:     tp,
 		Seed:         opt.Seed,
 		Telemetry:    opt.Telemetry,
-		Scheme:       cluster.Scheme(cell.System.scheme),
-		SchemeParams: cell.System.SchemeParams(),
+		Scheme:       cluster.Scheme(name),
+		SchemeParams: params,
 		Shards:       cell.shards(opt, tp),
 	}
 	if cfg.Shards > 1 && cfg.Telemetry != nil {
-		return nil, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
+		return nil, nil, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
 	}
 	if cell.config != nil {
 		cell.config(&cfg)
@@ -154,9 +154,9 @@ func (cell Cell) start(opt Options) (*run, error) {
 	c := cluster.New(cfg)
 	g, err := wspec.Compile(cell.Workload, c, opt.Seed)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return &run{cell: cell, opt: opt, c: c, g: g}, nil
+	return c, g, nil
 }
 
 // Run executes the cell: build the cluster, compile the workload onto
@@ -165,11 +165,11 @@ func (cell Cell) start(opt Options) (*run, error) {
 // this repository outside the benchmark harness goes through here.
 func (cell Cell) Run(opt Options) (LoadResult, error) {
 	opt.fill()
-	r, err := cell.start(opt)
+	c, g, err := cell.Start(opt)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	c, g := r.c, r.g
+	r := &run{opt: opt, c: c, g: g}
 	if cell.probes && c.Shards() == 1 {
 		n := g.Servers()
 		for i := 0; i < n; i++ {
@@ -221,7 +221,6 @@ func (r *run) until() sim.Time { return r.opt.Warmup + r.opt.Duration }
 func (r *run) harvest() LoadResult {
 	c, now := r.c, r.c.Now()
 	res := LoadResult{
-		System:    r.cell.System,
 		Seed:      r.opt.Seed,
 		Shards:    c.Shards(),
 		Hosts:     c.Topo.NumHosts(),

@@ -27,7 +27,6 @@ import (
 
 	"presto"
 	"presto/internal/campaign"
-	"presto/internal/cluster"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -66,25 +65,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return code
 	}
 
-	sys, err := presto.ParseSystem(req.Scheme)
-	if err != nil {
-		return fail(2, err)
-	}
 	ws, err := wspec.ResolveJSON(req.Workload)
 	if err != nil {
 		return fail(1, fmt.Errorf("workload: %w", err))
 	}
-	opt := presto.RunOptions(req)
-	tp := topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{})
-	if sys.Optimal() {
-		tp = presto.OptimalTopo(tp.NumHosts())
+	// The cluster is the one a workload cell would run, on a 2-spine,
+	// 2-leaf, 4-host fabric.
+	cell, err := presto.SpecCell(req.Scheme, ws)
+	if err != nil {
+		return fail(2, err)
 	}
-	c := cluster.New(cluster.Config{
-		Topology:     tp,
-		Seed:         opt.Seed,
-		Scheme:       cluster.Scheme(sys.SchemeName()),
-		SchemeParams: sys.SchemeParams(),
-	})
+	cell.Topo = func() *topo.Topology { return topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{}) }
+	opt := presto.RunOptions(req)
+	c, g, err := cell.Start(opt)
+	if err != nil {
+		return fail(1, err)
+	}
 
 	// Packet tap at host 2 feeding the pcap writer, only when -out is
 	// set. The writer serializes the packet before the tap returns, so
@@ -104,10 +100,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		})
 	}
 
-	g, err := wspec.Compile(ws, c, opt.Seed)
-	if err != nil {
-		return fail(1, err)
-	}
 	var starts []wspec.FlowStart
 	if *flows != "" {
 		g.OnFlowStart = func(f wspec.FlowStart) { starts = append(starts, f) }

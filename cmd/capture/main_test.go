@@ -85,6 +85,23 @@ func TestCapturePcapOut(t *testing.T) {
 	}
 }
 
+// TestCaptureNorthSouth runs the north-south preset, whose clients
+// need remote users: capture's cluster is the cell's, so it gets one
+// remote user per spine, and under Optimal the single-switch rebuild
+// keeps them.
+func TestCaptureNorthSouth(t *testing.T) {
+	for _, sys := range []string{"ecmp", "optimal"} {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-workload", "north-south", "-system", sys, "-duration", "2ms", "-flows", ""}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("-system %s: capture exited %d:\n%s", sys, code, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "workload north-south (spec ") {
+			t.Errorf("-system %s: header missing the workload:\n%s", sys, stdout.String())
+		}
+	}
+}
+
 // TestCaptureUsageErrors checks the exit-code contract: bad flags and
 // system names are usage errors (2), a bad workload a run error (1).
 func TestCaptureUsageErrors(t *testing.T) {

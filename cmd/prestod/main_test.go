@@ -165,7 +165,7 @@ func TestRequestFlagParity(t *testing.T) {
 // TestFrontDoorsAgree sends one request through every front door and
 // requires the same spec hash and byte-equal results. A workload swept
 // over a paper name, a registry name and a param override (the scheme
-// list every door resolves through presto.ParseSystem) goes through
+// list every door resolves through presto's one lineup table) goes through
 // `experiments` flags, a prestod JSON job submitted and fetched with
 // `prestoctl`, and — for its Presto cell — `prestosim -seeds 2`, whose
 // envelope lines must equal the report's cell rendered the same way.

@@ -66,22 +66,26 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
-	sys, err := presto.ParseSystem(req.Scheme)
+	var (
+		cell presto.Cell
+		err  error
+	)
+	if string(req.Workload) == `"podtraffic"` {
+		cell, err = presto.PodCell(req.Scheme, *pods, *hostsLeaf)
+	} else {
+		ws, werr := wspec.ResolveJSON(req.Workload)
+		if werr != nil {
+			return fmt.Errorf("workload %s is neither a preset (%s) nor a workload spec: %v", req.Workload, strings.Join(wspec.PresetNames(), " | "), werr)
+		}
+		cell, err = presto.SpecCell(req.Scheme, ws)
+	}
 	if err != nil {
 		return err
 	}
-	var cell presto.Cell
-	if string(req.Workload) == `"podtraffic"` {
-		cell = presto.PodCell(sys, *pods, *hostsLeaf)
-	} else {
-		ws, err := wspec.ResolveJSON(req.Workload)
-		if err != nil {
-			return fmt.Errorf("workload %s is neither a preset (%s) nor a workload spec: %v", req.Workload, strings.Join(wspec.PresetNames(), " | "), err)
-		}
-		cell = presto.SpecCell(sys, ws)
-	}
-	// The header names the spec and its hash, so runs are attributable
-	// to an exact workload definition.
+	// The header names the system as the cell ID does ("Presto",
+	// "diffflow:threshold=512KB") and the spec with its hash, so runs
+	// are attributable to an exact workload definition.
+	_, sys, _ := strings.Cut(cell.ID, "/sys=")
 	workload := fmt.Sprintf("%s(spec %s)", cell.Workload.Name, cell.Workload.Hash())
 
 	stop, err := diag.Start()

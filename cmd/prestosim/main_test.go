@@ -9,17 +9,24 @@ import (
 	"testing"
 
 	"presto"
+	wspec "presto/internal/workload/spec"
 )
 
+// TestParseSystemAll resolves every -system name through the entry
+// point run uses, presto.SpecCell, and checks a bogus one is refused.
 func TestParseSystemAll(t *testing.T) {
+	ws, err := wspec.Preset("stride")
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, s := range []string{"ecmp", "mptcp", "presto", "optimal", "flowlet100",
 		"flowlet500", "presto-ecmp", "per-packet"} {
-		if _, err := presto.ParseSystem(s); err != nil {
-			t.Errorf("ParseSystem(%q): %v", s, err)
+		if _, err := presto.SpecCell(s, ws); err != nil {
+			t.Errorf("SpecCell(%q): %v", s, err)
 		}
 	}
-	if _, err := presto.ParseSystem("bogus"); err == nil {
-		t.Error("ParseSystem accepted bogus system")
+	if _, err := presto.SpecCell("bogus", ws); err == nil {
+		t.Error("SpecCell accepted bogus system")
 	}
 }
 

@@ -29,9 +29,16 @@ func main() {
 	}
 
 	fmt.Printf("workload %s (spec %s) on a 4-spine/4-leaf/16-host 10G Clos:\n", ws.Name, ws.Hash())
-	for _, sys := range []presto.System{presto.SysECMP, presto.SysPresto, presto.SysOptimal} {
+	// Scheme names are case-insensitive; these spellings are the ones
+	// cell IDs and the paper's tables use.
+	for _, sys := range []string{"ECMP", "Presto", "Optimal"} {
 		start := time.Now()
-		r, err := presto.SpecCell(sys, ws).Run(opt)
+		cell, err := presto.SpecCell(sys, ws)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		r, err := cell.Run(opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)

@@ -32,10 +32,14 @@ func main() {
 		Warmup:   30 * sim.Millisecond,
 		Duration: 250 * sim.Millisecond,
 	}
-	systems := []presto.System{presto.SysECMP, presto.SysPresto, presto.SysOptimal}
-	results := make(map[presto.System]presto.LoadResult)
-	for _, sys := range systems {
-		r, err := presto.SpecCell(sys, ws).Run(opt)
+	results := make(map[string]presto.LoadResult)
+	for _, sys := range []string{"ecmp", "presto", "optimal"} {
+		cell, err := presto.SpecCell(sys, ws)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		r, err := cell.Run(opt)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
@@ -43,18 +47,18 @@ func main() {
 		results[sys] = r
 	}
 
-	base := results[presto.SysECMP].FCT
+	base := results["ecmp"].FCT
 	fmt.Printf("flow completion time, workload %s (spec %s):\n", ws.Name, ws.Hash())
 	fmt.Printf("%-12s %10s %10s %10s\n", "percentile", "ECMP(ms)", "Presto", "Optimal")
 	for _, p := range []float64{50, 90, 99, 99.9} {
 		b := base.Percentile(p)
-		rel := func(sys presto.System) string {
+		rel := func(sys string) string {
 			if b <= 0 {
 				return "n/a"
 			}
 			return fmt.Sprintf("%+.0f%%", (results[sys].FCT.Percentile(p)/b-1)*100)
 		}
-		fmt.Printf("%-12g %10.3f %10s %10s\n", p, b, rel(presto.SysPresto), rel(presto.SysOptimal))
+		fmt.Printf("%-12g %10.3f %10s %10s\n", p, b, rel("presto"), rel("optimal"))
 	}
 	fmt.Println("\n(paper, Table 1: Presto cuts the 99th/99.9th percentile by 56%/60%)")
 }

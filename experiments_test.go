@@ -2,6 +2,7 @@ package presto
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"presto/internal/cluster"
@@ -79,8 +80,8 @@ func TestScalabilityECMPLagsPresto(t *testing.T) {
 }
 
 func TestOversubscriptionAllSchemesProgress(t *testing.T) {
-	for _, sys := range []System{SysECMP, SysPresto, SysOptimal} {
-		r := runFigure(t, fmt.Sprintf("fig10/flows=4/sys=%v", sys), fastOpt(3))
+	for _, sys := range []string{"ECMP", "Presto", "Optimal"} {
+		r := runFigure(t, "fig10/flows=4/sys="+sys, fastOpt(3))
 		// 4 flows over 2 spines: per-flow ~5 Gbps at best.
 		if r.MeanTput < 1.5 {
 			t.Errorf("%v: %.2f Gbps under 2:1 oversubscription", sys, r.MeanTput)
@@ -210,15 +211,38 @@ func TestGRODisabledWall(t *testing.T) {
 	}
 }
 
-func TestSystemStrings(t *testing.T) {
-	for sys, want := range map[System]string{
-		SysECMP: "ECMP", SysMPTCP: "MPTCP", SysPresto: "Presto",
-		SysOptimal: "Optimal", SysFlowlet100: "Flowlet-100us",
-		SysFlowlet500: "Flowlet-500us", SysPrestoECMP: "Presto+ECMP",
-		SysPerPacket: "PerPacket",
+// TestLineupSpellings pins each scheme name a front door accepts to
+// the sys= segment of its cell IDs (the golden-gate contract) and the
+// canonical registry spec it runs; only "optimal" rebuilds the fabric
+// as one switch.
+func TestLineupSpellings(t *testing.T) {
+	ws := preset("elephants")
+	for _, tc := range []struct{ name, id, spec string }{
+		{"ecmp", "ECMP", "ecmp"},
+		{"mptcp", "MPTCP", "mptcp"},
+		{"presto", "Presto", "presto"},
+		{"Presto", "Presto", "presto"},
+		{"optimal", "Optimal", "ecmp"},
+		{"OPTIMAL", "Optimal", "ecmp"},
+		{"flowlet100", "Flowlet-100us", "flowlet:gap=100us"},
+		{"flowlet500", "Flowlet-500us", "flowlet:gap=500us"},
+		{"presto-ecmp", "Presto+ECMP", "presto-ecmp"},
+		{"prestoecmp", "Presto+ECMP", "presto-ecmp"},
+		{"per-packet", "PerPacket", "per-packet"},
+		{"perpacket", "PerPacket", "per-packet"},
+		{"flowlet:gap=100us", "flowlet:gap=100us", "flowlet:gap=100us"},
+		{"presto:cell=32KB", "presto:cell=32KB", "presto:cell=32KB"},
+		{"diffflow:cell=32KB, threshold=512KB", "diffflow:cell=32KB,threshold=512KB", "diffflow:cell=32KB,threshold=512KB"},
 	} {
-		if sys.String() != want {
-			t.Errorf("%s -> %q", sys.SchemeName(), sys.String())
+		cell, err := SpecCell(tc.name, ws)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if want := "workload-spec/wl=elephants/sys=" + tc.id; cell.ID != want || cell.Scheme != tc.spec {
+			t.Errorf("%s: ID %q, scheme %q; want %q, %q", tc.name, cell.ID, cell.Scheme, want, tc.spec)
+		}
+		if cell.optimal != strings.EqualFold(tc.name, "optimal") {
+			t.Errorf("%s: optimal = %v", tc.name, cell.optimal)
 		}
 	}
 }

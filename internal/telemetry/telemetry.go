@@ -167,7 +167,7 @@ const DefaultEventLimit = 1 << 21
 // into Dropped.
 //
 // A Tracer is not safe for concurrent use. Telemetry therefore needs a
-// one-shard cluster: cluster.New panics, and Cell.start returns an
+// one-shard cluster: cluster.New panics, and Cell.Start returns an
 // error, when a tracer is attached to a run with Shards > 1.
 type Tracer struct {
 	limit   int

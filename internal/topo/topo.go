@@ -177,8 +177,7 @@ func (t *Topology) SpineAttached(h packet.HostID) bool {
 }
 
 // AddLeafHost attaches an extra host to a leaf switch with a custom
-// link speed (e.g. 100 Mbps WAN-limited users on the Optimal
-// single-switch baseline of Table 2). Returns the new host's ID.
+// link speed. Returns the new host's ID.
 func (t *Topology) AddLeafHost(leaf NodeID, bps int64, prop sim.Time) packet.HostID {
 	if t.Nodes[leaf].Kind != KindLeaf {
 		panic("topo: AddLeafHost requires a leaf node")
@@ -212,7 +211,7 @@ func (t *Topology) AddSpineHost(spine NodeID, bps int64, prop sim.Time) packet.H
 
 // MarkRemote flags host h as a remote user (excluded from server
 // workloads). AddSpineHost does this automatically; leaf-attached
-// users (the Optimal north-south baseline) need it explicitly.
+// users need it explicitly.
 func (t *Topology) MarkRemote(h packet.HostID) { t.Nodes[t.Hosts[h]].Remote = true }
 
 // IsRemote reports whether host h is a marked remote user.
@@ -301,16 +300,36 @@ func SingleSwitch(hosts int, cfg LinkConfig) *Topology {
 		panic("topo: SingleSwitch needs at least one host")
 	}
 	cfg.fill()
+	t, sw := newSingleSwitch()
+	for i := 0; i < hosts; i++ {
+		t.attachHost(sw, cfg.HostBitsPerSec, cfg.HostProp)
+	}
+	return t
+}
+
+// SingleSwitchOf rebuilds t as the Optimal baseline: every host of t,
+// in HostID order, on one non-blocking switch, each keeping its own
+// access-link speed and propagation delay and its remote mark.
+func SingleSwitchOf(t *Topology) *Topology {
+	s, sw := newSingleSwitch()
+	for h, n := range t.Hosts {
+		l := t.Links[t.hostLink[h]]
+		s.attachHost(sw, l.BitsPerSec, l.Propagation)
+		s.Nodes[s.Hosts[h]].Remote = t.Nodes[n].Remote
+	}
+	return s
+}
+
+// newSingleSwitch returns a topology of one switch (a single leaf, one
+// pod) with no hosts yet.
+func newSingleSwitch() (*Topology, NodeID) {
 	t := newTopology()
 	t.Gamma = 1
 	t.NumPods = 1
-	leaf := t.addNode(KindLeaf, "SW", -1)
-	t.Nodes[leaf].Pod = 0
-	t.Leaves = append(t.Leaves, leaf)
-	for i := 0; i < hosts; i++ {
-		t.attachHost(leaf, cfg.HostBitsPerSec, cfg.HostProp)
-	}
-	return t
+	sw := t.addNode(KindLeaf, "SW", -1)
+	t.Nodes[sw].Pod = 0
+	t.Leaves = append(t.Leaves, sw)
+	return t, sw
 }
 
 // Tree is one spanning tree of the fabric (§3.1): the switches it

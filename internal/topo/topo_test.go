@@ -1,10 +1,12 @@
 package topo
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
 	"presto/internal/packet"
+	"presto/internal/sim"
 )
 
 // treePath collects the links tr.Walk crosses from src to dst.
@@ -138,6 +140,40 @@ func TestSingleSwitch(t *testing.T) {
 	}
 	if p, ok := treePath(trees[0], tp, tp.Leaves[0], tp.Leaves[0]); !ok || len(p) != 0 {
 		t.Fatalf("routeless tree path = %v, %v; want empty and usable", p, ok)
+	}
+}
+
+// TestSingleSwitchOf pins the Optimal rebuild to the construction it
+// replaced: a SingleSwitch with the fabric's server count, plus one
+// leaf-attached, remote-marked 100 Mbps user per spine when the
+// fabric carries north-south users. The two must be deeply equal,
+// unexported maps included, on every fabric shape.
+func TestSingleSwitchOf(t *testing.T) {
+	fabrics := []struct {
+		name  string
+		build func() *Topology
+	}{
+		{"clos-4-4-4", func() *Topology { return TwoTierClos(4, 4, 4, 1, LinkConfig{}) }},
+		{"clos-2-2-4", func() *Topology { return TwoTierClos(2, 2, 4, 1, LinkConfig{}) }},
+		{"clos-8-2-8", func() *Topology { return TwoTierClos(8, 2, 8, 1, LinkConfig{}) }},
+		{"threetier-4-2-2-2", func() *Topology { return ThreeTierClos(4, 2, 2, 2, LinkConfig{}) }},
+		{"mesh-4-4", func() *Topology { return LeafMesh(4, 4, LinkConfig{}) }},
+	}
+	const remoteBps, remoteProp = 100e6, 5 * sim.Microsecond
+	for _, f := range fabrics {
+		for _, remotes := range []bool{false, true} {
+			fabric := f.build()
+			want := SingleSwitch(fabric.NumHosts(), LinkConfig{})
+			if remotes {
+				for _, s := range fabric.Spines {
+					fabric.AddSpineHost(s, remoteBps, remoteProp)
+					want.MarkRemote(want.AddLeafHost(want.Leaves[0], remoteBps, remoteProp))
+				}
+			}
+			if got := SingleSwitchOf(fabric); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s (remotes %v): SingleSwitchOf differs from SingleSwitch plus leaf-attached remotes", f.name, remotes)
+			}
+		}
 	}
 }
 

@@ -218,7 +218,11 @@ func TestProbersCollect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := presto.SpecCell(presto.SysPresto, ws).Run(presto.Options{
+	cell, err := presto.SpecCell("presto", ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cell.Run(presto.Options{
 		Seed: 7, Warmup: 5 * sim.Millisecond, Duration: 15 * sim.Millisecond,
 	})
 	if err != nil {

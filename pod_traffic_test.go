@@ -12,8 +12,8 @@ import (
 // equal results — down to float bit patterns — for every shard count.
 func TestRunPodTrafficShardedMatchesSerial(t *testing.T) {
 	opt := Options{Seed: 11, Warmup: 2 * sim.Millisecond, Duration: 5 * sim.Millisecond}
-	for _, sys := range []System{SysPresto, SysECMP} {
-		cell := PodCell(sys, 3, 1)
+	for _, sys := range []string{"presto", "ecmp"} {
+		cell := podCell(paper(sys), 3, 1)
 		opt.Shards = 1
 		want := runCell(t, cell, opt)
 		for _, shards := range []int{2, 3} {
@@ -44,7 +44,7 @@ func TestPodTraffic1000Hosts(t *testing.T) {
 		Duration: sim.Millisecond,
 		Shards:   25,
 	}
-	res := runCell(t, PodCell(SysPresto, 25, 20), opt)
+	res := runCell(t, podCell(paper("presto"), 25, 20), opt)
 	if res.Hosts != 1000 {
 		t.Fatalf("topology has %d hosts, want 1000", res.Hosts)
 	}

@@ -4,7 +4,7 @@
 //
 // The package exposes the experiment harness used by the examples,
 // the command-line front-ends, and the benchmarks: every table and
-// figure of the paper's evaluation is a list of Cells — a system on a
+// figure of the paper's evaluation is a list of Cells — a scheme on a
 // topology under a workload spec, observed by a measurement set — and
 // Cell.Run is the one path that executes them. The building blocks —
 // flowcell spraying (Algorithm 1), the modified GRO flush (Algorithm
@@ -22,115 +22,67 @@ import (
 	"presto/internal/topo"
 )
 
-// System is a complete load-balancing configuration compared in the
-// evaluation (§4): a registry scheme (plus parameter overrides), the
-// receive offload and transport it declares, and the topology
-// baseline. Systems are comparable values — the historical enum-like
-// variables below keep their display names (and therefore campaign
-// cell IDs) byte-stable — and any registry scheme becomes a System
-// via ParseSystem.
-type System struct {
-	scheme string // registry name ("" is invalid; use ParseSystem or the vars below)
-	params string // canonical "k=v,k=v" overrides ("" = schema defaults)
-	// display is the historical name ("ECMP", "Flowlet-100us", …);
-	// empty for registry-derived systems, which render as the spec.
-	display string
-	// optimal swaps the run topology for the single non-blocking
-	// switch baseline.
-	optimal bool
+// lineup is the paper's §4/§5 systems, the one name table behind
+// every front door: each -system spelling (matched case-insensitively)
+// with the name cell IDs show for it ("sys=Flowlet-100us") and the
+// registry spec it runs. Any other scheme name is a registry spec and
+// stands for itself.
+var lineup = []lineupRow{
+	{name: "ecmp", display: "ECMP", spec: "ecmp"},
+	{name: "mptcp", display: "MPTCP", spec: "mptcp"},
+	{name: "presto", display: "Presto", spec: "presto"},
+	// Optimal is not a load balancer: it is ECMP on the same hosts
+	// attached to one non-blocking switch (topo.SingleSwitchOf).
+	{name: "optimal", display: "Optimal", spec: "ecmp", optimal: true},
+	{name: "flowlet100", display: "Flowlet-100us", spec: "flowlet:gap=100us"},
+	{name: "flowlet500", display: "Flowlet-500us", spec: "flowlet:gap=500us"},
+	{name: "presto-ecmp", display: "Presto+ECMP", spec: "presto-ecmp"},
+	{name: "prestoecmp", display: "Presto+ECMP", spec: "presto-ecmp"},
+	{name: "per-packet", display: "PerPacket", spec: "per-packet"},
+	{name: "perpacket", display: "PerPacket", spec: "per-packet"},
 }
 
-// The systems of §4/§5.
-var (
-	// SysECMP pins each flow to one random end-to-end path.
-	SysECMP = System{scheme: "ecmp", display: "ECMP"}
-	// SysMPTCP runs 8 ECMP-pinned subflows with coupled congestion
-	// control.
-	SysMPTCP = System{scheme: "mptcp", display: "MPTCP"}
-	// SysPresto is the paper's contribution: 64 KB flowcell spraying +
-	// Presto GRO.
-	SysPresto = System{scheme: "presto", display: "Presto"}
-	// SysOptimal attaches all hosts to one non-blocking switch.
-	SysOptimal = System{scheme: "ecmp", display: "Optimal", optimal: true}
-	// SysFlowlet100 switches flowlets at a 100 µs inactivity gap.
-	SysFlowlet100 = System{scheme: "flowlet", params: "gap=100us", display: "Flowlet-100us"}
-	// SysFlowlet500 switches flowlets at a 500 µs inactivity gap.
-	SysFlowlet500 = System{scheme: "flowlet", params: "gap=500us", display: "Flowlet-500us"}
-	// SysPrestoECMP sprays flowcells per hop via switch ECMP hashing.
-	SysPrestoECMP = System{scheme: "presto-ecmp", display: "Presto+ECMP"}
-	// SysPerPacket sprays every MTU packet (TSO off).
-	SysPerPacket = System{scheme: "per-packet", display: "PerPacket"}
-)
-
-// paperSystems maps the -system spellings of the paper's lineup to
-// their Systems.
-var paperSystems = map[string]System{
-	"ecmp":        SysECMP,
-	"mptcp":       SysMPTCP,
-	"presto":      SysPresto,
-	"optimal":     SysOptimal,
-	"flowlet100":  SysFlowlet100,
-	"flowlet500":  SysFlowlet500,
-	"presto-ecmp": SysPrestoECMP,
-	"prestoecmp":  SysPrestoECMP,
-	"per-packet":  SysPerPacket,
-	"perpacket":   SysPerPacket,
+// lineupRow is one scheme name resolved: its spelling, its cell-ID
+// name, the canonical registry spec it runs, and whether it swaps the
+// cell's fabric for the single-switch baseline.
+type lineupRow struct {
+	name, display, spec string
+	optimal             bool
 }
 
-// ParseSystem resolves a system name — the one name table behind every
-// front door: one of the paper's lineup (ecmp | mptcp | presto |
-// optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet,
-// case-insensitive) or any registry scheme spec
-// ("diffflow:threshold=512KB"), validated against the registry.
-func ParseSystem(s string) (System, error) {
-	if sys, ok := paperSystems[strings.ToLower(s)]; ok {
-		return sys, nil
+// lookupScheme resolves a scheme name: a lineup spelling, or any
+// registry spec ("diffflow:threshold=512KB"), validated against the
+// registry and rendered canonically.
+func lookupScheme(s string) (lineupRow, error) {
+	for _, r := range lineup {
+		if strings.EqualFold(s, r.name) {
+			return r, nil
+		}
 	}
 	name, params, err := scheme.ParseSpec(s)
 	if err == nil {
-		sys := System{scheme: name}
-		_, sys.params, _ = strings.Cut(scheme.CanonicalSpec(name, params), ":")
-		return sys, nil
+		spec := scheme.CanonicalSpec(name, params)
+		return lineupRow{name: spec, display: spec, spec: spec}, nil
 	}
 	// A known scheme with bad params gets the registry's own error
 	// (which names the offending key/bound); only an unrecognized
 	// name gets the full lineup listing.
 	name, _, _ = strings.Cut(s, ":")
 	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
-		return System{}, err
+		return lineupRow{}, err
 	}
-	return System{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
+	return lineupRow{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",
 		s, strings.Join(scheme.Names(), " | "))
 }
 
-// SchemeName returns the registry scheme the system runs.
-func (s System) SchemeName() string { return s.scheme }
-
-// Optimal reports whether the system runs on the single non-blocking
-// switch baseline instead of the cell's fabric.
-func (s System) Optimal() bool { return s.optimal }
-
-// Spec returns the canonical registry spec the system runs: "name", or
-// "name:k=v,..." with parameter overrides.
-func (s System) Spec() string {
-	if s.params != "" {
-		return s.scheme + ":" + s.params
+// paper returns the lineup row spelled name; the experiment table
+// names only rows that exist.
+func paper(name string) lineupRow {
+	r, err := lookupScheme(name)
+	if err != nil {
+		panic("presto: " + err.Error())
 	}
-	return s.scheme
-}
-
-func (s System) String() string {
-	if s.display != "" {
-		return s.display
-	}
-	return s.Spec()
-}
-
-// SchemeParams expands the canonical param string back into raw
-// values for cluster.Config.SchemeParams.
-func (s System) SchemeParams() map[string]string {
-	_, params, _ := scheme.ParseSpec(s.Spec()) // valid by construction
-	return params
+	return r
 }
 
 // Options tunes an experiment run. Zero values take defaults sized
@@ -180,12 +132,6 @@ func ScalabilityTopo(paths int) *topo.Topology {
 // `flows` hosts per leaf (oversubscription = flows/2).
 func OversubTopo(flows int) *topo.Topology {
 	return topo.TwoTierClos(2, 2, flows, 1, topo.LinkConfig{})
-}
-
-// OptimalTopo returns a single non-blocking switch with the given
-// host count.
-func OptimalTopo(hosts int) *topo.Topology {
-	return topo.SingleSwitch(hosts, topo.LinkConfig{})
 }
 
 // PodTopo returns a pod-based 3-tier Clos for the pod-scale

@@ -95,8 +95,8 @@ func TestSchemeMatrixIDsCarryParams(t *testing.T) {
 }
 
 // TestNewSchemesSelectableByName pins the acceptance criterion: each
-// of the four new policies resolves through ParseSystem — with and
-// without parameters — to a runnable system.
+// of the four new policies resolves through SpecCell — with and
+// without parameters — to a cell running that scheme.
 func TestNewSchemesSelectableByName(t *testing.T) {
 	for _, spec := range []string{
 		"diffflow", "diffflow:threshold=512KB,cell=32KB",
@@ -104,12 +104,12 @@ func TestNewSchemesSelectableByName(t *testing.T) {
 		"rdna-balance", "rdna-balance:isolated-frac=0.5",
 		"spritz", "spritz:cell=32KB",
 	} {
-		sys, err := ParseSystem(spec)
+		cell, err := SpecCell(spec, preset("elephants"))
 		if err != nil {
-			t.Fatalf("ParseSystem(%q): %v", spec, err)
+			t.Fatalf("SpecCell(%q): %v", spec, err)
 		}
-		if !strings.HasPrefix(spec, sys.SchemeName()) {
-			t.Errorf("ParseSystem(%q) resolved to scheme %q", spec, sys.SchemeName())
+		if name, _, _ := strings.Cut(spec, ":"); !strings.HasPrefix(cell.Scheme, name+":") && cell.Scheme != name {
+			t.Errorf("SpecCell(%q) runs scheme %q", spec, cell.Scheme)
 		}
 	}
 }

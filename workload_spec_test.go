@@ -126,7 +126,7 @@ func TestRunSpecWorkloadNorthSouth(t *testing.T) {
 			Select:       wspec.Select{Kind: wspec.SelNorthSouth},
 		}},
 	}
-	clients := runCell(t, SpecCell(SysPresto, ws), Options{
+	clients := runCell(t, specCell(paper("presto"), ws), Options{
 		Seed:     1,
 		Duration: 10 * sim.Millisecond,
 		Warmup:   2 * sim.Millisecond,
