@@ -10,31 +10,26 @@
 // results.
 //
 // Performance: the hot path (Schedule → dispatch) is allocation-free in
-// steady state. Events live in a pooled arena (a slice of slots recycled
-// through a free list). Their (at, seq) keys sit inline in cells next to
-// the slot index, queued in a fixed-delay FIFO lane when the delay is one
-// the engine keeps seeing (see the lanes section), otherwise in an
-// intrusive 4-ary min-heap; dispatch pops the earliest of the heap top
-// and the lane heads, whose keys are mirrored in one array. Nothing is
-// boxed or seen by the garbage collector, and the sift loops compare
-// contiguous memory, touching the arena only to write pos. Arena
-// invariants, for future editors:
+// steady state. A plain event (Schedule, At, ShardGroup.Send/SendArg) is
+// a value nothing can cancel: on a delay the engine keeps seeing, its
+// (at, seq) key and callback sit in one cell of a fixed-delay FIFO lane
+// (see the lanes section). A Timer is the only cancelable event. Timers,
+// plain events on other delays and cross-shard handoffs queue in an
+// intrusive 4-ary min-heap of (at, seq, slot) cells, their callbacks in
+// a pooled arena of slots recycled through a free list. Dispatch pops
+// the earliest of the heap top and the lane heads. Arena invariants:
 //
-//   - A slot is in exactly one of two states: queued (pos >= 0: an index
-//     into heap, or into lanes[lane].cells when lane >= 0) or free (on
+//   - A slot is queued (pos >= 0, its cell's index in heap) or free (on
 //     the free list, pos == -1, callback zero).
-//   - The key lives in the cell only; whoever changes a queued event's
-//     key (rekey) writes the cell found through (lane, pos), not the slot
-//     — and heads[lane] too when the cell is its lane's head.
-//   - EventID carries the slot's generation at allocation time. Every
-//     release increments the generation, so a stale EventID — one whose
-//     event fired, was canceled, or whose slot was reused — can never
-//     cancel or observe the slot's next occupant.
-//   - The slot is released *before* its callback runs: from inside a
-//     callback, the firing event's own EventID is already dead, and a
-//     Schedule there may legitimately reuse the slot.
-//   - The callback is cleared on release so the arena never pins dead
-//     closures or arguments.
+//   - The key lives in the heap cell only; a timer re-arm or a shard
+//     fixup rewrites heap[pos], found through the slot.
+//   - A timer's handle carries the slot's generation, bumped by every
+//     release and every re-arm: a handle to an arming that fired, was
+//     stopped or re-armed, or to a reused slot, is inert.
+//   - The slot is released *before* its callback runs: the firing timer
+//     is already disarmed inside it, and a Schedule there may reuse it.
+//   - Release clears the callback, as a lane pop clears its cell's, so
+//     the queue never pins dead closures or arguments.
 package sim
 
 import (
@@ -96,19 +91,17 @@ func (c callback) call() {
 // eventSlot is one arena cell. See the package comment for the state
 // machine and generation rules.
 type eventSlot struct {
-	gen uint64 // bumped on every release; EventIDs must match to act
-	cb  callback
-
-	pos  int32 // index of the cell in its heap or lane ring, or -1 when free
+	gen  uint64 // bumped on every release and re-arm; handles must match to act
+	cb   callback
+	pos  int32 // index of the cell in the heap, or -1 when free
 	next int32 // next free slot while on the free list
-	lane int8  // lane holding the cell while queued, or inHeap
 }
 
-// inHeap is eventSlot.lane (and earliest's source) for a cell in the heap.
+// inHeap is laneFor's answer, and earliest's source, for the heap.
 const inHeap = -1
 
-// heapCell is one queue entry, in the heap or a lane: the event's key
-// inline, and the arena slot holding the rest (< 0: a lane tombstone).
+// heapCell is one heap entry: the event's key inline, and the arena slot
+// holding its callback (unused in heads, which mirrors lane head keys).
 type heapCell struct {
 	at   Time
 	seq  uint64 // FIFO tie-break for events at the same instant
@@ -120,11 +113,17 @@ func (c *heapCell) before(d *heapCell) bool {
 	return c.at < d.at || (c.at == d.at && c.seq < d.seq)
 }
 
-// EventID identifies a scheduled event so it can be canceled. The zero
-// EventID is invalid and safe to Cancel (a no-op). IDs are generation-
-// counted: once the event fires or is canceled, the ID is dead even if
-// its arena slot is reused by a later Schedule.
-type EventID struct {
+// laneCell is one plain event in a lane, key and callback by value.
+type laneCell struct {
+	at  Time
+	seq uint64
+	cb  callback
+}
+
+// handle names one occupancy of a slot: a Timer's arming, or a heap
+// insert in a window journal. Generations start at 1, so the zero
+// handle names nothing.
+type handle struct {
 	slot int32
 	gen  uint64
 }
@@ -138,10 +137,10 @@ type Engine struct {
 	free  int32      // head of the free-slot list, -1 when empty
 	heap  []heapCell // 4-ary min-heap ordered by (at, seq)
 	// Fixed-delay lanes (see the lanes section): heads[i] is a copy of
-	// lane i's head cell, or emptyHead, so earliest reads 8 contiguous
+	// lane i's head key, or emptyHead, so earliest reads 8 contiguous
 	// keys; laneDelay[i] is the delay lane i serves, cand counts sightings
 	// of lane-less delays, live counts queued events, heap and lanes
-	// together, tombstones excluded.
+	// together.
 	heads     [maxLanes]heapCell
 	lanes     [maxLanes]lane
 	laneDelay [maxLanes]Time
@@ -204,85 +203,71 @@ func (e *Engine) release(i int32) {
 	e.free = i
 }
 
+// queued returns h's slot if h still names a queued event, else nil.
+func (e *Engine) queued(h handle) *eventSlot {
+	if h.slot < 0 || int(h.slot) >= len(e.arena) {
+		return nil
+	}
+	s := &e.arena[h.slot]
+	if s.gen != h.gen || s.pos < 0 {
+		return nil
+	}
+	return s
+}
+
 // Schedule runs fn after delay. A negative delay is treated as zero
 // (the event fires at the current instant, after already-queued events
-// for that instant).
+// for that instant). The event cannot be canceled; use a Timer for that.
 //
 //prestolint:noalloc
-func (e *Engine) Schedule(delay Time, fn func()) EventID {
+func (e *Engine) Schedule(delay Time, fn func()) {
 	if delay < 0 {
 		delay = 0
 	}
-	return e.At(e.now+delay, fn)
+	e.At(e.now+delay, fn)
 }
 
 // At runs fn at the absolute time t. If t is in the past, the event
 // fires at the current instant.
 //
 //prestolint:noalloc
-func (e *Engine) At(t Time, fn func()) EventID {
+func (e *Engine) At(t Time, fn func()) {
 	if fn == nil {
 		panic("sim: At called with nil fn")
 	}
-	return e.at(t, callback{fn: fn})
+	e.at(t, callback{fn: fn})
 }
 
-// at is the one schedule path, behind At and the group's sends: draw the
-// seq, enqueue (on the delay's lane if it has one), journal in a window.
+// nextSeq draws the sequence number of one schedule call.
 //
 //prestolint:noalloc
-func (e *Engine) at(t Time, cb callback) EventID {
+func (e *Engine) nextSeq() uint64 {
+	if e.sh != nil {
+		return e.sh.nextSeq()
+	}
+	e.seq++
+	return e.seq
+}
+
+// at is the one plain-event schedule path, behind At and the group's
+// sends: draw the seq, enqueue on the delay's lane if it has one, else
+// in the heap (journaled in a window, for the fixup's rekey).
+//
+//prestolint:noalloc
+func (e *Engine) at(t Time, cb callback) {
 	if t < e.now {
 		t = e.now
 	}
-	var sq uint64
-	if e.sh == nil {
-		e.seq++
-		sq = e.seq
-	} else {
-		sq = e.sh.nextSeq()
-	}
+	seq := e.nextSeq()
 	// The delay is taken after the clamp: lanes rely on at = now + delay.
-	i := e.insertKeyed(e.laneFor(t-e.now), t, sq, cb)
-	id := EventID{slot: i, gen: e.arena[i].gen}
+	if li := e.laneFor(t - e.now); li >= 0 {
+		e.lanePush(li, laneCell{at: t, seq: seq, cb: cb})
+		return
+	}
+	h := e.heapInsert(t, seq, cb)
 	if e.sh != nil {
-		e.sh.noteLocal(t, id)
+		e.sh.noteHeap(h)
 	}
-	return id
-}
-
-// Cancel prevents a scheduled event from firing. Canceling an event that
-// already fired, was already canceled, or is the zero EventID is a no-op.
-// It reports whether the event was actually canceled.
-//
-//prestolint:noalloc
-func (e *Engine) Cancel(id EventID) bool {
-	if id.slot < 0 || int(id.slot) >= len(e.arena) {
-		return false
-	}
-	s := &e.arena[id.slot]
-	if s.gen != id.gen || s.pos < 0 {
-		return false
-	}
-	if s.lane >= 0 {
-		e.laneRemove(int(s.lane), s.pos)
-	} else {
-		e.heapRemove(s.pos)
-	}
-	e.live--
-	e.release(id.slot)
-	return true
-}
-
-// Armed reports whether id identifies an event that is still queued:
-// not yet fired, not canceled. The generation check makes this safe to
-// ask about long-dead IDs even after their arena slot was reused.
-func (e *Engine) Armed(id EventID) bool {
-	if id.slot < 0 || int(id.slot) >= len(e.arena) {
-		return false
-	}
-	s := &e.arena[id.slot]
-	return s.gen == id.gen && s.pos >= 0
 }
 
 // Pending returns the number of events waiting to fire.
@@ -354,18 +339,17 @@ func (e *Engine) run(until Time) (stopped bool) {
 //
 //prestolint:noalloc
 func (e *Engine) take(top heapCell, src int) callback {
-	cb := e.arena[top.slot].cb
 	e.now = top.at
-	if src >= 0 {
-		e.laneRemove(src, e.lanes[src].head)
-	} else {
-		e.heapPopMin()
-	}
 	e.live--
-	// Release before dispatch: the firing event's ID is dead from
-	// inside its own callback, and the slot may be reused there.
-	e.release(top.slot)
 	e.Executed++
+	if src >= 0 {
+		return e.lanePop(src)
+	}
+	cb := e.arena[top.slot].cb
+	e.heapPopMin()
+	// Release before dispatch: a timer is disarmed inside its own
+	// callback, and the slot may be reused there.
+	e.release(top.slot)
 	return cb
 }
 
@@ -400,90 +384,88 @@ func (e *Engine) peekAt() Time {
 	return top.at
 }
 
-// rekey rewrites a queued event's sequence number from its provisional
-// window-local value to the true global one resolved at the barrier.
-// The shard applies it in its fixup: at the start of its next busy
-// window, or when the run ends, possibly several windows after the
-// barrier — but its queue is untouched in between (an idle shard fires
-// nothing, and handoffs to it wait staged until after the rekey), so it
-// is as the window that scheduled the event left it. Rekeying then
-// never reorders the heap: within that window the shard's
-// provisional order equals its true relative order, and every true seq
-// assigned for it exceeds every seq issued before the window — so all
-// comparator outcomes are preserved and the field can be overwritten in
-// place (a lane stays sorted for the same reason). The key lives in the
-// cell, so that is what is rewritten, found through the slot's (lane,
-// pos). A dead ID (fired or canceled inside the window) is a no-op,
-// exactly like Cancel.
-func (e *Engine) rekey(id EventID, seq uint64) {
-	if id.slot < 0 || int(id.slot) >= len(e.arena) {
-		return
-	}
-	s := &e.arena[id.slot]
-	if s.gen != id.gen || s.pos < 0 {
-		return
-	}
-	if s.lane >= 0 {
-		l := &e.lanes[s.lane]
-		l.cells[s.pos].seq = seq
-		if s.pos == l.head {
-			e.heads[s.lane].seq = seq
+// rekey rewrites the seqs a shard's last busy window handed out —
+// provisional base + k for its k-th schedule call — to the true ones the
+// barrier resolved, trueOf[k-1]. The shard's fixup applies it at the
+// start of its next busy window or when the run ends, but its queue is
+// untouched in between (an idle shard fires nothing, and handoffs to it
+// wait staged until after the rekey), so it is as that window left it.
+// Rekeying then never reorders a queue: within the window provisional
+// order equals true relative order, and every true seq assigned for it
+// exceeds every seq issued before it, so all comparisons are preserved
+// and each key is overwritten in place. A lane's cells from the window
+// are its tail, the only ones keyed above base: each lane is walked back
+// from its tail while seq > base. A heap cell is found through its
+// journaled handle, skipped if stale (fired, stopped or re-armed in the
+// window). After a callback panic trueOf covers only the merged prefix
+// of the calls; a seq past it is left as it is.
+func (e *Engine) rekey(base uint64, trueOf []uint64, heapLog []handle) {
+	resolved := func(seq uint64) uint64 {
+		if j := seq - base - 1; j < uint64(len(trueOf)) {
+			seq = trueOf[j]
 		}
-	} else {
-		e.heap[s.pos].seq = seq
+		return seq
+	}
+	for li := range e.lanes {
+		l := &e.lanes[li]
+		mask := int32(len(l.cells) - 1)
+		for i := l.n - 1; i >= 0; i-- {
+			c := &l.cells[(l.head+i)&mask]
+			if c.seq <= base {
+				break
+			}
+			c.seq = resolved(c.seq)
+		}
+		if l.n > 0 {
+			e.heads[li].seq = l.cells[l.head].seq
+		}
+	}
+	for _, h := range heapLog {
+		if s := e.queued(h); s != nil {
+			c := &e.heap[s.pos]
+			c.seq = resolved(c.seq)
+		}
 	}
 }
 
-// insertKeyed enqueues an event with an explicit (at, seq) key on lane
-// li, or in the heap for inHeap, and returns its slot — the tail of every
-// schedule call, and the barrier's path for landing a cross-shard
-// handoff under its merged global seq (always inHeap: that key is not
-// now + delay for any delay).
+// heapInsert queues an event in the heap under an explicit key and
+// returns its handle: a timer, a delay no lane serves, or a cross-shard
+// handoff landing under its merged global seq.
 //
 //prestolint:noalloc
-func (e *Engine) insertKeyed(li int, at Time, seq uint64, cb callback) int32 {
+func (e *Engine) heapInsert(at Time, seq uint64, cb callback) handle {
 	i := e.alloc()
-	e.arena[i].cb = cb
-	c := heapCell{at: at, seq: seq, slot: i}
-	if li >= 0 {
-		e.lanePush(li, c)
-	} else {
-		e.arena[i].lane = inHeap
-		//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
-		e.heap = append(e.heap, c)
-		e.siftUp(len(e.heap) - 1)
-	}
+	s := &e.arena[i]
+	s.cb = cb
+	//prestolint:allow hotalloc -- heap high-water growth is amortized; the backing array is reused once at steady size
+	e.heap = append(e.heap, heapCell{at: at, seq: seq, slot: i})
+	e.siftUp(len(e.heap) - 1)
 	e.live++
 	e.PeakPending = max(e.PeakPending, e.live)
-	return i
+	return handle{slot: i, gen: s.gen}
 }
 
 // ---- fixed-delay FIFO lanes ----
 //
-// A lane is a ring of the events scheduled with one delay d, sorted by
-// construction: keys are (now + d, seq), the clock never moves backwards
-// and seq only grows, so every push belongs at the tail — an O(1) append
-// and head pop where the heap sifts through its depth, and a simulated
-// network schedules nearly all its events with a handful of delays. Which
-// delays get lanes (laneFor) is a function of the schedule calls alone.
+// A lane is a ring of the plain events scheduled with one delay d,
+// sorted by construction: keys are (now + d, seq), the clock never moves
+// backwards and seq only grows, so every push belongs at the tail — an
+// O(1) append and head pop where the heap sifts through its depth, and a
+// simulated network schedules nearly all its packet events with a
+// handful of delays. Which delays get lanes (laneFor) is a function of
+// the plain schedule calls alone. A push writes one cell and a pop reads
+// one; timers, the only events that are canceled, never enter a lane.
 //
-// Cancel cannot pull a cell out of a ring: it leaves a tombstone
-// (slot < 0), dropped when it reaches the head — a non-empty lane's head
-// is always live — or by compaction once the dead outnumber the living.
-// Timer.Reset at a constant delay (the RTO, on every ACK) is a cancel
-// mid-ring plus a push: one dead cell per ACK otherwise.
-//
-// heads[i] mirrors lane i's head cell (emptyHead when the lane is
+// heads[i] mirrors lane i's head key (emptyHead when the lane is
 // empty), so dispatch compares keys in one array instead of chasing each
-// lane's ring. The head changes only when a push lands in an empty lane
-// (lanePush), a removal drops it (laneRemove) and when rekey rewrites it;
-// compaction and growth move the head cell but never change it.
+// lane's ring. It changes on a push into an empty lane, on a pop, and
+// when rekey rewrites the head.
 
 const (
-	// maxLanes bounds the heads every dispatch compares. Elephant runs
-	// recur on seven delays (two propagations, three serialisations, the
-	// coalescing delay, the RTO); mice-churn adds five backoff timers, but
-	// 16 lanes measured no faster there and 5 % slower on elephants.
+	// maxLanes bounds the heads every dispatch compares. A run's plain
+	// events recur on a handful of delays (propagations and
+	// serialisations); 16 lanes measured no faster on mice-churn and
+	// 5 % slower on elephants.
 	maxLanes = 8
 	// lanePromoteHits sightings in a row earn a delay a lane: a one-off
 	// batch of equal delays should not take one, and the wait is invisible.
@@ -494,11 +476,11 @@ const (
 	laneMinRing       = 64 // a lane's first ring size, a power of two
 )
 
-// lane is one fixed-delay FIFO: a power-of-two ring of cells in firing
-// order, n of them starting at head, dead of which are tombstones.
+// lane is one fixed-delay FIFO: a power-of-two ring of n cells in firing
+// order, starting at head.
 type lane struct {
-	cells         []heapCell
-	head, n, dead int32
+	cells   []laneCell
+	head, n int32
 }
 
 // emptyHead is heads[i] for an empty lane: later than any event, so
@@ -543,74 +525,51 @@ func (e *Engine) laneFor(d Time) int {
 	return inHeap
 }
 
-// lanePush appends c to lane li and points c's slot at the cell.
+// lanePush appends c to lane li, doubling a full ring.
 //
 //prestolint:noalloc
-func (e *Engine) lanePush(li int, c heapCell) {
+func (e *Engine) lanePush(li int, c laneCell) {
 	l := &e.lanes[li]
 	if int(l.n) == len(l.cells) {
+		// A full ring wraps at head: copy it out in firing order.
 		//prestolint:allow hotalloc -- lane ring high-water growth is amortized; steady state reuses the ring (TestEngineScheduleDispatchAllocs pins 0 allocs)
-		e.laneRepack(l, make([]heapCell, max(2*len(l.cells), laneMinRing)), 0)
+		cells := make([]laneCell, max(2*len(l.cells), laneMinRing))
+		copy(cells[copy(cells, l.cells[l.head:]):], l.cells[:l.head])
+		l.cells, l.head = cells, 0
 	}
 	mask := int32(len(l.cells) - 1)
-	if l.n > 0 && c.before(&l.cells[(l.head+l.n-1)&mask]) {
-		panic("sim: lane push out of order") // the clock or the sequence moved backwards
+	if l.n > 0 {
+		if t := &l.cells[(l.head+l.n-1)&mask]; c.at < t.at || (c.at == t.at && c.seq < t.seq) {
+			panic("sim: lane push out of order") // the clock or the sequence moved backwards
+		}
+	} else {
+		e.heads[li] = heapCell{at: c.at, seq: c.seq}
 	}
-	pos := (l.head + l.n) & mask
-	l.cells[pos] = c
-	if l.n == 0 {
-		e.heads[li] = c
-	}
+	l.cells[(l.head+l.n)&mask] = c
 	l.n++
-	s := &e.arena[c.slot]
-	s.pos, s.lane = pos, int8(li)
+	e.live++
+	e.PeakPending = max(e.PeakPending, e.live)
 }
 
-// laneRemove takes out the cell at pos, the head for a pop or any for a
-// cancel: it becomes a tombstone, tombstones at the head are dropped, and
-// the ring is compacted once the dead outnumber the living — so it never
-// exceeds four times the lane's peak live count, and the removals since
-// the last compaction pay for the next.
+// lanePop removes lane li's head cell and returns its callback.
 //
 //prestolint:noalloc
-func (e *Engine) laneRemove(li int, pos int32) {
+func (e *Engine) lanePop(li int) callback {
 	l := &e.lanes[li]
-	l.cells[pos].slot = -1
-	l.dead++
-	for mask := int32(len(l.cells) - 1); l.n > 0 && l.cells[l.head].slot < 0; l.head = (l.head + 1) & mask {
-		l.n--
-		l.dead--
-	}
-	if l.dead > l.n-l.dead {
-		e.laneRepack(l, l.cells, l.head)
-	}
+	c := &l.cells[l.head]
+	cb := c.cb
+	c.cb = callback{}
+	l.head = (l.head + 1) & int32(len(l.cells)-1)
+	l.n--
 	e.heads[li] = emptyHead
 	if l.n > 0 {
-		e.heads[li] = l.cells[l.head]
+		h := &l.cells[l.head]
+		e.heads[li] = heapCell{at: h.at, seq: h.seq}
 	}
+	return cb
 }
 
-// laneRepack copies the live cells, in order, into dst from index start
-// on — l's own ring and head to compact in place, a bigger ring to grow —
-// rewriting each survivor's index in its slot.
-//
-//prestolint:noalloc
-func (e *Engine) laneRepack(l *lane, dst []heapCell, start int32) {
-	mask, dmask := int32(len(l.cells)-1), int32(len(dst)-1)
-	w := start
-	for i := int32(0); i < l.n; i++ {
-		c := l.cells[(l.head+i)&mask]
-		if c.slot < 0 {
-			continue
-		}
-		dst[w] = c
-		e.arena[c.slot].pos = w
-		w = (w + 1) & dmask
-	}
-	l.cells, l.head, l.n, l.dead = dst, start, l.n-l.dead, 0
-}
-
-// earliest returns the queued cell that fires first and where it sits, a
+// earliest returns the queued key that fires first and where it sits, a
 // lane index or inHeap; a cell at never when nothing is queued.
 //
 //prestolint:noalloc
@@ -650,8 +609,8 @@ func (e *Engine) heapPopMin() {
 	}
 }
 
-// heapRemove deletes the element at heap position pos (Cancel's path,
-// which then releases the slot).
+// heapRemove deletes the element at heap position pos (Timer.Stop's
+// path, which then releases the slot).
 //
 //prestolint:noalloc
 func (e *Engine) heapRemove(pos int32) {
@@ -724,11 +683,11 @@ func (e *Engine) siftDown(i int) {
 }
 
 // Timer is a restartable one-shot timer bound to an Engine, analogous to
-// time.Timer but in simulated time. The zero value is unusable; create
-// with NewTimer.
+// time.Timer but in simulated time, and the engine's only cancelable
+// event. The zero value is unusable; create with NewTimer.
 type Timer struct {
 	e  *Engine
-	id EventID
+	h  handle // the current arming; stale once it fires or is stopped
 	fn func()
 	// fireFn is t.fire bound once at construction, so Reset does not
 	// allocate a fresh method-value closure on every rearm.
@@ -745,29 +704,58 @@ func NewTimer(e *Engine, fn func()) *Timer {
 	return t
 }
 
-// Reset (re)arms the timer to fire after delay, canceling any pending
-// expiration.
+// Reset (re)arms the timer to fire after delay (a negative delay is
+// zero), canceling any pending expiration. An armed timer keeps its slot
+// and heap cell: the cell takes the new key and is sifted, and the
+// generation moves on, as if the arming were canceled and a new one made.
+//
+//prestolint:noalloc
 func (t *Timer) Reset(delay Time) {
-	t.e.Cancel(t.id)
-	t.id = t.e.Schedule(delay, t.fireFn)
+	e := t.e
+	at := e.now + max(delay, 0)
+	seq := e.nextSeq()
+	if s := e.queued(t.h); s != nil {
+		s.gen++
+		t.h.gen = s.gen
+		c := &e.heap[s.pos]
+		earlier := at < c.at // the new seq is above every queued one
+		c.at, c.seq = at, seq
+		if earlier {
+			e.siftUp(int(s.pos))
+		} else {
+			e.siftDown(int(s.pos))
+		}
+	} else {
+		t.h = e.heapInsert(at, seq, callback{fn: t.fireFn})
+	}
+	if e.sh != nil {
+		e.sh.noteHeap(t.h)
+	}
 }
 
 // Stop disarms the timer. It reports whether a pending expiration was
 // canceled.
 func (t *Timer) Stop() bool {
-	ok := t.e.Cancel(t.id)
-	t.id = EventID{}
-	return ok
+	e, h := t.e, t.h
+	t.h = handle{}
+	s := e.queued(h)
+	if s == nil {
+		return false
+	}
+	e.heapRemove(s.pos)
+	e.live--
+	e.release(h.slot)
+	return true
 }
 
-// Armed reports whether the timer has a pending expiration. It routes
-// through the engine's generation check, so a fired-then-reused event
+// Armed reports whether the timer has a pending expiration. It goes
+// through the slot's generation check, so a fired-then-reused event
 // slot is never misreported as armed.
 func (t *Timer) Armed() bool {
-	return t.e.Armed(t.id)
+	return t.e.queued(t.h) != nil
 }
 
 func (t *Timer) fire() {
-	t.id = EventID{}
+	t.h = handle{}
 	t.fn()
 }

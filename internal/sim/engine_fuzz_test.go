@@ -26,17 +26,18 @@ const (
 )
 
 // shardEnv abstracts one run — serial or sharded — over a fixed set of
-// domains for driveShardScript. schedule returns a cancel closure only
-// for same-domain schedules (cancels must stay shard-local).
+// domains for driveShardScript. timer makes a timer on domain d's
+// engine; only d's callbacks arm or stop it (timers stay shard-local).
 type shardEnv struct {
-	schedule func(src, dst int, delay Time, fn func()) (cancel func() bool)
+	schedule func(src, dst int, delay Time, fn func())
+	timer    func(d int, fn func()) *Timer
 	rng      func(d int) *RNG
 	now      func(d int) Time
 	runAll   func()
 	group    *ShardGroup // the run's group; nil on the serial engine
 }
 
-// driveShardScript interprets data as per-domain schedule/send/cancel
+// driveShardScript interprets data as per-domain schedule/send/timer
 // scripts (bytes dealt round-robin so every domain has its own cursor
 // and budget — callbacks touch only state owned by their domain's
 // shard, keeping the parallel run race-free by construction). It
@@ -59,7 +60,7 @@ func driveShardScript(data []byte, env *shardEnv) [][]uint64 {
 
 	logs := make([][]uint64, d0)
 	budget := make([]int, d0)
-	cancels := make([][]func() bool, d0)
+	timers := make([][]*Timer, d0)
 	for d := range budget {
 		budget[d] = 300
 	}
@@ -73,17 +74,31 @@ func driveShardScript(data []byte, env *shardEnv) [][]uint64 {
 			op := next(d)
 			if op&1 != 0 {
 				budget[d]--
-				if c := env.schedule(d, d, shardFuzzDelay(next(d)), mk(d)); c != nil {
-					cancels[d] = append(cancels[d], c)
-				}
+				env.schedule(d, d, shardFuzzDelay(next(d)), mk(d))
 			}
 			if op&2 != 0 {
 				budget[d]--
 				dst := int(next(d)) % d0
 				env.schedule(d, dst, shardFuzzLookahead+Time(next(d)&63), mk(dst))
 			}
-			if op&4 != 0 && len(cancels[d]) > 0 {
-				cancels[d][int(next(d))%len(cancels[d])]()
+			if op&4 != 0 {
+				// Arm a new timer, re-arm an earlier one, or stop one
+				// and log whether it was armed.
+				b := next(d)
+				ts := timers[d]
+				switch {
+				case b&1 != 0 && (b&2 != 0 || len(ts) == 0) && len(ts) < 16:
+					budget[d]--
+					t := env.timer(d, mk(d))
+					timers[d] = append(ts, t)
+					t.Reset(shardFuzzDelay(next(d)))
+				case len(ts) == 0:
+				case b&1 != 0:
+					budget[d]--
+					ts[int(b>>2)%len(ts)].Reset(shardFuzzDelay(next(d)))
+				default:
+					logs[d] = append(logs[d], uint64(env.now(d)), uint64(b2i(ts[int(b>>2)%len(ts)].Stop())))
+				}
 			}
 		}
 	}
@@ -101,8 +116,8 @@ func driveShardScript(data []byte, env *shardEnv) [][]uint64 {
 
 // shardFuzzDelay turns a script byte into a local delay: mostly one of
 // the recurring delays below the lookahead, so that lanes form on every
-// shard and the barrier's rekey lands on lane cells as well as heap
-// cells, otherwise an irregular one.
+// shard and the fixup's rekey lands on lane cells as well as heap cells
+// (irregular delays and timers), otherwise an irregular one.
 func shardFuzzDelay(b byte) Time {
 	if b&3 != 0 {
 		return fuzzDelays[int(b>>2)%5]
@@ -141,16 +156,11 @@ func runSerial(numShards int, seed uint64, drive func(*shardEnv) [][]uint64) sha
 		streams[i] = root.Fork()
 	}
 	env := &shardEnv{
-		schedule: func(src, dst int, delay Time, fn func()) func() bool {
-			id := eng.Schedule(delay, fn)
-			if src == dst {
-				return func() bool { return eng.Cancel(id) }
-			}
-			return nil
-		},
-		rng:    func(d int) *RNG { return streams[d%numShards] },
-		now:    func(d int) Time { return eng.Now() },
-		runAll: func() { eng.RunAll() },
+		schedule: func(src, dst int, delay Time, fn func()) { eng.Schedule(delay, fn) },
+		timer:    func(d int, fn func()) *Timer { return NewTimer(eng, fn) },
+		rng:      func(d int) *RNG { return streams[d%numShards] },
+		now:      func(d int) Time { return eng.Now() },
+		runAll:   func() { eng.RunAll() },
 	}
 	logs := drive(env)
 	res := shardRunResult{logs: logs, executed: eng.Executed, now: eng.Now()}
@@ -168,7 +178,7 @@ func runGroup(numShards int, seed uint64, drive func(*shardEnv) [][]uint64) shar
 	g := NewShardGroup(numShards, shardFuzzLookahead, seed)
 	shardOf := func(d int) int { return d % numShards }
 	env := &shardEnv{
-		schedule: func(src, dst int, delay Time, fn func()) func() bool {
+		schedule: func(src, dst int, delay Time, fn func()) {
 			se, de := shardOf(src), shardOf(dst)
 			if se != de {
 				// Odd delays ride the argument-carrying form (the argument
@@ -179,14 +189,11 @@ func runGroup(numShards int, seed uint64, drive func(*shardEnv) [][]uint64) shar
 				} else {
 					g.Send(g.Shard(se), de, delay, fn)
 				}
-				return nil
+				return
 			}
-			id := g.Shard(de).Schedule(delay, fn)
-			if src == dst {
-				return func() bool { return g.Shard(de).Cancel(id) }
-			}
-			return nil
+			g.Shard(de).Schedule(delay, fn)
 		},
+		timer:  func(d int, fn func()) *Timer { return NewTimer(g.Shard(shardOf(d)), fn) },
 		rng:    func(d int) *RNG { return g.RNG(shardOf(d)) },
 		now:    func(d int) Time { return g.Shard(shardOf(d)).Now() },
 		runAll: func() { g.RunAll() },
@@ -270,7 +277,8 @@ func idleShardSeed() []byte {
 // FuzzShardedEngine asserts that a ShardGroup of 1, 2, 4, or 7 shards
 // produces byte-identical per-domain event logs, final RNG states,
 // executed counts, and final clocks to a serial engine, under random
-// schedules with cross-shard sends and cancels from inside callbacks.
+// schedules with cross-shard sends and timers armed, re-armed and
+// stopped from inside callbacks.
 func FuzzShardedEngine(f *testing.F) {
 	f.Add([]byte{7, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15})
 	f.Add([]byte{255, 254, 253, 3, 3, 3, 7, 7, 7, 1, 0, 255, 9, 9, 2, 2, 4, 4, 6, 6})
@@ -297,13 +305,13 @@ func FuzzShardedEngine(f *testing.F) {
 
 // FuzzEngineHeapOrder asserts that the engine — arena, 4-ary heap and
 // fixed-delay lanes — is indistinguishable from the heap-only reference
-// under driveScript's interleaving of schedules, cancels, timer storms
-// and stops.
+// under driveScript's interleaving of schedules, timer arms, re-arms and
+// stops, timer storms and run stops.
 func FuzzEngineHeapOrder(f *testing.F) {
 	f.Add([]byte{5, 0, 0, 0, 0, 0, 1, 2, 3})
 	f.Add([]byte{12, 3, 3, 3, 3, 1, 4, 2, 9, 7, 7, 0, 1, 1, 2, 2})
 	f.Add([]byte{255, 255, 255, 255, 255, 255, 255, 255, 255, 255})
-	// Long enough for lanes to form, fill, be canceled into and change hands.
+	// Long enough for lanes to form, fill and change hands.
 	long := make([]byte, 4096)
 	for i := range long {
 		long[i] = byte(i*131 + i>>3)

@@ -87,18 +87,25 @@ func TestEngineRunAdvancesClockToHorizonWhenDrained(t *testing.T) {
 	}
 }
 
+// TestEngineCancel: a Timer is the engine's one cancelable event.
+// Stopping it cancels its pending expiration once; a second Stop, and
+// Stop of a timer never armed, are no-ops.
 func TestEngineCancel(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	id := e.Schedule(Second, func() { fired = true })
-	if !e.Cancel(id) {
-		t.Fatal("Cancel returned false for pending event")
+	tm := NewTimer(e, func() { fired = true })
+	if NewTimer(e, func() {}).Stop() {
+		t.Fatal("Stop of a never-armed timer returned true")
 	}
-	if e.Cancel(id) {
-		t.Fatal("double Cancel returned true")
+	tm.Reset(Second)
+	if !tm.Stop() {
+		t.Fatal("Stop returned false for pending expiration")
 	}
-	if e.Cancel(EventID{}) {
-		t.Fatal("Cancel of zero EventID returned true")
+	if tm.Stop() {
+		t.Fatal("double Stop returned true")
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("pending = %d after Stop, want 0", e.Pending())
 	}
 	e.RunAll()
 	if fired {
@@ -194,24 +201,22 @@ func TestEngineMonotonicClockProperty(t *testing.T) {
 		rng := NewRNG(seed)
 		last := Time(-1)
 		ok := true
-		var ids []EventID
+		check := func() {
+			if e.Now() < last {
+				ok = false
+			}
+			last = e.Now()
+		}
 		for i := 0; i < int(n)+1; i++ {
-			id := e.Schedule(rng.Duration(Millisecond)+1, func() {
-				if e.Now() < last {
-					ok = false
-				}
-				last = e.Now()
+			tm := NewTimer(e, func() {
+				check()
 				if rng.Float64() < 0.3 {
-					ids = append(ids, e.Schedule(rng.Duration(Microsecond)+1, func() {
-						if e.Now() < last {
-							ok = false
-						}
-						last = e.Now()
-					}))
+					e.Schedule(rng.Duration(Microsecond)+1, check)
 				}
 			})
+			tm.Reset(rng.Duration(Millisecond) + 1)
 			if rng.Float64() < 0.1 {
-				e.Cancel(id)
+				tm.Stop()
 			}
 		}
 		e.RunAll()
@@ -256,14 +261,14 @@ func TestEngineStopBeforeRunAll(t *testing.T) {
 
 func TestEngineCancelSameInstantFromCallback(t *testing.T) {
 	e := NewEngine()
-	var idB EventID
 	bRan := false
+	b := NewTimer(e, func() { bRan = true })
 	e.Schedule(Millisecond, func() {
-		if !e.Cancel(idB) {
-			t.Error("Cancel of a same-instant pending event returned false")
+		if !b.Stop() {
+			t.Error("Stop of a same-instant pending timer returned false")
 		}
 	})
-	idB = e.Schedule(Millisecond, func() { bRan = true })
+	b.Reset(Millisecond)
 	e.RunAll()
 	if bRan {
 		t.Fatal("event canceled from a same-instant callback still fired")
@@ -296,30 +301,46 @@ func TestTimerResetInsideOwnFire(t *testing.T) {
 	}
 }
 
-func TestEventIDGenerationSurvivesSlotReuse(t *testing.T) {
+// TestTimerGenerationSurvivesSlotReuse: a stopped timer's handle is
+// dead even when another timer takes its arena slot, and a re-armed
+// timer's old arming is dead although its slot is the same.
+func TestTimerGenerationSurvivesSlotReuse(t *testing.T) {
 	e := NewEngine()
 	fired := 0
-	a := e.Schedule(Second, func() { t.Error("canceled event fired") })
-	if !e.Cancel(a) {
-		t.Fatal("Cancel of pending event returned false")
+	a := NewTimer(e, func() { t.Error("stopped timer fired") })
+	a.Reset(Second)
+	stale := a.h
+	if !a.Stop() {
+		t.Fatal("Stop of pending timer returned false")
 	}
-	// b reuses a's arena slot (LIFO free list); a's ID must stay dead.
-	b := e.Schedule(Second, func() { fired++ })
-	if e.Armed(a) {
-		t.Fatal("stale EventID reports armed after slot reuse")
+	// b reuses a's arena slot (LIFO free list); a's handle must stay dead.
+	b := NewTimer(e, func() { fired++ })
+	b.Reset(Second)
+	if b.h.slot != stale.slot {
+		t.Fatalf("setup: b took slot %d, want a's slot %d", b.h.slot, stale.slot)
 	}
-	if !e.Armed(b) {
-		t.Fatal("live EventID reports unarmed")
+	a.h = stale
+	if a.Armed() {
+		t.Fatal("stale handle reports armed after slot reuse")
 	}
-	if e.Cancel(a) {
-		t.Fatal("stale EventID canceled the slot's new occupant")
+	if !b.Armed() {
+		t.Fatal("live timer reports unarmed")
+	}
+	if a.Stop() {
+		t.Fatal("stale handle stopped the slot's new occupant")
+	}
+	// A re-arm keeps the slot and retires the old arming's handle.
+	old := b.h
+	b.Reset(2 * Second)
+	if b.h.slot != old.slot || b.h.gen == old.gen || e.queued(old) != nil {
+		t.Fatalf("re-arm: handle %+v -> %+v; want the same slot, a new generation, the old one dead", old, b.h)
 	}
 	e.RunAll()
-	if fired != 1 {
-		t.Fatalf("new occupant fired %d times, want 1", fired)
+	if fired != 1 || e.Now() != 2*Second {
+		t.Fatalf("new occupant fired %d times, last at %v; want once at 2s", fired, e.Now())
 	}
-	if e.Armed(b) || e.Cancel(b) {
-		t.Fatal("fired event still armed/cancelable")
+	if b.Armed() || b.Stop() {
+		t.Fatal("fired timer still armed/stoppable")
 	}
 }
 
@@ -341,10 +362,10 @@ func TestTimerArmedNotConfusedBySlotReuse(t *testing.T) {
 	}
 }
 
-// TestEngineScheduleDispatchAllocs pins the arena's steady state: with
-// the queue held 256 deep, a Schedule (slot off the free list + heap
-// push) and a dispatch (heap pop + slot release) allocate nothing.
-// This is the test the hotalloc suppressions in engine.go cite.
+// TestEngineScheduleDispatchAllocs pins the queue's steady state: with
+// 256 events in flight, a Schedule (a lane push once the delay has a
+// lane, a heap insert before) and a dispatch allocate nothing. This is
+// the test the hotalloc suppressions in engine.go cite.
 func TestEngineScheduleDispatchAllocs(t *testing.T) {
 	e := NewEngine()
 	const depth = 256
@@ -364,9 +385,8 @@ func TestEngineScheduleDispatchAllocs(t *testing.T) {
 	}
 }
 
-// TestTimerResetAllocs pins the cancel+rearm path: Reset removes the
-// pending expiration from the middle of a populated heap and schedules
-// its replacement through the bound fireFn, allocating nothing.
+// TestTimerResetAllocs pins the re-arm path: Reset moves the timer's
+// cell within a populated heap, earlier or later, allocating nothing.
 func TestTimerResetAllocs(t *testing.T) {
 	e := NewEngine()
 	for i := 0; i < 64; i++ {

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -16,16 +17,17 @@ func laneOf(e *Engine, d Time) *lane {
 	return nil
 }
 
-// checkHeads verifies the dispatch invariant: heads[i] is lane i's head
-// cell, live, or emptyHead when the lane is empty.
+// checkHeads verifies the dispatch invariant: heads[i] holds lane i's
+// head key, or is emptyHead when the lane is empty.
 func checkHeads(e *Engine) error {
 	for i := range e.lanes {
 		l, want := &e.lanes[i], emptyHead
 		if l.n > 0 {
-			want = l.cells[l.head]
+			c := &l.cells[l.head]
+			want = heapCell{at: c.at, seq: c.seq}
 		}
-		if e.heads[i] != want || (l.n > 0 && want.slot < 0) {
-			return fmt.Errorf("lane %d: heads[%d] = %+v, head cell %+v of %d", i, i, e.heads[i], want, l.n)
+		if got := e.heads[i]; got.at != want.at || got.seq != want.seq {
+			return fmt.Errorf("lane %d: heads[%d] = %+v, head key %+v of %d", i, i, got, want, l.n)
 		}
 	}
 	return nil
@@ -42,6 +44,14 @@ func earnLane(t *testing.T, e *Engine, d Time) *lane {
 		t.Fatalf("delay %v has no lane after %d schedule calls", d, lanePromoteHits)
 	}
 	return l
+}
+
+func laneLive(e *Engine) int32 {
+	var n int32
+	for i := range e.lanes {
+		n += e.lanes[i].n
+	}
+	return n
 }
 
 // TestLanePromotion pins the promotion rule: a delay is in the heap
@@ -85,95 +95,83 @@ func TestLanePromotion(t *testing.T) {
 	}
 }
 
-func laneLive(e *Engine) int32 {
-	var n int32
-	for i := range e.lanes {
-		n += e.lanes[i].n - e.lanes[i].dead
+// TestTimersLeaveLanesToPackets pins who the lanes are for. Timers are
+// armed at the TCP ladder — the RTO's 200 ms and the 10–160 ms probe
+// timeouts and backoffs — and at the NIC's 20 µs coalescing delay, each
+// re-armed more than lanePromoteHits times and left pending: seven
+// delays, which would hold seven of the eight lanes if a timer could
+// take one. Then two per-packet delays recur, an ACK's 68 ns
+// serialisation and a 500 ns propagation. Both must be served by lanes,
+// and the timers must sit in the heap.
+func TestTimersLeaveLanesToPackets(t *testing.T) {
+	e := NewEngine()
+	ladder := []Time{
+		10 * Millisecond, 20 * Millisecond, 40 * Millisecond, 80 * Millisecond,
+		160 * Millisecond, 200 * Millisecond, 20 * Microsecond,
 	}
-	return n
+	for _, d := range ladder {
+		tm := NewTimer(e, func() {})
+		for i := 0; i < 2*lanePromoteHits; i++ {
+			tm.Reset(d)
+		}
+	}
+	acks, props := 0, 0
+	var ack, prop func()
+	ack = func() {
+		if acks++; acks < 100 {
+			e.Schedule(68, ack)
+		}
+	}
+	prop = func() {
+		if props++; props < 20 {
+			e.Schedule(500, prop)
+		}
+	}
+	e.Schedule(0, ack)
+	e.Schedule(0, prop)
+	e.Run(15 * Microsecond)
+	for _, d := range []Time{68, 500} {
+		if laneOf(e, d) == nil {
+			t.Errorf("per-packet delay %v has no lane", d)
+		}
+	}
+	for _, d := range ladder {
+		if laneOf(e, d) != nil {
+			t.Errorf("timer delay %v holds a lane", d)
+		}
+	}
+	if len(e.heap) != len(ladder) || e.Pending() != len(ladder) {
+		t.Fatalf("heap %d cells, %d pending; want the %d timers, in the heap", len(e.heap), e.Pending(), len(ladder))
+	}
 }
 
-// TestLaneResetStormStaysSmall is the RTO case: a million Resets of one
-// timer at a constant delay, with other timers of the same delay armed
-// before it, so every cancel lands in the middle or at the tail of the
-// lane and never at its head. Tombstones must be compacted away as fast
-// as they are made: the ring stays at its first size.
-func TestLaneResetStormStaysSmall(t *testing.T) {
+// TestTimerResetStormStaysSmall is the RTO case: a timer re-armed at a
+// constant 200 ms on every ACK, a million times, one ACK per
+// microsecond. A re-arm moves the timer's one heap cell, so the queue
+// ends at one cell — the timer's — in an arena of two slots.
+func TestTimerResetStormStaysSmall(t *testing.T) {
 	e := NewEngine()
 	const rto = 200 * Millisecond
-	l := earnLane(t, e, rto)
-	for i := 0; i < 10; i++ {
-		e.Schedule(rto, func() {}) // other connections' timers, armed earlier
-	}
-	live, pending := l.n, e.Pending()
-	tm := NewTimer(e, func() {})
-	for i := 0; i < 1_000_000; i++ {
+	tm := NewTimer(e, func() { t.Error("the RTO fired") })
+	acks := 0
+	var ack func()
+	ack = func() {
 		tm.Reset(rto)
-		if l.dead > l.n-l.dead {
-			t.Fatalf("reset %d: %d tombstones among %d cells", i, l.dead, l.n)
+		if acks++; acks < 1_000_000 {
+			e.Schedule(Microsecond, ack)
 		}
 	}
-	if len(l.cells) != laneMinRing || l.n > 2*(live+1) {
-		t.Fatalf("after 1M Resets the lane's ring has %d cells, %d in use; want %d and <= %d",
-			len(l.cells), l.n, laneMinRing, 2*(live+1))
+	e.Schedule(0, ack)
+	e.Run(Second) // the last ACK is at 999,999 µs, the RTO 200 ms after it
+	if acks != 1_000_000 {
+		t.Fatalf("setup: %d ACKs, want 1M", acks)
 	}
-	if e.Pending() != pending+1 || e.PeakPending != pending+1 || !tm.Armed() {
-		t.Fatalf("Pending() = %d, PeakPending = %d, armed = %v; want %d live events (tombstones not counted) and the timer armed",
-			e.Pending(), e.PeakPending, tm.Armed(), pending+1)
+	if e.Pending() != 1 || len(e.heap) != 1 || laneLive(e) != 0 || !tm.Armed() {
+		t.Fatalf("after 1M Resets: %d pending, heap %d cells, lanes %d cells, armed = %v; want one cell, the timer's",
+			e.Pending(), len(e.heap), laneLive(e), tm.Armed())
 	}
-}
-
-// TestLaneCancelAfterCompaction: compaction moves cells, so it must
-// rewrite each survivor's index in its slot — a later Cancel finds its
-// cell through that index. Cancel half of a lane and one more, which
-// compacts it, then cancel survivors that moved, and check that exactly
-// the uncanceled events fire, in order.
-func TestLaneCancelAfterCompaction(t *testing.T) {
-	e := NewEngine()
-	l := earnLane(t, e, 500)
-	e.RunAll()
-	var fired []int
-	ids := make([]EventID, 96)
-	for i := range ids {
-		i := i
-		ids[i] = e.Schedule(500, func() { fired = append(fired, i) })
-	}
-	canceled := map[int]bool{}
-	cancel := func(i int) {
-		t.Helper()
-		if !e.Cancel(ids[i]) {
-			t.Fatalf("Cancel of queued event %d returned false", i)
-		}
-		canceled[i] = true
-	}
-	for i := 1; i < 96; i += 2 { // 48 of 96, never the head: as many dead as live
-		cancel(i)
-	}
-	cancel(2) // one more: compaction, every survivor but the head moves
-	if l.dead != 0 || l.n != 47 {
-		t.Fatalf("setup: lane holds %d cells, %d dead; want a compacted ring of 47", l.n, l.dead)
-	}
-	for i := 6; i < 96; i += 4 {
-		cancel(i)
-	}
-	cancel(0) // the head
-	if live := int(l.n - l.dead); live != 96-len(canceled) {
-		t.Fatalf("lane holds %d live cells, want %d", live, 96-len(canceled))
-	}
-	e.RunAll()
-	var want []int
-	for i := range ids {
-		if !canceled[i] {
-			want = append(want, i)
-		}
-	}
-	if len(fired) != len(want) {
-		t.Fatalf("fired %v, want %v", fired, want)
-	}
-	for i := range want {
-		if fired[i] != want[i] {
-			t.Fatalf("fired %v, want %v", fired, want)
-		}
+	if len(e.arena) > 2 || e.PeakPending != 2 {
+		t.Fatalf("arena %d slots, PeakPending %d; want <= 2 and 2", len(e.arena), e.PeakPending)
 	}
 }
 
@@ -194,9 +192,9 @@ func TestLanePushOutOfOrderPanics(t *testing.T) {
 
 // TestLanesMatchReferenceAtDepth drives the engine and the heap-only
 // reference through a branching workload on three recurring delays —
-// thousands of events pending, one firing in three canceling a random
-// earlier event — so lane rings grow while wrapped, with tombstones
-// inside, and are compacted many times; the lane heads are checked at
+// thousands of events pending, one firing in three re-arming or
+// stopping one of 64 timers — so lane rings grow while wrapped and
+// timer cells move through a deep heap; the lane heads are checked at
 // every tick. The fuzz target covers the API's corners; this covers
 // depth.
 func TestLanesMatchReferenceAtDepth(t *testing.T) {
@@ -204,19 +202,31 @@ func TestLanesMatchReferenceAtDepth(t *testing.T) {
 		rng := NewRNG(7)
 		var (
 			log    []int64
-			events []scriptEvent
+			timers []scriptTimer
+			sent   int
 			tick   func()
 		)
-		grow := func() { events = append(events, q.schedule(fuzzDelays[2+rng.Intn(3)], tick)) }
+		grow := func() {
+			q.schedule(fuzzDelays[2+rng.Intn(3)], tick)
+			sent++
+		}
 		tick = func() {
 			q.check()
 			log = append(log, int64(q.Now()), int64(q.Pending()))
-			for k := 0; k < 2 && len(events) < 20_000; k++ {
+			for k := 0; k < 2 && sent < 20_000; k++ {
 				grow()
 			}
 			if rng.Intn(3) == 0 {
-				log = append(log, b2i(events[rng.Intn(len(events))].cancel()))
+				tm := timers[rng.Intn(len(timers))]
+				if rng.Intn(4) == 0 {
+					log = append(log, b2i(tm.Stop()))
+				} else {
+					tm.Reset(fuzzDelays[2+rng.Intn(5)])
+				}
 			}
+		}
+		for i := 0; i < 64; i++ {
+			timers = append(timers, q.timer(tick))
 		}
 		for i := 0; i < 300; i++ {
 			grow()
@@ -246,39 +256,51 @@ func TestLanesMatchReferenceAtDepth(t *testing.T) {
 }
 
 // TestBarrierRekeysLaneCells is TestShardGroupSameInstantTieBreak with
-// the local events queued in a lane: their provisional seqs are below
-// the handoff's true one, so "handoff, local, local2" holds only if the
-// barrier's rekey reaches the lane cells through their slots. The first
-// Run ends at the barrier after the window that scheduled them, whose
-// fixup rekeys local — by then its lane's head (the lane's earlier
-// cells fired in that window) — and local2 behind it: the heads entry
-// and a mid-ring cell are both rewritten.
+// the local events in every place a window leaves them. Shard 1 earns
+// lanes for delays 90 and 150 in the sequential phase, so both hold
+// true-keyed cells; then, at t = 20, it schedules two events on the
+// 150 lane — at its tail, behind the true-keyed cells, which are still
+// queued at the barrier — two on the 90 lane, whose true-keyed cells
+// fire in the window, so they are its head, and re-arms a timer between
+// them, a heap cell. Shard 0 at t = 10 makes five local calls first, so
+// every provisional seq on shard 1 is below the true seqs of the two
+// handoffs it sends to land at 110 and 170: the same-instant order
+// holds only if the fixup rewrites each place — lane tail, lane head
+// and its heads entry, heap cell.
 func TestBarrierRekeysLaneCells(t *testing.T) {
 	g := NewShardGroup(2, 100, 1)
-	e := g.Shard(1)
-	earnLane(t, e, 90)
-	var (
-		order []string
-		local EventID
-	)
-	g.Shard(0).Schedule(10, func() {
-		g.Shard(0).Schedule(100, func() {})
-		g.Send(g.Shard(0), 1, 100, func() { order = append(order, "handoff") })
+	s0, e := g.Shard(0), g.Shard(1)
+	head, tail := earnLane(t, e, 90), earnLane(t, e, 150)
+	tail0 := tail.n
+	var order []string
+	mark := func(s string) func() { return func() { order = append(order, s) } }
+	tm := NewTimer(e, mark("timer"))
+	s0.Schedule(10, func() {
+		for i := 0; i < 5; i++ {
+			s0.Schedule(100, func() {})
+		}
+		g.Send(s0, 1, 100, mark("handoff@110"))
+		g.Send(s0, 1, 160, mark("handoff@170"))
 	})
 	e.Schedule(20, func() {
-		local = e.Schedule(90, func() { order = append(order, "local") })
-		e.Schedule(90, func() { order = append(order, "local2") })
+		e.Schedule(150, mark("tail1"))
+		e.Schedule(150, mark("tail2"))
+		e.Schedule(90, mark("head1"))
+		tm.Reset(90)
+		e.Schedule(90, mark("head2"))
 	})
 	g.Run(100)
-	if s := &e.arena[local.slot]; s.lane < 0 || s.pos != e.lanes[s.lane].head {
-		t.Fatal("setup: the rekeyed local event is not at its lane's head")
+	if head.n != 2 || tail.n != tail0+2 || !tm.Armed() {
+		t.Fatalf("setup: the 90 lane holds %d cells, the 150 lane %d, timer armed %v; want 2, %d and true",
+			head.n, tail.n, tm.Armed(), tail0+2)
 	}
 	if err := checkHeads(e); err != nil {
 		t.Fatalf("after the rekey: %v", err)
 	}
 	g.RunAll()
-	if len(order) != 3 || order[0] != "handoff" || order[1] != "local" || order[2] != "local2" {
-		t.Fatalf("same-instant order = %v, want [handoff local local2]", order)
+	want := "handoff@110,head1,timer,head2,handoff@170,tail1,tail2"
+	if got := strings.Join(order, ","); got != want {
+		t.Fatalf("order = %s, want %s", got, want)
 	}
 }
 

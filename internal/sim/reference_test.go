@@ -10,10 +10,12 @@ import (
 // (at, seq), no arena, no lanes — kept as a test-only reference, and a
 // script interpreter that drives it and the real Engine through the same
 // byte-derived sequence of calls. Whatever the real engine does to go
-// faster (the 4-ary inline-key heap, the fixed-delay lanes and their
-// tombstones), every callback must still fire in the same order and
-// every observable answer — Now, Pending, Executed, Armed, the results
-// of Cancel and Timer.Stop, what Run returns — must be equal.
+// faster (the 4-ary inline-key heap, the fixed-delay lanes of plain
+// events by value, timers re-armed in place), every callback must still
+// fire in the same order and every observable answer — Now, Pending,
+// Executed, Timer.Armed and Timer.Stop, what Run returns — must be
+// equal. The reference keeps a cancelable handle to every event; its
+// timers are the only code that uses one, as on the real engine.
 
 type refEvent struct {
 	at    Time
@@ -116,7 +118,8 @@ func (e *refEngine) run(until Time) bool {
 	return e.stopped
 }
 
-// refTimer is Timer over the reference engine.
+// refTimer is Timer over the reference engine: a cancel and a fresh
+// schedule per Reset.
 type refTimer struct {
 	e  *refEngine
 	ev *refEvent
@@ -138,12 +141,7 @@ func (t *refTimer) Armed() bool { return t.e.Armed(t.ev) }
 
 // ---- one script, two engines ----
 
-// scriptEvent and scriptTimer are the handles the script keeps.
-type scriptEvent struct {
-	cancel func() bool
-	armed  func() bool
-}
-
+// scriptTimer is the one handle the script keeps.
 type scriptTimer interface {
 	Reset(Time)
 	Stop() bool
@@ -152,8 +150,8 @@ type scriptTimer interface {
 
 // scriptEngine is what the script needs of an engine.
 type scriptEngine interface {
-	schedule(delay Time, fn func()) scriptEvent
-	at(t Time, fn func()) scriptEvent
+	schedule(delay Time, fn func())
+	at(t Time, fn func())
 	timer(fn func()) scriptTimer
 	Run(until Time) Time
 	RunAll() Time
@@ -171,16 +169,10 @@ type realScript struct {
 	t testing.TB
 }
 
-func (r realScript) event(id EventID) scriptEvent {
-	return scriptEvent{
-		cancel: func() bool { return r.Cancel(id) },
-		armed:  func() bool { return r.Armed(id) },
-	}
-}
-func (r realScript) schedule(d Time, fn func()) scriptEvent { return r.event(r.Schedule(d, fn)) }
-func (r realScript) at(t Time, fn func()) scriptEvent       { return r.event(r.At(t, fn)) }
-func (r realScript) timer(fn func()) scriptTimer            { return NewTimer(r.Engine, fn) }
-func (r realScript) ran() uint64                            { return r.Executed }
+func (r realScript) schedule(d Time, fn func())  { r.Schedule(d, fn) }
+func (r realScript) at(t Time, fn func())        { r.At(t, fn) }
+func (r realScript) timer(fn func()) scriptTimer { return NewTimer(r.Engine, fn) }
+func (r realScript) ran() uint64                 { return r.Executed }
 func (r realScript) check() {
 	if err := checkHeads(r.Engine); err != nil {
 		r.t.Fatal(err)
@@ -189,18 +181,12 @@ func (r realScript) check() {
 
 type refScript struct{ *refEngine }
 
-func (r refScript) event(ev *refEvent) scriptEvent {
-	return scriptEvent{
-		cancel: func() bool { return r.Cancel(ev) },
-		armed:  func() bool { return r.Armed(ev) },
-	}
-}
-func (r refScript) schedule(d Time, fn func()) scriptEvent { return r.event(r.Schedule(d, fn)) }
-func (r refScript) at(t Time, fn func()) scriptEvent       { return r.event(r.At(t, fn)) }
-func (r refScript) timer(fn func()) scriptTimer            { return &refTimer{e: r.refEngine, fn: fn} }
-func (r refScript) Now() Time                              { return r.now }
-func (r refScript) ran() uint64                            { return r.executed }
-func (r refScript) check()                                 {}
+func (r refScript) schedule(d Time, fn func())  { r.Schedule(d, fn) }
+func (r refScript) at(t Time, fn func())        { r.At(t, fn) }
+func (r refScript) timer(fn func()) scriptTimer { return &refTimer{e: r.refEngine, fn: fn} }
+func (r refScript) Now() Time                   { return r.now }
+func (r refScript) ran() uint64                 { return r.executed }
+func (r refScript) check()                      {}
 
 // fuzzDelays is the small set of delays scripts mostly draw from, so
 // that each recurs often enough to earn a lane and the lanes fill: the
@@ -210,9 +196,13 @@ func (r refScript) check()                                 {}
 // all happen.
 var fuzzDelays = [...]Time{0, 1, 5, 16, 120, 1200, 1230, 20_000, 200_000, 7}
 
-// fuzzRTO is the one constant delay the script's timers are re-armed
-// with: a Reset storm on it cancels cells in the middle of that lane.
+// fuzzRTO is the one constant delay the script's Reset storms re-arm
+// with, as TCP re-arms its RTO on every ACK.
 const fuzzRTO = 20_000
+
+// maxScriptTimers caps the timers a script arms beyond its four
+// storm timers; past it, an arm re-arms an earlier timer.
+const maxScriptTimers = 64
 
 func b2i(b bool) int64 {
 	if b {
@@ -223,13 +213,13 @@ func b2i(b bool) int64 {
 
 // driveScript interprets data as a script over q and returns everything
 // observable: a record per fired callback (label, Now, Pending,
-// Executed), the answers to every Cancel, Stop and Armed, and what each
+// Executed), the answers to every Timer.Stop and Armed, and what each
 // Run returned. Callbacks schedule children — lane delays, odd delays,
-// zero and negative delays, absolute times in the past — cancel the
-// oldest, the newest or an arbitrary earlier event (a lane's head, tail
-// or middle), storm Timer.Reset at one constant delay, and Stop the run
-// from inside, after which the driver resumes it. The engine's invariants
-// are checked after every step and every run.
+// zero and negative delays, absolute times in the past — arm new timers
+// on the same delays and re-arm or stop the oldest, the newest or an
+// arbitrary earlier one, storm Timer.Reset at one constant delay, and
+// Stop the run from inside, after which the driver resumes it. The
+// engine's invariants are checked after every step and every run.
 func driveScript(data []byte, q scriptEngine) []int64 {
 	pos := 0
 	next := func() int {
@@ -244,40 +234,48 @@ func driveScript(data []byte, q scriptEngine) []int64 {
 	const maxEvents = 1500 // labels handed out before callbacks stop scheduling
 	var (
 		log    []int64
-		events []scriptEvent
-		timers [4]scriptTimer
+		timers []scriptTimer // four storm timers, then the armed ones
 		label  int64
 		stops  int
 		mk     func() func()
 	)
-	for i := range timers {
+	for i := 0; i < 4; i++ {
 		i := i
-		timers[i] = q.timer(func() { log = append(log, -10-int64(i), int64(q.Now()), int64(q.Pending())) })
+		timers = append(timers, q.timer(func() { log = append(log, -10-int64(i), int64(q.Now()), int64(q.Pending())) }))
+	}
+	// pick returns the oldest, the newest or any earlier timer.
+	pick := func(arg int) scriptTimer {
+		switch arg & 3 {
+		case 0:
+			return timers[0]
+		case 1:
+			return timers[len(timers)-1]
+		}
+		return timers[(arg>>2)%len(timers)]
 	}
 	step := func() {
 		op, arg := next(), next()
 		switch op % 8 {
 		case 0, 1: // a recurring delay: the common case, as in a real run
-			events = append(events, q.schedule(fuzzDelays[arg%len(fuzzDelays)], mk()))
+			q.schedule(fuzzDelays[arg%len(fuzzDelays)], mk())
 		case 2: // an irregular delay
-			events = append(events, q.schedule(Time(arg)*3+2, mk()))
+			q.schedule(Time(arg)*3+2, mk())
 		case 3: // zero, or negative and clamped to zero
-			events = append(events, q.schedule(-Time(arg&3), mk()))
+			q.schedule(-Time(arg&3), mk())
 		case 4: // an absolute time: in the past (clamped), now, or just ahead
-			events = append(events, q.at(q.Now()+Time(arg)-64, mk()))
-		case 5: // cancel the oldest, the newest, or any earlier event
-			if len(events) == 0 {
-				break
+			q.at(q.Now()+Time(arg)-64, mk())
+		case 5: // arm a new timer, or re-arm an earlier one, on a recurring delay
+			d := fuzzDelays[(arg>>3)%len(fuzzDelays)]
+			var t scriptTimer
+			if arg&1 == 0 && len(timers) < 4+maxScriptTimers {
+				t = q.timer(mk())
+				timers = append(timers, t)
+			} else {
+				t = pick(arg >> 1)
 			}
-			i := (arg >> 2) % len(events)
-			switch arg & 3 {
-			case 0:
-				i = 0
-			case 1:
-				i = len(events) - 1
-			}
-			ev := events[i]
-			log = append(log, -1, b2i(ev.armed()), b2i(ev.cancel()), b2i(ev.armed()), int64(q.Pending()))
+			log = append(log, -1, b2i(t.Armed()))
+			t.Reset(d)
+			log = append(log, b2i(t.Armed()), int64(q.Pending()))
 		case 6: // a Reset storm; timer 3 takes an irregular delay instead
 			t, d := timers[arg&3], Time(fuzzRTO)
 			if arg&3 == 3 {
@@ -293,7 +291,7 @@ func driveScript(data []byte, q scriptEngine) []int64 {
 				q.Stop()
 				break
 			}
-			t := timers[arg&3]
+			t := pick(arg&3 | arg>>3<<2)
 			log = append(log, -3, b2i(t.Armed()), b2i(t.Stop()), b2i(t.Armed()), int64(q.Pending()))
 		}
 		q.check()

@@ -36,20 +36,23 @@
 //     scheduling is trivially identical to serial.
 //   - During a window, shard s hands out provisional seqs base + k
 //     (base = group counter frozen at the window start, k = the
-//     shard's schedule-call count this window) and journals every
-//     schedule call. Provisional seqs exceed all true seqs issued so
-//     far, and within one shard their relative order equals the true
-//     relative order, so the shard's own heap stays correctly ordered
-//     mid-window. Cross-shard interleave cannot perturb a shard's
-//     in-window ordering: an event executing in this window was either
-//     enqueued before the window or scheduled by a same-shard parent
-//     (handoffs always land in a later window).
+//     shard's schedule-call count this window). It journals how many
+//     calls each executed event made, each cross-shard handoff and
+//     each heap insert; a call that lands in a lane needs no entry.
+//     Provisional seqs exceed all true seqs issued so far, and within
+//     one shard their relative order equals the true relative order, so
+//     the shard's own queue stays correctly ordered mid-window.
+//     Cross-shard interleave cannot perturb a shard's in-window
+//     ordering: an event executing in this window was either enqueued
+//     before the window or scheduled by a same-shard parent (handoffs
+//     always land in a later window).
 //   - At the barrier the coordinator k-way merges the shards' journals
 //     in global execution order — (at, true seq) of the *scheduling*
 //     event — and replays the schedule calls against the real counter,
 //     recording for each call the seq a serial engine would have issued
-//     (trueOf) and staging each handoff under its true seq for its
-//     destination. That is all the barrier does.
+//     (trueOf[k-1] for the shard's k-th call) and staging each handoff
+//     under its true seq for its destination. That is all the barrier
+//     does.
 //   - Each shard then fixes its own queue up (shard.fixup), on its own
 //     goroutine, first thing in its next window and before any schedule
 //     call: it rekeys its queued events provisional → true (proven
@@ -81,14 +84,14 @@ type execRec struct {
 	nCalls uint64
 }
 
-// callRec journals one schedule call. dst < 0 is a local schedule
-// (rekeyed by the shard's next fixup via id); dst >= 0 is a cross-shard
-// handoff, whose callback waits in the shard's sends FIFO until the
-// barrier stages it.
-type callRec struct {
+// sendRec journals one cross-shard handoff: its call index k in the
+// window (its provisional seq is base + k), and what the barrier stages
+// for dst under the true seq.
+type sendRec struct {
+	k   uint64
 	at  Time
-	id  EventID
 	dst int32
+	cb  callback
 }
 
 // handoff is a merged cross-shard event waiting to be inserted into
@@ -194,21 +197,18 @@ type shard struct {
 	// and by the coordinator during a barrier; the epoch and done words
 	// order the handoff between them.
 	inWindow bool
-	k        uint64    // schedule calls made this window
+	base     uint64    // group counter when the last busy window began
+	k        uint64    // schedule calls made in that window
 	execLog  []execRec // executed events that scheduled something
-	callLog  []callRec // every schedule call, in k order
-	// sends holds the callbacks of this window's handoffs in call
-	// order — beside the journal, so a local schedule's record stays
-	// small and only this list has references to drop.
-	sends    []callback
-	panicked any // callback panic captured for the coordinator
+	sends    []sendRec // the window's handoffs, in call order
+	heapLog  []handle  // the window's heap inserts and timer re-arms
+	panicked any       // callback panic captured for the coordinator
 
 	// Barrier state, written by the coordinator; trueOf and staged are
 	// the fixup the shard applies at the start of its next window.
 	execPos  int
-	callPos  int
 	sendPos  int
-	trueOf   []uint64  // trueOf[j] = true seq of callLog[j]
+	trueOf   []uint64  // trueOf[k-1] = true seq of the window's call k
 	staged   []handoff // merged handoffs destined for this shard
 	stagedAt Time      // earliest staged handoff, never if none
 	head     Time      // earliest pending work this iteration, never if none
@@ -233,41 +233,37 @@ const never = Time(1<<63 - 1)
 func (sh *shard) nextSeq() uint64 {
 	if sh.inWindow {
 		sh.k++
-		return sh.g.counter + sh.k
+		return sh.base + sh.k
 	}
 	sh.g.counter++
 	return sh.g.counter
 }
 
-// noteLocal journals an in-window local schedule so the shard's next
-// fixup can rekey it to its true seq.
-func (sh *shard) noteLocal(at Time, id EventID) {
-	if !sh.inWindow {
-		return
+// noteHeap journals an in-window heap insert or timer re-arm so the
+// shard's next fixup can rekey its cell through the slot.
+func (sh *shard) noteHeap(h handle) {
+	if sh.inWindow {
+		sh.heapLog = append(sh.heapLog, h)
 	}
-	sh.callLog = append(sh.callLog, callRec{at: at, id: id, dst: -1})
 }
 
 // fixup applies the barriers' verdict to the shard's own queue: rekey
 // what its last busy window scheduled to true seqs, then insert the
 // handoffs staged for it since — rekeying first, so every comparison
-// an insert makes is between true keys. Only trueOf's prefix of
-// callLog was merged (after a callback panic, the rest never will be).
+// an insert makes is between true keys.
 func (sh *shard) fixup() {
-	for j, seq := range sh.trueOf {
-		if c := sh.callLog[j]; c.dst < 0 {
-			sh.eng.rekey(c.id, seq)
-		}
+	if sh.k > 0 {
+		sh.eng.rekey(sh.base, sh.trueOf, sh.heapLog)
 	}
 	for _, h := range sh.staged {
-		sh.eng.insertKeyed(inHeap, h.at, h.seq, h.cb)
+		sh.eng.heapInsert(h.at, h.seq, h.cb)
 	}
 	// Don't pin dead closures or arguments in the reused backing arrays.
 	clear(sh.staged)
 	clear(sh.sends)
 	sh.staged = sh.staged[:0]
 	sh.sends = sh.sends[:0]
-	sh.callLog = sh.callLog[:0]
+	sh.heapLog = sh.heapLog[:0]
 	sh.trueOf = sh.trueOf[:0]
 	sh.stagedAt = never
 	sh.k = 0
@@ -283,6 +279,7 @@ func (sh *shard) runOne(limit Time) {
 		}
 	}()
 	sh.fixup()
+	sh.base = sh.g.counter
 	sh.eng.runWindow(limit)
 }
 
@@ -483,8 +480,7 @@ func (g *ShardGroup) send(src *Engine, dst int, delay Time, cb callback) {
 	// consumed one here) and journal the handoff; the barrier assigns
 	// the true seq and stages it for dst.
 	sh.k++
-	sh.callLog = append(sh.callLog, callRec{at: src.now + delay, dst: int32(dst)})
-	sh.sends = append(sh.sends, cb)
+	sh.sends = append(sh.sends, sendRec{k: sh.k, at: src.now + delay, dst: int32(dst), cb: cb})
 }
 
 // Run executes events in global timestamp order until all queues drain
@@ -657,21 +653,20 @@ func (g *ShardGroup) barrier() {
 		rec := sh.execLog[sh.execPos]
 		sh.execPos++
 		for c := uint64(0); c < rec.nCalls; c++ {
-			call := sh.callLog[sh.callPos]
-			sh.callPos++
 			g.counter++
 			sh.trueOf = append(sh.trueOf, g.counter)
-			if call.dst >= 0 {
-				d := g.shards[call.dst]
-				d.staged = append(d.staged, handoff{at: call.at, seq: g.counter, cb: sh.sends[sh.sendPos]})
-				d.stagedAt = min(d.stagedAt, call.at)
+			if sh.sendPos < len(sh.sends) && sh.sends[sh.sendPos].k == uint64(len(sh.trueOf)) {
+				s := &sh.sends[sh.sendPos]
+				d := g.shards[s.dst]
+				d.staged = append(d.staged, handoff{at: s.at, seq: g.counter, cb: s.cb})
+				d.stagedAt = min(d.stagedAt, s.at)
 				sh.sendPos++
 			}
 		}
 	}
 	for _, sh := range g.shards {
 		sh.execLog = sh.execLog[:0]
-		sh.execPos, sh.callPos, sh.sendPos = 0, 0, 0
+		sh.execPos, sh.sendPos = 0, 0
 	}
 	for _, fn := range g.hooks {
 		fn()

@@ -413,14 +413,34 @@ func TestShardGroupStopFromAnotherGoroutine(t *testing.T) {
 
 // TestShardGroupPanicPropagates checks that a callback panic on a
 // worker goroutine resurfaces from Run on the caller's goroutine
-// instead of crashing the process from the worker.
+// instead of crashing the process from the worker — and that the
+// fixups the unwinding run still applies stay inside what the barrier
+// merged. Shard 0's lane for delay 50 holds a true-keyed cell, then
+// two cells an event at t = 5 queued (merged at the barrier), then four
+// the panicking event queued (never merged: trueOf covers only the
+// first two of the window's calls).
 func TestShardGroupPanicPropagates(t *testing.T) {
 	g := NewShardGroup(2, 100, 1)
-	g.Shard(0).Schedule(10, func() { panic("boom") })
+	e := g.Shard(0)
+	l := earnLane(t, e, 50)
+	n0 := l.n
+	e.Schedule(5, func() {
+		e.Schedule(50, func() {})
+		e.Schedule(50, func() {})
+	})
+	e.Schedule(10, func() {
+		for i := 0; i < 4; i++ {
+			e.Schedule(50, func() {})
+		}
+		panic("boom")
+	})
 	g.Shard(1).Schedule(10, func() {})
 	defer func() {
 		if r := recover(); r != "boom" {
 			t.Fatalf("recovered %v, want \"boom\"", r)
+		}
+		if l.n != n0+6 {
+			t.Fatalf("the lane holds %d cells, want %d", l.n, n0+6)
 		}
 	}()
 	g.RunAll()
