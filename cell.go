@@ -37,10 +37,10 @@ type Cell struct {
 	optimal bool
 
 	// The measurement set. probes starts sockperf-style RTT probers
-	// over the server stride pairs (i, i+N/2); they are serial-only and
-	// are skipped on a sharded run. config adjusts the cluster before
-	// it is built (GRO flavour, ablation knobs). observe drives the
-	// started run and harvests it; nil is loadWindow.
+	// over the server stride pairs (i, i+N/2), at any shard count.
+	// config adjusts the cluster before it is built (GRO flavour,
+	// ablation knobs). observe drives the started run and harvests it;
+	// nil is loadWindow.
 	probes  bool
 	config  func(*cluster.Config)
 	observe func(*run) LoadResult
@@ -170,7 +170,7 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 		return LoadResult{}, err
 	}
 	r := &run{opt: opt, c: c, g: g}
-	if cell.probes && c.Shards() == 1 {
+	if cell.probes {
 		n := g.Servers()
 		for i := 0; i < n; i++ {
 			p := c.NewProber(packet.HostID(i), packet.HostID((i+n/2)%n), probeInterval)

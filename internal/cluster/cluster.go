@@ -101,8 +101,7 @@ type Config struct {
 	// across inter-pod links). Results are bit-identical at every size.
 	// Values below 1 mean 1 (one engine, no windows); values above the
 	// topology's pod count are capped. Clusters of more than one shard
-	// reject Telemetry, link failures, and Probers: those paths mutate
-	// or read cross-shard state mid-run.
+	// reject Telemetry, whose tracer is shared by every component.
 	Shards int
 
 	// Telemetry, when non-nil, wires the registry's tracer through every
@@ -120,11 +119,11 @@ type Host struct {
 
 // Cluster is a running testbed.
 type Cluster struct {
-	// Eng is the control engine, Group().Shard(0): the controller's
-	// clock, and the only engine of a one-shard cluster, where driving
-	// it (Eng.Run, Eng.Schedule, Eng.Now) and driving the cluster are
-	// interchangeable. Use Run/RunAll/Now/StopRun to drive a cluster of
-	// any size.
+	// Eng is Group().Shard(0): the only engine of a one-shard cluster,
+	// where driving it (Eng.Run, Eng.Schedule, Eng.Now) and driving the
+	// cluster are interchangeable. On more shards it owns only shard
+	// 0's hosts and switches. Use Run/RunAll/Now/StopRun to drive a
+	// cluster of any size.
 	Eng   *sim.Engine
 	Topo  *topo.Topology
 	Net   *fabric.Network
@@ -177,9 +176,7 @@ func New(cfg Config) *Cluster {
 	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
 	c.Eng = c.group.Shard(0)
 	c.Net = fabric.NewSharded(c.group, shardOf, cfg.Topology, cfg.Fabric)
-	// The controller only runs at install time and on link failures;
-	// both are sequential-phase paths, so any engine's clock serves.
-	c.Ctrl = controller.New(c.Eng, c.Net, cfg.Ctrl)
+	c.Ctrl = controller.New(c.Net, cfg.Ctrl)
 
 	for i := 0; i < cfg.Topology.NumHosts(); i++ {
 		h := packet.HostID(i)
@@ -340,23 +337,17 @@ func (c *Cluster) tcpConfig() tcp.Config {
 	return cfg
 }
 
-// FailLink fails a link in the fabric and notifies the controller.
-// One-shard clusters only: the controller's deferred label push would
-// mutate switch tables on every shard mid-run.
+// FailLink fails a link in the fabric and notifies the controller,
+// whose new mappings reach each vSwitch on that vSwitch's own engine.
+// On more than one shard it is legal only between Run calls.
 func (c *Cluster) FailLink(id topo.LinkID) {
-	if c.Shards() > 1 {
-		panic("cluster: FailLink requires Shards <= 1")
-	}
 	c.Net.FailLink(id)
 	c.Ctrl.HandleLinkFailure(id)
 }
 
-// RestoreLink restores a link and notifies the controller. One-shard
-// clusters only, like FailLink.
+// RestoreLink restores a link and notifies the controller, under the
+// same rules as FailLink.
 func (c *Cluster) RestoreLink(id topo.LinkID) {
-	if c.Shards() > 1 {
-		panic("cluster: RestoreLink requires Shards <= 1")
-	}
 	c.Net.RestoreLink(id)
 	c.Ctrl.HandleLinkRestore(id)
 }

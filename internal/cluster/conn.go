@@ -175,7 +175,9 @@ func (conn *Conn) Close() {
 
 // Prober measures RTT sockperf-style: a 64-byte ping over a dedicated
 // TCP connection, answered by a 64-byte application response; the
-// round-trip is one sample. Probes repeat every Interval.
+// round-trip is one sample. Probes repeat every Interval. Each end
+// keeps its own state on its own host's engine, so the ends may sit on
+// different shards.
 type Prober struct {
 	Conn     *Conn
 	Interval sim.Time
@@ -186,38 +188,35 @@ type Prober struct {
 	RTTs     []float64
 	SampleAt []sim.Time
 
-	c       *Cluster
-	rounds  uint64
-	sentAt  sim.Time
-	stopped bool
+	eng      *sim.Engine // the source host's
+	rounds   uint64      // pings answered, counted at the source
+	answered uint64      // pings answered, counted at the destination
+	sentAt   sim.Time
+	stopped  bool
 }
 
 // NewProber opens a probe connection between two hosts. Call Start to
 // begin probing.
 func (c *Cluster) NewProber(src, dst packet.HostID, interval sim.Time) *Prober {
-	if c.Shards() > 1 {
-		// The prober's sample bookkeeping is written from callbacks on
-		// both hosts' engines, which may live on different shards.
-		panic("cluster: Prober requires Shards <= 1")
-	}
-	p := &Prober{c: c, Interval: interval}
+	p := &Prober{eng: c.engOf(src), Interval: interval}
 	p.Conn = c.Dial(src, dst)
 	p.Conn.SetProbe()
 	p.Conn.OnDelivered = func(total uint64) {
 		// Every 64 request bytes completes a ping: answer it.
-		if total >= (p.rounds+1)*64 {
+		if total >= (p.answered+1)*64 {
+			p.answered++
 			p.Conn.WriteReverse(64)
 		}
 	}
 	p.Conn.OnReverseDelivered = func(total uint64) {
 		if total >= (p.rounds+1)*64 {
 			p.rounds++
-			rtt := sim.Time(c.Eng.Now() - p.sentAt).Milliseconds()
+			rtt := sim.Time(p.eng.Now() - p.sentAt).Milliseconds()
 			p.Samples.Add(rtt)
 			p.RTTs = append(p.RTTs, rtt)
-			p.SampleAt = append(p.SampleAt, c.Eng.Now())
+			p.SampleAt = append(p.SampleAt, p.eng.Now())
 			if !p.stopped {
-				c.Eng.Schedule(p.Interval, p.ping)
+				p.eng.Schedule(p.Interval, p.ping)
 			}
 		}
 	}
@@ -234,6 +233,6 @@ func (p *Prober) ping() {
 	if p.stopped {
 		return
 	}
-	p.sentAt = p.c.Eng.Now()
+	p.sentAt = p.eng.Now()
 	p.Conn.Write(64)
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"presto/internal/controller"
 	"presto/internal/packet"
 	"presto/internal/scheme"
 	"presto/internal/sim"
@@ -73,28 +74,96 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestShardedClusterRejectsCrossShardFacilities pins the guard rails:
-// facilities whose state crosses shard boundaries mid-run must refuse
-// to build rather than race.
-func TestShardedClusterRejectsCrossShardFacilities(t *testing.T) {
+// TestShardedClusterRejectsTelemetry pins the one facility a sharded
+// cluster refuses: a tracer shared by every component would race
+// across shards, so it must refuse to build.
+func TestShardedClusterRejectsTelemetry(t *testing.T) {
 	tt := topo.ThreeTierClos(2, 1, 1, 1, topo.LinkConfig{})
-	expectPanic := func(name string, fn func()) {
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
-			}
-		}()
-		fn()
-	}
-	expectPanic("telemetry", func() {
-		New(Config{Topology: tt, Shards: 2, Telemetry: telemetry.NewRegistry(nil)})
-	})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 2-shard cluster with telemetry built")
+		}
+	}()
+	New(Config{Topology: tt, Shards: 2, Telemetry: telemetry.NewRegistry(nil)})
+}
+
+// TestShardedFailLinkMidWindowPanics pins the invariant that makes a
+// sharded link failure safe: link state changes only between Run
+// calls. A FailLink from an event inside a window is refused by the
+// fabric's quiescence check, not raced.
+func TestShardedFailLinkMidWindowPanics(t *testing.T) {
+	tt := topo.ThreeTierClos(2, 1, 1, 1, topo.LinkConfig{})
 	c := New(Config{Topology: tt, Shards: 2})
-	if c.Group() == nil || c.Shards() != 2 {
-		t.Fatalf("Shards() = %d with group %v, want 2 shards", c.Shards(), c.Group())
+	c.Eng.Schedule(sim.Microsecond, func() { c.FailLink(tt.Links[0].ID) })
+	defer func() {
+		r := recover()
+		if msg, _ := r.(string); !strings.Contains(msg, "during a sharded run") {
+			t.Fatalf("FailLink inside a window: recovered %v, want the fabric's quiescence panic", r)
+		}
+	}()
+	c.Run(sim.Millisecond)
+}
+
+// failoverFingerprint runs Presto elephants between the testbed's
+// stride pairs with two RTT probers, fails one tree link and later
+// restores it between Run calls, and renders what the failure path
+// touches: clocks, event counts, prober RTTs, per-connection bytes,
+// switch counters and the controller's push count.
+func failoverFingerprint(t *testing.T, shards int) string {
+	t.Helper()
+	tp := topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{})
+	// A short control loop keeps both pushes inside a 25 ms run.
+	ctrl := controller.Config{UpdateLatency: 8 * sim.Millisecond}
+	c := New(Config{Topology: tp, Scheme: Presto, Seed: 5, Shards: shards, Ctrl: ctrl})
+	n := tp.NumHosts()
+	var conns []*Conn
+	for i := 0; i < n; i++ {
+		conn := c.Dial(packet.HostID(i), packet.HostID((i+n/2)%n))
+		conn.SetUnlimited(true)
+		conns = append(conns, conn)
 	}
-	expectPanic("FailLink", func() { c.FailLink(tt.Links[0].ID) })
-	expectPanic("Prober", func() { c.NewProber(0, 1, 1000) })
+	probers := []*Prober{c.NewProber(0, 13, sim.Millisecond), c.NewProber(6, 1, sim.Millisecond)}
+	for _, p := range probers {
+		p.Start()
+	}
+	bad := treeLink(c, 0, 0)
+	c.Run(3 * sim.Millisecond)
+	c.FailLink(bad)
+	c.Run(14 * sim.Millisecond) // past hardware failover and the push
+	c.RestoreLink(bad)
+	c.Run(25 * sim.Millisecond)
+
+	var b strings.Builder
+	fmt.Fprintf(&b, "now=%v executed=%d updates=%d delivered=%d drops=%d down=%d\n",
+		c.Now(), c.Executed(), c.Ctrl.Updates, c.Net.TotalDelivered(), c.Net.TotalDrops(), c.Net.TotalDropsDown())
+	for i, p := range probers {
+		fmt.Fprintf(&b, "prober%d rtts=%v at=%v\n", i, p.RTTs, p.SampleAt)
+	}
+	for i, cn := range conns {
+		fmt.Fprintf(&b, "conn%d acked=%d delivered=%d\n", i, cn.Acked(), cn.Delivered())
+	}
+	for _, nd := range tp.Nodes {
+		if nd.Kind != topo.KindHost {
+			fmt.Fprintf(&b, "sw%d rx=%d\n", nd.ID, c.Net.Switch(nd.ID).RxPackets)
+		}
+	}
+	return b.String()
+}
+
+// TestShardedFailoverMatchesSerial pins Presto's failure handling at
+// every shard count: hardware failover, the controller's per-vSwitch
+// pushes on their own engines, the restore, and probers whose ends
+// sit on different shards all give the serial run's bytes.
+func TestShardedFailoverMatchesSerial(t *testing.T) {
+	want := failoverFingerprint(t, 1)
+	if !strings.Contains(want, "updates=3 ") {
+		t.Fatalf("serial run: want the install plus two pushes:\n%s", want)
+	}
+	for _, shards := range []int{2, 4} {
+		if got := failoverFingerprint(t, shards); got != want {
+			t.Fatalf("%d shards diverged from serial:\nserial:\n%s\nsharded:\n%s", shards, want, got)
+		}
+	}
 }
 
 // TestShardsCappedAtPods checks that over-asking for shards falls back
@@ -119,7 +188,7 @@ func TestShardsCappedAtPods(t *testing.T) {
 		}
 	}
 	if c.Eng != c.Group().Shard(0) {
-		t.Fatal("Eng of a sharded cluster is not the control engine Group().Shard(0)")
+		t.Fatal("Eng of a sharded cluster is not Group().Shard(0)")
 	}
 }
 

@@ -44,9 +44,9 @@ type Config struct {
 // slow next to hardware failover, as in §3.3.
 func DefaultConfig() Config { return Config{UpdateLatency: 50 * sim.Millisecond} }
 
-// Controller is the central brain.
+// Controller is the central brain. It owns no engine: its deferred
+// pushes run on the engines of the vSwitches they update.
 type Controller struct {
-	eng  *sim.Engine
 	net  *fabric.Network
 	topo *topo.Topology
 	cfg  Config
@@ -54,25 +54,24 @@ type Controller struct {
 	trees     []topo.Tree
 	switches  []topo.NodeID       // every switch, in node order
 	leafIdx   map[topo.NodeID]int // leaf → position in Topology.Leaves
-	vswitches map[packet.HostID]*vswitch.VSwitch
+	vswitches []*vswitch.VSwitch  // by host; nil for an unregistered host
 
-	// Updates counts mapping pushes (initial install + failure
-	// recomputes).
+	// Updates counts mapping pushes: the initial install plus one per
+	// link failure or restore.
 	Updates int
 }
 
 // New creates a controller for the given running fabric.
-func New(eng *sim.Engine, net *fabric.Network, cfg Config) *Controller {
+func New(net *fabric.Network, cfg Config) *Controller {
 	if cfg.UpdateLatency == 0 {
 		cfg.UpdateLatency = DefaultConfig().UpdateLatency
 	}
 	c := &Controller{
-		eng:       eng,
 		net:       net,
 		topo:      net.Topo,
 		cfg:       cfg,
 		leafIdx:   make(map[topo.NodeID]int, len(net.Topo.Leaves)),
-		vswitches: make(map[packet.HostID]*vswitch.VSwitch),
+		vswitches: make([]*vswitch.VSwitch, net.Topo.NumHosts()),
 	}
 	for _, n := range c.topo.Nodes {
 		if n.Kind != topo.KindHost {
@@ -126,7 +125,13 @@ func (c *Controller) InstallAll() {
 			c.net.Switch(leaf).InstallLabel(label, c.topo.HostLink(host))
 		}
 	}
-	c.pushMappings()
+	c.Updates++
+	routes := make(map[[2]topo.NodeID]leafRoute) // one pass, one cache for every vSwitch
+	for _, vs := range c.vswitches {
+		if vs != nil {
+			c.pushMappings(vs, routes)
+		}
+	}
 }
 
 // install writes label's egress — tr's link toward dstLeaf — at every
@@ -185,62 +190,57 @@ type leafRoute struct {
 	weights []float64
 }
 
-// pushMappings (re)computes and disseminates per-destination label
-// lists for every registered vSwitch, excluding trees broken for that
-// source/destination pair. Equal weights across surviving trees; the
-// duplication mechanism of §3.3 is available through
-// vswitch.SetMapping for custom weighting.
-func (c *Controller) pushMappings() {
-	c.Updates++
+// pushMappings (re)computes and installs vs's per-destination label
+// lists, excluding trees broken for each source/destination pair.
+// Equal weights across surviving trees unless TreeWeights says
+// otherwise (the duplication mechanism of §3.3). Which trees are
+// usable, and their weights, depend on the leaf pair alone: routes
+// caches them per pair, not per host pair.
+func (c *Controller) pushMappings(vs *vswitch.VSwitch, routes map[[2]topo.NodeID]leafRoute) {
 	slots := c.cfg.WeightSlots
 	if slots <= 0 {
 		slots = 16
 	}
-	// Which trees are usable, and their weights, depend on the leaf pair
-	// alone: worked out once per pair, not per host pair.
-	routes := make(map[[2]topo.NodeID]leafRoute)
-	for srcHost, vs := range c.vswitches {
-		srcLeaf := c.topo.LeafOf(srcHost)
-		// One backing array holds all of this source's label lists.
-		buf := make([]packet.MAC, 0, len(c.topo.Hosts)*len(c.trees))
-		for _, dstNode := range c.topo.Hosts {
-			dst := c.topo.Nodes[dstNode].Host
-			if dst == srcHost {
-				continue
-			}
-			if c.topo.SpineAttached(srcHost) || c.topo.SpineAttached(dst) {
-				// Remote users (either end) use plain L3 forwarding.
-				vs.SetMapping(dst, nil)
-				continue
-			}
-			if c.topo.SameLeaf(srcHost, dst) || !c.topo.HasFabric() {
-				// Direct: a single minimal path; no multipathing needed.
-				vs.SetMapping(dst, nil)
-				continue
-			}
-			dstLeaf := c.topo.LeafOf(dst)
-			r, ok := routes[[2]topo.NodeID{srcLeaf, dstLeaf}]
-			if !ok {
-				r.usable = c.usableTrees(srcLeaf, dstLeaf)
-				if c.cfg.TreeWeights != nil && len(r.usable) > 1 {
-					r.weights = c.cfg.TreeWeights(c.topo, r.usable, srcLeaf, dstLeaf)
-				}
-				routes[[2]topo.NodeID{srcLeaf, dstLeaf}] = r
-			}
-			if len(r.usable) == 0 {
-				vs.SetMapping(dst, nil)
-				continue
-			}
-			start := len(buf)
-			buf = c.appendLabels(buf, r.usable, dstLeaf, dst)
-			macs := buf[start:len(buf):len(buf)]
-			if r.weights != nil {
-				if seq := WeightedLabels(macs, r.weights, slots); seq != nil {
-					macs = seq
-				}
-			}
-			vs.SetMapping(dst, macs)
+	srcLeaf := c.topo.LeafOf(vs.Host)
+	// One backing array holds all of this source's label lists.
+	buf := make([]packet.MAC, 0, len(c.topo.Hosts)*len(c.trees))
+	for _, dstNode := range c.topo.Hosts {
+		dst := c.topo.Nodes[dstNode].Host
+		if dst == vs.Host {
+			continue
 		}
+		if c.topo.SpineAttached(vs.Host) || c.topo.SpineAttached(dst) {
+			// Remote users (either end) use plain L3 forwarding.
+			vs.SetMapping(dst, nil)
+			continue
+		}
+		if c.topo.SameLeaf(vs.Host, dst) || !c.topo.HasFabric() {
+			// Direct: a single minimal path; no multipathing needed.
+			vs.SetMapping(dst, nil)
+			continue
+		}
+		dstLeaf := c.topo.LeafOf(dst)
+		r, ok := routes[[2]topo.NodeID{srcLeaf, dstLeaf}]
+		if !ok {
+			r.usable = c.usableTrees(srcLeaf, dstLeaf)
+			if c.cfg.TreeWeights != nil && len(r.usable) > 1 {
+				r.weights = c.cfg.TreeWeights(c.topo, r.usable, srcLeaf, dstLeaf)
+			}
+			routes[[2]topo.NodeID{srcLeaf, dstLeaf}] = r
+		}
+		if len(r.usable) == 0 {
+			vs.SetMapping(dst, nil)
+			continue
+		}
+		start := len(buf)
+		buf = c.appendLabels(buf, r.usable, dstLeaf, dst)
+		macs := buf[start:len(buf):len(buf)]
+		if r.weights != nil {
+			if seq := WeightedLabels(macs, r.weights, slots); seq != nil {
+				macs = seq
+			}
+		}
+		vs.SetMapping(dst, macs)
 	}
 }
 
@@ -248,13 +248,21 @@ func (c *Controller) pushMappings() {
 // cluster wires fabric failures to this). The weighted-multipathing
 // update lands after UpdateLatency; until then, senders keep spraying
 // over the old label lists and the switches' fast failover detours
-// the broken tree.
+// the broken tree. Each vSwitch, in host order, recomputes its own
+// mappings in an event on its own engine. A push writes only its
+// vSwitch and reads link state, which a sharded fabric changes only
+// between Run calls, so concurrent pushes share no write.
 func (c *Controller) HandleLinkFailure(id topo.LinkID) {
-	c.eng.Schedule(c.cfg.UpdateLatency, c.pushMappings)
+	c.Updates++
+	for _, vs := range c.vswitches {
+		if vs != nil {
+			vs.Eng.Schedule(c.cfg.UpdateLatency, func() {
+				c.pushMappings(vs, make(map[[2]topo.NodeID]leafRoute))
+			})
+		}
+	}
 }
 
 // HandleLinkRestore re-includes recovered trees after the same
-// control-loop latency.
-func (c *Controller) HandleLinkRestore(id topo.LinkID) {
-	c.eng.Schedule(c.cfg.UpdateLatency, c.pushMappings)
-}
+// control-loop latency, through the same recompute.
+func (c *Controller) HandleLinkRestore(id topo.LinkID) { c.HandleLinkFailure(id) }

@@ -19,7 +19,7 @@ func rig(t *testing.T, spines, leaves, hostsPer int) (*sim.Engine, *fabric.Netwo
 	eng := sim.NewEngine()
 	tp := topo.TwoTierClos(spines, leaves, hostsPer, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
-	c := New(eng, net, Config{})
+	c := New(net, Config{})
 	vss := make(map[packet.HostID]*vswitch.VSwitch)
 	for i := 0; i < tp.NumHosts(); i++ {
 		h := packet.HostID(i)
@@ -151,7 +151,7 @@ func TestSingleSwitchTopologyNoLabels(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := topo.SingleSwitch(4, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
-	c := New(eng, net, Config{})
+	c := New(net, Config{})
 	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()
@@ -164,7 +164,7 @@ func TestTunnelModeRuleCounts(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
-	c := New(eng, net, Config{TunnelMode: true})
+	c := New(net, Config{TunnelMode: true})
 	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()
@@ -197,7 +197,7 @@ func TestTunnelModeEndToEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
-	c := New(eng, net, Config{TunnelMode: true})
+	c := New(net, Config{TunnelMode: true})
 	c.InstallAll()
 	got := 0
 	net.AttachHost(3, handlerFunc(func(p *packet.Packet) { got++ }))

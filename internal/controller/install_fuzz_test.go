@@ -117,7 +117,7 @@ func FuzzTreeInstall(f *testing.F) {
 		}
 		eng := sim.NewEngine()
 		net := fabric.New(eng, tp, fabric.Config{})
-		c := New(eng, net, Config{TunnelMode: tunnel})
+		c := New(net, Config{TunnelMode: tunnel})
 		var vss []*vswitch.VSwitch
 		for i := range tp.Hosts {
 			vs := vswitch.New(eng, packet.HostID(i), nullSender{}, vswitch.NewPresto(packet.MaxSegSize))

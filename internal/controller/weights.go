@@ -91,8 +91,8 @@ func WeightedLabels(labels []packet.MAC, weights []float64, maxSlots int) []pack
 // (source vSwitch, destination host) pair. Weights follow the order of
 // the controller's usable trees for that pair.
 func (c *Controller) SetWeightedMapping(src, dst packet.HostID, weights []float64, maxSlots int) bool {
-	vs, ok := c.vswitches[src]
-	if !ok {
+	vs := c.vswitches[src]
+	if vs == nil {
 		return false
 	}
 	dstLeaf := c.topo.LeafOf(dst)

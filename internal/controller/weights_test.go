@@ -91,7 +91,7 @@ func TestSetWeightedMapping(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := topo.TwoTierClos(3, 2, 1, 1, topo.LinkConfig{})
 	net := fabric.New(eng, tp, fabric.Config{})
-	c := New(eng, net, Config{})
+	c := New(net, Config{})
 	vs := vswitch.New(eng, 0, nullSender{}, vswitch.NewPresto(packet.MaxSegSize))
 	c.RegisterVSwitch(vs)
 	c.InstallAll()

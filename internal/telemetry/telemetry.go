@@ -166,9 +166,10 @@ const DefaultEventLimit = 1 << 21
 // Memory is bounded: past DefaultEventLimit events, Emit only counts
 // into Dropped.
 //
-// A Tracer is not safe for concurrent use. Telemetry therefore needs a
-// one-shard cluster: cluster.New panics, and Cell.Start returns an
-// error, when a tracer is attached to a run with Shards > 1.
+// A Tracer is not safe for concurrent use, and every component of a
+// cluster shares one. Telemetry is therefore the one facility that
+// needs a one-shard cluster: cluster.New panics, and Cell.Start returns
+// an error, when a tracer is attached to a run with Shards > 1.
 type Tracer struct {
 	limit   int
 	events  []Event

@@ -100,10 +100,10 @@ type Options struct {
 	Telemetry *telemetry.Registry
 
 	// Shards partitions the engine into per-pod shards with
-	// conservative lookahead synchronization. Honored by shardable
-	// cells (workload-spec and pod-scale cells); paper-figure cells
-	// always execute serially — their probers, samplers and link
-	// failures are cross-shard by nature. 0 or 1 = serial.
+	// conservative lookahead synchronization; results equal the serial
+	// run's at any count. Honored by shardable cells (workload-spec and
+	// pod-scale cells); paper-figure cells run serially by policy. 0 or
+	// 1 = serial.
 	Shards int
 }
 
