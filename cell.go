@@ -10,7 +10,6 @@ import (
 	"presto/internal/packet"
 	"presto/internal/scheme"
 	"presto/internal/sim"
-	"presto/internal/telemetry"
 	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
@@ -77,10 +76,6 @@ type LoadResult struct {
 	// envelopes and golden gates see.
 	Metrics campaign.Values
 	Dists   map[string]*metrics.Dist
-
-	// Telemetry is the run's component snapshot (nil unless
-	// Options.Telemetry was set).
-	Telemetry *telemetry.Snapshot
 }
 
 // run is a started cell: the cluster, its traffic, and its probers,
@@ -145,9 +140,6 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 		SchemeParams: params,
 		Shards:       cell.shards(opt, tp),
 	}
-	if cfg.Shards > 1 && cfg.Telemetry != nil {
-		return nil, nil, fmt.Errorf("%s: telemetry needs a serial run, got %d shards", cell.ID, cfg.Shards)
-	}
 	if cell.config != nil {
 		cell.config(&cfg)
 	}
@@ -163,6 +155,8 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 // it, start probers and then traffic, and let the measurement set
 // drive and harvest the run. Everything that runs a simulation in
 // this repository outside the benchmark harness goes through here.
+// A traced run ends its telemetry scope on return (Registry.EndRun),
+// so the registry keeps the run's final probe values, not its cluster.
 func (cell Cell) Run(opt Options) (LoadResult, error) {
 	opt.fill()
 	c, g, err := cell.Start(opt)
@@ -183,7 +177,9 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 	if observe == nil {
 		observe = loadWindow
 	}
-	return observe(r), nil
+	res := observe(r)
+	opt.Telemetry.EndRun()
+	return res, nil
 }
 
 // Campaign wraps the cell as a campaign cell running under opt (the
@@ -231,7 +227,6 @@ func (r *run) harvest() LoadResult {
 		Clients:   r.g.Results(now),
 		Delivered: c.Net.TotalDelivered(),
 		Events:    c.Executed(),
-		Telemetry: c.Telemetry().Snapshot(now),
 	}
 	if f := r.g.Fairness(now); f > 0 {
 		res.Fairness = f

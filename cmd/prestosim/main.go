@@ -166,5 +166,6 @@ func run(args []string, stdout io.Writer) error {
 	if diag.Verbose {
 		fmt.Fprintln(stdout)
 	}
-	return diag.Finish(res.Telemetry, stdout)
+	// The run ended at its window's close, when its probes were frozen.
+	return diag.Finish(diag.Registry().Snapshot(opt.Warmup+opt.Duration), stdout)
 }

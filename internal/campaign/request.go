@@ -98,7 +98,7 @@ func (r *Request) Bind(fs *flag.FlagSet, names ...string) {
 	all.Var(&r.CellTimeout, "timeout", "wall-clock budget per cell replica (0 = none)")
 	all.Var(&r.Duration, "duration", "measurement window per run (simulated)")
 	all.Var(&r.Warmup, "warmup", "warmup per run (simulated)")
-	all.IntVar(&r.Shards, "shards", r.Shards, "per-pod engine shards for podtraffic and -workload cells (once/unlimited workloads only; RTT probes are skipped when sharded); 1 = serial")
+	all.IntVar(&r.Shards, "shards", r.Shards, "per-pod engine shards for podtraffic and -workload cells (once/unlimited workloads only; results, probes and telemetry equal the serial run's); 1 = serial")
 	all.Var(r.WorkloadFlag(), "workload", "run a declarative workload spec (preset name or spec.json path) across the §4 system lineup instead of -run")
 	all.StringVar(&r.Scheme, "scheme", r.Scheme, "comma-separated scheme specs (registry name, optionally name:k=v,...); restricts -run scheme-matrix or replaces the -workload system lineup")
 	all.VisitAll(func(f *flag.Flag) {

@@ -100,13 +100,13 @@ type Config struct {
 	// synchronization (the lookahead is the minimum propagation delay
 	// across inter-pod links). Results are bit-identical at every size.
 	// Values below 1 mean 1 (one engine, no windows); values above the
-	// topology's pod count are capped. Clusters of more than one shard
-	// reject Telemetry, whose tracer is shared by every component.
+	// topology's pod count are capped.
 	Shards int
 
 	// Telemetry, when non-nil, wires the registry's tracer through every
-	// component, registers snapshot probes, and starts the fabric link
-	// monitor. Nil (the default) leaves the whole layer off.
+	// component, each shard emitting into its own buffer, and registers
+	// snapshot probes. It schedules nothing, so results and event counts
+	// do not change. Nil (the default) leaves the whole layer off.
 	Telemetry *telemetry.Registry
 }
 
@@ -138,7 +138,6 @@ type Cluster struct {
 	nextPort uint16
 	conns    []*Conn
 	taps     map[packet.HostID]*tap
-	mon      *fabric.Monitor
 
 	// Registry-resolved scheme state.
 	def       *scheme.Scheme
@@ -169,9 +168,6 @@ func New(cfg Config) *Cluster {
 		c.cfg.Ctrl = cfg.Ctrl
 	}
 	shards := max(1, min(cfg.Shards, cfg.Topology.NumPods))
-	if shards > 1 && cfg.Telemetry != nil {
-		panic("cluster: Telemetry requires Shards <= 1 (tracer state is cross-shard)")
-	}
 	shardOf, lookahead := shardPartition(cfg.Topology, shards)
 	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
 	c.Eng = c.group.Shard(0)

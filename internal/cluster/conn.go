@@ -57,12 +57,11 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 	// every endpoint's timers stay shard-local.
 	srcEng, dstEng := c.engOf(src), c.engOf(dst)
 	// Endpoint trace events are attributed to the host whose stack runs
-	// the endpoint: the forward sender lives at src, the reverse at dst.
+	// the endpoint, in that host's shard buffer: the forward sender
+	// lives at src, the reverse at dst.
 	fwdCfg, revCfg := cfg, cfg
-	fwdCfg.Tracer = c.cfg.Telemetry.Tracer()
-	fwdCfg.TraceHost = int32(src)
-	revCfg.Tracer = fwdCfg.Tracer
-	revCfg.TraceHost = int32(dst)
+	fwdCfg.Tracer, fwdCfg.TraceHost = c.Net.Tracer(src), int32(src)
+	revCfg.Tracer, revCfg.TraceHost = c.Net.Tracer(dst), int32(dst)
 	srcVS, dstVS := c.Hosts[src].VS, c.Hosts[dst].VS
 
 	n := max(1, c.transport.Subflows)

@@ -10,7 +10,6 @@ import (
 	"presto/internal/packet"
 	"presto/internal/scheme"
 	"presto/internal/sim"
-	"presto/internal/telemetry"
 	"presto/internal/topo"
 )
 
@@ -72,19 +71,6 @@ func TestShardedClusterMatchesSerial(t *testing.T) {
 			}
 		}
 	}
-}
-
-// TestShardedClusterRejectsTelemetry pins the one facility a sharded
-// cluster refuses: a tracer shared by every component would race
-// across shards, so it must refuse to build.
-func TestShardedClusterRejectsTelemetry(t *testing.T) {
-	tt := topo.ThreeTierClos(2, 1, 1, 1, topo.LinkConfig{})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("a 2-shard cluster with telemetry built")
-		}
-	}()
-	New(Config{Topology: tt, Shards: 2, Telemetry: telemetry.NewRegistry(nil)})
 }
 
 // TestShardedFailLinkMidWindowPanics pins the invariant that makes a

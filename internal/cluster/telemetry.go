@@ -3,43 +3,40 @@ package cluster
 import (
 	"fmt"
 
-	"presto/internal/fabric"
 	"presto/internal/tcp"
-	"presto/internal/telemetry"
 )
 
 // wireTelemetry attaches the configured registry's tracer to every
 // traced component and registers the per-component snapshot probes.
 // Called once from New when Config.Telemetry is set; with it unset the
-// cluster carries no telemetry state at all.
+// cluster carries no telemetry state at all. Every component emits
+// into the trace buffer of the shard it runs on, and no probe
+// schedules anything, so a traced run executes the events of an
+// untraced one at any shard count.
 func (c *Cluster) wireTelemetry() {
 	reg := c.cfg.Telemetry
 	if reg == nil {
 		return
 	}
 	prefix := reg.BeginRun(string(c.cfg.Scheme))
-	tr := reg.Tracer()
-	c.Net.SetTracer(tr)
+	c.Net.SetTracer(reg.Tracer())
 	for _, h := range c.Hosts {
-		h.VS.SetTracer(tr)
-		h.NIC.SetTracer(tr)
+		h.VS.SetTracer(c.Net.Tracer(h.ID))
+		h.NIC.SetTracer(c.Net.Tracer(h.ID))
 	}
 
 	reg.Register(prefix+"engine", func() map[string]any {
+		peak := 0
+		for i := range c.Shards() {
+			peak = max(peak, c.group.Shard(i).PeakPending)
+		}
 		return map[string]any{
-			"now_ns":       int64(c.Eng.Now()),
-			"events":       c.Eng.Executed,
-			"peak_pending": c.Eng.PeakPending,
+			"now_ns":       int64(c.Now()),
+			"events":       c.Executed(),
+			"peak_pending": peak,
 		}
 	})
 	reg.Register(prefix+"fabric", c.Net.TelemetrySnapshot)
-
-	// The monitor only reads data-plane state, so sampling shifts event
-	// sequence numbers without changing simulated outcomes (verified by
-	// the determinism regression test).
-	c.mon = fabric.NewMonitor(c.Net)
-	c.mon.Start()
-	reg.Register(prefix+"links", c.mon.TelemetrySnapshot)
 
 	for _, h := range c.Hosts {
 		h := h
@@ -76,10 +73,3 @@ func (c *Cluster) wireTelemetry() {
 		}
 	})
 }
-
-// Monitor returns the fabric link monitor (nil unless telemetry is
-// configured).
-func (c *Cluster) Monitor() *fabric.Monitor { return c.mon }
-
-// Telemetry returns the cluster's registry (nil when disabled).
-func (c *Cluster) Telemetry() *telemetry.Registry { return c.cfg.Telemetry }

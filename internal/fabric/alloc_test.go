@@ -93,9 +93,9 @@ func TestFailDiscardsOnlyTheQueue(t *testing.T) {
 	// in service and two are waiting.
 	eng.Run(1500 * sim.Nanosecond)
 	n.FailLink(tp.HostLink(0))
-	if access.DropsDown != 2 || access.TxPackets != 1 || access.QueuedBytes() != 0 {
+	if access.DropsDown != 2 || access.TxPackets != 1 || access.queuedWire != 0 {
 		t.Fatalf("at fail: black-holed %d, transmitted %d, %d bytes queued; want 2, 1, 0",
-			access.DropsDown, access.TxPackets, access.QueuedBytes())
+			access.DropsDown, access.TxPackets, access.queuedWire)
 	}
 	if _, puts, _ := n.PoolTotals(); puts != 2 {
 		t.Fatalf("at fail: %d packets returned to the arena, want the 2 discarded with the queue", puts)

@@ -57,17 +57,19 @@ func (c *Config) fill() {
 const linkUp sim.Time = -1
 
 // shardCounters holds one shard's slice of the aggregate drop and
-// delivery counts, and its packet arena. Each pipe and switch uses the
-// bucket of the shard its node runs on, so neither counting nor a Put
-// crosses goroutines; the Total* accessors sum the buckets. Padding
-// keeps concurrently-written buckets on separate cache lines.
+// delivery counts, its packet arena and its trace buffer. Each pipe and
+// switch uses the bucket of the shard its node runs on, so neither
+// counting, a Put nor a traced event crosses goroutines; the Total*
+// accessors sum the buckets. Padding keeps concurrently-written
+// buckets on separate cache lines.
 type shardCounters struct {
-	drops     uint64      // queue-overflow drops
-	dropsDown uint64      // failure black-hole drops
-	delivered uint64      // packets handed to host NICs
-	hopDrops  uint64      // loop-guard drops
-	pool      packet.Pool // where the shard's NICs get packets and every packet dying on it goes
-	_         [5]uint64
+	drops     uint64            // queue-overflow drops
+	dropsDown uint64            // failure black-hole drops
+	delivered uint64            // packets handed to host NICs
+	hopDrops  uint64            // loop-guard drops
+	pool      packet.Pool       // where the shard's NICs get packets and every packet dying on it goes
+	tracer    *telemetry.Tracer // the shard's trace buffer (nil while tracing is off)
+	_         [4]uint64
 }
 
 // poolSlack is how far apart, in free packets, the fullest and emptiest
@@ -96,7 +98,6 @@ type Network struct {
 	hosts    []Handler
 
 	linkDownSince []sim.Time // when each link failed; linkUp while it is up
-	tracer        *telemetry.Tracer
 }
 
 // New builds the data plane for t on the single engine eng: NewSharded
@@ -268,8 +269,23 @@ func (n *Network) AttachHost(h packet.HostID, handler Handler) {
 }
 
 // SetTracer attaches a structured event tracer to the data plane (nil
-// disables tracing, the default).
-func (n *Network) SetTracer(tr *telemetry.Tracer) { n.tracer = tr }
+// disables tracing, the default). Each shard emits into its own buffer
+// of tr (Tracer.NewShard), which every window barrier moves into tr.
+func (n *Network) SetTracer(tr *telemetry.Tracer) {
+	for i := range n.counters {
+		n.counters[i].tracer = tr.NewShard()
+	}
+	if tr != nil && n.group.Shards() > 1 {
+		n.group.OnBarrier(tr.Collect)
+	}
+}
+
+// Tracer returns the trace buffer of host h's shard, which h's edge
+// components (vSwitch, NIC, GRO, transport) emit into; nil while
+// tracing is off.
+func (n *Network) Tracer(h packet.HostID) *telemetry.Tracer {
+	return n.counterOf(n.Topo.HostNode(h)).tracer
+}
 
 // Switch returns the switch at node id.
 func (n *Network) Switch(id topo.NodeID) *Switch { return n.switches[id] }
@@ -319,7 +335,7 @@ func (n *Network) FailLink(id topo.LinkID) {
 		return
 	}
 	n.linkDownSince[id] = n.now()
-	n.tracer.LinkDown(n.now(), int32(id))
+	n.linkPipes(id)[0].ctr.tracer.LinkDown(n.now(), int32(id))
 	for _, p := range n.linkPipes(id) {
 		p.fail()
 	}
@@ -333,7 +349,7 @@ func (n *Network) RestoreLink(id topo.LinkID) {
 		return
 	}
 	n.linkDownSince[id] = linkUp
-	n.tracer.LinkUp(n.now(), int32(id))
+	n.linkPipes(id)[0].ctr.tracer.LinkUp(n.now(), int32(id))
 	for _, p := range n.linkPipes(id) {
 		p.restore()
 	}

@@ -64,9 +64,6 @@ func (p *Pipe) name() string {
 	return fmt.Sprintf("link%d:%d->%d", p.link.ID, p.from, p.dst)
 }
 
-// QueuedBytes returns the wire bytes waiting in the queue.
-func (p *Pipe) QueuedBytes() int { return p.queuedWire }
-
 // Enqueue places pkt on the output queue, dropping it if the link is
 // down or the queue is full.
 //
@@ -76,7 +73,7 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	if p.down {
 		p.DropsDown++
 		p.ctr.dropsDown++
-		p.net.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "link-down")
+		p.ctr.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "link-down")
 		p.ctr.pool.Put(pkt)
 		return
 	}
@@ -84,7 +81,7 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	if p.queuedWire+w > p.capBytes {
 		p.Drops++
 		p.ctr.drops++
-		p.net.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "tail-drop")
+		p.ctr.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "tail-drop")
 		p.ctr.pool.Put(pkt)
 		return
 	}

@@ -186,7 +186,7 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		egress := pipe.link.ID
 		if s.net.failoverActive(egress, s.eng.Now()) && s.rewriteToBackupTree(p) {
 			s.FailoverRewrites++
-			s.net.tracer.FailoverSwitch(s.eng.Now(), int32(s.node.ID), int32(egress), p.DstMAC.ShadowTree())
+			s.ctr.tracer.FailoverSwitch(s.eng.Now(), int32(s.node.ID), int32(egress), p.DstMAC.ShadowTree())
 			s.forward(p)
 			return
 		}

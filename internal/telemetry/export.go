@@ -26,8 +26,8 @@ func eventRecord(ev *Event) map[string]any {
 	return rec
 }
 
-// WriteJSONL writes the buffered events as JSON Lines: one
-// self-describing object per line, in emission order. A nil Tracer is
+// WriteJSONL writes the kept events as JSON Lines: one
+// self-describing object per line, in canonical order (see Tracer). A nil Tracer is
 // the disabled state and writes nothing.
 func (t *Tracer) WriteJSONL(w io.Writer) error {
 	if t == nil {
@@ -92,11 +92,7 @@ func (t *Tracer) WriteChromeTrace(w io.Writer) error {
 	}
 	seen := map[lane]bool{}
 	for i := range events {
-		ev := &events[i]
-		l := lane{ev.Run, ev.Actor}
-		if !seen[l] {
-			seen[l] = true
-		}
+		seen[lane{events[i].Run, events[i].Actor}] = true
 	}
 	lanes := make([]lane, 0, len(seen))
 	for l := range seen {

@@ -31,6 +31,10 @@ type Registry struct {
 	names  []string
 	probes map[string]ProbeFunc
 	runs   int
+	// open lists the probes registered since BeginRun while the run is
+	// open (inRun); EndRun freezes them.
+	open  []string
+	inRun bool
 }
 
 // NewRegistry returns a registry carrying tr (which may be nil when
@@ -48,17 +52,19 @@ func (r *Registry) Tracer() *Tracer {
 	return r.tracer
 }
 
-// BeginRun opens a new run scope: probes registered until the next
-// BeginRun are namespaced under it, and traced events are stamped with
-// its ID. The first run's probes keep bare names; later runs get a
-// "run<N>/" prefix so repeated builds on one registry (cmd/experiments
-// -run all) do not collide. Returns the run's prefix.
+// BeginRun opens a new run scope, ending any still open: probes
+// registered until EndRun belong to the run, and traced events are
+// stamped with its ID. The first run's probes keep bare names; later
+// runs get a "run<N>/" prefix so repeated builds on one registry
+// (cmd/experiments -run all) do not collide. Returns the run's prefix.
 func (r *Registry) BeginRun(label string) string {
 	if r == nil {
 		return ""
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	r.endRun()
+	r.inRun = true
 	r.tracer.BeginRun(label)
 	r.runs++
 	if r.runs == 1 {
@@ -67,7 +73,30 @@ func (r *Registry) BeginRun(label string) string {
 	return fmt.Sprintf("run%d/", r.runs-1)
 }
 
+// EndRun closes the run scope BeginRun opened: each probe the run
+// registered is evaluated once and replaced by its final values, and
+// the tracer collects the run's shard buffers, so the registry no
+// longer holds on to the finished run's components.
+func (r *Registry) EndRun() {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.endRun()
+}
+
+func (r *Registry) endRun() {
+	for _, name := range r.open {
+		final := r.probes[name]()
+		r.probes[name] = func() map[string]any { return final }
+	}
+	r.open, r.inRun = nil, false
+	r.tracer.endRun()
+}
+
 // Register adds a named probe. Re-registering a name replaces it.
+// Between BeginRun and EndRun the probe belongs to the run.
 func (r *Registry) Register(name string, fn ProbeFunc) {
 	if r == nil || fn == nil {
 		return
@@ -78,6 +107,9 @@ func (r *Registry) Register(name string, fn ProbeFunc) {
 		r.names = append(r.names, name)
 	}
 	r.probes[name] = fn
+	if r.inRun {
+		r.open = append(r.open, name)
+	}
 }
 
 // Snapshot is a point-in-time JSON document of every registered

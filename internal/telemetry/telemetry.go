@@ -12,6 +12,10 @@
 package telemetry
 
 import (
+	"cmp"
+	"slices"
+	"strings"
+
 	"presto/internal/sim"
 )
 
@@ -163,19 +167,25 @@ const DefaultEventLimit = 1 << 21
 // the emit path performs zero allocations (guaranteed by a
 // testing.AllocsPerRun regression test).
 //
-// Memory is bounded: past DefaultEventLimit events, Emit only counts
-// into Dropped.
-//
-// A Tracer is not safe for concurrent use, and every component of a
-// cluster shares one. Telemetry is therefore the one facility that
-// needs a one-shard cluster: cluster.New panics, and Cell.Start returns
-// an error, when a tracer is attached to a run with Shards > 1.
+// Components never share a buffer: each engine shard emits into its
+// own (NewShard), and Collect, run at every window barrier and before
+// any read, moves those events into the run's tracer. Readers see one
+// canonical order, a sort by (run, at, actor, kind, a, b, reason) done
+// when they read, never per emit, so no output depends on the shard
+// count. Memory is bounded: the tracer keeps the first
+// DefaultEventLimit events in that order and counts the rest in
+// Dropped; between barriers a shard buffers at most the room left.
+// A Tracer is not safe for concurrent use.
 type Tracer struct {
 	limit   int
 	events  []Event
 	dropped uint64
 	run     int32
 	labels  []string // one per run, index = run ID
+	shards  []*Tracer
+	// edge is the latest event collected from the shards: a shard's own
+	// events start at its nanosecond.
+	edge Event
 }
 
 // NewTracer returns an enabled tracer with the default event limit.
@@ -184,12 +194,14 @@ func NewTracer() *Tracer {
 }
 
 // BeginRun marks the start of a new run scope (one simulation engine's
-// lifetime); subsequent events are stamped with its ID. Run 0 exists
+// lifetime); subsequent events are stamped with its ID, and the
+// previous run's shard buffers are collected and let go. Run 0 exists
 // implicitly. It returns the new run's ID.
 func (t *Tracer) BeginRun(label string) int32 {
 	if t == nil {
 		return 0
 	}
+	t.endRun()
 	if len(t.labels) == 1 && t.events == nil && t.labels[0] == "run0" {
 		// First BeginRun names the implicit run 0 instead of opening a
 		// second scope.
@@ -201,21 +213,86 @@ func (t *Tracer) BeginRun(label string) int32 {
 	return t.run
 }
 
-// Events returns the buffered events in emission order (oldest
-// first). It is the live slice; callers must not modify it.
+// endRun collects the current run's shard buffers and lets them go.
+func (t *Tracer) endRun() {
+	if t != nil {
+		t.Collect()
+		t.shards = nil
+	}
+}
+
+// NewShard returns an empty buffer for the current run's events on one
+// engine shard, which Collect empties into t. On a nil tracer it
+// returns nil, the disabled buffer.
+func (t *Tracer) NewShard() *Tracer {
+	if t == nil {
+		return nil
+	}
+	t.Collect()
+	s := &Tracer{limit: t.limit - len(t.events), run: t.run, edge: t.edge}
+	t.shards = append(t.shards, s)
+	return s
+}
+
+// Collect moves the events of t's shard buffers into t and, past the
+// limit, keeps the first limit events in canonical order. A sharded
+// cluster runs it at every window barrier, when no shard emits.
+func (t *Tracer) Collect() {
+	if t == nil {
+		return
+	}
+	for _, s := range t.shards {
+		if n := len(s.events); n > 0 {
+			if compareEvents(s.events[n-1], t.edge) > 0 {
+				t.edge = s.events[n-1]
+			}
+			if len(t.events) == 0 {
+				// One emitting shard (a serial run) hands its buffer over.
+				t.events, s.events = s.events, t.events[:0]
+			} else {
+				t.events = append(t.events, s.events...)
+				s.events = s.events[:0]
+			}
+		}
+		t.dropped += s.dropped
+		s.dropped = 0
+	}
+	if len(t.events) > t.limit {
+		slices.SortFunc(t.events, compareEvents)
+		t.dropped += uint64(len(t.events) - t.limit)
+		t.events = t.events[:t.limit]
+	}
+	for _, s := range t.shards {
+		s.limit, s.edge = t.limit-len(t.events), t.edge
+	}
+}
+
+// compareEvents is the canonical order. Events equal under it are
+// identical.
+func compareEvents(x, y Event) int {
+	return cmp.Or(cmp.Compare(x.Run, y.Run), cmp.Compare(x.At, y.At),
+		cmp.Compare(x.Actor.Kind, y.Actor.Kind), cmp.Compare(x.Actor.ID, y.Actor.ID),
+		cmp.Compare(x.Kind, y.Kind), cmp.Compare(x.A, y.A), cmp.Compare(x.B, y.B),
+		strings.Compare(x.Reason, y.Reason))
+}
+
+// Events returns the kept events in canonical order. It is the live
+// slice; callers must not modify it.
 func (t *Tracer) Events() []Event {
 	if t == nil {
 		return nil
 	}
+	t.Collect()
+	slices.SortFunc(t.events, compareEvents)
 	return t.events
 }
 
-// Dropped returns the number of events discarded after the buffer
-// limit was reached.
+// Dropped returns the number of events discarded past the limit.
 func (t *Tracer) Dropped() uint64 {
 	if t == nil {
 		return 0
 	}
+	t.Collect()
 	return t.dropped
 }
 
@@ -229,7 +306,10 @@ func (t *Tracer) RunLabel(id int32) string {
 
 // Emit records one event. This is the single low-level entry point all
 // typed helpers funnel through; on a nil tracer it returns
-// immediately.
+// immediately. A buffer's events arrive in time order (an engine's
+// clock never goes back), so at the limit only an event in the
+// nanosecond of the latest one may still sort before a kept event and
+// is buffered until a sort settles it; any other is counted.
 //
 //prestolint:noalloc
 func (t *Tracer) Emit(at sim.Time, k Kind, actor Actor, a, b int64, reason string) {
@@ -237,10 +317,16 @@ func (t *Tracer) Emit(at sim.Time, k Kind, actor Actor, a, b int64, reason strin
 		return
 	}
 	if len(t.events) >= t.limit {
-		t.dropped++
-		return
+		last := t.edge
+		if n := len(t.events); n > 0 {
+			last = t.events[n-1]
+		}
+		if last.Run != t.run || last.At != at {
+			t.dropped++
+			return
+		}
 	}
-	//prestolint:allow hotalloc -- the buffer grows to its limit once; past it Emit only counts the drop (TestTracerDropEmitAllocs pins 0 allocs)
+	//prestolint:allow hotalloc -- the buffer grows to its limit (plus one nanosecond's ties) once; past it Emit only counts the drop (TestTracerDropEmitAllocs pins 0 allocs)
 	t.events = append(t.events, Event{At: at, Run: t.run, Kind: k, Actor: actor, A: a, B: b, Reason: reason})
 }
 
@@ -296,11 +382,12 @@ func (t *Tracer) FailoverSwitch(at sim.Time, node int32, deadLink int32, tree in
 	t.Emit(at, KindFailoverSwitch, Actor{ActorSwitch, node}, int64(deadLink), int64(tree), "backup-tree")
 }
 
-// CountKind returns the number of buffered events of kind k.
+// CountKind returns the number of kept events of kind k.
 func (t *Tracer) CountKind(k Kind) int {
 	if t == nil {
 		return 0
 	}
+	t.Collect()
 	n := 0
 	for i := range t.events {
 		if t.events[i].Kind == k {

@@ -4,6 +4,9 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -256,5 +259,85 @@ func TestRegistryRunPrefixes(t *testing.T) {
 	}
 	if got := r.Tracer().RunLabel(1); got != "b" {
 		t.Fatalf("tracer run 1 label = %q, want b", got)
+	}
+}
+
+// TestShardBuffersKeepOneBuffersEvents pins the sharded tracer's
+// contract: whether a run's events arrive in one buffer or spread over
+// several shard buffers collected at window barriers, the tracer keeps
+// the same events — the first limit in canonical order — and counts
+// the same drops, below, at and past the limit. The stream has many
+// events per nanosecond, so ties straddle every limit.
+func TestShardBuffersKeepOneBuffersEvents(t *testing.T) {
+	type emit struct {
+		run  int
+		at   sim.Time
+		host int32
+		a    int64
+	}
+	var stream []emit
+	rng := sim.NewRNG(7)
+	for run := 0; run < 2; run++ {
+		for i := 0; i < 300; i++ {
+			stream = append(stream, emit{run, sim.Time(i / 4), int32(rng.Intn(6)), int64(rng.Intn(3))})
+		}
+	}
+	// feed replays the stream into shards buffers, collecting at every
+	// window barrier (windows of 5 ns never split a nanosecond).
+	feed := func(limit, shards int) *Tracer {
+		tr := NewTracer()
+		tr.limit = limit
+		var bufs []*Tracer
+		for i, e := range stream {
+			if i == 0 || e.run != stream[i-1].run {
+				tr.BeginRun(fmt.Sprintf("run%d", e.run))
+				bufs = bufs[:0]
+				for range shards {
+					bufs = append(bufs, tr.NewShard())
+				}
+			} else if e.at/5 != stream[i-1].at/5 {
+				tr.Collect()
+			}
+			bufs[int(e.host)%shards].GROFlush(e.at, e.host, int(e.a), 1, "in-order")
+		}
+		return tr
+	}
+	all := feed(len(stream), 1).Events()
+	if len(all) != len(stream) || !slices.IsSortedFunc(all, compareEvents) {
+		t.Fatalf("unlimited tracer kept %d of %d events, sorted=%v", len(all), len(stream), slices.IsSortedFunc(all, compareEvents))
+	}
+	for _, limit := range []int{1, 2, 97, 300, 599, 600, 601, 1000} {
+		want := feed(limit, 1)
+		kept := all[:min(limit, len(all))]
+		if !reflect.DeepEqual(want.Events(), kept) || int(want.Dropped()) != len(all)-len(kept) {
+			t.Fatalf("limit %d: one buffer kept %d dropped %d, want the first %d in canonical order",
+				limit, len(want.Events()), want.Dropped(), len(kept))
+		}
+		for _, shards := range []int{2, 3, 6} {
+			got := feed(limit, shards)
+			if !reflect.DeepEqual(got.Events(), want.Events()) || got.Dropped() != want.Dropped() {
+				t.Errorf("limit %d, %d shards: kept %d dropped %d; one buffer kept %d dropped %d",
+					limit, shards, len(got.Events()), got.Dropped(), len(want.Events()), want.Dropped())
+			}
+		}
+	}
+}
+
+// TestEndRunFreezesTheRunsProbes pins what a finished run leaves in the
+// registry: its probes report their values at EndRun, while a probe
+// registered outside any run (the campaign's) stays live.
+func TestEndRunFreezesTheRunsProbes(t *testing.T) {
+	r := NewRegistry(nil)
+	campaign, engine := 0, 0
+	r.Register("campaign", func() map[string]any { return map[string]any{"n": campaign} })
+	r.BeginRun("a")
+	r.Register("engine", func() map[string]any { return map[string]any{"n": engine} })
+	campaign, engine = 1, 1
+	r.EndRun()
+	campaign, engine = 2, 2
+	snap := r.Snapshot(0)
+	if snap.Components["engine"]["n"] != 1 || snap.Components["campaign"]["n"] != 2 {
+		t.Fatalf("after EndRun: engine %v (want frozen 1), campaign %v (want live 2)",
+			snap.Components["engine"]["n"], snap.Components["campaign"]["n"])
 	}
 }

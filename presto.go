@@ -94,9 +94,10 @@ type Options struct {
 	Duration sim.Time // measurement window (default 200 ms)
 
 	// Telemetry, when non-nil, wires event tracing and snapshot probes
-	// through the run's cluster; the run's snapshot is attached to the
-	// result. Nil (the default) adds zero overhead and leaves results
-	// bit-identical.
+	// through the run's cluster at any shard count; when the run
+	// returns, the registry holds its final probe values and its events.
+	// Results and event counts are the untraced run's. Nil (the default)
+	// adds zero overhead.
 	Telemetry *telemetry.Registry
 
 	// Shards partitions the engine into per-pod shards with

@@ -3,11 +3,14 @@ package presto
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"presto/internal/cluster"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
+	"presto/internal/topo"
 )
 
 func shortOpt(reg *telemetry.Registry) Options {
@@ -20,9 +23,16 @@ func shortOpt(reg *telemetry.Registry) Options {
 }
 
 // sameLoadResult asserts every workload metric of two runs is
-// bit-identical — the core of the telemetry determinism regression.
+// bit-identical, and so are the events they executed and the packets
+// they delivered — the core of the telemetry determinism regression.
 func sameLoadResult(t *testing.T, plain, traced LoadResult) {
 	t.Helper()
+	if plain.Events != traced.Events {
+		t.Errorf("Events diverged: %d vs %d", plain.Events, traced.Events)
+	}
+	if plain.Delivered != traced.Delivered {
+		t.Errorf("Delivered diverged: %d vs %d", plain.Delivered, traced.Delivered)
+	}
 	if plain.MeanTput != traced.MeanTput {
 		t.Errorf("MeanTput diverged: %v vs %v", plain.MeanTput, traced.MeanTput)
 	}
@@ -56,19 +66,17 @@ func sameLoadResult(t *testing.T, plain, traced LoadResult) {
 }
 
 // TestTelemetryDoesNotPerturbResults is the determinism regression
-// test: the same seed must produce bit-identical metrics whether the
-// telemetry layer (tracer + probes + link monitor) is on or off.
+// test: the same seed must produce bit-identical metrics, event counts
+// and deliveries whether the telemetry layer (tracer + probes) is on
+// or off.
 func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 	plain := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(nil))
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	traced := runFigure(t, "fig15/wl=stride/sys=Presto", shortOpt(reg))
 
 	sameLoadResult(t, plain, traced)
-	if traced.Telemetry == nil {
-		t.Fatal("traced run has no snapshot")
-	}
-	if plain.Telemetry != nil {
-		t.Fatal("plain run unexpectedly has a snapshot")
+	if snap := reg.Snapshot(0); snap.Components["engine"] == nil {
+		t.Fatal("traced run left no engine probe")
 	}
 	if len(reg.Tracer().Events()) == 0 {
 		t.Fatal("traced run recorded no events")
@@ -77,42 +85,57 @@ func TestTelemetryDoesNotPerturbResults(t *testing.T) {
 
 // TestIncrementalSnapshotsDoNotPerturbRun drives the same seeded
 // cluster twice — once plain, once with a full registry snapshot taken
-// between engine chunks — and checks the host-level counters stay
-// bit-identical: probes only read, at any point of a run.
+// between run chunks — serially and on two shards, and checks the
+// host-level counters stay bit-identical: probes only read, at any
+// point of a run.
 func TestIncrementalSnapshotsDoNotPerturbRun(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		incrementalSnapshots(t, shards)
+	}
+}
+
+func incrementalSnapshots(t *testing.T, shards int) {
 	const horizon = 30 * sim.Millisecond
 
 	ref := cluster.New(cluster.Config{
 		Topology: Testbed(),
 		Scheme:   cluster.Presto,
 		Seed:     42,
+		Shards:   shards,
 	})
 	startStride(t, ref)
-	ref.Eng.Run(horizon)
+	ref.Run(horizon)
 
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	c := cluster.New(cluster.Config{
 		Topology:  Testbed(),
 		Scheme:    cluster.Presto,
 		Seed:      42,
+		Shards:    shards,
 		Telemetry: reg,
 	})
+	if c.Shards() != shards {
+		t.Fatalf("cluster runs on %d shards, want %d", c.Shards(), shards)
+	}
 	startStride(t, c)
 	for until := 2 * sim.Millisecond; until <= horizon; until += 2 * sim.Millisecond {
-		c.Eng.Run(until)
-		if snap := reg.Snapshot(c.Eng.Now()); len(snap.Components) == 0 {
-			t.Fatalf("snapshot at %v is empty", c.Eng.Now())
+		c.Run(until)
+		if snap := reg.Snapshot(c.Now()); len(snap.Components) == 0 {
+			t.Fatalf("%d shards: snapshot at %v is empty", shards, c.Now())
 		}
+	}
+	if c.Executed() != ref.Executed() {
+		t.Errorf("%d shards: events diverged: %d plain vs %d snapshotted", shards, ref.Executed(), c.Executed())
 	}
 
 	for i, h := range ref.Hosts {
 		th := c.Hosts[i]
 		if h.VS.Stats.Flowcells != th.VS.Stats.Flowcells {
-			t.Errorf("host %d flowcells diverged: %d vs %d", i, h.VS.Stats.Flowcells, th.VS.Stats.Flowcells)
+			t.Errorf("%d shards: host %d flowcells diverged: %d vs %d", shards, i, h.VS.Stats.Flowcells, th.VS.Stats.Flowcells)
 		}
 		if h.NIC.GRO().Stats().SegmentsOut != th.NIC.GRO().Stats().SegmentsOut {
-			t.Errorf("host %d GRO segments diverged: %d vs %d",
-				i, h.NIC.GRO().Stats().SegmentsOut, th.NIC.GRO().Stats().SegmentsOut)
+			t.Errorf("%d shards: host %d GRO segments diverged: %d vs %d",
+				shards, i, h.NIC.GRO().Stats().SegmentsOut, th.NIC.GRO().Stats().SegmentsOut)
 		}
 	}
 }
@@ -241,4 +264,95 @@ func TestEngineProbeCountsWork(t *testing.T) {
 	if eng["peak_pending"].(int) <= 0 {
 		t.Error("peak heap depth not tracked")
 	}
+}
+
+// TestShardedTelemetryMatchesSerial pins telemetry at every shard
+// count: the elephants spec cell, traced at 1, 2 and 4 shards, reports
+// the serial run's result and event count, exports byte-identical
+// event logs and Chrome traces, drops the same events, and leaves the
+// same snapshot apart from the engine's per-shard queue peak.
+func TestShardedTelemetryMatchesSerial(t *testing.T) {
+	type traced struct {
+		res           LoadResult
+		events, trace []byte
+		snap          *telemetry.Snapshot
+		dropped       uint64
+	}
+	opt := Options{Seed: 1, Warmup: 2 * sim.Millisecond, Duration: 10 * sim.Millisecond}
+	for _, sys := range []string{"ecmp", "presto"} {
+		cell, err := SpecCell(sys, preset("elephants"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		run := func(shards int) traced {
+			reg := telemetry.NewRegistry(telemetry.NewTracer())
+			opt.Shards, opt.Telemetry = shards, reg
+			res := runCell(t, cell, opt)
+			if res.Shards != shards {
+				t.Fatalf("%s: run used %d shards, want %d", sys, res.Shards, shards)
+			}
+			var events, trace bytes.Buffer
+			if err := reg.Tracer().WriteJSONL(&events); err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Tracer().WriteChromeTrace(&trace); err != nil {
+				t.Fatal(err)
+			}
+			snap := reg.Snapshot(0)
+			delete(snap.Components["engine"], "peak_pending")
+			return traced{res, events.Bytes(), trace.Bytes(), snap, reg.Tracer().Dropped()}
+		}
+		want := run(1)
+		if len(want.events) == 0 || len(want.snap.Components) == 0 {
+			t.Fatalf("%s: serial traced run exported no events or probes", sys)
+		}
+		for _, shards := range []int{2, 4} {
+			got := run(shards)
+			assertSameRun(t, sys, shards, want.res, got.res)
+			if !bytes.Equal(got.events, want.events) {
+				t.Errorf("%s at %d shards: event log differs from serial (%d vs %d bytes)", sys, shards, len(got.events), len(want.events))
+			}
+			if !bytes.Equal(got.trace, want.trace) {
+				t.Errorf("%s at %d shards: Chrome trace differs from serial (%d vs %d bytes)", sys, shards, len(got.trace), len(want.trace))
+			}
+			if !reflect.DeepEqual(got.snap, want.snap) {
+				t.Errorf("%s at %d shards: snapshot differs from serial", sys, shards)
+			}
+			if got.dropped != want.dropped {
+				t.Errorf("%s at %d shards: dropped %d events, serial %d", sys, shards, got.dropped, want.dropped)
+			}
+		}
+	}
+}
+
+// TestTracedShardedRunReleasesCluster pins that a finished run stops
+// pinning its cluster: once a traced cell returns, the registry holds
+// the run's final probe values and events, not its components, so the
+// cluster (here, the topology only it refers to) can be collected.
+func TestTracedShardedRunReleasesCluster(t *testing.T) {
+	cell, err := SpecCell("presto", preset("elephants"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	freed := make(chan struct{})
+	cell.Topo = func() *topo.Topology {
+		tp := Testbed()
+		runtime.SetFinalizer(tp, func(*topo.Topology) { close(freed) })
+		return tp
+	}
+	reg := telemetry.NewRegistry(telemetry.NewTracer())
+	runCell(t, cell, Options{Seed: 1, Warmup: sim.Millisecond, Duration: 2 * sim.Millisecond, Shards: 2, Telemetry: reg})
+	for range 100 {
+		runtime.GC()
+		runtime.Gosched() // the finalizer goroutine
+		select {
+		case <-freed:
+			if eng := reg.Snapshot(0).Components["engine"]; eng == nil || eng["events"].(uint64) == 0 {
+				t.Fatalf("finished run's engine probe lost its values: %v", eng)
+			}
+			return
+		default:
+		}
+	}
+	t.Fatal("a finished traced run's cluster is still reachable")
 }
