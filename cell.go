@@ -2,6 +2,7 @@ package presto
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"presto/internal/campaign"
@@ -11,6 +12,7 @@ import (
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/topo"
+	"presto/internal/vswitch"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -232,7 +234,13 @@ func (r *run) harvest() LoadResult {
 		res.Fairness = f
 	}
 	for _, p := range r.probers {
-		res.RTT.Merge(&p.Samples)
+		// Sorted per prober, as Dist.Merge appends: insertion order is
+		// Mean's summation order.
+		rtts := slices.Clone(p.RTTs)
+		slices.Sort(rtts)
+		for _, v := range rtts {
+			res.RTT.Add(v)
+		}
 	}
 	fct := &metrics.Dist{}
 	timeouts := 0
@@ -375,9 +383,12 @@ func groMicrobench(r *run) LoadResult {
 	r.g.ResetBaseline(c.Now())
 	conns := c.Conns()
 	busy0 := make([]sim.Time, len(conns))
+	logs := make([]*flowcellLog, len(conns))
 	for i, conn := range conns {
 		busy0[i] = c.Hosts[conn.Dst].NIC.Stats.BusyTime
-		conn.Receiver().ResetFlowcellLog()
+		// Bound now, so the log holds only the measured window.
+		logs[i] = &flowcellLog{ep: conn.Receiver()}
+		c.Hosts[conn.Dst].VS.Register(conn.Flows()[0].Reverse(), logs[i])
 	}
 	start := c.Now()
 	c.Run(r.until())
@@ -386,7 +397,7 @@ func groMicrobench(r *run) LoadResult {
 	ooo, seg := &metrics.Dist{}, &metrics.Dist{}
 	var util float64
 	for i, conn := range conns {
-		for _, n := range conn.Receiver().OutOfOrderCounts() {
+		for _, n := range outOfOrderCounts(logs[i].ids) {
 			ooo.Add(float64(n))
 		}
 		for _, v := range c.Hosts[conn.Dst].NIC.GRO().Stats().SegSizes.Samples() {
@@ -405,13 +416,55 @@ func groMicrobench(r *run) LoadResult {
 	return res
 }
 
-// groConfig forces a receive-offload handler and records flowcell
-// arrival logs (Figure 5 pairs Presto spraying with official GRO).
-func groConfig(kind cluster.GROKind) func(*cluster.Config) {
-	return func(cfg *cluster.Config) {
-		cfg.GRO = kind
-		cfg.RecordFlowcells = true
+// flowcellLog sits between a receiving endpoint and its vSwitch and
+// records the flowcell ID of every data segment GRO pushes up, in
+// arrival order: the input of Figure 5a.
+type flowcellLog struct {
+	ep  vswitch.Endpoint
+	ids []uint32
+}
+
+func (l *flowcellLog) DeliverSegment(s *packet.Segment) {
+	if s.Len() > 0 {
+		l.ids = append(l.ids, s.FlowcellID)
 	}
+	l.ep.DeliverSegment(s)
+}
+
+// outOfOrderCounts computes, per flowcell of log, how many segments
+// from other flowcells arrived between its first and last segment —
+// the metric of Figure 5a (0 means reordering was fully masked).
+// Flowcells are reported in order of first appearance.
+func outOfOrderCounts(log []uint32) []int {
+	type span struct{ first, last int }
+	spans := make(map[uint32]*span)
+	var order []uint32
+	for i, fc := range log {
+		if s, ok := spans[fc]; ok {
+			s.last = i
+		} else {
+			spans[fc] = &span{first: i, last: i}
+			order = append(order, fc)
+		}
+	}
+	out := make([]int, 0, len(order))
+	for _, fc := range order {
+		s := spans[fc]
+		n := 0
+		for _, id := range log[s.first : s.last+1] {
+			if id != fc {
+				n++
+			}
+		}
+		out = append(out, n)
+	}
+	return out
+}
+
+// groConfig forces a receive-offload handler (Figure 5 pairs Presto
+// spraying with official GRO).
+func groConfig(kind cluster.GROKind) func(*cluster.Config) {
+	return func(cfg *cluster.Config) { cfg.GRO = kind }
 }
 
 // cpuOverhead is the Figure 6 measurement: mean receiver CPU

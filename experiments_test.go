@@ -130,6 +130,15 @@ func TestGROMicrobenchContrast(t *testing.T) {
 	}
 }
 
+func TestOutOfOrderCounts(t *testing.T) {
+	// fc1 spans idx0-3 with one foreign (idx2); fc2 spans idx2-4 with
+	// one foreign (idx3); fc3 spans idx5-6 with none.
+	got := outOfOrderCounts([]uint32{1, 1, 2, 1, 2, 3, 3})
+	if fmt.Sprint(got) != "[1 1 0]" {
+		t.Fatalf("counts = %v, want [1 1 0] (flowcells in order of first arrival)", got)
+	}
+}
+
 func TestCPUOverheadWithinBudget(t *testing.T) {
 	pre := runFigure(t, "fig6/gro=presto", fastOpt(7))
 	off := runFigure(t, "fig6/gro=official", fastOpt(7))

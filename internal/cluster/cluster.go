@@ -90,10 +90,6 @@ type Config struct {
 	Fabric fabric.Config
 	Ctrl   controller.Config
 
-	// RecordFlowcells enables per-receiver flowcell arrival logs
-	// (Figure 5a).
-	RecordFlowcells bool
-
 	// Shards is the size of the cluster's shard group: the fabric is
 	// partitioned into that many per-pod shards, each running its own
 	// engine on its own goroutine with conservative lookahead
@@ -322,14 +318,9 @@ func (c *Cluster) newPolicy(h packet.HostID) vswitch.Policy {
 // scheme.
 func (c *Cluster) tcpConfig() tcp.Config {
 	cfg := c.cfg.TCP
-	if c.transport.MSSWrites {
-		// TSO off: the stack hands down MSS-sized writes.
-		cfg.MSS = packet.MSS
-	}
 	if c.transport.MaxSeg > 0 && c.transport.MaxSeg < packet.MaxSegSize {
 		cfg.MaxSeg = c.transport.MaxSeg
 	}
-	cfg.RecordFlowcells = c.cfg.RecordFlowcells
 	return cfg
 }
 

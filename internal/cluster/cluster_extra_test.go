@@ -12,7 +12,7 @@ func TestGROOverrideOfficialWithPrestoSpray(t *testing.T) {
 	// The Figure 5 configuration: Presto spraying but stock GRO.
 	c := New(Config{
 		Topology: clos(2, 2, 2), Scheme: Presto, Seed: 21,
-		GRO: GROOfficial, RecordFlowcells: true,
+		GRO: GROOfficial,
 	})
 	conn := c.Dial(0, 2)
 	conn.SetUnlimited(true)
@@ -24,11 +24,7 @@ func TestGROOverrideOfficialWithPrestoSpray(t *testing.T) {
 		t.Fatal("no progress")
 	}
 	// Official GRO must leak reordering under spraying.
-	leaked := 0
-	for _, n := range conn.Receiver().OutOfOrderCounts() {
-		leaked += n
-	}
-	if leaked == 0 {
+	if conn.Receiver().Stats.OOOSegments == 0 {
 		t.Fatal("official GRO showed no reordering under flowcell spraying")
 	}
 }
@@ -202,10 +198,9 @@ func TestPrestoOverThreeTier(t *testing.T) {
 	// Full stack over a 3-tier fabric: flowcell spraying across cores,
 	// Presto GRO masking, lossless completion.
 	c := New(Config{
-		Topology:        topo.ThreeTierClos(2, 2, 2, 1, topo.LinkConfig{}),
-		Scheme:          Presto,
-		Seed:            51,
-		RecordFlowcells: true,
+		Topology: topo.ThreeTierClos(2, 2, 2, 1, topo.LinkConfig{}),
+		Scheme:   Presto,
+		Seed:     51,
 	})
 	// Host 0 (pod 1) -> host 2 (pod 2): cross-pod, 5 hops.
 	conn := c.Dial(0, 2)
@@ -220,10 +215,8 @@ func TestPrestoOverThreeTier(t *testing.T) {
 			t.Fatal("a core carried nothing — 3-tier spraying broken")
 		}
 	}
-	for _, n := range conn.Receiver().OutOfOrderCounts() {
-		if n != 0 {
-			t.Fatalf("reordering leaked on 3-tier: %v", conn.Receiver().OutOfOrderCounts())
-		}
+	if n := conn.Receiver().Stats.OOOSegments; n != 0 {
+		t.Fatalf("reordering leaked on 3-tier: %d out-of-order segments", n)
 	}
 	if conn.Sender().Stats.Timeouts != 0 {
 		t.Fatalf("timeouts: %+v", conn.Sender().Stats)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"testing"
 
+	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -20,7 +21,7 @@ func treeLink(c *Cluster, i, li int) topo.LinkID {
 }
 
 func TestPrestoTransferAcrossClos(t *testing.T) {
-	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 1, RecordFlowcells: true})
+	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 1})
 	conn := c.Dial(0, 2) // leaf 0 -> leaf 2
 	const n = 4 << 20
 	conn.Write(n)
@@ -34,12 +35,10 @@ func TestPrestoTransferAcrossClos(t *testing.T) {
 			t.Errorf("spine %v carried nothing — spraying broken", s)
 		}
 	}
-	// Presto GRO must mask reordering from TCP: out-of-order counts
-	// all zero and no spurious retransmits on a lossless fabric.
-	for _, cnt := range conn.Receiver().OutOfOrderCounts() {
-		if cnt != 0 {
-			t.Fatalf("reordering leaked to TCP: %v", conn.Receiver().OutOfOrderCounts())
-		}
+	// Presto GRO must mask reordering from TCP: no segment arrives out
+	// of order and no timeouts on a lossless fabric.
+	if n := conn.Receiver().Stats.OOOSegments; n != 0 {
+		t.Fatalf("reordering leaked to TCP: %d out-of-order segments", n)
 	}
 	if conn.Sender().Stats.Timeouts != 0 {
 		t.Fatalf("timeouts on a lossless transfer: %+v", conn.Sender().Stats)
@@ -149,6 +148,15 @@ func TestMiceFCTWithAppAck(t *testing.T) {
 	}
 }
 
+// rttDist collects a prober's samples into a distribution.
+func rttDist(p *Prober) *metrics.Dist {
+	d := &metrics.Dist{}
+	for _, v := range p.RTTs {
+		d.Add(v)
+	}
+	return d
+}
+
 func TestProberMeasuresRTT(t *testing.T) {
 	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 8})
 	p := c.NewProber(0, 3, sim.Millisecond)
@@ -156,10 +164,11 @@ func TestProberMeasuresRTT(t *testing.T) {
 	c.Eng.Run(20 * sim.Millisecond)
 	p.Stop()
 	c.Eng.RunAll()
-	if p.Samples.N() < 10 {
-		t.Fatalf("only %d RTT samples", p.Samples.N())
+	rtt := rttDist(p)
+	if rtt.N() < 10 {
+		t.Fatalf("only %d RTT samples", rtt.N())
 	}
-	med := p.Samples.Median()
+	med := rtt.Median()
 	if med <= 0 || med > 0.5 {
 		t.Fatalf("idle RTT median = %vms, want < 0.5ms", med)
 	}

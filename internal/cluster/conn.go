@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"presto/internal/metrics"
 	"presto/internal/mptcp"
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -44,14 +43,12 @@ type Conn struct {
 	OnDelivered func(total uint64)
 	// OnReverseDelivered fires at the source as response bytes arrive.
 	OnReverseDelivered func(total uint64)
-
-	OpenedAt sim.Time
 }
 
 // Dial opens a connection between two hosts using the cluster's
 // scheme.
 func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
-	conn := &Conn{c: c, Src: src, Dst: dst, OpenedAt: c.Now()}
+	conn := &Conn{c: c, Src: src, Dst: dst}
 	cfg := c.tcpConfig()
 	// Each endpoint runs on the engine of the host that owns it, so
 	// every endpoint's timers stay shard-local.
@@ -180,10 +177,9 @@ func (conn *Conn) Close() {
 type Prober struct {
 	Conn     *Conn
 	Interval sim.Time
-	Samples  metrics.Dist // milliseconds
-	// RTTs and SampleAt record each sample and its completion time in
-	// arrival order (Samples re-sorts internally, so stage-windowed
-	// analyses like Figure 18 use these parallel slices).
+	// RTTs (milliseconds) and SampleAt record each sample and its
+	// completion time in arrival order, so stage-windowed analyses like
+	// Figure 18 can select samples by time.
 	RTTs     []float64
 	SampleAt []sim.Time
 
@@ -211,7 +207,6 @@ func (c *Cluster) NewProber(src, dst packet.HostID, interval sim.Time) *Prober {
 		if total >= (p.rounds+1)*64 {
 			p.rounds++
 			rtt := sim.Time(p.eng.Now() - p.sentAt).Milliseconds()
-			p.Samples.Add(rtt)
 			p.RTTs = append(p.RTTs, rtt)
 			p.SampleAt = append(p.SampleAt, p.eng.Now())
 			if !p.stopped {

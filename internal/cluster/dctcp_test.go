@@ -48,7 +48,7 @@ func TestDCTCPShortensQueuesVsCubic(t *testing.T) {
 		p := c.NewProber(3, 2, sim.Millisecond)
 		p.Start()
 		c.Eng.Run(80 * sim.Millisecond)
-		return p.Samples.Percentile(90)
+		return rttDist(p).Percentile(90)
 	}
 	cubic := run("cubic")
 	dctcp := run("dctcp")

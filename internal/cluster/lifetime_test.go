@@ -35,8 +35,8 @@ func TestDialSkipsLiveKeysAfterPortWrap(t *testing.T) {
 			conn.Close()
 			continue
 		}
-		if owner, dup := live[conn.Flows()[0]]; dup {
-			t.Fatalf("dial %d shares flow key %v with a live connection opened at %v", i, conn.Flows()[0], owner.OpenedAt)
+		if _, dup := live[conn.Flows()[0]]; dup {
+			t.Fatalf("dial %d shares flow key %v with a live connection", i, conn.Flows()[0])
 		}
 		live[conn.Flows()[0]] = conn
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -68,6 +69,15 @@ func mkPkt(src, dst packet.HostID, payload int) *packet.Packet {
 		DstMAC:  packet.HostMAC(dst),
 		Flow:    packet.FlowKey{Src: packet.Addr{Host: src, Port: 1000}, Dst: packet.Addr{Host: dst, Port: 2000}},
 		Payload: payload,
+	}
+}
+
+// TestShardCountersFillTwoCacheLines pins the per-shard bucket's size:
+// shards write their buckets concurrently, so a bucket that shrank
+// below two 64-byte lines could share one with its neighbour.
+func TestShardCountersFillTwoCacheLines(t *testing.T) {
+	if n := unsafe.Sizeof(shardCounters{}); n != 128 {
+		t.Errorf("unsafe.Sizeof(shardCounters{}) = %d, want 128", n)
 	}
 }
 

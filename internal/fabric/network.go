@@ -56,20 +56,19 @@ func (c *Config) fill() {
 // linkUp is linkDownSince's value for a link that is up.
 const linkUp sim.Time = -1
 
-// shardCounters holds one shard's slice of the aggregate drop and
-// delivery counts, its packet arena and its trace buffer. Each pipe and
-// switch uses the bucket of the shard its node runs on, so neither
-// counting, a Put nor a traced event crosses goroutines; the Total*
-// accessors sum the buckets. Padding keeps concurrently-written
-// buckets on separate cache lines.
+// shardCounters holds one shard's slice of the aggregate delivery and
+// loop-guard drop counts, its packet arena and its trace buffer. Each
+// pipe and switch uses the bucket of the shard its node runs on, so
+// neither counting, a Put nor a traced event crosses goroutines; the
+// Total* accessors sum the buckets (queue and link-down drops are
+// counted once, on the pipe that drops). Padding fills the bucket to
+// two cache lines, keeping concurrently-written buckets apart.
 type shardCounters struct {
-	drops     uint64            // queue-overflow drops
-	dropsDown uint64            // failure black-hole drops
 	delivered uint64            // packets handed to host NICs
 	hopDrops  uint64            // loop-guard drops
 	pool      packet.Pool       // where the shard's NICs get packets and every packet dying on it goes
 	tracer    *telemetry.Tracer // the shard's trace buffer (nil while tracing is off)
-	_         [4]uint64
+	_         [6]uint64
 }
 
 // poolSlack is how far apart, in free packets, the fullest and emptiest
@@ -226,20 +225,20 @@ func (n *Network) levelPools() {
 // its engine's clock even mid-run.
 func (n *Network) now() sim.Time { return n.group.Now() }
 
-// TotalDrops returns queue-overflow drops summed across shards.
+// TotalDrops returns queue-overflow drops summed across pipes.
 func (n *Network) TotalDrops() uint64 {
 	var s uint64
-	for i := range n.counters {
-		s += n.counters[i].drops
+	for _, p := range n.pipes {
+		s += p.Drops
 	}
 	return s
 }
 
-// TotalDropsDown returns failure black-hole drops summed across shards.
+// TotalDropsDown returns failure black-hole drops summed across pipes.
 func (n *Network) TotalDropsDown() uint64 {
 	var s uint64
-	for i := range n.counters {
-		s += n.counters[i].dropsDown
+	for _, p := range n.pipes {
+		s += p.DropsDown
 	}
 	return s
 }

@@ -54,7 +54,6 @@ type Pipe struct {
 	Drops      uint64 // tail drops
 	DropsDown  uint64 // black-holed while the link was down
 	EnqPackets uint64
-	LastActive sim.Time
 	// MaxQueuedBytes is the queue-depth watermark (wire bytes).
 	MaxQueuedBytes int
 }
@@ -72,7 +71,6 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	p.EnqPackets++
 	if p.down {
 		p.DropsDown++
-		p.ctr.dropsDown++
 		p.ctr.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "link-down")
 		p.ctr.pool.Put(pkt)
 		return
@@ -80,7 +78,6 @@ func (p *Pipe) Enqueue(pkt *packet.Packet) {
 	w := pkt.WireSize()
 	if p.queuedWire+w > p.capBytes {
 		p.Drops++
-		p.ctr.drops++
 		p.ctr.tracer.QueueDrop(p.eng.Now(), int32(p.link.ID), p.queuedWire, "tail-drop")
 		p.ctr.pool.Put(pkt)
 		return
@@ -125,7 +122,6 @@ func (p *Pipe) txDone() {
 	p.tx = nil
 	p.TxPackets++
 	p.TxBytes += uint64(pkt.WireSize())
-	p.LastActive = p.eng.Now()
 	if !p.down {
 		// Propagation: the packet arrives at the far end later; the
 		// queue meanwhile keeps draining. (Cross-shard propagation >=
@@ -134,7 +130,6 @@ func (p *Pipe) txDone() {
 		p.net.group.SendArg(p.eng, p.dstShard, p.link.Propagation, p.arriveFn, pkt)
 	} else {
 		p.DropsDown++
-		p.ctr.dropsDown++
 		p.ctr.pool.Put(pkt)
 	}
 	p.transmitNext()
@@ -153,7 +148,6 @@ func (p *Pipe) fail() {
 	p.down = true
 	n := uint64(p.queue.Len())
 	p.DropsDown += n
-	p.ctr.dropsDown += n
 	for p.queue.Len() > 0 {
 		p.ctr.pool.Put(p.queue.Pop())
 	}

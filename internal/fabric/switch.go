@@ -35,9 +35,6 @@ type Switch struct {
 
 	// RxPackets counts packets this switch forwarded.
 	RxPackets uint64
-	// FailoverRewrites counts packets relabeled onto a backup tree by
-	// the fast-failover rule.
-	FailoverRewrites uint64
 }
 
 func newSwitch(n *Network, node topo.Node) *Switch {
@@ -185,7 +182,6 @@ func (s *Switch) forwardLabel(p *packet.Packet) {
 		}
 		egress := pipe.link.ID
 		if s.net.failoverActive(egress, s.eng.Now()) && s.rewriteToBackupTree(p) {
-			s.FailoverRewrites++
 			s.ctr.tracer.FailoverSwitch(s.eng.Now(), int32(s.node.ID), int32(egress), p.DstMAC.ShadowTree())
 			s.forward(p)
 			return

@@ -84,7 +84,7 @@ func init() {
 		Paper:       "He et al., SIGCOMM 2015 (§2.1 baseline)",
 		GRO:         GROPresto,
 		Transport: func(p Resolved) Transport {
-			return Transport{MaxSeg: packet.MSS, MSSWrites: true}
+			return Transport{MaxSeg: packet.MSS}
 		},
 		New: func(h Host, p Resolved) vswitch.Policy {
 			return vswitch.NewPerPacket()

@@ -164,12 +164,13 @@ func (g GRO) String() string {
 	return "official"
 }
 
-// Transport is the sender-stack configuration a scheme requires.
+// Transport is the sender-stack configuration a scheme requires. The
+// zero value is the stack as configured: 64 KB TSO writes, one TCP
+// flow per connection.
 type Transport struct {
-	// MaxSeg caps TSO write size in bytes (0 = the stack's 64 KB max).
+	// MaxSeg caps the stack's write size in bytes (0 = the stack's
+	// 64 KB TSO max). One MSS means one-packet writes, TSO off.
 	MaxSeg int
-	// MSSWrites forces MSS-sized stack writes (TSO off).
-	MSSWrites bool
 	// Subflows > 1 opens that many ECMP-pinned MPTCP subflows per
 	// connection instead of one TCP flow.
 	Subflows int

@@ -1,19 +1,17 @@
 // Package tcp implements the transport endpoints the simulator's hosts
 // run: a TCP sender/receiver with CUBIC or Reno congestion control,
-// SACK-based recovery, duplicate-ACK fast retransmit, FACK, and
-// RFC 6298 retransmission timeouts (200 ms minimum, the Linux default
-// the paper's mice-flow timeouts hinge on).
+// SACK-based recovery, duplicate-ACK fast retransmit, tail-loss
+// probes, and RFC 6298 retransmission timeouts (200 ms minimum, the
+// Linux default the paper's mice-flow timeouts hinge on).
 //
 // Endpoints hand TSO-sized segments (≤64 KB) to a Downstream — the
 // vSwitch, which runs Algorithm 1 over them — and receive segments
 // pushed up by GRO. Reordering therefore affects the endpoint exactly
-// as it does real TCP: dup-ACKs, spurious fast retransmits, and FACK
-// mis-inference, unless the GRO layer masks it (§2.2).
+// as it does real TCP: dup-ACKs and spurious fast retransmits, unless
+// the GRO layer masks it (§2.2).
 package tcp
 
 import (
-	"sort"
-
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -26,7 +24,7 @@ type Downstream interface {
 }
 
 // Config tunes an Endpoint. Zero fields take defaults matching the
-// paper's testbed settings (CUBIC, SACK+FACK on).
+// paper's testbed settings (CUBIC, SACK on).
 type Config struct {
 	MSS          int      // payload per MTU packet
 	MaxSeg       int      // max TSO write (the 64 KB flowcell size)
@@ -34,7 +32,6 @@ type Config struct {
 	MaxCwnd      int      // cwnd/receive-window cap in bytes
 	MinRTO       sim.Time // Linux default 200 ms
 	DupAckThresh int      // classic 3
-	FACK         bool     // tcp_fack=1 (§4): infer loss from SACK holes
 	CC           string   // "cubic" (default), "reno", or "dctcp"
 	// Handshake requires a SYN/SYN-ACK exchange before data flows
 	// (default off: the paper's experiments use pre-established
@@ -43,10 +40,6 @@ type Config struct {
 	// ISS is the initial sequence number (default 1). Set near 2^32 to
 	// exercise wraparound end to end.
 	ISS uint32
-
-	// RecordFlowcells logs the flowcell ID of every received data
-	// segment for the Figure 5a out-of-order analysis.
-	RecordFlowcells bool
 
 	// Tracer, when non-nil, receives retransmit and cwnd trace events,
 	// attributed to TraceHost (the sending host of this endpoint).
@@ -63,7 +56,6 @@ func DefaultConfig() Config {
 		MaxCwnd:      1 << 20,
 		MinRTO:       200 * sim.Millisecond,
 		DupAckThresh: 3,
-		FACK:         true,
 		CC:           "cubic",
 	}
 }
@@ -179,7 +171,6 @@ type Endpoint struct {
 	OnAcked func(total uint64)
 
 	Stats Stats
-	fcLog []uint32
 }
 
 // New creates an endpoint sending on flow through down.
@@ -405,9 +396,6 @@ func (e *Endpoint) DeliverSegment(s *packet.Segment) {
 }
 
 func (e *Endpoint) receiveData(s *packet.Segment) {
-	if e.cfg.RecordFlowcells {
-		e.fcLog = append(e.fcLog, s.FlowcellID)
-	}
 	e.rcvTotalPkts += uint64(s.Packets)
 	e.rcvCEPkts += uint64(s.CEPackets)
 	start, end := s.StartSeq, s.EndSeq
@@ -499,19 +487,7 @@ func (e *Endpoint) processAck(s *packet.Segment) {
 		// Pure duplicate ACK with data outstanding.
 		e.dupacks++
 		e.Stats.DupAcks++
-		trigger := e.dupacks >= e.cfg.DupAckThresh
-		if !trigger && e.cfg.FACK {
-			// FACK: treat the gap implied by the highest SACK as loss
-			// once it exceeds the dup-ACK threshold's worth of data.
-			if hi, ok := e.sacks.highestEnd(); ok {
-				holeAndSacked := int(packet.SeqDiff(hi, e.sndUna))
-				sacked := e.sacks.sackedAbove(e.sndUna)
-				if holeAndSacked-sacked > e.cfg.DupAckThresh*e.cfg.MSS && sacked > 0 {
-					trigger = true
-				}
-			}
-		}
-		if trigger && !e.inRec {
+		if e.dupacks >= e.cfg.DupAckThresh && !e.inRec {
 			e.enterRecovery()
 		} else if e.inRec {
 			// Window inflation keeps the pipe full during recovery.
@@ -750,42 +726,4 @@ func (e *Endpoint) clampCwnd() {
 	if e.cwnd < float64(e.cfg.MSS) {
 		e.cwnd = float64(e.cfg.MSS)
 	}
-}
-
-// ResetFlowcellLog clears the recorded log (e.g. to exclude warmup
-// from an out-of-order analysis).
-func (e *Endpoint) ResetFlowcellLog() { e.fcLog = e.fcLog[:0] }
-
-// OutOfOrderCounts computes, per flowcell, how many segments from
-// other flowcells arrived between its first and last segment — the
-// metric of Figure 5a (0 means reordering was fully masked).
-func (e *Endpoint) OutOfOrderCounts() []int {
-	type span struct{ first, last int }
-	spans := make(map[uint32]*span)
-	for i, fc := range e.fcLog {
-		if s, ok := spans[fc]; ok {
-			s.last = i
-		} else {
-			spans[fc] = &span{first: i, last: i}
-		}
-	}
-	// Report spans in order of first appearance in the log, not map
-	// iteration order, so the counts are deterministic across runs.
-	fcs := make([]uint32, 0, len(spans))
-	for fc := range spans {
-		fcs = append(fcs, fc)
-	}
-	sort.Slice(fcs, func(i, j int) bool { return spans[fcs[i]].first < spans[fcs[j]].first })
-	var out []int
-	for _, fc := range fcs {
-		s := spans[fc]
-		n := 0
-		for i := s.first; i <= s.last; i++ {
-			if e.fcLog[i] != fc {
-				n++
-			}
-		}
-		out = append(out, n)
-	}
-	return out
 }

@@ -88,32 +88,6 @@ func TestProbeTimerStopsWhenIdle(t *testing.T) {
 	}
 }
 
-func TestFACKTriggersEarlyRecovery(t *testing.T) {
-	// With FACK, a large SACKed gap triggers recovery before 3
-	// dup-ACKs.
-	mk := func(fack bool) uint64 {
-		eng := sim.NewEngine()
-		cfg := Config{MaxSeg: packet.MSS, FACK: fack, DupAckThresh: 30}
-		p := newPair(eng, 20*sim.Microsecond, cfg)
-		dropped := false
-		p.filter = func(s *packet.Segment) bool {
-			if s.Len() > 0 && !s.Retrans && packet.SeqGEQ(s.StartSeq, 60001) && !dropped {
-				dropped = true
-				return false
-			}
-			return true
-		}
-		p.a.Write(200_000)
-		eng.Run(150 * sim.Millisecond)
-		return p.a.Stats.Retransmits
-	}
-	// DupAckThresh is set absurdly high (30) so classic dup-ACK
-	// counting cannot trigger; only FACK's hole-size rule can.
-	if got := mk(true); got == 0 {
-		t.Fatal("FACK did not trigger early recovery")
-	}
-}
-
 func TestKarnRTTSamplesSkipRetransmissions(t *testing.T) {
 	eng := sim.NewEngine()
 	p := newPair(eng, 100*sim.Microsecond, Config{MaxSeg: packet.MSS})

@@ -1,6 +1,7 @@
 package tcp
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -36,6 +37,21 @@ func newPair(eng *sim.Engine, delay sim.Time, cfg Config) *pair {
 	p.a = New(eng, fa, &pairEnd{p: p, peer: &p.b}, cfg)
 	p.b = New(eng, fa.Reverse(), &pairEnd{p: p, peer: &p.a}, cfg)
 	return p
+}
+
+// TestZeroConfigIsTestbed pins the zero-value rule: every field
+// DefaultConfig sets must be one fill can default. A bool defaulting
+// to true cannot be, so an endpoint built from Config{} would silently
+// run without it.
+func TestZeroConfigIsTestbed(t *testing.T) {
+	e := New(sim.NewEngine(), packet.FlowKey{}, &captureDown{}, Config{})
+	got, want := reflect.ValueOf(e.cfg), reflect.ValueOf(DefaultConfig())
+	for i := 0; i < want.NumField(); i++ {
+		if !reflect.DeepEqual(got.Field(i).Interface(), want.Field(i).Interface()) {
+			t.Errorf("Config{}.%s runs as %v, DefaultConfig has %v",
+				want.Type().Field(i).Name, got.Field(i), want.Field(i))
+		}
+	}
 }
 
 func TestBasicTransfer(t *testing.T) {
@@ -157,7 +173,7 @@ func TestCwndCollapsesOnTimeout(t *testing.T) {
 
 func TestReorderingTriggersSpuriousRetransmit(t *testing.T) {
 	// Deliver data segments with the 2nd..4th segments swapped far
-	// enough ahead that dup-ACKs/FACK fire: TCP misreads reordering as
+	// enough ahead that dup-ACKs fire: TCP misreads reordering as
 	// loss (§2.2). This is the pathology Presto GRO exists to prevent.
 	eng := sim.NewEngine()
 	cfg := Config{MaxSeg: packet.MSS} // force per-MSS segments
@@ -270,21 +286,6 @@ func TestMicePingPong(t *testing.T) {
 	}
 	if fct > 2*sim.Millisecond {
 		t.Fatalf("mice FCT = %v, absurdly slow for an idle path", fct)
-	}
-}
-
-func TestOutOfOrderCounts(t *testing.T) {
-	e := &Endpoint{}
-	e.fcLog = []uint32{1, 1, 2, 1, 2, 3, 3}
-	counts := e.OutOfOrderCounts()
-	// fc1 spans idx0-3 with one foreign (idx2); fc2 spans idx2-4 with
-	// one foreign (idx3); fc3 spans idx5-6 with none.
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if len(counts) != 3 || total != 2 {
-		t.Fatalf("counts = %v, want three flowcells totalling 2", counts)
 	}
 }
 

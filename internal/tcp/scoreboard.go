@@ -80,14 +80,6 @@ func (s *scoreboard) firstHole(una uint32) (start, end uint32, ok bool) {
 	return 0, 0, false
 }
 
-// highestEnd returns one past the highest recorded byte.
-func (s *scoreboard) highestEnd() (uint32, bool) {
-	if len(s.blocks) == 0 {
-		return 0, false
-	}
-	return s.blocks[len(s.blocks)-1].End, true
-}
-
 // sackedAbove counts recorded bytes at or above seq.
 func (s *scoreboard) sackedAbove(seq uint32) int {
 	n := 0
