@@ -129,18 +129,16 @@ func (cell Cell) ShardsUsed(opt Options) int { return cell.shards(opt, cell.topo
 // run on the requested shards is rejected with Compile's field-path
 // error when the campaign is built.
 func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) {
-	name, params, err := scheme.ParseSpec(cell.Scheme)
-	if err != nil {
+	if _, _, err := scheme.ParseSpec(cell.Scheme); err != nil {
 		return nil, nil, err
 	}
 	tp := cell.topology()
 	cfg := cluster.Config{
-		Topology:     tp,
-		Seed:         opt.Seed,
-		Telemetry:    opt.Telemetry,
-		Scheme:       cluster.Scheme(name),
-		SchemeParams: params,
-		Shards:       cell.shards(opt, tp),
+		Topology:  tp,
+		Seed:      opt.Seed,
+		Telemetry: opt.Telemetry,
+		Scheme:    cluster.Scheme(cell.Scheme),
+		Shards:    cell.shards(opt, tp),
 	}
 	if cell.config != nil {
 		cell.config(&cfg)
@@ -384,24 +382,22 @@ func groMicrobench(r *run) LoadResult {
 	conns := c.Conns()
 	busy0 := make([]sim.Time, len(conns))
 	logs := make([]*flowcellLog, len(conns))
+	seg := &metrics.Dist{}
 	for i, conn := range conns {
 		busy0[i] = c.Hosts[conn.Dst].NIC.Stats.BusyTime
 		// Bound now, so the log holds only the measured window.
-		logs[i] = &flowcellLog{ep: conn.Receiver()}
+		logs[i] = &flowcellLog{ep: conn.Receiver(), segKB: seg}
 		c.Hosts[conn.Dst].VS.Register(conn.Flows()[0].Reverse(), logs[i])
 	}
 	start := c.Now()
 	c.Run(r.until())
 
 	res := r.harvest()
-	ooo, seg := &metrics.Dist{}, &metrics.Dist{}
+	ooo := &metrics.Dist{}
 	var util float64
 	for i, conn := range conns {
 		for _, n := range outOfOrderCounts(logs[i].ids) {
 			ooo.Add(float64(n))
-		}
-		for _, v := range c.Hosts[conn.Dst].NIC.GRO().Stats().SegSizes.Samples() {
-			seg.Add(v / 1024)
 		}
 		util += c.Hosts[conn.Dst].NIC.Utilization(busy0[i], start)
 	}
@@ -418,15 +414,18 @@ func groMicrobench(r *run) LoadResult {
 
 // flowcellLog sits between a receiving endpoint and its vSwitch and
 // records the flowcell ID of every data segment GRO pushes up, in
-// arrival order: the input of Figure 5a.
+// arrival order (the input of Figure 5a), and its size in KB into
+// segKB (Figure 5b).
 type flowcellLog struct {
-	ep  vswitch.Endpoint
-	ids []uint32
+	ep    vswitch.Endpoint
+	ids   []uint32
+	segKB *metrics.Dist
 }
 
 func (l *flowcellLog) DeliverSegment(s *packet.Segment) {
-	if s.Len() > 0 {
+	if n := s.Len(); n > 0 {
 		l.ids = append(l.ids, s.FlowcellID)
+		l.segKB.Add(float64(n) / 1024)
 	}
 	l.ep.DeliverSegment(s)
 }

@@ -26,9 +26,10 @@ import (
 
 // Scheme names the load-balancing configuration under test (§4): the
 // edge policy, the receive-offload algorithm, and the transport. The
-// value is a registry name from internal/scheme — any registered
-// scheme works, the constants below are the paper's lineup. The
-// zero value selects ECMP.
+// value is a registry spec from internal/scheme, a name with optional
+// parameters ("flowlet:gap=100us") — any registered scheme works, the
+// constants below are the paper's lineup at its defaults. The zero
+// value selects ECMP.
 type Scheme string
 
 const (
@@ -66,21 +67,11 @@ const (
 	GRONone
 )
 
-// prestoGROOverhead is the extra per-packet CPU cost of Presto GRO's
-// multi-segment bookkeeping (calibrated to Figure 6's +6%).
-const prestoGROOverhead = 80 * sim.Nanosecond
-
 // Config describes a testbed instance.
 type Config struct {
 	Topology *topo.Topology
 	Scheme   Scheme
 	Seed     uint64
-
-	// SchemeParams overrides the scheme's schema defaults (raw values,
-	// validated against the registry schema: e.g. {"cell": "32KB"},
-	// {"gap": "100us"}, {"subflows": "4"}). This is the only way to
-	// parameterise a scheme.
-	SchemeParams map[string]string
 
 	GRO       GROKind
 	GROConfig gro.PrestoConfig
@@ -158,11 +149,7 @@ func New(cfg Config) *Cluster {
 		taps:     make(map[packet.HostID]*tap),
 	}
 	c.resolveScheme()
-	if cfg.Ctrl.TreeWeights == nil {
-		cfg.Ctrl.TreeWeights = c.def.Hooks.TreeWeights
-		cfg.Ctrl.WeightSlots = c.def.Hooks.WeightSlots
-		c.cfg.Ctrl = cfg.Ctrl
-	}
+	cfg.Ctrl.TreeWeights = c.def.Hooks.TreeWeights
 	shards := max(1, min(cfg.Shards, cfg.Topology.NumPods))
 	shardOf, lookahead := shardPartition(cfg.Topology, shards)
 	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
@@ -174,18 +161,7 @@ func New(cfg Config) *Cluster {
 		h := packet.HostID(i)
 		eng := c.engOf(h)
 		vs := vswitch.New(eng, h, nil, c.newPolicy(h))
-		nicCfg := cfg.NIC
-		nicCfg.CPU.HandlerOverhead = 0
-		kind := c.groKind()
-		if kind == GROPresto {
-			base := nic.DefaultCPUConfig()
-			if nicCfg.CPU != (nic.CPUConfig{}) {
-				base = nicCfg.CPU
-			}
-			base.HandlerOverhead = prestoGROOverhead
-			nicCfg.CPU = base
-		}
-		n := nic.New(eng, c.Net, h, vs, c.makeGRO(kind, eng), nicCfg)
+		n := nic.New(eng, c.Net, h, vs, c.makeGRO(c.groKind(), eng), cfg.NIC)
 		vs.SetSender(n)
 		c.Net.AttachHost(h, n)
 		c.Ctrl.RegisterVSwitch(vs)
@@ -256,19 +232,18 @@ func (c *Cluster) StopRun() { c.group.Stop() }
 // Executed returns the number of events executed across all engines.
 func (c *Cluster) Executed() uint64 { return c.group.Executed() }
 
-// resolveScheme looks the configured scheme up in the registry and
-// resolves its parameters: schema defaults overlaid with
-// SchemeParams. Config errors panic — New has no error return, and
-// front-ends validate specs via scheme.ParseSpec before building.
+// resolveScheme parses the configured scheme spec and resolves its
+// parameters: the registry schema's defaults overlaid with the spec's
+// values. A bad spec panics — New has no error return, and front-ends
+// validate specs via scheme.ParseSpec before building.
 func (c *Cluster) resolveScheme() {
-	def, err := scheme.Get(string(c.cfg.Scheme))
+	name, vals, err := scheme.ParseSpec(string(c.cfg.Scheme))
 	if err != nil {
 		panic("cluster: " + err.Error())
 	}
-	params, err := def.Resolve(c.cfg.SchemeParams)
-	if err != nil {
-		panic("cluster: " + err.Error())
-	}
+	// ParseSpec has looked the name up and resolved the values.
+	def, _ := scheme.Get(name)
+	params, _ := def.Resolve(vals)
 	c.def, c.params = def, params
 	c.transport = def.TransportFor(params)
 }

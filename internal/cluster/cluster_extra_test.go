@@ -132,7 +132,7 @@ func TestDifferentSeedsDiffer(t *testing.T) {
 }
 
 func TestFlowcellThresholdOverride(t *testing.T) {
-	c := New(Config{Topology: clos(2, 2, 1), Scheme: Presto, Seed: 25, SchemeParams: map[string]string{"cell": "16KB"}})
+	c := New(Config{Topology: clos(2, 2, 1), Scheme: "presto:cell=16KB", Seed: 25})
 	conn := c.Dial(0, 1)
 	conn.Write(1 << 20)
 	c.Eng.RunAll()

@@ -96,7 +96,7 @@ func TestOptimalSingleSwitch(t *testing.T) {
 }
 
 func TestFlowletScheme(t *testing.T) {
-	c := New(Config{Topology: clos(2, 2, 1), Scheme: Flowlet, Seed: 5, SchemeParams: map[string]string{"gap": "100us"}})
+	c := New(Config{Topology: clos(2, 2, 1), Scheme: "flowlet:gap=100us", Seed: 5})
 	conn := c.Dial(0, 1)
 	conn.Write(1 << 20)
 	c.Eng.RunAll()

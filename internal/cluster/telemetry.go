@@ -18,7 +18,7 @@ func (c *Cluster) wireTelemetry() {
 	if reg == nil {
 		return
 	}
-	prefix := reg.BeginRun(string(c.cfg.Scheme))
+	prefix := reg.BeginRun(c.def.Name)
 	c.Net.SetTracer(reg.Tracer())
 	for _, h := range c.Hosts {
 		h.VS.SetTracer(c.Net.Tracer(h.ID))

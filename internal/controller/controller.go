@@ -36,9 +36,11 @@ type Config struct {
 	// weights as duplicated labels in the pushed mapping (the §3.3
 	// mechanism). Schemes provide this through their registry hooks.
 	TreeWeights func(tp *topo.Topology, trees []topo.Tree, srcLeaf, dstLeaf topo.NodeID) []float64
-	// WeightSlots bounds the expanded label list length (0 = 16).
-	WeightSlots int
 }
+
+// weightSlots bounds a weighted label list's length, the per-destination
+// state the vSwitch keeps on its datapath.
+const weightSlots = 16
 
 // DefaultConfig uses a 50 ms control loop — fast for a controller,
 // slow next to hardware failover, as in §3.3.
@@ -197,10 +199,6 @@ type leafRoute struct {
 // usable, and their weights, depend on the leaf pair alone: routes
 // caches them per pair, not per host pair.
 func (c *Controller) pushMappings(vs *vswitch.VSwitch, routes map[[2]topo.NodeID]leafRoute) {
-	slots := c.cfg.WeightSlots
-	if slots <= 0 {
-		slots = 16
-	}
 	srcLeaf := c.topo.LeafOf(vs.Host)
 	// One backing array holds all of this source's label lists.
 	buf := make([]packet.MAC, 0, len(c.topo.Hosts)*len(c.trees))
@@ -236,7 +234,7 @@ func (c *Controller) pushMappings(vs *vswitch.VSwitch, routes map[[2]topo.NodeID
 		buf = c.appendLabels(buf, r.usable, dstLeaf, dst)
 		macs := buf[start:len(buf):len(buf)]
 		if r.weights != nil {
-			if seq := WeightedLabels(macs, r.weights, slots); seq != nil {
+			if seq := WeightedLabels(macs, r.weights, weightSlots); seq != nil {
 				macs = seq
 			}
 		}

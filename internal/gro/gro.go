@@ -13,7 +13,6 @@
 package gro
 
 import (
-	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -95,8 +94,7 @@ func (r FlushReason) String() string {
 	return "unknown"
 }
 
-// Stats counts handler activity. SegSizes records the payload size of
-// every data segment pushed up (Figure 5b).
+// Stats counts handler activity.
 type Stats struct {
 	PacketsIn    uint64 // data packets processed
 	SegmentsOut  uint64 // data segments pushed up
@@ -110,8 +108,6 @@ type Stats struct {
 	// FlushReasons counts data-segment deliveries by cause; the entries
 	// sum to SegmentsOut.
 	FlushReasons [numFlushReasons]uint64
-
-	SegSizes metrics.Dist
 
 	tracer *telemetry.Tracer
 	host   int32
@@ -140,7 +136,6 @@ func (s *Stats) deliverData(out Output, seg *packet.Segment, reason FlushReason,
 	s.SegmentsOut++
 	s.FlushReasons[reason]++
 	s.BytesOut += uint64(seg.Len())
-	s.SegSizes.Add(float64(seg.Len()))
 	s.tracer.GROFlush(at, s.host, seg.Len(), seg.Packets, reason.String())
 	out.DeliverSegment(seg)
 }

@@ -4,6 +4,7 @@ import (
 	"math/bits"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -234,7 +235,7 @@ func TestPrestoBoundaryGapTimesOutAsLoss(t *testing.T) {
 func TestPrestoBetaHoldExtension(t *testing.T) {
 	eng := sim.NewEngine()
 	out := &sink{}
-	cfg := PrestoConfig{InitialEWMA: 100 * sim.Microsecond, Alpha: 2, Beta: 2}
+	cfg := PrestoConfig{InitialEWMA: 100 * sim.Microsecond, Alpha: 2}
 	g := NewPresto(eng, out, cfg)
 	g.Receive(pkt(0, 1))
 	g.Flush()
@@ -317,12 +318,20 @@ func TestPrestoEWMAAdapts(t *testing.T) {
 	})
 	eng.Run(45 * sim.Microsecond)
 	f := g.flows[testFlow]
-	if !f.ewma.Initialized() {
+	if !f.estimated {
 		t.Fatal("EWMA not seeded by resolved reordering")
 	}
-	got := sim.Time(f.ewma.Value())
+	got := sim.Time(f.ewma)
 	if got < 35*sim.Microsecond || got > 45*sim.Microsecond {
 		t.Fatalf("EWMA = %v, want ~40us", got)
+	}
+}
+
+// TestPrestoFlowRecordSize pins the per-flow record to the 80-byte
+// size class: every receiver allocates one per flow it sees.
+func TestPrestoFlowRecordSize(t *testing.T) {
+	if n := unsafe.Sizeof(prestoFlow{}); n > 80 {
+		t.Errorf("unsafe.Sizeof(prestoFlow{}) = %d, want <= 80", n)
 	}
 }
 

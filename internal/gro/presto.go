@@ -1,29 +1,33 @@
 package gro
 
 import (
-	"presto/internal/metrics"
 	"presto/internal/packet"
 	"presto/internal/sim"
 )
 
-// PrestoConfig tunes the Presto GRO handler. The paper sets Alpha and
-// Beta to 2 and finds they work over a wide parameter range (§3.2).
+// Algorithm 2's fixed settings. The paper sets α and β to 2 and finds
+// they work over a wide parameter range (§3.2).
+const (
+	// beta extends a timed-out segment's hold if a packet merged into
+	// it within EWMA/β.
+	beta = 2
+	// minEWMA floors the effective estimate so that a run of
+	// instantly-resolved gaps cannot collapse the hold timeout to zero
+	// (which would degenerate Presto GRO into immediate pushes).
+	minEWMA = 20 * sim.Microsecond
+	// ewmaWeight is the smoothing factor for new observations.
+	ewmaWeight = 0.25
+)
+
+// PrestoConfig tunes the Presto GRO handler. β is fixed at the paper's
+// 2; Alpha, the paper's α, is the one setting an ablation varies.
 type PrestoConfig struct {
 	// Alpha scales the EWMA of observed reorder-resolution times into
 	// the hold timeout applied at flowcell-boundary gaps.
 	Alpha float64
-	// Beta extends a timed-out segment's hold if a packet merged into
-	// it within EWMA/Beta.
-	Beta float64
 	// InitialEWMA seeds the reorder-time estimate before any
 	// observation.
 	InitialEWMA sim.Time
-	// MinEWMA floors the effective estimate so that a run of
-	// instantly-resolved gaps cannot collapse the hold timeout to
-	// zero (which would degenerate Presto GRO into immediate pushes).
-	MinEWMA sim.Time
-	// EWMAWeight is the smoothing factor for new observations.
-	EWMAWeight float64
 }
 
 // DefaultPrestoConfig returns the paper's settings.
@@ -34,10 +38,8 @@ func DefaultPrestoConfig() PrestoConfig {
 	// resolution could ever be observed, and the estimate could never
 	// grow past alpha times itself.
 	return PrestoConfig{
-		Alpha: 2, Beta: 2,
+		Alpha:       2,
 		InitialEWMA: 500 * sim.Microsecond,
-		MinEWMA:     20 * sim.Microsecond,
-		EWMAWeight:  0.25,
 	}
 }
 
@@ -46,17 +48,8 @@ func (c *PrestoConfig) fill() {
 	if c.Alpha == 0 {
 		c.Alpha = d.Alpha
 	}
-	if c.Beta == 0 {
-		c.Beta = d.Beta
-	}
 	if c.InitialEWMA == 0 {
 		c.InitialEWMA = d.InitialEWMA
-	}
-	if c.MinEWMA == 0 {
-		c.MinEWMA = d.MinEWMA
-	}
-	if c.EWMAWeight == 0 {
-		c.EWMAWeight = d.EWMAWeight
 	}
 }
 
@@ -73,19 +66,19 @@ type prestoFlow struct {
 	// delivers flows in ord order — listed marks membership of
 	// Presto.active, and lastSeen is when Flush last drained the flow
 	// (every arrival is drained at or after it), which the aging sweep
-	// reads. (Field order keeps the record in the 112-byte size
-	// class: flow-churn workloads allocate one per flow.)
+	// reads. (The bools sit together at the end, keeping the record in
+	// the 80-byte size class: flow-churn workloads allocate one per
+	// flow.)
 	ord      uint64
 	lastSeen sim.Time
-	listed   bool
 
-	init         bool
 	lastFlowcell uint32 // flowcell of the most recent in-order byte
 	expSeq       uint32 // next expected in-order sequence number
 
 	// Reorder-time tracking: gapSince is when the current boundary gap
 	// was first seen (valid only while gapActive); ewma estimates how
-	// long reordering takes to resolve, and mdev its mean deviation.
+	// long reordering takes to resolve, and mdev its mean deviation,
+	// both meaningful once estimated is set.
 	//
 	// The deviation term is a robustness extension over the paper's
 	// plain EWMA: resolution times on a loaded fabric are long-tailed
@@ -95,25 +88,30 @@ type prestoFlow struct {
 	// reorder gaps, with a wider deviation multiplier because gap
 	// resolution skew is heavier-tailed than RTT noise — covers the
 	// tail while adapting just as fast.
+	gapSince sim.Time
+	ewma     float64
+	mdev     float64
+
+	listed    bool
+	init      bool
 	gapActive bool
-	gapSince  sim.Time
-	ewma      metrics.EWMA
-	mdev      metrics.EWMA
+	estimated bool
 }
 
 // observeResolution folds one gap-resolution duration into the flow's
-// estimator.
+// estimator: the first observation seeds the mean with d and the
+// deviation with d/2, later ones move each by ewmaWeight.
 func (f *prestoFlow) observeResolution(d float64) {
-	if f.ewma.Initialized() {
-		delta := d - f.ewma.Value()
-		if delta < 0 {
-			delta = -delta
-		}
-		f.mdev.Observe(delta)
-	} else {
-		f.mdev.Observe(d / 2)
+	if !f.estimated {
+		f.ewma, f.mdev, f.estimated = d, d/2, true
+		return
 	}
-	f.ewma.Observe(d)
+	delta := d - f.ewma
+	if delta < 0 {
+		delta = -delta
+	}
+	f.mdev = ewmaWeight*delta + (1-ewmaWeight)*f.mdev
+	f.ewma = ewmaWeight*d + (1-ewmaWeight)*f.ewma
 }
 
 // insertSeg places s into the sorted segment list by binary insertion:
@@ -191,8 +189,6 @@ func (g *Presto) Receive(p *packet.Packet) {
 		packet.SweepIdle(g.flows, &g.sweepAt, now, flowLastSeen)
 		g.seen++
 		f = &prestoFlow{ord: g.seen}
-		f.ewma.Alpha = g.cfg.EWMAWeight
-		f.mdev.Alpha = g.cfg.EWMAWeight
 		g.flows[p.Flow] = f
 	}
 	// Scan merge candidates from the highest start sequence down: the
@@ -345,16 +341,16 @@ func (g *Presto) Flush() {
 }
 
 // holdBudget returns the flow's effective reorder-time estimate: the
-// Jacobson-style mean + 8·mdev once initialized, floored at MinEWMA.
+// Jacobson-style mean + 8·mdev once estimated, floored at minEWMA.
 // (A method, not a per-Flush closure, so the flush walk stays
 // allocation-free.)
 func (g *Presto) holdBudget(f *prestoFlow) sim.Time {
 	e := g.cfg.InitialEWMA
-	if f.ewma.Initialized() {
-		e = sim.Time(f.ewma.Value() + 8*f.mdev.Value())
+	if f.estimated {
+		e = sim.Time(f.ewma + 8*f.mdev)
 	}
-	if e < g.cfg.MinEWMA {
-		e = g.cfg.MinEWMA
+	if e < minEWMA {
+		e = minEWMA
 	}
 	return e
 }
@@ -364,7 +360,7 @@ func (g *Presto) holdBudget(f *prestoFlow) sim.Time {
 // bonus when a packet merged in recently.
 func (g *Presto) holdUntil(s *packet.Segment, e sim.Time) sim.Time {
 	deadline := s.CreatedAt + sim.Time(g.cfg.Alpha*float64(e))
-	merged := s.LastMerge + sim.Time(float64(e)/g.cfg.Beta)
+	merged := s.LastMerge + sim.Time(float64(e)/beta)
 	if merged > deadline {
 		return merged
 	}

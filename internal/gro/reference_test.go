@@ -41,8 +41,6 @@ func (g *refPresto) Receive(p *packet.Packet) {
 	f, ok := g.flows[p.Flow]
 	if !ok {
 		f = &prestoFlow{}
-		f.ewma.Alpha = g.cfg.EWMAWeight
-		f.mdev.Alpha = g.cfg.EWMAWeight
 		g.flows[p.Flow] = f
 		g.order = append(g.order, p.Flow)
 	}

@@ -1,8 +1,7 @@
 // Package metrics provides the measurement primitives the evaluation
 // harness uses: exact sample distributions with percentiles/CDFs, Jain's
-// fairness index, exponentially-weighted moving averages, and
-// periodic time-series samplers. All of it is allocation-light and has
-// no dependencies beyond the standard library.
+// fairness index, and periodic time-series samplers. All of it is
+// allocation-light and has no dependencies beyond the standard library.
 package metrics
 
 import (
@@ -181,34 +180,6 @@ func JainIndex(xs []float64) float64 {
 	}
 	return sum * sum / (float64(len(xs)) * sumsq)
 }
-
-// EWMA is an exponentially weighted moving average. The zero value has
-// no observations; the first Observe seeds the average directly.
-type EWMA struct {
-	Alpha float64 // smoothing factor in (0,1]; weight of the new sample
-	value float64
-	init  bool
-}
-
-// Observe folds a new sample into the average.
-func (e *EWMA) Observe(v float64) {
-	a := e.Alpha
-	if a <= 0 || a > 1 {
-		a = 0.25
-	}
-	if !e.init {
-		e.value = v
-		e.init = true
-		return
-	}
-	e.value = a*v + (1-a)*e.value
-}
-
-// Value returns the current average (0 before any observation).
-func (e *EWMA) Value() float64 { return e.value }
-
-// Initialized reports whether at least one sample has been observed.
-func (e *EWMA) Initialized() bool { return e.init }
 
 // Series is an append-only (time, value) series for time-series plots
 // such as the paper's Figure 6 CPU-usage graph.

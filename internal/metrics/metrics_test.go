@@ -193,35 +193,6 @@ func TestJainIndexProperty(t *testing.T) {
 	}
 }
 
-func TestEWMA(t *testing.T) {
-	e := EWMA{Alpha: 0.5}
-	if e.Initialized() {
-		t.Fatal("zero EWMA should be uninitialized")
-	}
-	e.Observe(10)
-	if e.Value() != 10 {
-		t.Fatalf("first observation should seed: %v", e.Value())
-	}
-	e.Observe(20)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA = %v, want 15", e.Value())
-	}
-	e.Observe(15)
-	if e.Value() != 15 {
-		t.Fatalf("EWMA = %v, want 15", e.Value())
-	}
-}
-
-func TestEWMAConvergence(t *testing.T) {
-	e := EWMA{Alpha: 0.25}
-	for i := 0; i < 100; i++ {
-		e.Observe(42)
-	}
-	if math.Abs(e.Value()-42) > 1e-9 {
-		t.Fatalf("EWMA failed to converge: %v", e.Value())
-	}
-}
-
 func TestSeries(t *testing.T) {
 	var s Series
 	s.Add(0, 10)

@@ -6,14 +6,15 @@
 // The CPU model is what reproduces the paper's computational results:
 // processing a poll batch occupies the (single) receive core for
 //
-//	PerPoll + Σ(PerPacket+handler overhead) + PerByte·bytes + PerSegment·segments
+//	perPoll + Σ(perPacket+handler overhead) + perByteNs·bytes + perSegment·segments + perEviction·evictions
 //
 // of simulated time, during which the ring keeps filling; sustained
-// overload overflows the ring and drops packets. The constants are
-// calibrated against §5: GRO disabled caps at ≈6 Gbps at 100% CPU;
-// official GRO at line rate costs ≈63%, Presto GRO ≈69% (+6%); under
-// reordering, official GRO's small-segment flood burns more CPU for
-// half the throughput.
+// overload overflows the ring and drops packets. The handler overhead
+// is prestoPerPacket when the hosted handler is Presto GRO and zero
+// for any other. The constants are calibrated against §5: GRO disabled
+// caps at ≈6 Gbps at 100% CPU; official GRO at line rate costs ≈63%,
+// Presto GRO ≈69% (+6%); under reordering, official GRO's
+// small-segment flood burns more CPU for half the throughput.
 package nic
 
 import (
@@ -24,34 +25,22 @@ import (
 	"presto/internal/telemetry"
 )
 
-// CPUConfig sets the receive-path cost model.
-type CPUConfig struct {
-	PerPoll    sim.Time // fixed cost of a poll event
-	PerPacket  sim.Time // driver + GRO merge work per packet
-	PerSegment sim.Time // stack traversal per segment pushed up
-	PerByteNs  float64  // ns of copy/checksum work per payload byte
-	// PerEviction is the extra cost of a merge-failure push (stock GRO
-	// ejecting a segment mid-merge: list churn, cold stack entry).
-	// This is the computational half of the small-segment-flooding
-	// collapse (§2.2) beyond the per-segment cost itself.
-	PerEviction sim.Time
-	// HandlerOverhead is extra per-packet work for the hosted GRO
-	// algorithm (Presto's multi-segment bookkeeping costs ~6% at line
-	// rate, Figure 6).
-	HandlerOverhead sim.Time
-}
-
-// DefaultCPUConfig returns constants calibrated to the paper's
-// measured operating points (see package comment).
-func DefaultCPUConfig() CPUConfig {
-	return CPUConfig{
-		PerPoll:     2 * sim.Microsecond,
-		PerPacket:   350 * sim.Nanosecond,
-		PerSegment:  1100 * sim.Nanosecond,
-		PerByteNs:   0.2,
-		PerEviction: 3000 * sim.Nanosecond,
-	}
-}
+// The receive-path cost model, calibrated to the paper's measured
+// operating points (see package comment).
+const (
+	perPoll    = 2 * sim.Microsecond   // fixed cost of a poll event
+	perPacket  = 350 * sim.Nanosecond  // driver + GRO merge work per packet
+	perSegment = 1100 * sim.Nanosecond // stack traversal per segment pushed up
+	perByteNs  = 0.2                   // ns of copy/checksum work per payload byte
+	// perEviction is the extra cost of a merge-failure push (stock GRO
+	// ejecting a segment mid-merge: list churn, cold stack entry). This
+	// is the computational half of the small-segment-flooding collapse
+	// (§2.2) beyond the per-segment cost itself.
+	perEviction = 3000 * sim.Nanosecond
+	// prestoPerPacket is Presto GRO's extra per-packet work for its
+	// multi-segment bookkeeping (~6% at line rate, Figure 6).
+	prestoPerPacket = 80 * sim.Nanosecond
+)
 
 // Config tunes a NIC.
 type Config struct {
@@ -59,7 +48,6 @@ type Config struct {
 	PollBudget    int      // max packets consumed per poll (NAPI budget)
 	CoalesceCount int      // interrupt after this many packets...
 	CoalesceDelay sim.Time // ...or this long after the first one
-	CPU           CPUConfig
 }
 
 // DefaultConfig returns 10 GbE-like settings.
@@ -69,7 +57,6 @@ func DefaultConfig() Config {
 		PollBudget:    64,
 		CoalesceCount: 32,
 		CoalesceDelay: 20 * sim.Microsecond,
-		CPU:           DefaultCPUConfig(),
 	}
 }
 
@@ -86,9 +73,6 @@ func (c *Config) fill() {
 	}
 	if c.CoalesceDelay == 0 {
 		c.CoalesceDelay = d.CoalesceDelay
-	}
-	if c.CPU == (CPUConfig{}) {
-		c.CPU = d.CPU
 	}
 }
 
@@ -112,8 +96,9 @@ type NIC struct {
 	host packet.HostID
 	cfg  Config
 
-	gro   gro.Handler
-	stage *stagingOutput
+	gro     gro.Handler
+	pktCost sim.Time // perPacket plus the hosted handler's overhead
+	stage   *stagingOutput
 
 	ring     packet.Ring       // RX descriptor ring
 	staged   []*packet.Segment // segments awaiting the current poll's completion
@@ -168,6 +153,10 @@ func New(eng *sim.Engine, net *fabric.Network, h packet.HostID, up gro.Output, m
 	n := &NIC{eng: eng, net: net, pool: net.PacketPool(h), host: h, cfg: cfg}
 	n.stage = &stagingOutput{up: up}
 	n.gro = makeGRO(n.stage)
+	n.pktCost = perPacket
+	if _, ok := n.gro.(*gro.Presto); ok {
+		n.pktCost += prestoPerPacket
+	}
 	n.intTimer = sim.NewTimer(eng, n.interrupt)
 	n.doneFn = n.pollDone
 	return n
@@ -318,12 +307,11 @@ func (n *NIC) poll() {
 	segs := (st.SegmentsOut + st.ControlOut) - segsBefore
 	evictions := st.Evictions - evBefore
 
-	c := n.cfg.CPU
-	cost := c.PerPoll +
-		sim.Time(batch)*(c.PerPacket+c.HandlerOverhead) +
-		sim.Time(segs)*c.PerSegment +
-		sim.Time(evictions)*c.PerEviction +
-		sim.Time(float64(bytes)*c.PerByteNs)
+	cost := perPoll +
+		sim.Time(batch)*n.pktCost +
+		sim.Time(segs)*perSegment +
+		sim.Time(evictions)*perEviction +
+		sim.Time(float64(bytes)*perByteNs)
 	n.Stats.BusyTime += cost
 
 	// The busy flag guarantees a single outstanding poll, so the staged

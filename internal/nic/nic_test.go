@@ -311,3 +311,45 @@ func TestEvictionCostCharged(t *testing.T) {
 		t.Fatalf("reordered batch cost %v <= in-order %v", reordered, inOrder)
 	}
 }
+
+// TestNICChargesPrestoGROOverhead checks that the NIC works Presto
+// GRO's per-packet bookkeeping cost out from the handler it hosts: the
+// same in-order, single-flowcell batch pushes the same segments under
+// both handlers and costs exactly prestoPerPacket more per packet under
+// Presto GRO.
+func TestNICChargesPrestoGROOverhead(t *testing.T) {
+	const pkts = 8
+	run := func(makeGRO func(eng *sim.Engine, out gro.Output) gro.Handler) (*NIC, *segSink) {
+		eng := sim.NewEngine()
+		net := fabric.New(eng, topo.SingleSwitch(2, topo.LinkConfig{}), fabric.Config{})
+		sink := &segSink{}
+		n := New(eng, net, 0, sink, func(out gro.Output) gro.Handler { return makeGRO(eng, out) }, Config{CoalesceCount: pkts})
+		for i := 0; i < pkts; i++ {
+			n.HandlePacket(&packet.Packet{
+				Flow: packet.FlowKey{Src: packet.Addr{Host: 1, Port: 1}, Dst: packet.Addr{Host: 0, Port: 2}},
+				Seq:  uint32(1 + i*packet.MSS), Payload: packet.MSS, Flags: packet.FlagACK, FlowcellID: 1,
+			})
+		}
+		eng.RunAll()
+		if n.Stats.Polls != 1 {
+			t.Fatalf("%d polls, want the batch in one", n.Stats.Polls)
+		}
+		return n, sink
+	}
+	official, officialOut := run(func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) })
+	presto, prestoOut := run(func(eng *sim.Engine, out gro.Output) gro.Handler {
+		return gro.NewPresto(eng, out, gro.PrestoConfig{})
+	})
+	if len(prestoOut.segs) == 0 || len(prestoOut.segs) != len(officialOut.segs) {
+		t.Fatalf("Presto GRO pushed %d segments, official %d", len(prestoOut.segs), len(officialOut.segs))
+	}
+	for i, s := range prestoOut.segs {
+		o := officialOut.segs[i]
+		if s.StartSeq != o.StartSeq || s.EndSeq != o.EndSeq {
+			t.Fatalf("segment %d: Presto [%d,%d), official [%d,%d)", i, s.StartSeq, s.EndSeq, o.StartSeq, o.EndSeq)
+		}
+	}
+	if got, want := presto.Stats.BusyTime-official.Stats.BusyTime, pkts*80*sim.Nanosecond; got != want {
+		t.Fatalf("Presto GRO costs %v more than official, want %v", got, want)
+	}
+}

@@ -144,11 +144,8 @@ func init() {
 			{Name: "cell", Kind: KindBytes, Default: "64KB", Min: float64(packet.MSS), Max: 1 << 20,
 				Help: "flowcell size"},
 		},
-		GRO: GROPresto,
-		Hooks: Hooks{
-			TreeWeights: TreeHopWeights,
-			WeightSlots: 16,
-		},
+		GRO:   GROPresto,
+		Hooks: Hooks{TreeWeights: TreeHopWeights},
 		New: func(h Host, p Resolved) vswitch.Policy {
 			return vswitch.NewSpritz(p.Bytes("cell"))
 		},

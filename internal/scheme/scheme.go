@@ -194,14 +194,12 @@ type Hooks struct {
 	// labels in the pushed mapping (§3.3 weighted multipathing). Trees
 	// are the usable subset for the pair, in controller order.
 	TreeWeights func(tp *topo.Topology, trees []topo.Tree, srcLeaf, dstLeaf topo.NodeID) []float64
-	// WeightSlots bounds the expanded label list length (0 = 16).
-	WeightSlots int
 }
 
 // Scheme is one registered load-balancing scheme.
 type Scheme struct {
-	// Name is the registry key (also the historical cluster.Scheme
-	// string: "ecmp", "presto", ...).
+	// Name is the registry key: a spec's part before any ':'
+	// ("ecmp", "presto", ...).
 	Name string
 	// Description is a one-line summary for listings.
 	Description string

@@ -3,6 +3,7 @@ package tcp
 import (
 	"math"
 
+	"presto/internal/packet"
 	"presto/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func (Reno) Name() string { return "reno" }
 // OnAck implements CongestionControl.
 func (Reno) OnAck(e *Endpoint, ackedBytes int) float64 {
 	// cwnd += MSS * (MSS/cwnd) per acked MSS: standard byte-counting.
-	inc := float64(e.cfg.MSS) * float64(ackedBytes) / e.cwnd
+	inc := float64(packet.MSS) * float64(ackedBytes) / e.cwnd
 	if inc > float64(ackedBytes) {
 		inc = float64(ackedBytes)
 	}
@@ -69,7 +70,7 @@ func (c *Cubic) Name() string { return "cubic" }
 // OnAck implements CongestionControl.
 func (c *Cubic) OnAck(e *Endpoint, ackedBytes int) float64 {
 	now := e.eng.Now()
-	mss := float64(e.cfg.MSS)
+	mss := float64(packet.MSS)
 	if c.epochStart == 0 {
 		c.epochStart = now
 		if c.wMax < e.cwnd {

@@ -23,16 +23,20 @@ type Downstream interface {
 	Send(seg *packet.Segment)
 }
 
+// Linux's window and loss-recovery settings, as on the paper's
+// testbed. Every endpoint sends packet.MSS-byte payloads.
+const (
+	initCwndMSS  = 10                    // initial window in MSS
+	minRTO       = 200 * sim.Millisecond // Linux's RTO floor
+	dupAckThresh = 3                     // classic fast-retransmit threshold
+)
+
 // Config tunes an Endpoint. Zero fields take defaults matching the
 // paper's testbed settings (CUBIC, SACK on).
 type Config struct {
-	MSS          int      // payload per MTU packet
-	MaxSeg       int      // max TSO write (the 64 KB flowcell size)
-	InitCwndMSS  int      // initial window in MSS (Linux: 10)
-	MaxCwnd      int      // cwnd/receive-window cap in bytes
-	MinRTO       sim.Time // Linux default 200 ms
-	DupAckThresh int      // classic 3
-	CC           string   // "cubic" (default), "reno", or "dctcp"
+	MaxSeg  int    // max TSO write (the 64 KB flowcell size)
+	MaxCwnd int    // cwnd/receive-window cap in bytes
+	CC      string // "cubic" (default), "reno", or "dctcp"
 	// Handshake requires a SYN/SYN-ACK exchange before data flows
 	// (default off: the paper's experiments use pre-established
 	// long-lived connections).
@@ -50,35 +54,19 @@ type Config struct {
 // DefaultConfig returns the experiment settings from §4.
 func DefaultConfig() Config {
 	return Config{
-		MSS:          packet.MSS,
-		MaxSeg:       packet.MaxSegSize,
-		InitCwndMSS:  10,
-		MaxCwnd:      1 << 20,
-		MinRTO:       200 * sim.Millisecond,
-		DupAckThresh: 3,
-		CC:           "cubic",
+		MaxSeg:  packet.MaxSegSize,
+		MaxCwnd: 1 << 20,
+		CC:      "cubic",
 	}
 }
 
 func (c *Config) fill() {
 	d := DefaultConfig()
-	if c.MSS == 0 {
-		c.MSS = d.MSS
-	}
 	if c.MaxSeg == 0 {
 		c.MaxSeg = d.MaxSeg
 	}
-	if c.InitCwndMSS == 0 {
-		c.InitCwndMSS = d.InitCwndMSS
-	}
 	if c.MaxCwnd == 0 {
 		c.MaxCwnd = d.MaxCwnd
-	}
-	if c.MinRTO == 0 {
-		c.MinRTO = d.MinRTO
-	}
-	if c.DupAckThresh == 0 {
-		c.DupAckThresh = d.DupAckThresh
 	}
 	if c.CC == "" {
 		c.CC = d.CC
@@ -191,7 +179,7 @@ func New(eng *sim.Engine, flow packet.FlowKey, down Downstream, cfg Config) *End
 		sndNxt:   iss,
 		appLimit: iss,
 		rcvNxt:   iss,
-		cwnd:     float64(cfg.InitCwndMSS * cfg.MSS),
+		cwnd:     float64(initCwndMSS * packet.MSS),
 		ssthresh: float64(cfg.MaxCwnd),
 	}
 	e.rtoTimer = sim.NewTimer(eng, e.onRTO)
@@ -211,8 +199,8 @@ func (e *Endpoint) Cwnd() float64 { return e.cwnd }
 
 // SetCwnd overrides the congestion window (used by coupled controllers).
 func (e *Endpoint) SetCwnd(w float64) {
-	if w < float64(e.cfg.MSS) {
-		w = float64(e.cfg.MSS)
+	if w < float64(packet.MSS) {
+		w = float64(packet.MSS)
 	}
 	e.cwnd = w
 }
@@ -239,8 +227,8 @@ func (e *Endpoint) Unsent() int {
 	return n
 }
 
-// MSS returns the configured MSS.
-func (e *Endpoint) MSS() int { return e.cfg.MSS }
+// MSS returns the payload per MTU packet (packet.MSS).
+func (e *Endpoint) MSS() int { return packet.MSS }
 
 // InSlowStart reports whether the sender is below ssthresh.
 func (e *Endpoint) InSlowStart() bool { return e.cwnd < e.ssthresh }
@@ -311,7 +299,7 @@ func (e *Endpoint) trySend() {
 		if n > avail {
 			// Send a partial segment only if nothing is outstanding or
 			// at least an MSS fits (avoid silly-window dribble).
-			if avail < e.cfg.MSS && e.inflight() > 0 {
+			if avail < packet.MSS && e.inflight() > 0 {
 				break
 			}
 			n = avail
@@ -330,7 +318,7 @@ func (e *Endpoint) sendData(seq uint32, n int, retrans bool) {
 		Flow:      e.flow,
 		StartSeq:  seq,
 		EndSeq:    seq + uint32(n),
-		Packets:   (n + e.cfg.MSS - 1) / e.cfg.MSS,
+		Packets:   (n + packet.MSS - 1) / packet.MSS,
 		Retrans:   retrans,
 		CreatedAt: now,
 		LastMerge: now,
@@ -487,11 +475,11 @@ func (e *Endpoint) processAck(s *packet.Segment) {
 		// Pure duplicate ACK with data outstanding.
 		e.dupacks++
 		e.Stats.DupAcks++
-		if e.dupacks >= e.cfg.DupAckThresh && !e.inRec {
+		if e.dupacks >= dupAckThresh && !e.inRec {
 			e.enterRecovery()
 		} else if e.inRec {
 			// Window inflation keeps the pipe full during recovery.
-			e.cwnd += float64(e.cfg.MSS)
+			e.cwnd += float64(packet.MSS)
 			e.clampCwnd()
 			// Lost-retransmission heuristic (RACK-style): dup-ACKs keep
 			// arriving but the front hole hasn't budged for well over an
@@ -541,10 +529,10 @@ func (e *Endpoint) enterRecovery() {
 	e.recoverPt = e.sndNxt
 	e.rexmitHint = e.sndUna
 	e.ssthresh = e.cc.OnLoss(e)
-	if e.ssthresh < 2*float64(e.cfg.MSS) {
-		e.ssthresh = 2 * float64(e.cfg.MSS)
+	if e.ssthresh < 2*float64(packet.MSS) {
+		e.ssthresh = 2 * float64(packet.MSS)
 	}
-	e.cwnd = e.ssthresh + float64(e.cfg.DupAckThresh*e.cfg.MSS)
+	e.cwnd = e.ssthresh + float64(dupAckThresh*packet.MSS)
 	e.clampCwnd()
 	e.Stats.Retransmits++
 	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "fast")
@@ -566,14 +554,14 @@ func (e *Endpoint) retransmitHole() {
 			// wait for partial ACKs or the RTO backstop.
 			return
 		}
-		start, end = e.sndUna, e.sndUna+uint32(e.cfg.MSS)
-		if packet.SeqGT(start+uint32(e.cfg.MSS), e.sndNxt) {
+		start, end = e.sndUna, e.sndUna+uint32(packet.MSS)
+		if packet.SeqGT(start+uint32(packet.MSS), e.sndNxt) {
 			end = e.sndNxt
 		}
 	}
 	n := int(packet.SeqDiff(end, start))
-	if n > e.cfg.MSS {
-		n = e.cfg.MSS
+	if n > packet.MSS {
+		n = packet.MSS
 	}
 	if n <= 0 {
 		return
@@ -599,10 +587,10 @@ func (e *Endpoint) onRTO() {
 	e.Stats.Timeouts++
 	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "rto")
 	e.ssthresh = e.cwnd / 2
-	if e.ssthresh < 2*float64(e.cfg.MSS) {
-		e.ssthresh = 2 * float64(e.cfg.MSS)
+	if e.ssthresh < 2*float64(packet.MSS) {
+		e.ssthresh = 2 * float64(packet.MSS)
 	}
-	e.cwnd = float64(e.cfg.MSS)
+	e.cwnd = float64(packet.MSS)
 	e.cc.OnTimeout(e)
 	e.inRec = false
 	e.dupacks = 0
@@ -617,7 +605,7 @@ func (e *Endpoint) onRTO() {
 	}
 	e.sndNxt = e.sndUna
 	e.timings = e.timings[:0]
-	n := e.cfg.MSS
+	n := packet.MSS
 	if e.unlimited || int(packet.SeqDiff(e.appLimit, e.sndNxt)) >= n {
 		e.sendData(e.sndNxt, n, true)
 		e.sndNxt += uint32(n)
@@ -665,8 +653,8 @@ func (e *Endpoint) onProbeTimeout() {
 	e.Stats.Probes++
 	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "probe")
 	n := int(packet.SeqDiff(e.sndNxt, e.sndUna))
-	if n > e.cfg.MSS {
-		n = e.cfg.MSS
+	if n > packet.MSS {
+		n = packet.MSS
 	}
 	e.sendData(e.sndUna, n, true)
 	if e.ptoBackoff < 8 {
@@ -676,7 +664,7 @@ func (e *Endpoint) onProbeTimeout() {
 }
 
 func (e *Endpoint) rto() sim.Time {
-	rto := e.cfg.MinRTO
+	rto := minRTO
 	if e.srtt > 0 {
 		est := e.srtt + 4*e.rttvar
 		if est > rto {
@@ -723,7 +711,7 @@ func (e *Endpoint) clampCwnd() {
 	if e.cwnd > float64(e.cfg.MaxCwnd) {
 		e.cwnd = float64(e.cfg.MaxCwnd)
 	}
-	if e.cwnd < float64(e.cfg.MSS) {
-		e.cwnd = float64(e.cfg.MSS)
+	if e.cwnd < float64(packet.MSS) {
+		e.cwnd = float64(packet.MSS)
 	}
 }

@@ -153,9 +153,9 @@ func TestRTOOnBlackout(t *testing.T) {
 	if p.b.Delivered() != n {
 		t.Fatalf("delivered %d, want %d after recovery", p.b.Delivered(), n)
 	}
-	// The first RTO must respect MinRTO (200ms).
+	// The first RTO must respect minRTO (200ms).
 	if eng.Now() < 200*sim.Millisecond {
-		t.Fatalf("finished at %v, before MinRTO could have fired", eng.Now())
+		t.Fatalf("finished at %v, before minRTO could have fired", eng.Now())
 	}
 }
 

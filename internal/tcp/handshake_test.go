@@ -74,7 +74,7 @@ func TestLostSYNRetransmitted(t *testing.T) {
 		t.Fatal("SYN loss did not count a timeout")
 	}
 	// Linux retries SYN after 1s; our model uses the endpoint RTO
-	// (MinRTO 200ms) — completion must be after one backoff period.
+	// (minRTO 200ms) — completion must be after one backoff period.
 	if eng.Now() < 200*sim.Millisecond {
 		t.Fatalf("finished at %v, too early for a SYN retry", eng.Now())
 	}
