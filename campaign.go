@@ -384,27 +384,28 @@ func fig1Cells() []Cell {
 	return cells
 }
 
-// groCell runs elephants over pairs on tp through the given receive
-// offload, measured like Figure 5.
-func groCell(id, spec string, tp func() *topo.Topology, pairs [][2]int, kind cluster.GROKind) Cell {
+// groCell runs elephants over pairs on tp, measured like Figure 5.
+// A non-nil newGRO replaces the scheme's receive offload.
+func groCell(id, spec string, tp func() *topo.Topology, pairs [][2]int, newGRO func(*sim.Engine, gro.Output) gro.Handler) Cell {
 	return Cell{
 		Experiment: "fig5",
 		ID:         id,
 		Scheme:     spec,
 		Topo:       tp,
 		Workload:   elephants(pairs, nil),
-		config:     groConfig(kind),
+		config:     func(cfg *cluster.Config) { cfg.GRO = newGRO },
 		observe:    groMicrobench,
 	}
 }
 
 // fig5Cells: two flows sprayed over two paths (Figure 4b topology),
-// received through official or Presto GRO.
+// received through official GRO or Presto's own.
 func fig5Cells() []Cell {
 	tp := func() *topo.Topology { return OversubTopo(2) }
+	official := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
 	return []Cell{
-		groCell("fig5/gro=official", "presto", tp, leafToLeaf(2), cluster.GROOfficial),
-		groCell("fig5/gro=presto", "presto", tp, leafToLeaf(2), cluster.GROPresto),
+		groCell("fig5/gro=official", "presto", tp, leafToLeaf(2), official),
+		groCell("fig5/gro=presto", "presto", tp, leafToLeaf(2), nil),
 	}
 }
 
@@ -412,7 +413,8 @@ func fig5Cells() []Cell {
 // Gbps at 100% CPU): one elephant with GRO disabled at the receiver.
 // It is not part of any campaign.
 func GRODisabledCell() Cell {
-	return groCell("gro=none", "ecmp", func() *topo.Topology { return topo.SingleSwitch(2, topo.LinkConfig{}) }, [][2]int{{0, 1}}, cluster.GRONone)
+	none := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewNone(eng, out) }
+	return groCell("gro=none", "ecmp", func() *topo.Topology { return topo.SingleSwitch(2, topo.LinkConfig{}) }, [][2]int{{0, 1}}, none)
 }
 
 // fig6Cells: stride at line rate; Presto (spraying + Presto GRO on the
@@ -539,7 +541,11 @@ func ablationCells() []Cell {
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
 		add(fmt.Sprintf("gro_alpha=%g", a), "presto",
-			func(cfg *cluster.Config) { cfg.GROConfig = gro.PrestoConfig{Alpha: a} },
+			func(cfg *cluster.Config) {
+				cfg.GRO = func(eng *sim.Engine, out gro.Output) gro.Handler {
+					return gro.NewPresto(eng, out, gro.PrestoConfig{Alpha: a})
+				}
+			},
 			func(c *cluster.Cluster, v campaign.Values) {
 				var fires uint64
 				for _, h := range c.Hosts {
@@ -567,7 +573,7 @@ func ablationCells() []Cell {
 			name = "tunnel"
 		}
 		add("labels="+name, "presto",
-			func(cfg *cluster.Config) { cfg.Ctrl.TunnelMode = tunnel },
+			func(cfg *cluster.Config) { cfg.TunnelMode = tunnel },
 			func(c *cluster.Cluster, v campaign.Values) {
 				rules := 0
 				for _, leaf := range c.Topo.Leaves {

@@ -460,12 +460,6 @@ func outOfOrderCounts(log []uint32) []int {
 	return out
 }
 
-// groConfig forces a receive-offload handler (Figure 5 pairs Presto
-// spraying with official GRO).
-func groConfig(kind cluster.GROKind) func(*cluster.Config) {
-	return func(cfg *cluster.Config) { cfg.GRO = kind }
-}
-
 // cpuOverhead is the Figure 6 measurement: mean receiver CPU
 // utilization across all hosts, sampled every 10 ms over the window.
 func cpuOverhead(r *run) LoadResult {

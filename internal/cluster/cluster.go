@@ -53,33 +53,29 @@ const (
 	PerPacket Scheme = "per-packet"
 )
 
-// GROKind overrides the receive-offload algorithm.
-type GROKind int
-
-const (
-	// GROAuto picks the scheme's natural handler.
-	GROAuto GROKind = iota
-	// GROOfficial forces stock GRO.
-	GROOfficial
-	// GROPresto forces Presto GRO.
-	GROPresto
-	// GRONone disables receive offload.
-	GRONone
-)
-
-// Config describes a testbed instance.
+// Config describes a testbed instance. A field exists because two
+// runs set it differently, and New never overwrites a value the caller
+// set: what only the scheme decides (its receive offload, the
+// controller's tree weights) comes from the scheme, and what no run
+// varies is a constant in the package that reads it.
 type Config struct {
 	Topology *topo.Topology
 	Scheme   Scheme
 	Seed     uint64
 
-	GRO       GROKind
-	GROConfig gro.PrestoConfig
+	// GRO, when non-nil, builds every host's receive-offload handler
+	// in place of the scheme's own (Figure 5 pairs Presto spraying with
+	// official GRO; the α ablation tunes Presto GRO). Nil means the
+	// handler the scheme names, at the paper's settings.
+	GRO func(eng *sim.Engine, out gro.Output) gro.Handler
 
 	TCP    tcp.Config
 	NIC    nic.Config
 	Fabric fabric.Config
-	Ctrl   controller.Config
+
+	// TunnelMode installs per-leaf tunnel labels instead of per-host
+	// shadow MACs (controller.Config.TunnelMode).
+	TunnelMode bool
 
 	// Shards is the size of the cluster's shard group: the fabric is
 	// partitioned into that many per-pod shards, each running its own
@@ -149,19 +145,22 @@ func New(cfg Config) *Cluster {
 		taps:     make(map[packet.HostID]*tap),
 	}
 	c.resolveScheme()
-	cfg.Ctrl.TreeWeights = c.def.Hooks.TreeWeights
 	shards := max(1, min(cfg.Shards, cfg.Topology.NumPods))
 	shardOf, lookahead := shardPartition(cfg.Topology, shards)
 	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
 	c.Eng = c.group.Shard(0)
 	c.Net = fabric.NewSharded(c.group, shardOf, cfg.Topology, cfg.Fabric)
-	c.Ctrl = controller.New(c.Net, cfg.Ctrl)
+	c.Ctrl = controller.New(c.Net, controller.Config{TunnelMode: cfg.TunnelMode, TreeWeights: c.def.Hooks.TreeWeights})
+	newGRO := cfg.GRO
+	if newGRO == nil {
+		newGRO = schemeGRO(c.def.GRO)
+	}
 
 	for i := 0; i < cfg.Topology.NumHosts(); i++ {
 		h := packet.HostID(i)
 		eng := c.engOf(h)
 		vs := vswitch.New(eng, h, nil, c.newPolicy(h))
-		n := nic.New(eng, c.Net, h, vs, c.makeGRO(c.groKind(), eng), cfg.NIC)
+		n := nic.New(eng, c.Net, h, vs, func(out gro.Output) gro.Handler { return newGRO(eng, out) }, cfg.NIC)
 		vs.SetSender(n)
 		c.Net.AttachHost(h, n)
 		c.Ctrl.RegisterVSwitch(vs)
@@ -252,29 +251,15 @@ func (c *Cluster) resolveScheme() {
 // cluster.
 func (c *Cluster) SchemeInfo() *scheme.Scheme { return c.def }
 
-// groKind resolves the effective GRO algorithm.
-func (c *Cluster) groKind() GROKind {
-	if c.cfg.GRO != GROAuto {
-		return c.cfg.GRO
-	}
-	if c.def.GRO == scheme.GROPresto {
-		return GROPresto
-	}
-	return GROOfficial
-}
-
-func (c *Cluster) makeGRO(kind GROKind, eng *sim.Engine) func(out gro.Output) gro.Handler {
-	cfg := c.cfg.GROConfig
-	return func(out gro.Output) gro.Handler {
-		switch kind {
-		case GROPresto:
-			return gro.NewPresto(eng, out, cfg)
-		case GRONone:
-			return gro.NewNone(eng, out)
-		default:
-			return gro.NewOfficial(eng, out)
+// schemeGRO returns the constructor of the receive-offload handler a
+// scheme names, at the paper's settings.
+func schemeGRO(kind scheme.GRO) func(eng *sim.Engine, out gro.Output) gro.Handler {
+	if kind == scheme.GROPresto {
+		return func(eng *sim.Engine, out gro.Output) gro.Handler {
+			return gro.NewPresto(eng, out, gro.PrestoConfig{})
 		}
 	}
+	return func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
 }
 
 // newPolicy builds a fresh policy instance for one host via the

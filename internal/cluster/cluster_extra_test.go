@@ -1,8 +1,10 @@
 package cluster
 
 import (
+	"slices"
 	"testing"
 
+	"presto/internal/gro"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -12,7 +14,7 @@ func TestGROOverrideOfficialWithPrestoSpray(t *testing.T) {
 	// The Figure 5 configuration: Presto spraying but stock GRO.
 	c := New(Config{
 		Topology: clos(2, 2, 2), Scheme: Presto, Seed: 21,
-		GRO: GROOfficial,
+		GRO: func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) },
 	})
 	conn := c.Dial(0, 2)
 	conn.SetUnlimited(true)
@@ -158,9 +160,7 @@ func TestOptimalBaselineBeatsNothing(t *testing.T) {
 }
 
 func TestPrestoOverTunnelMode(t *testing.T) {
-	cfg := Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 31}
-	cfg.Ctrl.TunnelMode = true
-	c := New(cfg)
+	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 31, TunnelMode: true})
 	conn := c.Dial(0, 2)
 	conn.Write(4 << 20)
 	c.Eng.RunAll()
@@ -179,9 +179,7 @@ func TestPrestoOverTunnelMode(t *testing.T) {
 }
 
 func TestTunnelModeFailover(t *testing.T) {
-	cfg := Config{Topology: clos(2, 2, 1), Scheme: Presto, Seed: 32}
-	cfg.Ctrl.TunnelMode = true
-	c := New(cfg)
+	c := New(Config{Topology: clos(2, 2, 1), Scheme: Presto, Seed: 32, TunnelMode: true})
 	conn := c.Dial(0, 1)
 	conn.SetUnlimited(true)
 	c.Eng.Run(20 * sim.Millisecond)
@@ -191,6 +189,31 @@ func TestTunnelModeFailover(t *testing.T) {
 	c.Eng.Run(300 * sim.Millisecond)
 	if conn.Delivered() <= before {
 		t.Fatal("tunnel-mode traffic died after failure")
+	}
+}
+
+// TestFailurePushLandsAfterControlLoop pins when the controller's
+// failure push lands: an affected vSwitch keeps its old label list
+// until 50 ms after the failure (hardware failover covers the gap) and
+// has the broken tree pruned from then on.
+func TestFailurePushLandsAfterControlLoop(t *testing.T) {
+	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto})
+	const failAt, loop = sim.Millisecond, 50 * sim.Millisecond
+	vs := c.Hosts[0].VS
+	before := slices.Clone(vs.Mapping(1))
+	broken := packet.ShadowMAC(1, 0)
+	if len(before) != 4 || !slices.Contains(before, broken) {
+		t.Fatalf("host 0's labels for host 1 at install: %v, want all 4 trees", before)
+	}
+	c.Run(failAt)
+	c.FailLink(treeLink(c, 0, 0)) // tree 0 loses host 0's leaf
+	c.Run(failAt + loop - 1)
+	if got := vs.Mapping(1); !slices.Equal(got, before) {
+		t.Fatalf("mapping at failure + 50 ms - 1 ns = %v, want the install's %v", got, before)
+	}
+	c.Run(failAt + loop)
+	if got := vs.Mapping(1); len(got) != 3 || slices.Contains(got, broken) {
+		t.Fatalf("mapping at failure + 50 ms = %v, want %v without tree 0's %v", got, before, broken)
 	}
 }
 

@@ -53,12 +53,10 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 	// Each endpoint runs on the engine of the host that owns it, so
 	// every endpoint's timers stay shard-local.
 	srcEng, dstEng := c.engOf(src), c.engOf(dst)
-	// Endpoint trace events are attributed to the host whose stack runs
-	// the endpoint, in that host's shard buffer: the forward sender
-	// lives at src, the reverse at dst.
-	fwdCfg, revCfg := cfg, cfg
-	fwdCfg.Tracer, fwdCfg.TraceHost = c.Net.Tracer(src), int32(src)
-	revCfg.Tracer, revCfg.TraceHost = c.Net.Tracer(dst), int32(dst)
+	// Endpoint trace events go to the shard buffer of the host whose
+	// stack runs the endpoint: the forward sender lives at src, the
+	// reverse at dst.
+	srcTr, dstTr := c.Net.Tracer(src), c.Net.Tracer(dst)
 	srcVS, dstVS := c.Hosts[src].VS, c.Hosts[dst].VS
 
 	n := max(1, c.transport.Subflows)
@@ -78,8 +76,10 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 			}
 			f.Src.Port = c.allocPort()
 		}
-		conn.fwd[i] = tcp.New(srcEng, f, srcVS, fwdCfg)
-		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, revCfg)
+		conn.fwd[i] = tcp.New(srcEng, f, srcVS, cfg)
+		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, cfg)
+		conn.fwd[i].SetTracer(srcTr)
+		conn.rev[i].SetTracer(dstTr)
 		srcVS.Register(f, conn.fwd[i])
 		dstVS.Register(f.Reverse(), conn.rev[i])
 		conn.flows[i] = f

@@ -133,15 +133,13 @@ func TestLabelStatePinned(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%s/tunnel=%v", sh.name, sch, tunnel)
 				t.Run(name, func(t *testing.T) {
-					cfg := Config{Topology: sh.build(), Scheme: sch, Seed: 1}
-					cfg.Ctrl.TunnelMode = tunnel
-					c := New(cfg)
+					c := New(Config{Topology: sh.build(), Scheme: sch, Seed: 1, TunnelMode: tunnel})
 					var got [2]string
 					got[0] = labelStateHash(t, c)
 					if lid, ok := firstFabricLink(c.Topo); ok {
 						c.FailLink(lid)
 					}
-					c.Run(60 * sim.Millisecond) // past the 50 ms UpdateLatency
+					c.Run(60 * sim.Millisecond) // past the controller's 50 ms push
 					got[1] = labelStateHash(t, c)
 					if got != want[name] {
 						t.Errorf("label state moved:\n\t%q: {%q, %q},", name, got[0], got[1])
@@ -166,9 +164,7 @@ func TestTunnelLabelsOnEveryShape(t *testing.T) {
 		delivered uint64
 	}
 	run := func(tp *topo.Topology, tunnel bool) outcome {
-		cfg := Config{Topology: tp, Scheme: Presto, Seed: 7}
-		cfg.Ctrl.TunnelMode = tunnel
-		c := New(cfg)
+		c := New(Config{Topology: tp, Scheme: Presto, Seed: 7, TunnelMode: tunnel})
 		conn := c.Dial(0, packet.HostID(tp.NumHosts()-1)) // first pod to last
 		conn.SetUnlimited(true)
 		c.Run(20 * sim.Millisecond)

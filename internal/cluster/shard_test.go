@@ -6,7 +6,6 @@ import (
 	"sync"
 	"testing"
 
-	"presto/internal/controller"
 	"presto/internal/packet"
 	"presto/internal/scheme"
 	"presto/internal/sim"
@@ -90,20 +89,20 @@ func TestShardedFailLinkMidWindowPanics(t *testing.T) {
 	c.Run(sim.Millisecond)
 }
 
-// failoverFingerprint runs Presto elephants between the testbed's
-// stride pairs with two RTT probers, fails one tree link and later
-// restores it between Run calls, and renders what the failure path
-// touches: clocks, event counts, prober RTTs, per-connection bytes,
-// switch counters and the controller's push count.
+// failoverFingerprint runs two Presto elephants between stride
+// partners of the testbed, one each way, with two RTT probers, fails one
+// tree link, restores it once the controller's failure push has
+// landed, and runs past the restore's push too (each lands 50 ms after
+// its event). It renders what the failure path touches: clocks, event
+// counts, prober RTTs, per-connection bytes, switch counters and the
+// controller's push count.
 func failoverFingerprint(t *testing.T, shards int) string {
 	t.Helper()
 	tp := topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{})
-	// A short control loop keeps both pushes inside a 25 ms run.
-	ctrl := controller.Config{UpdateLatency: 8 * sim.Millisecond}
-	c := New(Config{Topology: tp, Scheme: Presto, Seed: 5, Shards: shards, Ctrl: ctrl})
+	c := New(Config{Topology: tp, Scheme: Presto, Seed: 5, Shards: shards})
 	n := tp.NumHosts()
 	var conns []*Conn
-	for i := 0; i < n; i++ {
+	for i := 0; i < n; i += 8 {
 		conn := c.Dial(packet.HostID(i), packet.HostID((i+n/2)%n))
 		conn.SetUnlimited(true)
 		conns = append(conns, conn)
@@ -115,9 +114,9 @@ func failoverFingerprint(t *testing.T, shards int) string {
 	bad := treeLink(c, 0, 0)
 	c.Run(3 * sim.Millisecond)
 	c.FailLink(bad)
-	c.Run(14 * sim.Millisecond) // past hardware failover and the push
+	c.Run(56 * sim.Millisecond) // past hardware failover and the failure's push at 53 ms
 	c.RestoreLink(bad)
-	c.Run(25 * sim.Millisecond)
+	c.Run(110 * sim.Millisecond) // past the restore's push at 106 ms
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "now=%v executed=%d updates=%d delivered=%d drops=%d down=%d\n",

@@ -21,10 +21,6 @@ import (
 
 // Config tunes controller behaviour.
 type Config struct {
-	// UpdateLatency is how long after a failure the controller's new
-	// weighted mappings reach the vSwitches (the failover→weighted
-	// stage boundary in Figure 17). Hardware failover covers the gap.
-	UpdateLatency sim.Time
 	// TunnelMode installs switch-to-switch tunnel labels — one per
 	// (destination leaf, tree) — instead of per-host shadow MACs,
 	// trading O(|vSwitches| x |paths|) rules for
@@ -42,9 +38,12 @@ type Config struct {
 // state the vSwitch keeps on its datapath.
 const weightSlots = 16
 
-// DefaultConfig uses a 50 ms control loop — fast for a controller,
-// slow next to hardware failover, as in §3.3.
-func DefaultConfig() Config { return Config{UpdateLatency: 50 * sim.Millisecond} }
+// updateLatency is how long after a failure the controller's new
+// weighted mappings reach the vSwitches (the failover→weighted stage
+// boundary in Figure 17): a 50 ms control loop, fast for a controller
+// and slow next to hardware failover, as in §3.3. Hardware failover
+// covers the gap.
+const updateLatency = 50 * sim.Millisecond
 
 // Controller is the central brain. It owns no engine: its deferred
 // pushes run on the engines of the vSwitches they update.
@@ -65,9 +64,6 @@ type Controller struct {
 
 // New creates a controller for the given running fabric.
 func New(net *fabric.Network, cfg Config) *Controller {
-	if cfg.UpdateLatency == 0 {
-		cfg.UpdateLatency = DefaultConfig().UpdateLatency
-	}
 	c := &Controller{
 		net:       net,
 		topo:      net.Topo,
@@ -244,7 +240,7 @@ func (c *Controller) pushMappings(vs *vswitch.VSwitch, routes map[[2]topo.NodeID
 
 // HandleLinkFailure is invoked when the fabric loses a link (the
 // cluster wires fabric failures to this). The weighted-multipathing
-// update lands after UpdateLatency; until then, senders keep spraying
+// update lands after updateLatency; until then, senders keep spraying
 // over the old label lists and the switches' fast failover detours
 // the broken tree. Each vSwitch, in host order, recomputes its own
 // mappings in an event on its own engine. A push writes only its
@@ -254,7 +250,7 @@ func (c *Controller) HandleLinkFailure(id topo.LinkID) {
 	c.Updates++
 	for _, vs := range c.vswitches {
 		if vs != nil {
-			vs.Eng.Schedule(c.cfg.UpdateLatency, func() {
+			vs.Eng.Schedule(updateLatency, func() {
 				c.pushMappings(vs, make(map[[2]topo.NodeID]leafRoute))
 			})
 		}

@@ -131,7 +131,7 @@ func TestSnapshotClockFollowsBareEngine(t *testing.T) {
 func TestPipeQueueOverflowDrops(t *testing.T) {
 	eng := sim.NewEngine()
 	tp := topo.TwoTierClos(1, 1, 3, 1, topo.LinkConfig{})
-	n := New(eng, tp, Config{SwitchQueueBytes: 5000, HostQueueBytes: 1 << 20})
+	n := New(eng, tp, Config{SwitchQueueBytes: 5000})
 	c := &collector{eng: eng}
 	n.AttachHost(2, c)
 	// Two senders converge on host 2's port: the 2:1 incast overflows

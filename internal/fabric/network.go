@@ -21,9 +21,6 @@ type Config struct {
 	// the default matches the multi-millisecond RTT tails the paper
 	// measures under congestion (Figures 8, 11).
 	SwitchQueueBytes int
-	// HostQueueBytes is the host NIC's transmit queue (driver ring),
-	// deeper than a switch port.
-	HostQueueBytes int
 	// ECNThresholdBytes makes switch ports mark Congestion Experienced
 	// on packets that arrive to a queue deeper than this (DCTCP-style
 	// marking). Zero disables marking. Host access pipes never mark.
@@ -35,21 +32,17 @@ type Config struct {
 // §3.3). Until it elapses, traffic to the dead port is black-holed.
 const failoverLatency = 5 * sim.Millisecond
 
-// DefaultConfig returns testbed-like defaults.
-func DefaultConfig() Config {
-	return Config{
-		SwitchQueueBytes: 2 << 20,
-		HostQueueBytes:   4 * 1024 * 1024,
-	}
-}
+const (
+	// defaultSwitchQueueBytes is SwitchQueueBytes' testbed default.
+	defaultSwitchQueueBytes = 2 << 20
+	// hostQueueBytes is the host NIC's transmit queue (driver ring),
+	// deeper than a switch port.
+	hostQueueBytes = 4 << 20
+)
 
 func (c *Config) fill() {
-	d := DefaultConfig()
 	if c.SwitchQueueBytes == 0 {
-		c.SwitchQueueBytes = d.SwitchQueueBytes
-	}
-	if c.HostQueueBytes == 0 {
-		c.HostQueueBytes = d.HostQueueBytes
+		c.SwitchQueueBytes = defaultSwitchQueueBytes
 	}
 }
 
@@ -146,7 +139,7 @@ func NewSharded(g *sim.ShardGroup, shardOf []int32, t *topo.Topology, cfg Config
 		for _, from := range []topo.NodeID{l.A, l.B} {
 			capBytes := n.cfg.SwitchQueueBytes
 			if t.Nodes[from].Kind == topo.KindHost {
-				capBytes = n.cfg.HostQueueBytes
+				capBytes = hostQueueBytes
 			}
 			dst := l.Other(from)
 			p := &Pipe{

@@ -17,6 +17,15 @@ const (
 	minEWMA = 20 * sim.Microsecond
 	// ewmaWeight is the smoothing factor for new observations.
 	ewmaWeight = 0.25
+	// defaultAlpha is PrestoConfig.Alpha's default, the paper's α.
+	defaultAlpha = 2
+	// defaultInitialEWMA is PrestoConfig.InitialEWMA's default. It
+	// starts above the worst path skew a loaded fabric shows, so the
+	// estimator adapts *down* to observed resolution times; starting
+	// low is a trap — gaps would time out before any resolution could
+	// ever be observed, and the estimate could never grow past alpha
+	// times itself.
+	defaultInitialEWMA = 500 * sim.Microsecond
 )
 
 // PrestoConfig tunes the Presto GRO handler. β is fixed at the paper's
@@ -30,26 +39,12 @@ type PrestoConfig struct {
 	InitialEWMA sim.Time
 }
 
-// DefaultPrestoConfig returns the paper's settings.
-func DefaultPrestoConfig() PrestoConfig {
-	// InitialEWMA starts above the worst path skew a loaded fabric
-	// shows, so the estimator adapts *down* to observed resolution
-	// times; starting low is a trap — gaps would time out before any
-	// resolution could ever be observed, and the estimate could never
-	// grow past alpha times itself.
-	return PrestoConfig{
-		Alpha:       2,
-		InitialEWMA: 500 * sim.Microsecond,
-	}
-}
-
 func (c *PrestoConfig) fill() {
-	d := DefaultPrestoConfig()
 	if c.Alpha == 0 {
-		c.Alpha = d.Alpha
+		c.Alpha = defaultAlpha
 	}
 	if c.InitialEWMA == 0 {
-		c.InitialEWMA = d.InitialEWMA
+		c.InitialEWMA = defaultInitialEWMA
 	}
 }
 

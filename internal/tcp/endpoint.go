@@ -44,11 +44,6 @@ type Config struct {
 	// ISS is the initial sequence number (default 1). Set near 2^32 to
 	// exercise wraparound end to end.
 	ISS uint32
-
-	// Tracer, when non-nil, receives retransmit and cwnd trace events,
-	// attributed to TraceHost (the sending host of this endpoint).
-	Tracer    *telemetry.Tracer
-	TraceHost int32
 }
 
 // DefaultConfig returns the experiment settings from §4.
@@ -97,11 +92,12 @@ type sentRec struct {
 // flow and receives data+ACKs on flow.Reverse(). A bidirectional
 // connection is a pair of endpoints.
 type Endpoint struct {
-	eng  *sim.Engine
-	cfg  Config
-	flow packet.FlowKey
-	down Downstream
-	cc   CongestionControl
+	eng    *sim.Engine
+	cfg    Config
+	flow   packet.FlowKey
+	down   Downstream
+	cc     CongestionControl
+	tracer *telemetry.Tracer // retransmit and cwnd events (nil: off)
 
 	// Sender state.
 	iss         uint32
@@ -190,6 +186,11 @@ func New(eng *sim.Engine, flow packet.FlowKey, down Downstream, cfg Config) *End
 	}
 	return e
 }
+
+// SetTracer attaches a structured event tracer (nil disables, the
+// default). Retransmit and cwnd events are attributed to the flow's
+// source host, the host whose stack runs this endpoint.
+func (e *Endpoint) SetTracer(tr *telemetry.Tracer) { e.tracer = tr }
 
 // Flow returns the endpoint's outgoing flow key.
 func (e *Endpoint) Flow() packet.FlowKey { return e.flow }
@@ -535,7 +536,7 @@ func (e *Endpoint) enterRecovery() {
 	e.cwnd = e.ssthresh + float64(dupAckThresh*packet.MSS)
 	e.clampCwnd()
 	e.Stats.Retransmits++
-	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "fast")
+	e.tracer.Retransmit(e.eng.Now(), int32(e.flow.Src.Host), e.sndUna, int64(e.cwnd), "fast")
 	e.retransmitHole()
 }
 
@@ -585,7 +586,7 @@ func (e *Endpoint) onRTO() {
 		return
 	}
 	e.Stats.Timeouts++
-	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "rto")
+	e.tracer.Retransmit(e.eng.Now(), int32(e.flow.Src.Host), e.sndUna, int64(e.cwnd), "rto")
 	e.ssthresh = e.cwnd / 2
 	if e.ssthresh < 2*float64(packet.MSS) {
 		e.ssthresh = 2 * float64(packet.MSS)
@@ -651,7 +652,7 @@ func (e *Endpoint) onProbeTimeout() {
 		return
 	}
 	e.Stats.Probes++
-	e.cfg.Tracer.Retransmit(e.eng.Now(), e.cfg.TraceHost, e.sndUna, int64(e.cwnd), "probe")
+	e.tracer.Retransmit(e.eng.Now(), int32(e.flow.Src.Host), e.sndUna, int64(e.cwnd), "probe")
 	n := int(packet.SeqDiff(e.sndNxt, e.sndUna))
 	if n > packet.MSS {
 		n = packet.MSS
@@ -694,7 +695,7 @@ func (e *Endpoint) sampleRTT(ack uint32) {
 	if e.srtt == 0 {
 		e.srtt = sample
 		e.rttvar = sample / 2
-		e.cfg.Tracer.Cwnd(now, e.cfg.TraceHost, int64(e.cwnd), e.srtt)
+		e.tracer.Cwnd(now, int32(e.flow.Src.Host), int64(e.cwnd), e.srtt)
 		return
 	}
 	// RFC 6298 smoothing.
@@ -704,7 +705,7 @@ func (e *Endpoint) sampleRTT(ack uint32) {
 	}
 	e.rttvar = (3*e.rttvar + d) / 4
 	e.srtt = (7*e.srtt + sample) / 8
-	e.cfg.Tracer.Cwnd(now, e.cfg.TraceHost, int64(e.cwnd), e.srtt)
+	e.tracer.Cwnd(now, int32(e.flow.Src.Host), int64(e.cwnd), e.srtt)
 }
 
 func (e *Endpoint) clampCwnd() {

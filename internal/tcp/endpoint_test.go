@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -51,6 +52,14 @@ func TestZeroConfigIsTestbed(t *testing.T) {
 			t.Errorf("Config{}.%s runs as %v, DefaultConfig has %v",
 				want.Type().Field(i).Name, got.Field(i), want.Field(i))
 		}
+	}
+}
+
+// TestEndpointSize pins an endpoint to the 512-byte size class: Dial
+// allocates two per subflow, one at each end.
+func TestEndpointSize(t *testing.T) {
+	if n := unsafe.Sizeof(Endpoint{}); n > 512 {
+		t.Errorf("unsafe.Sizeof(Endpoint{}) = %d, want <= 512", n)
 	}
 }
 
