@@ -19,8 +19,8 @@ import (
 // This file is the experiment table: every figure and table of the
 // paper's evaluation, the ablations, the pod-scale run and the scheme
 // matrix as rows of Cells, and Campaign, the one builder that turns a
-// front-end request (cmd/experiments and cmd/prestosim flags, a
-// prestod job) into a campaign over them.
+// front-end request (cmd/experiments flags, a prestod job) into a
+// campaign over them.
 
 // scaleSystems are the four systems the scalability, oversubscription,
 // and workload sweeps compare (the paper's §4 lineup).
@@ -127,18 +127,19 @@ func FigureCell(id string) (Cell, error) {
 }
 
 // Campaign turns a request into the campaign it describes — the one
-// builder behind `experiments` and `prestosim` flags, prestod jobs and
+// builder behind `experiments` flags, prestod jobs and
 // examples/serving, so the same request yields the same spec hash (and
 // byte-identical artifacts) through every door. A workload sweeps
 // across the request's schemes (default: the §4 lineup); schemes alone
 // restrict the scheme matrix; otherwise Experiments selects paper
 // experiments ("all" or a comma-separated list of IDs). Explicit cells
-// stand in for the selection (prestosim's one cell on its -pods
-// topology). perRun, when non-nil, is wired through every run (see
-// campaign.Diagnostics.PerRun). Zero request fields take their
-// defaults (campaign.Request); Progress and Telemetry are the
-// caller's to set on the returned spec. A workload that cannot run on
-// the requested shards is an error here, not a failed replica later.
+// stand in for the selection (`experiments -pods`: the podtraffic row
+// on a pod fabric of chosen size). perRun, when non-nil, is wired
+// through every run (see campaign.Diagnostics.PerRun). Zero request
+// fields take their defaults (campaign.Request); Progress and
+// Telemetry are the caller's to set on the returned spec. A workload
+// that cannot run on the requested shards is an error here, not a
+// failed replica later.
 func Campaign(req campaign.Request, perRun *telemetry.Registry, cells ...Cell) (*campaign.Spec, error) {
 	opt := RunOptions(req)
 	// The windows are folded into the spec hash so golden envelopes
@@ -197,7 +198,7 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 		}
 		ws, err := wspec.ResolveJSON(req.Workload)
 		if err != nil {
-			return nil, fmt.Errorf("workload: %w", err)
+			return nil, fmt.Errorf("workload: %w (presets: %s)", err, strings.Join(wspec.PresetNames(), " | "))
 		}
 		if systems == nil {
 			for _, name := range scaleSystems {

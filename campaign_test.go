@@ -143,8 +143,8 @@ func TestCampaignExperimentIDs(t *testing.T) {
 // TestOneSchemeNameTable checks every door resolves a scheme name the
 // same way: each lineup spelling (and a registry spec with a
 // parameter) given as `experiments -workload elephants -scheme NAME`
-// flags, as a prestod JSON job, and as `prestosim -system NAME` lands
-// on the same cell — SpecCell's.
+// flags and as a prestod JSON job lands on the same cell as
+// SpecCell(NAME), the cell capture and the examples build.
 func TestOneSchemeNameTable(t *testing.T) {
 	names := []string{"diffflow:threshold=512KB", "OPTIMAL"}
 	for _, row := range lineup {
@@ -176,9 +176,9 @@ func TestOneSchemeNameTable(t *testing.T) {
 		if err != nil {
 			t.Fatalf("SpecCell(%s): %v", name, err)
 		}
-		want := cell.ID // what prestosim -system NAME runs
+		want := cell.ID
 		if len(fromFlags.Cells) != 1 || fromFlags.Cells[0].ID != want || fromWire.Cells[0].ID != want || fromFlags.Hash() != fromWire.Hash() {
-			t.Errorf("%s: flags → %s (%s), JSON → %s (%s), prestosim → %s", name,
+			t.Errorf("%s: flags → %s (%s), JSON → %s (%s), SpecCell → %s", name,
 				fromFlags.Cells[0].ID, fromFlags.Hash(), fromWire.Cells[0].ID, fromWire.Hash(), want)
 		}
 	}

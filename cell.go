@@ -119,9 +119,6 @@ func (cell Cell) shards(opt Options, tp *topo.Topology) int {
 	return min(opt.Shards, tp.NumPods)
 }
 
-// ShardsUsed returns the engine shard count Run will use under opt.
-func (cell Cell) ShardsUsed(opt Options) int { return cell.shards(opt, cell.topology()) }
-
 // Start builds the cell's cluster under opt and compiles the workload
 // onto it, leaving both unstarted — the one place a (scheme, topology,
 // workload) triple becomes a cluster. Run drives what it returns;

@@ -7,7 +7,7 @@
 // in tcpdump/Wireshark, with flowcell IDs in TCP option 253.
 //
 //	capture -flows flows.csv                          # record mice-heavy flow starts
-//	capture -workload examples/specs/incast32.json -flows flows.jsonl
+//	capture -workload incast32 -flows flows.jsonl
 //	capture -system flowlet100 -out /tmp/presto.pcap
 //
 // The flow-log encoding follows the -flows extension: .jsonl writes

@@ -210,7 +210,7 @@ func reportOf(t *testing.T, args ...string) campaign.Report {
 }
 
 // TestSchemeAcceptsPaperNames pins the first front-door bug: -scheme
-// resolves through the same name table as prestosim -system, so the
+// resolves through the root package's one lineup table, so the
 // paper's Optimal baseline (and a registry spec beside it) sweep a
 // workload, and a bad name is a usage error listing both kinds.
 func TestSchemeAcceptsPaperNames(t *testing.T) {
@@ -261,5 +261,172 @@ func TestSchemeMatrixParamsReachIDsAndTable(t *testing.T) {
 	}
 	if got, want := strings.Join(rows, " "), strings.TrimSpace(strings.Repeat("presto:cell=16KB presto ", 3)); got != want {
 		t.Errorf("matrix rows = %q, want %q (one row per variant in each of the three workload tables)\n%s", got, want, stdout.String())
+	}
+}
+
+// TestRunTraceExport wires every telemetry flag through one serial
+// workload run and parses the outputs back: the Chrome trace holds a
+// FlowcellEmit and a GROFlush with a reason, the event log is JSON
+// Lines, the snapshot has the engine's probe, and -v prints the
+// summary table on stderr.
+func TestRunTraceExport(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "out.json")
+	eventsPath := filepath.Join(dir, "events.jsonl")
+	snapPath := filepath.Join(dir, "snap.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{
+		"-workload", "stride", "-scheme", "presto", "-parallel", "1",
+		"-warmup", "5ms", "-duration", "10ms",
+		"-trace", tracePath, "-events", eventsPath, "-snapshot", snapPath, "-v",
+	}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit code = %d, stderr:\n%s", code, stderr.String())
+	}
+
+	raw, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name  string         `json:"name"`
+			Phase string         `json:"ph"`
+			Args  map[string]any `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("trace is not valid Chrome trace JSON: %v", err)
+	}
+	var flowcells, flushes int
+	for _, ev := range trace.TraceEvents {
+		if ev.Phase != "i" {
+			continue
+		}
+		switch ev.Name {
+		case "FlowcellEmit":
+			flowcells++
+		case "GROFlush":
+			if r, _ := ev.Args["reason"].(string); r == "" {
+				t.Fatalf("GROFlush missing reason: %v", ev.Args)
+			}
+			flushes++
+		}
+	}
+	if flowcells < 1 || flushes < 1 {
+		t.Fatalf("trace incomplete: %d FlowcellEmit, %d GROFlush", flowcells, flushes)
+	}
+
+	evRaw, err := os.ReadFile(eventsPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _, _ := bytes.Cut(evRaw, []byte("\n"))
+	var rec map[string]any
+	if err := json.Unmarshal(first, &rec); err != nil {
+		t.Fatalf("bad JSONL first line: %v", err)
+	}
+
+	snapRaw, err := os.ReadFile(snapPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Components map[string]map[string]any `json:"components"`
+	}
+	if err := json.Unmarshal(snapRaw, &snap); err != nil {
+		t.Fatalf("bad snapshot JSON: %v", err)
+	}
+	if _, ok := snap.Components["engine"]; !ok {
+		t.Fatalf("snapshot has no engine probe: %d components", len(snap.Components))
+	}
+
+	if !strings.Contains(stderr.String(), "peak_pending") {
+		t.Fatalf("-v summary missing from stderr:\n%s", stderr.String())
+	}
+}
+
+// TestPodTrafficSeedsAndShards runs the podtraffic row resized by
+// -pods and -hosts-per-leaf: its report is byte-equal at one shard and
+// at more shards than pods, and the flags are refused (exit 2) with
+// any other selection.
+func TestPodTrafficSeedsAndShards(t *testing.T) {
+	report := func(shards string) []byte {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{
+			"-run", "podtraffic", "-pods", "3", "-hosts-per-leaf", "1", "-scheme", "presto",
+			"-warmup", "1ms", "-duration", "3ms", "-seeds", "2", "-shards", shards, "-format", "json",
+		}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("-shards %s: exit code = %d, stderr:\n%s", shards, code, stderr.String())
+		}
+		return stdout.Bytes()
+	}
+	serial := report("1")
+	if sharded := report("8"); !bytes.Equal(serial, sharded) {
+		t.Errorf("-shards 8 report differs from -shards 1:\n%s\n%s", serial, sharded)
+	}
+	var r campaign.Report
+	if err := json.Unmarshal(serial, &r); err != nil {
+		t.Fatal(err)
+	}
+	if r.Cell("podtraffic/pods=3/sys=Presto") == nil || len(r.Cells) != 1 {
+		t.Errorf("want the one cell podtraffic/pods=3/sys=Presto, got %d cells:\n%s", len(r.Cells), serial)
+	}
+	for _, sel := range [][]string{{"-run", "fig7"}, {"-workload", "elephants"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(append([]string{"-pods", "3"}, sel...), &stdout, &stderr); code != 2 {
+			t.Errorf("-pods 3 %v: exit code = %d, want 2", sel, code)
+		}
+	}
+}
+
+// TestParseWorkloadAll runs every paper workload preset through
+// -workload over a tiny window; each table section is titled with the
+// spec's name, and an unknown name is a usage error naming the presets.
+func TestParseWorkloadAll(t *testing.T) {
+	for _, w := range []string{"stride", "shuffle", "random", "bijection", "trace-mix", "north-south"} {
+		var stdout, stderr bytes.Buffer
+		if code := run([]string{"-workload", w, "-scheme", "presto", "-warmup", "1ms", "-duration", "2ms"}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-workload %s: exit code = %d, stderr:\n%s", w, code, stderr.String())
+		}
+		if title := "==== workload-spec: " + w + " ====\n"; !strings.HasPrefix(stdout.String(), title) {
+			t.Errorf("-workload %s: want title %q, got:\n%s", w, title, stdout.String())
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-workload", "bogus"}, &stdout, &stderr); code != 2 || !strings.Contains(stderr.String(), "stride") {
+		t.Errorf("bogus workload: exit code %d, stderr %q; want 2 and the presets listed", code, stderr.String())
+	}
+}
+
+// TestRunRejectsBadFlags checks usage errors exit 2.
+func TestRunRejectsBadFlags(t *testing.T) {
+	for _, args := range [][]string{{"-notaflag"}, {"-workload", "stride", "-scheme", "nope"}, {"-duration", "soon"}} {
+		var stdout, stderr bytes.Buffer
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%v: exit code = %d, want 2", args, code)
+		}
+	}
+}
+
+// TestRunSeedReplicas checks -seeds N reports envelopes over N
+// replicas and that the table is the same bytes at any -parallel.
+func TestRunSeedReplicas(t *testing.T) {
+	replicated := func(parallel string) string {
+		var stdout, stderr bytes.Buffer
+		code := run([]string{"-workload", "stride", "-scheme", "presto", "-warmup", "5ms", "-duration", "10ms",
+			"-seeds", "3", "-parallel", parallel}, &stdout, &stderr)
+		if code != 0 {
+			t.Fatalf("-parallel %s: exit code = %d, stderr:\n%s", parallel, code, stderr.String())
+		}
+		return stdout.String()
+	}
+	serial := replicated("1")
+	if !strings.Contains(serial, "(3-seed envelopes: mean ±stddev)") || !strings.Contains(serial, "tput_gbps") {
+		t.Fatalf("no 3-seed envelopes:\n%s", serial)
+	}
+	if got := replicated("4"); got != serial {
+		t.Errorf("-parallel 4 output differs from -parallel 1:\n--- serial ---\n%s--- parallel ---\n%s", serial, got)
 	}
 }

@@ -186,7 +186,13 @@ func renderReport(w io.Writer, report *campaign.Report) {
 			continue
 		}
 		seen = append(seen, exp)
-		fmt.Fprintf(w, "==== %s: %s ====\n", exp, presto.CampaignExperimentTitle(exp))
+		title := presto.CampaignExperimentTitle(exp)
+		if title == "" {
+			// Not a table row: a -workload run, whose report is named
+			// "workload-spec/<spec name>".
+			_, title, _ = strings.Cut(report.Name, "/")
+		}
+		fmt.Fprintf(w, "==== %s: %s ====\n", exp, title)
 		if n := len(report.Seeds); n > 1 {
 			fmt.Fprintf(w, "(%d-seed envelopes: mean ±stddev)\n", n)
 		}

@@ -12,7 +12,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"reflect"
-	"sort"
 	"strings"
 	"syscall"
 	"testing"
@@ -112,17 +111,14 @@ func buildCommands(t *testing.T, pkgs ...string) string {
 	return bin
 }
 
-// TestRequestFlagParity checks the CLIs against the request type by
-// reading their -h output: every JSON field of campaign.Request is a
-// flag on `experiments` (three keep their historical flag spelling),
-// and the subset `prestosim` shares prints the identical help block —
-// same name, default and usage string — because both bind it through
-// Request.Bind.
+// TestRequestFlagParity checks the batch CLI against the request type
+// by reading its -h output: every JSON field of campaign.Request is a
+// flag on `experiments` (three keep their historical flag spelling).
 func TestRequestFlagParity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("builds two CLIs")
+		t.Skip("builds the CLI")
 	}
-	bin := buildCommands(t, "cmd/experiments", "cmd/prestosim")
+	bin := buildCommands(t, "cmd/experiments")
 	// help returns flag name → its block of `cmd -h` (header, usage, default).
 	help := func(cmd string) map[string]string {
 		out, _ := exec.Command(filepath.Join(bin, cmd), "-h").CombinedOutput() // -h exits 2 by design
@@ -138,7 +134,7 @@ func TestRequestFlagParity(t *testing.T) {
 		}
 		return blocks
 	}
-	experiments, prestosim := help("experiments"), help("prestosim")
+	experiments := help("experiments")
 
 	spelling := map[string]string{"experiments": "run", "parallelism": "parallel", "cell_timeout": "timeout"}
 	rt := reflect.TypeOf(campaign.Request{})
@@ -152,13 +148,8 @@ func TestRequestFlagParity(t *testing.T) {
 			t.Errorf("request field %q has no -%s flag on experiments", field, name)
 		}
 	}
-	for _, name := range []string{"seed", "seeds", "parallel", "duration", "warmup", "shards"} {
-		if experiments[name] == "" || prestosim[name] != experiments[name] {
-			t.Errorf("-%s differs between the CLIs:\n--- experiments ---\n%s--- prestosim ---\n%s", name, experiments[name], prestosim[name])
-		}
-	}
-	if len(experiments) < rt.NumField() || len(prestosim) < 6 {
-		t.Fatalf("parsed %d / %d flags from -h output", len(experiments), len(prestosim))
+	if len(experiments) < rt.NumField() {
+		t.Fatalf("parsed %d flags from -h output", len(experiments))
 	}
 }
 
@@ -166,17 +157,15 @@ func TestRequestFlagParity(t *testing.T) {
 // requires the same spec hash and byte-equal results. A workload swept
 // over a paper name, a registry name and a param override (the scheme
 // list every door resolves through presto's one lineup table) goes through
-// `experiments` flags, a prestod JSON job submitted and fetched with
-// `prestoctl`, and — for its Presto cell — `prestosim -seeds 2`, whose
-// envelope lines must equal the report's cell rendered the same way.
-// The fig5 request examples/serving hard-codes must reach the spec hash
-// and report size `experiments` gives for the same flags. One builder
-// behind every door is what makes this hold.
+// `experiments` flags and a prestod JSON job submitted and fetched
+// with `prestoctl`. The fig5 request examples/serving hard-codes must
+// reach the spec hash and report size `experiments` gives for the same
+// flags. One builder behind every door is what makes this hold.
 func TestFrontDoorsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds the CLIs and runs real simulator cells")
 	}
-	bin := buildCommands(t, "cmd/experiments", "cmd/prestosim", "cmd/prestoctl", "examples/serving")
+	bin := buildCommands(t, "cmd/experiments", "cmd/prestoctl", "examples/serving")
 	output := func(name string, stdin string, args ...string) []byte {
 		t.Helper()
 		cmd := exec.Command(filepath.Join(bin, name), args...)
@@ -219,21 +208,6 @@ func TestFrontDoorsAgree(t *testing.T) {
 	}
 	if daemon := output("prestoctl", "", "-addr", ts.URL, "fetch", st.ID); !bytes.Equal(daemon, cli) {
 		t.Errorf("prestod report.json (%d bytes) differs from experiments stdout (%d bytes)", len(daemon), len(cli))
-	}
-
-	sim := output("prestosim", "", append([]string{"-workload", "stride", "-system", "presto"}, windows...)...)
-	cell := report.Cell("workload-spec/wl=stride/sys=Presto")
-	names := make([]string, 0, len(cell.Envelopes))
-	for k := range cell.Envelopes {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	want := ""
-	for _, k := range names {
-		want += fmt.Sprintf("  %-16s %s\n", k, cell.Envelopes[k].String())
-	}
-	if _, got, _ := strings.Cut(string(sim), "\n"); got != want {
-		t.Errorf("prestosim envelopes differ from the experiments report's Presto cell:\n--- prestosim ---\n%s--- experiments ---\n%s", got, want)
 	}
 
 	// examples/serving submits fig5 × 2 seeds at 20 ms / 5 ms to its own

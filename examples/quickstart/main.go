@@ -1,4 +1,4 @@
-// Quickstart: load the committed `elephants` workload spec (the
+// Quickstart: load the `elephants` preset's spec file (the
 // paper's stride pattern as data, not code), run it on the 16-host
 // testbed under ECMP and under Presto, and compare throughput and
 // tail latency — the headline result of the paper in ~30 lines.
@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	ws, err := wspec.Load("examples/specs/elephants.json")
+	ws, err := wspec.Load("internal/workload/spec/presets/elephants.json")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run from the repository root:", err)
 		os.Exit(1)
@@ -53,7 +53,8 @@ func main() {
 	fmt.Println("it tracks the optimal non-blocking switch; ECMP loses throughput")
 	fmt.Println("to hash collisions and its latency tail to the induced queueing.")
 	fmt.Println()
-	fmt.Println("The workload is data, not code: edit examples/specs/*.json or")
-	fmt.Println("write your own presto-workload/1 spec and hand it to any")
-	fmt.Println("front-end via -workload, or to prestod in a job request.")
+	fmt.Println("The workload is data, not code: copy a preset from")
+	fmt.Println("internal/workload/spec/presets/ or write your own")
+	fmt.Println("presto-workload/1 spec and hand it to any front-end via")
+	fmt.Println("-workload, or to prestod in a job request.")
 }

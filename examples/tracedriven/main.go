@@ -1,13 +1,13 @@
-// Trace-driven workload (§6, Table 1) from a committed spec file:
+// Trace-driven workload (§6, Table 1) from a preset's spec file:
 // the `mice-heavy` spec mixes a Poisson stream of heavy-tailed mice
 // (empirical CDC-style CDF) with Pareto elephants, all to random
 // cross-rack destinations. Presto's flowcell spraying flattens the
 // mice FCT tail that ECMP's elephant collisions create.
 //
-// The same spec drives every front-end (`prestosim -workload
-// examples/specs/mice-heavy.json`, `experiments -workload ...`, a
-// prestod job), and cmd/capture can record any run into a flow log
-// that a spec trace source replays bit-exactly.
+// The same spec drives every front-end (`experiments -workload
+// mice-heavy` or the file's path, a prestod job), and cmd/capture
+// can record any run into a flow log that a spec trace source
+// replays bit-exactly.
 //
 //	go run ./examples/tracedriven       # from the repository root
 package main
@@ -22,7 +22,7 @@ import (
 )
 
 func main() {
-	ws, err := wspec.Load("examples/specs/mice-heavy.json")
+	ws, err := wspec.Load("internal/workload/spec/presets/mice-heavy.json")
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "run from the repository root:", err)
 		os.Exit(1)

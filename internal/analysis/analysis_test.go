@@ -25,7 +25,7 @@ func TestNormalizeImportPath(t *testing.T) {
 
 func TestHarnessExempt(t *testing.T) {
 	exempt := []string{
-		"presto/cmd/prestosim",
+		"presto/cmd/capture",
 		"presto/cmd/experiments [presto/cmd/experiments.test]",
 		"presto/examples/quickstart",
 		"presto/internal/campaign",

@@ -83,8 +83,9 @@ type Spec struct {
 	// Telemetry, when non-nil, gets a "campaign" probe (replicas
 	// completed/failed, worker utilization, slowest replicas).
 	Telemetry *telemetry.Registry
-	// Stats, when non-nil, accumulates every replica distribution as
-	// replicas finish, for live percentile reporting (see LiveStats).
+	// Stats, when non-nil, counts replicas as they finish and
+	// accumulates the successful ones' distributions, for live progress
+	// and percentile reporting (see LiveStats).
 	Stats *LiveStats
 }
 

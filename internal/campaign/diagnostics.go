@@ -11,11 +11,11 @@ import (
 	"presto/internal/telemetry"
 )
 
-// Diagnostics is the observability flag block the batch CLIs
-// (experiments, prestosim) share: telemetry exports of the simulated
-// network (-trace, -events, -snapshot, -v) and pprof profiles of the
-// simulator itself (-cpuprofile, -memprofile). Bind the flags, Start
-// before the runs, Finish after them.
+// Diagnostics is the observability flag block of the batch CLI,
+// experiments: telemetry exports of the simulated network (-trace,
+// -events, -snapshot, -v) and pprof profiles of the simulator itself
+// (-cpuprofile, -memprofile). Bind the flags, Start before the runs,
+// Finish after them.
 type Diagnostics struct {
 	Trace, Events, Snapshot string
 	Verbose                 bool

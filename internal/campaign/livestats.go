@@ -6,8 +6,9 @@ import (
 	"presto/internal/metrics"
 )
 
-// LiveStats accumulates every named distribution's samples as replicas
-// finish, so a long-running campaign can report exact p50/p95/p99/p999
+// LiveStats counts replicas as they finish and accumulates every named
+// distribution's samples of the successful ones, so a long-running
+// campaign can report its progress and exact p50/p95/p99/p999
 // mid-flight. Percentiles of the accumulated samples do not depend on
 // the order workers finish in, preserving the campaign's determinism
 // guarantee.
@@ -16,9 +17,9 @@ import (
 // nil-receiver-safe no-op. All methods are safe for concurrent use
 // (workers observe while HTTP handlers read).
 type LiveStats struct {
-	mu       sync.Mutex
-	dists    map[string]*metrics.Dist
-	replicas uint64
+	mu           sync.Mutex
+	dists        map[string]*metrics.Dist
+	done, failed int
 }
 
 // NewLiveStats returns an empty accumulator.
@@ -26,26 +27,32 @@ func NewLiveStats() *LiveStats {
 	return &LiveStats{dists: make(map[string]*metrics.Dist)}
 }
 
-// observe folds one successful replica's distributions into the
-// accumulated ones. Called by the campaign runner's workers.
-func (ls *LiveStats) observe(res Result) {
+// observe counts one finished replica (err non-nil when it failed)
+// and folds a successful one's distributions into the accumulated
+// ones. Called by the campaign runner's workers.
+func (ls *LiveStats) observe(res Result, err error) {
 	if ls == nil {
 		return
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	ls.replicas++
+	ls.done++
+	if err != nil {
+		ls.failed++
+		return
+	}
 	addDists(ls.dists, res.Dists)
 }
 
-// Replicas returns how many successful replicas have been observed.
-func (ls *LiveStats) Replicas() uint64 {
+// Replicas returns how many replicas have finished, failed ones
+// included, and how many of those failed.
+func (ls *LiveStats) Replicas() (done, failed int) {
 	if ls == nil {
-		return 0
+		return 0, 0
 	}
 	ls.mu.Lock()
 	defer ls.mu.Unlock()
-	return ls.replicas
+	return ls.done, ls.failed
 }
 
 // MergeInto appends a copy of every accumulated distribution to

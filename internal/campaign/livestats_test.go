@@ -78,8 +78,8 @@ func TestLiveStatsAccumulatesAndIsOrderIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ls.Replicas() != 12 {
-			t.Fatalf("parallel=%d: replicas observed %d, want 12", workers, ls.Replicas())
+		if done, failed := ls.Replicas(); done != 12 || failed != 0 {
+			t.Fatalf("parallel=%d: replicas done/failed %d/%d, want 12/0", workers, done, failed)
 		}
 		got := map[string]*metrics.Dist{}
 		ls.MergeInto(got)
@@ -100,10 +100,10 @@ func TestLiveStatsAccumulatesAndIsOrderIndependent(t *testing.T) {
 
 func TestLiveStatsNilSafe(t *testing.T) {
 	var ls *LiveStats
-	ls.observe(Result{})
+	ls.observe(Result{}, nil)
 	got := map[string]*metrics.Dist{}
 	ls.MergeInto(got)
-	if len(got) != 0 || ls.Replicas() != 0 {
+	if done, _ := ls.Replicas(); len(got) != 0 || done != 0 {
 		t.Fatal("nil LiveStats recorded state")
 	}
 	// A spec with nil Stats runs unchanged.

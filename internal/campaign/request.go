@@ -15,6 +15,13 @@ import (
 // -cell-timeout default of prestod.
 const DefaultCellTimeout = 5 * time.Minute
 
+// DefaultWarmup and DefaultDuration are the simulated per-run windows
+// a zero Warmup or Duration means, in a Request and in presto.Options.
+const (
+	DefaultWarmup   = 50 * sim.Millisecond
+	DefaultDuration = 200 * sim.Millisecond
+)
+
 // Request is the one description of what to run. It is the JSON body
 // prestod decodes and prestoctl sends (POST /v1/jobs), and the struct
 // the CLIs bind their flags to (Bind); presto.Campaign is the only
@@ -73,10 +80,10 @@ func (r Request) WithDefaults() Request {
 	r.Seeds = max(r.Seeds, 1)
 	r.Shards = max(r.Shards, 1)
 	if r.Duration == 0 {
-		r.Duration = wspec.Duration(200 * sim.Millisecond)
+		r.Duration = wspec.Duration(DefaultDuration)
 	}
 	if r.Warmup == 0 {
-		r.Warmup = wspec.Duration(50 * sim.Millisecond)
+		r.Warmup = wspec.Duration(DefaultWarmup)
 	}
 	return r
 }

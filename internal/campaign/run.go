@@ -219,9 +219,7 @@ func RunContext(ctx context.Context, spec *Spec) (*Report, error) {
 				}
 				results[j.ci][j.si] = rr
 				raw[j.ci][j.si] = res
-				if err == nil {
-					spec.Stats.observe(res)
-				}
+				spec.Stats.observe(res, err)
 				tm.finish(progress, cell.ID, seed, wall, err)
 			}
 		}()

@@ -4,7 +4,7 @@
 // constructor, parameter schema, required transport/GRO configuration,
 // and optional controller hooks. internal/cluster builds policies by
 // registry lookup instead of a hard-coded switch, and every front-end
-// (prestosim, cmd/experiments, prestod) resolves `-scheme` strings
+// (cmd/experiments, cmd/capture, prestod) resolves `-scheme` strings
 // through ParseSpec, so adding a scheme is one file registering
 // itself here.
 //

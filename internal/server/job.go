@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"presto/internal/campaign"
-	"presto/internal/telemetry"
 )
 
 // State is a job's lifecycle state.
@@ -34,8 +33,8 @@ type JobStatus struct {
 	SpecHash string           `json:"spec_hash,omitempty"`
 	Cells    int              `json:"cells"`
 	Replicas int              `json:"replicas"`
-	// ReplicasDone/Failed track live progress (from the job's campaign
-	// telemetry probe while running, final counts afterwards).
+	// ReplicasDone/Failed track live progress (from the job's
+	// campaign.LiveStats); ReplicasDone counts failed replicas too.
 	ReplicasDone   int        `json:"replicas_done"`
 	ReplicasFailed int        `json:"replicas_failed"`
 	Error          string     `json:"error,omitempty"`
@@ -56,8 +55,7 @@ type job struct {
 	specHash string
 	cells    int
 	replicas int
-	reg      *telemetry.Registry // per-job registry: campaign probe
-	stats    *campaign.LiveStats // live samples per distribution
+	stats    *campaign.LiveStats // replica counts and live samples per distribution
 	events   *broker
 	dir      string // artifact directory
 
@@ -82,9 +80,8 @@ type job struct {
 }
 
 // newJob wires a validated spec into a job record: the spec's progress
-// stream and telemetry registry are owned by the server so events and
-// live counters flow through the job regardless of what the builder
-// set.
+// stream and live stats are owned by the server so events and live
+// counters flow through the job regardless of what the builder set.
 func newJob(id string, req campaign.Request, spec *campaign.Spec, dir string) *job {
 	nseeds := len(spec.Seeds)
 	if nseeds == 0 {
@@ -97,14 +94,12 @@ func newJob(id string, req campaign.Request, spec *campaign.Spec, dir string) *j
 		specHash:  spec.Hash(),
 		cells:     len(spec.Cells),
 		replicas:  len(spec.Cells) * nseeds,
-		reg:       telemetry.NewRegistry(nil),
 		stats:     campaign.NewLiveStats(),
 		events:    newBroker(),
 		dir:       dir,
 		state:     StatePending,
 		submitted: time.Now(),
 	}
-	spec.Telemetry = j.reg
 	spec.Stats = j.stats
 	spec.Progress = &progressWriter{job: id, events: j.events}
 	j.events.publish(Event{Job: id, Type: "state", State: StatePending})
@@ -184,24 +179,10 @@ func (j *job) doCancel(reason string, pendingOnly bool) {
 	}
 }
 
-// progress reads the live replica counters from the job's campaign
-// telemetry probe (registered by campaign.RunContext).
-func (j *job) progress() (done, failed int) {
-	snap := j.reg.Snapshot(0)
-	if snap == nil {
-		return 0, 0
-	}
-	c, ok := snap.Components["campaign"]
-	if !ok {
-		return 0, 0
-	}
-	return asInt(c["replicas_done"]), asInt(c["replicas_failed"])
-}
-
 // status snapshots the job's wire representation. ttl > 0 computes the
 // artifact expiry for terminal jobs.
 func (j *job) status(ttl time.Duration) *JobStatus {
-	done, failed := j.progress()
+	done, failed := j.stats.Replicas()
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	st := &JobStatus{
@@ -287,19 +268,4 @@ func (j *job) expired(now time.Time, ttl time.Duration) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	return j.state.Terminal() && ttl > 0 && now.Sub(j.finished) >= ttl
-}
-
-// asInt coerces probe values (int, int64, uint64, float64) to int.
-func asInt(v any) int {
-	switch x := v.(type) {
-	case int:
-		return x
-	case int64:
-		return int(x)
-	case uint64:
-		return int(x)
-	case float64:
-		return int(x)
-	}
-	return 0
 }

@@ -55,7 +55,7 @@ type Config struct {
 	// spec. Required. It is the seam that keeps this package free of
 	// the simulator: prestod plugs in presto.Campaign (after applying
 	// its -cell-timeout fallback), tests plug in synthetic campaigns.
-	// The server overwrites the returned spec's Progress and Telemetry
+	// The server overwrites the returned spec's Progress and Stats
 	// fields to wire the job's event stream and live counters;
 	// everything else (cells, seeds, parallelism, cell timeout) is the
 	// builder's to fill.
@@ -662,7 +662,7 @@ func (s *Server) probe() map[string]any {
 	var done, failed int
 	for _, j := range jobs {
 		byState[j.stateNow()]++
-		d, f := j.progress()
+		d, f := j.stats.Replicas()
 		done += d
 		failed += f
 	}

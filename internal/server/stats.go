@@ -38,7 +38,7 @@ type StatsFrame struct {
 
 // statsFrame snapshots the job's live percentiles.
 func (j *job) statsFrame(final bool) StatsFrame {
-	done, failed := j.progress()
+	done, failed := j.stats.Replicas()
 	pooled := make(map[string]*metrics.Dist)
 	j.stats.MergeInto(pooled)
 	return StatsFrame{
@@ -158,9 +158,10 @@ func (s *Server) statsProbe() map[string]any {
 	s.mu.Unlock()
 
 	pooled := make(map[string]*metrics.Dist)
-	var replicas uint64
+	var replicas int
 	for _, j := range jobs {
-		replicas += j.stats.Replicas()
+		done, failed := j.stats.Replicas()
+		replicas += done - failed
 		j.stats.MergeInto(pooled)
 	}
 	m := map[string]any{"replicas_observed": replicas}

@@ -274,3 +274,66 @@ func asAPIError(err error, out **APIError) bool {
 	}
 	return false
 }
+
+// TestFailedReplicaCounted runs a job in which one of four replicas
+// fails: the job status, the final stats frame and /metrics each count
+// it, ReplicasDone includes it, and only the successful replicas'
+// samples are pooled.
+func TestFailedReplicaCounted(t *testing.T) {
+	builder := func(req campaign.Request) (*campaign.Spec, error) {
+		spec, err := synthSpec(req)
+		if err != nil {
+			return nil, err
+		}
+		run := spec.Cells[1].Run
+		spec.Cells[1].Run = func(seed uint64) (campaign.Result, error) {
+			if seed == 2 {
+				return campaign.Result{}, fmt.Errorf("replica fails on purpose")
+			}
+			return run(seed)
+		}
+		return spec, nil
+	}
+	_, c := newTestServer(t, Config{SpecBuilder: builder})
+	st, err := c.Submit(ctx(t), campaign.Request{Experiments: "synth", Seeds: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	final, err := c.Wait(ctx(t), st.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if final.State != StateDone || final.ReplicasDone != 4 || final.ReplicasFailed != 1 {
+		t.Fatalf("final status = %+v, want done 4/1", final)
+	}
+	var last StatsFrame
+	err = c.Stats(ctx(t), st.ID, false, 0, func(f StatsFrame) error {
+		last = f
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three successful replicas × 4 samples.
+	if !last.Final || last.ReplicasDone != 4 || last.ReplicasFailed != 1 || len(last.Dists) != 1 || last.Dists[0].N != 12 {
+		t.Fatalf("final frame = %+v, want final 4/1 with 12 samples", last)
+	}
+	resp, err := c.http().Get(c.BaseURL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		"presto_server_replicas_done_total 4\n",
+		"presto_server_replicas_failed_total 1\n",
+		"presto_stats_replicas_observed 3\n",
+	} {
+		if !strings.Contains(string(body), want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

@@ -9,8 +9,8 @@ import (
 // Named presets make common workloads resolvable without a file,
 // kube-burner-style: every front-end accepts a preset name anywhere it
 // accepts a spec path. Each preset is an ordinary spec file under
-// presets/ (examples/specs/ holds the user-facing copies, pinned in
-// sync by TestExampleSpecsMatchPresets):
+// presets/, which is also the path to hand a front-end or copy as
+// the start of a new spec:
 //
 //	elephants    one unlimited flow per server to the server half the
 //	             fabric away — the throughput / fairness baseline

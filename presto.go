@@ -16,6 +16,7 @@ import (
 	"fmt"
 	"strings"
 
+	"presto/internal/campaign"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -90,8 +91,8 @@ func paper(name string) lineupRow {
 // the simulator's deterministic steady state needs far less).
 type Options struct {
 	Seed     uint64
-	Warmup   sim.Time // excluded from measurement (default 50 ms)
-	Duration sim.Time // measurement window (default 200 ms)
+	Warmup   sim.Time // excluded from measurement (default campaign.DefaultWarmup)
+	Duration sim.Time // measurement window (default campaign.DefaultDuration)
 
 	// Telemetry, when non-nil, wires event tracing and snapshot probes
 	// through the run's cluster at any shard count; when the run
@@ -110,10 +111,10 @@ type Options struct {
 
 func (o *Options) fill() {
 	if o.Warmup == 0 {
-		o.Warmup = 50 * sim.Millisecond
+		o.Warmup = campaign.DefaultWarmup
 	}
 	if o.Duration == 0 {
-		o.Duration = 200 * sim.Millisecond
+		o.Duration = campaign.DefaultDuration
 	}
 }
 

@@ -10,27 +10,6 @@ import (
 	wspec "presto/internal/workload/spec"
 )
 
-// TestExampleSpecsMatchPresets pins the committed examples/specs files
-// to their presets: each file must load, validate, and hash to exactly
-// the preset of the same name, so docs, CI, and code never drift.
-func TestExampleSpecsMatchPresets(t *testing.T) {
-	for _, name := range wspec.PresetNames() {
-		ws, err := wspec.Load("examples/specs/" + name + ".json")
-		if err != nil {
-			t.Errorf("examples/specs/%s.json: %v", name, err)
-			continue
-		}
-		p, err := wspec.Preset(name)
-		if err != nil {
-			t.Fatalf("preset %q: %v", name, err)
-		}
-		if ws.Hash() != p.Hash() {
-			t.Errorf("examples/specs/%s.json hash %s != preset hash %s (regenerate the file from the preset)",
-				name, ws.Hash(), p.Hash())
-		}
-	}
-}
-
 // specCampaign builds a one-system campaign of the named preset with
 // the given worker count — the spec-workload analogue of fig5Spec.
 func specCampaign(t *testing.T, name string, parallelism, seeds int) *campaign.Spec {
