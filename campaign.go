@@ -1,12 +1,12 @@
 package presto
 
 import (
+	"cmp"
 	"fmt"
 	"strings"
 
 	"presto/internal/campaign"
 	"presto/internal/cluster"
-	"presto/internal/fabric"
 	"presto/internal/gro"
 	"presto/internal/scheme"
 	"presto/internal/sim"
@@ -26,8 +26,8 @@ import (
 // and workload sweeps compare (the paper's §4 lineup).
 var scaleSystems = []string{"ecmp", "mptcp", "presto", "optimal"}
 
-// clos3 is the lineup of figures that have no Optimal column.
-var clos3 = []string{"ecmp", "mptcp", "presto"}
+// noOptimal is the lineup of figures that have no Optimal column.
+var noOptimal = []string{"ecmp", "mptcp", "presto"}
 
 // experiments maps experiment ID → rows, in render order.
 var experiments = []struct {
@@ -39,22 +39,22 @@ var experiments = []struct {
 	{"fig5", "GRO reordering microbenchmark (OOO counts, segment sizes)", fig5Cells},
 	{"fig6", "Receiver CPU overhead at line rate", fig6Cells},
 	{"fig7", "Scalability: throughput vs path count", func() []Cell {
-		return fabricSweep("fig7", "paths", []int{2, 3, 4, 5, 6, 7, 8}, scaleSystems, ScalabilityTopo)
+		return fabricSweep("fig7", "paths", []int{2, 3, 4, 5, 6, 7, 8}, scaleSystems, scalabilityFabric)
 	}},
 	{"fig8", "Scalability: RTT distribution", func() []Cell {
-		return fabricSweep("fig8", "", []int{8}, scaleSystems, ScalabilityTopo)
+		return fabricSweep("fig8", "", []int{8}, scaleSystems, scalabilityFabric)
 	}},
 	{"fig9", "Scalability: loss rate and fairness", func() []Cell {
-		return fabricSweep("fig9", "paths", []int{2, 4, 8}, scaleSystems, ScalabilityTopo)
+		return fabricSweep("fig9", "paths", []int{2, 4, 8}, scaleSystems, scalabilityFabric)
 	}},
 	{"fig10", "Oversubscription: throughput", func() []Cell {
-		return fabricSweep("fig10", "flows", []int{2, 4, 6, 8}, scaleSystems, OversubTopo)
+		return fabricSweep("fig10", "flows", []int{2, 4, 6, 8}, scaleSystems, oversubFabric)
 	}},
 	{"fig11", "Oversubscription: RTT distribution", func() []Cell {
-		return fabricSweep("fig11", "", []int{8}, clos3, OversubTopo)
+		return fabricSweep("fig11", "", []int{8}, noOptimal, oversubFabric)
 	}},
 	{"fig12", "Oversubscription: loss rate and fairness", func() []Cell {
-		return fabricSweep("fig12", "flows", []int{2, 4, 8}, clos3, OversubTopo)
+		return fabricSweep("fig12", "flows", []int{2, 4, 8}, noOptimal, oversubFabric)
 	}},
 	{"fig13", "Flowlet switching vs Presto (stride)", func() []Cell {
 		return presetSweep("fig13", []string{"stride"}, []string{"flowlet100", "flowlet500", "presto"}, 0)
@@ -80,7 +80,8 @@ var experiments = []struct {
 	{"fig18", "Failure handling: RTT per stage (bijection)", func() []Cell { return failoverCells("fig18", []string{"bijection"}) }},
 	{"ablations", "Design-choice ablations (flowcell size, GRO alpha, buffers, DCTCP, tunnels)", ablationCells},
 	{"podtraffic", "Pod-scale cross-pod elephants on a 3-tier Clos (honors -shards)", func() []Cell {
-		return []Cell{podCell(paper("ecmp"), 4, 2), podCell(paper("presto"), 4, 2)}
+		cells, _ := podCells(nil, "clos3") // the row's own fabric always parses
+		return cells
 	}},
 	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return matrixCells(nil) }},
 }
@@ -132,15 +133,14 @@ func FigureCell(id string) (Cell, error) {
 // byte-identical artifacts) through every door. A workload sweeps
 // across the request's schemes (default: the §4 lineup); schemes alone
 // restrict the scheme matrix; otherwise Experiments selects paper
-// experiments ("all" or a comma-separated list of IDs). Explicit cells
-// stand in for the selection (`experiments -pods`: the podtraffic row
-// on a pod fabric of chosen size). perRun, when non-nil, is wired
-// through every run (see campaign.Diagnostics.PerRun). Zero request
-// fields take their defaults (campaign.Request); Progress and
-// Telemetry are the caller's to set on the returned spec. A workload
-// that cannot run on the requested shards is an error here, not a
-// failed replica later.
-func Campaign(req campaign.Request, perRun *telemetry.Registry, cells ...Cell) (*campaign.Spec, error) {
+// experiments ("all" or a comma-separated list of IDs), and the
+// podtraffic row alone takes the request's schemes and topology.
+// perRun, when non-nil, is wired through every run (see
+// campaign.Diagnostics.PerRun). Zero request fields take their
+// defaults (campaign.Request); Progress and Telemetry are the caller's
+// to set on the returned spec. A workload that cannot run on the
+// requested shards is an error here, not a failed replica later.
+func Campaign(req campaign.Request, perRun *telemetry.Registry) (*campaign.Spec, error) {
 	opt := RunOptions(req)
 	// The windows are folded into the spec hash so golden envelopes
 	// detect runs taken with different ones.
@@ -151,11 +151,9 @@ func Campaign(req campaign.Request, perRun *telemetry.Registry, cells ...Cell) (
 		Parallelism: req.Parallelism,
 		CellTimeout: sim.Time(req.CellTimeout).AsDuration(),
 	}
-	if len(cells) == 0 {
-		var err error
-		if cells, err = selectCells(req, spec); err != nil {
-			return nil, err
-		}
+	cells, err := selectCells(req, spec)
+	if err != nil {
+		return nil, err
 	}
 	traced := opt
 	traced.Telemetry = perRun
@@ -191,6 +189,9 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 		return nil, err
 	}
 	sel := strings.ToLower(req.Experiments)
+	if req.Topology != "" && (sel != "podtraffic" || len(req.Workload) > 0) {
+		return nil, fmt.Errorf("topology %s: only the podtraffic experiment takes a topology, not experiments %q or a workload", req.Topology, req.Experiments)
+	}
 	switch {
 	case len(req.Workload) > 0:
 		if sel != "" {
@@ -213,9 +214,12 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 		// exact workload.
 		spec.Name, spec.Params["workload"] = "workload-spec/"+ws.Name, ws.Hash()
 		return cells, nil
+	case sel == "podtraffic":
+		spec.Name = "experiments/podtraffic"
+		return podCells(systems, cmp.Or(req.Topology, "clos3"))
 	case systems != nil:
 		if sel != "scheme-matrix" {
-			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
+			return nil, fmt.Errorf("schemes need a workload or the scheme-matrix or podtraffic experiment (registered schemes: %s)", strings.Join(scheme.Names(), ", "))
 		}
 		var specs []string
 		for _, sys := range systems {
@@ -300,33 +304,58 @@ func specCell(sys lineupRow, ws *wspec.Spec) Cell {
 	}
 }
 
-// PodCell drives one cross-pod elephant per host (each host sends to
-// the same-position host one pod over) on a pod-based 3-tier Clos,
-// under the named scheme — the datacenter-scale pattern the sharded
-// engine exists for. Any Options.Shards produces bit-identical
-// results, so the knob only trades wall-clock time.
-func PodCell(name string, pods, hostsPerLeaf int) (Cell, error) {
-	sys, err := lookupScheme(name)
+// podCells is the podtraffic row on the topology spec, one cell per
+// system (nil: ECMP and Presto), named by the canonical spec: one
+// elephant per host to the same-position host one pod over, the
+// pattern the sharded engine exists for (any Options.Shards gives
+// bit-identical results).
+func podCells(systems []lineupRow, topology string) ([]Cell, error) {
+	ts, err := topo.ParseSpec(topology)
 	if err != nil {
-		return Cell{}, err
+		return nil, err
 	}
-	return podCell(sys, pods, hostsPerLeaf), nil
+	tp := ts.Build()
+	if tp.NumPods < 2 {
+		return nil, fmt.Errorf("topology %s has %d pod; podtraffic sends across pods and needs at least 2", ts, tp.NumPods)
+	}
+	ws := preset("podtraffic")
+	ws.Clients[0].Select.Stride = tp.NumHosts() / tp.NumPods // hosts per pod
+	if systems == nil {
+		systems = []lineupRow{paper("ecmp"), paper("presto")}
+	}
+	var cells []Cell
+	for _, sys := range systems {
+		cells = append(cells, Cell{
+			Experiment: "podtraffic",
+			ID:         fmt.Sprintf("podtraffic/topo=%s/sys=%s", ts, sys.display),
+			Scheme:     sys.spec,
+			Topo:       ts.String(),
+			Workload:   ws,
+			optimal:    sys.optimal,
+			observe:    podLoad,
+			shardable:  true,
+		})
+	}
+	return cells, nil
 }
 
-func podCell(sys lineupRow, pods, hostsPerLeaf int) Cell {
-	ws := preset("podtraffic")
-	ws.Clients[0].Select.Stride = 2 * hostsPerLeaf // hosts per pod
-	return Cell{
-		Experiment: "podtraffic",
-		ID:         fmt.Sprintf("podtraffic/pods=%d/sys=%s", pods, sys.display),
-		Scheme:     sys.spec,
-		Topo:       func() *topo.Topology { return PodTopo(pods, hostsPerLeaf) },
-		Workload:   ws,
-		optimal:    sys.optimal,
-		observe:    podLoad,
-		shardable:  true,
+// topoSpec renders a fabric of the experiment table canonically; the
+// table writes only specs that parse.
+func topoSpec(format string, args ...any) string {
+	ts, err := topo.ParseSpec(fmt.Sprintf(format, args...))
+	if err != nil {
+		panic("presto: " + err.Error())
 	}
+	return ts.String()
 }
+
+// The Figure 4 fabrics for a point n: 4a's 2 leaves under n spines
+// with one host per (leaf, flow), and 4b's 2 spines and 2 leaves with
+// n hosts per leaf (oversubscription n/2).
+const (
+	scalabilityFabric = "clos:hpl=%[1]d,leaves=2,spines=%[1]d"
+	oversubFabric     = "clos:hpl=%d,leaves=2,spines=2"
+)
 
 // preset loads a built-in workload preset.
 func preset(name string) *wspec.Spec {
@@ -372,7 +401,7 @@ func fig1Cells() []Cell {
 			Experiment: "fig1",
 			ID:         fmt.Sprintf("fig1/competing=%d", competing),
 			Scheme:     "flowlet:gap=500us",
-			Topo:       func() *topo.Topology { return topo.SingleSwitch(hosts, topo.LinkConfig{}) },
+			Topo:       topoSpec("single:hosts=%d", hosts),
 			Workload: elephants(background, &wspec.Client{
 				ID:      "transfer",
 				Arrival: wspec.Arrival{Process: wspec.ProcOnce},
@@ -385,14 +414,15 @@ func fig1Cells() []Cell {
 	return cells
 }
 
-// groCell runs elephants over pairs on tp, measured like Figure 5.
-// A non-nil newGRO replaces the scheme's receive offload.
-func groCell(id, spec string, tp func() *topo.Topology, pairs [][2]int, newGRO func(*sim.Engine, gro.Output) gro.Handler) Cell {
+// groCell runs elephants over pairs on the topology spec, measured
+// like Figure 5. A non-nil newGRO replaces the scheme's receive
+// offload.
+func groCell(id, spec, topology string, pairs [][2]int, newGRO func(*sim.Engine, gro.Output) gro.Handler) Cell {
 	return Cell{
 		Experiment: "fig5",
 		ID:         id,
 		Scheme:     spec,
-		Topo:       tp,
+		Topo:       topology,
 		Workload:   elephants(pairs, nil),
 		config:     func(cfg *cluster.Config) { cfg.GRO = newGRO },
 		observe:    groMicrobench,
@@ -402,7 +432,7 @@ func groCell(id, spec string, tp func() *topo.Topology, pairs [][2]int, newGRO f
 // fig5Cells: two flows sprayed over two paths (Figure 4b topology),
 // received through official GRO or Presto's own.
 func fig5Cells() []Cell {
-	tp := func() *topo.Topology { return OversubTopo(2) }
+	tp := topoSpec(oversubFabric, 2)
 	official := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
 	return []Cell{
 		groCell("fig5/gro=official", "presto", tp, leafToLeaf(2), official),
@@ -415,7 +445,7 @@ func fig5Cells() []Cell {
 // It is not part of any campaign.
 func GRODisabledCell() Cell {
 	none := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewNone(eng, out) }
-	return groCell("gro=none", "ecmp", func() *topo.Topology { return topo.SingleSwitch(2, topo.LinkConfig{}) }, [][2]int{{0, 1}}, none)
+	return groCell("gro=none", "ecmp", "single:hosts=2", [][2]int{{0, 1}}, none)
 }
 
 // fig6Cells: stride at line rate; Presto (spraying + Presto GRO on the
@@ -440,24 +470,24 @@ func leafToLeaf(n int) [][2]int {
 }
 
 // fabricSweep builds the Figure 4 benchmark cells: for each point n, n
-// leaf-to-leaf elephants on tp(n) under every system, with RTT probes
-// and switch loss counters. An empty label leaves the point out of the
-// cell IDs (the single-point RTT figures).
-func fabricSweep(exp, label string, points []int, systems []string, tp func(int) *topo.Topology) []Cell {
+// leaf-to-leaf elephants on the spec fabric formats for n, under every
+// system, with RTT probes and switch loss counters. An empty label
+// leaves the point out of the cell IDs (the single-point RTT figures).
+func fabricSweep(exp, label string, points []int, systems []string, fabric string) []Cell {
 	var cells []Cell
 	for _, n := range points {
 		prefix := exp
 		if label != "" {
 			prefix = fmt.Sprintf("%s/%s=%d", exp, label, n)
 		}
-		ws := elephants(leafToLeaf(n), nil)
+		ws, tp := elephants(leafToLeaf(n), nil), topoSpec(fabric, n)
 		for _, name := range systems {
 			sys := paper(name)
 			cells = append(cells, Cell{
 				Experiment: exp,
 				ID:         fmt.Sprintf("%s/sys=%s", prefix, sys.display),
 				Scheme:     sys.spec,
-				Topo:       func() *topo.Topology { return tp(n) },
+				Topo:       tp,
 				Workload:   ws,
 				optimal:    sys.optimal,
 				probes:     true,
@@ -527,54 +557,41 @@ func failoverCells(exp string, workloads []string) []Cell {
 // stride workload under Presto.
 func ablationCells() []Cell {
 	var cells []Cell
-	add := func(id, spec string, config func(*cluster.Config), extra func(*cluster.Cluster, campaign.Values)) {
-		cells = append(cells, Cell{
-			Experiment: "ablations",
-			ID:         "ablations/" + id,
-			Scheme:     spec,
-			Workload:   preset("elephants"),
-			config:     config,
-			observe:    ablation(extra),
-		})
+	// add completes a Presto (unless c names a scheme) stride cell.
+	add := func(c Cell, extra func(*cluster.Cluster, campaign.Values)) {
+		c.Experiment, c.ID, c.Scheme = "ablations", "ablations/"+c.ID, cmp.Or(c.Scheme, "presto")
+		c.Workload, c.observe = preset("elephants"), ablation(extra)
+		cells = append(cells, c)
 	}
 	for _, kb := range []int{16, 32, 64, 128, 256} {
-		add(fmt.Sprintf("flowcell_kb=%d", kb), fmt.Sprintf("presto:cell=%dKB", kb), nil, nil)
+		add(Cell{ID: fmt.Sprintf("flowcell_kb=%d", kb), Scheme: fmt.Sprintf("presto:cell=%dKB", kb)}, nil)
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
-		add(fmt.Sprintf("gro_alpha=%g", a), "presto",
-			func(cfg *cluster.Config) {
-				cfg.GRO = func(eng *sim.Engine, out gro.Output) gro.Handler {
-					return gro.NewPresto(eng, out, gro.PrestoConfig{Alpha: a})
-				}
-			},
-			func(c *cluster.Cluster, v campaign.Values) {
-				var fires uint64
-				for _, h := range c.Hosts {
-					fires += h.NIC.GRO().Stats().TimeoutFires
-				}
-				v["timeout_fires"] = float64(fires)
-			})
+		add(Cell{ID: fmt.Sprintf("gro_alpha=%g", a), config: func(cfg *cluster.Config) {
+			cfg.GRO = func(eng *sim.Engine, out gro.Output) gro.Handler {
+				return gro.NewPresto(eng, out, gro.PrestoConfig{Alpha: a})
+			}
+		}}, func(c *cluster.Cluster, v campaign.Values) {
+			var fires uint64
+			for _, h := range c.Hosts {
+				fires += h.NIC.GRO().Stats().TimeoutFires
+			}
+			v["timeout_fires"] = float64(fires)
+		})
 	}
 	for _, kb := range []int{256, 512, 2048, 8192} {
-		add(fmt.Sprintf("buffer_kb=%d", kb), "presto",
-			func(cfg *cluster.Config) { cfg.Fabric = fabric.Config{SwitchQueueBytes: kb << 10} },
+		add(Cell{ID: fmt.Sprintf("buffer_kb=%d", kb), Topo: topoSpec("clos:queue=%dKB", kb)},
 			func(c *cluster.Cluster, v campaign.Values) { v["loss_pct"] = c.Net.LossRate() * 100 })
 	}
-	for _, cc := range []string{"cubic", "reno", "dctcp"} {
-		add("cc="+cc, "presto", func(cfg *cluster.Config) {
-			cfg.TCP = tcp.Config{CC: cc}
-			if cc == "dctcp" {
-				cfg.Fabric = fabric.Config{ECNThresholdBytes: 200 << 10}
-			}
-		}, nil)
+	for _, cc := range []struct{ name, topo string }{{"cubic", ""}, {"reno", ""}, {"dctcp", "clos:ecn=200KB"}} {
+		add(Cell{ID: "cc=" + cc.name, Topo: cc.topo, config: func(cfg *cluster.Config) { cfg.TCP = tcp.Config{CC: cc.name} }}, nil)
 	}
 	for _, tunnel := range []bool{false, true} {
 		name := "per-host"
 		if tunnel {
 			name = "tunnel"
 		}
-		add("labels="+name, "presto",
-			func(cfg *cluster.Config) { cfg.TunnelMode = tunnel },
+		add(Cell{ID: "labels=" + name, config: func(cfg *cluster.Config) { cfg.TunnelMode = tunnel }},
 			func(c *cluster.Cluster, v campaign.Values) {
 				rules := 0
 				for _, leaf := range c.Topo.Leaves {
@@ -597,15 +614,10 @@ func ablationCells() []Cell {
 // render order.
 var matrixWorkloads = []string{"elephants", "mice-heavy", "incast32"}
 
-// matrixTopos are the topology columns: the paper's Figure 3 Clos and
-// a 4-leaf mesh with the same server count.
-var matrixTopos = []struct {
-	name  string
-	build func() *topo.Topology
-}{
-	{"clos", Testbed},
-	{"mesh", func() *topo.Topology { return topo.LeafMesh(4, 4, topo.LinkConfig{}) }},
-}
+// matrixTopos are the topology columns, as specs that also name them
+// in cell IDs: the paper's Figure 3 Clos and a 4-leaf mesh with the
+// same server count.
+var matrixTopos = []string{"clos", "mesh"}
 
 // matrixCells builds the grid for the given canonical scheme specs;
 // nil means every registered scheme with default parameters, in sorted
@@ -620,12 +632,12 @@ func matrixCells(specs []string) []Cell {
 	for _, spec := range specs {
 		for _, wl := range matrixWorkloads {
 			ws := preset(wl)
-			for _, mt := range matrixTopos {
+			for _, tp := range matrixTopos {
 				cells = append(cells, Cell{
 					Experiment: "scheme-matrix",
-					ID:         fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", spec, wl, mt.name),
+					ID:         fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", spec, wl, tp),
 					Scheme:     spec,
-					Topo:       mt.build,
+					Topo:       tp,
 					Workload:   ws,
 					probes:     true,
 					observe:    withMeanFCT,

@@ -1,6 +1,7 @@
 package presto
 
 import (
+	"cmp"
 	"fmt"
 	"slices"
 	"sort"
@@ -28,9 +29,10 @@ type Cell struct {
 	// Scheme is the canonical registry spec the cell runs
 	// ("flowlet:gap=100us").
 	Scheme string
-	// Topo builds the fabric (nil = Testbed). A workload with
+	// Topo is the fabric, a canonical topology spec (topo.ParseSpec;
+	// empty is "clos", the paper's testbed). A workload with
 	// north-south clients gets one 100 Mbps remote user per spine.
-	Topo func() *topo.Topology
+	Topo string
 	// Workload is the traffic, always a declarative spec.
 	Workload *wspec.Spec
 	// optimal runs the cell on topo.SingleSwitchOf its fabric: the
@@ -92,13 +94,9 @@ type run struct {
 // probeInterval is the RTT probe spacing.
 const probeInterval = sim.Millisecond
 
-// topology returns the fabric the cell runs on.
-func (cell Cell) topology() *topo.Topology {
-	build := cell.Topo
-	if build == nil {
-		build = Testbed
-	}
-	tp := build()
+// topology completes the fabric tp the cell's spec builds: remote
+// users for north-south clients, and Optimal's single switch.
+func (cell Cell) topology(tp *topo.Topology) *topo.Topology {
 	if cell.Workload.NeedsRemotes() {
 		for _, s := range tp.Spines {
 			tp.AddSpineHost(s, 100e6, 5*sim.Microsecond)
@@ -108,15 +106,6 @@ func (cell Cell) topology() *topo.Topology {
 		tp = topo.SingleSwitchOf(tp)
 	}
 	return tp
-}
-
-// shards returns the engine shard count a run on tp will use:
-// Options.Shards for shardable cells, capped at the pod count.
-func (cell Cell) shards(opt Options, tp *topo.Topology) int {
-	if !cell.shardable || opt.Shards <= 1 || tp.NumPods <= 1 {
-		return 1
-	}
-	return min(opt.Shards, tp.NumPods)
 }
 
 // Start builds the cell's cluster under opt and compiles the workload
@@ -129,13 +118,19 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 	if _, _, err := scheme.ParseSpec(cell.Scheme); err != nil {
 		return nil, nil, err
 	}
-	tp := cell.topology()
+	ts, err := topo.ParseSpec(cmp.Or(cell.Topo, "clos"))
+	if err != nil {
+		return nil, nil, err
+	}
 	cfg := cluster.Config{
-		Topology:  tp,
+		Topology:  cell.topology(ts.Build()),
 		Seed:      opt.Seed,
 		Telemetry: opt.Telemetry,
 		Scheme:    cluster.Scheme(cell.Scheme),
-		Shards:    cell.shards(opt, tp),
+	}
+	cfg.Fabric.SwitchQueueBytes, cfg.Fabric.ECNThresholdBytes = ts.Switch()
+	if cell.shardable {
+		cfg.Shards = opt.Shards // New caps it at the pod count
 	}
 	if cell.config != nil {
 		cell.config(&cfg)

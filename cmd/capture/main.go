@@ -30,7 +30,6 @@ import (
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
-	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -75,7 +74,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(2, err)
 	}
-	cell.Topo = func() *topo.Topology { return topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{}) }
+	cell.Topo = "clos:hpl=2,leaves=2,spines=2"
 	opt := presto.RunOptions(req)
 	c, g, err := cell.Start(opt)
 	if err != nil {

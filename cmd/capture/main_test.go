@@ -8,9 +8,9 @@ import (
 	"strings"
 	"testing"
 
-	"presto"
 	"presto/internal/cluster"
 	"presto/internal/sim"
+	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -39,7 +39,7 @@ func TestCaptureReplays(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := cluster.New(cluster.Config{Topology: presto.Testbed(), Seed: 1, Scheme: "presto"})
+		c := cluster.New(cluster.Config{Topology: topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{}), Seed: 1, Scheme: "presto"})
 		g, err := wspec.Compile(ws, c, 1)
 		if err != nil {
 			t.Fatal(err)

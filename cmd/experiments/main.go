@@ -11,7 +11,7 @@
 //	experiments -run fig16 -duration 400ms
 //	experiments -run all -seeds 5 -parallel 8 # 5-seed envelopes, 8 workers
 //	experiments -run fig5 -gate testdata/golden/mini.json -update
-//	experiments -run podtraffic -pods 25 -hosts-per-leaf 20 -shards 25  # 1,000 hosts
+//	experiments -run podtraffic -topo clos3:pods=25,hpl=20 -shards 25  # 1,000 hosts
 //	experiments -workload mice-heavy          # declarative workload spec (preset name)
 //	experiments -workload internal/workload/spec/presets/incast32.json
 //	experiments -workload-check elephants,internal/workload/spec/presets/trace.json
@@ -22,7 +22,6 @@
 package main
 
 import (
-	"cmp"
 	"flag"
 	"fmt"
 	"io"
@@ -59,8 +58,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		update   = fs.Bool("update", false, "with -gate: regenerate the golden file from this run instead of checking")
 		list     = fs.Bool("list", false, "list experiment IDs and exit")
 		wlCheck  = fs.String("workload-check", "", "validate workload specs (comma-separated preset names or spec.json paths) and exit")
-		pods     = fs.Int("pods", 0, "with -run podtraffic: pods of the 3-tier Clos (2 aggs, 2 leaves each); 0 = the row's 4")
-		perLeaf  = fs.Int("hosts-per-leaf", 0, "with -run podtraffic: hosts per leaf; 0 = the row's 2")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -98,22 +95,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	defer stop()
 
-	// -pods and -hosts-per-leaf resize the podtraffic row: its cells,
-	// one per -scheme entry, stand in for the selection.
-	var cells []presto.Cell
-	if *pods != 0 || *perLeaf != 0 {
-		if !strings.EqualFold(req.Experiments, "podtraffic") || len(req.Workload) > 0 || *pods < 0 || *perLeaf < 0 {
-			return fail("spec", fmt.Errorf("-pods and -hosts-per-leaf are counts for -run podtraffic"))
-		}
-		if cells, err = podCells(req.Scheme, cmp.Or(*pods, 4), cmp.Or(*perLeaf, 2)); err != nil {
-			return fail("spec", err)
-		}
-	}
 	// -workload replaces the -run selection (whose default is "all").
 	if len(req.Workload) > 0 {
 		req.Experiments = ""
 	}
-	spec, err := presto.Campaign(req, diag.PerRun(req.Parallelism, stderr), cells...)
+	spec, err := presto.Campaign(req, diag.PerRun(req.Parallelism, stderr))
 	if err != nil {
 		return fail("spec", err)
 	}
@@ -193,21 +179,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	return code
-}
-
-// podCells is the podtraffic row on a pods × hostsPerLeaf fabric
-// under each of the comma-separated schemes (default: the row's own
-// ECMP and Presto).
-func podCells(schemes string, pods, hostsPerLeaf int) ([]presto.Cell, error) {
-	var cells []presto.Cell
-	for _, s := range strings.Split(cmp.Or(schemes, "ecmp,presto"), ",") {
-		cell, err := presto.PodCell(strings.TrimSpace(s), pods, hostsPerLeaf)
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, cell)
-	}
-	return cells, nil
 }
 
 // writeCDFs dumps every cell's merged sample distributions as

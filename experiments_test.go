@@ -7,6 +7,7 @@ import (
 
 	"presto/internal/cluster"
 	"presto/internal/sim"
+	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
 )
 
@@ -29,6 +30,9 @@ func runCell(t testing.TB, cell Cell, opt Options) LoadResult {
 	}
 	return r
 }
+
+// testbed is the paper's Figure 3 fabric, for hand-built clusters.
+func testbed() *topo.Topology { return topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{}) }
 
 // startStride starts the elephants preset — one unlimited flow per
 // server to the server half the fabric away — on a hand-built cluster.

@@ -51,8 +51,12 @@ type Request struct {
 	// optionally name:k=v e.g. "diffflow:threshold=512KB"). With
 	// Workload it replaces the default §4 lineup; with Experiments
 	// "scheme-matrix" it restricts the matrix grid. It is an error with
-	// any other Experiments selection.
+	// any other Experiments selection but "podtraffic", whose systems
+	// it replaces (default ECMP and Presto).
 	Scheme string `json:"scheme,omitempty"`
+	// Topology is the podtraffic row's fabric, a topology spec
+	// (topo.ParseSpec) defaulting to "clos3"; any other selection refuses it.
+	Topology string `json:"topology,omitempty"`
 	// Seed is the base random seed; replicas use seed, seed+1, ...
 	Seed uint64 `json:"seed,omitempty"`
 	// Seeds is the number of seed replicas per cell.
@@ -89,7 +93,7 @@ func (r Request) WithDefaults() Request {
 }
 
 // Bind registers the request's flags on fs — the named ones, or all
-// ten when none are named — under the names, defaults and usage
+// eleven when none are named — under the names, defaults and usage
 // strings every CLI shares. Fields set before the call become that
 // flag's default (experiments' -run all, capture's 50 ms window).
 func (r *Request) Bind(fs *flag.FlagSet, names ...string) {
@@ -107,7 +111,8 @@ func (r *Request) Bind(fs *flag.FlagSet, names ...string) {
 	all.Var(&r.Warmup, "warmup", "warmup per run (simulated)")
 	all.IntVar(&r.Shards, "shards", r.Shards, "per-pod engine shards for podtraffic and -workload cells (once/unlimited workloads only; results, probes and telemetry equal the serial run's); 1 = serial")
 	all.Var(r.WorkloadFlag(), "workload", "run a declarative workload spec (preset name or spec.json path) across the §4 system lineup instead of -run")
-	all.StringVar(&r.Scheme, "scheme", r.Scheme, "comma-separated scheme specs (registry name, optionally name:k=v,...); restricts -run scheme-matrix or replaces the -workload system lineup")
+	all.StringVar(&r.Scheme, "scheme", r.Scheme, "comma-separated scheme specs (registry name, optionally name:k=v,...); restricts -run scheme-matrix or replaces the -workload or -run podtraffic system lineup")
+	all.StringVar(&r.Topology, "topo", r.Topology, "with -run podtraffic: the fabric, a topology spec (clos3:pods=N,hpl=M; or clos, mesh, single); empty = clos3")
 	all.VisitAll(func(f *flag.Flag) {
 		if len(names) == 0 || slices.Contains(names, f.Name) {
 			fs.Var(f.Value, f.Name, f.Usage)

@@ -16,6 +16,7 @@ import (
 	"presto/internal/gro"
 	"presto/internal/nic"
 	"presto/internal/packet"
+	"presto/internal/param"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/tcp"
@@ -124,7 +125,7 @@ type Cluster struct {
 
 	// Registry-resolved scheme state.
 	def       *scheme.Scheme
-	params    scheme.Resolved
+	params    param.Resolved
 	transport scheme.Transport
 }
 

@@ -15,135 +15,14 @@ package scheme
 
 import (
 	"fmt"
-	"sort"
-	"strconv"
 	"strings"
-	"time"
 
 	"presto/internal/packet"
+	"presto/internal/param"
 	"presto/internal/sim"
 	"presto/internal/topo"
 	"presto/internal/vswitch"
 )
-
-// ParamKind types a scheme parameter.
-type ParamKind int
-
-const (
-	// KindBytes is a byte count; values accept plain integers or
-	// KB/MB/GB suffixes (binary: 64KB = 65536).
-	KindBytes ParamKind = iota
-	// KindDuration is a simulated duration in Go syntax ("500us").
-	KindDuration
-	// KindFloat is a floating-point value.
-	KindFloat
-	// KindInt is a plain integer.
-	KindInt
-)
-
-func (k ParamKind) String() string {
-	switch k {
-	case KindBytes:
-		return "bytes"
-	case KindDuration:
-		return "duration"
-	case KindFloat:
-		return "float"
-	case KindInt:
-		return "int"
-	}
-	return "?"
-}
-
-// Param is one schema entry: name, type, default, and bounds.
-type Param struct {
-	Name    string
-	Kind    ParamKind
-	Default string
-	// Min and Max bound the parsed numeric value (nanoseconds for
-	// durations); zero leaves that side unbounded.
-	Min, Max float64
-	Help     string
-}
-
-// parse converts a raw value to the param's native representation,
-// enforcing bounds.
-func (p Param) parse(raw string) (any, error) {
-	var v any
-	var n float64
-	switch p.Kind {
-	case KindBytes:
-		b, err := parseBytes(raw)
-		if err != nil {
-			return nil, err
-		}
-		v, n = b, float64(b)
-	case KindDuration:
-		d, err := time.ParseDuration(raw)
-		if err != nil {
-			return nil, err
-		}
-		t := sim.FromDuration(d)
-		v, n = t, float64(t)
-	case KindFloat:
-		f, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			return nil, err
-		}
-		v, n = f, f
-	case KindInt:
-		i, err := strconv.Atoi(raw)
-		if err != nil {
-			return nil, err
-		}
-		v, n = i, float64(i)
-	default:
-		return nil, fmt.Errorf("unknown param kind %d", p.Kind)
-	}
-	if (p.Min != 0 && n < p.Min) || (p.Max != 0 && n > p.Max) {
-		return nil, fmt.Errorf("value %s out of range [%g, %g]", raw, p.Min, p.Max)
-	}
-	return v, nil
-}
-
-// parseBytes parses "65536", "64KB", "1MB", "2GB" (binary multiples).
-func parseBytes(s string) (int, error) {
-	t := strings.TrimSpace(s)
-	mult := 1
-	upper := strings.ToUpper(t)
-	switch {
-	case strings.HasSuffix(upper, "KB"):
-		mult, t = 1<<10, t[:len(t)-2]
-	case strings.HasSuffix(upper, "MB"):
-		mult, t = 1<<20, t[:len(t)-2]
-	case strings.HasSuffix(upper, "GB"):
-		mult, t = 1<<30, t[:len(t)-2]
-	case strings.HasSuffix(upper, "B"):
-		t = t[:len(t)-1]
-	}
-	n, err := strconv.Atoi(strings.TrimSpace(t))
-	if err != nil {
-		return 0, fmt.Errorf("bad byte count %q", s)
-	}
-	return n * mult, nil
-}
-
-// Resolved is a validated, fully-defaulted parameter set.
-type Resolved struct {
-	vals map[string]any
-}
-
-// Bytes returns a KindBytes param's value.
-func (r Resolved) Bytes(name string) int { return r.vals[name].(int) }
-
-// Duration returns a KindDuration param's value.
-func (r Resolved) Duration(name string) sim.Time { return r.vals[name].(sim.Time) }
-
-// Float returns a KindFloat param's value.
-func (r Resolved) Float(name string) float64 { return r.vals[name].(float64) }
-
-// Int returns a KindInt param's value.
-func (r Resolved) Int(name string) int { return r.vals[name].(int) }
 
 // GRO is the receive-offload algorithm a scheme requires.
 type GRO int
@@ -201,80 +80,31 @@ type Scheme struct {
 	// Name is the registry key: a spec's part before any ':'
 	// ("ecmp", "presto", ...).
 	Name string
-	// Description is a one-line summary for listings.
-	Description string
-	// Paper cites the scheme's source.
-	Paper string
 	// Params is the parameter schema; unknown keys are rejected.
-	Params []Param
+	Params []param.Param
 	// GRO is the required receiver offload.
 	GRO GRO
 	// Transport derives the required sender-stack configuration from
 	// resolved params (nil = all defaults).
-	Transport func(p Resolved) Transport
+	Transport func(p param.Resolved) Transport
 	// Hooks are optional controller extensions.
 	Hooks Hooks
 	// New constructs the per-host policy.
-	New func(h Host, p Resolved) vswitch.Policy
-}
-
-// HasParam reports whether the schema has a parameter named name.
-func (s *Scheme) HasParam(name string) bool {
-	for _, p := range s.Params {
-		if p.Name == name {
-			return true
-		}
-	}
-	return false
+	New func(h Host, p param.Resolved) vswitch.Policy
 }
 
 // Resolve validates raw values against the schema and fills defaults.
-func (s *Scheme) Resolve(values map[string]string) (Resolved, error) {
-	r := Resolved{vals: make(map[string]any, len(s.Params))}
-	for _, p := range s.Params {
-		raw, ok := values[p.Name]
-		if !ok {
-			raw = p.Default
-		}
-		v, err := p.parse(raw)
-		if err != nil {
-			return Resolved{}, fmt.Errorf("scheme %s: param %s: %w", s.Name, p.Name, err)
-		}
-		r.vals[p.Name] = v
-	}
-	// Reject unknown keys (sorted for a deterministic message).
-	var unknown []string
-	for k := range values {
-		if !s.HasParam(k) {
-			unknown = append(unknown, k)
-		}
-	}
-	if len(unknown) > 0 {
-		sort.Strings(unknown)
-		return Resolved{}, fmt.Errorf("scheme %s: unknown param(s) %s (schema: %s)",
-			s.Name, strings.Join(unknown, ", "), s.schemaNames())
-	}
-	return r, nil
+func (s *Scheme) Resolve(values map[string]string) (param.Resolved, error) {
+	return param.Resolve("scheme "+s.Name, s.Params, values)
 }
 
 // TransportFor returns the scheme's transport requirements for
 // resolved params.
-func (s *Scheme) TransportFor(p Resolved) Transport {
+func (s *Scheme) TransportFor(p param.Resolved) Transport {
 	if s.Transport == nil {
 		return Transport{}
 	}
 	return s.Transport(p)
-}
-
-func (s *Scheme) schemaNames() string {
-	if len(s.Params) == 0 {
-		return "(none)"
-	}
-	names := make([]string, len(s.Params))
-	for i, p := range s.Params {
-		names[i] = p.Name
-	}
-	return strings.Join(names, ", ")
 }
 
 // registry holds every registered scheme, keyed by name.
@@ -290,10 +120,8 @@ func Register(s *Scheme) {
 	if _, dup := registry[s.Name]; dup {
 		panic("scheme: duplicate registration of " + s.Name)
 	}
-	for _, p := range s.Params {
-		if _, err := p.parse(p.Default); err != nil {
-			panic(fmt.Sprintf("scheme %s: bad default for param %s: %v", s.Name, p.Name, err))
-		}
+	if _, err := s.Resolve(nil); err != nil {
+		panic("scheme: bad default: " + err.Error())
 	}
 	registry[s.Name] = s
 }
@@ -308,66 +136,12 @@ func Get(name string) (*Scheme, error) {
 }
 
 // Names lists every registered scheme, sorted.
-func Names() []string {
-	out := make([]string, 0, len(registry))
-	for name := range registry {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return param.Keys(registry) }
 
 // ParseSpec splits a "name" or "name:k=v,k=v" scheme spec into the
-// registry name and raw parameter values, validating both against the
-// registry (params are resolved to check types/bounds, then the raw
-// map is returned so callers can carry it in configs).
+// registry name and the raw values callers carry in configs, after
+// validating both against the registry (param.Lookup).
 func ParseSpec(spec string) (string, map[string]string, error) {
-	name := spec
-	var rest string
-	if i := strings.IndexByte(spec, ':'); i >= 0 {
-		name, rest = spec[:i], spec[i+1:]
-	}
-	name = strings.TrimSpace(name)
-	s, err := Get(name)
-	if err != nil {
-		return "", nil, err
-	}
-	var vals map[string]string
-	if rest != "" {
-		vals = make(map[string]string)
-		for _, kv := range strings.Split(rest, ",") {
-			kv = strings.TrimSpace(kv)
-			if kv == "" {
-				continue
-			}
-			eq := strings.IndexByte(kv, '=')
-			if eq <= 0 {
-				return "", nil, fmt.Errorf("scheme %s: bad param %q (want k=v)", name, kv)
-			}
-			vals[strings.TrimSpace(kv[:eq])] = strings.TrimSpace(kv[eq+1:])
-		}
-	}
-	if _, err := s.Resolve(vals); err != nil {
-		return "", nil, err
-	}
-	return name, vals, nil
-}
-
-// CanonicalSpec renders a (name, params) pair back into the canonical
-// spec string: params in sorted key order, so equal configurations
-// produce byte-equal strings (cell IDs, hashes).
-func CanonicalSpec(name string, params map[string]string) string {
-	if len(params) == 0 {
-		return name
-	}
-	keys := make([]string, 0, len(params))
-	for k := range params {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	parts := make([]string, len(keys))
-	for i, k := range keys {
-		parts[i] = k + "=" + params[k]
-	}
-	return name + ":" + strings.Join(parts, ",")
+	name, vals, _, err := param.Lookup("scheme", spec, registry, func(s *Scheme) []param.Param { return s.Params })
+	return name, vals, err
 }

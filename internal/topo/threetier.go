@@ -44,8 +44,7 @@ func ThreeTierClos(pods, aggPerPod, leafPerPod, hostsPerLeaf int, cfg LinkConfig
 				t.addLink(agg, leaf, cfg.FabricBitsPerSec, cfg.FabricProp)
 			}
 			for h := 0; h < hostsPerLeaf; h++ {
-				host := t.AddLeafHost(leaf, cfg.HostBitsPerSec, cfg.HostProp)
-				_ = host
+				t.AddLeafHost(leaf, cfg.HostBitsPerSec, cfg.HostProp)
 			}
 		}
 	}

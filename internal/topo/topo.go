@@ -254,11 +254,8 @@ func newTopology() *Topology {
 
 // TwoTierClos builds a 2-tier Clos (leaf-spine) network with the given
 // number of spines, leaves, hosts per leaf, and gamma parallel links
-// between every spine-leaf pair. gamma < 1 is treated as 1.
-//
-// The paper's testbed (Figure 3) is TwoTierClos(4, 4, 4, 1, cfg); the
-// scalability benchmark (Figure 4a) varies spines with 2 leaves; the
-// oversubscription benchmark (Figure 4b) is 2 spines and 2 leaves.
+// between every spine-leaf pair. gamma < 1 is treated as 1. The
+// paper's fabrics are its topology specs (ParseSpec).
 func TwoTierClos(spines, leaves, hostsPerLeaf, gamma int, cfg LinkConfig) *Topology {
 	if spines < 1 || leaves < 1 || hostsPerLeaf < 1 {
 		panic("topo: TwoTierClos needs at least one of everything")

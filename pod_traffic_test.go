@@ -7,13 +7,23 @@ import (
 	"presto/internal/sim"
 )
 
+// podCell is the podtraffic row's cell for one system on a topology.
+func podCell(t *testing.T, sys, topology string) Cell {
+	t.Helper()
+	cells, err := podCells([]lineupRow{paper(sys)}, topology)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cells[0]
+}
+
 // TestRunPodTrafficShardedMatchesSerial pins the experiment-level
 // bit-identity contract: the same pod workload must produce exactly
 // equal results — down to float bit patterns — for every shard count.
 func TestRunPodTrafficShardedMatchesSerial(t *testing.T) {
 	opt := Options{Seed: 11, Warmup: 2 * sim.Millisecond, Duration: 5 * sim.Millisecond}
 	for _, sys := range []string{"presto", "ecmp"} {
-		cell := podCell(paper(sys), 3, 1)
+		cell := podCell(t, sys, "clos3:pods=3,hpl=1")
 		opt.Shards = 1
 		want := runCell(t, cell, opt)
 		for _, shards := range []int{2, 3} {
@@ -44,7 +54,7 @@ func TestPodTraffic1000Hosts(t *testing.T) {
 		Duration: sim.Millisecond,
 		Shards:   25,
 	}
-	res := runCell(t, podCell(paper("presto"), 25, 20), opt)
+	res := runCell(t, podCell(t, "presto", "clos3:pods=25,hpl=20"), opt)
 	if res.Hosts != 1000 {
 		t.Fatalf("topology has %d hosts, want 1000", res.Hosts)
 	}

@@ -17,10 +17,10 @@ import (
 	"strings"
 
 	"presto/internal/campaign"
+	"presto/internal/param"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
-	"presto/internal/topo"
 )
 
 // lineup is the paper's §4/§5 systems, the one name table behind
@@ -62,7 +62,7 @@ func lookupScheme(s string) (lineupRow, error) {
 	}
 	name, params, err := scheme.ParseSpec(s)
 	if err == nil {
-		spec := scheme.CanonicalSpec(name, params)
+		spec := param.Canonical(name, params)
 		return lineupRow{name: spec, display: spec, spec: spec}, nil
 	}
 	// A known scheme with bad params gets the registry's own error
@@ -116,30 +116,4 @@ func (o *Options) fill() {
 	if o.Duration == 0 {
 		o.Duration = campaign.DefaultDuration
 	}
-}
-
-// Testbed returns the paper's Figure 3 topology: a 2-tier Clos with 4
-// spines, 4 leaves, and 16 hosts, all 10 Gbps.
-func Testbed() *topo.Topology {
-	return topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{})
-}
-
-// ScalabilityTopo returns Figure 4a's topology: 2 leaves and `paths`
-// spines, with one host per (leaf, flow).
-func ScalabilityTopo(paths int) *topo.Topology {
-	return topo.TwoTierClos(paths, 2, paths, 1, topo.LinkConfig{})
-}
-
-// OversubTopo returns Figure 4b's topology: 2 spines, 2 leaves, and
-// `flows` hosts per leaf (oversubscription = flows/2).
-func OversubTopo(flows int) *topo.Topology {
-	return topo.TwoTierClos(2, 2, flows, 1, topo.LinkConfig{})
-}
-
-// PodTopo returns a pod-based 3-tier Clos for the pod-scale
-// experiment: `pods` pods of 2 aggregation switches and 2 leaves
-// each, `hostsPerLeaf` hosts per leaf (2·pods·hostsPerLeaf hosts
-// total), wired to 2 cores.
-func PodTopo(pods, hostsPerLeaf int) *topo.Topology {
-	return topo.ThreeTierClos(pods, 2, 2, hostsPerLeaf, topo.LinkConfig{})
 }

@@ -30,7 +30,7 @@ func TestSchemeMatrixSpecCoversRegistry(t *testing.T) {
 	for _, s := range schemes {
 		for _, wl := range matrixWorkloads {
 			for _, tp := range matrixTopos {
-				want := fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", s, wl, tp.name)
+				want := fmt.Sprintf("scheme-matrix/scheme=%s/wl=%s/topo=%s", s, wl, tp)
 				if got := spec.Cells[i].ID; got != want {
 					t.Fatalf("cell %d ID %q, want %q", i, got, want)
 				}
@@ -131,13 +131,13 @@ func TestSchemeMatrixRunsOneScheme(t *testing.T) {
 		t.Fatalf("failed replicas: %v", failed)
 	}
 	for _, tp := range matrixTopos {
-		id := func(wl string) string { return "scheme-matrix/scheme=diffflow/wl=" + wl + "/topo=" + tp.name }
+		id := func(wl string) string { return "scheme-matrix/scheme=diffflow/wl=" + wl + "/topo=" + tp }
 		if e, ok := rep.Envelope(id("elephants"), "tput_gbps"); !ok || e.Mean <= 0 {
-			t.Errorf("elephants on %s: no throughput (%v, %v)", tp.name, e, ok)
+			t.Errorf("elephants on %s: no throughput (%v, %v)", tp, e, ok)
 		}
 		for _, wl := range []string{"mice-heavy", "incast32"} {
 			if e, ok := rep.Envelope(id(wl), "fct_ms_mean"); !ok || e.Mean <= 0 {
-				t.Errorf("%s on %s: no FCT (%v, %v)", wl, tp.name, e, ok)
+				t.Errorf("%s on %s: no FCT (%v, %v)", wl, tp, e, ok)
 			}
 		}
 	}

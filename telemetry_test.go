@@ -98,7 +98,7 @@ func incrementalSnapshots(t *testing.T, shards int) {
 	const horizon = 30 * sim.Millisecond
 
 	ref := cluster.New(cluster.Config{
-		Topology: Testbed(),
+		Topology: testbed(),
 		Scheme:   cluster.Presto,
 		Seed:     42,
 		Shards:   shards,
@@ -108,7 +108,7 @@ func incrementalSnapshots(t *testing.T, shards int) {
 
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	c := cluster.New(cluster.Config{
-		Topology:  Testbed(),
+		Topology:  testbed(),
 		Scheme:    cluster.Presto,
 		Seed:      42,
 		Shards:    shards,
@@ -147,7 +147,7 @@ func incrementalSnapshots(t *testing.T, shards int) {
 func TestTelemetryCountersConsistent(t *testing.T) {
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	c := cluster.New(cluster.Config{
-		Topology:  Testbed(),
+		Topology:  testbed(),
 		Scheme:    cluster.Presto,
 		Seed:      42,
 		Telemetry: reg,
@@ -246,7 +246,7 @@ func TestTraceExportFromRun(t *testing.T) {
 func TestEngineProbeCountsWork(t *testing.T) {
 	reg := telemetry.NewRegistry(nil)
 	c := cluster.New(cluster.Config{
-		Topology:  Testbed(),
+		Topology:  testbed(),
 		Scheme:    cluster.Presto,
 		Seed:      1,
 		Telemetry: reg,
@@ -335,10 +335,9 @@ func TestTracedShardedRunReleasesCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	freed := make(chan struct{})
-	cell.Topo = func() *topo.Topology {
-		tp := Testbed()
-		runtime.SetFinalizer(tp, func(*topo.Topology) { close(freed) })
-		return tp
+	cell.observe = func(r *run) LoadResult {
+		runtime.SetFinalizer(r.c.Topo, func(*topo.Topology) { close(freed) })
+		return clientDetail(r)
 	}
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	runCell(t, cell, Options{Seed: 1, Warmup: sim.Millisecond, Duration: 2 * sim.Millisecond, Shards: 2, Telemetry: reg})
