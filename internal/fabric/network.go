@@ -18,8 +18,9 @@ type Handler interface {
 type Config struct {
 	// SwitchQueueBytes is the per-port output buffer at switches. The
 	// testbed's G8264 switches draw on a multi-megabyte shared buffer;
-	// the default matches the multi-millisecond RTT tails the paper
-	// measures under congestion (Figures 8, 11).
+	// the default (topo.DefaultSwitchQueueBytes) matches the
+	// multi-millisecond RTT tails the paper measures under congestion
+	// (Figures 8, 11).
 	SwitchQueueBytes int
 	// ECNThresholdBytes makes switch ports mark Congestion Experienced
 	// on packets that arrive to a queue deeper than this (DCTCP-style
@@ -32,17 +33,13 @@ type Config struct {
 // §3.3). Until it elapses, traffic to the dead port is black-holed.
 const failoverLatency = 5 * sim.Millisecond
 
-const (
-	// defaultSwitchQueueBytes is SwitchQueueBytes' testbed default.
-	defaultSwitchQueueBytes = 2 << 20
-	// hostQueueBytes is the host NIC's transmit queue (driver ring),
-	// deeper than a switch port.
-	hostQueueBytes = 4 << 20
-)
+// hostQueueBytes is the host NIC's transmit queue (driver ring),
+// deeper than a switch port.
+const hostQueueBytes = 4 << 20
 
 func (c *Config) fill() {
 	if c.SwitchQueueBytes == 0 {
-		c.SwitchQueueBytes = defaultSwitchQueueBytes
+		c.SwitchQueueBytes = topo.DefaultSwitchQueueBytes
 	}
 }
 
