@@ -7,10 +7,8 @@ import (
 
 	"presto/internal/campaign"
 	"presto/internal/cluster"
-	"presto/internal/gro"
 	"presto/internal/scheme"
 	"presto/internal/sim"
-	"presto/internal/tcp"
 	"presto/internal/telemetry"
 	"presto/internal/topo"
 	wspec "presto/internal/workload/spec"
@@ -142,11 +140,11 @@ func FigureCell(id string) (Cell, error) {
 // requested shards is an error here, not a failed replica later.
 func Campaign(req campaign.Request, perRun *telemetry.Registry) (*campaign.Spec, error) {
 	opt := RunOptions(req)
-	// The windows are folded into the spec hash so golden envelopes
-	// detect runs taken with different ones.
+	// The windows are folded into the spec hash, spelled exactly, so
+	// golden envelopes detect runs taken with different ones.
 	spec := &campaign.Spec{
 		Name:        "cells",
-		Params:      map[string]string{"duration": opt.Duration.String(), "warmup": opt.Warmup.String()},
+		Params:      map[string]string{"duration": opt.Duration.AsDuration().String(), "warmup": opt.Warmup.AsDuration().String()},
 		Seeds:       campaign.Seeds(opt.Seed, req.Seeds),
 		Parallelism: req.Parallelism,
 		CellTimeout: sim.Time(req.CellTimeout).AsDuration(),
@@ -300,7 +298,6 @@ func specCell(sys lineupRow, ws *wspec.Spec) Cell {
 		probes:     true,
 		observe:    clientDetail,
 		shardable:  true,
-		keyed:      true,
 	}
 }
 
@@ -414,17 +411,15 @@ func fig1Cells() []Cell {
 	return cells
 }
 
-// groCell runs elephants over pairs on the topology spec, measured
-// like Figure 5. A non-nil newGRO replaces the scheme's receive
-// offload.
-func groCell(id, spec, topology string, pairs [][2]int, newGRO func(*sim.Engine, gro.Output) gro.Handler) Cell {
+// groCell runs elephants over pairs on the topology spec under the
+// scheme spec, measured like Figure 5.
+func groCell(id, spec, topology string, pairs [][2]int) Cell {
 	return Cell{
 		Experiment: "fig5",
 		ID:         id,
 		Scheme:     spec,
 		Topo:       topology,
 		Workload:   elephants(pairs, nil),
-		config:     func(cfg *cluster.Config) { cfg.GRO = newGRO },
 		observe:    groMicrobench,
 	}
 }
@@ -433,10 +428,9 @@ func groCell(id, spec, topology string, pairs [][2]int, newGRO func(*sim.Engine,
 // received through official GRO or Presto's own.
 func fig5Cells() []Cell {
 	tp := topoSpec(oversubFabric, 2)
-	official := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
 	return []Cell{
-		groCell("fig5/gro=official", "presto", tp, leafToLeaf(2), official),
-		groCell("fig5/gro=presto", "presto", tp, leafToLeaf(2), nil),
+		groCell("fig5/gro=official", "presto:gro=official", tp, leafToLeaf(2)),
+		groCell("fig5/gro=presto", "presto", tp, leafToLeaf(2)),
 	}
 }
 
@@ -444,8 +438,7 @@ func fig5Cells() []Cell {
 // Gbps at 100% CPU): one elephant with GRO disabled at the receiver.
 // It is not part of any campaign.
 func GRODisabledCell() Cell {
-	none := func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewNone(eng, out) }
-	return groCell("gro=none", "ecmp", "single:hosts=2", [][2]int{{0, 1}}, none)
+	return groCell("gro=none", "ecmp:gro=none", "single:hosts=2", [][2]int{{0, 1}})
 }
 
 // fig6Cells: stride at line rate; Presto (spraying + Presto GRO on the
@@ -567,11 +560,7 @@ func ablationCells() []Cell {
 		add(Cell{ID: fmt.Sprintf("flowcell_kb=%d", kb), Scheme: fmt.Sprintf("presto:cell=%dKB", kb)}, nil)
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
-		add(Cell{ID: fmt.Sprintf("gro_alpha=%g", a), config: func(cfg *cluster.Config) {
-			cfg.GRO = func(eng *sim.Engine, out gro.Output) gro.Handler {
-				return gro.NewPresto(eng, out, gro.PrestoConfig{Alpha: a})
-			}
-		}}, func(c *cluster.Cluster, v campaign.Values) {
+		add(Cell{ID: fmt.Sprintf("gro_alpha=%g", a), Scheme: fmt.Sprintf("presto:alpha=%g", a)}, func(c *cluster.Cluster, v campaign.Values) {
 			var fires uint64
 			for _, h := range c.Hosts {
 				fires += h.NIC.GRO().Stats().TimeoutFires
@@ -584,14 +573,10 @@ func ablationCells() []Cell {
 			func(c *cluster.Cluster, v campaign.Values) { v["loss_pct"] = c.Net.LossRate() * 100 })
 	}
 	for _, cc := range []struct{ name, topo string }{{"cubic", ""}, {"reno", ""}, {"dctcp", "clos:ecn=200KB"}} {
-		add(Cell{ID: "cc=" + cc.name, Topo: cc.topo, config: func(cfg *cluster.Config) { cfg.TCP = tcp.Config{CC: cc.name} }}, nil)
+		add(Cell{ID: "cc=" + cc.name, Scheme: "presto:cc=" + cc.name, Topo: cc.topo}, nil)
 	}
-	for _, tunnel := range []bool{false, true} {
-		name := "per-host"
-		if tunnel {
-			name = "tunnel"
-		}
-		add(Cell{ID: "labels=" + name, config: func(cfg *cluster.Config) { cfg.TunnelMode = tunnel }},
+	for _, labels := range []string{"per-host", "tunnel"} {
+		add(Cell{ID: "labels=" + labels, Scheme: "presto:labels=" + labels},
 			func(c *cluster.Cluster, v campaign.Values) {
 				rules := 0
 				for _, leaf := range c.Topo.Leaves {
@@ -641,7 +626,6 @@ func matrixCells(specs []string) []Cell {
 					Workload:   ws,
 					probes:     true,
 					observe:    withMeanFCT,
-					keyed:      true,
 				})
 			}
 		}

@@ -233,3 +233,18 @@ func TestCampaignDefaultsAndShards(t *testing.T) {
 		}
 	}
 }
+
+// TestCampaignHashSpellsWindowsExactly: windows a nanosecond apart run
+// differently, so their campaigns must not share a spec hash.
+func TestCampaignHashSpellsWindowsExactly(t *testing.T) {
+	hash := func(duration sim.Time) string {
+		spec, err := Campaign(campaign.Request{Experiments: "fig6", Warmup: wspec.Duration(sim.Millisecond), Duration: wspec.Duration(duration)}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return spec.Hash()
+	}
+	if a, b := hash(1234567), hash(1234568); a == b {
+		t.Errorf("-duration 1234567ns and 1234568ns share spec hash %s", a)
+	}
+}

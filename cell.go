@@ -41,19 +41,13 @@ type Cell struct {
 
 	// The measurement set. probes starts sockperf-style RTT probers
 	// over the server stride pairs (i, i+N/2), at any shard count.
-	// config adjusts the cluster before it is built (GRO flavour,
-	// ablation knobs). observe drives the started run and harvests it;
-	// nil is loadWindow.
+	// observe drives the started run and harvests it; nil is
+	// loadWindow.
 	probes  bool
-	config  func(*cluster.Config)
 	observe func(*run) LoadResult
 
 	// shardable cells honor Options.Shards; the rest run serially.
 	shardable bool
-	// keyed cells record the workload hash on their campaign cell, so
-	// artifacts key on the exact spec (user-supplied workloads and the
-	// scheme matrix; paper figures are identified by their cell ID).
-	keyed bool
 }
 
 // LoadResult is the output of one cell run.
@@ -115,7 +109,7 @@ func (cell Cell) topology(tp *topo.Topology) *topo.Topology {
 // run on the requested shards is rejected with Compile's field-path
 // error when the campaign is built.
 func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) {
-	if _, _, err := scheme.ParseSpec(cell.Scheme); err != nil {
+	if _, err := scheme.ParseSpec(cell.Scheme); err != nil {
 		return nil, nil, err
 	}
 	ts, err := topo.ParseSpec(cmp.Or(cell.Topo, "clos"))
@@ -131,9 +125,6 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 	cfg.Fabric.SwitchQueueBytes, cfg.Fabric.ECNThresholdBytes = ts.Switch()
 	if cell.shardable {
 		cfg.Shards = opt.Shards // New caps it at the pod count
-	}
-	if cell.config != nil {
-		cell.config(&cfg)
 	}
 	c := cluster.New(cfg)
 	g, err := wspec.Compile(cell.Workload, c, opt.Seed)
@@ -175,11 +166,12 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 }
 
 // Campaign wraps the cell as a campaign cell running under opt (the
-// replica's seed replaces opt.Seed).
+// replica's seed replaces opt.Seed), keyed on its workload's hash.
 func (cell Cell) Campaign(opt Options) campaign.Cell {
-	cc := campaign.Cell{
+	return campaign.Cell{
 		Experiment: cell.Experiment,
 		ID:         cell.ID,
+		Workload:   cell.Workload.Hash(),
 		Run: func(seed uint64) (campaign.Result, error) {
 			o := opt
 			o.Seed = seed
@@ -187,10 +179,6 @@ func (cell Cell) Campaign(opt Options) campaign.Cell {
 			return campaign.Result{Metrics: r.Metrics, Dists: r.Dists}, err
 		},
 	}
-	if cell.keyed {
-		cc.Workload = cell.Workload.Hash()
-	}
-	return cc
 }
 
 // window warms up, restarts measurement, and runs to until.

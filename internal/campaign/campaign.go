@@ -48,11 +48,10 @@ type Cell struct {
 	// "<experiment>/<param>=<value>/..."; it keys golden envelopes and
 	// artifact rows, so it must be stable across runs.
 	ID string
-	// Workload, when non-empty, is the workload-spec hash
-	// (spec.Spec.Hash) the cell's traffic was compiled from. It is
-	// folded into Spec.Hash and recorded in the report and manifest, so
-	// artifacts (and any future result cache) key on the exact
-	// workload. Empty for cells with code-defined traffic.
+	// Workload is the workload-spec hash (spec.Spec.Hash) the cell's
+	// traffic was compiled from. It is folded into Spec.Hash and
+	// recorded in the report and manifest, so artifacts (and any future
+	// result cache) key on the exact workload.
 	Workload string
 	// Run executes the cell at one seed.
 	Run RunFunc
@@ -126,13 +125,7 @@ func (s *Spec) Hash() string {
 		fmt.Fprintf(h, "param:%s=%s\n", k, s.Params[k])
 	}
 	for _, c := range s.Cells {
-		// Cells without a workload hash keep the historical encoding so
-		// committed golden spec hashes stay valid.
-		if c.Workload == "" {
-			fmt.Fprintf(h, "cell=%s\n", c.ID)
-		} else {
-			fmt.Fprintf(h, "cell=%s workload=%s\n", c.ID, c.Workload)
-		}
+		fmt.Fprintf(h, "cell=%s workload=%s\n", c.ID, c.Workload)
 	}
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }

@@ -29,8 +29,8 @@ type ReplicaResult struct {
 type CellResult struct {
 	Experiment string `json:"experiment"`
 	ID         string `json:"id"`
-	// Workload is the workload-spec hash the cell ran (empty for
-	// code-defined traffic); see Cell.Workload.
+	// Workload is the workload-spec hash the cell ran; see
+	// Cell.Workload.
 	Workload string          `json:"workload,omitempty"`
 	Replicas []ReplicaResult `json:"replicas"`
 	// Envelopes summarise each metric over the successful replicas.

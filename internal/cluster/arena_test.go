@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"presto/internal/fabric"
-	"presto/internal/gro"
 	"presto/internal/nic"
 	"presto/internal/packet"
 	"presto/internal/sim"
@@ -58,9 +57,8 @@ func TestPacketAccounting(t *testing.T) {
 			hit: func(c *Cluster) uint64 { return c.Net.TotalDropsDown() },
 		},
 		{
-			name: "rx ring overflow",
-			cfg: Config{Topology: clos(2, 2, 4), Scheme: Presto, NIC: nic.Config{RingSize: 64},
-				GRO: func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewNone(eng, out) }},
+			name:  "rx ring overflow",
+			cfg:   Config{Topology: clos(2, 2, 4), Scheme: "presto:gro=none", NIC: nic.Config{RingSize: 64}},
 			drive: incast,
 			hit: func(c *Cluster) uint64 {
 				var n uint64

@@ -26,11 +26,12 @@ import (
 )
 
 // Scheme names the load-balancing configuration under test (§4): the
-// edge policy, the receive-offload algorithm, and the transport. The
-// value is a registry spec from internal/scheme, a name with optional
-// parameters ("flowlet:gap=100us") — any registered scheme works, the
-// constants below are the paper's lineup at its defaults. The zero
-// value selects ECMP.
+// edge policy, the receive-offload algorithm, the transport and the
+// label mode. The value is a registry spec from internal/scheme, a
+// name with optional parameters ("flowlet:gap=100us",
+// "presto:gro=official") — any registered scheme works, the constants
+// below are the paper's lineup at its defaults. The zero value selects
+// ECMP.
 type Scheme string
 
 const (
@@ -43,9 +44,6 @@ const (
 	// Presto sprays 64 KB flowcells round-robin over shadow-MAC
 	// spanning trees with Presto GRO at receivers.
 	Presto Scheme = "presto"
-	// Flowlet switches paths at inactivity gaps (scheme param "gap",
-	// default 500 µs) with official GRO.
-	Flowlet Scheme = "flowlet"
 	// PrestoECMP stamps flowcells but lets switches hash them per hop
 	// (Figure 14's comparison).
 	PrestoECMP Scheme = "presto-ecmp"
@@ -56,27 +54,19 @@ const (
 
 // Config describes a testbed instance. A field exists because two
 // runs set it differently, and New never overwrites a value the caller
-// set: what only the scheme decides (its receive offload, the
-// controller's tree weights) comes from the scheme, and what no run
-// varies is a constant in the package that reads it.
+// set: what the scheme spec decides (receive offload, congestion
+// control, label mode, tree weights) comes from the scheme, and what
+// no run varies is a constant in the package that reads it.
 type Config struct {
 	Topology *topo.Topology
 	Scheme   Scheme
 	Seed     uint64
 
-	// GRO, when non-nil, builds every host's receive-offload handler
-	// in place of the scheme's own (Figure 5 pairs Presto spraying with
-	// official GRO; the α ablation tunes Presto GRO). Nil means the
-	// handler the scheme names, at the paper's settings.
-	GRO func(eng *sim.Engine, out gro.Output) gro.Handler
-
-	TCP    tcp.Config
+	// TCP.Handshake requires a SYN/SYN-ACK exchange before data flows
+	// (tcp.Config.Handshake); the rest of the transport is the scheme's.
+	TCP    struct{ Handshake bool }
 	NIC    nic.Config
 	Fabric fabric.Config
-
-	// TunnelMode installs per-leaf tunnel labels instead of per-host
-	// shadow MACs (controller.Config.TunnelMode).
-	TunnelMode bool
 
 	// Shards is the size of the cluster's shard group: the fabric is
 	// partitioned into that many per-pod shards, each running its own
@@ -127,6 +117,7 @@ type Cluster struct {
 	def       *scheme.Scheme
 	params    param.Resolved
 	transport scheme.Transport
+	tcp       tcp.Config
 }
 
 // New builds and wires a testbed. The controller's label state is
@@ -145,23 +136,35 @@ func New(cfg Config) *Cluster {
 		nextPort: 10000,
 		taps:     make(map[packet.HostID]*tap),
 	}
-	c.resolveScheme()
+	// The scheme spec: the registry schema's defaults overlaid with the
+	// spec's values. A bad spec panics — New has no error return, and
+	// front-ends validate specs via scheme.ParseSpec before building.
+	spec, err := scheme.ParseSpec(string(cfg.Scheme))
+	if err != nil {
+		panic("cluster: " + err.Error())
+	}
+	c.def, c.params = spec.Scheme, spec.Resolved
+	c.transport = c.def.TransportFor(c.params)
+	c.tcp = tcp.Config{
+		MaxSeg:    min(c.transport.MaxSeg, packet.MaxSegSize), // 0: the stack's default
+		CC:        c.params.Enum("cc"),
+		Handshake: cfg.TCP.Handshake,
+	}
 	shards := max(1, min(cfg.Shards, cfg.Topology.NumPods))
 	shardOf, lookahead := shardPartition(cfg.Topology, shards)
 	c.group = sim.NewShardGroup(shards, lookahead, cfg.Seed)
 	c.Eng = c.group.Shard(0)
 	c.Net = fabric.NewSharded(c.group, shardOf, cfg.Topology, cfg.Fabric)
-	c.Ctrl = controller.New(c.Net, controller.Config{TunnelMode: cfg.TunnelMode, TreeWeights: c.def.Hooks.TreeWeights})
-	newGRO := cfg.GRO
-	if newGRO == nil {
-		newGRO = schemeGRO(c.def.GRO)
-	}
+	c.Ctrl = controller.New(c.Net, controller.Config{
+		TunnelMode:  c.params.Enum("labels") == "tunnel",
+		TreeWeights: c.def.Hooks.TreeWeights,
+	})
 
 	for i := 0; i < cfg.Topology.NumHosts(); i++ {
 		h := packet.HostID(i)
 		eng := c.engOf(h)
 		vs := vswitch.New(eng, h, nil, c.newPolicy(h))
-		n := nic.New(eng, c.Net, h, vs, func(out gro.Output) gro.Handler { return newGRO(eng, out) }, cfg.NIC)
+		n := nic.New(eng, c.Net, h, vs, receiveOffload(eng, c.params), cfg.NIC)
 		vs.SetSender(n)
 		c.Net.AttachHost(h, n)
 		c.Ctrl.RegisterVSwitch(vs)
@@ -232,35 +235,21 @@ func (c *Cluster) StopRun() { c.group.Stop() }
 // Executed returns the number of events executed across all engines.
 func (c *Cluster) Executed() uint64 { return c.group.Executed() }
 
-// resolveScheme parses the configured scheme spec and resolves its
-// parameters: the registry schema's defaults overlaid with the spec's
-// values. A bad spec panics — New has no error return, and front-ends
-// validate specs via scheme.ParseSpec before building.
-func (c *Cluster) resolveScheme() {
-	name, vals, err := scheme.ParseSpec(string(c.cfg.Scheme))
-	if err != nil {
-		panic("cluster: " + err.Error())
-	}
-	// ParseSpec has looked the name up and resolved the values.
-	def, _ := scheme.Get(name)
-	params, _ := def.Resolve(vals)
-	c.def, c.params = def, params
-	c.transport = def.TransportFor(params)
-}
-
 // SchemeInfo returns the resolved registry descriptor driving this
 // cluster.
 func (c *Cluster) SchemeInfo() *scheme.Scheme { return c.def }
 
-// schemeGRO returns the constructor of the receive-offload handler a
-// scheme names, at the paper's settings.
-func schemeGRO(kind scheme.GRO) func(eng *sim.Engine, out gro.Output) gro.Handler {
-	if kind == scheme.GROPresto {
-		return func(eng *sim.Engine, out gro.Output) gro.Handler {
-			return gro.NewPresto(eng, out, gro.PrestoConfig{})
-		}
+// receiveOffload returns the constructor of the receive-offload
+// handler on eng that the resolved scheme's gro and alpha keys name.
+func receiveOffload(eng *sim.Engine, p param.Resolved) func(out gro.Output) gro.Handler {
+	switch p.Enum("gro") {
+	case scheme.GROPresto.String():
+		cfg := gro.PrestoConfig{Alpha: p.Float("alpha")}
+		return func(out gro.Output) gro.Handler { return gro.NewPresto(eng, out, cfg) }
+	case scheme.GRONone.String():
+		return func(out gro.Output) gro.Handler { return gro.NewNone(eng, out) }
 	}
-	return func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
+	return func(out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) }
 }
 
 // newPolicy builds a fresh policy instance for one host via the
@@ -273,16 +262,6 @@ func (c *Cluster) newPolicy(h packet.HostID) vswitch.Policy {
 		ID:   h,
 		Fork: func() *sim.RNG { return c.rng.Fork() },
 	}, c.params)
-}
-
-// tcpConfig returns the per-connection transport config for the
-// scheme.
-func (c *Cluster) tcpConfig() tcp.Config {
-	cfg := c.cfg.TCP
-	if c.transport.MaxSeg > 0 && c.transport.MaxSeg < packet.MaxSegSize {
-		cfg.MaxSeg = c.transport.MaxSeg
-	}
-	return cfg
 }
 
 // FailLink fails a link in the fabric and notifies the controller,

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"testing"
 
-	"presto/internal/gro"
 	"presto/internal/packet"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -12,10 +11,7 @@ import (
 
 func TestGROOverrideOfficialWithPrestoSpray(t *testing.T) {
 	// The Figure 5 configuration: Presto spraying but stock GRO.
-	c := New(Config{
-		Topology: clos(2, 2, 2), Scheme: Presto, Seed: 21,
-		GRO: func(eng *sim.Engine, out gro.Output) gro.Handler { return gro.NewOfficial(eng, out) },
-	})
+	c := New(Config{Topology: clos(2, 2, 2), Scheme: "presto:gro=official", Seed: 21})
 	conn := c.Dial(0, 2)
 	conn.SetUnlimited(true)
 	// A competing flow creates the path-skew that reorders flowcells.
@@ -160,7 +156,7 @@ func TestOptimalBaselineBeatsNothing(t *testing.T) {
 }
 
 func TestPrestoOverTunnelMode(t *testing.T) {
-	c := New(Config{Topology: clos(4, 4, 1), Scheme: Presto, Seed: 31, TunnelMode: true})
+	c := New(Config{Topology: clos(4, 4, 1), Scheme: "presto:labels=tunnel", Seed: 31})
 	conn := c.Dial(0, 2)
 	conn.Write(4 << 20)
 	c.Eng.RunAll()
@@ -179,7 +175,7 @@ func TestPrestoOverTunnelMode(t *testing.T) {
 }
 
 func TestTunnelModeFailover(t *testing.T) {
-	c := New(Config{Topology: clos(2, 2, 1), Scheme: Presto, Seed: 32, TunnelMode: true})
+	c := New(Config{Topology: clos(2, 2, 1), Scheme: "presto:labels=tunnel", Seed: 32})
 	conn := c.Dial(0, 1)
 	conn.SetUnlimited(true)
 	c.Eng.Run(20 * sim.Millisecond)

@@ -49,7 +49,6 @@ type Conn struct {
 // scheme.
 func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 	conn := &Conn{c: c, Src: src, Dst: dst}
-	cfg := c.tcpConfig()
 	// Each endpoint runs on the engine of the host that owns it, so
 	// every endpoint's timers stay shard-local.
 	srcEng, dstEng := c.engOf(src), c.engOf(dst)
@@ -76,8 +75,8 @@ func (c *Cluster) Dial(src, dst packet.HostID) *Conn {
 			}
 			f.Src.Port = c.allocPort()
 		}
-		conn.fwd[i] = tcp.New(srcEng, f, srcVS, cfg)
-		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, cfg)
+		conn.fwd[i] = tcp.New(srcEng, f, srcVS, c.tcp)
+		conn.rev[i] = tcp.New(dstEng, f.Reverse(), dstVS, c.tcp)
 		conn.fwd[i].SetTracer(srcTr)
 		conn.rev[i].SetTracer(dstTr)
 		srcVS.Register(f, conn.fwd[i])

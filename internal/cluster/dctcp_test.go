@@ -5,7 +5,6 @@ import (
 
 	"presto/internal/fabric"
 	"presto/internal/sim"
-	"presto/internal/tcp"
 	"presto/internal/topo"
 )
 
@@ -17,9 +16,8 @@ import (
 func dctcpCluster(cc string, seed uint64) *Cluster {
 	return New(Config{
 		Topology: topo.TwoTierClos(2, 2, 2, 1, topo.LinkConfig{}),
-		Scheme:   Presto,
+		Scheme:   Presto + ":cc=" + Scheme(cc),
 		Seed:     seed,
-		TCP:      tcp.Config{CC: cc},
 		Fabric:   fabric.Config{ECNThresholdBytes: 200 * 1024},
 	})
 }

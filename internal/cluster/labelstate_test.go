@@ -11,6 +11,14 @@ import (
 	"presto/internal/topo"
 )
 
+// labelMode is sch with tunnel labels when tunnel is set.
+func labelMode(sch Scheme, tunnel bool) Scheme {
+	if tunnel {
+		return sch + ":labels=tunnel"
+	}
+	return sch
+}
+
 // labelStateHash digests everything the controller installs: every
 // switch's label table and tree count (node order, labels in
 // (kind, target, tree) order) and every vSwitch's mapping for every
@@ -133,7 +141,7 @@ func TestLabelStatePinned(t *testing.T) {
 				}
 				name := fmt.Sprintf("%s/%s/tunnel=%v", sh.name, sch, tunnel)
 				t.Run(name, func(t *testing.T) {
-					c := New(Config{Topology: sh.build(), Scheme: sch, Seed: 1, TunnelMode: tunnel})
+					c := New(Config{Topology: sh.build(), Scheme: labelMode(sch, tunnel), Seed: 1})
 					var got [2]string
 					got[0] = labelStateHash(t, c)
 					if lid, ok := firstFabricLink(c.Topo); ok {
@@ -164,7 +172,7 @@ func TestTunnelLabelsOnEveryShape(t *testing.T) {
 		delivered uint64
 	}
 	run := func(tp *topo.Topology, tunnel bool) outcome {
-		c := New(Config{Topology: tp, Scheme: Presto, Seed: 7, TunnelMode: tunnel})
+		c := New(Config{Topology: tp, Scheme: labelMode(Presto, tunnel), Seed: 7})
 		conn := c.Dial(0, packet.HostID(tp.NumHosts()-1)) // first pod to last
 		conn.SetUnlimited(true)
 		c.Run(20 * sim.Millisecond)

@@ -365,6 +365,9 @@ func (g *Presto) holdUntil(s *packet.Segment, e sim.Time) sim.Time {
 // Stats implements Handler.
 func (g *Presto) Stats() *Stats { return &g.stats }
 
+// Alpha returns the handler's α (PrestoConfig.Alpha).
+func (g *Presto) Alpha() float64 { return g.cfg.Alpha }
+
 // Flows returns the number of flows the handler keeps state for: those
 // that have sent data and have not aged out.
 func (g *Presto) Flows() int { return len(g.flows) }

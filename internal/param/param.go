@@ -6,6 +6,8 @@ package param
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -19,12 +21,14 @@ type Kind int
 
 // The kinds: a byte count (a plain integer, or KB/MB/GB binary
 // multiples: 64KB = 65536), a simulated duration in Go syntax
-// ("500us"), a floating-point value, and a plain integer.
+// ("500us"), a floating-point value, a plain integer, and one of a
+// listed set of names.
 const (
 	KindBytes Kind = iota
 	KindDuration
 	KindFloat
 	KindInt
+	KindEnum
 )
 
 // Param is one schema entry: name, type, default, and bounds.
@@ -36,15 +40,22 @@ type Param struct {
 	// durations); zero leaves that side unbounded, except that a byte
 	// count is never negative.
 	Min, Max float64
+	// Values are an enum's allowed names.
+	Values []string
 }
 
 // Parse converts a raw value to the param's native representation
-// (int, sim.Time or float64), enforcing bounds.
+// (int, sim.Time, float64 or an enum's string), enforcing bounds.
 func (p Param) Parse(raw string) (any, error) {
 	var v any
 	var n float64
 	var err error
 	switch p.Kind {
+	case KindEnum:
+		if !slices.Contains(p.Values, raw) {
+			return nil, fmt.Errorf("value %q is not one of %s", raw, strings.Join(p.Values, "|"))
+		}
+		return raw, nil
 	case KindBytes:
 		var b int
 		b, err = ParseBytes(raw)
@@ -66,16 +77,20 @@ func (p Param) Parse(raw string) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if (p.Min != 0 && n < p.Min) || (p.Max != 0 && n > p.Max) || (p.Kind == KindBytes && n < 0) {
+	if math.IsNaN(n) || (p.Min != 0 && n < p.Min) || (p.Max != 0 && n > p.Max) || (p.Kind == KindBytes && n < 0) {
 		return nil, fmt.Errorf("value %s out of range [%g, %g]", raw, p.Min, p.Max)
 	}
 	return v, nil
 }
 
-// format renders an int, byte-count or float value Parse returned in
-// its one spelling, which Parse reads back to the same value: byte
-// counts in the largest binary unit that divides them.
+// format renders a value Parse returned in its one spelling, which
+// Parse reads back to the same value: byte counts in the largest
+// binary unit that divides them, durations exactly (time.Duration's
+// spelling, "us" for "µs").
 func (p Param) format(v any) string {
+	if d, ok := v.(sim.Time); ok {
+		return strings.Replace(d.AsDuration().String(), "µs", "us", 1)
+	}
 	if b, ok := v.(int); ok && p.Kind == KindBytes && b != 0 {
 		for i, unit := range []string{"GB", "MB", "KB"} {
 			if size := 1 << (30 - 10*i); b%size == 0 {
@@ -102,7 +117,7 @@ func ParseBytes(s string) (int, error) {
 		t = t[:len(t)-1]
 	}
 	n, err := strconv.Atoi(strings.TrimSpace(t))
-	if err != nil {
+	if err != nil || n > math.MaxInt/mult || n < math.MinInt/mult {
 		return 0, fmt.Errorf("bad byte count %q", s)
 	}
 	return n * mult, nil
@@ -113,12 +128,13 @@ type Resolved struct {
 	vals map[string]any
 }
 
-// Bytes, Duration, Float and Int return the value of a param of
+// Bytes, Duration, Float, Int and Enum return the value of a param of
 // that kind.
 func (r Resolved) Bytes(name string) int         { return r.vals[name].(int) }
 func (r Resolved) Duration(name string) sim.Time { return r.vals[name].(sim.Time) }
 func (r Resolved) Float(name string) float64     { return r.vals[name].(float64) }
 func (r Resolved) Int(name string) int           { return r.vals[name].(int) }
+func (r Resolved) Enum(name string) string       { return r.vals[name].(string) }
 
 // Resolve validates raw values against schema and fills defaults;
 // entry names the spec's registry entry in errors ("scheme presto").
@@ -200,7 +216,6 @@ func Canonical(name string, params map[string]string) string {
 // Normal renders resolved values as the shortest Canonical spec: only
 // the values that differ from their defaults, each in its one
 // spelling, so every spelling of one configuration renders the same.
-// A duration has no such spelling here (sim.Time.String rounds).
 func Normal(name string, schema []Param, r Resolved) string {
 	set := map[string]string{}
 	for _, p := range schema {

@@ -15,7 +15,7 @@ package scheme
 
 import (
 	"fmt"
-	"strings"
+	"slices"
 
 	"presto/internal/packet"
 	"presto/internal/param"
@@ -24,7 +24,7 @@ import (
 	"presto/internal/vswitch"
 )
 
-// GRO is the receive-offload algorithm a scheme requires.
+// GRO is a receive-offload algorithm, the `gro` key's value.
 type GRO int
 
 const (
@@ -34,14 +34,14 @@ const (
 	// GROPresto: the scheme sprays below flow granularity, so receivers
 	// need the reorder-tolerant Presto GRO (Algorithm 2).
 	GROPresto
+	// GRONone disables receive offload (§2.2's no-GRO wall).
+	GRONone
 )
 
-func (g GRO) String() string {
-	if g == GROPresto {
-		return "presto"
-	}
-	return "official"
-}
+// groNames are the `gro` key's values, indexed by GRO.
+var groNames = []string{"official", "presto", "none"}
+
+func (g GRO) String() string { return groNames[g] }
 
 // Transport is the sender-stack configuration a scheme requires. The
 // zero value is the stack as configured: 64 KB TSO writes, one TCP
@@ -80,9 +80,10 @@ type Scheme struct {
 	// Name is the registry key: a spec's part before any ':'
 	// ("ecmp", "presto", ...).
 	Name string
-	// Params is the parameter schema; unknown keys are rejected.
+	// Params is the scheme's own parameter schema; every scheme also
+	// takes the shared keys gro, alpha, cc and labels.
 	Params []param.Param
-	// GRO is the required receiver offload.
+	// GRO is the required receiver offload, the `gro` key's default.
 	GRO GRO
 	// Transport derives the required sender-stack configuration from
 	// resolved params (nil = all defaults).
@@ -93,9 +94,26 @@ type Scheme struct {
 	New func(h Host, p param.Resolved) vswitch.Policy
 }
 
+// schema is the scheme's whole parameter schema: its own Params, then
+// the keys every scheme shares: the receivers' offload, Presto GRO's
+// α (Algorithm 2's hold scale, bounded by the ablation's sweep), the
+// congestion control, and per-host or per-leaf tunnel labels (§3.1).
+func (s *Scheme) schema() []param.Param {
+	return append(slices.Clip(s.Params),
+		param.Param{Name: "gro", Kind: param.KindEnum, Default: s.GRO.String(), Values: groNames},
+		param.Param{Name: "alpha", Kind: param.KindFloat, Default: "2", Min: 0.5, Max: 4},
+		param.Param{Name: "cc", Kind: param.KindEnum, Default: "cubic", Values: []string{"cubic", "reno", "dctcp"}},
+		param.Param{Name: "labels", Kind: param.KindEnum, Default: "per-host", Values: []string{"per-host", "tunnel"}})
+}
+
 // Resolve validates raw values against the schema and fills defaults.
+// An α is refused unless the receive offload is Presto GRO.
 func (s *Scheme) Resolve(values map[string]string) (param.Resolved, error) {
-	return param.Resolve("scheme "+s.Name, s.Params, values)
+	r, err := param.Resolve("scheme "+s.Name, s.schema(), values)
+	if _, set := values["alpha"]; set && err == nil && r.Enum("gro") != GROPresto.String() {
+		return param.Resolved{}, fmt.Errorf("scheme %s: param alpha: Presto GRO's α needs gro=presto, not gro=%s", s.Name, r.Enum("gro"))
+	}
+	return r, err
 }
 
 // TransportFor returns the scheme's transport requirements for
@@ -126,22 +144,34 @@ func Register(s *Scheme) {
 	registry[s.Name] = s
 }
 
-// Get returns the named scheme.
-func Get(name string) (*Scheme, error) {
-	s, ok := registry[name]
-	if !ok {
-		return nil, fmt.Errorf("unknown scheme %q (known: %s)", name, strings.Join(Names(), ", "))
-	}
-	return s, nil
-}
-
 // Names lists every registered scheme, sorted.
 func Names() []string { return param.Keys(registry) }
 
-// ParseSpec splits a "name" or "name:k=v,k=v" scheme spec into the
-// registry name and the raw values callers carry in configs, after
-// validating both against the registry (param.Lookup).
-func ParseSpec(spec string) (string, map[string]string, error) {
-	name, vals, _, err := param.Lookup("scheme", spec, registry, func(s *Scheme) []param.Param { return s.Params })
-	return name, vals, err
+// Spec is a scheme spec parsed against the registry: the scheme, the
+// values as given (nil: none) and their resolution.
+type Spec struct {
+	*Scheme
+	Values   map[string]string
+	Resolved param.Resolved
 }
+
+// ParseSpec parses and validates a "name" or "name:k=v,k=v" scheme
+// spec (param.Lookup).
+func ParseSpec(spec string) (Spec, error) {
+	name, vals, _, err := param.Lookup("scheme", spec, registry, (*Scheme).schema)
+	if err != nil {
+		return Spec{}, err
+	}
+	r, err := registry[name].Resolve(vals)
+	if err != nil {
+		return Spec{}, err
+	}
+	return Spec{registry[name], vals, r}, nil
+}
+
+// String renders the spec as given, keys sorted (param.Canonical).
+func (s Spec) String() string { return param.Canonical(s.Name, s.Values) }
+
+// Normal renders the spec in its one spelling (param.Normal), so
+// "presto:gro=presto,cell=64KB" is "presto".
+func (s Spec) Normal() string { return param.Normal(s.Name, s.schema(), s.Resolved) }

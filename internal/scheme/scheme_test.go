@@ -6,90 +6,85 @@ import (
 	"testing"
 
 	"presto/internal/packet"
+	"presto/internal/param"
 	"presto/internal/sim"
 	"presto/internal/vswitch"
 )
 
-func TestParseBytes(t *testing.T) {
-	cases := map[string]int{
-		"65536": 65536, "64KB": 64 << 10, "64kb": 64 << 10,
-		"1MB": 1 << 20, "2GB": 2 << 30, "128B": 128, " 16KB ": 16 << 10,
-	}
-	for in, want := range cases {
-		got, err := parseBytes(in)
-		if err != nil || got != want {
-			t.Errorf("parseBytes(%q) = %d, %v; want %d", in, got, err, want)
-		}
-	}
-	for _, bad := range []string{"", "KB", "12.5KB", "x"} {
-		if _, err := parseBytes(bad); err == nil {
-			t.Errorf("parseBytes(%q) accepted", bad)
-		}
-	}
-}
-
-func TestResolveDefaultsAndBounds(t *testing.T) {
-	s := &Scheme{
-		Name: "t",
-		Params: []Param{
-			{Name: "cell", Kind: KindBytes, Default: "64KB", Min: 1024, Max: 1 << 20},
-			{Name: "gap", Kind: KindDuration, Default: "500us", Min: 1000},
-			{Name: "frac", Kind: KindFloat, Default: "0.25", Min: 0.01, Max: 1},
-			{Name: "n", Kind: KindInt, Default: "8", Min: 1, Max: 64},
-		},
-	}
-	r, err := s.Resolve(nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Bytes("cell") != 64<<10 || r.Duration("gap") != 500*sim.Microsecond ||
-		r.Float("frac") != 0.25 || r.Int("n") != 8 {
-		t.Errorf("defaults wrong: %v %v %v %v", r.Bytes("cell"), r.Duration("gap"), r.Float("frac"), r.Int("n"))
-	}
-	r, err = s.Resolve(map[string]string{"cell": "16KB", "n": "2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Bytes("cell") != 16<<10 || r.Int("n") != 2 {
-		t.Error("overrides not applied")
-	}
-	// Out of bounds.
-	if _, err := s.Resolve(map[string]string{"cell": "512"}); err == nil {
-		t.Error("below-min value accepted")
-	}
-	if _, err := s.Resolve(map[string]string{"n": "65"}); err == nil {
-		t.Error("above-max value accepted")
-	}
-	// Unknown key.
-	if _, err := s.Resolve(map[string]string{"nope": "1"}); err == nil {
-		t.Error("unknown key accepted")
-	} else if !strings.Contains(err.Error(), "nope") {
-		t.Errorf("unknown-key error does not name the key: %v", err)
-	}
-}
-
+// TestParseSpecAndCanonical: ParseSpec validates a spec against the
+// registry; String renders it as given, keys sorted, and Normal in its
+// one spelling.
 func TestParseSpecAndCanonical(t *testing.T) {
-	name, vals, err := ParseSpec("presto")
-	if err != nil || name != "presto" || len(vals) != 0 {
-		t.Fatalf("ParseSpec(presto) = %q, %v, %v", name, vals, err)
+	s, err := ParseSpec("presto")
+	if err != nil || s.Name != "presto" || len(s.Values) != 0 || s.String() != "presto" {
+		t.Fatalf("ParseSpec(presto) = %v, %v, %v", s.Scheme, s.Values, err)
 	}
-	name, vals, err = ParseSpec("diffflow:threshold=512KB, cell=32KB")
-	if err != nil || name != "diffflow" {
-		t.Fatalf("ParseSpec(diffflow:...) = %q, %v", name, err)
+	s, err = ParseSpec("diffflow:threshold=512KB, cell=32KB")
+	if err != nil || s.Name != "diffflow" {
+		t.Fatalf("ParseSpec(diffflow:...) = %v, %v", s.Scheme, err)
 	}
-	if vals["threshold"] != "512KB" || vals["cell"] != "32KB" {
-		t.Errorf("params = %v", vals)
+	if s.Values["threshold"] != "512KB" || s.Values["cell"] != "32KB" {
+		t.Errorf("params = %v", s.Values)
 	}
-	if got := CanonicalSpec(name, vals); got != "diffflow:cell=32KB,threshold=512KB" {
-		t.Errorf("CanonicalSpec = %q", got)
-	}
-	if CanonicalSpec("ecmp", nil) != "ecmp" {
-		t.Error("CanonicalSpec without params should be the bare name")
+	for spec, want := range map[string][2]string{
+		"diffflow:threshold=512KB, cell=32KB": {"diffflow:cell=32KB,threshold=512KB", "diffflow:cell=32KB,threshold=512KB"},
+		"presto:cell=65536,gro=presto":        {"presto:cell=65536,gro=presto", "presto"},
+		"ecmp:gro=official,cc=cubic":          {"ecmp:cc=cubic,gro=official", "ecmp"},
+		"presto:alpha=2.0,labels=per-host":    {"presto:alpha=2.0,labels=per-host", "presto"},
+		"ecmp:gro=presto,alpha=0.50":          {"ecmp:alpha=0.50,gro=presto", "ecmp:alpha=0.5,gro=presto"},
+		"flowlet:gap=0.1ms":                   {"flowlet:gap=0.1ms", "flowlet:gap=100us"},
+	} {
+		s, err := ParseSpec(spec)
+		if got := [2]string{s.String(), s.Normal()}; err != nil || got != want {
+			t.Errorf("ParseSpec(%q) renders %q, %v; want %q", spec, got, err, want)
+		}
 	}
 	// Bad specs are rejected with validation.
 	for _, bad := range []string{"nosuch", "presto:bogus=1", "presto:cell", "flowlet:gap=zzz", "presto:cell=4GB"} {
-		if _, _, err := ParseSpec(bad); err == nil {
+		if _, err := ParseSpec(bad); err == nil {
 			t.Errorf("ParseSpec(%q) accepted", bad)
+		}
+	}
+}
+
+// TestSharedKeys: every scheme takes the four shared keys at exactly
+// their listed values, and refuses any other value with an error that
+// names the key. alpha is refused unless the resolved gro is presto.
+func TestSharedKeys(t *testing.T) {
+	accepted := map[string][]string{
+		"gro":    {"official", "presto", "none"},
+		"alpha":  {"0.5", "1", "2", "4"},
+		"cc":     {"cubic", "reno", "dctcp"},
+		"labels": {"per-host", "tunnel"},
+	}
+	refused := map[string][]string{
+		"gro":    {"", "Presto", "off"},
+		"alpha":  {"0.4", "4.5", "NaN", "two"},
+		"cc":     {"bbr", "CUBIC"},
+		"labels": {"host", "tunnels"},
+	}
+	for _, name := range Names() {
+		for key, values := range accepted {
+			for _, v := range values {
+				spec := name + ":" + key + "=" + v
+				if key == "alpha" {
+					spec += ",gro=presto"
+				}
+				if _, err := ParseSpec(spec); err != nil {
+					t.Errorf("%s refused: %v", spec, err)
+				}
+			}
+			for _, v := range refused[key] {
+				spec := name + ":gro=presto," + key + "=" + v
+				if _, err := ParseSpec(spec); err == nil || !strings.Contains(err.Error(), "param "+key) {
+					t.Errorf("%s: %v, want an error naming param %s", spec, err, key)
+				}
+			}
+		}
+	}
+	for _, bad := range []string{"ecmp:alpha=1", "presto:gro=official,alpha=2", "per-packet:gro=none,alpha=4"} {
+		if _, err := ParseSpec(bad); err == nil || !strings.Contains(err.Error(), "param alpha") {
+			t.Errorf("%s: %v, want an error naming param alpha", bad, err)
 		}
 	}
 }
@@ -103,7 +98,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 		"ecmp", "mptcp", "presto", "flowlet", "presto-ecmp", "per-packet",
 		"diffflow", "sprinklers", "rdna-balance", "spritz",
 	} {
-		if _, err := Get(want); err != nil {
+		if _, err := ParseSpec(want); err != nil {
 			t.Errorf("scheme %q missing from registry", want)
 		}
 	}
@@ -114,10 +109,7 @@ func TestNamesSortedAndComplete(t *testing.T) {
 // without consuming randomness unless it forks.
 func TestBuiltinsConstruct(t *testing.T) {
 	for _, name := range Names() {
-		s, err := Get(name)
-		if err != nil {
-			t.Fatal(err)
-		}
+		s := registry[name]
 		r, err := s.Resolve(nil)
 		if err != nil {
 			t.Fatalf("%s: resolve defaults: %v", name, err)
@@ -153,12 +145,12 @@ func TestRegisterPanics(t *testing.T) {
 		}()
 		Register(s)
 	}
-	newP := func(Host, Resolved) vswitch.Policy { return vswitch.NewPresto(packet.MaxSegSize) }
+	newP := func(Host, param.Resolved) vswitch.Policy { return vswitch.NewPresto(packet.MaxSegSize) }
 	mustPanic("no name", &Scheme{New: newP})
 	mustPanic("no constructor", &Scheme{Name: "x-no-new"})
 	mustPanic("duplicate", &Scheme{Name: "presto", New: newP})
 	mustPanic("bad default", &Scheme{
 		Name: "x-bad-default", New: newP,
-		Params: []Param{{Name: "cell", Kind: KindBytes, Default: "oops"}},
+		Params: []param.Param{{Name: "cell", Kind: param.KindBytes, Default: "oops"}},
 	})
 }

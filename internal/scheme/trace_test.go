@@ -20,22 +20,14 @@ func (c *sent) SendSegment(s *packet.Segment) { c.segs = append(c.segs, s) }
 // construct the policy through the registry, hand it to vswitch.New.
 func newEdge(t testing.TB, spec string) (*sim.Engine, *vswitch.VSwitch, *sent) {
 	t.Helper()
-	name, vals, err := ParseSpec(spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	def, err := Get(name)
-	if err != nil {
-		t.Fatal(err)
-	}
-	params, err := def.Resolve(vals)
+	s, err := ParseSpec(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	eng := sim.NewEngine()
 	out := &sent{}
 	rng := sim.NewRNG(42)
-	return eng, vswitch.New(eng, 0, out, def.New(Host{ID: 0, Fork: rng.Fork}, params)), out
+	return eng, vswitch.New(eng, 0, out, s.New(Host{ID: 0, Fork: rng.Fork}, s.Resolved)), out
 }
 
 func labels(dst packet.HostID, trees ...int) []packet.MAC {

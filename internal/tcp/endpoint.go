@@ -209,6 +209,10 @@ func (e *Endpoint) SetCwnd(w float64) {
 // SRTT returns the smoothed RTT estimate (0 before the first sample).
 func (e *Endpoint) SRTT() sim.Time { return e.srtt }
 
+// CC returns the congestion control the endpoint was configured with
+// (Config.CC, after defaults).
+func (e *Endpoint) CC() string { return e.cfg.CC }
+
 // SetCongestionControl swaps the congestion controller (used by MPTCP
 // to couple subflows). Call before any data is in flight.
 func (e *Endpoint) SetCongestionControl(cc CongestionControl) { e.cc = cc }

@@ -14,10 +14,10 @@ package presto
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"presto/internal/campaign"
-	"presto/internal/param"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -60,16 +60,16 @@ func lookupScheme(s string) (lineupRow, error) {
 			return r, nil
 		}
 	}
-	name, params, err := scheme.ParseSpec(s)
+	spec, err := scheme.ParseSpec(s)
 	if err == nil {
-		spec := param.Canonical(name, params)
-		return lineupRow{name: spec, display: spec, spec: spec}, nil
+		canon := spec.String()
+		return lineupRow{name: canon, display: canon, spec: canon}, nil
 	}
 	// A known scheme with bad params gets the registry's own error
 	// (which names the offending key/bound); only an unrecognized
 	// name gets the full lineup listing.
-	name, _, _ = strings.Cut(s, ":")
-	if _, getErr := scheme.Get(strings.TrimSpace(name)); getErr == nil {
+	name, _, _ := strings.Cut(s, ":")
+	if slices.Contains(scheme.Names(), strings.TrimSpace(name)) {
 		return lineupRow{}, err
 	}
 	return lineupRow{}, fmt.Errorf("unknown system %q (paper systems: ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet; or any scheme spec: %s)",

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"presto/internal/campaign"
+	"presto/internal/scheme"
 	"presto/internal/topo"
 )
 
@@ -34,9 +35,9 @@ func tableCells(t testing.TB, podTopos ...string) []Cell {
 }
 
 // TestCellIDsIdentifyCells requires a cell ID to name one cell: two
-// cells that share an ID must run the same scheme spec on the same
-// canonical fabric under the same workload. Its podtraffic leg is two
-// pod fabrics that differ only in hosts per leaf.
+// cells that share an ID must run the same normal scheme spec on the
+// same canonical fabric under the same workload. Its podtraffic leg is
+// two pod fabrics that differ only in hosts per leaf.
 func TestCellIDsIdentifyCells(t *testing.T) {
 	type identity struct {
 		scheme, topology, workload string
@@ -48,7 +49,11 @@ func TestCellIDsIdentifyCells(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
-		id := identity{c.Scheme, ts.String(), c.Workload.Hash(), c.optimal}
+		sch, err := scheme.ParseSpec(c.Scheme)
+		if err != nil {
+			t.Fatalf("%s: %v", c.ID, err)
+		}
+		id := identity{sch.Normal(), ts.String(), c.Workload.Hash(), c.optimal}
 		if prev, ok := seen[c.ID]; ok && prev != id {
 			t.Errorf("cell ID %s names two cells:\n  %+v\n  %+v", c.ID, prev, id)
 		}
