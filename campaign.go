@@ -259,13 +259,23 @@ func selectCells(req campaign.Request, spec *campaign.Spec) (cells []Cell, err e
 }
 
 // lookupSchemes resolves a comma-separated scheme list through
-// lookupScheme; "" in, nil out.
+// lookupScheme; "" in, nil out. An element with "=" but no ":" is a
+// further key of the spec before it, so "ecmp:gro=presto,alpha=1,presto"
+// is two schemes.
 func lookupSchemes(list string) ([]lineupRow, error) {
-	var systems []lineupRow
+	var specs []string
 	for _, s := range strings.Split(list, ",") {
 		if s = strings.TrimSpace(s); s == "" {
 			continue
 		}
+		if n := len(specs); n > 0 && strings.Contains(s, "=") && !strings.Contains(s, ":") {
+			specs[n-1] += "," + s
+			continue
+		}
+		specs = append(specs, s)
+	}
+	var systems []lineupRow
+	for _, s := range specs {
 		sys, err := lookupScheme(s)
 		if err != nil {
 			return nil, err

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -190,6 +191,47 @@ func TestOneSchemeNameTable(t *testing.T) {
 	_, err = Campaign(campaign.Request{Workload: json.RawMessage(`"elephants"`), Scheme: "nosuch"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "flowlet100") {
 		t.Errorf("unknown system error = %v, want the lineup listing", err)
+	}
+}
+
+// TestMultiKeySchemeLists: a scheme spec with two keys crosses every
+// door whole. In a scheme list, an element with "=" but no ":"
+// continues the spec before it, so flags and a prestod request build
+// the same cells and spec hash; a leading key with no scheme stays an
+// error.
+func TestMultiKeySchemeLists(t *testing.T) {
+	for list, want := range map[string][]string{
+		"diffflow:cell=32KB,threshold=512KB": {"workload-spec/wl=elephants/sys=diffflow:cell=32KB,threshold=512KB"},
+		"ecmp:gro=presto,alpha=1,presto":     {"workload-spec/wl=elephants/sys=ecmp:alpha=1,gro=presto", "workload-spec/wl=elephants/sys=Presto"},
+	} {
+		var flags, wire campaign.Request
+		fs := flag.NewFlagSet("experiments", flag.ContinueOnError)
+		flags.Bind(fs)
+		if err := fs.Parse([]string{"-workload", "elephants", "-scheme", list}); err != nil {
+			t.Fatal(err)
+		}
+		if err := json.Unmarshal([]byte(`{"workload": "elephants", "scheme": "`+list+`"}`), &wire); err != nil {
+			t.Fatal(err)
+		}
+		fromFlags, err := Campaign(flags, nil)
+		if err != nil {
+			t.Fatalf("flags, %s: %v", list, err)
+		}
+		fromWire, err := Campaign(wire, nil)
+		if err != nil {
+			t.Fatalf("JSON, %s: %v", list, err)
+		}
+		var ids []string
+		for _, c := range fromFlags.Cells {
+			ids = append(ids, c.ID)
+		}
+		if fmt.Sprint(ids) != fmt.Sprint(want) || fromFlags.Hash() != fromWire.Hash() {
+			t.Errorf("%s: flags → %v (%s), JSON hash %s; want cells %v", list, ids, fromFlags.Hash(), fromWire.Hash(), want)
+		}
+	}
+	_, err := Campaign(campaign.Request{Workload: json.RawMessage(`"elephants"`), Scheme: "threshold=512KB,presto"}, nil)
+	if err == nil || !strings.Contains(err.Error(), `unknown system "threshold=512KB"`) {
+		t.Errorf("leading key: err = %v, want unknown system", err)
 	}
 }
 

@@ -1,20 +1,19 @@
 // Command capture runs a workload and records every flow start into a
-// replayable flow log — the presto-workload/1 trace format that a
-// spec's trace source (or the `trace` preset) feeds back through the
-// generator, closing the capture→replay loop used by
-// examples/tracedriven. With -out it also captures every packet
+// replayable presto-workload/1 spec: one trace client whose inline
+// flow starts the generator feeds back verbatim, so the spec's hash
+// covers the recorded traffic. With -out it also captures every packet
 // arriving at one receiver (host 2) into a classic pcap file, openable
 // in tcpdump/Wireshark, with flowcell IDs in TCP option 253.
 //
-//	capture -flows flows.csv                          # record mice-heavy flow starts
-//	capture -workload incast32 -flows flows.jsonl
+//	capture -flows r.json                             # record mice-heavy flow starts
+//	experiments -workload r.json                      # replay them
+//	capture -workload incast32 -flows r.json
 //	capture -system flowlet100 -out /tmp/presto.pcap
 //
-// The flow-log encoding follows the -flows extension: .jsonl writes
-// JSON Lines, anything else CSV. Times are normalized so the first
-// flow starts at 0; replay it with a spec whose trace.path points at
-// the file. The paper's reordering and flowlet numbers come from the
-// simulator itself (experiments -run fig1,fig5), not from the pcap.
+// The replay spec is named <workload>-replay, and its times are
+// normalized so the first flow starts at 0. The paper's reordering and
+// flowlet numbers come from the simulator itself (experiments -run
+// fig1,fig5), not from the pcap.
 package main
 
 import (
@@ -23,7 +22,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"strings"
 
 	"presto"
 	"presto/internal/campaign"
@@ -53,7 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&req.Scheme, "system", req.Scheme, "ecmp | mptcp | presto | optimal | flowlet100 | flowlet500 | presto-ecmp | per-packet, or a scheme registry spec")
 	fs.Var(req.WorkloadFlag(), "workload", "workload-spec preset name or spec.json path to drive the capture")
 	var (
-		flows = fs.String("flows", "capture.flows.csv", "replayable flow-start log output (.jsonl → JSONL, else CSV; empty = skip)")
+		flows = fs.String("flows", "capture.replay.json", "replay spec output: the recorded flow starts as a workload spec (empty = skip)")
 		out   = fs.String("out", "", "pcap output path (empty = skip packet capture)")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -115,10 +113,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if *flows != "" {
-		if err := writeFlowLog(*flows, starts); err != nil {
+		replay, err := writeReplay(*flows, ws.Name, starts)
+		if err != nil {
 			return fail(1, err)
 		}
-		fmt.Fprintf(stdout, "wrote %d flow starts to %s (replay with a spec trace source)\n", len(starts), *flows)
+		fmt.Fprintf(stdout, "wrote %d flow starts to %s (spec %s; replay with experiments -workload %s)\n", len(starts), *flows, replay.Hash(), *flows)
 	}
 	if pcap != nil {
 		if err := pcapFile.Close(); err != nil {
@@ -129,22 +128,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeFlowLog writes the recorded starts, normalized so the first
-// flow is at t=0 (replay re-anchors at the trace client's window
-// start anyway), choosing the encoding by file extension.
-func writeFlowLog(path string, starts []wspec.FlowStart) error {
+// writeReplay writes the recorded starts as the canonical JSON of a
+// <name>-replay spec with one trace client, normalized so the first
+// flow is at t=0 (replay re-anchors at run start anyway).
+func writeReplay(path, name string, starts []wspec.FlowStart) (*wspec.Spec, error) {
 	if len(starts) == 0 {
-		return fmt.Errorf("no flow starts recorded; nothing to write to %s", path)
+		return nil, fmt.Errorf("no flow starts recorded; nothing to write to %s", path)
 	}
 	base := starts[0].At
-	out := make([]wspec.FlowStart, len(starts))
-	for i, f := range starts {
-		f.At -= base
-		out[i] = f
+	for i := range starts {
+		starts[i].At -= base
 	}
-	write := wspec.WriteFlowLogCSV
-	if strings.HasSuffix(path, ".jsonl") {
-		write = wspec.WriteFlowLogJSONL
+	replay := &wspec.Spec{
+		Version: wspec.Version,
+		Name:    name + "-replay",
+		Clients: []wspec.Client{{ID: "replay", Trace: &wspec.TraceSource{Inline: starts}}},
 	}
-	return telemetry.WriteFile(path, func(w io.Writer) error { return write(w, out) })
+	return replay, telemetry.WriteFile(path, func(w io.Writer) error {
+		_, err := w.Write(replay.Canonical())
+		return err
+	})
 }

@@ -15,13 +15,16 @@ import (
 )
 
 // TestCaptureReplays closes the capture→replay loop: record mice-heavy
-// into a flow log (both encodings), then feed the log back through a
-// spec trace source and check every recorded flow starts again.
+// into a replay spec, load that spec like any workload file, and check
+// every recorded flow starts again. The spec's hash covers the flows:
+// a capture under another seed records other traffic and gets another
+// hash.
 func TestCaptureReplays(t *testing.T) {
-	for _, ext := range []string{"csv", "jsonl"} {
-		flows := filepath.Join(t.TempDir(), "flows."+ext)
+	capture := func(seed string) (*wspec.Spec, int) {
+		t.Helper()
+		path := filepath.Join(t.TempDir(), "r.json")
 		var stdout, stderr bytes.Buffer
-		code := run([]string{"-workload", "mice-heavy", "-system", "flowlet100", "-seed", "3", "-duration", "10ms", "-flows", flows}, &stdout, &stderr)
+		code := run([]string{"-workload", "mice-heavy", "-system", "flowlet100", "-seed", seed, "-duration", "10ms", "-flows", path}, &stdout, &stderr)
 		if code != 0 {
 			t.Fatalf("capture exited %d:\n%s", code, stderr.String())
 		}
@@ -29,26 +32,35 @@ func TestCaptureReplays(t *testing.T) {
 			t.Errorf("header missing the workload, system or window:\n%s", stdout.String())
 		}
 		var recorded int
+		var hash string
 		_, tail, _ := strings.Cut(stdout.String(), "wrote ")
-		if _, err := fmt.Sscanf(tail, "%d flow starts", &recorded); err != nil || recorded < 5 {
-			t.Fatalf("no flow-start count in output (%v):\n%s", err, stdout.String())
+		if _, err := fmt.Sscanf(tail, "%d flow starts to "+path+" (spec %16s", &recorded, &hash); err != nil || recorded < 5 {
+			t.Fatalf("no flow-start count and spec hash in output (%v):\n%s", err, stdout.String())
 		}
+		ws, err := wspec.Load(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ws.Name != "mice-heavy-replay" || ws.Hash() != hash {
+			t.Errorf("replay spec %q hashes to %s; capture printed %s", ws.Name, ws.Hash(), hash)
+		}
+		return ws, recorded
+	}
 
-		ws, err := wspec.Parse([]byte(fmt.Sprintf(
-			`{"version": %q, "name": "replay", "clients": [{"id": "replay", "trace": {"path": %q}}]}`, wspec.Version, flows)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := cluster.New(cluster.Config{Topology: topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{}), Seed: 1, Scheme: "presto"})
-		g, err := wspec.Compile(ws, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g.Start(20 * sim.Millisecond)
-		c.Eng.Run(20 * sim.Millisecond)
-		if res := g.Results(c.Eng.Now()); len(res) != 1 || res[0].Started != recorded || res[0].Finished == 0 {
-			t.Errorf("%s replay: %+v, capture recorded %d flow starts", ext, res, recorded)
-		}
+	ws, recorded := capture("3")
+	c := cluster.New(cluster.Config{Topology: topo.TwoTierClos(4, 4, 4, 1, topo.LinkConfig{}), Seed: 1, Scheme: "presto"})
+	g, err := wspec.Compile(ws, c, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g.Start(20 * sim.Millisecond)
+	c.Eng.Run(20 * sim.Millisecond)
+	if res := g.Results(c.Eng.Now()); len(res) != 1 || res[0].Started != recorded || res[0].Finished == 0 {
+		t.Errorf("replay: %+v, capture recorded %d flow starts", res, recorded)
+	}
+
+	if other, _ := capture("4"); other.Hash() == ws.Hash() {
+		t.Errorf("captures under seeds 3 and 4 share workload hash %s", ws.Hash())
 	}
 }
 

@@ -6,8 +6,8 @@
 //
 // The same spec drives every front-end (`experiments -workload
 // mice-heavy` or the file's path, a prestod job), and cmd/capture
-// can record any run into a flow log that a spec trace source
-// replays bit-exactly.
+// can record any run as a replay spec whose trace client starts the
+// same flows again.
 //
 //	go run ./examples/tracedriven       # from the repository root
 package main

@@ -13,7 +13,7 @@ import (
 
 // Generator is a compiled workload spec bound to a cluster: an
 // event-driven traffic source whose every random draw comes from
-// per-client RNG streams derived from (run seed, spec seed, client),
+// per-client RNG streams derived from (run seed, client),
 // so the generated event sequence is a pure function of spec + seed —
 // independent of campaign parallelism or event interleaving elsewhere
 // in the run.
@@ -23,7 +23,7 @@ type Generator struct {
 
 	// OnFlowStart, when set before Start, observes every sized flow
 	// the generator opens (FlowStart.At is absolute simulation time).
-	// cmd/capture uses it to emit replayable flow logs.
+	// cmd/capture uses it to write a run's traffic as a replay spec.
 	OnFlowStart func(FlowStart)
 	// OnFlowDone, while set, observes every sized flow as it completes,
 	// immediately before the flow's connection closes — the hook
@@ -35,6 +35,8 @@ type Generator struct {
 	n       int // server count, fixed at Compile
 	clients []*clientRun
 	started bool
+	// stop is when traffic stops (set by Start).
+	stop sim.Time
 }
 
 // FlowDone describes one completed sized flow.
@@ -82,25 +84,18 @@ type clientRun struct {
 	pairs [][2]packet.HostID
 	// queue holds, per shuffle source, the destinations not yet started.
 	queue [][]packet.HostID
-	// stop is when the client's window closes (set by Start).
-	stop sim.Time
 	// remotes are the north-south destinations.
 	remotes []packet.HostID
-	// trace holds the resolved flow-start log for trace clients.
-	trace []FlowStart
-	// rate is the resolved arrival rate in flows/sec.
-	rate float64
 }
 
-// clientStream derives the client's RNG seed by mixing the run seed,
-// the spec seed, and the client's identity. Hashing the ID (not just
-// the index) means reordering unrelated clients in a spec does not
-// silently reshuffle a client's stream.
-func clientStream(runSeed, specSeed uint64, idx int, id string) *sim.RNG {
+// clientStream derives the client's RNG seed by mixing the run seed
+// and the client's identity. Hashing the ID (not just the index) means
+// reordering unrelated clients in a spec does not silently reshuffle a
+// client's stream.
+func clientStream(runSeed uint64, idx int, id string) *sim.RNG {
 	h := fnv.New64a()
 	h.Write([]byte(id)) //prestolint:allow errdrop -- hash.Hash.Write is documented to never return an error
 	mixed := runSeed
-	mixed ^= specSeed * 0x9e3779b97f4a7c15
 	mixed ^= uint64(idx+1) * 0xbf58476d1ce4e5b9
 	mixed ^= h.Sum64()
 	return sim.NewRNG(mixed)
@@ -174,29 +169,22 @@ func Compile(ws *Spec, c *cluster.Cluster, seed uint64) (*Generator, error) {
 		cfg := &ws.Clients[i]
 		cr := &clientRun{
 			cfg: cfg,
-			rng: clientStream(seed, ws.Seed, i, cfg.ID),
+			rng: clientStream(seed, i, cfg.ID),
 			res: ClientResult{ID: cfg.ID, FCT: &metrics.Dist{}},
 		}
 		path := fmt.Sprintf("clients[%d]", i)
-		if c.Shards() > 1 && (cfg.Arrival.Process != ProcOnce || cfg.Size.Kind != SizeUnlimited || cfg.Start != 0) {
-			return nil, fmt.Errorf("%s.arrival.process: only once clients with unlimited size and no start offset run on a sharded cluster (%d shards)", path, c.Shards())
+		if c.Shards() > 1 && (cfg.Arrival.Process != ProcOnce || cfg.Size.Kind != SizeUnlimited) {
+			return nil, fmt.Errorf("%s.arrival.process: only once clients with unlimited size run on a sharded cluster (%d shards)", path, c.Shards())
 		}
-		if cfg.Trace != nil {
-			flows, err := resolveTrace(cfg.Trace, c.Topo.NumHosts())
-			if err != nil {
-				return nil, fmt.Errorf("%s.trace: %w", path, err)
-			}
-			cr.trace = flows
-		} else {
+		if cfg.Trace == nil {
 			if err := compileSelect(cr, c, n, path); err != nil {
 				return nil, err
 			}
-			cr.rate = cfg.Rate
-			if cr.rate == 0 {
-				cr.rate = cfg.RateFraction * ws.AggregateRate
-			}
-			if cfg.Arrival.Process != ProcOnce && cr.rate <= 0 {
-				return nil, fmt.Errorf("%s: resolved arrival rate is 0", path)
+		} else {
+			for j, f := range cfg.Trace.Inline {
+				if f.Src >= c.Topo.NumHosts() || f.Dst >= c.Topo.NumHosts() {
+					return nil, fmt.Errorf("%s.trace.inline[%d]: host (%d, %d) out of range (topology has %d hosts)", path, j, f.Src, f.Dst, c.Topo.NumHosts())
+				}
 			}
 		}
 		g.clients = append(g.clients, cr)
@@ -227,7 +215,7 @@ func compileSelect(cr *clientRun, c *cluster.Cluster, n int, path string) error 
 			k = n / 2
 		}
 		for i := 0; i < n; i++ {
-			d := (i + k) % n
+			d := (i + k%n) % n
 			if d == i {
 				continue
 			}
@@ -341,77 +329,30 @@ func crossPodPermutation(c *cluster.Cluster, rng *sim.RNG, n int) []int {
 	return rotation(1)
 }
 
-// resolveTrace loads and bounds-checks a trace source.
-func resolveTrace(t *TraceSource, numHosts int) ([]FlowStart, error) {
-	flows := t.Inline
-	if t.Path != "" {
-		var err error
-		flows, err = ParseFlowLog(t.Path)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if len(flows) == 0 {
-		return nil, fmt.Errorf("trace has no flows")
-	}
-	scale := t.TimeScale
-	if scale == 0 {
-		scale = 1
-	}
-	out := make([]FlowStart, len(flows))
-	prev := Duration(-1)
-	for i, f := range flows {
-		if f.Src >= numHosts || f.Dst >= numHosts {
-			return nil, fmt.Errorf("flow %d: host (%d, %d) out of range (topology has %d hosts)", i, f.Src, f.Dst, numHosts)
-		}
-		f.At = Duration(float64(f.At) * scale)
-		if f.At < prev {
-			return nil, fmt.Errorf("flow %d: timestamps must be non-decreasing", i)
-		}
-		prev = f.At
-		out[i] = f
-	}
-	return out, nil
-}
-
-// Start schedules every client's traffic, running until each client's
-// window closes or until, whichever is first. Call exactly once,
-// before the measurement run.
+// Start launches every client's traffic, which stops at the time until. Call
+// exactly once, before the measurement run.
 func (g *Generator) Start(until sim.Time) {
 	if g.started {
 		panic("spec: Generator.Start called twice")
 	}
 	g.started = true
-	base := g.c.Now()
-	for _, cr := range g.clients {
-		cr.stop = until
-		if cr.cfg.Stop != 0 && base+sim.Time(cr.cfg.Stop) < until {
-			cr.stop = base + sim.Time(cr.cfg.Stop)
-		}
-		if start := sim.Time(cr.cfg.Start); start == 0 {
-			g.launchClient(cr)
-		} else {
-			g.c.Eng.Schedule(start, func() { g.launchClient(cr) })
-		}
-	}
-}
-
-// launchClient starts one client's arrival loop at the current time.
-func (g *Generator) launchClient(cr *clientRun) {
-	if g.c.Now() >= cr.stop {
+	g.stop = until
+	if g.c.Now() >= until {
 		return
 	}
-	switch {
-	case cr.cfg.Trace != nil:
-		g.runTrace(cr, cr.stop)
-	case cr.cfg.Arrival.Process == ProcOnce:
-		g.runOnce(cr)
-	default:
-		g.runArrivals(cr, cr.stop)
+	for _, cr := range g.clients {
+		switch {
+		case cr.cfg.Trace != nil:
+			g.runTrace(cr)
+		case cr.cfg.Arrival.Process == ProcOnce:
+			g.runOnce(cr)
+		default:
+			g.runArrivals(cr)
+		}
 	}
 }
 
-// runOnce opens the client's flows at window start: unlimited flows
+// runOnce opens the client's flows at run start: unlimited flows
 // become throughput-tracked elephants (dialed without touching the
 // engine, so they also run on a sharded cluster); shuffle starts two
 // transfers per source; other sized flows open one per pair.
@@ -444,35 +385,31 @@ func (g *Generator) runOnce(cr *clientRun) {
 const shuffleInFlight = 2
 
 // nextTransfer starts src's next queued shuffle transfer, if any
-// remain and the client's window is still open.
+// remain and traffic has not stopped.
 func (g *Generator) nextTransfer(cr *clientRun, src packet.HostID) {
 	q := cr.queue[src]
-	if len(q) == 0 || g.c.Now() >= cr.stop {
+	if len(q) == 0 || g.c.Now() >= g.stop {
 		return
 	}
 	cr.queue[src] = q[1:]
 	g.openFlow(cr, src, q[0], cr.cfg.Size.Bytes)
 }
 
-// runArrivals drives a rate-based arrival process: each tick opens the
-// flows for one arrival, then schedules the next by the process's gap
-// distribution.
-func (g *Generator) runArrivals(cr *clientRun, stop sim.Time) {
-	mean := sim.Time(1e9 / cr.rate) // mean inter-arrival, ns
+// runArrivals drives a poisson arrival process: each tick opens the
+// flows for one arrival, then schedules the next after an exponential
+// gap.
+func (g *Generator) runArrivals(cr *clientRun) {
+	mean := sim.Time(1e9 / cr.cfg.Rate) // mean inter-arrival, ns
 	if mean <= 0 {
 		mean = sim.Microsecond
 	}
 	var tick func()
 	tick = func() {
-		if g.c.Eng.Now() >= stop {
+		if g.c.Eng.Now() >= g.stop {
 			return
 		}
 		g.arrive(cr)
-		gap := arrivalGap(&cr.cfg.Arrival, cr.rng, mean)
-		if cr.cfg.Arrival.Process == ProcOnOff {
-			gap = onOffShift(g.c.Eng.Now(), gap, &cr.cfg.Arrival)
-		}
-		g.c.Eng.Schedule(gap, tick)
+		g.c.Eng.Schedule(arrivalGap(cr.rng, mean), tick)
 	}
 	// Stagger the first arrival uniformly within one mean gap so
 	// clients don't synchronize at t=0.
@@ -526,16 +463,17 @@ func (g *Generator) arriveIncast(cr *clientRun, n int) {
 }
 
 // runTrace replays the client's recorded flow starts, optionally
-// looping until the window closes.
-func (g *Generator) runTrace(cr *clientRun, stop sim.Time) {
-	base := g.c.Eng.Now()
-	span := sim.Time(cr.trace[len(cr.trace)-1].At)
+// looping until traffic stops.
+func (g *Generator) runTrace(cr *clientRun) {
+	base, stop := g.c.Eng.Now(), g.stop
+	trace := cr.cfg.Trace.Inline
+	span := sim.Time(trace[len(trace)-1].At)
 	if span <= 0 {
 		span = sim.Millisecond
 	}
 	var lap func(offset sim.Time)
 	lap = func(offset sim.Time) {
-		for _, f := range cr.trace {
+		for _, f := range trace {
 			at := base + offset + sim.Time(f.At)
 			if at >= stop {
 				return
@@ -670,95 +608,14 @@ func sampleCDF(cdf []CDFPoint, u float64) float64 {
 	return cdf[len(cdf)-1].Bytes
 }
 
-// arrivalGap draws one inter-arrival gap for the process, floored at
-// 1µs so a heavy-tailed draw near zero cannot schedule an event storm.
-func arrivalGap(a *Arrival, rng *sim.RNG, mean sim.Time) sim.Time {
-	var gap float64
-	switch a.Process {
-	case ProcPoisson, ProcOnOff:
-		gap = float64(mean) * rng.ExpFloat64()
-	case ProcGamma:
-		cv := a.CV
-		if cv == 0 {
-			cv = 1
-		}
-		k := 1 / (cv * cv)
-		gap = float64(mean) / k * gammaSample(rng, k)
-	case ProcWeibull:
-		shape := a.Shape
-		if shape == 0 {
-			shape = 1
-		}
-		lambda := float64(mean) / math.Gamma(1+1/shape)
-		u := rng.Float64()
-		if u >= 1 {
-			u = 1 - 1e-16
-		}
-		gap = lambda * math.Pow(-math.Log(1-u), 1/shape)
-	default:
-		gap = float64(mean)
-	}
-	t := sim.Time(gap)
+// arrivalGap draws one exponential inter-arrival gap, floored at 1µs
+// so a draw near zero cannot schedule an event storm.
+func arrivalGap(rng *sim.RNG, mean sim.Time) sim.Time {
+	t := sim.Time(float64(mean) * rng.ExpFloat64())
 	if t < sim.Microsecond {
 		t = sim.Microsecond
 	}
 	return t
-}
-
-// gammaSample draws from Gamma(k, 1) via Marsaglia–Tsang. The
-// rejection loop is deterministic (same RNG stream → same draws) and
-// bounded; exhausting it falls back to the mean.
-func gammaSample(rng *sim.RNG, k float64) float64 {
-	if k < 1 {
-		u := rng.Float64()
-		if u < 1e-16 {
-			u = 1e-16
-		}
-		return gammaSample(rng, k+1) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3
-	c := 1 / math.Sqrt(9*d)
-	for i := 0; i < 100; i++ {
-		x := rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := rng.Float64()
-		if u < 1-0.0331*x*x*x*x || math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v
-		}
-	}
-	return k
-}
-
-// onOffShift maps a drawn gap through the client's on/off duty cycle:
-// time only accrues during on-windows, so an arrival whose gap crosses
-// the window boundary slides past the off period. Cycle phase is
-// anchored at t=0 of the run.
-func onOffShift(now sim.Time, gap sim.Time, a *Arrival) sim.Time {
-	on, off := sim.Time(a.On), sim.Time(a.Off)
-	period := on + off
-	t := now
-	remaining := gap
-	for remaining > 0 {
-		pos := t % period
-		if pos >= on {
-			// In an off-window: slide to the next on-window.
-			t += period - pos
-			continue
-		}
-		avail := on - pos
-		if remaining <= avail {
-			t += remaining
-			remaining = 0
-		} else {
-			t += avail
-			remaining -= avail
-		}
-	}
-	return t - now
 }
 
 // ResetBaseline restarts measurement at now: elephant throughput

@@ -2,6 +2,7 @@ package spec
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -145,12 +146,6 @@ func TestCompileSharded(t *testing.T) {
 			t.Errorf("%s on 2 shards: err = %v, want a %s error", tc.preset, err, tc.wantPath)
 		}
 	}
-	delayed := *ws
-	delayed.Clients = []Client{ws.Clients[0]}
-	delayed.Clients[0].Start = Duration(sim.Millisecond)
-	if _, err := Compile(&delayed, pods(2), 3); err == nil {
-		t.Error("a start offset schedules on the engine; accepted on 2 shards")
-	}
 }
 
 // TestGeneratorElephants pins the once+unlimited path: throughput and
@@ -226,44 +221,6 @@ func TestGeneratorTraceReplay(t *testing.T) {
 	}
 }
 
-// TestGeneratorWindows pins start/stop windows: a client stops opening
-// flows after its window closes.
-func TestGeneratorWindows(t *testing.T) {
-	ws := validSpec()
-	ws.Clients[0].Start = Duration(10 * sim.Millisecond)
-	ws.Clients[0].Stop = Duration(30 * sim.Millisecond)
-	g, c := compileRun(t, ws, 11, 100*sim.Millisecond)
-	r := g.Results(c.Eng.Now())[0]
-	// ~20 ms active at 1000 flows/s ≈ 20 arrivals.
-	if r.Started < 5 || r.Started > 60 {
-		t.Fatalf("windowed client started %d flows, want ~20", r.Started)
-	}
-}
-
-// TestGeneratorOnOff pins the duty-cycle process: arrivals only accrue
-// during on-windows, so an on-off client emits fewer flows than a
-// continuous one at the same rate.
-func TestGeneratorOnOff(t *testing.T) {
-	base := validSpec()
-	onoff := validSpec()
-	onoff.Clients[0].Arrival = Arrival{
-		Process: ProcOnOff,
-		On:      Duration(5 * sim.Millisecond),
-		Off:     Duration(15 * sim.Millisecond),
-	}
-	gB, cB := compileRun(t, base, 13, 100*sim.Millisecond)
-	gO, cO := compileRun(t, onoff, 13, 100*sim.Millisecond)
-	nB := gB.Results(cB.Eng.Now())[0].Started
-	nO := gO.Results(cO.Eng.Now())[0].Started
-	if nO == 0 {
-		t.Fatal("on-off client never fired")
-	}
-	// 25% duty cycle: expect roughly a quarter of the continuous count.
-	if nO*2 >= nB {
-		t.Fatalf("on-off started %d vs continuous %d; duty cycle not applied", nO, nB)
-	}
-}
-
 // TestGeneratorResetBaseline pins that warmup traffic clears.
 func TestGeneratorResetBaseline(t *testing.T) {
 	ws := validSpec()
@@ -322,6 +279,41 @@ func TestCompileTopologyChecks(t *testing.T) {
 	if _, err := Compile(ws, c, 1); err == nil {
 		t.Fatal("out-of-order trace accepted")
 	}
+
+	// A stride is taken mod the server count, so one near the int range
+	// neither overflows nor panics: it compiles with the pairs of
+	// stride mod n, or is refused with a field path when that is 0.
+	const huge = math.MaxInt64
+	n := serverCount(c)
+	for _, k := range []int{huge, huge - 1, huge - 3} {
+		ws = validSpec()
+		ws.Clients[0] = Client{
+			ID:      "s",
+			Arrival: Arrival{Process: ProcOnce},
+			Size:    SizeDist{Kind: SizeUnlimited},
+			Select:  Select{Kind: SelStride, Stride: k},
+		}
+		g, err := Compile(ws, c, 1)
+		if k%n == 0 {
+			if err == nil || !strings.Contains(err.Error(), "clients[0].select.stride") {
+				t.Errorf("stride %d on %d servers: err = %v, want a clients[0].select.stride error", k, n, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("stride %d: %v", k, err)
+		}
+		want := validSpec()
+		want.Clients[0] = ws.Clients[0]
+		want.Clients[0].Select.Stride = k % n
+		w, err := Compile(want, testCluster(1), 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(g.clients[0].pairs) != fmt.Sprint(w.clients[0].pairs) {
+			t.Errorf("stride %d: pairs %v, want stride %d's %v", k, g.clients[0].pairs, k%n, w.clients[0].pairs)
+		}
+	}
 }
 
 // TestGeneratorNorthSouth pins the north-south path against a topology
@@ -347,32 +339,21 @@ func TestGeneratorNorthSouth(t *testing.T) {
 	}
 }
 
-// TestArrivalGapDistributions sanity-checks the gap samplers' means.
+// TestArrivalGapDistributions sanity-checks the gap sampler's mean.
 func TestArrivalGapDistributions(t *testing.T) {
 	mean := sim.Time(1 * sim.Millisecond)
-	for _, tc := range []struct {
-		name string
-		a    Arrival
-	}{
-		{"poisson", Arrival{Process: ProcPoisson}},
-		{"gamma cv2", Arrival{Process: ProcGamma, CV: 2}},
-		{"gamma cv0.5", Arrival{Process: ProcGamma, CV: 0.5}},
-		{"weibull heavy", Arrival{Process: ProcWeibull, Shape: 0.7}},
-		{"weibull regular", Arrival{Process: ProcWeibull, Shape: 2}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			rng := sim.NewRNG(99)
-			const n = 20000
-			sum := 0.0
-			for i := 0; i < n; i++ {
-				sum += float64(arrivalGap(&tc.a, rng, mean))
-			}
-			got := sum / n / float64(mean)
-			if got < 0.9 || got > 1.1 {
-				t.Fatalf("mean gap %.3f× the target", got)
-			}
-		})
-	}
+	t.Run("poisson", func(t *testing.T) {
+		rng := sim.NewRNG(99)
+		const n = 20000
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			sum += float64(arrivalGap(rng, mean))
+		}
+		got := sum / n / float64(mean)
+		if got < 0.9 || got > 1.1 {
+			t.Fatalf("mean gap %.3f× the target", got)
+		}
+	})
 }
 
 // TestSampleSizeBounds pins clamping and the empirical sampler.

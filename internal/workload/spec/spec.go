@@ -1,13 +1,12 @@
 // Package spec implements the declarative workload-spec language:
 // a versioned, stdlib-only JSON format ("presto-workload/1") that
 // turns "scenario" into data rather than code. A spec names a set of
-// clients, each with a traffic share, an arrival process (poisson,
-// gamma, weibull, on-off, or once), a flow-size distribution (fixed,
-// lognormal, pareto, empirical CDF, or unlimited), an optional
-// application-level response, a src/dst selection policy (pairs,
-// stride, random, bijection, incast, north-south, shuffle), and an
-// optional start/stop window — or a recorded trace of flow starts to
-// replay verbatim. Compile (generator.go) turns a validated spec
+// clients, each with an arrival rate and process (poisson or once), a
+// flow-size distribution (fixed, lognormal, pareto, empirical CDF, or
+// unlimited), an optional application-level response and a src/dst
+// selection policy (pairs, stride, random, bijection, incast,
+// north-south, shuffle) — or a recorded trace of flow starts to replay
+// verbatim. Compile (generator.go) turns a validated spec
 // into a deterministic event-driven generator on a cluster.Cluster:
 // every random draw comes from per-client RNG streams derived from the
 // run seed, so a spec + seed is byte-identical at any parallelism.
@@ -87,14 +86,6 @@ type Spec struct {
 	// Name labels the spec in campaign cell IDs and artifacts. Presets
 	// use their preset name; file-loaded specs default to "workload".
 	Name string `json:"name,omitempty"`
-	// Seed, when non-zero, is folded into every RNG stream derivation
-	// alongside the run seed, so two specs that differ only in Seed
-	// draw independent streams.
-	Seed uint64 `json:"seed,omitempty"`
-	// AggregateRate is the total flow arrival rate in flows/sec shared
-	// by clients via RateFraction. Clients with an explicit Rate ignore
-	// it.
-	AggregateRate float64 `json:"aggregate_rate,omitempty"`
 	// Clients are the traffic sources; at least one is required.
 	Clients []Client `json:"clients"`
 }
@@ -104,11 +95,8 @@ type Client struct {
 	// ID names the client in results and error messages; required and
 	// unique within the spec.
 	ID string `json:"id"`
-	// RateFraction is this client's share of AggregateRate. Fractions
-	// of all fraction-rated clients must sum to 1.
-	RateFraction float64 `json:"rate_fraction,omitempty"`
-	// Rate is an explicit arrival rate in flows/sec, overriding
-	// RateFraction × AggregateRate.
+	// Rate is the poisson arrival rate in flows/sec; once clients take
+	// none.
 	Rate float64 `json:"rate,omitempty"`
 	// Arrival is the arrival process; required unless Trace is set.
 	Arrival Arrival `json:"arrival"`
@@ -124,11 +112,7 @@ type Client struct {
 	// Select is the src/dst selection policy; required unless Trace is
 	// set.
 	Select Select `json:"select"`
-	// Start/Stop bound the client's active window relative to run
-	// start. Stop 0 means "until the run ends".
-	Start Duration `json:"start,omitempty"`
-	Stop  Duration `json:"stop,omitempty"`
-	// Trace, when set, replays a recorded flow-start log instead of
+	// Trace, when set, replays recorded flow starts instead of
 	// synthesizing traffic; Arrival/Size/Select must be absent.
 	Trace *TraceSource `json:"trace,omitempty"`
 }
@@ -136,30 +120,16 @@ type Client struct {
 // Arrival processes.
 const (
 	ProcPoisson = "poisson"
-	ProcGamma   = "gamma"
-	ProcWeibull = "weibull"
-	ProcOnOff   = "onoff"
 	ProcOnce    = "once"
 )
 
 // Arrival describes a client's flow inter-arrival process.
 type Arrival struct {
-	// Process is poisson | gamma | weibull | onoff | once.
+	// Process is poisson | once.
 	//
-	//   poisson  memoryless exponential gaps (steady traffic)
-	//   gamma    gamma-distributed gaps; CV > 1 is bursty, CV < 1 regular
-	//   weibull  weibull gaps with the given shape (shape < 1 heavy-tailed)
-	//   onoff    poisson arrivals gated by an on/off duty cycle
-	//   once     one flow per selected pair at window start (elephants)
+	//   poisson  memoryless exponential gaps at the client's rate
+	//   once     one flow per selected pair at run start (elephants)
 	Process string `json:"process"`
-	// CV is the coefficient of variation for gamma (default 1 =
-	// poisson-like).
-	CV float64 `json:"cv,omitempty"`
-	// Shape is the weibull shape parameter (default 1 = exponential).
-	Shape float64 `json:"shape,omitempty"`
-	// On/Off are the duty-cycle windows for onoff.
-	On  Duration `json:"on,omitempty"`
-	Off Duration `json:"off,omitempty"`
 }
 
 // Size distribution kinds.
@@ -242,21 +212,15 @@ type Select struct {
 	Pairs [][2]int `json:"pairs,omitempty"`
 }
 
-// TraceSource replays a recorded flow-start log.
+// TraceSource replays recorded flow starts. cmd/capture writes a
+// whole run's starts as a spec with one trace client, so the spec
+// (and its hash) carries the traffic itself.
 type TraceSource struct {
-	// Path is a CSV or JSONL flow-start log (see trace.go for the
-	// format); relative paths resolve against the loader's working
-	// directory.
-	Path string `json:"path,omitempty"`
-	// Inline embeds the flow starts directly in the spec (exactly one
-	// of Path/Inline must be set), which keeps specs self-contained for
-	// prestod submission.
+	// Inline holds the flow starts in non-decreasing time order;
+	// required.
 	Inline []FlowStart `json:"inline,omitempty"`
-	// TimeScale multiplies every recorded timestamp (0.5 replays twice
-	// as fast). Default 1.
-	TimeScale float64 `json:"time_scale,omitempty"`
-	// Loop restarts the trace from its beginning until the client's
-	// window closes, shifting timestamps by the trace span per lap.
+	// Loop restarts the trace from its beginning until the run ends,
+	// shifting timestamps by the trace span per lap.
 	Loop bool `json:"loop,omitempty"`
 }
 
@@ -369,15 +333,10 @@ func (s *Spec) Validate() error {
 	if s.Version != Version {
 		return badField("version", "got %q, want %q", s.Version, Version)
 	}
-	if err := finiteNonNeg("aggregate_rate", "rate", s.AggregateRate); err != nil {
-		return err
-	}
 	if len(s.Clients) == 0 {
 		return badField("clients", "at least one client is required")
 	}
 	seen := make(map[string]bool, len(s.Clients))
-	fracSum := 0.0
-	nFrac := 0
 	for i := range s.Clients {
 		c := &s.Clients[i]
 		path := fmt.Sprintf("clients[%d]", i)
@@ -388,32 +347,22 @@ func (s *Spec) Validate() error {
 			return badField(path+".id", "duplicate client id %q", c.ID)
 		}
 		seen[c.ID] = true
-		if err := c.validate(path, s); err != nil {
+		if err := c.validate(path); err != nil {
 			return err
 		}
-		if c.Trace == nil && c.Rate == 0 && c.Arrival.Process != ProcOnce {
-			fracSum += c.RateFraction
-			nFrac++
-		}
-	}
-	if nFrac > 0 && math.Abs(fracSum-1) > 1e-6 {
-		return badField("clients", "rate fractions sum to %g; must sum to 1", fracSum)
 	}
 	return nil
 }
 
 // validate checks one client.
-func (c *Client) validate(path string, s *Spec) error {
-	if c.Stop != 0 && c.Stop <= c.Start {
-		return badField(path+".stop", "stop %v <= start %v", sim.Time(c.Stop), sim.Time(c.Start))
-	}
+func (c *Client) validate(path string) error {
 	if c.Trace != nil {
 		if c.Arrival != (Arrival{}) || c.Size.Kind != "" || c.Select.Kind != "" {
 			return badField(path+".trace", "trace clients must not set arrival/size/select")
 		}
 		return c.Trace.validate(path + ".trace")
 	}
-	if err := c.validateRate(path, s); err != nil {
+	if err := c.validateRate(path); err != nil {
 		return err
 	}
 	if err := c.Arrival.validate(path + ".arrival"); err != nil {
@@ -452,61 +401,32 @@ func (c *Client) validate(path string, s *Spec) error {
 	return nil
 }
 
-// validateRate checks the client has exactly one usable rate source.
-func (c *Client) validateRate(path string, s *Spec) error {
+// validateRate checks that poisson clients have a rate and once
+// clients none.
+func (c *Client) validateRate(path string) error {
 	if err := finiteNonNeg(path+".rate", "rate", c.Rate); err != nil {
 		return err
 	}
-	if err := finiteNonNeg(path+".rate_fraction", "rate_fraction", c.RateFraction); err != nil {
-		return err
-	}
-	if c.RateFraction > 1 {
-		return badField(path+".rate_fraction", "got %g; must be in [0, 1]", c.RateFraction)
-	}
 	if c.Arrival.Process == ProcOnce {
-		if c.Rate != 0 || c.RateFraction != 0 {
+		if c.Rate != 0 {
 			return badField(path+".rate", "once clients take no rate")
 		}
 		return nil
 	}
-	if c.Rate > 0 && c.RateFraction > 0 {
-		return badField(path+".rate", "set rate or rate_fraction, not both")
-	}
 	if c.Rate == 0 {
-		if c.RateFraction == 0 {
-			return badField(path+".rate", "a rate is required: rate, or rate_fraction with aggregate_rate")
-		}
-		if s.AggregateRate <= 0 {
-			return badField(path+".rate_fraction", "rate_fraction needs a positive top-level aggregate_rate")
-		}
+		return badField(path+".rate", "a rate is required")
 	}
 	return nil
 }
 
 // validate checks an arrival process.
 func (a *Arrival) validate(path string) error {
-	for _, p := range []struct {
-		name string
-		v    float64
-	}{{"cv", a.CV}, {"shape", a.Shape}} {
-		if err := finiteNonNeg(path, p.name, p.v); err != nil {
-			return err
-		}
-	}
 	switch a.Process {
 	case ProcPoisson, ProcOnce:
-	case ProcGamma:
-		// CV 0 defaults to 1 at compile.
-	case ProcWeibull:
-		// Shape 0 defaults to 1 at compile.
-	case ProcOnOff:
-		if a.On <= 0 || a.Off <= 0 {
-			return badField(path+".on", "onoff needs positive on and off windows (got on=%v off=%v)", sim.Time(a.On), sim.Time(a.Off))
-		}
 	case "":
-		return badField(path+".process", "required (poisson, gamma, weibull, onoff, once)")
+		return badField(path+".process", "required (poisson, once)")
 	default:
-		return badField(path+".process", "unknown process %q (poisson, gamma, weibull, onoff, once)", a.Process)
+		return badField(path+".process", "unknown process %q (poisson, once)", a.Process)
 	}
 	return nil
 }
@@ -608,22 +528,22 @@ func (sel *Select) validate(path string) error {
 
 // validate checks a trace source.
 func (t *TraceSource) validate(path string) error {
-	if (t.Path == "") == (len(t.Inline) == 0) {
-		return badField(path, "exactly one of path or inline is required")
-	}
-	if err := finiteNonNeg(path+".time_scale", "time_scale", t.TimeScale); err != nil {
-		return err
+	if len(t.Inline) == 0 {
+		return badField(path+".inline", "at least one flow start is required")
 	}
 	for i, f := range t.Inline {
-		if err := validateFlowStart(fmt.Sprintf("%s.inline[%d]", path, i), f); err != nil {
+		fpath := fmt.Sprintf("%s.inline[%d]", path, i)
+		if err := validateFlowStart(fpath, f); err != nil {
 			return err
+		}
+		if i > 0 && f.At < t.Inline[i-1].At {
+			return badField(fpath+".at", "timestamps must be non-decreasing")
 		}
 	}
 	return nil
 }
 
-// validateFlowStart checks one recorded flow start (shared with the
-// flow-log readers).
+// validateFlowStart checks one recorded flow start.
 func validateFlowStart(path string, f FlowStart) error {
 	if f.At < 0 {
 		return badField(path+".at", "negative start time %v", sim.Time(f.At))

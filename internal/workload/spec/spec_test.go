@@ -7,20 +7,23 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"presto/internal/cluster"
+	"presto/internal/sim"
+	"presto/internal/topo"
 )
 
 // validSpec returns a minimal valid spec for mutation-based tests.
 func validSpec() *Spec {
 	return &Spec{
-		Version:       Version,
-		Name:          "test",
-		AggregateRate: 1000,
+		Version: Version,
+		Name:    "test",
 		Clients: []Client{{
-			ID:           "mice",
-			RateFraction: 1,
-			Arrival:      Arrival{Process: ProcPoisson},
-			Size:         SizeDist{Kind: SizeFixed, Bytes: 1000},
-			Select:       Select{Kind: SelRandom},
+			ID:      "mice",
+			Rate:    1000,
+			Arrival: Arrival{Process: ProcPoisson},
+			Size:    SizeDist{Kind: SizeFixed, Bytes: 1000},
+			Select:  Select{Kind: SelRandom},
 		}},
 	}
 }
@@ -45,19 +48,12 @@ func TestValidateRejections(t *testing.T) {
 		{"missing id", func(s *Spec) { s.Clients[0].ID = "" }, "clients[0].id"},
 		{"duplicate id", func(s *Spec) {
 			s.Clients = append(s.Clients, s.Clients[0])
-			s.Clients[0].RateFraction = 0.5
-			s.Clients[1].RateFraction = 0.5
 			s.Clients[1].ID = "mice"
 		}, "clients[1].id"},
 		{"unknown process", func(s *Spec) { s.Clients[0].Arrival.Process = "zeta" }, "clients[0].arrival.process"},
 		{"missing process", func(s *Spec) { s.Clients[0].Arrival.Process = "" }, "clients[0].arrival.process"},
-		{"fractions not summing", func(s *Spec) { s.Clients[0].RateFraction = 0.7 }, "rate fractions sum to 0.7"},
-		{"fraction above one", func(s *Spec) { s.Clients[0].RateFraction = 1.5 }, "clients[0].rate_fraction"},
-		{"fraction without aggregate", func(s *Spec) { s.AggregateRate = 0 }, "clients[0].rate_fraction"},
-		{"both rates", func(s *Spec) { s.Clients[0].Rate = 10 }, "clients[0].rate"},
-		{"no rate", func(s *Spec) { s.Clients[0].RateFraction = 0 }, "clients[0].rate"},
-		{"nan rate", func(s *Spec) { s.Clients[0].RateFraction = 0; s.Clients[0].Rate = math.NaN() }, "clients[0].rate"},
-		{"inf aggregate", func(s *Spec) { s.AggregateRate = math.Inf(1) }, "aggregate_rate"},
+		{"no rate", func(s *Spec) { s.Clients[0].Rate = 0 }, "clients[0].rate"},
+		{"nan rate", func(s *Spec) { s.Clients[0].Rate = math.NaN() }, "clients[0].rate"},
 		{"nan sigma", func(s *Spec) {
 			s.Clients[0].Size = SizeDist{Kind: SizeLognormal, MedianBytes: 1000, Sigma: math.NaN()}
 		}, "clients[0].size"},
@@ -100,24 +96,17 @@ func TestValidateRejections(t *testing.T) {
 		{"negative stride", func(s *Spec) {
 			s.Clients[0].Select = Select{Kind: SelStride, Stride: -1}
 		}, "clients[0].select.stride"},
-		{"onoff without windows", func(s *Spec) {
-			s.Clients[0].Arrival = Arrival{Process: ProcOnOff}
-		}, "clients[0].arrival.on"},
-		{"inverted window", func(s *Spec) {
-			s.Clients[0].Start = 100
-			s.Clients[0].Stop = 50
-		}, "clients[0].stop"},
 		{"unlimited without once", func(s *Spec) {
 			s.Clients[0].Size = SizeDist{Kind: SizeUnlimited}
 		}, "clients[0].size.kind"},
 		{"once with incast", func(s *Spec) {
-			s.Clients[0].RateFraction = 0
+			s.Clients[0].Rate = 0
 			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
 			s.Clients[0].Select = Select{Kind: SelIncast, FanIn: 4}
 		}, "clients[0].select.kind"},
 		{"negative response", func(s *Spec) { s.Clients[0].ResponseBytes = -1 }, "clients[0].response_bytes"},
 		{"response with unlimited", func(s *Spec) {
-			s.Clients[0].RateFraction = 0
+			s.Clients[0].Rate = 0
 			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
 			s.Clients[0].Size = SizeDist{Kind: SizeUnlimited}
 			s.Clients[0].Select = Select{Kind: SelStride}
@@ -127,7 +116,7 @@ func TestValidateRejections(t *testing.T) {
 			s.Clients[0].Select = Select{Kind: SelShuffle}
 		}, "clients[0].arrival.process"},
 		{"shuffle not fixed", func(s *Spec) {
-			s.Clients[0].RateFraction = 0
+			s.Clients[0].Rate = 0
 			s.Clients[0].Arrival = Arrival{Process: ProcOnce}
 			s.Clients[0].Size = SizeDist{Kind: SizeLognormal, MedianBytes: 1000, Sigma: 1}
 			s.Clients[0].Select = Select{Kind: SelShuffle}
@@ -141,13 +130,12 @@ func TestValidateRejections(t *testing.T) {
 		}, "clients[0].trace"},
 		{"trace neither source", func(s *Spec) {
 			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{}}
-		}, "clients[0].trace"},
-		{"trace both sources", func(s *Spec) {
+		}, "clients[0].trace.inline"},
+		{"trace negative at", func(s *Spec) {
 			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{
-				Path:   "x.csv",
-				Inline: []FlowStart{{Src: 0, Dst: 1, Bytes: 10}},
+				Inline: []FlowStart{{At: -5, Src: 0, Dst: 1, Bytes: 10}},
 			}}
-		}, "clients[0].trace"},
+		}, "clients[0].trace.inline[0].at"},
 		{"trace bad flow", func(s *Spec) {
 			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{
 				Inline: []FlowStart{{Src: 2, Dst: 2, Bytes: 10}},
@@ -158,6 +146,16 @@ func TestValidateRejections(t *testing.T) {
 				Inline: []FlowStart{{Src: 0, Dst: 1, Bytes: 0}},
 			}}
 		}, "clients[0].trace.inline[0].bytes"},
+		{"trace negative bytes", func(s *Spec) {
+			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{
+				Inline: []FlowStart{{Src: 0, Dst: 1, Bytes: 10}, {Src: 0, Dst: 1, Bytes: -1}},
+			}}
+		}, "clients[0].trace.inline[1].bytes"},
+		{"trace out of order", func(s *Spec) {
+			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{
+				Inline: []FlowStart{{At: 2, Src: 0, Dst: 1, Bytes: 10}, {At: 1, Src: 0, Dst: 1, Bytes: 10}},
+			}}
+		}, "clients[0].trace.inline[1].at"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -182,6 +180,40 @@ func TestParseStrict(t *testing.T) {
 	}
 	if _, err := Parse([]byte(`{not json`)); err == nil {
 		t.Fatal("syntax error accepted")
+	}
+}
+
+// TestParseRefusesRemovedKeys: the grammar holds only what some run
+// sets. Arrival processes other than poisson and once, their
+// parameters, client windows, spec seeds, rate fractions and trace
+// files are refused, each with an error that names it.
+func TestParseRefusesRemovedKeys(t *testing.T) {
+	client := func(fields string) string {
+		return `{"version":"presto-workload/1","clients":[{"id":"c",` + fields + `}]}`
+	}
+	const poisson = `"rate":100,"size":{"kind":"fixed","bytes":10},"select":{"kind":"random"},`
+	for _, tc := range []struct{ name, spec, want string }{
+		{"gamma", client(poisson + `"arrival":{"process":"gamma"}`), `"gamma"`},
+		{"weibull", client(poisson + `"arrival":{"process":"weibull"}`), `"weibull"`},
+		{"onoff", client(poisson + `"arrival":{"process":"onoff"}`), `"onoff"`},
+		{"cv", client(poisson + `"arrival":{"process":"poisson","cv":2}`), `"cv"`},
+		{"shape", client(poisson + `"arrival":{"process":"poisson","shape":2}`), `"shape"`},
+		{"on", client(poisson + `"arrival":{"process":"poisson","on":"1ms"}`), `"on"`},
+		{"off", client(poisson + `"arrival":{"process":"poisson","off":"1ms"}`), `"off"`},
+		{"start", client(poisson + `"arrival":{"process":"poisson"},"start":"1ms"`), `"start"`},
+		{"stop", client(poisson + `"arrival":{"process":"poisson"},"stop":"1ms"`), `"stop"`},
+		{"rate_fraction", client(poisson + `"arrival":{"process":"poisson"},"rate_fraction":1`), `"rate_fraction"`},
+		{"seed", `{"version":"presto-workload/1","seed":7,"clients":[]}`, `"seed"`},
+		{"aggregate_rate", `{"version":"presto-workload/1","aggregate_rate":100,"clients":[]}`, `"aggregate_rate"`},
+		{"path", client(`"trace":{"path":"flows.csv"}`), `"path"`},
+		{"time_scale", client(`"trace":{"inline":[{"at":"0s","src":0,"dst":1,"bytes":10}],"time_scale":2}`), `"time_scale"`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, err := Parse([]byte(tc.spec))
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Parse = %v, want an error naming %s", err, tc.want)
+			}
+		})
 	}
 }
 
@@ -240,15 +272,15 @@ func TestPresets(t *testing.T) {
 	}
 }
 
-// TestHashesPinned freezes the hashes of every spec that existed
-// before request/response, once+random and shuffle joined the
-// language: a new omitempty field must never silently re-key
-// artifacts. The benchmark's own spec files are pinned too, since the
-// benchmark records their hashes as provenance.
+// TestHashesPinned freezes the hashes of four presets: a new
+// omitempty field must never silently re-key artifacts. mice-heavy was
+// re-keyed once, when its rates went from fractions of an aggregate to
+// the same rates given directly. The benchmark's own spec files are
+// pinned too, since the benchmark records their hashes as provenance.
 func TestHashesPinned(t *testing.T) {
 	for name, want := range map[string]string{
 		"elephants":  "5984c5cc76cc6312",
-		"mice-heavy": "d3035f532357f264",
+		"mice-heavy": "e9c242d8ad28bb09",
 		"incast32":   "1900a6e43138f4c9",
 		"trace":      "8a33650d285fe89d",
 		"../../../benchmark/workloads/elephants-mice.json": "5338df448ad0a0c7",
@@ -334,4 +366,41 @@ func TestNeedsRemotes(t *testing.T) {
 	if !s.NeedsRemotes() {
 		t.Fatal("northsouth workload does not need remotes")
 	}
+}
+
+// FuzzWorkloadSpec feeds Parse any bytes: it must refuse them, or give
+// a spec whose canonical form parses back to the same hash and that
+// either Compile refuses on the 16-host testbed or runs for 200 µs
+// there (remote users attached when the spec needs them). Nothing may
+// panic. The corpus under testdata/fuzz/FuzzWorkloadSpec holds every
+// preset, the benchmark's workload files and a stride near the int
+// range.
+func FuzzWorkloadSpec(f *testing.F) {
+	ts, err := topo.ParseSpec("clos")
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		ws, err := Parse(data)
+		if err != nil {
+			return
+		}
+		back, err := Parse(ws.Canonical())
+		if err != nil || back.Hash() != ws.Hash() {
+			t.Fatalf("canonical form %s parses to %v, %v", ws.Canonical(), back, err)
+		}
+		tp := ts.Build()
+		if ws.NeedsRemotes() {
+			for _, s := range tp.Spines {
+				tp.AddSpineHost(s, 100e6, 5*sim.Microsecond)
+			}
+		}
+		c := cluster.New(cluster.Config{Topology: tp, Scheme: cluster.Presto, Seed: 1})
+		g, err := Compile(ws, c, 1)
+		if err != nil {
+			return
+		}
+		g.Start(200 * sim.Microsecond)
+		c.Run(200 * sim.Microsecond)
+	})
 }

@@ -241,7 +241,9 @@ func traceMixSizes(t *testing.T, n int) []int {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws.AggregateRate = 1e6 // arrivals every ~1 µs: sample sizes, not load
+	for i := range ws.Clients { // arrivals every ~1 µs: sample sizes, not load
+		ws.Clients[i].Rate *= 1e6 / 4000
+	}
 	c := testCluster(cluster.ECMP, 1)
 	_, flows := start(t, ws, c, sim.Second)
 	for len(*flows) < n {

@@ -3,6 +3,13 @@ package presto
 import (
 	"bytes"
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"path/filepath"
+	"reflect"
+	"strconv"
+	"strings"
 	"testing"
 
 	"presto/internal/campaign"
@@ -94,15 +101,14 @@ func TestSpecWorkloadHashInArtifacts(t *testing.T) {
 // moves traffic on the spine-attached 100 Mbps hosts.
 func TestRunSpecWorkloadNorthSouth(t *testing.T) {
 	ws := &wspec.Spec{
-		Version:       wspec.Version,
-		Name:          "ns-test",
-		AggregateRate: 500,
+		Version: wspec.Version,
+		Name:    "ns-test",
 		Clients: []wspec.Client{{
-			ID:           "ns",
-			RateFraction: 1,
-			Arrival:      wspec.Arrival{Process: wspec.ProcPoisson},
-			Size:         wspec.SizeDist{Kind: wspec.SizeFixed, Bytes: 20000},
-			Select:       wspec.Select{Kind: wspec.SelNorthSouth},
+			ID:      "ns",
+			Rate:    500,
+			Arrival: wspec.Arrival{Process: wspec.ProcPoisson},
+			Size:    wspec.SizeDist{Kind: wspec.SizeFixed, Bytes: 20000},
+			Select:  wspec.Select{Kind: wspec.SelNorthSouth},
 		}},
 	}
 	clients := runCell(t, specCell(paper("presto"), ws), Options{
@@ -112,5 +118,114 @@ func TestRunSpecWorkloadNorthSouth(t *testing.T) {
 	}).Clients
 	if len(clients) != 1 || clients[0].Finished == 0 {
 		t.Fatalf("north-south client finished no flows: %+v", clients)
+	}
+}
+
+// TestEverySpecKeyRuns keeps the workload grammar to the traffic some
+// run sends: every JSON key of presto-workload/1, and every arrival
+// process, size kind and selection kind, must be set by a spec that a
+// run uses — a preset, the workload of a cell of `-run all`, or a
+// benchmark workload file.
+func TestEverySpecKeyRuns(t *testing.T) {
+	var used []*wspec.Spec
+	for _, name := range wspec.PresetNames() {
+		used = append(used, preset(name))
+	}
+	for _, c := range tableCells(t) {
+		used = append(used, c.Workload)
+	}
+	files, err := filepath.Glob("benchmark/workloads/*.json")
+	if err != nil || len(files) == 0 {
+		t.Fatalf("benchmark workloads: %v, %v", files, err)
+	}
+	for _, f := range files {
+		ws, err := wspec.Load(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		used = append(used, ws)
+	}
+
+	// set holds every key path a used spec sets, and every value each
+	// kind-like path takes ("clients.size.kind=fixed").
+	set := map[string]bool{}
+	var walk func(path string, v any)
+	walk = func(path string, v any) {
+		switch v := v.(type) {
+		case map[string]any:
+			for k, child := range v {
+				set[path+k] = true
+				walk(path+k+".", child)
+			}
+		case []any:
+			for _, child := range v {
+				walk(path, child)
+			}
+		case string:
+			set[strings.TrimSuffix(path, ".")+"="+v] = true
+		}
+	}
+	for _, ws := range used {
+		var v any
+		if err := json.Unmarshal(ws.Canonical(), &v); err != nil {
+			t.Fatal(err)
+		}
+		walk("", v)
+	}
+
+	var keys func(path string, typ reflect.Type)
+	keys = func(path string, typ reflect.Type) {
+		for typ.Kind() == reflect.Pointer || typ.Kind() == reflect.Slice {
+			typ = typ.Elem()
+		}
+		if typ.Kind() != reflect.Struct {
+			return
+		}
+		for i := 0; i < typ.NumField(); i++ {
+			name, _, _ := strings.Cut(typ.Field(i).Tag.Get("json"), ",")
+			if !set[path+name] {
+				t.Errorf("key %s is set by no spec a run uses", path+name)
+			}
+			keys(path+name+".", typ.Field(i).Type)
+		}
+	}
+	keys("", reflect.TypeOf(wspec.Spec{}))
+
+	// The kinds are the spec package's Proc*, Size* and Sel* constants.
+	kinds := map[string]string{
+		"Proc": "clients.arrival.process",
+		"Size": "clients.size.kind",
+		"Sel":  "clients.select.kind",
+	}
+	file, err := parser.ParseFile(token.NewFileSet(), "internal/workload/spec/spec.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for _, decl := range file.Decls {
+		gen, ok := decl.(*ast.GenDecl)
+		if !ok || gen.Tok != token.CONST {
+			continue
+		}
+		for _, s := range gen.Specs {
+			vs := s.(*ast.ValueSpec)
+			for i, id := range vs.Names {
+				lit, ok := vs.Values[i].(*ast.BasicLit)
+				if !ok || lit.Kind != token.STRING {
+					continue
+				}
+				for prefix, path := range kinds {
+					if strings.HasPrefix(id.Name, prefix) {
+						n++
+						if v, _ := strconv.Unquote(lit.Value); !set[path+"="+v] {
+							t.Errorf("%s %s (%s) is set by no spec a run uses", path, v, id.Name)
+						}
+					}
+				}
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("found no Proc*, Size* or Sel* constants in the spec package")
 	}
 }
