@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"presto/internal/campaign"
-	"presto/internal/cluster"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/telemetry"
@@ -55,22 +54,24 @@ var experiments = []struct {
 		return fabricSweep("fig12", "flows", []int{2, 4, 8}, noOptimal, oversubFabric)
 	}},
 	{"fig13", "Flowlet switching vs Presto (stride)", func() []Cell {
-		return presetSweep("fig13", []string{"stride"}, []string{"flowlet100", "flowlet500", "presto"}, 0)
+		return presetSweep("fig13", []string{"stride"}, []string{"flowlet100", "flowlet500", "presto"}, "sizesplit")
 	}},
 	{"fig14", "Presto shadow-MAC vs Presto+ECMP (stride)", func() []Cell {
-		return presetSweep("fig14", []string{"stride"}, []string{"presto-ecmp", "presto"}, 0)
+		return presetSweep("fig14", []string{"stride"}, []string{"presto-ecmp", "presto"}, "sizesplit")
 	}},
 	{"fig15", "Elephant throughput across workloads", func() []Cell {
-		return presetSweep("fig15", []string{"shuffle", "random", "stride", "bijection"}, scaleSystems, 0)
+		return presetSweep("fig15", []string{"shuffle", "random", "stride", "bijection"}, scaleSystems, "sizesplit")
 	}},
 	{"fig16", "Mice FCT across workloads", func() []Cell {
-		return presetSweep("fig16", []string{"stride", "bijection", "shuffle"}, scaleSystems, 0)
+		return presetSweep("fig16", []string{"stride", "bijection", "shuffle"}, scaleSystems, "sizesplit")
 	}},
 	{"table1", "Trace-driven mice FCT (normalized to ECMP)", func() []Cell {
-		return presetSweep("table1", []string{"trace-mix"}, []string{"ecmp", "optimal", "presto"}, traceDrain)
+		// The trace-driven cells keep running 100 ms past the window so
+		// straggling elephants finish and are counted.
+		return presetSweep("table1", []string{"trace-mix"}, []string{"ecmp", "optimal", "presto"}, "sizesplit:drain=100ms")
 	}},
 	{"table2", "North-south cross traffic: east-west mice FCT", func() []Cell {
-		return presetSweep("table2", []string{"north-south"}, scaleSystems, 0)
+		return presetSweep("table2", []string{"north-south"}, scaleSystems, "sizesplit")
 	}},
 	{"fig17", "Failure handling: throughput per stage", func() []Cell {
 		return failoverCells("fig17", []string{"L1->L4", "L4->L1", "stride", "bijection"})
@@ -83,10 +84,6 @@ var experiments = []struct {
 	}},
 	{"scheme-matrix", "Scheme registry × workload × topology comparison matrix", func() []Cell { return matrixCells(nil) }},
 }
-
-// traceDrain is how long the trace-driven cells keep running past the
-// window so straggling elephants finish and are counted.
-const traceDrain = 100 * sim.Millisecond
 
 // CampaignExperimentIDs lists the experiment IDs in render order.
 func CampaignExperimentIDs() []string {
@@ -156,7 +153,7 @@ func Campaign(req campaign.Request, perRun *telemetry.Registry) (*campaign.Spec,
 	traced := opt
 	traced.Telemetry = perRun
 	for _, cell := range cells {
-		if cell.shardable && opt.Shards > 1 {
+		if m, _, err := lookupMeasure(cell.Measure); err == nil && m.shards && opt.Shards > 1 {
 			if _, _, err := cell.Start(opt); err != nil { // dry run: build and compile only
 				return nil, err
 			}
@@ -304,10 +301,8 @@ func specCell(sys lineupRow, ws *wspec.Spec) Cell {
 		ID:         fmt.Sprintf("workload-spec/wl=%s/sys=%s", ws.Name, sys.display),
 		Scheme:     sys.spec,
 		Workload:   ws,
+		Measure:    "clients",
 		optimal:    sys.optimal,
-		probes:     true,
-		observe:    clientDetail,
-		shardable:  true,
 	}
 }
 
@@ -338,9 +333,8 @@ func podCells(systems []lineupRow, topology string) ([]Cell, error) {
 			Scheme:     sys.spec,
 			Topo:       ts.String(),
 			Workload:   ws,
+			Measure:    "pod",
 			optimal:    sys.optimal,
-			observe:    podLoad,
-			shardable:  true,
 		})
 	}
 	return cells, nil
@@ -415,7 +409,7 @@ func fig1Cells() []Cell {
 				Size:    wspec.SizeDist{Kind: wspec.SizeFixed, Bytes: 32 << 20},
 				Select:  wspec.Select{Kind: wspec.SelPairs, Pairs: [][2]int{{0, 1}}},
 			}),
-			observe: flowletSizes,
+			Measure: "flowlets",
 		})
 	}
 	return cells
@@ -430,7 +424,7 @@ func groCell(id, spec, topology string, pairs [][2]int) Cell {
 		Scheme:     spec,
 		Topo:       topology,
 		Workload:   elephants(pairs, nil),
-		observe:    groMicrobench,
+		Measure:    "gro",
 	}
 }
 
@@ -457,8 +451,8 @@ func GRODisabledCell() Cell {
 func fig6Cells() []Cell {
 	opt := paper("optimal")
 	return []Cell{
-		{Experiment: "fig6", ID: "fig6/gro=official", Scheme: opt.spec, optimal: opt.optimal, Workload: preset("elephants"), observe: cpuOverhead},
-		{Experiment: "fig6", ID: "fig6/gro=presto", Scheme: "presto", Workload: preset("elephants"), observe: cpuOverhead},
+		{Experiment: "fig6", ID: "fig6/gro=official", Scheme: opt.spec, Workload: preset("elephants"), Measure: "cpu", optimal: opt.optimal},
+		{Experiment: "fig6", ID: "fig6/gro=presto", Scheme: "presto", Workload: preset("elephants"), Measure: "cpu"},
 	}
 }
 
@@ -474,8 +468,9 @@ func leafToLeaf(n int) [][2]int {
 
 // fabricSweep builds the Figure 4 benchmark cells: for each point n, n
 // leaf-to-leaf elephants on the spec fabric formats for n, under every
-// system, with RTT probes and switch loss counters. An empty label
-// leaves the point out of the cell IDs (the single-point RTT figures).
+// system, measured by load (RTT probes and switch loss counters). An
+// empty label leaves the point out of the cell IDs (the single-point
+// RTT figures).
 func fabricSweep(exp, label string, points []int, systems []string, fabric string) []Cell {
 	var cells []Cell
 	for _, n := range points {
@@ -492,8 +487,8 @@ func fabricSweep(exp, label string, points []int, systems []string, fabric strin
 				Scheme:     sys.spec,
 				Topo:       tp,
 				Workload:   ws,
+				Measure:    "load",
 				optimal:    sys.optimal,
-				probes:     true,
 			})
 		}
 	}
@@ -501,9 +496,9 @@ func fabricSweep(exp, label string, points []int, systems []string, fabric strin
 }
 
 // presetSweep runs named workload presets on the testbed under every
-// system with the paper's size-split measurement. A single workload
-// stays out of the cell IDs.
-func presetSweep(exp string, workloads, systems []string, drain sim.Time) []Cell {
+// system with the paper's size-split measurement, spelled in full by
+// measure. A single workload stays out of the cell IDs.
+func presetSweep(exp string, workloads, systems []string, measure string) []Cell {
 	var cells []Cell
 	for _, wl := range workloads {
 		prefix := exp
@@ -518,9 +513,8 @@ func presetSweep(exp string, workloads, systems []string, drain sim.Time) []Cell
 				ID:         fmt.Sprintf("%s/sys=%s", prefix, sys.display),
 				Scheme:     sys.spec,
 				Workload:   ws,
+				Measure:    measure,
 				optimal:    sys.optimal,
-				probes:     true,
-				observe:    sizeSplit(drain),
 			})
 		}
 	}
@@ -549,8 +543,7 @@ func failoverCells(exp string, workloads []string) []Cell {
 			ID:         exp + "/wl=" + wl,
 			Scheme:     "presto",
 			Workload:   ws,
-			probes:     true,
-			observe:    failover,
+			Measure:    "failover",
 		})
 	}
 	return cells
@@ -560,40 +553,27 @@ func failoverCells(exp string, workloads []string) []Cell {
 // stride workload under Presto.
 func ablationCells() []Cell {
 	var cells []Cell
-	// add completes a Presto (unless c names a scheme) stride cell.
-	add := func(c Cell, extra func(*cluster.Cluster, campaign.Values)) {
+	// add completes a Presto (unless c names a scheme) stride cell,
+	// measured with no extra metric unless c names one.
+	add := func(c Cell) {
 		c.Experiment, c.ID, c.Scheme = "ablations", "ablations/"+c.ID, cmp.Or(c.Scheme, "presto")
-		c.Workload, c.observe = preset("elephants"), ablation(extra)
+		c.Workload, c.Measure = preset("elephants"), cmp.Or(c.Measure, "ablation")
 		cells = append(cells, c)
 	}
 	for _, kb := range []int{16, 32, 64, 128, 256} {
-		add(Cell{ID: fmt.Sprintf("flowcell_kb=%d", kb), Scheme: fmt.Sprintf("presto:cell=%dKB", kb)}, nil)
+		add(Cell{ID: fmt.Sprintf("flowcell_kb=%d", kb), Scheme: fmt.Sprintf("presto:cell=%dKB", kb)})
 	}
 	for _, a := range []float64{0.5, 1, 2, 4} {
-		add(Cell{ID: fmt.Sprintf("gro_alpha=%g", a), Scheme: fmt.Sprintf("presto:alpha=%g", a)}, func(c *cluster.Cluster, v campaign.Values) {
-			var fires uint64
-			for _, h := range c.Hosts {
-				fires += h.NIC.GRO().Stats().TimeoutFires
-			}
-			v["timeout_fires"] = float64(fires)
-		})
+		add(Cell{ID: fmt.Sprintf("gro_alpha=%g", a), Scheme: fmt.Sprintf("presto:alpha=%g", a), Measure: "ablation:extra=timeout_fires"})
 	}
 	for _, kb := range []int{256, 512, 2048, 8192} {
-		add(Cell{ID: fmt.Sprintf("buffer_kb=%d", kb), Topo: topoSpec("clos:queue=%dKB", kb)},
-			func(c *cluster.Cluster, v campaign.Values) { v["loss_pct"] = c.Net.LossRate() * 100 })
+		add(Cell{ID: fmt.Sprintf("buffer_kb=%d", kb), Topo: topoSpec("clos:queue=%dKB", kb), Measure: "ablation:extra=loss_pct"})
 	}
 	for _, cc := range []struct{ name, topo string }{{"cubic", ""}, {"reno", ""}, {"dctcp", "clos:ecn=200KB"}} {
-		add(Cell{ID: "cc=" + cc.name, Scheme: "presto:cc=" + cc.name, Topo: cc.topo}, nil)
+		add(Cell{ID: "cc=" + cc.name, Scheme: "presto:cc=" + cc.name, Topo: cc.topo})
 	}
 	for _, labels := range []string{"per-host", "tunnel"} {
-		add(Cell{ID: "labels=" + labels, Scheme: "presto:labels=" + labels},
-			func(c *cluster.Cluster, v campaign.Values) {
-				rules := 0
-				for _, leaf := range c.Topo.Leaves {
-					rules += c.Net.Switch(leaf).LabelCount()
-				}
-				v["leaf_rules"] = float64(rules)
-			})
+		add(Cell{ID: "labels=" + labels, Scheme: "presto:labels=" + labels, Measure: "ablation:extra=leaf_rules"})
 	}
 	return cells
 }
@@ -634,8 +614,7 @@ func matrixCells(specs []string) []Cell {
 					Scheme:     spec,
 					Topo:       tp,
 					Workload:   ws,
-					probes:     true,
-					observe:    withMeanFCT,
+					Measure:    "meanfct",
 				})
 			}
 		}

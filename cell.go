@@ -10,6 +10,7 @@ import (
 	"presto/internal/cluster"
 	"presto/internal/metrics"
 	"presto/internal/packet"
+	"presto/internal/param"
 	"presto/internal/scheme"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -18,7 +19,7 @@ import (
 )
 
 // Cell is one row of the experiment table: a scheme on a topology
-// under a workload spec, observed by a measurement set. Every paper
+// under a workload spec, observed by a measurement. Every paper
 // figure, scheme-matrix cell, -workload sweep, pod-scale run and
 // prestod job is a list of Cells, and Run is the one path that
 // executes them.
@@ -35,19 +36,51 @@ type Cell struct {
 	Topo string
 	// Workload is the traffic, always a declarative spec.
 	Workload *wspec.Spec
+	// Measure is how the run is driven and harvested, a canonical spec
+	// of the measures table ("sizesplit:drain=100ms").
+	Measure string
 	// optimal runs the cell on topo.SingleSwitchOf its fabric: the
 	// paper's Optimal baseline, set only by the lineup's optimal row.
 	optimal bool
+}
 
-	// The measurement set. probes starts sockperf-style RTT probers
-	// over the server stride pairs (i, i+N/2), at any shard count.
-	// observe drives the started run and harvests it; nil is
-	// loadWindow.
-	probes  bool
-	observe func(*run) LoadResult
+// measure is an entry of the measures table: its parameter schema,
+// whether it starts sockperf-style RTT probers over the server stride
+// pairs (i, i+N/2) — at any shard count — and whether it honors
+// Options.Shards, beside the function that drives the started run and
+// harvests it.
+type measure struct {
+	params         []param.Param
+	probes, shards bool
+	observe        func(*run) LoadResult
+}
 
-	// shardable cells honor Options.Shards; the rest run serially.
-	shardable bool
+// measures are the measurements a cell's Measure names, in the scheme
+// grammar (package param). Only the -workload measure (clients) and
+// the pod-scale one (pod) honor Options.Shards; paper-figure cells run
+// serially by policy.
+var measures = map[string]measure{
+	"load":    {probes: true, observe: loadWindow},
+	"clients": {probes: true, shards: true, observe: clientDetail},
+	"meanfct": {probes: true, observe: withMeanFCT},
+	"sizesplit": {params: []param.Param{{Name: "drain", Kind: param.KindDuration, Default: "0s"}},
+		probes: true, observe: sizeSplit},
+	"gro":      {observe: groMicrobench},
+	"cpu":      {observe: cpuOverhead},
+	"flowlets": {observe: flowletSizes},
+	"failover": {probes: true, observe: failover},
+	"pod":      {shards: true, observe: podLoad},
+	"ablation": {params: []param.Param{{Name: "extra", Kind: param.KindEnum, Default: "none",
+		Values: []string{"none", "timeout_fires", "loss_pct", "leaf_rules"}}}, observe: ablation},
+}
+
+// schema is the measure's parameter schema.
+func (m measure) schema() []param.Param { return m.params }
+
+// lookupMeasure resolves a measure spec against the measures table.
+func lookupMeasure(spec string) (measure, param.Resolved, error) {
+	name, _, vals, err := param.Lookup("measure", spec, measures, measure.schema)
+	return measures[name], vals, err
 }
 
 // LoadResult is the output of one cell run.
@@ -76,13 +109,14 @@ type LoadResult struct {
 	Dists   map[string]*metrics.Dist
 }
 
-// run is a started cell: the cluster, its traffic, and its probers,
-// handed to the cell's observe.
+// run is a started cell: the cluster, its traffic, its probers and
+// its measure's values, handed to the measure's observe.
 type run struct {
 	opt     Options
 	c       *cluster.Cluster
 	g       *wspec.Generator
 	probers []*cluster.Prober
+	params  param.Resolved
 }
 
 // probeInterval is the RTT probe spacing.
@@ -109,6 +143,10 @@ func (cell Cell) topology(tp *topo.Topology) *topo.Topology {
 // run on the requested shards is rejected with Compile's field-path
 // error when the campaign is built.
 func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) {
+	m, _, err := lookupMeasure(cell.Measure)
+	if err != nil {
+		return nil, nil, err
+	}
 	if _, err := scheme.ParseSpec(cell.Scheme); err != nil {
 		return nil, nil, err
 	}
@@ -123,7 +161,7 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 		Scheme:    cluster.Scheme(cell.Scheme),
 	}
 	cfg.Fabric.SwitchQueueBytes, cfg.Fabric.ECNThresholdBytes = ts.Switch()
-	if cell.shardable {
+	if m.shards {
 		cfg.Shards = opt.Shards // New caps it at the pod count
 	}
 	c := cluster.New(cfg)
@@ -135,19 +173,23 @@ func (cell Cell) Start(opt Options) (*cluster.Cluster, *wspec.Generator, error) 
 }
 
 // Run executes the cell: build the cluster, compile the workload onto
-// it, start probers and then traffic, and let the measurement set
-// drive and harvest the run. Everything that runs a simulation in
-// this repository outside the benchmark harness goes through here.
+// it, start probers and then traffic, and let the measure drive and
+// harvest the run. Everything that runs a simulation in this
+// repository outside the benchmark harness goes through here.
 // A traced run ends its telemetry scope on return (Registry.EndRun),
 // so the registry keeps the run's final probe values, not its cluster.
 func (cell Cell) Run(opt Options) (LoadResult, error) {
 	opt.fill()
+	m, params, err := lookupMeasure(cell.Measure)
+	if err != nil {
+		return LoadResult{}, err
+	}
 	c, g, err := cell.Start(opt)
 	if err != nil {
 		return LoadResult{}, err
 	}
-	r := &run{opt: opt, c: c, g: g}
-	if cell.probes {
+	r := &run{opt: opt, c: c, g: g, params: params}
+	if m.probes {
 		n := g.Servers()
 		for i := 0; i < n; i++ {
 			p := c.NewProber(packet.HostID(i), packet.HostID((i+n/2)%n), probeInterval)
@@ -156,11 +198,7 @@ func (cell Cell) Run(opt Options) (LoadResult, error) {
 		}
 	}
 	g.Start(opt.Warmup + opt.Duration)
-	observe := cell.observe
-	if observe == nil {
-		observe = loadWindow
-	}
-	res := observe(r)
+	res := m.observe(r)
 	opt.Telemetry.EndRun()
 	return res, nil
 }
@@ -267,7 +305,7 @@ func loadMetrics(res *LoadResult) {
 	}
 }
 
-// loadWindow is the default measurement: warmup, baseline reset,
+// loadWindow is the plain measurement: warmup, baseline reset,
 // measurement window, then throughput, loss, RTT and the FCT of every
 // sized flow.
 func loadWindow(r *run) LoadResult {
@@ -318,37 +356,35 @@ const (
 // elephant goodput from the unlimited flows — or, when the workload
 // has none (shuffle, the trace-driven mix), from each completed
 // transfer over 1 MB. Flows to remote users are cross traffic, not
-// measured. drain extends the run past the window so stragglers
-// finish.
-func sizeSplit(drain sim.Time) func(*run) LoadResult {
-	return func(r *run) LoadResult {
-		r.c.Run(r.opt.Warmup)
-		r.g.ResetBaseline(r.c.Now())
-		mice, big := &metrics.Dist{}, &metrics.Dist{}
-		timeouts := 0
-		servers := r.g.Servers()
-		r.g.OnFlowDone = func(d wspec.FlowDone) {
-			switch {
-			case d.Dst >= servers:
-			case d.Bytes < miceBytes:
-				mice.Add(d.FCT.Milliseconds())
-				if d.TimedOut {
-					timeouts++
-				}
-			case d.Bytes > elephantBytes && d.FCT > 0:
-				big.Add(float64(d.Bytes) * 8 / d.FCT.Seconds() / 1e9)
+// measured. The drain value extends the run past the window so
+// stragglers finish.
+func sizeSplit(r *run) LoadResult {
+	r.c.Run(r.opt.Warmup)
+	r.g.ResetBaseline(r.c.Now())
+	mice, big := &metrics.Dist{}, &metrics.Dist{}
+	timeouts := 0
+	servers := r.g.Servers()
+	r.g.OnFlowDone = func(d wspec.FlowDone) {
+		switch {
+		case d.Dst >= servers:
+		case d.Bytes < miceBytes:
+			mice.Add(d.FCT.Milliseconds())
+			if d.TimedOut {
+				timeouts++
 			}
+		case d.Bytes > elephantBytes && d.FCT > 0:
+			big.Add(float64(d.Bytes) * 8 / d.FCT.Seconds() / 1e9)
 		}
-		r.c.Run(r.until() + drain)
-		res := r.harvest()
-		res.FCT, res.MiceTimeouts = mice, timeouts
-		if len(r.g.Throughputs(r.c.Now())) == 0 {
-			res.MeanTput = big.Mean()
-			res.Fairness = metrics.JainIndex(big.Samples())
-		}
-		loadMetrics(&res)
-		return res
 	}
+	r.c.Run(r.until() + r.params.Duration("drain"))
+	res := r.harvest()
+	res.FCT, res.MiceTimeouts = mice, timeouts
+	if len(r.g.Throughputs(r.c.Now())) == 0 {
+		res.MeanTput = big.Mean()
+		res.Fairness = metrics.JainIndex(big.Samples())
+	}
+	loadMetrics(&res)
+	return res
 }
 
 // groMicrobench is the Figure 5 measurement: per-flowcell out-of-order
@@ -549,19 +585,32 @@ func failover(r *run) LoadResult {
 	return res
 }
 
-// ablation returns the fixed-window stride measurement the
-// design-choice sweeps share (20 ms warmup + 70 ms window regardless
-// of opt), plus whatever extra metrics the knob under study calls for.
-func ablation(extra func(*cluster.Cluster, campaign.Values)) func(*run) LoadResult {
-	return func(r *run) LoadResult {
-		r.window(20*sim.Millisecond, 90*sim.Millisecond)
-		res := r.harvest()
-		res.Metrics = campaign.Values{"tput_gbps": res.MeanTput}
-		if extra != nil {
-			extra(r.c, res.Metrics)
+// ablation is the fixed-window stride measurement the design-choice
+// sweeps share (20 ms warmup + 70 ms window regardless of opt), plus
+// the extra metric the knob under study calls for: GRO timeout fires
+// (alpha), switch loss (buffers) or leaf label rules (label modes).
+func ablation(r *run) LoadResult {
+	r.window(20*sim.Millisecond, 90*sim.Millisecond)
+	res := r.harvest()
+	c, v := r.c, campaign.Values{"tput_gbps": res.MeanTput}
+	switch r.params.Enum("extra") {
+	case "timeout_fires":
+		var fires uint64
+		for _, h := range c.Hosts {
+			fires += h.NIC.GRO().Stats().TimeoutFires
 		}
-		return res
+		v["timeout_fires"] = float64(fires)
+	case "loss_pct":
+		v["loss_pct"] = c.Net.LossRate() * 100
+	case "leaf_rules":
+		rules := 0
+		for _, leaf := range c.Topo.Leaves {
+			rules += c.Net.Switch(leaf).LabelCount()
+		}
+		v["leaf_rules"] = float64(rules)
 	}
+	res.Metrics = v
+	return res
 }
 
 // podLoad is the pod-scale measurement. Every metric is bit-identical

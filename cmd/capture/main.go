@@ -10,10 +10,12 @@
 //	capture -workload incast32 -flows r.json
 //	capture -system flowlet100 -out /tmp/presto.pcap
 //
-// The replay spec is named <workload>-replay, and its times are
-// normalized so the first flow starts at 0. The paper's reordering and
-// flowlet numbers come from the simulator itself (experiments -run
-// fig1,fig5), not from the pcap.
+// Capture runs the default warmup plus -duration, as every cell run
+// does, and the replay spec, named <workload>-replay, keeps each flow
+// start at the time it was recorded, so a replay under the same
+// windows measures the flows the capture measured. The paper's
+// reordering and flowlet numbers come from the simulator itself
+// (experiments -run fig1,fig5), not from the pcap.
 package main
 
 import (
@@ -101,13 +103,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *flows != "" {
 		g.OnFlowStart = func(f wspec.FlowStart) { starts = append(starts, f) }
 	}
-	g.Start(opt.Duration)
-	c.Run(opt.Duration)
+	g.Start(opt.Warmup + opt.Duration)
+	c.Run(opt.Warmup + opt.Duration)
 	if tapErr != nil {
 		return fail(1, fmt.Errorf("pcap write: %w", tapErr))
 	}
 
-	fmt.Fprintf(stdout, "workload %s (spec %s) on %s: %v simulated\n", ws.Name, ws.Hash(), req.Scheme, &req.Duration)
+	fmt.Fprintf(stdout, "workload %s (spec %s) on %s: %v simulated after %v warmup\n", ws.Name, ws.Hash(), req.Scheme, &req.Duration, &req.Warmup)
 	for _, cr := range g.Results(c.Now()) {
 		fmt.Fprintf(stdout, "  client %-13s started=%d finished=%d bytes=%d\n", cr.ID+":", cr.Started, cr.Finished, cr.BytesMoved)
 	}
@@ -128,16 +130,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	return 0
 }
 
-// writeReplay writes the recorded starts as the canonical JSON of a
-// <name>-replay spec with one trace client, normalized so the first
-// flow is at t=0 (replay re-anchors at run start anyway).
+// writeReplay writes the recorded starts, at their recorded times, as
+// the canonical JSON of a <name>-replay spec with one trace client.
 func writeReplay(path, name string, starts []wspec.FlowStart) (*wspec.Spec, error) {
 	if len(starts) == 0 {
 		return nil, fmt.Errorf("no flow starts recorded; nothing to write to %s", path)
-	}
-	base := starts[0].At
-	for i := range starts {
-		starts[i].At -= base
 	}
 	replay := &wspec.Spec{
 		Version: wspec.Version,

@@ -8,6 +8,8 @@ import (
 	"strings"
 	"testing"
 
+	"presto"
+	"presto/internal/campaign"
 	"presto/internal/cluster"
 	"presto/internal/sim"
 	"presto/internal/topo"
@@ -16,8 +18,10 @@ import (
 
 // TestCaptureReplays closes the capture→replay loop: record mice-heavy
 // into a replay spec, load that spec like any workload file, and check
-// every recorded flow starts again. The spec's hash covers the flows:
-// a capture under another seed records other traffic and gets another
+// every recorded flow starts again. The recorded times include the
+// warmup, so a replay under the default windows measures the flows the
+// 10 ms capture window saw. The spec's hash covers the flows: a
+// capture under another seed records other traffic and gets another
 // hash.
 func TestCaptureReplays(t *testing.T) {
 	capture := func(seed string) (*wspec.Spec, int) {
@@ -53,10 +57,24 @@ func TestCaptureReplays(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g.Start(20 * sim.Millisecond)
-	c.Eng.Run(20 * sim.Millisecond)
+	until := campaign.DefaultWarmup + 10*sim.Millisecond // the capture's windows
+	g.Start(until)
+	c.Eng.Run(until)
 	if res := g.Results(c.Eng.Now()); len(res) != 1 || res[0].Started != recorded || res[0].Finished == 0 {
 		t.Errorf("replay: %+v, capture recorded %d flow starts", res, recorded)
+	}
+
+	cell, err := presto.SpecCell("presto", ws)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cell.Topo = "clos:hpl=2,leaves=2,spines=2"
+	res, err := cell.Run(presto.Options{Seed: 1}) // the default windows
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Metrics["client_replay_started"]; n <= 0 {
+		t.Errorf("replay under the default windows measured %v flow starts, want > 0", n)
 	}
 
 	if other, _ := capture("4"); other.Hash() == ws.Hash() {

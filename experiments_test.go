@@ -240,9 +240,7 @@ func TestLineupSpellings(t *testing.T) {
 		{"flowlet100", "Flowlet-100us", "flowlet:gap=100us"},
 		{"flowlet500", "Flowlet-500us", "flowlet:gap=500us"},
 		{"presto-ecmp", "Presto+ECMP", "presto-ecmp"},
-		{"prestoecmp", "Presto+ECMP", "presto-ecmp"},
 		{"per-packet", "PerPacket", "per-packet"},
-		{"perpacket", "PerPacket", "per-packet"},
 		{"flowlet:gap=100us", "flowlet:gap=100us", "flowlet:gap=100us"},
 		{"presto:cell=32KB", "presto:cell=32KB", "presto:cell=32KB"},
 		{"diffflow:cell=32KB, threshold=512KB", "diffflow:cell=32KB,threshold=512KB", "diffflow:cell=32KB,threshold=512KB"},

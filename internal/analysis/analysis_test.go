@@ -27,7 +27,7 @@ func TestHarnessExempt(t *testing.T) {
 	exempt := []string{
 		"presto/cmd/capture",
 		"presto/cmd/experiments [presto/cmd/experiments.test]",
-		"presto/examples/quickstart",
+		"presto/examples/groreorder",
 		"presto/internal/campaign",
 		"presto/internal/server",
 		"presto/cmd/prestod",

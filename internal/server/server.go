@@ -167,7 +167,7 @@ func New(cfg Config) (*Server, error) {
 		go s.worker()
 	}
 	if cfg.ArtifactTTL > 0 {
-		go s.janitor()
+		go s.janitor(s.gcStop)
 	} else {
 		close(s.gcDone)
 	}
@@ -577,8 +577,8 @@ func (s *Server) Close() error {
 }
 
 // janitor garbage-collects expired jobs' records and artifact
-// directories on a cadence derived from the TTL.
-func (s *Server) janitor() {
+// directories on a cadence derived from the TTL until stop closes.
+func (s *Server) janitor(stop <-chan struct{}) {
 	defer close(s.gcDone)
 	interval := s.cfg.ArtifactTTL / 4
 	if interval < time.Second {
@@ -589,9 +589,6 @@ func (s *Server) janitor() {
 	}
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
-	s.mu.Lock()
-	stop := s.gcStop
-	s.mu.Unlock()
 	for {
 		select {
 		case <-stop:

@@ -710,3 +710,27 @@ func waitReadyz(t *testing.T, c *Client, code int) {
 	}
 	t.Fatalf("/readyz never returned %d", code)
 }
+
+// TestCloseRightAfterNew pins that Close stops the janitor even when it
+// runs before the janitor goroutine first does: the janitor is handed
+// its stop channel at start, so it cannot read the nil Close leaves in
+// its place and wait forever.
+func TestCloseRightAfterNew(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	for range 20 {
+		s, err := New(Config{SpecBuilder: synthSpec, DataDir: t.TempDir(), ArtifactTTL: time.Hour})
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- s.Close() }()
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("Close did not return: the janitor missed its stop signal")
+		}
+	}
+}

@@ -399,10 +399,7 @@ func (g *Generator) nextTransfer(cr *clientRun, src packet.HostID) {
 // flows for one arrival, then schedules the next after an exponential
 // gap.
 func (g *Generator) runArrivals(cr *clientRun) {
-	mean := sim.Time(1e9 / cr.cfg.Rate) // mean inter-arrival, ns
-	if mean <= 0 {
-		mean = sim.Microsecond
-	}
+	mean := sim.Time(1e9 / cr.cfg.Rate) // mean inter-arrival, ns; Validate bounds it
 	var tick func()
 	tick = func() {
 		if g.c.Eng.Now() >= g.stop {

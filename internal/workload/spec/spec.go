@@ -360,6 +360,9 @@ func (c *Client) validate(path string) error {
 		if c.Arrival != (Arrival{}) || c.Size.Kind != "" || c.Select.Kind != "" {
 			return badField(path+".trace", "trace clients must not set arrival/size/select")
 		}
+		if c.Rate != 0 {
+			return badField(path+".rate", "trace clients take no rate; their flow starts are recorded")
+		}
 		return c.Trace.validate(path + ".trace")
 	}
 	if err := c.validateRate(path); err != nil {
@@ -415,6 +418,11 @@ func (c *Client) validateRate(path string) error {
 	}
 	if c.Rate == 0 {
 		return badField(path+".rate", "a rate is required")
+	}
+	// The mean gap, 1e9/rate ns, must be a positive sim.Time: above 1e9
+	// flows/s it rounds to 0, and below ~1.1e-10 it overflows.
+	if gap := 1e9 / c.Rate; gap < 1 || gap >= math.MaxInt64 {
+		return badField(path+".rate", "got %g; the mean gap 1e9/rate ns must be 1 ns to 2^63 ns (rate 1.1e-10 to 1e9 flows/s)", c.Rate)
 	}
 	return nil
 }

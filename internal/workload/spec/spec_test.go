@@ -151,6 +151,9 @@ func TestValidateRejections(t *testing.T) {
 				Inline: []FlowStart{{Src: 0, Dst: 1, Bytes: 10}, {Src: 0, Dst: 1, Bytes: -1}},
 			}}
 		}, "clients[0].trace.inline[1].bytes"},
+		{"trace with rate", func(s *Spec) {
+			s.Clients[0] = Client{ID: "t", Rate: 5, Trace: &TraceSource{Inline: []FlowStart{{Src: 0, Dst: 1, Bytes: 10}}}}
+		}, "clients[0].rate"},
 		{"trace out of order", func(s *Spec) {
 			s.Clients[0] = Client{ID: "t", Trace: &TraceSource{
 				Inline: []FlowStart{{At: 2, Src: 0, Dst: 1, Bytes: 10}, {At: 1, Src: 0, Dst: 1, Bytes: 10}},
@@ -169,6 +172,28 @@ func TestValidateRejections(t *testing.T) {
 				t.Fatalf("error %q does not name field path %q", err, tc.wantPath)
 			}
 		})
+	}
+}
+
+// TestRateBounds pins the arrival rates a spec may give: the mean gap
+// 1e9/rate ns must be a positive sim.Time. A one-client Poisson spec at
+// 1e-12 flows/s, whose gap overflows, and one at 2e9, whose gap rounds
+// to 0, are refused rather than run as floods; the rates at either
+// edge of the bound load.
+func TestRateBounds(t *testing.T) {
+	spec := func(rate string) []byte {
+		return []byte(`{"version":"presto-workload/1","name":"slow","clients":[{"id":"mice","rate":` + rate +
+			`,"arrival":{"process":"poisson"},"size":{"kind":"fixed","bytes":1000},"select":{"kind":"random"}}]}`)
+	}
+	for _, rate := range []string{"1e-12", "2e9"} {
+		if _, err := Parse(spec(rate)); err == nil || !strings.Contains(err.Error(), "clients[0].rate") {
+			t.Errorf("rate %s: err = %v, want one naming clients[0].rate", rate, err)
+		}
+	}
+	for _, rate := range []string{"1.1e-10", "1e9"} {
+		if _, err := Parse(spec(rate)); err != nil {
+			t.Errorf("rate %s refused: %v", rate, err)
+		}
 	}
 }
 

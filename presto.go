@@ -2,10 +2,10 @@
 // Balancing for Fast Datacenter Networks" (He et al., SIGCOMM 2015)
 // on a deterministic discrete-event network simulator.
 //
-// The package exposes the experiment harness used by the examples,
-// the command-line front-ends, and the benchmarks: every table and
+// The package exposes the experiment harness used by the examples
+// and the command-line front-ends: every table and
 // figure of the paper's evaluation is a list of Cells — a scheme on a
-// topology under a workload spec, observed by a measurement set — and
+// topology under a workload spec, observed by a measurement — and
 // Cell.Run is the one path that executes them. The building blocks —
 // flowcell spraying (Algorithm 1), the modified GRO flush (Algorithm
 // 2), shadow-MAC spanning trees, the Clos fabric, TCP/MPTCP — live in
@@ -38,9 +38,7 @@ var lineup = []lineupRow{
 	{name: "flowlet100", display: "Flowlet-100us", spec: "flowlet:gap=100us"},
 	{name: "flowlet500", display: "Flowlet-500us", spec: "flowlet:gap=500us"},
 	{name: "presto-ecmp", display: "Presto+ECMP", spec: "presto-ecmp"},
-	{name: "prestoecmp", display: "Presto+ECMP", spec: "presto-ecmp"},
 	{name: "per-packet", display: "PerPacket", spec: "per-packet"},
-	{name: "perpacket", display: "PerPacket", spec: "per-packet"},
 }
 
 // lineupRow is one scheme name resolved: its spelling, its cell-ID
@@ -103,9 +101,9 @@ type Options struct {
 
 	// Shards partitions the engine into per-pod shards with
 	// conservative lookahead synchronization; results equal the serial
-	// run's at any count. Honored by shardable cells (workload-spec and
-	// pod-scale cells); paper-figure cells run serially by policy. 0 or
-	// 1 = serial.
+	// run's at any count. Honored by cells measured by clients (the
+	// -workload cells) or pod (the pod-scale cells); the other measures
+	// run serially by policy. 0 or 1 = serial.
 	Shards int
 }
 

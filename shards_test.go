@@ -37,13 +37,16 @@ func TestSpecCellShardsMatchSerial(t *testing.T) {
 // TestShardedFailoverCellMatchesSerial runs Figure 17's stride cell —
 // probers, a link failure and the controller's deferred push — on two
 // shards, which paper cells never do by policy, and requires the
-// serial run's result.
+// serial run's result. The cell runs under a test-only copy of the
+// failover measure that honors Options.Shards.
 func TestShardedFailoverCellMatchesSerial(t *testing.T) {
 	cell, err := FigureCell("fig17/wl=stride")
 	if err != nil {
 		t.Fatal(err)
 	}
-	cell.shardable = true
+	m := measures["failover"]
+	m.shards = true
+	cell.Measure = addMeasure(t, "sharded-failover", m)
 	opt := fastOpt(11)
 	opt.Shards = 1
 	want := runCell(t, cell, opt)
@@ -53,6 +56,18 @@ func TestShardedFailoverCellMatchesSerial(t *testing.T) {
 		t.Fatalf("run used %d shards, want 2", got.Shards)
 	}
 	assertSameRun(t, cell.ID, 2, want, got)
+}
+
+// addMeasure adds m to the measures table under name for the rest of
+// the test, and returns name.
+func addMeasure(t *testing.T, name string, m measure) string {
+	t.Helper()
+	if _, ok := measures[name]; ok {
+		t.Fatalf("measure %s already exists", name)
+	}
+	measures[name] = m
+	t.Cleanup(func() { delete(measures, name) })
+	return name
 }
 
 // assertSameRun fails unless a sharded run reports exactly what the

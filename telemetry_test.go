@@ -335,10 +335,12 @@ func TestTracedShardedRunReleasesCluster(t *testing.T) {
 		t.Fatal(err)
 	}
 	freed := make(chan struct{})
-	cell.observe = func(r *run) LoadResult {
+	m := measures[cell.Measure]
+	m.observe = func(r *run) LoadResult {
 		runtime.SetFinalizer(r.c.Topo, func(*topo.Topology) { close(freed) })
 		return clientDetail(r)
 	}
+	cell.Measure = addMeasure(t, "finalized-clients", m)
 	reg := telemetry.NewRegistry(telemetry.NewTracer())
 	runCell(t, cell, Options{Seed: 1, Warmup: sim.Millisecond, Duration: 2 * sim.Millisecond, Shards: 2, Telemetry: reg})
 	for range 100 {

@@ -36,12 +36,13 @@ func tableCells(t testing.TB, podTopos ...string) []Cell {
 
 // TestCellIDsIdentifyCells requires a cell ID to name one cell: two
 // cells that share an ID must run the same normal scheme spec on the
-// same canonical fabric under the same workload. Its podtraffic leg is
-// two pod fabrics that differ only in hosts per leaf.
+// same canonical fabric under the same workload, measured the same
+// way. Its podtraffic leg is two pod fabrics that differ only in hosts
+// per leaf.
 func TestCellIDsIdentifyCells(t *testing.T) {
 	type identity struct {
-		scheme, topology, workload string
-		optimal                    bool
+		scheme, topology, workload, measure string
+		optimal                             bool
 	}
 	seen := map[string]identity{}
 	for _, c := range tableCells(t, "clos3:pods=2,hpl=1", "clos3:pods=2,hpl=2") {
@@ -53,7 +54,7 @@ func TestCellIDsIdentifyCells(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", c.ID, err)
 		}
-		id := identity{sch.Normal(), ts.String(), c.Workload.Hash(), c.optimal}
+		id := identity{sch.Normal(), ts.String(), c.Workload.Hash(), canonicalMeasure(t, c.Measure), c.optimal}
 		if prev, ok := seen[c.ID]; ok && prev != id {
 			t.Errorf("cell ID %s names two cells:\n  %+v\n  %+v", c.ID, prev, id)
 		}
